@@ -17,10 +17,15 @@
 #                  nodes killed), uncached, for quick iteration on the
 #                  serving layer
 #   make fuzz    - short fuzz smoke: the 128-bit quantile-rank arithmetic, the
-#                  daemon's HTTP request decoder, the snapshot decoder and the
-#                  binary result-frame decoder
+#                  daemon's HTTP request decoder, the snapshot decoder, the
+#                  binary result-frame decoder and the branch-free three-way
+#                  partition kernel (differential against Partition3)
 #   make smoke   - metrics-scrape smoke: boot a daemon, run one query, pull
 #                  /metrics and strictly validate the exposition
+#   make bench-smoke - the benchmark module's own tests (every workload once,
+#                  with short phases, plus its compare logic). bench/ is a
+#                  separate module outside `go test ./...`, so this is what
+#                  catches an engine API change that breaks it
 #   make cover   - coverage profile over the core packages (engine, client,
 #                  internal) with a hard threshold; writes cover.out
 
@@ -32,9 +37,9 @@ GO ?= go
 COVER_PKGS = .,./parselclient,./parselclient/cluster,./internal/...
 COVER_MIN ?= 85
 
-.PHONY: ci vet build test race e2e fuzz smoke cover
+.PHONY: ci vet build test race e2e fuzz smoke bench-smoke cover
 
-ci: vet build test race e2e fuzz smoke cover
+ci: vet build test race e2e fuzz smoke bench-smoke cover
 
 vet:
 	$(GO) vet ./...
@@ -62,9 +67,13 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseRequest -fuzztime=5s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=5s ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=5s ./internal/snapshot
+	$(GO) test -run='^$$' -fuzz=FuzzPartition3Branchless -fuzztime=5s ./internal/seq
 
 smoke:
 	$(GO) test -count=1 -run 'TestObsScrapeSmoke' ./internal/serve
+
+bench-smoke:
+	$(GO) -C bench test -count=1 ./...
 
 cover:
 	$(GO) test -count=1 -coverprofile=cover.out -coverpkg=$(COVER_PKGS) \

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"parsel/internal/machine"
@@ -446,5 +447,102 @@ func TestRandomizedTransportFuzz(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// sumVector is processor id's contribution in the CombineSumInt64Slice
+// tests: distinct per processor and element, with negatives.
+func sumVector(id, L int) []int64 {
+	v := make([]int64, L)
+	for i := range v {
+		v[i] = int64((id+1)*(i+3)) - int64(5*i)
+	}
+	return v
+}
+
+func TestCombineSumInt64Slice(t *testing.T) {
+	for p := 1; p <= 9; p++ {
+		for _, L := range []int{0, 1, 2, 7} {
+			want := make([]int64, L)
+			for id := 0; id < p; id++ {
+				for i, v := range sumVector(id, L) {
+					want[i] += v
+				}
+			}
+			got := make([][]int64, p)
+			fast := make([]machine.Counters, p)
+			generic := make([]machine.Counters, p)
+			simFast := runSPMD(t, p, func(pr *machine.Proc) {
+				in := sumVector(pr.ID(), L)
+				out, _ := CombineSumInt64Slice(pr, in, nil)
+				got[pr.ID()] = slices.Clone(out)
+				fast[pr.ID()] = pr.Counters
+				if !slices.Equal(in, sumVector(pr.ID(), L)) {
+					t.Errorf("p=%d L=%d: processor %d's input modified to %v", p, L, pr.ID(), in)
+				}
+			})
+			simGeneric := runSPMD(t, p, func(pr *machine.Proc) {
+				Combine(pr, sumVector(pr.ID(), L), L*machine.WordBytes, func(a, b []int64) []int64 {
+					out := make([]int64, len(a))
+					for i := range a {
+						out[i] = a[i] + b[i]
+					}
+					return out
+				})
+				generic[pr.ID()] = pr.Counters
+			})
+			for id, g := range got {
+				if !slices.Equal(g, want) {
+					t.Errorf("p=%d L=%d: processor %d got %v, want %v", p, L, id, g, want)
+				}
+			}
+			if !slices.Equal(fast, generic) {
+				t.Errorf("p=%d L=%d: per-processor counters %+v, Combine's %+v", p, L, fast, generic)
+			}
+			if simFast != simGeneric {
+				t.Errorf("p=%d L=%d: simulated %g s, Combine takes %g s", p, L, simFast, simGeneric)
+			}
+		}
+	}
+}
+
+// TestCombineSumInt64SliceNoAllocs pins the collective allocation-free
+// once its buffer is warm: back-to-back calls reusing one buffer per
+// processor must allocate nothing beyond the machine run itself.
+func TestCombineSumInt64SliceNoAllocs(t *testing.T) {
+	const p, L, calls = 7, 18, 50
+	m, err := machine.New(machine.DefaultParams(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	vals := make([][]int64, p)
+	bufs := make([][]int64, p)
+	for id := range vals {
+		vals[id] = sumVector(id, L)
+		bufs[id] = make([]int64, 2*L)
+	}
+	var want int64
+	for id := 0; id < p; id++ {
+		want += vals[id][L-1]
+	}
+	run := func(n int) {
+		if _, err := m.Run(func(pr *machine.Proc) {
+			id := pr.ID()
+			for i := 0; i < n; i++ {
+				var out []int64
+				out, bufs[id] = CombineSumInt64Slice(pr, vals[id], bufs[id])
+				if out[L-1] != want {
+					panic("wrong sum")
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idle := testing.AllocsPerRun(10, func() { run(0) })
+	busy := testing.AllocsPerRun(10, func() { run(calls) })
+	if busy-idle >= calls {
+		t.Errorf("%d calls allocate %.0f objects over an idle run's %.0f", calls, busy, idle)
 	}
 }

@@ -90,6 +90,64 @@ func CombineSumInt64Pair(p *machine.Proc, a, b int64, bytes int) (int64, int64) 
 		func(a0, b0, a1, b1 int64) (int64, int64) { return a0 + a1, b0 + b1 })
 }
 
+// CombineSumInt64Slice all-reduces a vector of int64 sums element-wise
+// in one collective: Combine of the vector under element-wise addition,
+// with the same tree, tags, message count and byte sizes
+// (len(vals) words per message). vals is not modified. buf, when large
+// enough (2*len(vals)), provides all working storage so the collective
+// allocates nothing; it is returned (possibly grown) for the caller to
+// retain. The result is a view into it, valid until the next call that
+// reuses the buffer.
+//
+// The first half of buf accumulates the reduction and the second holds
+// the result, which every processor copies out of its parent's message
+// before forwarding its own copy. A buffer is therefore only rewritten
+// after every processor reading it has moved on: a child's accumulator
+// is consumed by its parent before the child receives the broadcast,
+// and a result half is rewritten only in the next call's broadcast,
+// which starts once the root has heard from every processor.
+func CombineSumInt64Slice(p *machine.Proc, vals []int64, buf []int64) (out, grown []int64) {
+	L := len(vals)
+	if cap(buf) < 2*L {
+		buf = make([]int64, 2*L)
+	}
+	buf = buf[:2*L]
+	acc, res := buf[:L:L], buf[L:]
+	copy(acc, vals)
+	size := p.Procs()
+	if size == 1 {
+		copy(res, acc)
+		return res, buf
+	}
+	bytes := L * machine.WordBytes
+	me := p.ID()
+	// Reduce to processor 0 (the binomial tree of Reduce).
+	mask := 1
+	for ; mask < size; mask <<= 1 {
+		if me&mask != 0 {
+			p.SendInt64Slice(me&^mask, tagReduce+mask, acc, bytes)
+			break
+		}
+		if src := me | mask; src < size {
+			for i, v := range p.RecvInt64Slice(src, tagReduce+mask) {
+				acc[i] += v
+			}
+		}
+	}
+	// Broadcast from processor 0 down the same tree.
+	if me == 0 {
+		copy(res, acc)
+	} else {
+		copy(res, p.RecvInt64Slice(me&^mask, tagBroadcast+mask))
+	}
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if me+mask < size {
+			p.SendInt64Slice(me+mask, tagBroadcast+mask, res, bytes)
+		}
+	}
+	return res, buf
+}
+
 // CombineMaxInt64 all-reduces an int64 maximum.
 func CombineMaxInt64(p *machine.Proc, val int64, bytes int) int64 {
 	v, _ := combineInt64Pair(p, val, 0, bytes,

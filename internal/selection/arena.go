@@ -31,13 +31,26 @@ type Arena[K cmp.Ordered] struct {
 	sort    psort.Scratch[K]
 
 	// Multi-rank (SelectMany) scratch: the result values, the root's
-	// per-segment answer staging, the segment work list, and bump slabs
-	// carving the per-segment rank/position lists.
-	many   []K
-	mvals  []K
-	msegs  []multiSeg[K]
-	mranks slab[int64]
-	mouts  slab[int]
+	// answer staging, the segment lists (this level, the next, and the
+	// segments left for the final gather), the small segments' keys
+	// staged for that gather, a round's per-segment vectors (local
+	// sizes and their all-gather, owned pivots, pivots, local tallies
+	// and their sums), and bump slabs carving the per-segment
+	// rank/position lists.
+	many    []K
+	mvals   []K
+	mlive   []multiSeg[K]
+	mnext   []multiSeg[K]
+	msmall  []multiSeg[K]
+	mstage  []K
+	msizes  []int64
+	mconcat []int64
+	mown    []owned[K]
+	mpivs   []K
+	mtally  []int64
+	mcomb   []int64
+	mranks  slab[int64]
+	mouts   slab[int]
 }
 
 // slab is a bump allocator over one growable backing array. Chunks are

@@ -40,10 +40,17 @@ func TestSelectManyMatchesOracle(t *testing.T) {
 			flat := workload.Flatten(shards)
 			slices.Sort(flat)
 			ranks := []int64{1, n / 4, n / 2, 3 * n / 4, n}
-			got, _ := runSelectMany(t, shards, ranks, Options{})
-			for i, r := range ranks {
-				if got[i] != flat[r-1] {
-					t.Errorf("p=%d %v rank %d: got %d want %d", p, kind, r, got[i], flat[r-1])
+			// A round cap of 1 or 3 leaves large segments for the final
+			// gather, which must still answer exactly.
+			for _, maxRounds := range []int{0, 1, 3} {
+				got, st := runSelectMany(t, shards, ranks, Options{MaxIterations: maxRounds})
+				for i, r := range ranks {
+					if got[i] != flat[r-1] {
+						t.Errorf("p=%d %v cap %d rank %d: got %d want %d", p, kind, maxRounds, r, got[i], flat[r-1])
+					}
+				}
+				if maxRounds > 0 && (st[0].Iterations > maxRounds || st[0].CapHit && st[0].Iterations != maxRounds) {
+					t.Errorf("p=%d %v cap %d: %d rounds, CapHit %v", p, kind, maxRounds, st[0].Iterations, st[0].CapHit)
 				}
 			}
 		}
@@ -73,7 +80,7 @@ func TestSelectManyEmptyRanks(t *testing.T) {
 
 func TestSelectManySharesWork(t *testing.T) {
 	// Selecting 5 quantiles at once must cost far less than 5 separate
-	// selections (in pivot iterations).
+	// selections: its rounds against their summed pivot iterations.
 	const n = 200000
 	const p = 8
 	shards := workload.Generate(workload.Random, n, p, 5)
@@ -88,6 +95,61 @@ func TestSelectManySharesWork(t *testing.T) {
 	if stMany[0].Iterations >= singleIters {
 		t.Errorf("SelectMany used %d iterations, five singles used %d", stMany[0].Iterations, singleIters)
 	}
+}
+
+// messagesOf runs body on a fresh machine with one processor per shard
+// (each processor gets its own copy of its shard) and returns the total
+// number of messages sent.
+func messagesOf(t *testing.T, shards [][]int64, body func(pr *machine.Proc, local []int64)) int64 {
+	t.Helper()
+	work := make([][]int64, len(shards))
+	for i := range shards {
+		work[i] = slices.Clone(shards[i])
+	}
+	sent := make([]int64, len(shards))
+	if _, err := machine.Run(machine.DefaultParams(len(shards)), func(pr *machine.Proc) {
+		body(pr, work[pr.ID()])
+		sent[pr.ID()] = pr.Counters.MsgsSent
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, m := range sent {
+		total += m
+	}
+	return total
+}
+
+// TestSelectManyFewerMessagesThanTwoSingles pins the round batching: all
+// nine deciles in one SelectMany send fewer messages than two separate
+// randomized selections, because a round pays its collectives once for
+// every live segment. A round costs a little more traffic than a
+// single-pivot step, and the deepest of nine ranks sets the round count,
+// so on one dataset in ten the nine ranks lose; the totals over eight
+// datasets do not.
+func TestSelectManyFewerMessagesThanTwoSingles(t *testing.T) {
+	const n = 200000
+	const p = 8
+	deciles := make([]int64, 9)
+	for i := range deciles {
+		deciles[i] = int64(i+1) * n / 10
+	}
+	var many, singles int64
+	for seed := uint64(1); seed <= 8; seed++ {
+		shards := workload.Generate(workload.Random, n, p, seed)
+		many += messagesOf(t, shards, func(pr *machine.Proc, local []int64) {
+			SelectMany(pr, local, deciles, Options{})
+		})
+		for _, r := range []int64{n / 10, n / 2} {
+			singles += messagesOf(t, shards, func(pr *machine.Proc, local []int64) {
+				Select(pr, local, r, Options{Algorithm: Randomized})
+			})
+		}
+	}
+	if many >= singles {
+		t.Errorf("9-rank SelectMany sent %d messages over 8 datasets, two single selections %d", many, singles)
+	}
+	t.Logf("9-rank SelectMany: %d messages; two singles: %d", many, singles)
 }
 
 func TestSelectManyInvalid(t *testing.T) {

@@ -98,7 +98,7 @@ type Options struct {
 	RankSlack float64
 	// MaxIterations caps the iteration count before falling back to a
 	// gather-and-solve (a safety net; unreachable on sane inputs).
-	// 0 means 200.
+	// SelectMany counts rounds against it. 0 means 200.
 	MaxIterations int
 	// Faithful makes the fast randomized algorithm follow the paper's
 	// Alg. 4 exactly: the sample is parallel-sorted on every iteration
@@ -141,7 +141,8 @@ func (o Options) withDefaults() Options {
 
 // Stats reports what one processor observed during a selection run.
 type Stats struct {
-	// Iterations is the number of parallel pivot iterations executed.
+	// Iterations is the number of parallel pivot iterations executed
+	// (rounds, for SelectMany).
 	Iterations int
 	// Unsuccessful counts fast randomized iterations whose sample
 	// window missed the target rank (the paper's "unsuccessful"

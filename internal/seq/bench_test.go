@@ -48,13 +48,36 @@ func BenchmarkPseudoMedian(b *testing.B) {
 }
 
 func BenchmarkPartition3(b *testing.B) {
-	a := benchData(1 << 20)
-	pivot := a[0]
+	benchPartition(b, benchData(1<<20), Partition3[int64])
+}
+
+func BenchmarkPartition3Sorted(b *testing.B) {
+	benchPartition(b, sortedBenchData(1<<20), Partition3[int64])
+}
+
+func BenchmarkPartition3Branchless(b *testing.B) {
+	benchPartition(b, benchData(1<<20), Partition3Branchless[int64])
+}
+
+func BenchmarkPartition3BranchlessSorted(b *testing.B) {
+	benchPartition(b, sortedBenchData(1<<20), Partition3Branchless[int64])
+}
+
+func sortedBenchData(n int) []int64 {
+	a := benchData(n)
+	slices.Sort(a)
+	return a
+}
+
+// benchPartition times one three-way partition of a fresh copy of a
+// around a[len(a)/3] (on sorted input, a one-third/two-thirds split).
+func benchPartition(b *testing.B, a []int64, part func([]int64, int64) (int, int, int64)) {
+	pivot := a[len(a)/3]
 	buf := make([]int64, len(a))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(buf, a)
-		Partition3(buf, pivot)
+		part(buf, pivot)
 	}
 	b.SetBytes(int64(len(a) * 8))
 }

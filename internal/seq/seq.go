@@ -73,6 +73,51 @@ func Partition3[K cmp.Ordered](a []K, pivot K) (lt, eq int, ops int64) {
 	return lo, mid - lo, ops
 }
 
+// Partition3Branchless is Partition3 with branch-free scans. It returns
+// the same regions under the same classification (below when v < pivot,
+// above when v > pivot, equal otherwise, so NaN keys and both zeros land
+// where Partition3 puts them) and the same operation count, but permutes
+// the regions' contents differently.
+//
+// The first pass is a Lomuto scan on v < pivot: every element is swapped
+// with the boundary slot unconditionally and the comparison result
+// advances the boundary, so unpredictable keys cost no mispredictions.
+// It also counts the elements above the pivot, which tells how many
+// copies of the pivot there are. Only when there are any (on the pivot's
+// owner, or where duplicates live) does a second such pass over the rest
+// move them forward, stopping at the last copy.
+func Partition3Branchless[K cmp.Ordered](a []K, pivot K) (lt, eq int, ops int64) {
+	gt := 0
+	for i, v := range a {
+		a[i] = a[lt]
+		a[lt] = v
+		l, g := 0, 0
+		if v < pivot {
+			l = 1
+		}
+		if pivot < v {
+			g = 1
+		}
+		lt += l
+		gt += g
+	}
+	eq = len(a) - lt - gt
+	if eq > 0 {
+		rest := a[lt:]
+		for i, j := 0, 0; j < eq; i++ {
+			v := rest[i]
+			rest[i] = rest[j]
+			rest[j] = v
+			e := 1
+			if pivot < v {
+				e = 0
+			}
+			j += e
+		}
+	}
+	return lt, eq, int64(2*len(a) + gt)
+}
+
 // PartitionRange performs an in-place partition of a into three regions
 // around the closed interval [lo, hi]: a[:nLess] < lo,
 // a[nLess:nLess+nMid] in [lo, hi], and the rest > hi. It is the scan step

@@ -174,7 +174,9 @@ type Options struct {
 	SampleExponent float64
 	RankSlack      float64
 	// MaxIterations caps pivot iterations before the safety fallback
-	// (default 200).
+	// (default 200). For multi-rank runs (SelectRanks, Quantiles and
+	// the queries built on them) it caps rounds, each of which advances
+	// every unresolved rank's segment by one pivot step.
 	MaxIterations int
 	// Faithful forces the fast randomized algorithm to follow the
 	// paper's Alg. 4 exactly (parallel sample sort every iteration,
@@ -194,7 +196,8 @@ type Report struct {
 	BalanceSeconds float64
 	// WallSeconds is the host wall-clock time of the run.
 	WallSeconds float64
-	// Iterations is the number of parallel pivot iterations.
+	// Iterations is the number of parallel pivot iterations; for
+	// multi-rank runs, the number of rounds (see Options.MaxIterations).
 	Iterations int
 	// Unsuccessful counts fast randomized iterations whose sample
 	// window missed the target rank.
@@ -529,10 +532,14 @@ func (s *Selector[K]) selectRank(shards [][]K, rank int64, borrowed bool) (Resul
 }
 
 // SelectRanks returns the elements at several 1-based ranks in one
-// collective run, sharing partitioning work across the ranks (roughly one
-// selection's cost for a handful of ranks). Ranks may repeat and appear
-// in any order; results align with the request. Options.Balancer is
-// ignored (multi-rank segments alias storage and cannot migrate).
+// collective run, sharing partitioning work across the ranks. The ranks
+// advance together in rounds, one randomized pivot step per unresolved
+// segment each, with one set of collectives per round, so the cost grows
+// with the deepest rank's round count rather than with the number of
+// ranks: 99 percentiles cost under twice the nine deciles. Ranks may
+// repeat and appear in any order; results align with the request.
+// Options.Balancer is ignored (multi-rank segments alias storage and
+// cannot migrate).
 //
 // The returned slice is backed by the Selector's reusable arena: it is
 // valid until the next call on this Selector, so callers that retain it
