@@ -18,8 +18,10 @@
 #                  serving layer
 #   make fuzz    - short fuzz smoke: the 128-bit quantile-rank arithmetic, the
 #                  daemon's HTTP request decoder, the snapshot decoder, the
-#                  binary result-frame decoder and the branch-free three-way
-#                  partition kernel (differential against Partition3)
+#                  binary result-frame decoder, the branch-free three-way
+#                  partition kernel (differential against Partition3) and
+#                  the fast randomized window-filter kernel (differential
+#                  against its three-comparison reference)
 #   make smoke   - metrics-scrape smoke: boot a daemon, run one query, pull
 #                  /metrics and strictly validate the exposition
 #   make bench-smoke - the benchmark module's own tests (every workload once,
@@ -68,6 +70,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=5s ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=5s ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz=FuzzPartition3Branchless -fuzztime=5s ./internal/seq
+	$(GO) test -run='^$$' -fuzz=FuzzFilterWindowCount -fuzztime=5s ./internal/seq
 
 smoke:
 	$(GO) test -count=1 -run 'TestObsScrapeSmoke' ./internal/serve

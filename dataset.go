@@ -35,9 +35,11 @@ var ErrDatasetClosed = errors.New("parsel: Dataset used after Close")
 //     concurrent queries fan out across the Pool's machines exactly as
 //     direct Pool calls do (at most MaxMachines run at once, the rest
 //     wait for admission).
-//   - The resident shards are never mutated by queries (the engine
-//     copies them into the checked-out machine's per-processor arenas,
-//     the same read-only discipline as Pool.Select).
+//   - The resident shards are never mutated by queries, the same
+//     read-only discipline as Pool.Select: fast randomized selection
+//     (the default) scans them in place, concurrent queries included,
+//     and the other algorithms copy them into the checked-out machine's
+//     per-processor arenas first.
 //   - Multi-value results (SelectRanks, Quantiles, TopK, BottomK) are
 //     caller-owned copies, safe to retain.
 //   - Close marks the Dataset unusable (later methods return

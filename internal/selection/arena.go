@@ -9,18 +9,20 @@ import (
 )
 
 // Arena holds one simulated processor's reusable scratch memory: the
-// copy-in buffer for borrowed caller shards, the per-iteration sample and
-// pivot buffers, the gather-tree staging buffer, and the nested balance
-// and sample-sort scratches. It is parked in machine.Proc.Scratch, so a
-// long-lived machine serves repeated selections without per-call
-// allocation. Buffers grow on demand and are never shrunk.
+// copy-in buffer for borrowed caller shards (used by every algorithm but
+// fast randomized selection on p > 1, which reads them in place), the
+// per-iteration sample and pivot buffers, the gather-tree staging buffer,
+// and the nested balance and sample-sort scratches. It is parked in
+// machine.Proc.Scratch, so a long-lived machine serves repeated
+// selections without per-call allocation. Buffers grow on demand and are
+// never shrunk.
 //
 // Reuse safety: every buffer is written by exactly one processor and is
 // re-filled only after a full collective (Combine, gather + broadcast) has
 // synchronized all processors, which is when any cross-processor aliases
 // created by the zero-copy message layer are guaranteed drained.
 type Arena[K cmp.Ordered] struct {
-	local   []K    // copy-in buffer for borrowed caller shards
+	local   []K    // copy-in buffer for borrowed shards of in-place algorithms
 	sample  []K    // fast randomized per-iteration sample
 	gather  []K    // gather-tree staging / root gather target
 	kbuf    []K    // tiny pivot and window-key slices (1–2 elements)

@@ -117,7 +117,10 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 		// speculatively materializes the in-window survivors out of
 		// place — window hits are the overwhelmingly common outcome by
 		// construction of the slack, and the originals stay intact in
-		// local for the rare miss. The scan charges exactly what the
+		// local for the rare miss. On the first iteration local may be
+		// the caller's borrowed shard (Select does not copy it for this
+		// algorithm): this filter only reads it, and every later step
+		// works on arena buffers. The scan charges exactly what the
 		// three-way partition pair would; survivors keep their stable
 		// input order rather than the partition's scramble, which makes
 		// the positional sampling of later iterations draw a different

@@ -116,9 +116,11 @@ type Options struct {
 	// ElemBytes is the wire size of one key. 0 means 8 (int64 keys).
 	ElemBytes int
 	// BorrowedInput marks local as caller-owned memory that must not be
-	// mutated: Select copies it into the processor's arena (host cost
-	// only — simulated metrics are unchanged) before partitioning.
-	// Callers that hand over ownership leave it false and save the copy.
+	// mutated. Fast randomized selection on p > 1 reads it in place (its
+	// first filter writes the survivors into arena buffers); every other
+	// algorithm, and the p = 1 path, first copies it into the processor's
+	// arena (host cost only — simulated metrics are unchanged). Callers
+	// that hand over ownership leave it false and never pay the copy.
 	BorrowedInput bool
 }
 
@@ -204,7 +206,7 @@ type selector[K cmp.Ordered] func(a []K, k int) (K, int64)
 // Select returns the element of 1-based rank among the union of all
 // processors' local slices. It must be called collectively; every
 // processor receives the same result. local is consumed (permuted and
-// possibly redistributed).
+// possibly redistributed) unless opts.BorrowedInput is set.
 func Select[K cmp.Ordered](p *machine.Proc, local []K, rank int64, opts Options) (K, Stats) {
 	opts = opts.withDefaults()
 	st := &Stats{}
@@ -215,7 +217,11 @@ func Select[K cmp.Ordered](p *machine.Proc, local []K, rank int64, opts Options)
 	if rank < 1 || rank > n {
 		panic(fmt.Sprintf("selection: rank %d out of range [1,%d]", rank, n))
 	}
-	if opts.BorrowedInput {
+	if opts.BorrowedInput && (opts.Algorithm != FastRandomized || p.Procs() == 1) {
+		// Fast randomized selection on p > 1 never writes its input: its
+		// first step-5 filter moves the survivors into arena buffers, and
+		// every later step works on those. It scans a borrowed shard in
+		// place. All other paths partition local in place, so they copy.
 		local = arenaOf[K](p).copyIn(local)
 	}
 

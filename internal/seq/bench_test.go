@@ -63,6 +63,30 @@ func BenchmarkPartition3BranchlessSorted(b *testing.B) {
 	benchPartition(b, sortedBenchData(1<<20), Partition3Branchless[int64])
 }
 
+func BenchmarkFilterWindowCount(b *testing.B) {
+	benchFilterWindow(b, benchData(1<<20))
+}
+
+func BenchmarkFilterWindowCountSorted(b *testing.B) {
+	benchFilterWindow(b, sortedBenchData(1<<20))
+}
+
+// benchFilterWindow times one window filter of a over the window between
+// its 44th and 56th percentile keys, about the share of n the first fast
+// randomized iteration keeps.
+func benchFilterWindow(b *testing.B, a []int64) {
+	keys := slices.Clone(a)
+	slices.Sort(keys)
+	lo, hi := keys[len(keys)*44/100], keys[len(keys)*56/100]
+	dst := make([]int64, len(a))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst, _, _, _ = FilterWindowCount(dst, a, lo, hi)
+		dst = dst[:cap(dst)]
+	}
+	b.SetBytes(int64(len(a) * 8))
+}
+
 func sortedBenchData(n int) []int64 {
 	a := benchData(n)
 	slices.Sort(a)

@@ -166,23 +166,25 @@ func grow[K any](dst []K, n int) []K {
 // loop of the fast randomized algorithm: the store is unconditional and
 // the cursor advance branch-free, so unpredictable keep patterns cost no
 // mispredictions, and the discard decision needs no second scan over
-// cold memory in the common (window hit) case.
+// cold memory in the common (window hit) case. The scan makes two
+// comparisons per key; the elements equal to lo, which the charge below
+// needs, all lie inside the window, so a short pass over the survivors
+// counts them.
 //
 // The reported operation count is exactly what the three-way partition
 // pair of PartitionRange charges for the same input (2n + g1 over all of
 // a, then 2*g1 + g2 over the g1 elements above lo, with g2 the elements
 // above hi) — the simulated cost model must not see the host-side
-// restructuring. Requires lo <= hi.
+// restructuring. Requires lo <= hi; when that fails (lo > hi, or either
+// is NaN), the elements equal to lo are counted over all of a instead,
+// so the result is the same for every input.
 func FilterWindowCount[K cmp.Ordered](dst, a []K, lo, hi K) (mid []K, nLess, nMid int, ops int64) {
 	dst = grow(dst, len(a))
-	c1, c2, c3, k := 0, 0, 0, 0
+	c1, c3, k := 0, 0, 0
 	for _, v := range a {
-		i1, i2, i3 := 0, 0, 0
+		i1, i3 := 0, 0
 		if v < lo {
 			i1 = 1
-		}
-		if v <= lo {
-			i2 = 1
 		}
 		if v <= hi {
 			i3 = 1
@@ -190,8 +192,17 @@ func FilterWindowCount[K cmp.Ordered](dst, a []K, lo, hi K) (mid []K, nLess, nMi
 		dst[k] = v
 		k += i3 - i1
 		c1 += i1
-		c2 += i2
 		c3 += i3
+	}
+	// c2 counts the elements <= lo: those < lo plus those equal to it.
+	c2, rest := c1, dst[:k]
+	if !(lo <= hi) {
+		c2, rest = 0, a
+	}
+	for _, v := range rest {
+		if v <= lo {
+			c2++
+		}
 	}
 	g1 := len(a) - c2
 	g2 := len(a) - c3
@@ -218,14 +229,17 @@ func FilterLessInto[K cmp.Ordered](dst, a []K, x K) []K {
 	return dst[:k]
 }
 
-// FilterGreaterInto writes the stable sequence of elements > x into dst;
-// see FilterLessInto.
+// FilterGreaterInto writes the stable sequence of elements above x into
+// dst; see FilterLessInto. It keeps every element that is not <= x: the
+// complement of FilterWindowCount's v <= hi test, so an incomparable key
+// (a NaN) stays with the side the tally counted it in, and the surviving
+// population always matches the global count.
 func FilterGreaterInto[K cmp.Ordered](dst, a []K, x K) []K {
 	dst = grow(dst, len(a))
 	k := 0
 	for _, v := range a {
 		inc := 0
-		if v > x {
+		if !(v <= x) {
 			inc = 1
 		}
 		dst[k] = v

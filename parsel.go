@@ -39,9 +39,12 @@
 //		...
 //	}
 //
-// Selector.SelectInPlace additionally skips the defensive shard copy for
-// callers that hand over ownership of their shards — the zero-copy hot
-// path.
+// The default algorithm, fast randomized selection, reads the caller's
+// shards in place and never writes them, so a single-rank query (Select,
+// Median, Quantile, TopK) costs no shard copy. The other algorithms and
+// the multi-rank queries partition in place and first copy each shard
+// into the processor's arena; Selector.SelectInPlace skips that copy for
+// callers that hand over ownership of their shards.
 package parsel
 
 import (
@@ -410,8 +413,9 @@ func (s *Selector[K]) Procs() int { return s.params.Procs }
 
 // Select returns the element of 1-based rank among all elements of
 // shards, running one simulated processor per shard. Shards may have any
-// (including zero) lengths; shard contents are not modified (the engine
-// copies each shard into its resident per-processor arena).
+// (including zero) lengths; shard contents are not modified (fast
+// randomized selection reads them in place; the other algorithms, and
+// every run on one shard, copy each into its processor's arena).
 func (s *Selector[K]) Select(shards [][]K, rank int64) (Result[K], error) {
 	if err := s.acquire(); err != nil {
 		return Result[K]{}, err
@@ -422,9 +426,12 @@ func (s *Selector[K]) Select(shards [][]K, rank int64) (Result[K], error) {
 
 // SelectInPlace is Select for callers that hand over ownership of their
 // shards: the engine partitions and migrates the caller's slices directly
-// instead of copying them — the zero-copy hot path. On return the shard
-// contents are unspecified (permuted, possibly redistributed); the
-// multiset of elements is preserved across the union of shards.
+// instead of copying them. Only the non-default algorithms (and runs on
+// one shard) copy in Select, so only they save anything here; fast
+// randomized selection on several shards is zero-copy either way. On
+// return the shard contents are unspecified (permuted, possibly
+// redistributed); the multiset of elements is preserved across the union
+// of shards.
 func (s *Selector[K]) SelectInPlace(shards [][]K, rank int64) (Result[K], error) {
 	if err := s.acquire(); err != nil {
 		return Result[K]{}, err
