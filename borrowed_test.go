@@ -2,6 +2,7 @@ package parsel_test
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -105,10 +106,7 @@ type shardQuerier[K cmp.Ordered] interface {
 
 // shardQueries lists every borrowing query kind of q on shards.
 func shardQueries[K cmp.Ordered](q shardQuerier[K], shards [][]K) []namedQuery {
-	var n int64
-	for _, s := range shards {
-		n += int64(len(s))
-	}
+	n := population(shards)
 	return []namedQuery{
 		{"Select", func() error { _, err := q.Select(shards, n/3+1); return err }},
 		{"Median", func() error { _, err := q.Median(shards); return err }},
@@ -121,10 +119,39 @@ func shardQueries[K cmp.Ordered](q shardQuerier[K], shards [][]K) []namedQuery {
 	}
 }
 
-// datasetQueries lists every query kind of a resident Dataset.
+// runQueries lists every op as one query through a layer's Run; run is
+// that layer's Run bound to its shards.
+func runQueries(n int64, run func(parsel.Query) error) []namedQuery {
+	var out []namedQuery
+	for _, q := range []parsel.Query{
+		{Op: parsel.OpSelect, Rank: n/3 + 1},
+		{Op: parsel.OpMedian},
+		{Op: parsel.OpQuantile, Q: 0.9},
+		{Op: parsel.OpRanks, Ranks: []int64{1, n / 4, n / 2, n}},
+		{Op: parsel.OpQuantiles, Qs: []float64{0.1, 0.5, 0.99}},
+		{Op: parsel.OpTopK, K: 7},
+		{Op: parsel.OpBottomK, K: 7},
+		{Op: parsel.OpSummary},
+	} {
+		out = append(out, namedQuery{"Run/" + q.Op.String(), func() error { return run(q) }})
+	}
+	return out
+}
+
+// population is the total key count of shards.
+func population[K any](shards [][]K) int64 {
+	var n int64
+	for _, s := range shards {
+		n += int64(len(s))
+	}
+	return n
+}
+
+// datasetQueries lists every query kind of a resident Dataset, named
+// methods and Run alike.
 func datasetQueries[K cmp.Ordered](ds *parsel.Dataset[K]) []namedQuery {
 	n := ds.N()
-	return []namedQuery{
+	return append([]namedQuery{
 		{"Select", func() error { _, err := ds.Select(n/3 + 1); return err }},
 		{"Median", func() error { _, err := ds.Median(); return err }},
 		{"Quantile", func() error { _, err := ds.Quantile(0.9); return err }},
@@ -141,7 +168,7 @@ func datasetQueries[K cmp.Ordered](ds *parsel.Dataset[K]) []namedQuery {
 			}
 			return nil
 		}},
-	}
+	}, runQueries(n, func(q parsel.Query) error { _, err := ds.Run(context.Background(), q); return err })...)
 }
 
 // runGuarded runs each query and fails the test if it errs or if shards
@@ -179,7 +206,11 @@ func guardSelector[K cmp.Ordered](t *testing.T, label string, shards [][]K, opts
 		t.Fatal(err)
 	}
 	defer sel.Close()
-	runGuarded(t, label, shards, cloneShards(shards), shardQueries[K](sel, shards))
+	queries := append(shardQueries[K](sel, shards), runQueries(population(shards), func(q parsel.Query) error {
+		_, err := sel.Run(shards, q)
+		return err
+	})...)
+	runGuarded(t, label, shards, cloneShards(shards), queries)
 }
 
 func TestBorrowedShardsUnchangedSelector(t *testing.T) {
@@ -217,7 +248,7 @@ func TestBorrowedShardsUnchangedPool(t *testing.T) {
 			want := cloneShards(shards)
 			label := fmt.Sprintf("pool/%v/cap%d/%s", opts.Algorithm, opts.MaxIterations, name)
 			queries := append(shardQueries[int64](pl, shards), namedQuery{"SelectMany", func() error {
-				qs := []parsel.Query[int64]{{Shards: shards, Rank: 1}, {Shards: shards, Rank: 1000}, {Shards: shards, Rank: 30000}}
+				qs := []parsel.ShardQuery[int64]{{Shards: shards, Rank: 1}, {Shards: shards, Rank: 1000}, {Shards: shards, Rank: 30000}}
 				for _, br := range pl.SelectMany(qs) {
 					if br.Err != nil {
 						return br.Err
@@ -225,6 +256,10 @@ func TestBorrowedShardsUnchangedPool(t *testing.T) {
 				}
 				return nil
 			}})
+			queries = append(queries, runQueries(population(shards), func(q parsel.Query) error {
+				_, err := pl.Run(context.Background(), shards, q)
+				return err
+			})...)
 			runGuarded(t, label, shards, want, queries)
 			pl.Close()
 		}

@@ -146,9 +146,9 @@ func runClients(clients int) (perfResult, error) {
 	for _, s := range shards {
 		n += int64(len(s))
 	}
-	warm := make([]parsel.Query[int64], machines)
+	warm := make([]parsel.ShardQuery[int64], machines)
 	for i := range warm {
-		warm[i] = parsel.Query[int64]{Shards: shards, Rank: (n + 1) / 2}
+		warm[i] = parsel.ShardQuery[int64]{Shards: shards, Rank: (n + 1) / 2}
 	}
 	for _, r := range pool.SelectMany(warm) {
 		if r.Err != nil {

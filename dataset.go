@@ -5,9 +5,9 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"slices"
 	"sync"
-	"sync/atomic"
+
+	"parsel/internal/fanout"
 )
 
 // ErrDatasetClosed is returned by every Dataset method called after
@@ -22,6 +22,12 @@ var ErrDatasetClosed = errors.New("parsel: Dataset used after Close")
 // every query skips the per-call shard shipping entirely: it checks any
 // idle machine of matching shape out of the owning Pool and runs
 // directly against the resident slices.
+//
+// Every query goes through Run(ctx, Query), which admits it against the
+// dataset's lifecycle and hands the resident shards to Pool.Run; the
+// named methods (Select, Median, Quantile, Quantiles, SelectRanks, TopK,
+// BottomK, Summary and their Context forms) are one-line wrappers over
+// Run, and SelectMany fans a batch of ranks out over it.
 //
 // Results — values and every simulated metric — are bit-identical to
 // passing the same shards through the Pool's shard-per-query methods:
@@ -40,8 +46,8 @@ var ErrDatasetClosed = errors.New("parsel: Dataset used after Close")
 //     (the default) scans them in place, concurrent queries included,
 //     and the other algorithms copy them into the checked-out machine's
 //     per-processor arenas first.
-//   - Multi-value results (SelectRanks, Quantiles, TopK, BottomK) are
-//     caller-owned copies, safe to retain.
+//   - Multi-value results (Answer.Values, SelectRanks, Quantiles, TopK,
+//     BottomK) are caller-owned copies, safe to retain.
 //   - Close marks the Dataset unusable (later methods return
 //     ErrDatasetClosed) but never interrupts queries already in flight;
 //     it does not touch the Pool, which the caller still owns.
@@ -176,6 +182,14 @@ func (ds *Dataset[K]) N() int64 { return ds.n }
 // resident-bytes budget accounts.
 func (ds *Dataset[K]) Bytes() int64 { return ds.bytes }
 
+// Run answers one query against the resident population; see Pool.Run.
+func (ds *Dataset[K]) Run(ctx context.Context, q Query) (Answer[K], error) {
+	if err := ds.enter(); err != nil {
+		return Answer[K]{}, err
+	}
+	return ds.pool.Run(ctx, ds.shards, q)
+}
+
 // Select returns the element of 1-based rank among the resident
 // population; see Pool.Select.
 func (ds *Dataset[K]) Select(rank int64) (Result[K], error) {
@@ -183,17 +197,9 @@ func (ds *Dataset[K]) Select(rank int64) (Result[K], error) {
 }
 
 // SelectContext is Select with a deadline on pool admission; see
-// Pool.SelectContext.
+// Pool.Run.
 func (ds *Dataset[K]) SelectContext(ctx context.Context, rank int64) (Result[K], error) {
-	if err := ds.enter(); err != nil {
-		return Result[K]{}, err
-	}
-	sel, err := ds.pool.checkout(ctx, len(ds.shards))
-	if err != nil {
-		return Result[K]{}, err
-	}
-	defer ds.pool.checkin(sel)
-	return sel.Select(ds.shards, rank)
+	return AsResult(ds.Run(ctx, Query{Op: OpSelect, Rank: rank}))
 }
 
 // SelectMany fans a batch of independent rank queries against the
@@ -205,27 +211,9 @@ func (ds *Dataset[K]) SelectContext(ctx context.Context, rank int64) (Result[K],
 // twin of the daemon's querymany endpoint.
 func (ds *Dataset[K]) SelectMany(ranks []int64) []BatchResult[K] {
 	out := make([]BatchResult[K], len(ranks))
-	if len(ranks) == 0 {
-		return out
-	}
-	workers := min(ds.pool.max, len(ranks))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ranks) {
-					return
-				}
-				res, err := ds.Select(ranks[i])
-				out[i] = BatchResult[K]{Result: res, Err: err}
-			}
-		}()
-	}
-	wg.Wait()
+	fanout.Run(len(ranks), ds.pool.max, func(i int) {
+		out[i].Result, out[i].Err = ds.Select(ranks[i])
+	})
 	return out
 }
 
@@ -236,15 +224,7 @@ func (ds *Dataset[K]) Median() (Result[K], error) {
 
 // MedianContext is Median with a deadline on pool admission.
 func (ds *Dataset[K]) MedianContext(ctx context.Context) (Result[K], error) {
-	if err := ds.enter(); err != nil {
-		return Result[K]{}, err
-	}
-	sel, err := ds.pool.checkout(ctx, len(ds.shards))
-	if err != nil {
-		return Result[K]{}, err
-	}
-	defer ds.pool.checkin(sel)
-	return sel.Median(ds.shards)
+	return AsResult(ds.Run(ctx, Query{Op: OpMedian}))
 }
 
 // Quantile returns the element of rank ceil(q*n); see Pool.Quantile.
@@ -254,15 +234,7 @@ func (ds *Dataset[K]) Quantile(q float64) (Result[K], error) {
 
 // QuantileContext is Quantile with a deadline on pool admission.
 func (ds *Dataset[K]) QuantileContext(ctx context.Context, q float64) (Result[K], error) {
-	if err := ds.enter(); err != nil {
-		return Result[K]{}, err
-	}
-	sel, err := ds.pool.checkout(ctx, len(ds.shards))
-	if err != nil {
-		return Result[K]{}, err
-	}
-	defer ds.pool.checkin(sel)
-	return sel.Quantile(ds.shards, q)
+	return AsResult(ds.Run(ctx, Query{Op: OpQuantile, Q: q}))
 }
 
 // SelectRanks returns the elements at several 1-based ranks in one
@@ -273,19 +245,7 @@ func (ds *Dataset[K]) SelectRanks(ranks []int64) ([]K, Report, error) {
 
 // SelectRanksContext is SelectRanks with a deadline on pool admission.
 func (ds *Dataset[K]) SelectRanksContext(ctx context.Context, ranks []int64) ([]K, Report, error) {
-	if err := ds.enter(); err != nil {
-		return nil, Report{}, err
-	}
-	sel, err := ds.pool.checkout(ctx, len(ds.shards))
-	if err != nil {
-		return nil, Report{}, err
-	}
-	defer ds.pool.checkin(sel)
-	vals, rep, err := sel.SelectRanks(ds.shards, ranks)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	return slices.Clone(vals), rep, nil
+	return AsValues(ds.Run(ctx, Query{Op: OpRanks, Ranks: ranks}))
 }
 
 // Quantiles returns the elements at several quantiles in one collective
@@ -296,19 +256,7 @@ func (ds *Dataset[K]) Quantiles(qs []float64) ([]K, Report, error) {
 
 // QuantilesContext is Quantiles with a deadline on pool admission.
 func (ds *Dataset[K]) QuantilesContext(ctx context.Context, qs []float64) ([]K, Report, error) {
-	if err := ds.enter(); err != nil {
-		return nil, Report{}, err
-	}
-	sel, err := ds.pool.checkout(ctx, len(ds.shards))
-	if err != nil {
-		return nil, Report{}, err
-	}
-	defer ds.pool.checkin(sel)
-	vals, rep, err := sel.Quantiles(ds.shards, qs)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	return slices.Clone(vals), rep, nil
+	return AsValues(ds.Run(ctx, Query{Op: OpQuantiles, Qs: qs}))
 }
 
 // TopK returns the k largest resident elements in descending order; see
@@ -319,15 +267,7 @@ func (ds *Dataset[K]) TopK(k int) ([]K, Report, error) {
 
 // TopKContext is TopK with a deadline on pool admission.
 func (ds *Dataset[K]) TopKContext(ctx context.Context, k int) ([]K, Report, error) {
-	if err := ds.enter(); err != nil {
-		return nil, Report{}, err
-	}
-	sel, err := ds.pool.checkout(ctx, len(ds.shards))
-	if err != nil {
-		return nil, Report{}, err
-	}
-	defer ds.pool.checkin(sel)
-	return sel.TopK(ds.shards, k)
+	return AsValues(ds.Run(ctx, Query{Op: OpTopK, K: k}))
 }
 
 // BottomK returns the k smallest resident elements in ascending order;
@@ -338,15 +278,7 @@ func (ds *Dataset[K]) BottomK(k int) ([]K, Report, error) {
 
 // BottomKContext is BottomK with a deadline on pool admission.
 func (ds *Dataset[K]) BottomKContext(ctx context.Context, k int) ([]K, Report, error) {
-	if err := ds.enter(); err != nil {
-		return nil, Report{}, err
-	}
-	sel, err := ds.pool.checkout(ctx, len(ds.shards))
-	if err != nil {
-		return nil, Report{}, err
-	}
-	defer ds.pool.checkin(sel)
-	return sel.BottomK(ds.shards, k)
+	return AsValues(ds.Run(ctx, Query{Op: OpBottomK, K: k}))
 }
 
 // Summary computes the five-number summary in a single multi-rank run;
@@ -357,13 +289,5 @@ func (ds *Dataset[K]) Summary() (FiveNumber[K], Report, error) {
 
 // SummaryContext is Summary with a deadline on pool admission.
 func (ds *Dataset[K]) SummaryContext(ctx context.Context) (FiveNumber[K], Report, error) {
-	if err := ds.enter(); err != nil {
-		return FiveNumber[K]{}, Report{}, err
-	}
-	sel, err := ds.pool.checkout(ctx, len(ds.shards))
-	if err != nil {
-		return FiveNumber[K]{}, Report{}, err
-	}
-	defer ds.pool.checkin(sel)
-	return sel.Summary(ds.shards)
+	return AsSummary(ds.Run(ctx, Query{Op: OpSummary}))
 }

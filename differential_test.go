@@ -1,8 +1,11 @@
 package parsel_test
 
 import (
+	"cmp"
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -220,5 +223,132 @@ func TestDifferentialEmptyPopulation(t *testing.T) {
 	}
 	if _, _, err := parsel.SelectRanks(allEmpty, []int64{1}, parsel.Options{}); !errors.Is(err, parsel.ErrNoData) {
 		t.Errorf("all-empty SelectRanks: %v", err)
+	}
+}
+
+// TestDifferentialRun is the Run layer of the catalogue: every op,
+// through Selector.Run, Pool.Run and Dataset.Run, on every int64 shape
+// and on float64 keys carrying both zeros and both infinities, checked
+// against the sort oracle (keys compared under cmp.Compare, so -0
+// matches +0). NaN keys are incomparable to the engine's kernels, so a
+// NaN-carrying population has no sort-order answer to check against;
+// the borrowed-shard guard runs NaNs through every Run layer instead.
+func TestDifferentialRun(t *testing.T) {
+	for _, shape := range diffShapes() {
+		t.Run(shape.name, func(t *testing.T) { diffRun(t, shape.shards) })
+	}
+	r := rand.New(rand.NewPCG(15, 3))
+	special := []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1)}
+	floats := make([][]float64, 6)
+	for i := range floats {
+		floats[i] = make([]float64, 300+r.IntN(300))
+		for j := range floats[i] {
+			if r.IntN(6) == 0 {
+				floats[i][j] = special[r.IntN(len(special))]
+			} else {
+				floats[i][j] = r.NormFloat64()
+			}
+		}
+	}
+	t.Run("float64/zero-inf", func(t *testing.T) { diffRun(t, floats) })
+}
+
+// diffRun runs every op on shards through the three Run layers and
+// checks each answer against the sorted population.
+func diffRun[K cmp.Ordered](t *testing.T, shards [][]K) {
+	oracle := slices.Concat(shards...)
+	slices.Sort(oracle)
+	n := int64(len(oracle))
+	at := func(rank int64) K { return oracle[rank-1] }
+	k := int(min(5, n))
+	queries := []parsel.Query{
+		{Op: parsel.OpSelect, Rank: 1 + n/3},
+		{Op: parsel.OpMedian},
+		{Op: parsel.OpQuantile, Q: 0.37},
+		{Op: parsel.OpQuantiles, Qs: []float64{0, 0.5, 0.9, 1}},
+		{Op: parsel.OpRanks, Ranks: []int64{n, 1, (n + 1) / 2, 1}},
+		{Op: parsel.OpTopK, K: k},
+		{Op: parsel.OpBottomK, K: k},
+		{Op: parsel.OpTopK, K: 0},
+		{Op: parsel.OpSummary},
+	}
+	want := func(q parsel.Query) parsel.Answer[K] {
+		var a parsel.Answer[K]
+		switch q.Op {
+		case parsel.OpSelect:
+			a.Value = at(q.Rank)
+		case parsel.OpMedian:
+			a.Value = at((n + 1) / 2)
+		case parsel.OpQuantile:
+			a.Value = at(parsel.QuantileRankForTest(n, q.Q))
+		case parsel.OpQuantiles:
+			for _, qv := range q.Qs {
+				a.Values = append(a.Values, at(parsel.QuantileRankForTest(n, qv)))
+			}
+		case parsel.OpRanks:
+			for _, r := range q.Ranks {
+				a.Values = append(a.Values, at(r))
+			}
+		case parsel.OpTopK:
+			for i := range q.K {
+				a.Values = append(a.Values, at(n-int64(i)))
+			}
+		case parsel.OpBottomK:
+			a.Values = oracle[:q.K]
+		case parsel.OpSummary:
+			a.Summary = parsel.FiveNumber[K]{Min: at(1), Q1: at(max(1, (n+3)/4)), Median: at((n + 1) / 2),
+				Q3: at(max(1, (3*n+3)/4)), Max: at(n)}
+		}
+		return a
+	}
+	same := func(a, b K) bool { return cmp.Compare(a, b) == 0 }
+
+	sel, err := parsel.NewSelector[K](parsel.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sel.Close()
+	pool, err := parsel.NewPool[K](parsel.Options{}, parsel.PoolOptions{MaxMachines: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	ds, err := pool.NewDataset(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	layers := []struct {
+		name string
+		run  func(parsel.Query) (parsel.Answer[K], error)
+	}{
+		{"Selector.Run", func(q parsel.Query) (parsel.Answer[K], error) { return sel.Run(shards, q) }},
+		{"Pool.Run", func(q parsel.Query) (parsel.Answer[K], error) { return pool.Run(context.Background(), shards, q) }},
+		{"Dataset.Run", func(q parsel.Query) (parsel.Answer[K], error) { return ds.Run(context.Background(), q) }},
+	}
+	for _, l := range layers {
+		for _, q := range queries {
+			got, err := l.run(q)
+			if err != nil {
+				t.Fatalf("%s %v: %v", l.name, q.Op, err)
+			}
+			w := want(q)
+			ok := same(got.Summary.Min, w.Summary.Min) && same(got.Summary.Q1, w.Summary.Q1) &&
+				same(got.Summary.Median, w.Summary.Median) && same(got.Summary.Q3, w.Summary.Q3) &&
+				same(got.Summary.Max, w.Summary.Max)
+			if q.Op.Scalar() {
+				ok = ok && same(got.Value, w.Value)
+			}
+			if !q.Op.Scalar() && q.Op != parsel.OpSummary {
+				ok = ok && got.Values != nil && slices.EqualFunc(got.Values, w.Values, same)
+			}
+			if !ok {
+				t.Errorf("%s %+v = %v / %v / %+v, oracle says %v / %v / %+v",
+					l.name, q, got.Value, got.Values, got.Summary, w.Value, w.Values, w.Summary)
+			}
+			if got.SimSeconds <= 0 && !(q.K == 0 && (q.Op == parsel.OpTopK || q.Op == parsel.OpBottomK)) {
+				t.Errorf("%s %v: no simulated time", l.name, q.Op)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package parsel_test
 
 import (
+	"context"
 	"math"
 	"math/big"
 	"slices"
@@ -327,6 +328,57 @@ func TestQuantileRankExact(t *testing.T) {
 		}
 		if res.Value != tc.want {
 			t.Errorf("Quantile(%g) = %d, want %d", tc.q, res.Value, tc.want)
+		}
+	}
+}
+
+// TestDatasetRunSteadyStateAllocs pins the resident query path's
+// allocations: once warm, a Dataset.Run select or quantiles query — and
+// the named wrappers over it — must allocate no more than the
+// per-method path did before Query and Answer existed (107 and 170
+// objects per call on this 8 x 512 shape), so the single query shape
+// costs nothing on the resident path. A one-item SelectMany adds only
+// its result slice and item closure: the batch helper runs a single
+// item inline, without the worker goroutine (111 objects before).
+func TestDatasetRunSteadyStateAllocs(t *testing.T) {
+	const selectBudget, quantilesBudget = 107, 170
+	pool, err := parsel.NewPool[int64](parsel.Options{}, parsel.PoolOptions{MaxMachines: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	ds, err := pool.NewDataset(engineShards(4096, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	sel := parsel.Query{Op: parsel.OpSelect, Rank: 4096 / 3}
+	qs := parsel.Query{Op: parsel.OpQuantiles, Qs: []float64{0.01, 0.25, 0.5, 0.75, 0.99}}
+	one := []int64{sel.Rank}
+	ctx := context.Background()
+	for i := 0; i < 5; i++ {
+		if _, err := ds.Run(ctx, sel); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ds.Run(ctx, qs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		budget float64
+		run    func()
+	}{
+		{"Run select", selectBudget, func() { ds.Run(ctx, sel) }},
+		{"SelectContext", selectBudget, func() { ds.SelectContext(ctx, sel.Rank) }},
+		{"Run quantiles", quantilesBudget, func() { ds.Run(ctx, qs) }},
+		{"QuantilesContext", quantilesBudget, func() { ds.QuantilesContext(ctx, qs.Qs) }},
+		{"SelectMany of one", selectBudget + 2, func() { ds.SelectMany(one) }},
+	} {
+		if avg := testing.AllocsPerRun(50, c.run); avg > c.budget {
+			t.Errorf("steady-state Dataset %s allocates %.0f objects per call, budget %.0f", c.name, avg, c.budget)
+		} else {
+			t.Logf("Dataset %s: %.0f allocs per call (budget %.0f)", c.name, avg, c.budget)
 		}
 	}
 }

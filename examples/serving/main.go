@@ -114,9 +114,9 @@ func main() {
 
 	// A batched sweep: one rank query per node count, fanned across the
 	// pool's machines in one call.
-	queries := make([]parsel.Query[int64], 5)
+	queries := make([]parsel.ShardQuery[int64], 5)
 	for i := range queries {
-		queries[i] = parsel.Query[int64]{Shards: shards[:4+3*i], Rank: 1000}
+		queries[i] = parsel.ShardQuery[int64]{Shards: shards[:4+3*i], Rank: 1000}
 	}
 	fmt.Println("\nbatched SelectMany over growing fleets:")
 	for i, r := range pool.SelectMany(queries) {

@@ -140,12 +140,12 @@ func TestDaemonBinaryDifferentialE2E(t *testing.T) {
 			// out-of-range item fails alone without poisoning the batch.
 			k := int(min(5, n))
 			batch := []parselclient.DatasetQuery{
-				{Kind: parselclient.KindSelect, Rank: &rank},
-				{Kind: parselclient.KindMedian},
-				{Kind: parselclient.KindQuantiles, Qs: qs},
-				{Kind: parselclient.KindSelect, Rank: ptr(n + 1)}, // out of range
-				{Kind: parselclient.KindTopK, K: &k},
-				{Kind: parselclient.KindSummary},
+				parselclient.DatasetQueryOf(parsel.Query{Op: parsel.OpSelect, Rank: rank}),
+				parselclient.DatasetQueryOf(parsel.Query{Op: parsel.OpMedian}),
+				parselclient.DatasetQueryOf(parsel.Query{Op: parsel.OpQuantiles, Qs: qs}),
+				parselclient.DatasetQueryOf(parsel.Query{Op: parsel.OpSelect, Rank: n + 1}), // out of range
+				parselclient.DatasetQueryOf(parsel.Query{Op: parsel.OpTopK, K: k}),
+				parselclient.DatasetQueryOf(parsel.Query{Op: parsel.OpSummary}),
 			}
 			jres, err := jd.QueryMany(ctx, batch)
 			if err != nil {
@@ -196,8 +196,6 @@ func TestDaemonBinaryDifferentialE2E(t *testing.T) {
 	}
 }
 
-func ptr[T any](v T) *T { return &v }
-
 // TestDaemonQueryManyValidation pins the batch endpoint's structural
 // verdicts: empty batches, per-item timeouts, over-limit batches and
 // bad kinds fail the whole request with a 400 and a stable code.
@@ -221,18 +219,18 @@ func TestDaemonQueryManyValidation(t *testing.T) {
 	}
 	check("empty batch", nil, parselclient.CodeMissingField)
 	check("per-item timeout", []parselclient.DatasetQuery{
-		{Kind: parselclient.KindMedian, TimeoutMS: 50},
+		{Kind: "median", TimeoutMS: 50},
 	}, parselclient.CodeLimitExceeded)
 	five := make([]parselclient.DatasetQuery, 5)
 	for i := range five {
-		five[i] = parselclient.DatasetQuery{Kind: parselclient.KindMedian}
+		five[i] = parselclient.DatasetQueryOf(parsel.Query{Op: parsel.OpMedian})
 	}
 	check("over MaxBatch", five, parselclient.CodeLimitExceeded)
 	check("bad kind", []parselclient.DatasetQuery{{Kind: "mean"}}, parselclient.CodeBadKind)
 
 	// An absent dataset 404s the whole batch.
 	_, err := d.client.Dataset("never-uploaded").QueryMany(ctx,
-		[]parselclient.DatasetQuery{{Kind: parselclient.KindMedian}})
+		[]parselclient.DatasetQuery{parselclient.DatasetQueryOf(parsel.Query{Op: parsel.OpMedian})})
 	if !errors.Is(err, parselclient.ErrDatasetNotFound) {
 		t.Errorf("absent dataset: err %v, want ErrDatasetNotFound", err)
 	}

@@ -2,15 +2,12 @@ package serve
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"reflect"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"parsel"
@@ -160,22 +157,14 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusMethodNotAllowed, parselclient.CodeMethodNotAllowed,
 				"datasets are PUT (upload), GET (info) or DELETE requests")
 		}
-	case "query":
+	case "query", "querymany":
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
 			writeError(w, http.StatusMethodNotAllowed, parselclient.CodeMethodNotAllowed,
 				"dataset queries are POST requests")
 			return
 		}
-		s.handleDatasetQuery(w, r, id)
-	case "querymany":
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			writeError(w, http.StatusMethodNotAllowed, parselclient.CodeMethodNotAllowed,
-				"dataset queries are POST requests")
-			return
-		}
-		s.handleDatasetQueryMany(w, r, id)
+		s.handleDatasetQuery(w, r, id, op == "querymany")
 	case "snapshot":
 		if r.Method != http.MethodGet {
 			w.Header().Set("Allow", http.MethodGet)
@@ -532,10 +521,7 @@ func commitUpload[K parselclient.Key](s *Server, w http.ResponseWriter, id, tena
 	info := e.info(id, now)
 	s.dsMu.Unlock()
 	s.markDirty(id)
-
-	s.mu.Lock()
-	s.srv.OK++
-	s.mu.Unlock()
+	s.countOK()
 	writeJSON(w, http.StatusOK, info)
 }
 
@@ -553,19 +539,17 @@ func residentBytes[K parselclient.Key](shards [][]K) int64 {
 	return n * int64(reflect.TypeFor[K]().Size())
 }
 
-// handleDatasetInfo serves GET /v1/datasets/{id}: the description
-// without touching the TTL (probes must not keep a dataset alive).
-func (s *Server) handleDatasetInfo(w http.ResponseWriter, r *http.Request, id string) {
-	if s.refuseIfDraining(w) {
-		return
-	}
+// lookup resolves id in the registry after the lazy sweep and runs
+// hit on the entry while dsMu is still held; a miss is counted and
+// answered 404 dataset_not_found. On false the answer is already
+// written.
+func (s *Server) lookup(w http.ResponseWriter, id string, hit func(e *dsEntry, now time.Time)) (*dsEntry, bool) {
 	s.dsMu.Lock()
 	now := s.now()
 	s.sweepLocked(now)
 	e, ok := s.datasets[id]
-	var info parselclient.DatasetInfo
 	if ok {
-		info = e.info(id, now)
+		hit(e, now)
 	} else {
 		s.dstats.NotFound++
 	}
@@ -574,11 +558,28 @@ func (s *Server) handleDatasetInfo(w http.ResponseWriter, r *http.Request, id st
 		s.countError(http.StatusNotFound, parselclient.CodeDatasetNotFound)
 		writeError(w, http.StatusNotFound, parselclient.CodeDatasetNotFound,
 			fmt.Sprintf("no resident dataset %q", id))
-		return
 	}
+	return e, ok
+}
+
+// countOK counts one successful response.
+func (s *Server) countOK() {
 	s.mu.Lock()
 	s.srv.OK++
 	s.mu.Unlock()
+}
+
+// handleDatasetInfo serves GET /v1/datasets/{id}: the description
+// without touching the TTL (probes must not keep a dataset alive).
+func (s *Server) handleDatasetInfo(w http.ResponseWriter, r *http.Request, id string) {
+	if s.refuseIfDraining(w) {
+		return
+	}
+	var info parselclient.DatasetInfo
+	if _, ok := s.lookup(w, id, func(e *dsEntry, now time.Time) { info = e.info(id, now) }); !ok {
+		return
+	}
+	s.countOK()
 	writeJSON(w, http.StatusOK, info)
 }
 
@@ -589,30 +590,18 @@ func (s *Server) handleDatasetDelete(w http.ResponseWriter, r *http.Request, id 
 	if s.refuseIfDraining(w) {
 		return
 	}
-	s.dsMu.Lock()
-	now := s.now()
-	s.sweepLocked(now)
-	e, ok := s.datasets[id]
 	var info parselclient.DatasetInfo
-	if ok {
+	e, ok := s.lookup(w, id, func(e *dsEntry, now time.Time) {
 		s.dropLocked(id, e)
 		s.dstats.Deletes++
 		info = e.info(id, now)
-	} else {
-		s.dstats.NotFound++
-	}
-	s.dsMu.Unlock()
+	})
 	if !ok {
-		s.countError(http.StatusNotFound, parselclient.CodeDatasetNotFound)
-		writeError(w, http.StatusNotFound, parselclient.CodeDatasetNotFound,
-			fmt.Sprintf("no resident dataset %q", id))
 		return
 	}
 	e.closeDS()
 	s.markDirty(id) // the snapshotter removes the deleted id's file
-	s.mu.Lock()
-	s.srv.OK++
-	s.mu.Unlock()
+	s.countOK()
 	writeJSON(w, http.StatusOK, info)
 }
 
@@ -641,15 +630,11 @@ func (s *Server) handleDatasetSnapshot(w http.ResponseWriter, r *http.Request, i
 	// all remove it under this lock first), so the shard views stay
 	// valid; they remain readable after release even if the dataset is
 	// deleted mid-stream, like queries in flight.
-	s.dsMu.Lock()
-	now := s.now()
-	s.sweepLocked(now)
-	e, ok := s.datasets[id]
 	var i64 [][]int64
 	var f64 [][]float64
 	var kind string
 	var verr error
-	if ok {
+	if _, ok := s.lookup(w, id, func(e *dsEntry, _ time.Time) {
 		kind = e.kind
 		switch ds := e.ds.(type) {
 		case *parsel.Dataset[int64]:
@@ -660,14 +645,7 @@ func (s *Server) handleDatasetSnapshot(w http.ResponseWriter, r *http.Request, i
 		if verr == nil && (i64 != nil || f64 != nil) {
 			s.dstats.Exports++
 		}
-	} else {
-		s.dstats.NotFound++
-	}
-	s.dsMu.Unlock()
-	if !ok {
-		s.countError(http.StatusNotFound, parselclient.CodeDatasetNotFound)
-		writeError(w, http.StatusNotFound, parselclient.CodeDatasetNotFound,
-			fmt.Sprintf("no resident dataset %q", id))
+	}); !ok {
 		return
 	}
 	if kind == parselclient.KeyKindString {
@@ -679,9 +657,7 @@ func (s *Server) handleDatasetSnapshot(w http.ResponseWriter, r *http.Request, i
 		s.writeQueryError(w, verr)
 		return
 	}
-	s.mu.Lock()
-	s.srv.OK++
-	s.mu.Unlock()
+	s.countOK()
 	if f64 != nil {
 		writeSnapshotOf(s, w, kind, f64)
 		return
@@ -703,11 +679,14 @@ func writeSnapshotOf[K snapshot.FixedKey](s *Server, w http.ResponseWriter, kind
 	_, _ = snapshot.WriteTo(w, h, shards)
 }
 
-// handleDatasetQuery serves POST /v1/datasets/{id}/query: the
-// query-many half of the resident contract. The body carries the query
-// parameters only; the keys are already resident. A successful lookup
-// resets the dataset's TTL.
-func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request, id string) {
+// handleDatasetQuery serves POST /v1/datasets/{id}/query and, with
+// batch set, /v1/datasets/{id}/querymany: the query-many half of the
+// resident contract. The body carries query parameters only; the keys
+// are already resident. A batch is a set of independent queries
+// answered in a single round trip under one admission token and one
+// shared admission deadline; results align with the request. A
+// successful lookup resets the dataset's TTL.
+func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request, id string, batch bool) {
 	start := time.Now()
 	if s.refuseIfDraining(w) {
 		return
@@ -723,130 +702,27 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request, id s
 		s.writeRequestError(w, err)
 		return
 	}
-	q, ep, err := ParseDatasetQuery(body, s.opts.Limits)
+	parse := ParseDatasetQuery
+	if batch {
+		parse = ParseDatasetQueryMany
+	}
+	qm, qs, err := parse(body, s.opts.Limits)
 	if err != nil {
 		s.writeRequestError(w, err)
 		return
 	}
 
-	s.dsMu.Lock()
-	now := s.now()
-	s.sweepLocked(now)
-	e, ok := s.datasets[id]
-	if ok {
+	e, ok := s.lookup(w, id, func(e *dsEntry, now time.Time) {
 		e.expires = now.Add(s.opts.DatasetTTL)
 		if s.snap != nil && e.expires.Sub(e.persistedExpires) >= s.opts.DatasetTTL/2 {
 			s.markDirty(id) // metadata-only re-persist of the advanced TTL
 		}
-	} else {
-		s.dstats.NotFound++
-	}
-	s.dsMu.Unlock()
-	if !ok {
-		s.countError(http.StatusNotFound, parselclient.CodeDatasetNotFound)
-		writeError(w, http.StatusNotFound, parselclient.CodeDatasetNotFound,
-			fmt.Sprintf("no resident dataset %q", id))
-		return
-	}
-
-	if q.KeyKind != "" && q.KeyKind != e.kind {
-		s.writeRequestError(w, parseErrf(parselclient.CodeBadKind,
-			"dataset %q holds %s keys; the query asked for %s", id, e.kind, q.KeyKind))
-		return
-	}
-
-	switch ds := e.ds.(type) {
-	case *parsel.Dataset[float64]:
-		finishDatasetQuery(s, w, r, ds, ep, q, start)
-	case *parsel.Dataset[string]:
-		finishDatasetQuery(s, w, r, ds, ep, q, start)
-	default:
-		finishDatasetQuery(s, w, r, e.ds.(*parsel.Dataset[int64]), ep, q, start)
-	}
-}
-
-// finishDatasetQuery is the kind-typed tail of a single dataset query.
-func finishDatasetQuery[K parselclient.Key](s *Server, w http.ResponseWriter, r *http.Request, ds *parsel.Dataset[K], ep Endpoint, q *parselclient.DatasetQuery, start time.Time) {
-	ctx, cancel := s.admissionContext(r, q.TimeoutMS)
-	defer cancel()
-	tr := trackFrom(r.Context())
-	if tr != nil {
-		tr.kind = parselclient.KeyKindOf[K]()
-		tr.markQueue()
-		ctx = parsel.WithCheckoutObserver(ctx, tr.observeCheckout)
-	}
-	execStart := time.Now()
-	resp, err := executeDatasetOf(ctx, ds, ep, q)
-	if tr != nil {
-		tr.exec = time.Since(execStart)
-	}
-	if err != nil {
-		s.writeQueryError(w, err)
-		return
-	}
-
-	s.dsMu.Lock()
-	s.dstats.Queries++
-	s.dsMu.Unlock()
-	s.observe(time.Since(start), resp.Report)
-	if tr != nil {
-		w.Header().Set(StagesHeader, tr.stagesValue())
-	}
-	writeResultOf(w, wantsFrame(r), resp)
-}
-
-// handleDatasetQueryMany serves POST /v1/datasets/{id}/querymany: a
-// batch of independent queries against one resident dataset, answered
-// in a single round trip under one admission token and one shared
-// admission deadline. Items fan out across workers bounded by the
-// pool's machine count (the same worker pattern as the library's batch
-// entry points); per-item failures carry the same stable wire codes
-// single queries map onto HTTP statuses, and one failing item never
-// poisons the rest. Results align with the request.
-func (s *Server) handleDatasetQueryMany(w http.ResponseWriter, r *http.Request, id string) {
-	start := time.Now()
-	if s.refuseIfDraining(w) {
-		return
-	}
-	release, ok := s.admitOrReject(w, r)
+	})
 	if !ok {
 		return
 	}
-	defer release()
-
-	body, err := readBody(w, r, s.opts.Limits.MaxBodyBytes)
-	if err != nil {
-		s.writeRequestError(w, err)
-		return
-	}
-	queries, eps, timeoutMS, err := ParseDatasetQueryMany(body, s.opts.Limits)
-	if err != nil {
-		s.writeRequestError(w, err)
-		return
-	}
-
-	s.dsMu.Lock()
-	now := s.now()
-	s.sweepLocked(now)
-	e, ok := s.datasets[id]
-	if ok {
-		e.expires = now.Add(s.opts.DatasetTTL)
-		if s.snap != nil && e.expires.Sub(e.persistedExpires) >= s.opts.DatasetTTL/2 {
-			s.markDirty(id) // metadata-only re-persist of the advanced TTL
-		}
-	} else {
-		s.dstats.NotFound++
-	}
-	s.dsMu.Unlock()
-	if !ok {
-		s.countError(http.StatusNotFound, parselclient.CodeDatasetNotFound)
-		writeError(w, http.StatusNotFound, parselclient.CodeDatasetNotFound,
-			fmt.Sprintf("no resident dataset %q", id))
-		return
-	}
-
-	for i := range queries {
-		if k := queries[i].KeyKind; k != "" && k != e.kind {
+	for i := range qm.Queries {
+		if k := qm.Queries[i].KeyKind; k != "" && k != e.kind {
 			s.writeRequestError(w, parseErrf(parselclient.CodeBadKind,
 				"dataset %q holds %s keys; query %d asked for %s", id, e.kind, i, k))
 			return
@@ -855,151 +731,10 @@ func (s *Server) handleDatasetQueryMany(w http.ResponseWriter, r *http.Request, 
 
 	switch ds := e.ds.(type) {
 	case *parsel.Dataset[float64]:
-		finishDatasetQueryMany(s, w, r, ds, queries, eps, timeoutMS, start)
+		runQueries(s, w, r, start, qm.TimeoutMS, ds, nil, qs, batch)
 	case *parsel.Dataset[string]:
-		finishDatasetQueryMany(s, w, r, ds, queries, eps, timeoutMS, start)
+		runQueries(s, w, r, start, qm.TimeoutMS, ds, nil, qs, batch)
 	default:
-		finishDatasetQueryMany(s, w, r, e.ds.(*parsel.Dataset[int64]), queries, eps, timeoutMS, start)
+		runQueries(s, w, r, start, qm.TimeoutMS, e.ds.(*parsel.Dataset[int64]), nil, qs, batch)
 	}
-}
-
-// finishDatasetQueryMany is the kind-typed tail of a batch query: fan
-// out, aggregate, answer.
-func finishDatasetQueryMany[K parselclient.Key](s *Server, w http.ResponseWriter, r *http.Request, ds *parsel.Dataset[K], queries []parselclient.DatasetQuery, eps []Endpoint, timeoutMS int64, start time.Time) {
-	ctx, cancel := s.admissionContext(r, timeoutMS)
-	defer cancel()
-	tr := trackFrom(r.Context())
-	if tr != nil {
-		tr.kind = parselclient.KeyKindOf[K]()
-		tr.markQueue()
-		// observeCheckout adds atomically: the fan-out workers below all
-		// attribute their pool waits to this one request.
-		ctx = parsel.WithCheckoutObserver(ctx, tr.observeCheckout)
-	}
-	execStart := time.Now()
-
-	results := make([]parselclient.QueryManyResultOf[K], len(queries))
-	workers := min(s.pool.MaxMachines(), len(queries))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				resp, err := executeDatasetOf(ctx, ds, eps[i], &queries[i])
-				if err != nil {
-					_, code := errorStatus(err)
-					results[i] = parselclient.QueryManyResultOf[K]{
-						Error: &parselclient.ErrorDetail{Code: code, Message: err.Error()},
-					}
-					continue
-				}
-				results[i] = parselclient.QueryManyResultOf[K]{ResponseOf: *resp}
-			}
-		}()
-	}
-	wg.Wait()
-
-	// One 200 response, one latency observation; the simulated metrics
-	// and the dataset query counter aggregate per successful item, so a
-	// batch reads exactly like the same queries posted one at a time.
-	var okItems int64
-	var agg parselclient.Report
-	for i := range results {
-		if results[i].Error != nil {
-			continue
-		}
-		okItems++
-		agg.SimSeconds += results[i].Report.SimSeconds
-		agg.Messages += results[i].Report.Messages
-		agg.Bytes += results[i].Report.Bytes
-	}
-	s.dsMu.Lock()
-	s.dstats.Queries += okItems
-	s.dsMu.Unlock()
-	s.mu.Lock()
-	s.srv.OK++
-	s.sim.Queries += okItems
-	s.sim.SimSeconds += agg.SimSeconds
-	s.sim.Messages += agg.Messages
-	s.sim.Bytes += agg.Bytes
-	s.mu.Unlock()
-	s.metrics.latency.Observe(time.Since(start).Seconds())
-	if tr != nil {
-		tr.exec = time.Since(execStart)
-		w.Header().Set(StagesHeader, tr.stagesValue())
-	}
-
-	if wantsFrame(r) && parselclient.KeyKindOf[K]() != parselclient.KeyKindString {
-		writeFrameResultsOf(w, results)
-		return
-	}
-	writeJSON(w, http.StatusOK, parselclient.QueryManyResponseOf[K]{Results: results})
-}
-
-// executeDatasetOf dispatches one validated dataset query, mirroring
-// executeOn over the resident shards.
-func executeDatasetOf[K parselclient.Key](ctx context.Context, ds *parsel.Dataset[K], ep Endpoint, q *parselclient.DatasetQuery) (*parselclient.ResponseOf[K], error) {
-	switch ep {
-	case EpSelect:
-		res, err := ds.SelectContext(ctx, *q.Rank)
-		if err != nil {
-			return nil, err
-		}
-		return scalarResponse(res), nil
-	case EpMedian:
-		res, err := ds.MedianContext(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return scalarResponse(res), nil
-	case EpQuantile:
-		res, err := ds.QuantileContext(ctx, *q.Q)
-		if err != nil {
-			return nil, err
-		}
-		return scalarResponse(res), nil
-	case EpQuantiles:
-		vals, rep, err := ds.QuantilesContext(ctx, q.Qs)
-		if err != nil {
-			return nil, err
-		}
-		return multiResponse(vals, rep), nil
-	case EpRanks:
-		vals, rep, err := ds.SelectRanksContext(ctx, q.Ranks)
-		if err != nil {
-			return nil, err
-		}
-		return multiResponse(vals, rep), nil
-	case EpTopK:
-		vals, rep, err := ds.TopKContext(ctx, *q.K)
-		if err != nil {
-			return nil, err
-		}
-		return multiResponse(vals, rep), nil
-	case EpBottomK:
-		vals, rep, err := ds.BottomKContext(ctx, *q.K)
-		if err != nil {
-			return nil, err
-		}
-		return multiResponse(vals, rep), nil
-	case EpSummary:
-		fn, rep, err := ds.SummaryContext(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &parselclient.ResponseOf[K]{
-			KeyKind: wireKindField[K](),
-			Summary: &parselclient.SummaryOf[K]{
-				Min: fn.Min, Q1: fn.Q1, Median: fn.Median, Q3: fn.Q3, Max: fn.Max,
-			},
-			Report: parselclient.WireReport(rep),
-		}, nil
-	}
-	return nil, fmt.Errorf("serve: unknown endpoint %d", int(ep))
 }

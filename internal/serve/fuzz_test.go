@@ -6,11 +6,12 @@ import (
 	"strings"
 	"testing"
 
+	"parsel"
 	"parsel/internal/serve"
 	"parsel/parselclient"
 )
 
-// knownCodes is the closed set of wire codes ParseRequest may emit.
+// knownCodes is the closed set of wire codes ParseRequestOf may emit.
 var knownCodes = map[parselclient.Code]bool{
 	parselclient.CodeBadJSON:       true,
 	parselclient.CodeMissingField:  true,
@@ -22,7 +23,7 @@ var knownCodes = map[parselclient.Code]bool{
 
 // fuzzLimits are deliberately tight so the fuzzer reaches every limit
 // branch with small inputs.
-var fuzzLimits = serve.Limits{MaxBodyBytes: 1 << 16, MaxProcs: 16, MaxRanks: 32}
+var fuzzLimits = serve.Limits{MaxBodyBytes: 1 << 16, MaxProcs: 16, MaxRanks: 32, MaxBatch: 8}
 
 // FuzzParseRequest throws adversarial bytes at the daemon's request
 // decoder across every endpoint: it must never panic, every rejection
@@ -59,8 +60,8 @@ func FuzzParseRequest(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, epRaw uint8, body []byte) {
-		ep := serve.Endpoint(int(epRaw) % 8)
-		req, err := serve.ParseRequest(ep, body, fuzzLimits)
+		ep := parsel.Op(int(epRaw) % 8)
+		req, q, err := serve.ParseRequestOf[int64](ep, body, fuzzLimits)
 		if err != nil {
 			var pe *serve.ParseError
 			if !errors.As(err, &pe) {
@@ -86,32 +87,140 @@ func FuzzParseRequest(f *testing.F) {
 			t.Fatalf("ep %v: accepted out-of-bounds timeout_ms %d (duration conversion could overflow)",
 				ep, req.TimeoutMS)
 		}
-		switch ep {
-		case serve.EpSelect:
-			if req.Rank == nil {
-				t.Fatal("select accepted without rank")
+		checkItem(t, ep, req.QueryParams, q)
+	})
+}
+
+// checkItem asserts the invariants an accepted item guarantees the
+// handlers: op's required wire fields are present and in range, and
+// the resolved Query carries exactly their values.
+func checkItem(t *testing.T, op parsel.Op, it parselclient.QueryParams, q parsel.Query) {
+	t.Helper()
+	if q.Op != op {
+		t.Fatalf("%v item resolved to op %v", op, q.Op)
+	}
+	switch op {
+	case parsel.OpSelect:
+		if it.Rank == nil || q.Rank != *it.Rank {
+			t.Fatalf("select accepted with rank %v, query rank %d", it.Rank, q.Rank)
+		}
+	case parsel.OpQuantile:
+		if it.Q == nil || math.IsNaN(*it.Q) || *it.Q < 0 || *it.Q > 1 || q.Q != *it.Q {
+			t.Fatalf("quantile accepted with q=%v, query q %v", it.Q, q.Q)
+		}
+	case parsel.OpQuantiles:
+		if len(it.Qs) == 0 || len(it.Qs) > fuzzLimits.MaxRanks || len(q.Qs) != len(it.Qs) {
+			t.Fatalf("quantiles accepted with %d qs, query %d", len(it.Qs), len(q.Qs))
+		}
+		for _, v := range it.Qs {
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || v > 1 {
+				t.Fatalf("quantiles accepted q=%v", v)
 			}
-		case serve.EpQuantile:
-			if req.Q == nil || math.IsNaN(*req.Q) || *req.Q < 0 || *req.Q > 1 {
-				t.Fatalf("quantile accepted with q=%v", req.Q)
+		}
+	case parsel.OpRanks:
+		if len(it.Ranks) == 0 || len(it.Ranks) > fuzzLimits.MaxRanks || len(q.Ranks) != len(it.Ranks) {
+			t.Fatalf("ranks accepted with %d ranks, query %d", len(it.Ranks), len(q.Ranks))
+		}
+	case parsel.OpTopK, parsel.OpBottomK:
+		if it.K == nil || q.K != *it.K {
+			t.Fatalf("%v accepted with k %v, query k %d", op, it.K, q.K)
+		}
+	}
+}
+
+// knownItemCodes is the closed set of wire codes the dataset-query
+// decoders may emit.
+var knownItemCodes = map[parselclient.Code]bool{
+	parselclient.CodeBadJSON:       true,
+	parselclient.CodeMissingField:  true,
+	parselclient.CodeLimitExceeded: true,
+	parselclient.CodeTooLarge:      true,
+	parselclient.CodeBadQuantile:   true,
+	parselclient.CodeBadKind:       true,
+}
+
+// FuzzParseDatasetQuery throws adversarial bytes at the resident
+// dataset decoders, ParseDatasetQuery (even selector) and
+// ParseDatasetQueryMany (odd): they must never panic, every rejection
+// must be a *ParseError carrying a known wire code, and every accepted
+// batch must stay within the limits and the timeout bound, with every
+// item naming a known op and key kind, leaving the deadline to the
+// batch, and carrying its op's required fields.
+func FuzzParseDatasetQuery(f *testing.F) {
+	items := []string{
+		`{"kind": "select", "rank": 2}`,
+		`{"kind": "select"}`,
+		`{"kind": "median", "key_kind": "float64"}`,
+		`{"kind": "median", "key_kind": "decimal"}`,
+		`{"kind": "quantile", "q": 0}`,
+		`{"kind": "quantile", "q": 1.5}`,
+		`{"kind": "quantiles", "qs": [0.1, 0.5, 0.9]}`,
+		`{"kind": "quantiles", "qs": []}`,
+		`{"kind": "ranks", "ranks": [1, -3, 99999999999]}`,
+		`{"kind": "topk", "k": 3, "key_kind": "string"}`,
+		`{"kind": "bottomk"}`,
+		`{"kind": "summary", "timeout_ms": 50}`,
+		`{"kind": "summary", "timeout_ms": -1}`,
+		`{"kind": "mean"}`,
+		`{"kind": ""}`,
+		`{"rank": 1}`,
+		`{"kind": 7}`,
+	}
+	for _, it := range items {
+		f.Add(uint8(0), []byte(it))
+		f.Add(uint8(1), []byte(`{"queries": [`+it+`], "timeout_ms": 20}`))
+	}
+	for _, s := range []string{
+		`{"queries": []}`,
+		`{"queries": null}`,
+		`{"queries": [{"kind": "median"}, {"kind": "select", "rank": 1}, {"kind": "topk", "k": 0}]}`,
+		`{"queries": [` + strings.Repeat(`{"kind": "median"},`, 9) + `{"kind": "median"}]}`,
+		`{"queries": [{"kind": "median"}], "timeout_ms": 9300000000000}`,
+		`{`, `[]`, ``, strings.Repeat(`{"queries":[`, 500),
+	} {
+		f.Add(uint8(1), []byte(s))
+		f.Add(uint8(0), []byte(s))
+	}
+	f.Fuzz(func(t *testing.T, sel uint8, body []byte) {
+		parse := serve.ParseDatasetQuery
+		if sel%2 == 1 {
+			parse = serve.ParseDatasetQueryMany
+		}
+		qm, qs, err := parse(body, fuzzLimits)
+		if err != nil {
+			var pe *serve.ParseError
+			if !errors.As(err, &pe) {
+				t.Fatalf("non-structured decode error %T: %v", err, err)
 			}
-		case serve.EpQuantiles:
-			if len(req.Qs) == 0 || len(req.Qs) > fuzzLimits.MaxRanks {
-				t.Fatalf("quantiles accepted with %d qs", len(req.Qs))
+			if !knownItemCodes[pe.Code] {
+				t.Fatalf("unknown wire code %q", pe.Code)
 			}
-			for _, q := range req.Qs {
-				if math.IsNaN(q) || math.IsInf(q, 0) || q < 0 || q > 1 {
-					t.Fatalf("quantiles accepted q=%v", q)
-				}
+			if pe.Msg == "" {
+				t.Fatalf("empty error message for code %s", pe.Code)
 			}
-		case serve.EpRanks:
-			if len(req.Ranks) == 0 || len(req.Ranks) > fuzzLimits.MaxRanks {
-				t.Fatalf("ranks accepted with %d ranks", len(req.Ranks))
+			return
+		}
+		if len(qm.Queries) == 0 || len(qm.Queries) > fuzzLimits.MaxBatch || len(qs) != len(qm.Queries) {
+			t.Fatalf("accepted a batch of %d items (%d queries)", len(qm.Queries), len(qs))
+		}
+		if qm.TimeoutMS < 0 || qm.TimeoutMS > 24*60*60*1000 {
+			t.Fatalf("accepted out-of-bounds timeout_ms %d", qm.TimeoutMS)
+		}
+		for i := range qm.Queries {
+			dq := &qm.Queries[i]
+			if dq.TimeoutMS != 0 {
+				t.Fatalf("accepted item %d with its own timeout_ms %d", i, dq.TimeoutMS)
 			}
-		case serve.EpTopK, serve.EpBottomK:
-			if req.K == nil {
-				t.Fatal("topk/bottomk accepted without k")
+			op, ok := parsel.ParseOp(dq.Kind)
+			if !ok {
+				t.Fatalf("item %d accepted with unknown kind %q", i, dq.Kind)
 			}
+			switch dq.KeyKind {
+			case "", parselclient.KeyKindInt64, parselclient.KeyKindFloat64, parselclient.KeyKindString:
+			default:
+				t.Fatalf("item %d accepted with unknown key kind %q", i, dq.KeyKind)
+			}
+			checkItem(t, op, dq.QueryParams, qs[i])
 		}
 	})
 }

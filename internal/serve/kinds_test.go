@@ -338,7 +338,7 @@ func TestDaemonFloat64DifferentialE2E(t *testing.T) {
 			}
 			rank := 1 + rand.Int64N(n)
 			results, err := rd.QueryMany(ctx, []parselclient.DatasetQuery{
-				{Kind: "select", Rank: &rank},
+				{Kind: "select", QueryParams: parselclient.QueryParams{Rank: &rank}},
 				{Kind: "median"},
 				{Kind: "summary"},
 			})

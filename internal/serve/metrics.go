@@ -340,7 +340,7 @@ func (s *Server) logShed(r *http.Request, code int, reason parselclient.Code, de
 // segment to {id}, anything unknown becomes "other" (it answered 404;
 // per-path series for scanner noise would grow without bound).
 func endpointLabel(path string) string {
-	if _, ok := endpoints[path]; ok {
+	if _, ok := opOfPath(path); ok {
 		return path
 	}
 	switch path {

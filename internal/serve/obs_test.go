@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -259,15 +260,50 @@ func TestObsRequestID(t *testing.T) {
 	}
 }
 
+// idTap records the X-Parsel-Request-Id of every dataset query a node
+// receives, and can be switched to answer those queries 503
+// shutting_down — a replica the router must fail over from.
+type idTap struct {
+	mu     sync.Mutex
+	ids    []string
+	refuse atomic.Bool
+}
+
+func (tp *idTap) middleware(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/query") {
+			tp.mu.Lock()
+			tp.ids = append(tp.ids, r.Header.Get(serve.RequestIDHeader))
+			tp.mu.Unlock()
+			if tp.refuse.Load() {
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusServiceUnavailable)
+				io.WriteString(w, `{"error":{"code":"shutting_down","message":"refused by test"}}`)
+				return
+			}
+		}
+		next.ServeHTTP(w, r)
+	})
+}
+
+func (tp *idTap) seen() []string {
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	return slices.Clone(tp.ids)
+}
+
 // TestObsClusterRequestID is the kill-one-of-3 correlation test: one
 // client-chosen request id, stamped into the routing context, shows up
 // in the structured logs of the primary (pre-kill) and of the failover
 // node serving the same dataset after the primary dies — the id
-// survives client retries and router failover unchanged.
+// survives client retries and router failover unchanged. Without a
+// caller id the router mints one per operation: a query whose first
+// replica answers 503 reaches both replicas under the same id.
 func TestObsClusterRequestID(t *testing.T) {
 	const n = 3
 	logs := make(map[string]*syncBuf, n)
 	daemons := make(map[string]*daemon, n)
+	taps := make(map[string]*idTap, n)
 	var urls []string
 	for i := 0; i < n; i++ {
 		buf := &syncBuf{}
@@ -275,26 +311,56 @@ func TestObsClusterRequestID(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		tap := &idTap{}
 		d := newDaemon(t, parsel.Options{}, parsel.PoolOptions{MaxMachines: 2},
-			serve.Options{Logger: logger})
+			serve.Options{Logger: logger, Middleware: tap.middleware})
 		t.Cleanup(d.close)
 		logs[d.ts.URL] = buf
 		daemons[d.ts.URL] = d
+		taps[d.ts.URL] = tap
 		urls = append(urls, d.ts.URL)
 	}
-	r, err := cluster.New(cluster.Config{
-		Nodes:            urls,
-		Replicas:         2,
-		RecoveryInterval: time.Hour,
-		Logf:             t.Logf,
-	})
-	if err != nil {
+	newRouter := func() *cluster.Router {
+		r, err := cluster.New(cluster.Config{
+			Nodes:            urls,
+			Replicas:         2,
+			RecoveryInterval: time.Hour,
+			Logf:             t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	ctx := context.Background()
+
+	// No caller id: the first replica refuses, the second answers, and
+	// both saw one router-minted id. This router is private to the case,
+	// so the markdown it records does not leak into the flow below.
+	r0 := newRouter()
+	ds0 := cluster.DatasetOf[int64](r0, "obs-minted")
+	if _, err := ds0.Upload(ctx, [][]int64{{4, 1}, {3, 2}}); err != nil {
 		t.Fatal(err)
 	}
+	placed0 := r0.Place("obs-minted")
+	first, second := taps[placed0[0]], taps[placed0[1]]
+	before1, before2 := len(first.seen()), len(second.seen())
+	first.refuse.Store(true)
+	if _, err := ds0.Median(ctx); err != nil {
+		t.Fatalf("median over a refusing first replica: %v", err)
+	}
+	first.refuse.Store(false)
+	got1, got2 := first.seen()[before1:], second.seen()[before2:]
+	if len(got1) != 1 || len(got2) != 1 {
+		t.Fatalf("first replica saw %d attempts, second %d; want one each", len(got1), len(got2))
+	}
+	if got1[0] == "" || got1[0] != got2[0] {
+		t.Errorf("failover chain ran under ids %q and %q, want one minted id", got1[0], got2[0])
+	}
 
+	r := newRouter()
 	const dsName = "obs-failover"
 	ds := cluster.DatasetOf[int64](r, dsName)
-	ctx := context.Background()
 	if _, err := ds.Upload(ctx, [][]int64{{9, 1, 5}, {3, 7, 2}, {8, 8}}); err != nil {
 		t.Fatal(err)
 	}

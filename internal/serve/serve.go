@@ -1,9 +1,12 @@
 // Package serve is the HTTP front-end of the selection service: a
-// handler that exposes a parsel.Pool's full query surface
-// (select/median/quantile/quantiles/ranks/topk/bottomk/summary) as
+// handler that exposes every parsel.Op as POST /v1/<op> over shards in
+// the body, and again as the kind of a resident dataset query, as
 // JSON-over-HTTP with per-request admission deadlines, a bounded
 // admission queue, graceful drain, and a stats endpoint aggregating
-// simulated-machine metrics and host latency histograms.
+// simulated-machine metrics and host latency histograms. Every wire item
+// goes through one parse step to a parsel.Query, every query endpoint
+// through one execution tail (runQueries), and every answer through one
+// conversion to the wire response.
 //
 // The wire format is defined (and documented) in parsel/parselclient,
 // which this package shares types with; cmd/parseld wraps this handler
@@ -42,6 +45,7 @@ import (
 	"time"
 
 	"parsel"
+	"parsel/internal/fanout"
 	"parsel/internal/obs"
 	"parsel/internal/snapshot"
 	"parsel/parselclient"
@@ -331,8 +335,8 @@ func New(opts Options) (*Server, error) {
 		}
 	}
 	s.mux = http.NewServeMux()
-	for path, ep := range endpoints {
-		s.mux.HandleFunc(path, s.queryHandler(ep))
+	for _, op := range parsel.Ops() {
+		s.mux.HandleFunc("/v1/"+op.String(), s.queryHandler(op))
 	}
 	s.mux.HandleFunc("/v1/datasets/", s.handleDatasets)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
@@ -430,7 +434,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // route is the innermost handler: the unknown-path check, tenant
 // authentication, then the mux.
 func (s *Server) route(w http.ResponseWriter, r *http.Request) {
-	if _, ok := endpoints[r.URL.Path]; !ok &&
+	if _, ok := opOfPath(r.URL.Path); !ok &&
 		!strings.HasPrefix(r.URL.Path, "/v1/datasets/") &&
 		r.URL.Path != "/v1/stats" && r.URL.Path != "/healthz" &&
 		r.URL.Path != "/metrics" &&
@@ -704,8 +708,8 @@ func (s *Server) Stats() parselclient.Stats {
 	}
 }
 
-// queryHandler builds the handler for one query endpoint.
-func (s *Server) queryHandler(ep Endpoint) http.HandlerFunc {
+// queryHandler builds the handler for one /v1/<op> endpoint.
+func (s *Server) queryHandler(op parsel.Op) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		if r.Method != http.MethodPost {
@@ -736,46 +740,134 @@ func (s *Server) queryHandler(ep Endpoint) http.HandlerFunc {
 		}
 		switch kind {
 		case parselclient.KeyKindFloat64:
-			runQuery[float64](s, w, r, ep, body, start)
+			shardQuery[float64](s, w, r, op, body, start)
 		case parselclient.KeyKindString:
-			runQuery[string](s, w, r, ep, body, start)
+			shardQuery[string](s, w, r, op, body, start)
 		default:
-			runQuery[int64](s, w, r, ep, body, start)
+			shardQuery[int64](s, w, r, op, body, start)
 		}
 	}
 }
 
-// runQuery is the kind-typed tail of a one-shot query: parse the body
-// under K's schema, run it on K's pool, answer in the negotiated
-// encoding. Admission already happened in the caller.
-func runQuery[K parselclient.Key](s *Server, w http.ResponseWriter, r *http.Request, ep Endpoint, body []byte, start time.Time) {
-	req, err := ParseRequestOf[K](ep, body, s.opts.Limits)
+// shardQuery is the kind-typed tail of a /v1/<op> query: parse the body
+// under K's schema and run it against its shards on K's pool.
+func shardQuery[K parselclient.Key](s *Server, w http.ResponseWriter, r *http.Request, op parsel.Op, body []byte, start time.Time) {
+	req, q, err := ParseRequestOf[K](op, body, s.opts.Limits)
 	if err != nil {
 		s.writeRequestError(w, err)
 		return
 	}
-	ctx, cancel := s.admissionContext(r, req.TimeoutMS)
+	runQueries(s, w, r, start, req.TimeoutMS, nil, req.Shards, []parsel.Query{q}, false)
+}
+
+// runQueries is the one execution tail of every query endpoint: it runs
+// qs under the request's admission deadline — against the resident
+// dataset ds, or against shards on K's pool when ds is nil — and
+// answers in the negotiated encoding. A single query (/v1/<op>,
+// /query) answers its response, or its failure as an error status. A
+// batch (/querymany) fans out across workers bounded by the pool's
+// machine count and answers 200 with one result per item: per-item
+// failures carry the same stable wire codes single queries map onto
+// HTTP statuses, and one failing item never poisons the rest.
+func runQueries[K parselclient.Key](s *Server, w http.ResponseWriter, r *http.Request, start time.Time, timeoutMS int64, ds *parsel.Dataset[K], shards [][]K, qs []parsel.Query, batch bool) {
+	ctx, cancel := s.admissionContext(r, timeoutMS)
 	defer cancel()
 	tr := trackFrom(r.Context())
 	if tr != nil {
 		tr.kind = parselclient.KeyKindOf[K]()
 		tr.markQueue()
+		// observeCheckout adds atomically: a batch's workers all
+		// attribute their pool waits to this one request.
 		ctx = parsel.WithCheckoutObserver(ctx, tr.observeCheckout)
 	}
 	execStart := time.Now()
-	resp, err := executeOn(ctx, poolOf[K](s), ep, req)
+	results := make([]parselclient.QueryManyResultOf[K], len(qs))
+	errs := make([]error, len(qs))
+	pool := poolOf[K](s)
+	fanout.Run(len(qs), s.pool.MaxMachines(), func(i int) {
+		var a parsel.Answer[K]
+		if ds != nil {
+			a, errs[i] = ds.Run(ctx, qs[i])
+		} else {
+			a, errs[i] = pool.Run(ctx, shards, qs[i])
+		}
+		if errs[i] == nil {
+			results[i].ResponseOf = responseOf(qs[i].Op, a)
+		}
+	})
 	if tr != nil {
 		tr.exec = time.Since(execStart)
 	}
-	if err != nil {
-		s.writeQueryError(w, err)
+	if !batch && errs[0] != nil {
+		s.writeQueryError(w, errs[0])
 		return
 	}
-	s.observe(time.Since(start), resp.Report)
+
+	// One 200 response, one latency observation; the simulated metrics
+	// and the dataset query counter aggregate per successful item, so a
+	// batch reads exactly like the same queries posted one at a time.
+	var okItems int64
+	var agg parselclient.Report
+	for i, err := range errs {
+		if err != nil {
+			_, code := errorStatus(err)
+			results[i].Error = &parselclient.ErrorDetail{Code: code, Message: err.Error()}
+			continue
+		}
+		okItems++
+		agg.SimSeconds += results[i].Report.SimSeconds
+		agg.Messages += results[i].Report.Messages
+		agg.Bytes += results[i].Report.Bytes
+	}
+	if ds != nil {
+		s.dsMu.Lock()
+		s.dstats.Queries += okItems
+		s.dsMu.Unlock()
+	}
+	s.mu.Lock()
+	s.srv.OK++
+	s.sim.Queries += okItems
+	s.sim.SimSeconds += agg.SimSeconds
+	s.sim.Messages += agg.Messages
+	s.sim.Bytes += agg.Bytes
+	s.mu.Unlock()
+	s.metrics.latency.Observe(time.Since(start).Seconds())
 	if tr != nil {
 		w.Header().Set(StagesHeader, tr.stagesValue())
 	}
-	writeResultOf(w, wantsFrame(r), resp)
+
+	// String results have no frame encoding and are answered as JSON
+	// regardless of Accept — negotiation is per response Content-Type,
+	// so a framing client still decodes them.
+	switch {
+	case wantsFrame(r) && parselclient.KeyKindOf[K]() != parselclient.KeyKindString:
+		writeFrameResultsOf(w, results)
+	case batch:
+		writeJSON(w, http.StatusOK, parselclient.QueryManyResponseOf[K]{Results: results})
+	default:
+		writeJSON(w, http.StatusOK, &results[0].ResponseOf)
+	}
+}
+
+// responseOf is the one conversion from an Answer to its wire
+// response: the fields op answers and nothing else. The empty (k=0)
+// multi-value answer stays a JSON [] rather than null.
+func responseOf[K parselclient.Key](op parsel.Op, a parsel.Answer[K]) parselclient.ResponseOf[K] {
+	resp := parselclient.ResponseOf[K]{KeyKind: parselclient.KeyKindField[K](), Report: parselclient.WireReport(a.Report)}
+	switch {
+	case op.Scalar():
+		resp.Value = &a.Value
+	case op == parsel.OpSummary:
+		resp.Summary = &parselclient.SummaryOf[K]{
+			Min: a.Summary.Min, Q1: a.Summary.Q1, Median: a.Summary.Median, Q3: a.Summary.Q3, Max: a.Summary.Max,
+		}
+	default:
+		resp.Values = a.Values
+		if resp.Values == nil {
+			resp.Values = []K{}
+		}
+	}
+	return resp
 }
 
 // poolOf picks the Server's pool for key kind K.
@@ -831,19 +923,6 @@ func frameBits[K parselclient.Key](vals []K) ([]int64, bool) {
 	default:
 		return nil, false
 	}
-}
-
-// writeResultOf writes one successful query response in the negotiated
-// encoding: JSON by default, a one-entry binary frame when Accept asked
-// for it. String results have no frame encoding and are answered as
-// JSON regardless of Accept — negotiation is per response Content-Type,
-// so a framing client still decodes them.
-func writeResultOf[K parselclient.Key](w http.ResponseWriter, frame bool, resp *parselclient.ResponseOf[K]) {
-	if !frame || parselclient.KeyKindOf[K]() == parselclient.KeyKindString {
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	writeFrameResultsOf(w, []parselclient.QueryManyResultOf[K]{{ResponseOf: *resp}})
 }
 
 // writeFrameResultsOf writes results as a binary frame, one entry per
@@ -932,97 +1011,6 @@ func headerDeadline(r *http.Request) time.Duration {
 	return time.Duration(ms) * time.Millisecond
 }
 
-// wireKindField is the key_kind value responses of kind K carry:
-// empty for int64 (keeping the historical wire byte-identical), the
-// kind name otherwise.
-func wireKindField[K parselclient.Key]() string {
-	if kind := parselclient.KeyKindOf[K](); kind != parselclient.KeyKindInt64 {
-		return kind
-	}
-	return ""
-}
-
-// executeOn dispatches one validated request to a kind's pool and
-// shapes the response.
-func executeOn[K parselclient.Key](ctx context.Context, pool *parsel.Pool[K], ep Endpoint, req *parselclient.RequestOf[K]) (*parselclient.ResponseOf[K], error) {
-	switch ep {
-	case EpSelect:
-		res, err := pool.SelectContext(ctx, req.Shards, *req.Rank)
-		if err != nil {
-			return nil, err
-		}
-		return scalarResponse(res), nil
-	case EpMedian:
-		res, err := pool.MedianContext(ctx, req.Shards)
-		if err != nil {
-			return nil, err
-		}
-		return scalarResponse(res), nil
-	case EpQuantile:
-		res, err := pool.QuantileContext(ctx, req.Shards, *req.Q)
-		if err != nil {
-			return nil, err
-		}
-		return scalarResponse(res), nil
-	case EpQuantiles:
-		vals, rep, err := pool.QuantilesContext(ctx, req.Shards, req.Qs)
-		if err != nil {
-			return nil, err
-		}
-		return multiResponse(vals, rep), nil
-	case EpRanks:
-		vals, rep, err := pool.SelectRanksContext(ctx, req.Shards, req.Ranks)
-		if err != nil {
-			return nil, err
-		}
-		return multiResponse(vals, rep), nil
-	case EpTopK:
-		vals, rep, err := pool.TopKContext(ctx, req.Shards, *req.K)
-		if err != nil {
-			return nil, err
-		}
-		return multiResponse(vals, rep), nil
-	case EpBottomK:
-		vals, rep, err := pool.BottomKContext(ctx, req.Shards, *req.K)
-		if err != nil {
-			return nil, err
-		}
-		return multiResponse(vals, rep), nil
-	case EpSummary:
-		fn, rep, err := pool.SummaryContext(ctx, req.Shards)
-		if err != nil {
-			return nil, err
-		}
-		return &parselclient.ResponseOf[K]{
-			KeyKind: wireKindField[K](),
-			Summary: &parselclient.SummaryOf[K]{
-				Min: fn.Min, Q1: fn.Q1, Median: fn.Median, Q3: fn.Q3, Max: fn.Max,
-			},
-			Report: parselclient.WireReport(rep),
-		}, nil
-	}
-	return nil, fmt.Errorf("serve: unknown endpoint %d", int(ep))
-}
-
-// scalarResponse shapes a single-value result.
-func scalarResponse[K parselclient.Key](res parsel.Result[K]) *parselclient.ResponseOf[K] {
-	v := res.Value
-	return &parselclient.ResponseOf[K]{
-		KeyKind: wireKindField[K](), Value: &v, Report: parselclient.WireReport(res.Report),
-	}
-}
-
-// multiResponse shapes a multi-value result; the empty (k=0) result
-// stays a JSON [] rather than null.
-func multiResponse[K parselclient.Key](vals []K, rep parsel.Report) *parselclient.ResponseOf[K] {
-	if vals == nil {
-		vals = []K{}
-	}
-	return &parselclient.ResponseOf[K]{
-		KeyKind: wireKindField[K](), Values: vals, Report: parselclient.WireReport(rep),
-	}
-}
-
 // errorStatus maps engine/pool errors onto HTTP status + wire code. The
 // daemon's contract: a typed library error crosses the wire with a
 // stable code the client maps back to the same typed error.
@@ -1087,19 +1075,6 @@ func (s *Server) countError(status int, code parselclient.Code) {
 	default:
 		s.srv.ClientErrors++
 	}
-}
-
-// observe records a served query in the stats. The latency lands in
-// the obs histogram both /v1/stats and /metrics render.
-func (s *Server) observe(hostLatency time.Duration, rep parselclient.Report) {
-	s.mu.Lock()
-	s.srv.OK++
-	s.sim.Queries++
-	s.sim.SimSeconds += rep.SimSeconds
-	s.sim.Messages += rep.Messages
-	s.sim.Bytes += rep.Bytes
-	s.mu.Unlock()
-	s.metrics.latency.Observe(hostLatency.Seconds())
 }
 
 // handleStats serves GET /v1/stats.

@@ -6,58 +6,30 @@ import (
 	"math"
 	"strings"
 
+	"parsel"
 	"parsel/parselclient"
 )
 
-// Endpoint identifies one query endpoint of the daemon.
-type Endpoint int
-
-const (
-	EpSelect Endpoint = iota
-	EpMedian
-	EpQuantile
-	EpQuantiles
-	EpRanks
-	EpTopK
-	EpBottomK
-	EpSummary
-)
-
-// endpoints maps URL paths to endpoints (the daemon's query surface).
-var endpoints = map[string]Endpoint{
-	"/v1/select":    EpSelect,
-	"/v1/median":    EpMedian,
-	"/v1/quantile":  EpQuantile,
-	"/v1/quantiles": EpQuantiles,
-	"/v1/ranks":     EpRanks,
-	"/v1/topk":      EpTopK,
-	"/v1/bottomk":   EpBottomK,
-	"/v1/summary":   EpSummary,
-}
-
-// String names the endpoint by its path suffix.
-func (e Endpoint) String() string {
-	for path, ep := range endpoints {
-		if ep == e {
-			return path
-		}
+// opOfPath resolves a query endpoint path, /v1/<op>, to its op.
+func opOfPath(path string) (parsel.Op, bool) {
+	name, ok := strings.CutPrefix(path, "/v1/")
+	if !ok {
+		return 0, false
 	}
-	return fmt.Sprintf("Endpoint(%d)", int(e))
+	return parsel.ParseOp(name)
 }
 
-// kinds maps dataset-query kinds onto the same endpoints, so the
-// dataset path shares the shard-carrying path's validation and
-// dispatch.
-var kinds = map[string]Endpoint{
-	parselclient.KindSelect:    EpSelect,
-	parselclient.KindMedian:    EpMedian,
-	parselclient.KindQuantile:  EpQuantile,
-	parselclient.KindQuantiles: EpQuantiles,
-	parselclient.KindRanks:     EpRanks,
-	parselclient.KindTopK:      EpTopK,
-	parselclient.KindBottomK:   EpBottomK,
-	parselclient.KindSummary:   EpSummary,
-}
+// opList names every op for error messages: "select, median, ... or
+// summary".
+var opList = func() string {
+	ops := parsel.Ops()
+	names := make([]string, len(ops))
+	for i, op := range ops {
+		names[i] = op.String()
+	}
+	last := len(names) - 1
+	return strings.Join(names[:last], ", ") + " or " + names[last]
+}()
 
 // Limits bounds what a single request may ask of the daemon. Zero
 // fields take defaults.
@@ -135,15 +107,13 @@ func sniffKeyKind(body []byte, header string) (string, error) {
 		}
 		kind = h
 	}
-	switch kind {
-	case "":
+	if kind == "" {
 		return parselclient.KeyKindInt64, nil
-	case parselclient.KeyKindInt64, parselclient.KeyKindFloat64, parselclient.KeyKindString:
-		return kind, nil
-	default:
-		return "", parseErrf(parselclient.CodeBadKind,
-			"unknown key kind %q (want int64, float64 or string)", kind)
 	}
+	if err := checkKeyKind(kind); err != nil {
+		return "", err
+	}
+	return kind, nil
 }
 
 // checkKeyKind validates an optional "key_kind" wire field: empty
@@ -157,43 +127,56 @@ func checkKeyKind(kind string) error {
 		"unknown key kind %q (want int64, float64 or string)", kind)
 }
 
-// ParseRequestOf decodes and validates one query body for an endpoint
-// under key kind K. It never panics on any input; every failure is a
-// *ParseError carrying a stable wire code. Validation here is
-// structural (required fields, configured limits, non-finite numbers);
-// population-dependent checks (rank within [1, n]) stay in the engine,
-// whose typed errors the handler maps to wire codes the same way.
-func ParseRequestOf[K parselclient.Key](ep Endpoint, body []byte, lim Limits) (*parselclient.RequestOf[K], error) {
+// ParseRequestOf decodes and validates one /v1/<op> body under key kind
+// K, returning the decoded body and the Query it carries. It never
+// panics on any input; every failure is a *ParseError carrying a stable
+// wire code. Validation here is structural (required fields,
+// configured limits, non-finite numbers); population-dependent checks
+// (rank within [1, n]) stay in the engine, whose typed errors the
+// handler maps to wire codes the same way.
+func ParseRequestOf[K parselclient.Key](op parsel.Op, body []byte, lim Limits) (*parselclient.RequestOf[K], parsel.Query, error) {
 	lim = lim.withDefaults()
-	if int64(len(body)) > lim.MaxBodyBytes {
-		return nil, parseErrf(parselclient.CodeTooLarge,
-			"body is %d bytes, limit %d", len(body), lim.MaxBodyBytes)
-	}
 	var req parselclient.RequestOf[K]
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, parseErrf(parselclient.CodeBadJSON, "decode request: %v", err)
+	if err := decodeBody(body, lim, "request", &req); err != nil {
+		return nil, parsel.Query{}, err
 	}
-	if req.Shards == nil {
-		return nil, parseErrf(parselclient.CodeMissingField, `"shards" is required`)
-	}
-	if len(req.Shards) > lim.MaxProcs {
-		return nil, parseErrf(parselclient.CodeLimitExceeded,
-			"%d shards, limit %d simulated processors", len(req.Shards), lim.MaxProcs)
+	if err := checkShards(req.Shards, lim); err != nil {
+		return nil, parsel.Query{}, err
 	}
 	if err := checkTimeout(req.TimeoutMS); err != nil {
-		return nil, err
+		return nil, parsel.Query{}, err
 	}
-	if err := checkParams(ep, queryParams{
-		rank: req.Rank, ranks: req.Ranks, q: req.Q, qs: req.Qs, k: req.K,
-	}, lim); err != nil {
-		return nil, err
+	q, err := parseQuery(op, &req.QueryParams, lim)
+	if err != nil {
+		return nil, parsel.Query{}, err
 	}
-	return &req, nil
+	return &req, q, nil
 }
 
-// ParseRequest is ParseRequestOf for the historical int64 wire.
-func ParseRequest(ep Endpoint, body []byte, lim Limits) (*parselclient.Request, error) {
-	return ParseRequestOf[int64](ep, body, lim)
+// decodeBody enforces the body limit and decodes body into v; what
+// names the body in the bad_json message.
+func decodeBody(body []byte, lim Limits, what string, v any) error {
+	if int64(len(body)) > lim.MaxBodyBytes {
+		return parseErrf(parselclient.CodeTooLarge,
+			"body is %d bytes, limit %d", len(body), lim.MaxBodyBytes)
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		return parseErrf(parselclient.CodeBadJSON, "decode %s: %v", what, err)
+	}
+	return nil
+}
+
+// checkShards requires a key-carrying body's shards and bounds their
+// count: each shard is one simulated processor.
+func checkShards[K any](shards [][]K, lim Limits) error {
+	if shards == nil {
+		return parseErrf(parselclient.CodeMissingField, `"shards" is required`)
+	}
+	if len(shards) > lim.MaxProcs {
+		return parseErrf(parselclient.CodeLimitExceeded,
+			"%d shards, limit %d simulated processors", len(shards), lim.MaxProcs)
+	}
+	return nil
 }
 
 // checkTimeout bounds timeout_ms so the millisecond->Duration
@@ -211,62 +194,60 @@ func checkTimeout(ms int64) error {
 	return nil
 }
 
-// queryParams are the per-endpoint query parameters, shared between the
-// shard-carrying Request and the resident DatasetQuery so both wire
-// paths validate identically.
-type queryParams struct {
-	rank  *int64
-	ranks []int64
-	q     *float64
-	qs    []float64
-	k     *int
-}
-
-// checkParams enforces the per-endpoint field requirements and limits.
-func checkParams(ep Endpoint, p queryParams, lim Limits) error {
-	switch ep {
-	case EpSelect:
-		if p.rank == nil {
-			return parseErrf(parselclient.CodeMissingField, `"rank" is required for select`)
+// parseQuery is the one parse step from a wire item to a parsel.Query:
+// it enforces op's required fields and limits and reads exactly the
+// fields op carries. Shard requests and dataset queries share it, so
+// both wire paths validate identically.
+func parseQuery(op parsel.Op, p *parselclient.QueryParams, lim Limits) (parsel.Query, error) {
+	q := parsel.Query{Op: op}
+	switch op {
+	case parsel.OpSelect:
+		if p.Rank == nil {
+			return q, parseErrf(parselclient.CodeMissingField, `"rank" is required for select`)
 		}
-	case EpQuantile:
-		if p.q == nil {
-			return parseErrf(parselclient.CodeMissingField, `"q" is required for quantile`)
+		q.Rank = *p.Rank
+	case parsel.OpQuantile:
+		if p.Q == nil {
+			return q, parseErrf(parselclient.CodeMissingField, `"q" is required for quantile`)
 		}
-		if err := checkQuantile(*p.q); err != nil {
-			return err
+		if err := checkQuantile(*p.Q); err != nil {
+			return q, err
 		}
-	case EpQuantiles:
-		if len(p.qs) == 0 {
-			return parseErrf(parselclient.CodeMissingField, `"qs" must be a non-empty array`)
+		q.Q = *p.Q
+	case parsel.OpQuantiles:
+		if len(p.Qs) == 0 {
+			return q, parseErrf(parselclient.CodeMissingField, `"qs" must be a non-empty array`)
 		}
-		if len(p.qs) > lim.MaxRanks {
-			return parseErrf(parselclient.CodeLimitExceeded,
-				"%d quantiles, limit %d", len(p.qs), lim.MaxRanks)
+		if len(p.Qs) > lim.MaxRanks {
+			return q, parseErrf(parselclient.CodeLimitExceeded,
+				"%d quantiles, limit %d", len(p.Qs), lim.MaxRanks)
 		}
-		for _, q := range p.qs {
-			if err := checkQuantile(q); err != nil {
-				return err
+		for _, v := range p.Qs {
+			if err := checkQuantile(v); err != nil {
+				return q, err
 			}
 		}
-	case EpRanks:
-		if len(p.ranks) == 0 {
-			return parseErrf(parselclient.CodeMissingField, `"ranks" must be a non-empty array`)
+		q.Qs = p.Qs
+	case parsel.OpRanks:
+		if len(p.Ranks) == 0 {
+			return q, parseErrf(parselclient.CodeMissingField, `"ranks" must be a non-empty array`)
 		}
-		if len(p.ranks) > lim.MaxRanks {
-			return parseErrf(parselclient.CodeLimitExceeded,
-				"%d ranks, limit %d", len(p.ranks), lim.MaxRanks)
+		if len(p.Ranks) > lim.MaxRanks {
+			return q, parseErrf(parselclient.CodeLimitExceeded,
+				"%d ranks, limit %d", len(p.Ranks), lim.MaxRanks)
 		}
-	case EpTopK, EpBottomK:
-		if p.k == nil {
-			return parseErrf(parselclient.CodeMissingField, `"k" is required`)
+		q.Ranks = p.Ranks
+	case parsel.OpTopK, parsel.OpBottomK:
+		if p.K == nil {
+			return q, parseErrf(parselclient.CodeMissingField, `"k" is required`)
 		}
-	case EpMedian, EpSummary:
+		q.K = *p.K
+	case parsel.OpMedian, parsel.OpSummary:
 		// No parameters.
 	default:
-		return parseErrf(parselclient.CodeNotFound, "unknown endpoint %d", int(ep))
+		return q, parseErrf(parselclient.CodeNotFound, "unknown query op %v", op)
 	}
-	return nil
+	return q, nil
 }
 
 // ParseDatasetUploadOf decodes and validates a PUT /v1/datasets/{id}
@@ -274,119 +255,95 @@ func checkParams(ep Endpoint, p queryParams, lim Limits) error {
 // reports every failure as a *ParseError with a stable wire code.
 func ParseDatasetUploadOf[K parselclient.Key](body []byte, lim Limits) (*parselclient.DatasetUploadOf[K], error) {
 	lim = lim.withDefaults()
-	if int64(len(body)) > lim.MaxBodyBytes {
-		return nil, parseErrf(parselclient.CodeTooLarge,
-			"body is %d bytes, limit %d", len(body), lim.MaxBodyBytes)
-	}
 	var up parselclient.DatasetUploadOf[K]
-	if err := json.Unmarshal(body, &up); err != nil {
-		return nil, parseErrf(parselclient.CodeBadJSON, "decode upload: %v", err)
+	if err := decodeBody(body, lim, "upload", &up); err != nil {
+		return nil, err
 	}
-	if up.Shards == nil {
-		return nil, parseErrf(parselclient.CodeMissingField, `"shards" is required`)
-	}
-	if len(up.Shards) > lim.MaxProcs {
-		return nil, parseErrf(parselclient.CodeLimitExceeded,
-			"%d shards, limit %d simulated processors", len(up.Shards), lim.MaxProcs)
+	if err := checkShards(up.Shards, lim); err != nil {
+		return nil, err
 	}
 	return &up, nil
 }
 
-// ParseDatasetUpload is ParseDatasetUploadOf for the historical int64
-// wire.
-func ParseDatasetUpload(body []byte, lim Limits) (*parselclient.DatasetUpload, error) {
-	return ParseDatasetUploadOf[int64](body, lim)
+// parseItem validates one dataset-query item — its kind, key kind,
+// timeout and op fields — and resolves it to a Query. Single /query
+// bodies and every /querymany item go through it.
+func parseItem(dq *parselclient.DatasetQuery, lim Limits) (parsel.Query, error) {
+	if dq.Kind == "" {
+		return parsel.Query{}, parseErrf(parselclient.CodeMissingField, `"kind" is required`)
+	}
+	op, ok := parsel.ParseOp(dq.Kind)
+	if !ok {
+		return parsel.Query{}, parseErrf(parselclient.CodeBadKind,
+			"unknown query kind %q (want %s)", dq.Kind, opList)
+	}
+	if err := checkKeyKind(dq.KeyKind); err != nil {
+		return parsel.Query{}, err
+	}
+	if err := checkTimeout(dq.TimeoutMS); err != nil {
+		return parsel.Query{}, err
+	}
+	return parseQuery(op, &dq.QueryParams, lim)
 }
 
 // ParseDatasetQuery decodes and validates a POST /v1/datasets/{id}/query
-// body, resolving its kind to the endpoint whose field rules it shares.
-func ParseDatasetQuery(body []byte, lim Limits) (*parselclient.DatasetQuery, Endpoint, error) {
+// body as a batch of one: the body is the only item, and its
+// timeout_ms becomes the batch's admission deadline. Like
+// ParseRequestOf it never panics and reports every failure as a
+// *ParseError.
+func ParseDatasetQuery(body []byte, lim Limits) (*parselclient.DatasetQueryMany, []parsel.Query, error) {
 	lim = lim.withDefaults()
-	if int64(len(body)) > lim.MaxBodyBytes {
-		return nil, 0, parseErrf(parselclient.CodeTooLarge,
-			"body is %d bytes, limit %d", len(body), lim.MaxBodyBytes)
+	var dq parselclient.DatasetQuery
+	if err := decodeBody(body, lim, "query", &dq); err != nil {
+		return nil, nil, err
 	}
-	var q parselclient.DatasetQuery
-	if err := json.Unmarshal(body, &q); err != nil {
-		return nil, 0, parseErrf(parselclient.CodeBadJSON, "decode query: %v", err)
+	q, err := parseItem(&dq, lim)
+	if err != nil {
+		return nil, nil, err
 	}
-	if q.Kind == "" {
-		return nil, 0, parseErrf(parselclient.CodeMissingField, `"kind" is required`)
-	}
-	ep, ok := kinds[q.Kind]
-	if !ok {
-		return nil, 0, parseErrf(parselclient.CodeBadKind,
-			"unknown query kind %q (want select, median, quantile, quantiles, ranks, topk, bottomk or summary)", q.Kind)
-	}
-	if err := checkKeyKind(q.KeyKind); err != nil {
-		return nil, 0, err
-	}
-	if err := checkTimeout(q.TimeoutMS); err != nil {
-		return nil, 0, err
-	}
-	if err := checkParams(ep, queryParams{
-		rank: q.Rank, ranks: q.Ranks, q: q.Q, qs: q.Qs, k: q.K,
-	}, lim); err != nil {
-		return nil, 0, err
-	}
-	return &q, ep, nil
+	timeoutMS := dq.TimeoutMS
+	dq.TimeoutMS = 0
+	return &parselclient.DatasetQueryMany{Queries: []parselclient.DatasetQuery{dq}, TimeoutMS: timeoutMS},
+		[]parsel.Query{q}, nil
 }
 
 // ParseDatasetQueryMany decodes and validates a POST
 // /v1/datasets/{id}/querymany body. Structural failures anywhere in the
 // batch fail the whole request with a 400 — a malformed batch is a
 // client bug, unlike per-item runtime failures (rank out of range, pool
-// timeout), which the handler reports per item. Returned endpoints
-// align with the queries.
-func ParseDatasetQueryMany(body []byte, lim Limits) ([]parselclient.DatasetQuery, []Endpoint, int64, error) {
+// timeout), which the handler reports per item. Returned queries align
+// with the body's items.
+func ParseDatasetQueryMany(body []byte, lim Limits) (*parselclient.DatasetQueryMany, []parsel.Query, error) {
 	lim = lim.withDefaults()
-	if int64(len(body)) > lim.MaxBodyBytes {
-		return nil, nil, 0, parseErrf(parselclient.CodeTooLarge,
-			"body is %d bytes, limit %d", len(body), lim.MaxBodyBytes)
-	}
 	var qm parselclient.DatasetQueryMany
-	if err := json.Unmarshal(body, &qm); err != nil {
-		return nil, nil, 0, parseErrf(parselclient.CodeBadJSON, "decode querymany: %v", err)
+	if err := decodeBody(body, lim, "querymany", &qm); err != nil {
+		return nil, nil, err
 	}
 	if len(qm.Queries) == 0 {
-		return nil, nil, 0, parseErrf(parselclient.CodeMissingField, `"queries" must be a non-empty array`)
+		return nil, nil, parseErrf(parselclient.CodeMissingField, `"queries" must be a non-empty array`)
 	}
 	if len(qm.Queries) > lim.MaxBatch {
-		return nil, nil, 0, parseErrf(parselclient.CodeLimitExceeded,
+		return nil, nil, parseErrf(parselclient.CodeLimitExceeded,
 			"%d queries, limit %d per batch", len(qm.Queries), lim.MaxBatch)
 	}
 	if err := checkTimeout(qm.TimeoutMS); err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
-	eps := make([]Endpoint, len(qm.Queries))
+	qs := make([]parsel.Query, len(qm.Queries))
 	for i := range qm.Queries {
-		q := &qm.Queries[i]
-		if q.TimeoutMS != 0 {
-			return nil, nil, 0, parseErrf(parselclient.CodeLimitExceeded,
+		dq := &qm.Queries[i]
+		if dq.TimeoutMS != 0 {
+			return nil, nil, parseErrf(parselclient.CodeLimitExceeded,
 				"queries[%d]: timeout_ms must be 0 — the batch shares one admission deadline", i)
 		}
-		if q.Kind == "" {
-			return nil, nil, 0, parseErrf(parselclient.CodeMissingField,
-				`queries[%d]: "kind" is required`, i)
-		}
-		ep, ok := kinds[q.Kind]
-		if !ok {
-			return nil, nil, 0, parseErrf(parselclient.CodeBadKind,
-				"queries[%d]: unknown query kind %q (want select, median, quantile, quantiles, ranks, topk, bottomk or summary)", i, q.Kind)
-		}
-		if err := checkKeyKind(q.KeyKind); err != nil {
+		q, err := parseItem(dq, lim)
+		if err != nil {
 			pe := err.(*ParseError)
-			return nil, nil, 0, parseErrf(pe.Code, "queries[%d]: %s", i, pe.Msg)
+			return nil, nil, parseErrf(pe.Code, "queries[%d]: %s", i, pe.Msg)
 		}
-		if err := checkParams(ep, queryParams{
-			rank: q.Rank, ranks: q.Ranks, q: q.Q, qs: q.Qs, k: q.K,
-		}, lim); err != nil {
-			pe := err.(*ParseError)
-			return nil, nil, 0, parseErrf(pe.Code, "queries[%d]: %s", i, pe.Msg)
-		}
-		eps[i] = ep
+		qs[i] = q
 	}
-	return qm.Queries, eps, qm.TimeoutMS, nil
+	return &qm, qs, nil
 }
 
 // maxDatasetIDLen bounds dataset ids on the wire.

@@ -248,11 +248,14 @@ var (
 
 // Selector is a reusable selection engine: the simulated machine —
 // channel fabric, parked goroutine pool, per-processor random streams and
-// scratch arenas — is constructed once and serves repeated Select,
-// Median, Quantile(s) and SelectRanks calls. For a fixed seed and inputs,
-// every simulated metric (SimSeconds, Iterations, Messages, Bytes) is
-// identical to the one-shot package functions; only host-side cost
-// differs.
+// scratch arenas — is constructed once and serves repeated queries. Run
+// answers any Query and is the one place an op meets the engine; the
+// named methods (Select, Median, Quantile, Quantiles, SelectRanks, TopK,
+// BottomK, Summary) are one-line wrappers over it, and SelectInPlace,
+// which takes over the caller's shards, is the only other entry point.
+// For a fixed seed and inputs, every simulated metric (SimSeconds,
+// Iterations, Messages, Bytes) is identical to the one-shot package
+// functions; only host-side cost differs.
 //
 // A Selector is not safe for concurrent use, but misuse is detected
 // rather than corrupting state: a method entered while another call is
@@ -267,7 +270,7 @@ type Selector[K cmp.Ordered] struct {
 	many     [][]K
 	stats    []selection.Stats
 	counters []machine.Counters
-	rankBuf  []int64 // reusable rank staging for Quantiles
+	rankBuf  []int64 // reusable rank staging for OpQuantiles and OpSummary
 
 	// mu guards the lifecycle state so concurrent misuse is reported
 	// (ErrSelectorBusy / ErrSelectorClosed) instead of racing, and so a
@@ -417,11 +420,7 @@ func (s *Selector[K]) Procs() int { return s.params.Procs }
 // randomized selection reads them in place; the other algorithms, and
 // every run on one shard, copy each into its processor's arena).
 func (s *Selector[K]) Select(shards [][]K, rank int64) (Result[K], error) {
-	if err := s.acquire(); err != nil {
-		return Result[K]{}, err
-	}
-	defer s.release()
-	return s.selectRank(shards, rank, true)
+	return AsResult(s.Run(shards, Query{Op: OpSelect, Rank: rank}))
 }
 
 // SelectInPlace is Select for callers that hand over ownership of their
@@ -437,105 +436,18 @@ func (s *Selector[K]) SelectInPlace(shards [][]K, rank int64) (Result[K], error)
 		return Result[K]{}, err
 	}
 	defer s.release()
-	return s.selectRank(shards, rank, false)
+	return AsResult(s.selectRank(shards, rank, false))
 }
 
 // Median returns the element of rank ceil(n/2) (the paper's median).
 func (s *Selector[K]) Median(shards [][]K) (Result[K], error) {
-	if err := s.acquire(); err != nil {
-		return Result[K]{}, err
-	}
-	defer s.release()
-	var n int64
-	for _, sh := range shards {
-		n += int64(len(sh))
-	}
-	return s.selectRank(shards, (n+1)/2, true)
+	return AsResult(s.Run(shards, Query{Op: OpMedian}))
 }
 
 // Quantile returns the element of rank ceil(q*n) for q in (0,1], and the
 // minimum for q = 0.
 func (s *Selector[K]) Quantile(shards [][]K, q float64) (Result[K], error) {
-	var zero Result[K]
-	if !(q >= 0 && q <= 1) { // also rejects NaN
-		return zero, fmt.Errorf("%w: %g", ErrBadQuantile, q)
-	}
-	if err := s.acquire(); err != nil {
-		return zero, err
-	}
-	defer s.release()
-	var n int64
-	for _, sh := range shards {
-		n += int64(len(sh))
-	}
-	if n == 0 {
-		if len(shards) == 0 {
-			return zero, ErrNoShards
-		}
-		return zero, ErrNoData
-	}
-	return s.selectRank(shards, quantileRank(n, q), true)
-}
-
-// selectRank validates and executes one collective selection.
-func (s *Selector[K]) selectRank(shards [][]K, rank int64, borrowed bool) (Result[K], error) {
-	var zero Result[K]
-	if len(shards) == 0 {
-		return zero, ErrNoShards
-	}
-	var n int64
-	for _, sh := range shards {
-		n += int64(len(sh))
-	}
-	if n == 0 {
-		return zero, ErrNoData
-	}
-	if rank < 1 || rank > n {
-		return zero, fmt.Errorf("%w: rank %d, population %d", ErrRankRange, rank, n)
-	}
-	if err := s.ensure(len(shards)); err != nil {
-		return zero, err
-	}
-	iopts := selection.Options{
-		Algorithm:      toInternalAlg(s.opts.Algorithm),
-		Balancer:       toInternalBal(s.opts.Balancer),
-		SampleExponent: s.opts.SampleExponent,
-		RankSlack:      s.opts.RankSlack,
-		MaxIterations:  s.opts.MaxIterations,
-		Faithful:       s.opts.Faithful,
-		BorrowedInput:  borrowed,
-	}
-	start := time.Now()
-	sim, err := s.m.Run(func(pr *machine.Proc) {
-		s.vals[pr.ID()], s.stats[pr.ID()] = selection.Select(pr, shards[pr.ID()], rank, iopts)
-		s.counters[pr.ID()] = pr.Counters
-	})
-	wall := time.Since(start).Seconds()
-	if err != nil {
-		return zero, err
-	}
-	if agreementChecks {
-		if proc, ok := disagreement(s.vals); !ok {
-			panic(fmt.Sprintf("parsel: processor %d selected %v, processor 0 selected %v",
-				proc, s.vals[proc], s.vals[0]))
-		}
-	}
-
-	rep := Report{SimSeconds: sim, WallSeconds: wall}
-	for i := range s.stats {
-		if s.stats[i].BalanceSeconds > rep.BalanceSeconds {
-			rep.BalanceSeconds = s.stats[i].BalanceSeconds
-		}
-		if s.stats[i].Iterations > rep.Iterations {
-			rep.Iterations = s.stats[i].Iterations
-		}
-		if s.stats[i].Unsuccessful > rep.Unsuccessful {
-			rep.Unsuccessful = s.stats[i].Unsuccessful
-		}
-		rep.Messages += s.counters[i].MsgsSent
-		rep.Bytes += s.counters[i].BytesSent
-	}
-	return Result[K]{Value: s.vals[0], Report: rep}, nil
+	return AsResult(s.Run(shards, Query{Op: OpQuantile, Q: q}))
 }
 
 // SelectRanks returns the elements at several 1-based ranks in one
@@ -553,46 +465,82 @@ func (s *Selector[K]) selectRank(shards [][]K, rank int64, borrowed bool) (Resul
 // across calls must copy it first. (Results from the package-level
 // SelectRanks and from Pool.SelectRanks are caller-owned.)
 func (s *Selector[K]) SelectRanks(shards [][]K, ranks []int64) ([]K, Report, error) {
-	if err := s.acquire(); err != nil {
-		return nil, Report{}, err
-	}
-	defer s.release()
-	return s.selectRanks(shards, ranks)
+	return AsValues(s.Run(shards, Query{Op: OpRanks, Ranks: ranks}))
 }
 
-// selectRanks is the unguarded SelectRanks core, for composition by the
-// guarded public methods.
-func (s *Selector[K]) selectRanks(shards [][]K, ranks []int64) ([]K, Report, error) {
-	if len(shards) == 0 {
-		return nil, Report{}, ErrNoShards
+// Quantiles returns the elements at several quantiles (each in [0,1]) in
+// one collective run; see SelectRanks (including the arena-backed
+// lifetime of the returned slice).
+func (s *Selector[K]) Quantiles(shards [][]K, qs []float64) ([]K, Report, error) {
+	return AsValues(s.Run(shards, Query{Op: OpQuantiles, Qs: qs}))
+}
+
+// TopK returns the k largest elements across all shards in descending
+// order, computed with one selection (the threshold element of rank
+// n-k+1) plus one filtering pass — never a full sort. Duplicates of the
+// threshold value are included only as many times as needed to return
+// exactly k elements. The returned slice is caller-owned.
+func (s *Selector[K]) TopK(shards [][]K, k int) ([]K, Report, error) {
+	return AsValues(s.Run(shards, Query{Op: OpTopK, K: k}))
+}
+
+// BottomK returns the k smallest elements in ascending order; see TopK.
+func (s *Selector[K]) BottomK(shards [][]K, k int) ([]K, Report, error) {
+	return AsValues(s.Run(shards, Query{Op: OpBottomK, K: k}))
+}
+
+// Summary computes the five-number summary in a single multi-rank
+// selection run (roughly one selection's cost for all five statistics).
+func (s *Selector[K]) Summary(shards [][]K) (FiveNumber[K], Report, error) {
+	return AsSummary(s.Run(shards, Query{Op: OpSummary}))
+}
+
+// selectRank validates and executes one collective selection.
+func (s *Selector[K]) selectRank(shards [][]K, rank int64, borrowed bool) (Answer[K], error) {
+	if err := s.prepare(shards, rank); err != nil {
+		return Answer[K]{}, err
 	}
-	var n int64
-	for _, sh := range shards {
-		n += int64(len(sh))
+	iopts := selection.Options{
+		Algorithm:      toInternalAlg(s.opts.Algorithm),
+		Balancer:       toInternalBal(s.opts.Balancer),
+		SampleExponent: s.opts.SampleExponent,
+		RankSlack:      s.opts.RankSlack,
+		MaxIterations:  s.opts.MaxIterations,
+		Faithful:       s.opts.Faithful,
+		BorrowedInput:  borrowed,
 	}
-	if n == 0 {
-		return nil, Report{}, ErrNoData
+	rep, err := s.execute(func(pr *machine.Proc) {
+		s.vals[pr.ID()], s.stats[pr.ID()] = selection.Select(pr, shards[pr.ID()], rank, iopts)
+		s.counters[pr.ID()] = pr.Counters
+	})
+	if err != nil {
+		return Answer[K]{}, err
 	}
-	for _, r := range ranks {
-		if r < 1 || r > n {
-			return nil, Report{}, fmt.Errorf("%w: rank %d, population %d", ErrRankRange, r, n)
+	if agreementChecks {
+		if proc, ok := disagreement(s.vals); !ok {
+			panic(fmt.Sprintf("parsel: processor %d selected %v, processor 0 selected %v",
+				proc, s.vals[proc], s.vals[0]))
 		}
 	}
-	if err := s.ensure(len(shards)); err != nil {
-		return nil, Report{}, err
+	return Answer[K]{Value: s.vals[0], Report: rep}, nil
+}
+
+// selectRanks validates and executes one multi-rank collective run. The
+// returned values are backed by the Selector's arena.
+func (s *Selector[K]) selectRanks(shards [][]K, ranks []int64) (Answer[K], error) {
+	if err := s.prepare(shards, ranks...); err != nil {
+		return Answer[K]{}, err
 	}
 	iopts := selection.Options{
 		MaxIterations: s.opts.MaxIterations,
 		BorrowedInput: true,
 	}
-	start := time.Now()
-	sim, err := s.m.Run(func(pr *machine.Proc) {
+	rep, err := s.execute(func(pr *machine.Proc) {
 		s.many[pr.ID()], s.stats[pr.ID()] = selection.SelectMany(pr, shards[pr.ID()], ranks, iopts)
 		s.counters[pr.ID()] = pr.Counters
 	})
-	wall := time.Since(start).Seconds()
 	if err != nil {
-		return nil, Report{}, err
+		return Answer[K]{}, err
 	}
 	// Every processor of the collective must agree on every rank's value:
 	// the engine returns processor 0's results, so a divergence would
@@ -609,44 +557,42 @@ func (s *Selector[K]) selectRanks(shards [][]K, ranks []int64) ([]K, Report, err
 			}
 		}
 	}
-	rep := Report{SimSeconds: sim, WallSeconds: wall}
-	for i := range s.stats {
-		if s.stats[i].Iterations > rep.Iterations {
-			rep.Iterations = s.stats[i].Iterations
+	return Answer[K]{Values: s.many[0], Report: rep}, nil
+}
+
+// prepare validates ranks against the population of shards and sizes
+// the machine for them.
+func (s *Selector[K]) prepare(shards [][]K, ranks ...int64) error {
+	n, err := population(shards)
+	if err != nil {
+		return err
+	}
+	for _, r := range ranks {
+		if r < 1 || r > n {
+			return fmt.Errorf("%w: rank %d, population %d", ErrRankRange, r, n)
 		}
+	}
+	return s.ensure(len(shards))
+}
+
+// execute runs body, which records each processor's stats and counters,
+// on every processor and folds the run into one Report: maxima of the
+// per-processor times and iteration counts, totals of the traffic.
+func (s *Selector[K]) execute(body func(pr *machine.Proc)) (Report, error) {
+	start := time.Now()
+	sim, err := s.m.Run(body)
+	if err != nil {
+		return Report{}, err
+	}
+	rep := Report{SimSeconds: sim, WallSeconds: time.Since(start).Seconds()}
+	for i := range s.stats {
+		rep.BalanceSeconds = max(rep.BalanceSeconds, s.stats[i].BalanceSeconds)
+		rep.Iterations = max(rep.Iterations, s.stats[i].Iterations)
+		rep.Unsuccessful = max(rep.Unsuccessful, s.stats[i].Unsuccessful)
 		rep.Messages += s.counters[i].MsgsSent
 		rep.Bytes += s.counters[i].BytesSent
 	}
-	return s.many[0], rep, nil
-}
-
-// Quantiles returns the elements at several quantiles (each in [0,1]) in
-// one collective run; see SelectRanks (including the arena-backed
-// lifetime of the returned slice).
-func (s *Selector[K]) Quantiles(shards [][]K, qs []float64) ([]K, Report, error) {
-	if err := s.acquire(); err != nil {
-		return nil, Report{}, err
-	}
-	defer s.release()
-	var n int64
-	for _, sh := range shards {
-		n += int64(len(sh))
-	}
-	if len(shards) == 0 {
-		return nil, Report{}, ErrNoShards
-	}
-	if n == 0 {
-		return nil, Report{}, ErrNoData
-	}
-	ranks := s.rankBuf[:0]
-	for _, q := range qs {
-		if !(q >= 0 && q <= 1) { // also rejects NaN
-			return nil, Report{}, fmt.Errorf("%w: %g", ErrBadQuantile, q)
-		}
-		ranks = append(ranks, quantileRank(n, q))
-	}
-	s.rankBuf = ranks
-	return s.selectRanks(shards, ranks)
+	return rep, nil
 }
 
 // quantileRank converts a quantile to its 1-based rank ceil(q*n), clamped
@@ -707,62 +653,48 @@ func quantileRank(n int64, q float64) int64 {
 // control, admission deadlines, or more capacity should construct a
 // Selector or Pool themselves.
 func Select[K cmp.Ordered](shards [][]K, rank int64, opts Options) (Result[K], error) {
-	pl, done, err := defaultPool[K](opts)
-	if err != nil {
-		return Result[K]{}, err
-	}
-	defer done()
-	return pl.Select(shards, rank)
+	return AsResult(Run(shards, Query{Op: OpSelect, Rank: rank}, opts))
 }
 
 // Median returns the element of rank ceil(n/2) (the paper's median).
 func Median[K cmp.Ordered](shards [][]K, opts Options) (Result[K], error) {
-	pl, done, err := defaultPool[K](opts)
-	if err != nil {
-		return Result[K]{}, err
-	}
-	defer done()
-	return pl.Median(shards)
+	return AsResult(Run(shards, Query{Op: OpMedian}, opts))
 }
 
 // Quantile returns the element of rank ceil(q*n) for q in (0,1], and the
 // minimum for q = 0.
 func Quantile[K cmp.Ordered](shards [][]K, q float64, opts Options) (Result[K], error) {
-	// Validate the quantile before anything else, so an out-of-range q
-	// is always reported as such even alongside other bad arguments.
-	if !(q >= 0 && q <= 1) { // also rejects NaN
-		return Result[K]{}, fmt.Errorf("%w: %g", ErrBadQuantile, q)
-	}
-	pl, done, err := defaultPool[K](opts)
-	if err != nil {
-		return Result[K]{}, err
-	}
-	defer done()
-	return pl.Quantile(shards, q)
+	return AsResult(Run(shards, Query{Op: OpQuantile, Q: q}, opts))
 }
 
 // SelectRanks returns the elements at several 1-based ranks in one
 // collective run; see Selector.SelectRanks. The returned slice is a
 // caller-owned copy.
 func SelectRanks[K cmp.Ordered](shards [][]K, ranks []int64, opts Options) ([]K, Report, error) {
-	pl, done, err := defaultPool[K](opts)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	defer done()
-	return pl.SelectRanks(shards, ranks)
+	return AsValues(Run(shards, Query{Op: OpRanks, Ranks: ranks}, opts))
 }
 
 // Quantiles returns the elements at several quantiles (each in [0,1]) in
 // one collective run; see SelectRanks. The returned slice is a
 // caller-owned copy.
 func Quantiles[K cmp.Ordered](shards [][]K, qs []float64, opts Options) ([]K, Report, error) {
-	pl, done, err := defaultPool[K](opts)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	defer done()
-	return pl.Quantiles(shards, qs)
+	return AsValues(Run(shards, Query{Op: OpQuantiles, Qs: qs}, opts))
+}
+
+// TopK returns the k largest elements across all shards in descending
+// order; see Selector.TopK.
+func TopK[K cmp.Ordered](shards [][]K, k int, opts Options) ([]K, Report, error) {
+	return AsValues(Run(shards, Query{Op: OpTopK, K: k}, opts))
+}
+
+// BottomK returns the k smallest elements in ascending order; see TopK.
+func BottomK[K cmp.Ordered](shards [][]K, k int, opts Options) ([]K, Report, error) {
+	return AsValues(Run(shards, Query{Op: OpBottomK, K: k}, opts))
+}
+
+// Summary computes the five-number summary; see Selector.Summary.
+func Summary[K cmp.Ordered](shards [][]K, opts Options) (FiveNumber[K], Report, error) {
+	return AsSummary(Run(shards, Query{Op: OpSummary}, opts))
 }
 
 // Balance redistributes shards so that every shard ends with floor(n/p)

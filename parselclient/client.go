@@ -23,7 +23,13 @@ import (
 
 // Client talks to a parseld daemon. The zero value is not usable;
 // construct with New. Methods are safe for concurrent use.
+//
+// The query surface — Run, Select, Median, Quantile, Quantiles,
+// SelectRanks, TopK, BottomK, Summary and Dataset — is the historical
+// int64 one, promoted from the embedded Keyed[int64] view.
 type Client struct {
+	KindClient[int64]
+
 	base string
 	hc   *http.Client
 
@@ -158,6 +164,7 @@ func WithLimits(l ClientLimits) Option {
 // NewWithHTTPClient shim, which keeps the old shape.
 func New(baseURL string, opts ...Option) *Client {
 	c := &Client{base: strings.TrimRight(baseURL, "/"), hc: http.DefaultClient}
+	c.KindClient = KindClient[int64]{c: c}
 	for _, o := range opts {
 		if o != nil { // tolerate a literal nil from pre-options callers
 			o(c)
@@ -285,10 +292,10 @@ func (c *Client) timeoutMS(ctx context.Context) int64 {
 	return min(ms, maxTimeoutMS)
 }
 
-// keyKindField returns the key_kind value a K-kinded request carries:
-// empty for int64 (keeping the historical wire byte-identical), the
-// kind name otherwise.
-func keyKindField[K Key]() string {
+// KeyKindField returns the "key_kind" value K-kinded bodies carry, in
+// requests and responses alike: empty for int64 (keeping the historical
+// wire byte-identical), the kind name otherwise.
+func KeyKindField[K Key]() string {
 	if kind := KeyKindOf[K](); kind != KeyKindInt64 {
 		return kind
 	}
@@ -314,32 +321,44 @@ func Keyed[K Key](c *Client) KindClient[K] {
 // Client returns the underlying untyped client.
 func (kc KindClient[K]) Client() *Client { return kc.c }
 
-// post sends one query and decodes the response or the structured
-// error. A nil context means no deadline, mirroring the Pool methods.
-// The body is rebuilt per retry attempt so timeout_ms always reflects
-// the attempt's remaining budget, not the first attempt's.
-func (kc KindClient[K]) post(ctx context.Context, path string, req RequestOf[K]) (*ResponseOf[K], error) {
+// runQuery posts one query body to path and decodes op's answer from
+// the response or the structured error. body renders the request for
+// one attempt given its timeout_ms, which is recomputed per retry
+// attempt from that attempt's remaining budget, not the first
+// attempt's. A nil context means no deadline, mirroring the Pool
+// methods.
+func runQuery[K Key](ctx context.Context, c *Client, path string, op parsel.Op, body func(timeoutMS int64) any) (parsel.Answer[K], error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	req.KeyKind = keyKindField[K]()
-	body := func(actx context.Context) (io.Reader, int64, string, error) {
-		r := req
-		if r.TimeoutMS == 0 {
-			r.TimeoutMS = kc.c.timeoutMS(actx)
-		}
-		return marshalBody(r)
+	attempt := func(actx context.Context) (io.Reader, int64, string, error) {
+		return marshalBody(body(c.timeoutMS(actx)))
 	}
 	var resp ResponseOf[K]
-	if err := kc.c.do(ctx, http.MethodPost, path, body, kc.c.Binary, &resp); err != nil {
-		return nil, err
+	if err := c.do(ctx, http.MethodPost, path, attempt, c.Binary, &resp); err != nil {
+		return parsel.Answer[K]{}, err
 	}
-	return &resp, nil
+	return answerOf(op, &resp)
 }
 
-// post is KindClient.post for the historical int64 surface.
-func (c *Client) post(ctx context.Context, path string, req Request) (*Response, error) {
-	return Keyed[int64](c).post(ctx, path, req)
+// answerOf reads the fields op answers off a response; a response
+// lacking them fails rather than answering zero values.
+func answerOf[K Key](op parsel.Op, resp *ResponseOf[K]) (parsel.Answer[K], error) {
+	a := parsel.Answer[K]{Values: resp.Values, Report: resp.Report.Report()}
+	switch {
+	case op.Scalar():
+		if resp.Value == nil {
+			return parsel.Answer[K]{}, fmt.Errorf("parselclient: %s response carries no value", op)
+		}
+		a.Value = *resp.Value
+	case op == parsel.OpSummary:
+		if resp.Summary == nil {
+			return parsel.Answer[K]{}, errors.New("parselclient: summary response carries no summary")
+		}
+		s := resp.Summary
+		a.Summary = parsel.FiveNumber[K]{Min: s.Min, Q1: s.Q1, Median: s.Median, Q3: s.Q3, Max: s.Max}
+	}
+	return a, nil
 }
 
 // marshalBody encodes one JSON request body for a single attempt.
@@ -371,78 +390,58 @@ func decodeError(status int, data []byte) error {
 	return &APIError{Status: status, Code: CodeInternal, Message: msg}
 }
 
-// scalar runs a single-value query.
-func (kc KindClient[K]) scalar(ctx context.Context, path string, req RequestOf[K]) (parsel.Result[K], error) {
-	resp, err := kc.post(ctx, path, req)
-	if err != nil {
-		return parsel.Result[K]{}, err
-	}
-	if resp.Value == nil {
-		return parsel.Result[K]{}, fmt.Errorf("parselclient: %s: response carries no value", path)
-	}
-	return parsel.Result[K]{Value: *resp.Value, Report: resp.Report.Report()}, nil
-}
-
-// multi runs a multi-value query.
-func (kc KindClient[K]) multi(ctx context.Context, path string, req RequestOf[K]) ([]K, parsel.Report, error) {
-	resp, err := kc.post(ctx, path, req)
-	if err != nil {
-		return nil, parsel.Report{}, err
-	}
-	return resp.Values, resp.Report.Report(), nil
+// Run answers one query over shards on the daemon (POST /v1/<op>),
+// like parsel.Pool.Run but over the wire. The named query methods are
+// one-line wrappers over it.
+func (kc KindClient[K]) Run(ctx context.Context, shards [][]K, q parsel.Query) (parsel.Answer[K], error) {
+	params := paramsOf(q)
+	return runQuery[K](ctx, kc.c, "/v1/"+q.Op.String(), q.Op, func(timeoutMS int64) any {
+		return RequestOf[K]{KeyKind: KeyKindField[K](), Shards: shards, QueryParams: params, TimeoutMS: timeoutMS}
+	})
 }
 
 // Select returns the element of 1-based rank among all elements of
 // shards, like parsel.Pool.Select but over the wire.
 func (kc KindClient[K]) Select(ctx context.Context, shards [][]K, rank int64) (parsel.Result[K], error) {
-	return kc.scalar(ctx, "/v1/select", RequestOf[K]{Shards: shards, Rank: &rank})
+	return parsel.AsResult(kc.Run(ctx, shards, parsel.Query{Op: parsel.OpSelect, Rank: rank}))
 }
 
 // Median returns the element of rank ceil(n/2).
 func (kc KindClient[K]) Median(ctx context.Context, shards [][]K) (parsel.Result[K], error) {
-	return kc.scalar(ctx, "/v1/median", RequestOf[K]{Shards: shards})
+	return parsel.AsResult(kc.Run(ctx, shards, parsel.Query{Op: parsel.OpMedian}))
 }
 
 // Quantile returns the element of rank ceil(q*n) for q in (0,1], and
 // the minimum for q = 0.
 func (kc KindClient[K]) Quantile(ctx context.Context, shards [][]K, q float64) (parsel.Result[K], error) {
-	return kc.scalar(ctx, "/v1/quantile", RequestOf[K]{Shards: shards, Q: &q})
+	return parsel.AsResult(kc.Run(ctx, shards, parsel.Query{Op: parsel.OpQuantile, Q: q}))
 }
 
 // Quantiles returns the elements at several quantiles in one collective
 // run; results align with qs.
 func (kc KindClient[K]) Quantiles(ctx context.Context, shards [][]K, qs []float64) ([]K, parsel.Report, error) {
-	return kc.multi(ctx, "/v1/quantiles", RequestOf[K]{Shards: shards, Qs: qs})
+	return parsel.AsValues(kc.Run(ctx, shards, parsel.Query{Op: parsel.OpQuantiles, Qs: qs}))
 }
 
 // SelectRanks returns the elements at several 1-based ranks in one
 // collective run; results align with ranks.
 func (kc KindClient[K]) SelectRanks(ctx context.Context, shards [][]K, ranks []int64) ([]K, parsel.Report, error) {
-	return kc.multi(ctx, "/v1/ranks", RequestOf[K]{Shards: shards, Ranks: ranks})
+	return parsel.AsValues(kc.Run(ctx, shards, parsel.Query{Op: parsel.OpRanks, Ranks: ranks}))
 }
 
 // TopK returns the k largest elements in descending order.
 func (kc KindClient[K]) TopK(ctx context.Context, shards [][]K, k int) ([]K, parsel.Report, error) {
-	return kc.multi(ctx, "/v1/topk", RequestOf[K]{Shards: shards, K: &k})
+	return parsel.AsValues(kc.Run(ctx, shards, parsel.Query{Op: parsel.OpTopK, K: k}))
 }
 
 // BottomK returns the k smallest elements in ascending order.
 func (kc KindClient[K]) BottomK(ctx context.Context, shards [][]K, k int) ([]K, parsel.Report, error) {
-	return kc.multi(ctx, "/v1/bottomk", RequestOf[K]{Shards: shards, K: &k})
+	return parsel.AsValues(kc.Run(ctx, shards, parsel.Query{Op: parsel.OpBottomK, K: k}))
 }
 
 // Summary computes the five-number summary in one multi-rank run.
 func (kc KindClient[K]) Summary(ctx context.Context, shards [][]K) (parsel.FiveNumber[K], parsel.Report, error) {
-	resp, err := kc.post(ctx, "/v1/summary", RequestOf[K]{Shards: shards})
-	if err != nil {
-		return parsel.FiveNumber[K]{}, parsel.Report{}, err
-	}
-	if resp.Summary == nil {
-		return parsel.FiveNumber[K]{}, parsel.Report{}, errors.New("parselclient: summary response carries no summary")
-	}
-	s := *resp.Summary
-	return parsel.FiveNumber[K]{Min: s.Min, Q1: s.Q1, Median: s.Median, Q3: s.Q3, Max: s.Max},
-		resp.Report.Report(), nil
+	return parsel.AsSummary(kc.Run(ctx, shards, parsel.Query{Op: parsel.OpSummary}))
 }
 
 // Dataset addresses one resident dataset on the daemon by id, typed
@@ -450,57 +449,6 @@ func (kc KindClient[K]) Summary(ctx context.Context, shards [][]K) (parsel.FiveN
 // call), so it may be built once and shared across goroutines.
 func (kc KindClient[K]) Dataset(id string) *RemoteDatasetOf[K] {
 	return &RemoteDatasetOf[K]{c: kc.c, id: id}
-}
-
-// Select returns the element of 1-based rank among all elements of
-// shards, like parsel.Pool.Select but over the wire.
-func (c *Client) Select(ctx context.Context, shards [][]int64, rank int64) (parsel.Result[int64], error) {
-	return Keyed[int64](c).Select(ctx, shards, rank)
-}
-
-// Median returns the element of rank ceil(n/2).
-func (c *Client) Median(ctx context.Context, shards [][]int64) (parsel.Result[int64], error) {
-	return Keyed[int64](c).Median(ctx, shards)
-}
-
-// Quantile returns the element of rank ceil(q*n) for q in (0,1], and
-// the minimum for q = 0.
-func (c *Client) Quantile(ctx context.Context, shards [][]int64, q float64) (parsel.Result[int64], error) {
-	return Keyed[int64](c).Quantile(ctx, shards, q)
-}
-
-// Quantiles returns the elements at several quantiles in one collective
-// run; results align with qs.
-func (c *Client) Quantiles(ctx context.Context, shards [][]int64, qs []float64) ([]int64, parsel.Report, error) {
-	return Keyed[int64](c).Quantiles(ctx, shards, qs)
-}
-
-// SelectRanks returns the elements at several 1-based ranks in one
-// collective run; results align with ranks.
-func (c *Client) SelectRanks(ctx context.Context, shards [][]int64, ranks []int64) ([]int64, parsel.Report, error) {
-	return Keyed[int64](c).SelectRanks(ctx, shards, ranks)
-}
-
-// TopK returns the k largest elements in descending order.
-func (c *Client) TopK(ctx context.Context, shards [][]int64, k int) ([]int64, parsel.Report, error) {
-	return Keyed[int64](c).TopK(ctx, shards, k)
-}
-
-// BottomK returns the k smallest elements in ascending order.
-func (c *Client) BottomK(ctx context.Context, shards [][]int64, k int) ([]int64, parsel.Report, error) {
-	return Keyed[int64](c).BottomK(ctx, shards, k)
-}
-
-// Summary computes the five-number summary in one multi-rank run.
-func (c *Client) Summary(ctx context.Context, shards [][]int64) (parsel.FiveNumber[int64], parsel.Report, error) {
-	return Keyed[int64](c).Summary(ctx, shards)
-}
-
-// Dataset addresses one resident dataset on the daemon by id. The
-// handle is stateless (no network traffic until a method call), so it
-// may be built once and shared across goroutines.
-func (c *Client) Dataset(id string) *RemoteDataset {
-	return Keyed[int64](c).Dataset(id)
 }
 
 // RemoteDatasetOf mirrors parsel.Dataset over the wire, typed over the
@@ -661,56 +609,50 @@ func decodeFrameInto(data []byte, out any) error {
 	if err != nil {
 		return fmt.Errorf("parselclient: decode frame: %w", err)
 	}
+	// Frame values are a bit container: float64 results travel as
+	// their IEEE-754 bits and convert back losslessly.
+	int64s := func(bits []int64) []int64 { return bits }
 	switch v := out.(type) {
 	case *Response:
-		if len(entries) != 1 {
-			return fmt.Errorf("parselclient: frame carries %d results, want 1", len(entries))
-		}
-		if err := json.Unmarshal(entries[0].Meta, v); err != nil {
-			return fmt.Errorf("parselclient: decode frame meta: %w", err)
-		}
-		if entries[0].Values != nil {
-			v.Values = entries[0].Values
-		}
-		return nil
+		return frameResponse(entries, v, int64s)
 	case *QueryManyResponse:
-		v.Results = make([]QueryManyResult, len(entries))
-		for i := range entries {
-			if err := json.Unmarshal(entries[i].Meta, &v.Results[i]); err != nil {
-				return fmt.Errorf("parselclient: decode frame meta %d: %w", i, err)
-			}
-			if entries[i].Values != nil {
-				v.Results[i].Values = entries[i].Values
-			}
-		}
-		return nil
+		v.Results, err = frameResults(entries, int64s)
 	case *ResponseOf[float64]:
-		// Frame values are a bit container: float64 results travel as
-		// their IEEE-754 bits and convert back losslessly here.
-		if len(entries) != 1 {
-			return fmt.Errorf("parselclient: frame carries %d results, want 1", len(entries))
-		}
-		if err := json.Unmarshal(entries[0].Meta, v); err != nil {
-			return fmt.Errorf("parselclient: decode frame meta: %w", err)
-		}
-		if entries[0].Values != nil {
-			v.Values = float64sFromBits(entries[0].Values)
-		}
-		return nil
+		return frameResponse(entries, v, float64sFromBits)
 	case *QueryManyResponseOf[float64]:
-		v.Results = make([]QueryManyResultOf[float64], len(entries))
-		for i := range entries {
-			if err := json.Unmarshal(entries[i].Meta, &v.Results[i]); err != nil {
-				return fmt.Errorf("parselclient: decode frame meta %d: %w", i, err)
-			}
-			if entries[i].Values != nil {
-				v.Results[i].Values = float64sFromBits(entries[i].Values)
-			}
-		}
-		return nil
+		v.Results, err = frameResults(entries, float64sFromBits)
 	default:
 		return fmt.Errorf("parselclient: unexpected binary frame for %T", out)
 	}
+	return err
+}
+
+// frameResults decodes each entry's metadata and overlays its binary
+// values, converted from the frame's bit container by vals.
+func frameResults[K Key](entries []snapshot.FrameEntry, vals func([]int64) []K) ([]QueryManyResultOf[K], error) {
+	results := make([]QueryManyResultOf[K], len(entries))
+	for i := range entries {
+		if err := json.Unmarshal(entries[i].Meta, &results[i]); err != nil {
+			return nil, fmt.Errorf("parselclient: decode frame meta %d: %w", i, err)
+		}
+		if entries[i].Values != nil {
+			results[i].Values = vals(entries[i].Values)
+		}
+	}
+	return results, nil
+}
+
+// frameResponse decodes a single-query frame: exactly one entry.
+func frameResponse[K Key](entries []snapshot.FrameEntry, v *ResponseOf[K], vals func([]int64) []K) error {
+	if len(entries) != 1 {
+		return fmt.Errorf("parselclient: frame carries %d results, want 1", len(entries))
+	}
+	results, err := frameResults(entries, vals)
+	if err != nil {
+		return err
+	}
+	*v = results[0].ResponseOf
+	return nil
 }
 
 // float64sFromBits reinterprets a frame's bit-container values as the
@@ -757,7 +699,7 @@ func (d *RemoteDatasetOf[K]) Upload(ctx context.Context, shards [][]K) (DatasetI
 		}
 	}
 	if body == nil {
-		data, err := json.Marshal(DatasetUploadOf[K]{KeyKind: keyKindField[K](), Shards: shards})
+		data, err := json.Marshal(DatasetUploadOf[K]{KeyKind: KeyKindField[K](), Shards: shards})
 		if err != nil {
 			return DatasetInfo{}, fmt.Errorf("parselclient: encode: %w", err)
 		}
@@ -790,27 +732,18 @@ func (d *RemoteDatasetOf[K]) Delete(ctx context.Context) (DatasetInfo, error) {
 	return info, nil
 }
 
-// query posts one DatasetQuery, defaulting timeout_ms like post does —
-// recomputed per retry attempt from the attempt's remaining budget.
+// Run answers one query against the resident dataset (POST
+// /v1/datasets/{id}/query), like parsel.Dataset.Run but over the wire.
 // Non-int64 handles stamp key_kind so a kind mismatch with the resident
 // dataset surfaces as bad_kind instead of mistyped keys.
-func (d *RemoteDatasetOf[K]) query(ctx context.Context, q DatasetQuery) (*ResponseOf[K], error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	q.KeyKind = keyKindField[K]()
-	body := func(actx context.Context) (io.Reader, int64, string, error) {
-		r := q
-		if r.TimeoutMS == 0 {
-			r.TimeoutMS = d.c.timeoutMS(actx)
-		}
-		return marshalBody(r)
-	}
-	var resp ResponseOf[K]
-	if err := d.c.do(ctx, http.MethodPost, d.path("/query"), body, d.c.Binary, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+func (d *RemoteDatasetOf[K]) Run(ctx context.Context, q parsel.Query) (parsel.Answer[K], error) {
+	dq := DatasetQueryOf(q)
+	dq.KeyKind = KeyKindField[K]()
+	return runQuery[K](ctx, d.c, d.path("/query"), q.Op, func(timeoutMS int64) any {
+		attempt := dq
+		attempt.TimeoutMS = timeoutMS
+		return attempt
+	})
 }
 
 // QueryMany runs a batch of independent queries against the resident
@@ -824,7 +757,7 @@ func (d *RemoteDatasetOf[K]) QueryMany(ctx context.Context, queries []DatasetQue
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	kind := keyKindField[K]()
+	kind := KeyKindField[K]()
 	body := func(actx context.Context) (io.Reader, int64, string, error) {
 		qs := queries
 		if kind != "" {
@@ -879,78 +812,48 @@ func statusForCode(code Code) int {
 	}
 }
 
-// scalar runs a single-value dataset query.
-func (d *RemoteDatasetOf[K]) scalar(ctx context.Context, q DatasetQuery) (parsel.Result[K], error) {
-	resp, err := d.query(ctx, q)
-	if err != nil {
-		return parsel.Result[K]{}, err
-	}
-	if resp.Value == nil {
-		return parsel.Result[K]{}, fmt.Errorf("parselclient: dataset %s: response carries no value", q.Kind)
-	}
-	return parsel.Result[K]{Value: *resp.Value, Report: resp.Report.Report()}, nil
-}
-
-// multi runs a multi-value dataset query.
-func (d *RemoteDatasetOf[K]) multi(ctx context.Context, q DatasetQuery) ([]K, parsel.Report, error) {
-	resp, err := d.query(ctx, q)
-	if err != nil {
-		return nil, parsel.Report{}, err
-	}
-	return resp.Values, resp.Report.Report(), nil
-}
-
 // Select returns the element of 1-based rank among the resident
 // population.
 func (d *RemoteDatasetOf[K]) Select(ctx context.Context, rank int64) (parsel.Result[K], error) {
-	return d.scalar(ctx, DatasetQuery{Kind: KindSelect, Rank: &rank})
+	return parsel.AsResult(d.Run(ctx, parsel.Query{Op: parsel.OpSelect, Rank: rank}))
 }
 
 // Median returns the element of rank ceil(n/2).
 func (d *RemoteDatasetOf[K]) Median(ctx context.Context) (parsel.Result[K], error) {
-	return d.scalar(ctx, DatasetQuery{Kind: KindMedian})
+	return parsel.AsResult(d.Run(ctx, parsel.Query{Op: parsel.OpMedian}))
 }
 
 // Quantile returns the element of rank ceil(q*n) for q in (0,1], and
 // the minimum for q = 0.
 func (d *RemoteDatasetOf[K]) Quantile(ctx context.Context, q float64) (parsel.Result[K], error) {
-	return d.scalar(ctx, DatasetQuery{Kind: KindQuantile, Q: &q})
+	return parsel.AsResult(d.Run(ctx, parsel.Query{Op: parsel.OpQuantile, Q: q}))
 }
 
 // Quantiles returns the elements at several quantiles in one collective
 // run; results align with qs.
 func (d *RemoteDatasetOf[K]) Quantiles(ctx context.Context, qs []float64) ([]K, parsel.Report, error) {
-	return d.multi(ctx, DatasetQuery{Kind: KindQuantiles, Qs: qs})
+	return parsel.AsValues(d.Run(ctx, parsel.Query{Op: parsel.OpQuantiles, Qs: qs}))
 }
 
 // SelectRanks returns the elements at several 1-based ranks in one
 // collective run; results align with ranks.
 func (d *RemoteDatasetOf[K]) SelectRanks(ctx context.Context, ranks []int64) ([]K, parsel.Report, error) {
-	return d.multi(ctx, DatasetQuery{Kind: KindRanks, Ranks: ranks})
+	return parsel.AsValues(d.Run(ctx, parsel.Query{Op: parsel.OpRanks, Ranks: ranks}))
 }
 
 // TopK returns the k largest resident elements in descending order.
 func (d *RemoteDatasetOf[K]) TopK(ctx context.Context, k int) ([]K, parsel.Report, error) {
-	return d.multi(ctx, DatasetQuery{Kind: KindTopK, K: &k})
+	return parsel.AsValues(d.Run(ctx, parsel.Query{Op: parsel.OpTopK, K: k}))
 }
 
 // BottomK returns the k smallest resident elements in ascending order.
 func (d *RemoteDatasetOf[K]) BottomK(ctx context.Context, k int) ([]K, parsel.Report, error) {
-	return d.multi(ctx, DatasetQuery{Kind: KindBottomK, K: &k})
+	return parsel.AsValues(d.Run(ctx, parsel.Query{Op: parsel.OpBottomK, K: k}))
 }
 
 // Summary computes the five-number summary in one multi-rank run.
 func (d *RemoteDatasetOf[K]) Summary(ctx context.Context) (parsel.FiveNumber[K], parsel.Report, error) {
-	resp, err := d.query(ctx, DatasetQuery{Kind: KindSummary})
-	if err != nil {
-		return parsel.FiveNumber[K]{}, parsel.Report{}, err
-	}
-	if resp.Summary == nil {
-		return parsel.FiveNumber[K]{}, parsel.Report{}, errors.New("parselclient: summary response carries no summary")
-	}
-	s := *resp.Summary
-	return parsel.FiveNumber[K]{Min: s.Min, Q1: s.Q1, Median: s.Median, Q3: s.Q3, Max: s.Max},
-		resp.Report.Report(), nil
+	return parsel.AsSummary(d.Run(ctx, parsel.Query{Op: parsel.OpSummary}))
 }
 
 // Stats fetches the daemon's observability snapshot. Like every other

@@ -630,88 +630,54 @@ func (d *Dataset[K]) Delete(ctx context.Context) (parselclient.DatasetInfo, erro
 	return info, nil
 }
 
-// multiResult bundles the two non-error returns of multi-value queries
-// through the generic failover helper.
-type multiResult[K parselclient.Key] struct {
-	keys   []K
-	report parsel.Report
-}
-
-func (d *Dataset[K]) scalar(ctx context.Context, op func(rd *parselclient.RemoteDatasetOf[K]) (parsel.Result[K], error)) (parsel.Result[K], error) {
-	return failover(ctx, d.r, d.id, func(_ context.Context, c *parselclient.Client) (parsel.Result[K], error) {
-		return op(d.remote(c))
+// Run answers one query against the first replica that answers; see
+// parselclient.RemoteDatasetOf.Run. Every replica attempt runs under
+// the context failover pins, so the whole chain shares one request id.
+func (d *Dataset[K]) Run(ctx context.Context, q parsel.Query) (parsel.Answer[K], error) {
+	return failover(ctx, d.r, d.id, func(ctx context.Context, c *parselclient.Client) (parsel.Answer[K], error) {
+		return d.remote(c).Run(ctx, q)
 	})
-}
-
-func (d *Dataset[K]) multi(ctx context.Context, op func(rd *parselclient.RemoteDatasetOf[K]) ([]K, parsel.Report, error)) ([]K, parsel.Report, error) {
-	res, err := failover(ctx, d.r, d.id, func(_ context.Context, c *parselclient.Client) (multiResult[K], error) {
-		keys, rep, err := op(d.remote(c))
-		return multiResult[K]{keys: keys, report: rep}, err
-	})
-	return res.keys, res.report, err
 }
 
 // Select returns the key of the given rank (1-based) from the resident
 // dataset.
 func (d *Dataset[K]) Select(ctx context.Context, rank int64) (parsel.Result[K], error) {
-	return d.scalar(ctx, func(rd *parselclient.RemoteDatasetOf[K]) (parsel.Result[K], error) {
-		return rd.Select(ctx, rank)
-	})
+	return parsel.AsResult(d.Run(ctx, parsel.Query{Op: parsel.OpSelect, Rank: rank}))
 }
 
 // Median returns the lower median.
 func (d *Dataset[K]) Median(ctx context.Context) (parsel.Result[K], error) {
-	return d.scalar(ctx, func(rd *parselclient.RemoteDatasetOf[K]) (parsel.Result[K], error) {
-		return rd.Median(ctx)
-	})
+	return parsel.AsResult(d.Run(ctx, parsel.Query{Op: parsel.OpMedian}))
 }
 
 // Quantile returns the key at quantile q in (0,1].
 func (d *Dataset[K]) Quantile(ctx context.Context, q float64) (parsel.Result[K], error) {
-	return d.scalar(ctx, func(rd *parselclient.RemoteDatasetOf[K]) (parsel.Result[K], error) {
-		return rd.Quantile(ctx, q)
-	})
+	return parsel.AsResult(d.Run(ctx, parsel.Query{Op: parsel.OpQuantile, Q: q}))
 }
 
 // Quantiles returns the keys at each quantile.
 func (d *Dataset[K]) Quantiles(ctx context.Context, qs []float64) ([]K, parsel.Report, error) {
-	return d.multi(ctx, func(rd *parselclient.RemoteDatasetOf[K]) ([]K, parsel.Report, error) {
-		return rd.Quantiles(ctx, qs)
-	})
+	return parsel.AsValues(d.Run(ctx, parsel.Query{Op: parsel.OpQuantiles, Qs: qs}))
 }
 
 // SelectRanks returns the keys at each requested rank.
 func (d *Dataset[K]) SelectRanks(ctx context.Context, ranks []int64) ([]K, parsel.Report, error) {
-	return d.multi(ctx, func(rd *parselclient.RemoteDatasetOf[K]) ([]K, parsel.Report, error) {
-		return rd.SelectRanks(ctx, ranks)
-	})
+	return parsel.AsValues(d.Run(ctx, parsel.Query{Op: parsel.OpRanks, Ranks: ranks}))
 }
 
 // TopK returns the k largest keys in descending order.
 func (d *Dataset[K]) TopK(ctx context.Context, k int) ([]K, parsel.Report, error) {
-	return d.multi(ctx, func(rd *parselclient.RemoteDatasetOf[K]) ([]K, parsel.Report, error) {
-		return rd.TopK(ctx, k)
-	})
+	return parsel.AsValues(d.Run(ctx, parsel.Query{Op: parsel.OpTopK, K: k}))
 }
 
 // BottomK returns the k smallest keys in ascending order.
 func (d *Dataset[K]) BottomK(ctx context.Context, k int) ([]K, parsel.Report, error) {
-	return d.multi(ctx, func(rd *parselclient.RemoteDatasetOf[K]) ([]K, parsel.Report, error) {
-		return rd.BottomK(ctx, k)
-	})
+	return parsel.AsValues(d.Run(ctx, parsel.Query{Op: parsel.OpBottomK, K: k}))
 }
 
 // Summary returns the five-number summary.
 func (d *Dataset[K]) Summary(ctx context.Context) (parsel.FiveNumber[K], parsel.Report, error) {
-	type sum struct {
-		five   parsel.FiveNumber[K]
-		report parsel.Report
-	}
-	res, err := failover(ctx, d.r, d.id, func(ctx context.Context, c *parselclient.Client) (sum, error) {
-		five, rep, err := d.remote(c).Summary(ctx)
-		return sum{five: five, report: rep}, err
-	})
-	return res.five, res.report, err
+	return parsel.AsSummary(d.Run(ctx, parsel.Query{Op: parsel.OpSummary}))
 }
 
 // QueryMany runs a batch of queries in one round trip against the

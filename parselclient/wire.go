@@ -111,17 +111,11 @@ const (
 	ContentTypeFrame = "application/x-parsel-frame"
 )
 
-// RequestOf is the JSON body of every query endpoint, generic over the
-// key kind. Pointer fields distinguish "absent" from a meaningful zero
-// (rank 0 is invalid, but q=0 and k=0 are not).
-type RequestOf[K Key] struct {
-	// KeyKind names the key kind of Shards (one of the KeyKind
-	// constants). Empty means int64, so int64 requests are
-	// byte-identical to the pre-multi-kind wire.
-	KeyKind string `json:"key_kind,omitempty"`
-	// Shards is the sharded population, one slice of keys per simulated
-	// processor.
-	Shards [][]K `json:"shards"`
+// QueryParams are the op-specific fields of a query body, shared by
+// RequestOf and DatasetQuery: each op carries exactly the ones it reads.
+// Pointer fields distinguish "absent" from a meaningful zero (rank 0 is
+// invalid, but q=0 and k=0 are not).
+type QueryParams struct {
 	// Rank is the 1-based target rank (select).
 	Rank *int64 `json:"rank,omitempty"`
 	// Ranks are the 1-based target ranks (ranks).
@@ -132,6 +126,40 @@ type RequestOf[K Key] struct {
 	Qs []float64 `json:"qs,omitempty"`
 	// K is the element count (topk, bottomk).
 	K *int `json:"k,omitempty"`
+}
+
+// paramsOf is the one conversion from a parsel.Query to its wire
+// fields: exactly the fields the op carries — a median carries no
+// "rank":0.
+func paramsOf(q parsel.Query) QueryParams {
+	var p QueryParams
+	switch q.Op {
+	case parsel.OpSelect:
+		p.Rank = &q.Rank
+	case parsel.OpQuantile:
+		p.Q = &q.Q
+	case parsel.OpQuantiles:
+		p.Qs = q.Qs
+	case parsel.OpRanks:
+		p.Ranks = q.Ranks
+	case parsel.OpTopK, parsel.OpBottomK:
+		p.K = &q.K
+	}
+	return p
+}
+
+// RequestOf is the JSON body of every query endpoint, generic over the
+// key kind.
+type RequestOf[K Key] struct {
+	// KeyKind names the key kind of Shards (one of the KeyKind
+	// constants). Empty means int64, so int64 requests are
+	// byte-identical to the pre-multi-kind wire.
+	KeyKind string `json:"key_kind,omitempty"`
+	// Shards is the sharded population, one slice of keys per simulated
+	// processor.
+	Shards [][]K `json:"shards"`
+	// QueryParams are the op's fields (rank, ranks, q, qs, k).
+	QueryParams
 	// TimeoutMS bounds the wait for a free simulated machine, in
 	// milliseconds. 0 means the server's default admission timeout.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -237,25 +265,13 @@ type DatasetUploadOf[K Key] struct {
 // DatasetUpload is the int64 instantiation of DatasetUploadOf.
 type DatasetUpload = DatasetUploadOf[int64]
 
-// Query kinds accepted by POST /v1/datasets/{id}/query; each mirrors
-// the shard-carrying endpoint of the same name.
-const (
-	KindSelect    = "select"
-	KindMedian    = "median"
-	KindQuantile  = "quantile"
-	KindQuantiles = "quantiles"
-	KindRanks     = "ranks"
-	KindTopK      = "topk"
-	KindBottomK   = "bottomk"
-	KindSummary   = "summary"
-)
-
 // DatasetQuery is the JSON body of POST /v1/datasets/{id}/query: any
 // query of the daemon's surface, addressed at resident shards — the
 // body carries no keys. Field requirements per kind match the
 // shard-carrying endpoints (rank for select, q for quantile, ...).
 type DatasetQuery struct {
-	// Kind picks the query (one of the Kind constants).
+	// Kind picks the query: a parsel.Op's name, as in the shard
+	// endpoint path /v1/<kind>.
 	Kind string `json:"kind"`
 	// KeyKind optionally names the key kind the caller believes the
 	// dataset holds (one of the KeyKind constants). The dataset itself
@@ -263,19 +279,20 @@ type DatasetQuery struct {
 	// is refused with bad_kind instead of silently answering with keys
 	// of another type. Empty skips the check.
 	KeyKind string `json:"key_kind,omitempty"`
-	// Rank is the 1-based target rank (select).
-	Rank *int64 `json:"rank,omitempty"`
-	// Ranks are the 1-based target ranks (ranks).
-	Ranks []int64 `json:"ranks,omitempty"`
-	// Q is the quantile in [0,1] (quantile).
-	Q *float64 `json:"q,omitempty"`
-	// Qs are the quantiles in [0,1] (quantiles).
-	Qs []float64 `json:"qs,omitempty"`
-	// K is the element count (topk, bottomk).
-	K *int `json:"k,omitempty"`
+	// QueryParams are the kind's fields, with the same requirements as
+	// the shard-carrying endpoint's (rank for select, q for quantile,
+	// ...).
+	QueryParams
 	// TimeoutMS bounds the wait for a free simulated machine, in
 	// milliseconds. 0 means the server's default admission timeout.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+}
+
+// DatasetQueryOf is q as a dataset query or querymany item: the op's
+// name as Kind and exactly the fields the op carries. KeyKind and
+// TimeoutMS are the sender's to fill.
+func DatasetQueryOf(q parsel.Query) DatasetQuery {
+	return DatasetQuery{Kind: q.Op.String(), QueryParams: paramsOf(q)}
 }
 
 // DatasetQueryMany is the JSON body of POST /v1/datasets/{id}/querymany:
@@ -399,10 +416,9 @@ const (
 	// resident-bytes budget or dataset count; rejected in constant time,
 	// without evicting live data (413).
 	CodeResidentBudget Code = "resident_budget"
-	// CodeBadKind: a dataset query's kind is not one of the Kind
-	// constants, a request's key_kind is not one of the KeyKind
-	// constants, or the key kind disagrees with the dataset it
-	// addresses (400).
+	// CodeBadKind: a dataset query's kind names no parsel.Op, a
+	// request's key_kind is not one of the KeyKind constants, or the
+	// key kind disagrees with the dataset it addresses (400).
 	CodeBadKind Code = "bad_kind"
 	// CodeUnknownTenant: the daemon runs with tenants configured and
 	// the request carries no Authorization bearer token, or one that

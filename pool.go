@@ -6,8 +6,9 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"parsel/internal/fanout"
 )
 
 // PoolOptions configures a Pool.
@@ -56,6 +57,13 @@ type PoolStats struct {
 // its duration, and results — including every simulated metric — are
 // bit-identical to running the same query on a one-shot Selector.
 //
+// Every query goes through Run(ctx, shards, Query): check a Selector
+// out, run the query on it, check it back in. The named methods —
+// Select, Median, Quantile, Quantiles, SelectRanks, TopK, BottomK,
+// Summary and their Context forms — are one-line wrappers over Run;
+// SelectInPlace, which takes over the caller's shards, and the
+// SelectMany batch are the only other entry points.
+//
 // # Concurrency contract
 //
 //   - Every method is safe to call from any number of goroutines.
@@ -73,8 +81,9 @@ type PoolStats struct {
 //     frees up. Blocking calls hold no locks, so progress is always
 //     possible.
 //   - Shard slices passed to a query are read but never modified; the
-//     caller keeps ownership. Result slices (SelectRanks, Quantiles,
-//     TopK, BottomK) are caller-owned copies, safe to retain.
+//     caller keeps ownership. Result slices (Answer.Values, and the
+//     SelectRanks, Quantiles, TopK and BottomK results) are
+//     caller-owned copies, safe to retain.
 //   - After Close, every method returns ErrPoolClosed. Queries already
 //     in flight complete normally.
 type Pool[K cmp.Ordered] struct {
@@ -324,25 +333,36 @@ func (pl *Pool[K]) Warm(procs, count int) error {
 	return nil
 }
 
+// Run answers one query; see Selector.Run. The context bounds pool
+// admission: if every machine is busy and the context expires before
+// one frees up, the call returns an error matching both ErrPoolTimeout
+// and the context's own verdict (errors.Is either way). The deadline
+// bounds only the wait for a machine — a query that has started always
+// runs to completion, so a served answer is never partial. A nil
+// context waits forever. Answer.Values is caller-owned. Safe for
+// concurrent use.
+func (pl *Pool[K]) Run(ctx context.Context, shards [][]K, q Query) (Answer[K], error) {
+	sel, err := pl.checkout(ctx, len(shards))
+	if err != nil {
+		return Answer[K]{}, err
+	}
+	defer pl.checkin(sel)
+	a, err := sel.Run(shards, q)
+	if q.Op == OpQuantiles || q.Op == OpRanks {
+		a.Values = slices.Clone(a.Values) // arena-backed until the Selector's next call
+	}
+	return a, err
+}
+
 // Select returns the element of 1-based rank among all elements of
 // shards; see Selector.Select. Safe for concurrent use.
 func (pl *Pool[K]) Select(shards [][]K, rank int64) (Result[K], error) {
 	return pl.SelectContext(nil, shards, rank)
 }
 
-// SelectContext is Select with a deadline on pool admission: if every
-// machine is busy and the context expires before one frees up, the call
-// returns an error matching both ErrPoolTimeout and the context's own
-// verdict (errors.Is either way). The deadline bounds only the wait for
-// a machine — a query that has started always runs to completion, so a
-// served result is never partial. A nil context waits forever.
+// SelectContext is Select with a deadline on pool admission; see Run.
 func (pl *Pool[K]) SelectContext(ctx context.Context, shards [][]K, rank int64) (Result[K], error) {
-	sel, err := pl.checkout(ctx, len(shards))
-	if err != nil {
-		return Result[K]{}, err
-	}
-	defer pl.checkin(sel)
-	return sel.Select(shards, rank)
+	return AsResult(pl.Run(ctx, shards, Query{Op: OpSelect, Rank: rank}))
 }
 
 // SelectInPlace is Select for callers that hand over ownership of their
@@ -354,8 +374,8 @@ func (pl *Pool[K]) SelectInPlace(shards [][]K, rank int64) (Result[K], error) {
 }
 
 // SelectInPlaceContext is SelectInPlace with a deadline on pool
-// admission; see SelectContext. A timed-out call has not touched the
-// caller's shards.
+// admission; see Run. A timed-out call has not touched the caller's
+// shards.
 func (pl *Pool[K]) SelectInPlaceContext(ctx context.Context, shards [][]K, rank int64) (Result[K], error) {
 	sel, err := pl.checkout(ctx, len(shards))
 	if err != nil {
@@ -370,15 +390,9 @@ func (pl *Pool[K]) Median(shards [][]K) (Result[K], error) {
 	return pl.MedianContext(nil, shards)
 }
 
-// MedianContext is Median with a deadline on pool admission; see
-// SelectContext.
+// MedianContext is Median with a deadline on pool admission; see Run.
 func (pl *Pool[K]) MedianContext(ctx context.Context, shards [][]K) (Result[K], error) {
-	sel, err := pl.checkout(ctx, len(shards))
-	if err != nil {
-		return Result[K]{}, err
-	}
-	defer pl.checkin(sel)
-	return sel.Median(shards)
+	return AsResult(pl.Run(ctx, shards, Query{Op: OpMedian}))
 }
 
 // Quantile returns the element of rank ceil(q*n); see Selector.Quantile.
@@ -387,14 +401,9 @@ func (pl *Pool[K]) Quantile(shards [][]K, q float64) (Result[K], error) {
 }
 
 // QuantileContext is Quantile with a deadline on pool admission; see
-// SelectContext.
+// Run.
 func (pl *Pool[K]) QuantileContext(ctx context.Context, shards [][]K, q float64) (Result[K], error) {
-	sel, err := pl.checkout(ctx, len(shards))
-	if err != nil {
-		return Result[K]{}, err
-	}
-	defer pl.checkin(sel)
-	return sel.Quantile(shards, q)
+	return AsResult(pl.Run(ctx, shards, Query{Op: OpQuantile, Q: q}))
 }
 
 // SelectRanks returns the elements at several 1-based ranks in one
@@ -405,18 +414,9 @@ func (pl *Pool[K]) SelectRanks(shards [][]K, ranks []int64) ([]K, Report, error)
 }
 
 // SelectRanksContext is SelectRanks with a deadline on pool admission;
-// see SelectContext.
+// see Run.
 func (pl *Pool[K]) SelectRanksContext(ctx context.Context, shards [][]K, ranks []int64) ([]K, Report, error) {
-	sel, err := pl.checkout(ctx, len(shards))
-	if err != nil {
-		return nil, Report{}, err
-	}
-	defer pl.checkin(sel)
-	vals, rep, err := sel.SelectRanks(shards, ranks)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	return slices.Clone(vals), rep, nil
+	return AsValues(pl.Run(ctx, shards, Query{Op: OpRanks, Ranks: ranks}))
 }
 
 // Quantiles returns the elements at several quantiles in one collective
@@ -427,18 +427,9 @@ func (pl *Pool[K]) Quantiles(shards [][]K, qs []float64) ([]K, Report, error) {
 }
 
 // QuantilesContext is Quantiles with a deadline on pool admission; see
-// SelectContext.
+// Run.
 func (pl *Pool[K]) QuantilesContext(ctx context.Context, shards [][]K, qs []float64) ([]K, Report, error) {
-	sel, err := pl.checkout(ctx, len(shards))
-	if err != nil {
-		return nil, Report{}, err
-	}
-	defer pl.checkin(sel)
-	vals, rep, err := sel.Quantiles(shards, qs)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	return slices.Clone(vals), rep, nil
+	return AsValues(pl.Run(ctx, shards, Query{Op: OpQuantiles, Qs: qs}))
 }
 
 // TopK returns the k largest elements in descending order; see
@@ -447,15 +438,9 @@ func (pl *Pool[K]) TopK(shards [][]K, k int) ([]K, Report, error) {
 	return pl.TopKContext(nil, shards, k)
 }
 
-// TopKContext is TopK with a deadline on pool admission; see
-// SelectContext.
+// TopKContext is TopK with a deadline on pool admission; see Run.
 func (pl *Pool[K]) TopKContext(ctx context.Context, shards [][]K, k int) ([]K, Report, error) {
-	sel, err := pl.checkout(ctx, len(shards))
-	if err != nil {
-		return nil, Report{}, err
-	}
-	defer pl.checkin(sel)
-	return sel.TopK(shards, k)
+	return AsValues(pl.Run(ctx, shards, Query{Op: OpTopK, K: k}))
 }
 
 // BottomK returns the k smallest elements in ascending order; see
@@ -464,15 +449,9 @@ func (pl *Pool[K]) BottomK(shards [][]K, k int) ([]K, Report, error) {
 	return pl.BottomKContext(nil, shards, k)
 }
 
-// BottomKContext is BottomK with a deadline on pool admission; see
-// SelectContext.
+// BottomKContext is BottomK with a deadline on pool admission; see Run.
 func (pl *Pool[K]) BottomKContext(ctx context.Context, shards [][]K, k int) ([]K, Report, error) {
-	sel, err := pl.checkout(ctx, len(shards))
-	if err != nil {
-		return nil, Report{}, err
-	}
-	defer pl.checkin(sel)
-	return sel.BottomK(shards, k)
+	return AsValues(pl.Run(ctx, shards, Query{Op: OpBottomK, K: k}))
 }
 
 // Summary computes the five-number summary in a single multi-rank run;
@@ -481,19 +460,14 @@ func (pl *Pool[K]) Summary(shards [][]K) (FiveNumber[K], Report, error) {
 	return pl.SummaryContext(nil, shards)
 }
 
-// SummaryContext is Summary with a deadline on pool admission; see
-// SelectContext.
+// SummaryContext is Summary with a deadline on pool admission; see Run.
 func (pl *Pool[K]) SummaryContext(ctx context.Context, shards [][]K) (FiveNumber[K], Report, error) {
-	sel, err := pl.checkout(ctx, len(shards))
-	if err != nil {
-		return FiveNumber[K]{}, Report{}, err
-	}
-	defer pl.checkin(sel)
-	return sel.Summary(shards)
+	return AsSummary(pl.Run(ctx, shards, Query{Op: OpSummary}))
 }
 
-// Query is one independent selection request of a SelectMany batch.
-type Query[K cmp.Ordered] struct {
+// ShardQuery is one independent selection request of a SelectMany
+// batch.
+type ShardQuery[K cmp.Ordered] struct {
 	// Shards is the sharded population (one simulated processor per
 	// shard, as in Select).
 	Shards [][]K
@@ -513,28 +487,10 @@ type BatchResult[K cmp.Ordered] struct {
 // align with the request; each query carries its own error, so one
 // invalid query does not fail the batch. Every result is bit-identical
 // to running that query alone.
-func (pl *Pool[K]) SelectMany(queries []Query[K]) []BatchResult[K] {
+func (pl *Pool[K]) SelectMany(queries []ShardQuery[K]) []BatchResult[K] {
 	out := make([]BatchResult[K], len(queries))
-	if len(queries) == 0 {
-		return out
-	}
-	workers := min(pl.max, len(queries))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				res, err := pl.Select(queries[i].Shards, queries[i].Rank)
-				out[i] = BatchResult[K]{Result: res, Err: err}
-			}
-		}()
-	}
-	wg.Wait()
+	fanout.Run(len(queries), pl.max, func(i int) {
+		out[i].Result, out[i].Err = pl.Select(queries[i].Shards, queries[i].Rank)
+	})
 	return out
 }

@@ -277,20 +277,20 @@ func TestPoolSelectManyBatch(t *testing.T) {
 	}
 	defer pool.Close()
 
-	var queries []parsel.Query[int64]
+	var queries []parsel.ShardQuery[int64]
 	var want []int64
 	for _, p := range []int{2, 4, 8} {
 		shards := workload.Generate(workload.Random, 9000, p, uint64(p))
 		flat := workload.Flatten(shards)
 		slices.Sort(flat)
 		for _, rank := range []int64{1, 4500, 9000} {
-			queries = append(queries, parsel.Query[int64]{Shards: shards, Rank: rank})
+			queries = append(queries, parsel.ShardQuery[int64]{Shards: shards, Rank: rank})
 			want = append(want, flat[rank-1])
 		}
 	}
 	// Two failing queries in the middle of the batch.
 	bad := workload.Generate(workload.Random, 100, 2, 9)
-	queries = append(queries[:4], append([]parsel.Query[int64]{
+	queries = append(queries[:4], append([]parsel.ShardQuery[int64]{
 		{Shards: bad, Rank: 0},
 		{Shards: nil, Rank: 1},
 	}, queries[4:]...)...)
@@ -373,7 +373,7 @@ func TestPoolClose(t *testing.T) {
 	if _, _, err := pool.TopK(shards, 1); !errors.Is(err, parsel.ErrPoolClosed) {
 		t.Errorf("TopK after Close: %v", err)
 	}
-	out := pool.SelectMany([]parsel.Query[int64]{{Shards: shards, Rank: 1}})
+	out := pool.SelectMany([]parsel.ShardQuery[int64]{{Shards: shards, Rank: 1}})
 	if !errors.Is(out[0].Err, parsel.ErrPoolClosed) {
 		t.Errorf("SelectMany after Close: %v", out[0].Err)
 	}
