@@ -24,7 +24,9 @@
 #                  the fast randomized window-filter kernel (differential
 #                  against its three-comparison reference)
 #   make smoke   - metrics-scrape smoke: boot a daemon, run one query, pull
-#                  /metrics and strictly validate the exposition
+#                  /metrics and strictly validate the exposition; then the
+#                  paper experiment CLI: list the experiments and run every
+#                  one on the shrunk grid with one seed (~1 s, deterministic)
 #   make bench-smoke - the benchmark module's own tests (every workload once,
 #                  with short phases, plus its compare logic). bench/ is a
 #                  separate module outside `go test ./...`, so this is what
@@ -76,6 +78,8 @@ fuzz:
 
 smoke:
 	$(GO) test -count=1 -run 'TestObsScrapeSmoke' ./internal/serve
+	$(GO) run ./cmd/selectbench -list
+	$(GO) run ./cmd/selectbench -exp all -quick -seeds 1
 
 bench-smoke:
 	$(GO) -C bench test -count=1 ./...

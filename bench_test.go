@@ -1,9 +1,11 @@
 // Benchmarks regenerating the paper's evaluation: one benchmark per table
-// and figure (driving the harness on its quick grid; run cmd/selectbench
-// for the full-size grids), plus micro-benchmarks of the selection entry
-// points themselves. The interesting output of the figure benchmarks is
-// the harness's simulated-seconds series; here they serve as regression
-// anchors for the end-to-end pipeline.
+// and figure (driving the harness on its quick grid; `selectbench -exp
+// <id>` runs the full-size grids), plus micro-benchmarks of the selection
+// entry points themselves. The interesting output of the figure
+// benchmarks is the harness's simulated-seconds series; here they serve
+// as regression anchors for the end-to-end pipeline. Host performance of
+// the serving stack is measured by the separate bench/ module
+// (bash bench/run.sh).
 package parsel_test
 
 import (

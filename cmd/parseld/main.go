@@ -34,7 +34,7 @@
 // materialization, and query responses come back as binary frames when
 // the client sends Accept: application/x-parsel-frame. JSON remains
 // the default and is always supported; see the parselclient package
-// (Client.Binary) for the framing.
+// (WithBinary) for the framing.
 //
 // With -snapshot-dir the resident datasets are durable: uploads are
 // persisted to crash-safe snapshot files in the background (and the

@@ -108,7 +108,7 @@ func TestDaemonDeadlinePropagation(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("after release: %d %s, want 200", resp2.StatusCode, body2)
 	}
-	var qr parselclient.Response
+	var qr parselclient.ResponseOf[int64]
 	if json.Unmarshal(body2, &qr) != nil || qr.Value == nil || *qr.Value != 2 {
 		t.Errorf("after release: body %s, want value 2", body2)
 	}

@@ -41,8 +41,9 @@ func TestDaemonPoolTimeoutTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client.QueryTimeout = 10 * time.Millisecond
-	_, err = client.Median(ctx, shards)
+	hurried := parselclient.New(ts.URL, parselclient.WithHTTPClient(ts.Client()),
+		parselclient.WithLimits(parselclient.ClientLimits{QueryTimeout: 10 * time.Millisecond}))
+	_, err = hurried.Median(ctx, shards)
 	var apiErr *parselclient.APIError
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("held machine: err %v, want *APIError", err)
@@ -56,10 +57,10 @@ func TestDaemonPoolTimeoutTyped(t *testing.T) {
 	}
 
 	// Same over the multi-value and summary surfaces.
-	if _, _, err := client.Quantiles(ctx, shards, []float64{0.5, 0.9}); !errors.Is(err, parsel.ErrPoolTimeout) {
+	if _, _, err := hurried.Quantiles(ctx, shards, []float64{0.5, 0.9}); !errors.Is(err, parsel.ErrPoolTimeout) {
 		t.Errorf("quantiles while held: %v", err)
 	}
-	if _, _, err := client.Summary(ctx, shards); !errors.Is(err, parsel.ErrPoolTimeout) {
+	if _, _, err := hurried.Summary(ctx, shards); !errors.Is(err, parsel.ErrPoolTimeout) {
 		t.Errorf("summary while held: %v", err)
 	}
 
@@ -69,7 +70,6 @@ func TestDaemonPoolTimeoutTyped(t *testing.T) {
 	}
 
 	release()
-	client.QueryTimeout = 0
 	res, err := client.Median(ctx, shards)
 	if err != nil {
 		t.Fatalf("released machine: %v", err)

@@ -162,8 +162,8 @@ func main() {
 
 	// Deadlines are first-class on the wire: a query that cannot get a
 	// machine in time comes back as the library's typed ErrPoolTimeout.
-	hurried := parselclient.New("http://" + ln.Addr().String())
-	hurried.QueryTimeout = time.Nanosecond // absurd on purpose; rounds up to 1ms
+	hurried := parselclient.New("http://"+ln.Addr().String(),
+		parselclient.WithLimits(parselclient.ClientLimits{QueryTimeout: time.Nanosecond})) // absurd on purpose; rounds up to 1ms
 	busy := make(chan struct{})
 	go func() { // occupy all machines briefly
 		defer close(busy)

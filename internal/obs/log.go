@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -49,69 +48,4 @@ func NewLogger(w io.Writer, format, level string) (*slog.Logger, error) {
 	default:
 		return nil, fmt.Errorf("obs: unknown log format %q (want text or json)", format)
 	}
-}
-
-// LogfLogger adapts a printf-style sink into a *slog.Logger — the
-// compatibility shim for callers of the pre-slog Options.Logf hook.
-// Records at Info and above render as "msg key=value ..." (string
-// values quoted) and go to logf as one line each; Debug records are
-// dropped, matching the hook's historical volume.
-func LogfLogger(logf func(format string, args ...any)) *slog.Logger {
-	return slog.New(&logfHandler{logf: logf})
-}
-
-// logfHandler is the slog.Handler behind LogfLogger.
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	attrs []slog.Attr
-	group string
-}
-
-func (h *logfHandler) Enabled(_ context.Context, level slog.Level) bool {
-	return level >= slog.LevelInfo
-}
-
-func (h *logfHandler) Handle(_ context.Context, rec slog.Record) error {
-	var b strings.Builder
-	b.WriteString(rec.Message)
-	appendAttr := func(a slog.Attr) {
-		b.WriteByte(' ')
-		if h.group != "" {
-			b.WriteString(h.group)
-			b.WriteByte('.')
-		}
-		b.WriteString(a.Key)
-		b.WriteByte('=')
-		v := a.Value.Resolve()
-		if v.Kind() == slog.KindString {
-			fmt.Fprintf(&b, "%q", v.String())
-		} else {
-			b.WriteString(v.String())
-		}
-	}
-	for _, a := range h.attrs {
-		appendAttr(a)
-	}
-	rec.Attrs(func(a slog.Attr) bool {
-		appendAttr(a)
-		return true
-	})
-	h.logf("%s", b.String())
-	return nil
-}
-
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	nh := *h
-	nh.attrs = append(append([]slog.Attr(nil), h.attrs...), attrs...)
-	return &nh
-}
-
-func (h *logfHandler) WithGroup(name string) slog.Handler {
-	nh := *h
-	if nh.group != "" {
-		nh.group += "." + name
-	} else {
-		nh.group = name
-	}
-	return &nh
 }

@@ -1,9 +1,10 @@
 // Package obs is the daemon's zero-dependency telemetry layer: a
 // metrics registry with Prometheus-text-format exposition (counters,
 // gauges, labeled histograms), a strict parser for the same format
-// (golden tests, CI smoke probes and selectbench diff a scrape with
-// it), request-id generation for cross-node tracing, and slog
-// construction helpers shared by internal/serve and cmd/parseld.
+// (golden tests and CI smoke probes check a scrape with it, and the
+// bench module's traces diff two), request-id generation for
+// cross-node tracing, and a slog constructor shared by internal/serve
+// and cmd/parseld.
 //
 // Everything here is hand-rolled on the standard library alone — the
 // repo takes no dependencies — and the exposition is deliberately the

@@ -147,25 +147,6 @@ func TestNewRequestID(t *testing.T) {
 	}
 }
 
-func TestLogfLogger(t *testing.T) {
-	var lines []string
-	log := LogfLogger(func(format string, args ...any) {
-		lines = append(lines, strings.TrimSpace(strings.ReplaceAll(format, "%s", args[0].(string))))
-	})
-	log.Info("snapshots: dataset not restored", "id", "missing", "err", "gone")
-	log.Debug("access", "path", "/v1/stats") // dropped: Logf users keep the historical volume
-	log.With("node", "n1").Warn("shed", "code", 429)
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2: %v", len(lines), lines)
-	}
-	if want := `snapshots: dataset not restored id="missing" err="gone"`; lines[0] != want {
-		t.Errorf("line = %q, want %q", lines[0], want)
-	}
-	if want := `shed node="n1" code=429`; lines[1] != want {
-		t.Errorf("line = %q, want %q", lines[1], want)
-	}
-}
-
 func TestNewLogger(t *testing.T) {
 	var b strings.Builder
 	log, err := NewLogger(&b, "json", "warn")

@@ -22,9 +22,7 @@ import (
 // binaryClient builds a second client on the same daemon with the
 // binary frame encoding switched on.
 func binaryClient(d *daemon) *parselclient.Client {
-	c := parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()))
-	c.Binary = true
-	return c
+	return parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()), parselclient.WithBinary(true))
 }
 
 // TestDaemonBinaryDifferentialE2E replays the differential catalogue

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"context"
 	"errors"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -43,9 +44,7 @@ func chaosPolicy(seed uint64) parselclient.RetryPolicy {
 // transport.
 func chaosClient(d *daemon, in *faults.Injector) *parselclient.Client {
 	hc := &http.Client{Transport: in.Transport(d.ts.Client().Transport)}
-	c := parselclient.New(d.ts.URL, parselclient.WithHTTPClient(hc))
-	c.Retry = chaosPolicy(99)
-	return c
+	return parselclient.New(d.ts.URL, parselclient.WithHTTPClient(hc), parselclient.WithRetry(chaosPolicy(99)))
 }
 
 // TestDaemonChaosDifferentialE2E replays the differential workload
@@ -155,8 +154,7 @@ func TestDaemonChaosServerMiddleware(t *testing.T) {
 	d := newDaemon(t, parsel.Options{}, parsel.PoolOptions{MaxMachines: 2},
 		serve.Options{Middleware: in.Middleware()})
 	defer d.close()
-	c := parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()))
-	c.Retry = chaosPolicy(5)
+	c := parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()), parselclient.WithRetry(chaosPolicy(5)))
 	ctx := context.Background()
 
 	shards := workload.Generate(workload.Random, 4000, 4, 9)
@@ -195,7 +193,7 @@ func TestDaemonPanicRecovery(t *testing.T) {
 		})
 	}
 	d := newDaemon(t, parsel.Options{}, parsel.PoolOptions{MaxMachines: 2},
-		serve.Options{Middleware: mw, Logf: func(string, ...any) {}})
+		serve.Options{Middleware: mw, Logger: slog.New(slog.DiscardHandler)})
 	defer d.close()
 	ctx := context.Background()
 	shards := [][]int64{{3, 1, 4}, {1, 5}}
@@ -218,8 +216,7 @@ func TestDaemonPanicRecovery(t *testing.T) {
 
 	// A retrying client heals the same fault invisibly.
 	fired.Store(false)
-	rc := parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()))
-	rc.Retry = chaosPolicy(3)
+	rc := parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()), parselclient.WithRetry(chaosPolicy(3)))
 	if res, err := rc.Median(ctx, shards); err != nil || res.Value != 3 {
 		t.Errorf("retrying client surfaced the recovered panic: %v %v", res.Value, err)
 	}
@@ -238,7 +235,7 @@ func TestDaemonPanicRecovery(t *testing.T) {
 func TestDaemonChaosSnapshotPersistFailure(t *testing.T) {
 	sdir := filepath.Join(t.TempDir(), "snaps")
 	d := newDaemon(t, parsel.Options{}, parsel.PoolOptions{MaxMachines: 2},
-		serve.Options{SnapshotDir: sdir, Logf: func(string, ...any) {}})
+		serve.Options{SnapshotDir: sdir, Logger: slog.New(slog.DiscardHandler)})
 	defer d.close()
 	ctx := context.Background()
 	ds := d.client.Dataset("chaos")

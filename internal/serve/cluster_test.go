@@ -2,8 +2,11 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
+	"strings"
 	"testing"
 	"time"
 
@@ -29,6 +32,13 @@ type fleet struct {
 // controls the health view, not the clock.
 func newFleet(t *testing.T, n, replicas int) *fleet {
 	t.Helper()
+	return newFleetLogged(t, n, replicas, testLogger(t))
+}
+
+// newFleetLogged is newFleet with the router's routing events going to
+// log.
+func newFleetLogged(t *testing.T, n, replicas int, log *slog.Logger) *fleet {
+	t.Helper()
 	f := &fleet{daemons: make(map[string]*daemon, n)}
 	for i := 0; i < n; i++ {
 		d := newDaemon(t, parsel.Options{}, parsel.PoolOptions{MaxMachines: 2}, serve.Options{})
@@ -40,7 +50,7 @@ func newFleet(t *testing.T, n, replicas int) *fleet {
 		Nodes:            f.urls,
 		Replicas:         replicas,
 		RecoveryInterval: time.Hour,
-		Logf:             t.Logf,
+		Logger:           log,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +184,8 @@ func TestClusterKillOneNode(t *testing.T) {
 // post-rebalance fleet answers queries exactly as before.
 func TestClusterRebalanceOnJoin(t *testing.T) {
 	shapes := e2eShapes()[:8]
-	f := newFleet(t, 3, 2)
+	var logs syncBuf
+	f := newFleetLogged(t, 3, 2, jsonLogger(t, &logs))
 	surface := func(name string) datasetSurface {
 		return cluster.DatasetOf[int64](f.router, dsID(name))
 	}
@@ -228,6 +239,34 @@ func TestClusterRebalanceOnJoin(t *testing.T) {
 	}
 	if st := f.router.Stats(); st.Reuploads != 0 {
 		t.Errorf("rebalance re-uploaded client shards %d times, want 0", st.Reuploads)
+	}
+
+	// Every move is one structured record: a ship names the dataset and
+	// both ends, a drop the dataset and the node it left.
+	ships, drops := 0, 0
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("router log line %q: %v", line, err)
+		}
+		ds, _ := rec["dataset"].(string)
+		switch rec["msg"] {
+		case "cluster: rebalance: shipped":
+			ships++
+			src, _ := rec["src"].(string)
+			if rec["level"] != "INFO" || ds == "" || f.daemons[src] == nil || rec["dst"] != joined.ts.URL {
+				t.Errorf("ship record lacks its attrs: %s", line)
+			}
+		case "cluster: rebalance: dropped surplus":
+			drops++
+			node, _ := rec["node"].(string)
+			if rec["level"] != "INFO" || ds == "" || f.daemons[node] == nil {
+				t.Errorf("drop record lacks its attrs: %s", line)
+			}
+		}
+	}
+	if ships != rep.Shipped || drops != rep.Deleted {
+		t.Errorf("logged %d ships and %d drops, want %d and %d", ships, drops, rep.Shipped, rep.Deleted)
 	}
 
 	// A second pass is a no-op: the fleet already matches the ring.

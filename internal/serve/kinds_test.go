@@ -667,16 +667,13 @@ func TestTenantAdmission(t *testing.T) {
 	if _, err := d.client.Healthz(ctx); err != nil {
 		t.Fatalf("tokenless healthz: %v", err)
 	}
-	wrong := parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()))
-	wrong.Token = "tok-nobody"
+	wrong := parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()), parselclient.WithToken("tok-nobody"))
 	if _, err := wrong.Median(ctx, [][]int64{{1}}); !errors.Is(err, parselclient.ErrUnknownTenant) {
 		t.Fatalf("bad-token query: %v, want ErrUnknownTenant", err)
 	}
 
-	acme := parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()))
-	acme.Token = "tok-acme"
-	globex := parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()))
-	globex.Token = "tok-globex"
+	acme := parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()), parselclient.WithToken("tok-acme"))
+	globex := parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()), parselclient.WithToken("tok-globex"))
 
 	med, err := acme.Median(ctx, [][]int64{{4, 9, 6}})
 	if err != nil || med.Value != 6 {
@@ -764,11 +761,9 @@ func TestTenantLedgerReconcileStorm(t *testing.T) {
 	ctx := context.Background()
 
 	clients := []*parselclient.Client{
-		parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client())),
-		parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client())),
+		parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()), parselclient.WithToken("tok1")),
+		parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()), parselclient.WithToken("tok2")),
 	}
-	clients[0].Token = "tok1"
-	clients[1].Token = "tok2"
 
 	const workers = 6
 	iters := 40

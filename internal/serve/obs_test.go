@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"regexp"
 	"slices"
@@ -51,6 +52,29 @@ func (s *syncBuf) String() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.b.String()
+}
+
+// jsonLogger is a JSON logger at Info writing into buf. JSON keeps
+// string attrs quoted, so assertions can match `"id"` exactly.
+func jsonLogger(t *testing.T, buf *syncBuf) *slog.Logger {
+	t.Helper()
+	log, err := obs.NewLogger(buf, "json", "info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log
+}
+
+// testLogger sends structured records to t.Log.
+func testLogger(t *testing.T) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testLogWriter{t}, nil))
+}
+
+type testLogWriter struct{ t *testing.T }
+
+func (w testLogWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }
 
 // scrape pulls and strictly parses one /metrics exposition.
@@ -325,7 +349,7 @@ func TestObsClusterRequestID(t *testing.T) {
 			Nodes:            urls,
 			Replicas:         2,
 			RecoveryInterval: time.Hour,
-			Logf:             t.Logf,
+			Logger:           testLogger(t),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -79,8 +79,8 @@ func TestDaemonOverloadDeadlines(t *testing.T) {
 	// busy for >= 5 * 15ms after the admission check above. Every
 	// request must resolve to a structured outcome. Small shards keep
 	// the storm's cost in admission, not serialization.
-	tc := parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()))
-	tc.QueryTimeout = time.Millisecond
+	tc := parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()),
+		parselclient.WithLimits(parselclient.ClientLimits{QueryTimeout: time.Millisecond}))
 	small := workload.Generate(workload.Random, 8192, 4, 11)
 	const stormClients = 48
 	var ok, timedOut, queueFull atomic.Int64

@@ -129,16 +129,11 @@ type Options struct {
 	// until Drain; an embedder that discards such a Server without
 	// draining leaks it for the process lifetime.
 	SnapshotDir string
-	// Logf receives the daemon's operational log lines (snapshot
-	// recovery warnings, persist failures, recovered panics), rendered
-	// as "msg key=value" text — the pre-slog hook, kept for embedders.
-	// Logger takes precedence when both are set; with neither, records
-	// go to slog.Default().
-	Logf func(format string, args ...any)
 	// Logger receives the daemon's structured log records: operational
-	// events (Logf's set, with typed attrs), admission rejections and
-	// panics at Warn/Error, and per-request access records at Debug —
-	// each carrying the request's X-Parsel-Request-Id.
+	// events (snapshot recovery warnings, persist failures, recovered
+	// panics), admission rejections and panics at Warn/Error, and
+	// per-request access records at Debug — each carrying the request's
+	// X-Parsel-Request-Id. Nil sends records to slog.Default().
 	Logger *slog.Logger
 	// TenantSource, when non-nil, powers POST /v1/admin/tenants/reload:
 	// the handler calls it for the fresh tenant list (cmd/parseld wires
@@ -289,9 +284,6 @@ func New(opts Options) (*Server, error) {
 		snapWake:  make(chan struct{}, 1),
 		snapStop:  make(chan struct{}),
 		snapDone:  make(chan struct{}),
-	}
-	if s.log == nil && opts.Logf != nil {
-		s.log = obs.LogfLogger(opts.Logf)
 	}
 	if s.log == nil {
 		s.log = slog.Default()

@@ -3,11 +3,9 @@ package serve_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,25 +15,6 @@ import (
 	"parsel/internal/workload"
 	"parsel/parselclient"
 )
-
-// logCapture collects the daemon's operational log lines for
-// assertions on recovery warnings.
-type logCapture struct {
-	mu    sync.Mutex
-	lines []string
-}
-
-func (lc *logCapture) logf(format string, args ...any) {
-	lc.mu.Lock()
-	lc.lines = append(lc.lines, fmt.Sprintf(format, args...))
-	lc.mu.Unlock()
-}
-
-func (lc *logCapture) joined() string {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	return strings.Join(lc.lines, "\n")
-}
 
 // snapFiles lists the .snap files in a snapshot directory.
 func snapFiles(t *testing.T, dir string) []string {
@@ -224,16 +203,16 @@ func TestSnapshotRestoreAdmission(t *testing.T) {
 	// Startup recovery with the same tiny budget: skipped with a
 	// warning, never a crash; the snapshot file survives for a restart
 	// with more room.
-	var lc logCapture
+	var logs syncBuf
 	d2 := newDaemon(t, parsel.Options{}, parsel.PoolOptions{MaxMachines: 1},
-		serve.Options{SnapshotDir: dir, MaxResidentBytes: 80, Logf: lc.logf})
+		serve.Options{SnapshotDir: dir, MaxResidentBytes: 80, Logger: jsonLogger(t, &logs)})
 	defer d2.close()
 	st := d2.server.Stats()
 	if st.Snapshots.Restored != 0 || st.Snapshots.RestoreSkipped != 1 {
 		t.Errorf("recovery stats under tiny budget: %+v", st.Snapshots)
 	}
-	if !strings.Contains(lc.joined(), "not restored") {
-		t.Errorf("no skip warning logged:\n%s", lc.joined())
+	if !strings.Contains(logs.String(), "not restored") {
+		t.Errorf("no skip warning logged:\n%s", logs.String())
 	}
 	if files := snapFiles(t, dir); len(files) != 1 {
 		t.Errorf("refused snapshot was deleted: %v", files)
@@ -288,16 +267,16 @@ func TestSnapshotCrashSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var lc logCapture
+	var buf syncBuf
 	d2 := newDaemon(t, parsel.Options{}, parsel.PoolOptions{MaxMachines: 1},
-		serve.Options{SnapshotDir: dir, Logf: lc.logf})
+		serve.Options{SnapshotDir: dir, Logger: jsonLogger(t, &buf)})
 	defer d2.close()
 
 	st := d2.server.Stats()
 	if st.Snapshots.Restored != 1 || st.Snapshots.RestoreSkipped != 1 || st.Snapshots.Quarantined != 1 {
 		t.Errorf("recovery stats: %+v", st.Snapshots)
 	}
-	logs := lc.joined()
+	logs := buf.String()
 	if !strings.Contains(logs, `"missing"`) {
 		t.Errorf("missing-file skip not logged:\n%s", logs)
 	}

@@ -22,7 +22,8 @@ import (
 )
 
 // Client talks to a parseld daemon. The zero value is not usable;
-// construct with New. Methods are safe for concurrent use.
+// construct with New, which takes every setting as an Option. Methods
+// are safe for concurrent use.
 //
 // The query surface — Run, Select, Median, Quantile, Quantiles,
 // SelectRanks, TopK, BottomK, Summary and Dataset — is the historical
@@ -33,46 +34,11 @@ type Client struct {
 	base string
 	hc   *http.Client
 
-	// Token, when non-empty, is sent as a bearer token in the
-	// Authorization header of every request — the static per-tenant
-	// credential of a daemon running with -tenants. Requests without it
-	// (or with a token matching no tenant) are refused with 401
-	// unknown_tenant by such a daemon. Configure before the first call;
-	// it must not be mutated concurrently with calls.
-	Token string
-
-	// QueryTimeout, when positive, is sent as timeout_ms on every query:
-	// the server-side bound on waiting for a free simulated machine.
-	// Independent of it, a context deadline also propagates as
-	// timeout_ms (whichever is tighter), so a client deadline is honored
-	// on the server rather than discovered by a dropped connection.
-	// timeout_ms is recomputed from the remaining budget on every retry
-	// attempt, so a server is never told a budget the caller no longer
-	// has.
-	QueryTimeout time.Duration
-
-	// Binary switches the key-carrying paths to the binary frame
-	// encoding (ContentTypeFrame): dataset uploads stream the
-	// internal/snapshot format instead of marshaling a JSON body (the
-	// daemon decodes both through one path), and queries send Accept so
-	// bulk results come back framed. Responses to a JSON-only daemon
-	// still decode — negotiation is per response Content-Type — and
-	// results are bit-identical either way, simulated metrics included.
-	// Configure before the first call; it must not be mutated
-	// concurrently with calls.
-	Binary bool
-
-	// Retry configures transparent retries of transient failures (see
-	// RetryPolicy; every operation on this wire is idempotent, so all of
-	// them retry). The zero value disables retries. Configure it before
-	// the client's first call; it must not be mutated concurrently with
-	// calls.
-	Retry RetryPolicy
-
-	// MaxResponseBytes, when positive, caps how many response-body
-	// bytes an attempt will buffer (see ClientLimits.MaxResponseBytes).
-	// Configure before the first call.
-	MaxResponseBytes int64
+	token            string        // WithToken
+	binary           bool          // WithBinary
+	retry            RetryPolicy   // WithRetry
+	queryTimeout     time.Duration // WithLimits
+	maxResponseBytes int64         // WithLimits
 
 	// retryMu guards the jitter stream and the token-bucket retry
 	// budget; the counters are atomics on their own.
@@ -83,7 +49,7 @@ type Client struct {
 	retryCount retryCounters
 
 	// collector, when non-nil, receives per-operation telemetry (see
-	// Collector and WithCollector). Configure before the first call.
+	// Collector and WithCollector).
 	collector Collector
 }
 
@@ -103,22 +69,30 @@ func WithHTTPClient(hc *http.Client) Option {
 	}
 }
 
-// WithToken sets the bearer token sent with every request — the
-// static per-tenant credential of a daemon running with -tenants.
+// WithToken sets the bearer token sent in the Authorization header of
+// every request — the static per-tenant credential of a daemon running
+// with -tenants. Such a daemon refuses requests without it (or with a
+// token matching no tenant) with 401 unknown_tenant.
 func WithToken(token string) Option {
-	return func(c *Client) { c.Token = token }
+	return func(c *Client) { c.token = token }
 }
 
 // WithBinary switches the key-carrying paths to the binary frame
-// encoding (see Client.Binary).
+// encoding (ContentTypeFrame): dataset uploads stream the
+// internal/snapshot format instead of marshaling a JSON body (the
+// daemon decodes both through one path), and queries send Accept so
+// bulk results come back framed. Responses to a JSON-only daemon still
+// decode — negotiation is per response Content-Type — and results are
+// bit-identical either way, simulated metrics included.
 func WithBinary(on bool) Option {
-	return func(c *Client) { c.Binary = on }
+	return func(c *Client) { c.binary = on }
 }
 
 // WithRetry sets the policy for transparent retries of transient
-// failures (see RetryPolicy).
+// failures (see RetryPolicy; every operation on this wire is
+// idempotent, so all of them retry). The zero value disables retries.
 func WithRetry(p RetryPolicy) Option {
-	return func(c *Client) { c.Retry = p }
+	return func(c *Client) { c.retry = p }
 }
 
 // ClientLimits bounds what the client sends and accepts; the zero
@@ -126,8 +100,14 @@ func WithRetry(p RetryPolicy) Option {
 // beyond the context deadline, MaxResponseBytes 0 = read whole
 // responses).
 type ClientLimits struct {
-	// QueryTimeout is sent as timeout_ms on every query (see
-	// Client.QueryTimeout).
+	// QueryTimeout, when positive, is sent as timeout_ms on every
+	// query: the server-side bound on waiting for a free simulated
+	// machine. Independent of it, a context deadline also propagates as
+	// timeout_ms (whichever is tighter), so a client deadline is honored
+	// on the server rather than discovered by a dropped connection.
+	// timeout_ms is recomputed from the remaining budget on every retry
+	// attempt, so a server is never told a budget the caller no longer
+	// has.
 	QueryTimeout time.Duration
 	// MaxResponseBytes caps how many response-body bytes the client
 	// will buffer per attempt; a larger response fails the call rather
@@ -140,8 +120,8 @@ type ClientLimits struct {
 // WithLimits sets the client-side limits (see ClientLimits).
 func WithLimits(l ClientLimits) Option {
 	return func(c *Client) {
-		c.QueryTimeout = l.QueryTimeout
-		c.MaxResponseBytes = l.MaxResponseBytes
+		c.queryTimeout = l.QueryTimeout
+		c.maxResponseBytes = l.MaxResponseBytes
 	}
 }
 
@@ -154,31 +134,14 @@ func WithLimits(l ClientLimits) Option {
 //		parselclient.WithRetry(parselclient.RetryPolicy{MaxAttempts: 4}))
 //
 // With no options the client uses http.DefaultClient, no token, JSON
-// encoding and no retries. The exported fields (Token, Binary, Retry,
-// QueryTimeout) remain settable before the first call for callers that
-// predate the options.
-//
-// Note for callers of the pre-options signature New(baseURL, hc):
-// passing a literal nil still compiles (a nil Option is tolerated),
-// but a non-nil *http.Client must move to WithHTTPClient — or use the
-// NewWithHTTPClient shim, which keeps the old shape.
+// encoding and no retries.
 func New(baseURL string, opts ...Option) *Client {
 	c := &Client{base: strings.TrimRight(baseURL, "/"), hc: http.DefaultClient}
 	c.KindClient = KindClient[int64]{c: c}
 	for _, o := range opts {
-		if o != nil { // tolerate a literal nil from pre-options callers
-			o(c)
-		}
+		o(c)
 	}
 	return c
-}
-
-// NewWithHTTPClient builds a client with an explicit *http.Client —
-// the exact shape of the pre-options constructor, kept so callers that
-// passed a transport do not break. nil means http.DefaultClient. New
-// code should prefer New(baseURL, WithHTTPClient(hc)).
-func NewWithHTTPClient(baseURL string, hc *http.Client) *Client {
-	return New(baseURL, WithHTTPClient(hc))
 }
 
 // APIError is a structured error response from the daemon.
@@ -264,11 +227,12 @@ func (e *APIError) Is(target error) bool {
 	return false
 }
 
-// timeoutMS computes the timeout_ms to send: the tighter of
-// QueryTimeout and the context's remaining budget, in milliseconds
-// (rounded up so a 300us deadline does not become "no timeout").
+// timeoutMS computes the timeout_ms to send: the tighter of the
+// client's ClientLimits.QueryTimeout and the context's remaining
+// budget, in milliseconds (rounded up so a 300us deadline does not
+// become "no timeout").
 func (c *Client) timeoutMS(ctx context.Context) int64 {
-	eff := c.QueryTimeout
+	eff := c.queryTimeout
 	bounded := eff > 0
 	if dl, ok := ctx.Deadline(); ok {
 		if rem := time.Until(dl); !bounded || rem < eff {
@@ -335,7 +299,7 @@ func runQuery[K Key](ctx context.Context, c *Client, path string, op parsel.Op, 
 		return marshalBody(body(c.timeoutMS(actx)))
 	}
 	var resp ResponseOf[K]
-	if err := c.do(ctx, http.MethodPost, path, attempt, c.Binary, &resp); err != nil {
+	if err := c.do(ctx, http.MethodPost, path, attempt, c.binary, &resp); err != nil {
 		return parsel.Answer[K]{}, err
 	}
 	return answerOf(op, &resp)
@@ -501,13 +465,30 @@ type permanentError struct{ err error }
 func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
 
+// newRequest builds a request to the daemon carrying what every call
+// sends: the bearer token, the request id from ctx (see WithRequestID)
+// and the remaining deadline budget in DeadlineHeader.
+func (c *Client) newRequest(ctx context.Context, method, path string, body io.Reader) (*http.Request, error) {
+	hreq, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	if err != nil {
+		return nil, err
+	}
+	if c.token != "" {
+		hreq.Header.Set("Authorization", "Bearer "+c.token)
+	}
+	if rid, ok := RequestIDFrom(ctx); ok {
+		hreq.Header.Set(RequestIDHeader, rid)
+	}
+	stampDeadline(hreq, ctx)
+	return hreq, nil
+}
+
 // attempt runs one HTTP attempt for do's retry loop: build the body and
-// the request (stamping the remaining deadline budget into
-// DeadlineHeader), send it, decode the response — JSON or a binary
-// result frame, keyed by the response's Content-Type — or the
-// structured error. It returns the attempt's error together with any
-// Retry-After hint accompanying it.
-func (c *Client) attempt(ctx context.Context, method, path string, body bodyFunc, acceptFrame bool, out any, attemptTimeout time.Duration, reqID string) (error, time.Duration) {
+// the request, send it, decode the response — JSON or a binary result
+// frame, keyed by the response's Content-Type — or the structured
+// error. It returns the attempt's error together with any Retry-After
+// hint accompanying it.
+func (c *Client) attempt(ctx context.Context, method, path string, body bodyFunc, acceptFrame bool, out any, attemptTimeout time.Duration) (error, time.Duration) {
 	actx := ctx
 	if attemptTimeout > 0 {
 		var cancel context.CancelFunc
@@ -524,7 +505,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body bodyFunc
 			return &permanentError{err}, 0
 		}
 	}
-	hreq, err := http.NewRequestWithContext(actx, method, c.base+path, rd)
+	hreq, err := c.newRequest(actx, method, path, rd)
 	if err != nil {
 		return &permanentError{err}, 0
 	}
@@ -535,30 +516,23 @@ func (c *Client) attempt(ctx context.Context, method, path string, body bodyFunc
 	if acceptFrame {
 		hreq.Header.Set("Accept", ContentTypeFrame)
 	}
-	if c.Token != "" {
-		hreq.Header.Set("Authorization", "Bearer "+c.Token)
-	}
-	if reqID != "" {
-		hreq.Header.Set(RequestIDHeader, reqID)
-	}
-	stampDeadline(hreq, actx)
 	hres, err := c.hc.Do(hreq)
 	if err != nil {
 		return err, 0
 	}
 	defer hres.Body.Close()
 	var rdBody io.Reader = hres.Body
-	if c.MaxResponseBytes > 0 {
-		rdBody = io.LimitReader(hres.Body, c.MaxResponseBytes+1)
+	if c.maxResponseBytes > 0 {
+		rdBody = io.LimitReader(hres.Body, c.maxResponseBytes+1)
 	}
 	data, err := io.ReadAll(rdBody)
 	if err != nil {
 		return fmt.Errorf("parselclient: read response: %w", err), 0
 	}
-	if c.MaxResponseBytes > 0 && int64(len(data)) > c.MaxResponseBytes {
+	if c.maxResponseBytes > 0 && int64(len(data)) > c.maxResponseBytes {
 		// Oversize is a property of the response, not the attempt:
 		// resending cannot shrink it.
-		return &permanentError{fmt.Errorf("parselclient: response exceeds %d-byte limit", c.MaxResponseBytes)}, 0
+		return &permanentError{fmt.Errorf("parselclient: response exceeds %d-byte limit", c.maxResponseBytes)}, 0
 	}
 	if hres.StatusCode != http.StatusOK {
 		ra := parseRetryAfter(hres.Header)
@@ -613,9 +587,9 @@ func decodeFrameInto(data []byte, out any) error {
 	// their IEEE-754 bits and convert back losslessly.
 	int64s := func(bits []int64) []int64 { return bits }
 	switch v := out.(type) {
-	case *Response:
+	case *ResponseOf[int64]:
 		return frameResponse(entries, v, int64s)
-	case *QueryManyResponse:
+	case *QueryManyResponseOf[int64]:
 		v.Results, err = frameResults(entries, int64s)
 	case *ResponseOf[float64]:
 		return frameResponse(entries, v, float64sFromBits)
@@ -684,13 +658,13 @@ func frameUploadBody[K snapshot.FixedKey](shards [][]K) bodyFunc {
 
 // Upload ships the shards into resident per-processor storage on the
 // daemon (PUT), replacing any dataset already under this id. This is
-// the only time the keys cross the wire. With Client.Binary set the
-// fixed-width kinds (int64, float64) stream as the snapshot binary
-// format; string shards have no frame encoding and always marshal as
-// JSON.
+// the only time the keys cross the wire. On a client built
+// WithBinary(true) the fixed-width kinds (int64, float64) stream as the
+// snapshot binary format; string shards have no frame encoding and
+// always marshal as JSON.
 func (d *RemoteDatasetOf[K]) Upload(ctx context.Context, shards [][]K) (DatasetInfo, error) {
 	var body bodyFunc
-	if d.c.Binary {
+	if d.c.binary {
 		switch sh := any(shards).(type) {
 		case [][]int64:
 			body = frameUploadBody(sh)
@@ -748,11 +722,11 @@ func (d *RemoteDatasetOf[K]) Run(ctx context.Context, q parsel.Query) (parsel.An
 
 // QueryMany runs a batch of independent queries against the resident
 // dataset in one round trip; results align with queries, and per-item
-// failures surface per item (see QueryManyResult.Err) — one bad query
+// failures surface per item (see QueryManyResultOf.Err) — one bad query
 // never poisons the batch. The whole batch shares one admission
 // deadline, recomputed per retry attempt; per-item TimeoutMS must stay
-// zero. With Client.Binary set the results come back as one binary
-// frame.
+// zero. On a client built WithBinary(true) the results come back as
+// one binary frame.
 func (d *RemoteDatasetOf[K]) QueryMany(ctx context.Context, queries []DatasetQuery) ([]QueryManyResultOf[K], error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -770,7 +744,7 @@ func (d *RemoteDatasetOf[K]) QueryMany(ctx context.Context, queries []DatasetQue
 		return marshalBody(DatasetQueryMany{Queries: qs, TimeoutMS: d.c.timeoutMS(actx)})
 	}
 	var resp QueryManyResponseOf[K]
-	if err := d.c.do(ctx, http.MethodPost, d.path("/querymany"), body, d.c.Binary, &resp); err != nil {
+	if err := d.c.do(ctx, http.MethodPost, d.path("/querymany"), body, d.c.binary, &resp); err != nil {
 		return nil, err
 	}
 	if len(resp.Results) != len(queries) {
@@ -878,6 +852,11 @@ func (c *Client) ReloadTenants(ctx context.Context) (TenantReloadResult, error) 
 	return res, nil
 }
 
+// maxSideBody bounds the bodies read outside the retry loop — health
+// verdicts and snapshot-export errors — which MaxResponseBytes does
+// not cover.
+const maxSideBody = 1 << 20
+
 // Healthz probes /healthz and reports the daemon's health state —
 // HealthOK, HealthDegraded (serving, but e.g. snapshot persistence is
 // failing) or HealthDraining. The probe never retries: a health check
@@ -887,19 +866,16 @@ func (c *Client) Healthz(ctx context.Context) (HealthStatus, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
+	hreq, err := c.newRequest(ctx, http.MethodGet, "/healthz", nil)
 	if err != nil {
 		return HealthStatus{}, err
-	}
-	if c.Token != "" {
-		hreq.Header.Set("Authorization", "Bearer "+c.Token)
 	}
 	hres, err := c.hc.Do(hreq)
 	if err != nil {
 		return HealthStatus{}, err
 	}
 	defer hres.Body.Close()
-	data, err := io.ReadAll(hres.Body)
+	data, err := io.ReadAll(io.LimitReader(hres.Body, maxSideBody))
 	if err != nil {
 		return HealthStatus{}, fmt.Errorf("parselclient: read healthz: %w", err)
 	}
@@ -935,26 +911,19 @@ func (c *Client) DatasetSnapshot(ctx context.Context, id string) (io.ReadCloser,
 		ctx = context.Background()
 	}
 	path := "/v1/datasets/" + url.PathEscape(id) + "/snapshot"
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	// A ship's correlation id rides the export stream too, so both
+	// halves of a snapshot transfer log under one id.
+	hreq, err := c.newRequest(ctx, http.MethodGet, path, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	if c.Token != "" {
-		hreq.Header.Set("Authorization", "Bearer "+c.Token)
-	}
-	if rid, ok := RequestIDFrom(ctx); ok {
-		// A ship's correlation id rides the export stream too, so both
-		// halves of a snapshot transfer log under one id.
-		hreq.Header.Set(RequestIDHeader, rid)
-	}
-	stampDeadline(hreq, ctx)
 	hres, err := c.hc.Do(hreq)
 	if err != nil {
 		return nil, 0, err
 	}
 	if hres.StatusCode != http.StatusOK {
 		defer hres.Body.Close()
-		data, rerr := io.ReadAll(io.LimitReader(hres.Body, 1<<20))
+		data, rerr := io.ReadAll(io.LimitReader(hres.Body, maxSideBody))
 		if rerr != nil {
 			return nil, 0, fmt.Errorf("parselclient: read snapshot error: %w", rerr)
 		}

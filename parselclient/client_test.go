@@ -27,7 +27,7 @@ func TestTimeoutMSExpiredDeadline(t *testing.T) {
 		t.Errorf("unbounded context: timeout_ms = %d, want 0", got)
 	}
 	// A QueryTimeout alone keeps working.
-	c.QueryTimeout = 250 * time.Millisecond
+	c = New("http://unused", WithLimits(ClientLimits{QueryTimeout: 250 * time.Millisecond}))
 	if got := c.timeoutMS(context.Background()); got != 250 {
 		t.Errorf("QueryTimeout 250ms: timeout_ms = %d, want 250", got)
 	}
@@ -71,7 +71,7 @@ type timeoutEcho struct {
 }
 
 func (h *timeoutEcho) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	var req Request
+	var req RequestOf[int64]
 	body, _ := io.ReadAll(r.Body)
 	_ = json.Unmarshal(body, &req)
 	h.timeouts = append(h.timeouts, req.TimeoutMS)
@@ -91,14 +91,13 @@ func TestRetryRecomputesTimeoutMS(t *testing.T) {
 	h := &timeoutEcho{n: 1}
 	ts := httptest.NewServer(h)
 	defer ts.Close()
-	c := New(ts.URL, WithHTTPClient(ts.Client()))
-	c.Retry = RetryPolicy{
+	c := New(ts.URL, WithHTTPClient(ts.Client()), WithRetry(RetryPolicy{
 		MaxAttempts: 3,
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			time.Sleep(20 * time.Millisecond) // burn visible budget between attempts
 			return nil
 		},
-	}
+	}))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if _, err := c.Select(ctx, [][]int64{{3, 1, 4}}, 1); err != nil {
@@ -128,11 +127,11 @@ func TestMarshalFailureIsPermanent(t *testing.T) {
 // TestQueryManyResultErr pins the per-item error mapping: batch items
 // surface the same typed errors a direct query would.
 func TestQueryManyResultErr(t *testing.T) {
-	ok := QueryManyResult{}
+	ok := QueryManyResultOf[int64]{}
 	if err := ok.Err(); err != nil {
 		t.Errorf("success item: Err() = %v, want nil", err)
 	}
-	item := QueryManyResult{Error: &ErrorDetail{Code: CodeRankRange, Message: "rank 99 of 3"}}
+	item := QueryManyResultOf[int64]{Error: &ErrorDetail{Code: CodeRankRange, Message: "rank 99 of 3"}}
 	err := item.Err()
 	api, isAPI := err.(*APIError)
 	if !isAPI {
@@ -141,7 +140,7 @@ func TestQueryManyResultErr(t *testing.T) {
 	if api.Status != http.StatusBadRequest || api.Code != CodeRankRange {
 		t.Errorf("Err() = %d %s, want 400 %s", api.Status, api.Code, CodeRankRange)
 	}
-	timeout := QueryManyResult{Error: &ErrorDetail{Code: CodePoolTimeout, Message: "busy"}}
+	timeout := QueryManyResultOf[int64]{Error: &ErrorDetail{Code: CodePoolTimeout, Message: "busy"}}
 	if api := timeout.Err().(*APIError); api.Status != http.StatusTooManyRequests {
 		t.Errorf("pool_timeout maps to %d, want 429", api.Status)
 	}

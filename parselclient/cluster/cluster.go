@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"parsel"
-	"parsel/internal/obs"
 	"parsel/parselclient"
 )
 
@@ -41,14 +40,10 @@ type Config struct {
 	// rotation before being retried (0 means 5s).
 	RecoveryInterval time.Duration
 
-	// Logf, when set, receives one line per routing event worth a
-	// human's attention: nodes marked down or recovered, replication
-	// shortfalls, rebalance moves.
-	Logf func(format string, args ...any)
-
-	// Logger, when set, receives the same routing events as structured
-	// records with typed attrs (node, dataset, err) — markdowns at Warn,
-	// recoveries at Info. It takes precedence over Logf.
+	// Logger, when set, receives one structured record per routing
+	// event worth a human's attention, with typed attrs (node, dataset,
+	// src, dst, err): nodes marked down and failed replica fills at
+	// Warn, recoveries and rebalance moves at Info. Nil discards them.
 	Logger *slog.Logger
 
 	// Collector, when set, is installed on every per-node client (see
@@ -89,7 +84,7 @@ type Stats struct {
 type Router struct {
 	cfg  Config
 	ring *Ring
-	log  *slog.Logger // resolved from Logger/Logf; discards when neither is set
+	log  *slog.Logger // Config.Logger, or a discarding logger when nil
 
 	mu      sync.Mutex
 	clients map[string]*parselclient.Client
@@ -128,9 +123,6 @@ func New(cfg Config, opts ...parselclient.Option) (*Router, error) {
 		return nil, err
 	}
 	log := cfg.Logger
-	if log == nil && cfg.Logf != nil {
-		log = obs.LogfLogger(cfg.Logf)
-	}
 	if log == nil {
 		log = slog.New(slog.DiscardHandler)
 	}
@@ -152,14 +144,6 @@ func New(cfg Config, opts ...parselclient.Option) (*Router, error) {
 		r.clients[n] = parselclient.New(n, opts...)
 	}
 	return r, nil
-}
-
-func (r *Router) logf(format string, args ...any) {
-	if r.cfg.Logf != nil {
-		r.cfg.Logf(format, args...)
-		return
-	}
-	r.log.Info(fmt.Sprintf(format, args...))
 }
 
 // collect reports a router-level event to the configured Collector
@@ -542,7 +526,7 @@ func (d *Dataset[K]) Upload(ctx context.Context, shards [][]K) (parselclient.Dat
 			}
 		}
 		if err != nil {
-			d.r.logf("cluster: replicate %q to %s: %v", d.id, node, err)
+			d.r.log.Warn("cluster: replicate failed", "dataset", d.id, "node", node, "err", err)
 			continue
 		}
 		d.r.markUp(node)

@@ -182,7 +182,7 @@ func (r *Router) Rebalance(ctx context.Context) (RebalanceReport, error) {
 					shipped = true
 					r.bump(&r.shipped)
 					rep.Shipped++
-					r.logf("cluster: rebalance: shipped %q %s -> %s", id, src, dst)
+					r.log.Info("cluster: rebalance: shipped", "dataset", id, "src", src, "dst", dst)
 					break
 				}
 				shipErr = err
@@ -210,7 +210,7 @@ func (r *Router) Rebalance(ctx context.Context) (RebalanceReport, error) {
 				continue
 			}
 			rep.Deleted++
-			r.logf("cluster: rebalance: dropped surplus %q from %s", id, node)
+			r.log.Info("cluster: rebalance: dropped surplus", "dataset", id, "node", node)
 		}
 	}
 	return rep, nil

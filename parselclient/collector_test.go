@@ -2,8 +2,10 @@ package parselclient
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -166,5 +168,58 @@ func TestRequestIDContext(t *testing.T) {
 	defer mu.Unlock()
 	if len(seen) != 2 || seen[0] == "" || seen[0] != seen[1] {
 		t.Errorf("generated id not stable across retries: %v", seen)
+	}
+}
+
+// TestSideRequestsCarryTokenAndID pins that the requests built outside
+// the retry loop — Healthz and DatasetSnapshot — carry the bearer token,
+// the caller's request id and the deadline like every other call, and
+// that Healthz reads at most 1 MiB of body.
+func TestSideRequestsCarryTokenAndID(t *testing.T) {
+	type seen struct{ path, auth, id, deadline string }
+	var mu sync.Mutex
+	var got []seen
+	var huge atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		got = append(got, seen{r.URL.Path, r.Header.Get("Authorization"),
+			r.Header.Get(RequestIDHeader), r.Header.Get(DeadlineHeader)})
+		mu.Unlock()
+		w.Header().Set("Content-Type", ContentTypeJSON)
+		if r.URL.Path != "/healthz" {
+			w.WriteHeader(http.StatusNotFound)
+			w.Write([]byte(`{"error":{"code":"dataset_not_found","message":"no"}}`))
+			return
+		}
+		if huge.Load() {
+			// Valid JSON, but only past the first MiB.
+			w.Write([]byte(strings.Repeat(" ", 1<<20)))
+		}
+		w.Write([]byte(`{"status":"ok"}`))
+	}))
+	defer ts.Close()
+
+	c := New(ts.URL, WithHTTPClient(ts.Client()), WithToken("tok-acme"))
+	ctx, cancel := context.WithTimeout(WithRequestID(context.Background(), "cafe0123deadbeef"), time.Minute)
+	defer cancel()
+	if hs, err := c.Healthz(ctx); err != nil || hs.Status != HealthOK {
+		t.Fatalf("Healthz = %+v, %v", hs, err)
+	}
+	if _, _, err := c.DatasetSnapshot(ctx, "ds"); !errors.Is(err, ErrDatasetNotFound) {
+		t.Fatalf("DatasetSnapshot error = %v, want ErrDatasetNotFound", err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("server saw %d requests, want 2", len(got))
+	}
+	for _, s := range got {
+		if s.auth != "Bearer tok-acme" || s.id != "cafe0123deadbeef" || s.deadline == "" {
+			t.Errorf("%s arrived with Authorization %q, request id %q, deadline %q",
+				s.path, s.auth, s.id, s.deadline)
+		}
+	}
+
+	huge.Store(true)
+	if hs, err := c.Healthz(ctx); err == nil {
+		t.Errorf("Healthz read a body past 1 MiB: %+v", hs)
 	}
 }

@@ -6,11 +6,8 @@ import (
 	"time"
 )
 
-// TestNewFunctionalOptions pins the redesigned constructor: every
-// option lands on its field, a literal nil option (what pre-options
-// call sites passed for "no custom http client") is tolerated, and the
-// exported fields remain settable afterwards for callers that predate
-// the options.
+// TestNewFunctionalOptions pins the constructor: every option lands on
+// its field.
 func TestNewFunctionalOptions(t *testing.T) {
 	hc := &http.Client{}
 	c := New("http://example:7075/",
@@ -19,7 +16,6 @@ func TestNewFunctionalOptions(t *testing.T) {
 		WithBinary(true),
 		WithRetry(RetryPolicy{MaxAttempts: 4}),
 		WithLimits(ClientLimits{QueryTimeout: 2 * time.Second, MaxResponseBytes: 1 << 20}),
-		nil,
 	)
 	if c.base != "http://example:7075" {
 		t.Errorf("base = %q, want trailing slash trimmed", c.base)
@@ -27,11 +23,11 @@ func TestNewFunctionalOptions(t *testing.T) {
 	if c.hc != hc {
 		t.Error("WithHTTPClient did not land")
 	}
-	if c.Token != "tok-acme" || !c.Binary || c.Retry.MaxAttempts != 4 {
-		t.Errorf("options did not land: token=%q binary=%v retry=%+v", c.Token, c.Binary, c.Retry)
+	if c.token != "tok-acme" || !c.binary || c.retry.MaxAttempts != 4 {
+		t.Errorf("options did not land: token=%q binary=%v retry=%+v", c.token, c.binary, c.retry)
 	}
-	if c.QueryTimeout != 2*time.Second || c.MaxResponseBytes != 1<<20 {
-		t.Errorf("limits did not land: %v, %d", c.QueryTimeout, c.MaxResponseBytes)
+	if c.queryTimeout != 2*time.Second || c.maxResponseBytes != 1<<20 {
+		t.Errorf("limits did not land: %v, %d", c.queryTimeout, c.maxResponseBytes)
 	}
 
 	// WithHTTPClient(nil) keeps the default rather than breaking every
@@ -39,14 +35,5 @@ func TestNewFunctionalOptions(t *testing.T) {
 	d := New("http://x", WithHTTPClient(nil))
 	if d.hc != http.DefaultClient {
 		t.Error("WithHTTPClient(nil) replaced the default client")
-	}
-
-	// The pre-options surface: bare New plus field assignment.
-	e := New("http://y")
-	e.Token = "legacy"
-	e.Binary = true
-	e.Retry = RetryPolicy{MaxAttempts: 2}
-	if e.hc != http.DefaultClient || e.Token != "legacy" || !e.Binary {
-		t.Errorf("legacy field configuration broken: %+v", e)
 	}
 }

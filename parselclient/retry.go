@@ -338,11 +338,10 @@ func (c *Client) doRetries(ctx context.Context, method, path string, body bodyFu
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	reqID, ok := RequestIDFrom(ctx)
-	if !ok {
-		reqID = NewRequestID()
+	if _, ok := RequestIDFrom(ctx); !ok {
+		ctx = WithRequestID(ctx, NewRequestID())
 	}
-	p := c.Retry.withDefaults()
+	p := c.retry.withDefaults()
 	c.retryCount.requests.Add(1)
 	if delta != nil {
 		delta.Requests++
@@ -360,7 +359,7 @@ func (c *Client) doRetries(ctx context.Context, method, path string, body bodyFu
 		if delta != nil {
 			delta.Attempts++
 		}
-		err, retryAfter := c.attempt(ctx, method, path, body, acceptFrame, out, p.AttemptTimeout, reqID)
+		err, retryAfter := c.attempt(ctx, method, path, body, acceptFrame, out, p.AttemptTimeout)
 		if err == nil {
 			return nil
 		}

@@ -46,9 +46,7 @@ func noSleep(context.Context, time.Duration) error { return nil }
 
 // retryClient builds a client against ts with the given policy.
 func retryClient(ts *httptest.Server, p RetryPolicy) *Client {
-	c := New(ts.URL, WithHTTPClient(ts.Client()))
-	c.Retry = p
-	return c
+	return New(ts.URL, WithHTTPClient(ts.Client()), WithRetry(p))
 }
 
 // TestRetryZeroPolicySingleAttempt pins backward compatibility: the

@@ -40,7 +40,7 @@
 // answers 429 with code "pool_timeout" instead of queueing forever. A
 // query that has started always runs to completion.
 //
-// Successful queries return 200 with a Response: the scalar endpoints
+// Successful queries return 200 with a ResponseOf: the scalar endpoints
 // fill "value", the multi-value endpoints "values" (aligned with the
 // request), summary fills "summary", and every response carries
 // "report" — the full simulated-machine report (simulated seconds,
@@ -97,7 +97,7 @@ func KeyKindOf[K Key]() string {
 // always supported; the binary frame encoding is negotiated per
 // request — Content-Type on a dataset upload selects the snapshot
 // binary format for the body, Accept on a query selects the result
-// frame for the response (see Client.Binary). Error responses are
+// frame for the response (see WithBinary). Error responses are
 // always JSON regardless of Accept.
 const (
 	// ContentTypeJSON is the default encoding of every body.
@@ -165,10 +165,6 @@ type RequestOf[K Key] struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// Request is the int64 instantiation of RequestOf — the historical
-// wire type, unchanged on the wire.
-type Request = RequestOf[int64]
-
 // Report mirrors parsel.Report on the wire.
 type Report struct {
 	SimSeconds     float64 `json:"sim_seconds"`
@@ -219,9 +215,6 @@ type SummaryOf[K Key] struct {
 	Max    K `json:"max"`
 }
 
-// Summary is the int64 instantiation of SummaryOf.
-type Summary = SummaryOf[int64]
-
 // ResponseOf is the 200 body of every query endpoint, generic over the
 // key kind.
 type ResponseOf[K Key] struct {
@@ -242,10 +235,6 @@ type ResponseOf[K Key] struct {
 	Report Report `json:"report"`
 }
 
-// Response is the int64 instantiation of ResponseOf — the historical
-// wire type, unchanged on the wire.
-type Response = ResponseOf[int64]
-
 // DatasetUploadOf is the JSON body of PUT /v1/datasets/{id}: the one
 // time the keys cross the wire. The daemon copies the shards into
 // resident per-processor storage (snapshot-isolated, pinned to the
@@ -261,9 +250,6 @@ type DatasetUploadOf[K Key] struct {
 	// processor, exactly as the query endpoints take it.
 	Shards [][]K `json:"shards"`
 }
-
-// DatasetUpload is the int64 instantiation of DatasetUploadOf.
-type DatasetUpload = DatasetUploadOf[int64]
 
 // DatasetQuery is the JSON body of POST /v1/datasets/{id}/query: any
 // query of the daemon's surface, addressed at resident shards — the
@@ -321,18 +307,12 @@ type QueryManyResultOf[K Key] struct {
 	Error *ErrorDetail `json:"error,omitempty"`
 }
 
-// QueryManyResult is the int64 instantiation of QueryManyResultOf.
-type QueryManyResult = QueryManyResultOf[int64]
-
 // QueryManyResponseOf is the 200 body of POST
 // /v1/datasets/{id}/querymany; Results align with the request's
 // Queries.
 type QueryManyResponseOf[K Key] struct {
 	Results []QueryManyResultOf[K] `json:"results"`
 }
-
-// QueryManyResponse is the int64 instantiation of QueryManyResponseOf.
-type QueryManyResponse = QueryManyResponseOf[int64]
 
 // DatasetInfo describes one resident dataset: the 200 body of upload,
 // info and delete requests on /v1/datasets/{id}.
