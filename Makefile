@@ -26,7 +26,9 @@
 #   make smoke   - metrics-scrape smoke: boot a daemon, run one query, pull
 #                  /metrics and strictly validate the exposition; then the
 #                  paper experiment CLI: list the experiments and run every
-#                  one on the shrunk grid with one seed (~1 s, deterministic)
+#                  one on the shrunk grid with one seed (~1 s, deterministic);
+#                  then every collective host benchmark in internal/comm
+#                  once (-benchtime 1x), so the benchmarks cannot rot
 #   make bench-smoke - the benchmark module's own tests (every workload once,
 #                  with short phases, plus its compare logic). bench/ is a
 #                  separate module outside `go test ./...`, so this is what
@@ -80,6 +82,7 @@ smoke:
 	$(GO) test -count=1 -run 'TestObsScrapeSmoke' ./internal/serve
 	$(GO) run ./cmd/selectbench -list
 	$(GO) run ./cmd/selectbench -exp all -quick -seeds 1
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/comm
 
 bench-smoke:
 	$(GO) -C bench test -count=1 ./...

@@ -3,11 +3,14 @@
 // relatively powerful processors connected by an interconnection network
 // that behaves like a virtual crossbar.
 //
-// Each simulated processor is a goroutine executing the same SPMD program.
-// Point-to-point messages travel over Go channels, so programs written
-// against this package really run in parallel; in addition, every processor
-// carries a simulated clock advanced according to the paper's two-level
-// model of computation:
+// Each simulated processor runs the same SPMD program as a coroutine.
+// Point-to-point messages travel over plain FIFO links, one per ordered
+// processor pair: a send appends and never blocks, and a receive from an
+// empty link yields until a peer has sent. Run drives the coroutines on
+// the caller's goroutine in an order fixed by processor ids and link
+// contents, so one run uses one host thread and many runs on separate
+// machines run in parallel. Every processor carries a simulated clock
+// advanced according to the paper's two-level model of computation:
 //
 //   - sending a message of b bytes costs tau + mu*b on the sender,
 //   - the message arrives at the sender's post-send time, and the receiver
@@ -16,15 +19,26 @@
 //     operation counts reported by the sequential kernels.
 //
 // Simulated time is deterministic for a fixed seed and processor count,
-// independent of the host machine, which is what lets a laptop reproduce
-// the shape of 128-processor CM-5 curves.
+// independent of the host machine and of how the host moves a message,
+// which is what lets a laptop reproduce the shape of 128-processor CM-5
+// curves.
+//
+// Two contracts follow from the cooperative design. SPMD bodies must not
+// synchronise with each other except through the fabric: a processor
+// blocked on anything else blocks the whole run. And the processors of
+// one run never execute at the same instant, so the race detector cannot
+// see one processor touching memory another still owns (payloads are
+// passed by reference); the zero-copy aliasing tests are the guard for
+// that (TestBorrowedShards* in package parsel, TestFastRandomizedBorrowed*
+// in internal/selection).
 package machine
 
 import (
 	"fmt"
+	"iter"
 	"math/rand/v2"
 	"runtime"
-	"sync"
+	"strings"
 	"sync/atomic"
 )
 
@@ -123,82 +137,129 @@ type message struct {
 	arrive  float64 // simulated time at which the message is available
 }
 
-// job is one processor's share of an SPMD run, handed to a parked worker.
-type job struct {
+// link is the FIFO queue of one ordered processor pair. Sends append and
+// never block; receives pop from head. The backing array is kept across
+// runs, so a warm machine moves messages without allocating.
+type link struct {
+	q    []message
+	head int
+}
+
+// pop dequeues the oldest message. The slot is cleared so a drained link
+// keeps no payload alive, and an emptied link rewinds to reuse its array.
+func (l *link) pop() message {
+	msg := l.q[l.head]
+	l.q[l.head] = message{}
+	l.head++
+	if l.head == len(l.q) {
+		l.q, l.head = l.q[:0], 0
+	}
+	return msg
+}
+
+// poison is the panic value with which a blocked receive unwinds when its
+// run has failed elsewhere (see Machine.abort).
+type poison struct{}
+
+// fiber is one processor's persistent coroutine. Between runs it is parked
+// at the end of its loop holding no job, so it keeps nothing of the
+// machine reachable and a runtime cleanup can stop it once the machine
+// is dropped.
+type fiber struct {
+	id    int
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+
+	// The current run's job; nil between runs.
 	proc *Proc
 	body func(*Proc)
-	done chan<- int
+	// wait is the link the processor is blocked on; nil while runnable.
+	wait *link
+
+	done     bool
+	panicVal any  // the body's panic, if it failed
+	exited   bool // the body called runtime.Goexit, ending the coroutine
 }
 
-// run executes the job body, trapping panics on the proc.
-func (j job) run() {
-	defer func() {
-		j.proc.panicVal = recover()
-		j.done <- j.proc.id
-	}()
-	j.body(j.proc)
+// newFiber parks a fresh coroutine for processor id, ready for its first
+// job.
+func newFiber(id int) *fiber {
+	f := &fiber{id: id}
+	f.next, f.stop = iter.Pull(f.loop)
+	return f
 }
 
-// pool is the set of parked worker goroutines serving a machine. It is a
-// separate allocation holding no reference back to the Machine, so a
-// runtime cleanup can shut the workers down once the machine itself
-// becomes unreachable (callers that forget Close do not leak goroutines).
-type pool struct {
-	jobs []chan job
-	once sync.Once
-}
-
-// shutdown closes the work channels, releasing the parked workers.
-func (pl *pool) shutdown() {
-	pl.once.Do(func() {
-		for _, c := range pl.jobs {
-			close(c)
-		}
-	})
-}
-
-// worker serves one processor slot: it parks on the job channel and runs
-// each submitted body to completion. It deliberately drops the job value
-// after each run so an idle pool holds no reference to the machine.
-func worker(jobs <-chan job) {
+// loop is the coroutine body: run the current job, then yield to the
+// driver until the next run resumes it. It returns when the coroutine is
+// stopped.
+func (f *fiber) loop(yield func(struct{}) bool) {
+	f.yield = yield
 	for {
-		j, ok := <-jobs
-		if !ok {
+		f.runJob()
+		if !yield(struct{}{}) {
 			return
 		}
-		j.run()
-		j = job{}
-		_ = j
 	}
 }
 
-// Machine owns the channel fabric connecting the simulated processors and
-// a pool of parked goroutines, one per processor. Constructing a Machine
-// once and calling Run repeatedly amortizes the fabric allocation, the
-// goroutine spawns, and (through Proc.Scratch) all per-processor scratch
-// memory across calls.
+// runJob runs the body to completion, trapping its panic, and drops the
+// job so an idle fiber references nothing of the machine.
+func (f *fiber) runJob() {
+	returned := false
+	defer func() {
+		r := recover()
+		if _, unwound := r.(poison); r != nil && !unwound {
+			f.panicVal = r
+		}
+		f.exited = r == nil && !returned
+		f.proc, f.body, f.wait, f.done = nil, nil, nil, true
+	}()
+	f.body(f.proc)
+	returned = true
+}
+
+// fibers is the set of a machine's coroutines. It is a separate allocation
+// holding no reference back to the Machine, so a runtime cleanup can stop
+// the coroutines once the machine itself becomes unreachable (callers that
+// forget Close do not leak goroutines).
+type fibers []*fiber
+
+// shutdown stops every coroutine; it is idempotent.
+func (fs fibers) shutdown() {
+	for _, f := range fs {
+		f.stop()
+	}
+}
+
+// Machine owns the simulated fabric: one FIFO link per ordered processor
+// pair and one persistent coroutine per processor. Run drives the
+// coroutines on the caller's goroutine, so one run uses one host thread;
+// concurrent runs on separate machines run in parallel. Constructing a
+// Machine once and calling Run repeatedly amortizes the fabric, the
+// coroutines and (through Proc.Scratch) all per-processor scratch memory
+// across calls.
 type Machine struct {
 	params Params
 	// links[src*p+dst] carries messages from src to dst in FIFO order,
 	// which models the virtual crossbar: one dedicated, uncongested
-	// channel per ordered processor pair.
-	links []chan message
-	procs []*Proc
-	pl    *pool
-	done  chan int
-	// dirty is set when a run ended in a panic and residual messages may
-	// be parked in the links; the next run drains them first.
-	dirty  bool
-	closed bool
+	// link per ordered processor pair.
+	links   []link
+	procs   []*Proc
+	fibers  fibers
+	cleanup runtime.Cleanup
+	// poisoned is set while a failed run unwinds its blocked processors.
+	poisoned bool
+	closed   bool
 	// running asserts single-flight ownership: a machine serves one Run
 	// at a time, and a second concurrent Run is reported as an error
 	// instead of corrupting the fabric.
 	running atomic.Bool
 }
 
-// New allocates the channel fabric for a machine with the given parameters
-// and parks one worker goroutine per processor. Call Close when done with
-// the machine; a runtime cleanup releases the workers of machines that are
+// New allocates the fabric for a machine with the given parameters and
+// parks one coroutine per processor. Call Close when done with the
+// machine; a runtime cleanup stops the coroutines of machines that are
 // dropped without Close.
 func New(params Params) (*Machine, error) {
 	if err := params.Validate(); err != nil {
@@ -207,20 +268,16 @@ func New(params Params) (*Machine, error) {
 	p := params.Procs
 	m := &Machine{
 		params: params,
-		links:  make([]chan message, p*p),
+		links:  make([]link, p*p),
 		procs:  make([]*Proc, p),
-		pl:     &pool{jobs: make([]chan job, p)},
-		done:   make(chan int, p),
-	}
-	for i := range m.links {
-		// Generous buffering keeps senders non-blocking in the common
-		// case; simulated time, not channel backpressure, is the model.
-		m.links[i] = make(chan message, 64)
+		fibers: make(fibers, p),
 	}
 	seed := params.Seed
 	for id := 0; id < p; id++ {
+		m.fibers[id] = newFiber(id)
 		m.procs[id] = &Proc{
 			m:         m,
+			f:         m.fibers[id],
 			id:        id,
 			p:         p,
 			sharedSrc: rand.NewPCG(seed, sharedStream),
@@ -232,10 +289,8 @@ func New(params Params) (*Machine, error) {
 		// processor, used for local sampling (Alg. 4 step 1).
 		m.procs[id].Shared = rand.New(m.procs[id].sharedSrc)
 		m.procs[id].Local = rand.New(m.procs[id].localSrc)
-		m.pl.jobs[id] = make(chan job, 1)
-		go worker(m.pl.jobs[id])
 	}
-	runtime.AddCleanup(m, func(pl *pool) { pl.shutdown() }, m.pl)
+	m.cleanup = runtime.AddCleanup(m, fibers.shutdown, m.fibers)
 	return m, nil
 }
 
@@ -245,19 +300,22 @@ const sharedStream = 0x9e3779b97f4a7c15
 // Params returns the machine's parameters.
 func (m *Machine) Params() Params { return m.params }
 
-// Close releases the machine's parked worker goroutines. The machine must
-// not be used after Close. Closing is optional — unreachable machines are
-// cleaned up by the runtime — but deterministic release is cheaper.
+// Close stops the machine's coroutines. The machine must not be used
+// after Close, nor closed while a Run is in flight. Closing is optional —
+// unreachable machines are cleaned up by the runtime — but deterministic
+// release is cheaper.
 func (m *Machine) Close() {
 	m.closed = true
-	m.pl.shutdown()
+	// Stopping the cleanup first makes this the coroutines' only stop.
+	m.cleanup.Stop()
+	m.fibers.shutdown()
 }
 
-// Run executes body as an SPMD program: one simulated processor per
-// goroutine, each receiving its own *Proc. Run returns once every
-// processor has finished. It returns the maximum simulated completion time
-// across processors, which corresponds to the parallel running time the
-// paper reports.
+// Run executes body as an SPMD program on a fresh machine, one simulated
+// processor per coroutine, each receiving its own *Proc. Run returns once
+// every processor has finished. It returns the maximum simulated
+// completion time across processors, which corresponds to the parallel
+// running time the paper reports.
 func Run(params Params, body func(*Proc)) (simSeconds float64, err error) {
 	m, err := New(params)
 	if err != nil {
@@ -268,10 +326,21 @@ func Run(params Params, body func(*Proc)) (simSeconds float64, err error) {
 }
 
 // Run executes body on each simulated processor of m and returns the
-// maximum simulated completion time. A machine may be reused for multiple
-// consecutive runs, but not concurrently. Each run starts from a pristine
-// simulated state: clocks at zero, counters cleared, and random streams
-// re-seeded, so repeated runs are bit-identical to one-shot runs.
+// maximum simulated completion time. The processors run as coroutines on
+// the calling goroutine: Run resumes each in processor order until it
+// finishes or blocks on an empty link, and repeats until all have
+// finished. The order depends only on processor ids and link contents,
+// never on host scheduling. Bodies must therefore not synchronise with
+// each other except through the fabric: a processor blocked on anything
+// else blocks the whole run.
+//
+// A processor's panic, or a pass in which every unfinished processor is
+// blocked (a deadlock), fails the run: the blocked processors unwind, the
+// links are emptied, and Run returns the error. A machine may be reused
+// for multiple consecutive runs, failed or not, but not concurrently.
+// Each run starts from a pristine simulated state: clocks at zero,
+// counters cleared, and random streams re-seeded, so repeated runs are
+// bit-identical to one-shot runs.
 func (m *Machine) Run(body func(*Proc)) (simSeconds float64, err error) {
 	if !m.running.CompareAndSwap(false, true) {
 		return 0, fmt.Errorf("machine: concurrent Run on one machine")
@@ -280,33 +349,30 @@ func (m *Machine) Run(body func(*Proc)) (simSeconds float64, err error) {
 	if m.closed {
 		return 0, fmt.Errorf("machine: Run on closed machine")
 	}
-	if m.dirty {
-		m.drainLinks()
-		m.dirty = false
-	}
-	p := m.params.Procs
-	for _, proc := range m.procs {
+	for id, proc := range m.procs {
 		proc.reset(m.params.Seed)
+		f := m.fibers[id]
+		f.proc, f.body, f.done, f.panicVal = proc, body, false, nil
 	}
-	for id := 0; id < p; id++ {
-		m.pl.jobs[id] <- job{proc: m.procs[id], body: body, done: m.done}
-	}
-	for i := 0; i < p; i++ {
-		<-m.done
-	}
-	for _, proc := range m.procs {
-		if proc.panicVal != nil {
-			m.dirty = true
-			return 0, fmt.Errorf("machine: processor %d panicked: %v", proc.id, proc.panicVal)
+	// Every way out but a clean finish unwinds the run, including a
+	// processor's runtime.Goexit, which ends its coroutine and makes the
+	// driver's goroutine exit with it.
+	clean := false
+	defer func() {
+		if !clean {
+			m.abort()
 		}
+	}()
+	if err := m.drive(); err != nil {
+		return 0, err
 	}
 	// Cheap reset audit: a clean SPMD run matches every send with a
 	// receive, so residual messages in the fabric mean a protocol bug
 	// (mismatched tags or counts) that would corrupt the next run.
 	if left := m.residualMessages(); left > 0 {
-		m.dirty = true
 		return 0, fmt.Errorf("machine: %d residual message(s) left in the fabric after a run", left)
 	}
+	clean = true
 	var max float64
 	for _, proc := range m.procs {
 		if proc.now > max {
@@ -316,35 +382,90 @@ func (m *Machine) Run(body func(*Proc)) (simSeconds float64, err error) {
 	return max, nil
 }
 
-// residualMessages counts messages still parked in the links.
+// drive resumes the processors in id order, skipping finished ones and
+// those blocked on a still-empty link, until every processor has
+// finished, one has panicked, or a whole pass makes no progress.
+func (m *Machine) drive() error {
+	live := len(m.fibers)
+	for live > 0 {
+		progressed := false
+		for _, f := range m.fibers {
+			if f.done || f.wait != nil && f.wait.head == len(f.wait.q) {
+				continue
+			}
+			f.wait = nil
+			f.next()
+			progressed = true
+			if f.done {
+				if f.panicVal != nil {
+					return fmt.Errorf("machine: processor %d panicked: %v", f.id, f.panicVal)
+				}
+				live--
+			}
+		}
+		if !progressed {
+			return m.deadlock()
+		}
+	}
+	return nil
+}
+
+// deadlock describes a pass in which every unfinished processor waits on
+// an empty link.
+func (m *Machine) deadlock() error {
+	var waits []string
+	for _, f := range m.fibers {
+		for i := range m.links {
+			if !f.done && f.wait == &m.links[i] {
+				waits = append(waits, fmt.Sprintf("%d<-%d", f.id, i/m.params.Procs))
+			}
+		}
+	}
+	return fmt.Errorf("machine: deadlock: every unfinished processor waits on an empty link (receiver<-sender: %s)",
+		strings.Join(waits, " "))
+}
+
+// abort unwinds a failed run: each blocked processor is resumed once, and
+// its receive panics with poison, running the body's deferred calls.
+// Processors the run never started are dropped, the links are emptied,
+// and a coroutine that ended through runtime.Goexit is replaced, so the
+// machine is ready for the next run.
+func (m *Machine) abort() {
+	m.poisoned = true
+	for id, f := range m.fibers {
+		switch {
+		case f.exited:
+			f.stop()
+			m.fibers[id] = newFiber(id)
+			m.procs[id].f = m.fibers[id]
+		case !f.done && f.wait != nil:
+			f.next()
+		}
+		f.proc, f.body, f.wait = nil, nil, nil
+	}
+	m.poisoned = false
+	for i := range m.links {
+		l := &m.links[i]
+		clear(l.q)
+		l.q, l.head = l.q[:0], 0
+	}
+}
+
+// residualMessages counts messages still queued in the links.
 func (m *Machine) residualMessages() int {
 	left := 0
-	for _, link := range m.links {
-		left += len(link)
+	for i := range m.links {
+		left += len(m.links[i].q) - m.links[i].head
 	}
 	return left
 }
 
-// drainLinks discards messages left in the fabric by a failed run.
-func (m *Machine) drainLinks() {
-	for _, link := range m.links {
-		for {
-			select {
-			case <-link:
-			default:
-			}
-			if len(link) == 0 {
-				break
-			}
-		}
-	}
-}
-
 // Proc is a simulated processor's view of the machine: its identity, its
 // clock, its random streams, and its communication endpoints. All methods
-// are for use only by the goroutine running that processor's SPMD body.
+// are for use only by that processor's SPMD body.
 type Proc struct {
 	m  *Machine
+	f  *fiber
 	id int
 	p  int
 
@@ -369,8 +490,6 @@ type Proc struct {
 	// fresh one.
 	sharedSrc *rand.PCG
 	localSrc  *rand.PCG
-
-	panicVal any // recovered panic of the last run, if any
 }
 
 // reset returns the processor to its pristine pre-run state. Scratch is
@@ -378,7 +497,6 @@ type Proc struct {
 func (p *Proc) reset(seed uint64) {
 	p.now = 0
 	p.Counters = Counters{}
-	p.panicVal = nil
 	p.sharedSrc.Seed(seed, sharedStream)
 	p.localSrc.Seed(seed, uint64(p.id)+1)
 }
@@ -454,16 +572,26 @@ func (p *Proc) post(dst int, msg message) {
 		p.Counters.BytesSent += int64(msg.bytes)
 	}
 	msg.arrive = p.now
-	p.m.links[p.id*p.p+dst] <- msg
+	l := &p.m.links[p.id*p.p+dst]
+	l.q = append(l.q, msg)
 }
 
 // take dequeues the next message from src, checks its tag, and advances
 // the receiver's clock to the arrival time plus the mu*bytes drain cost.
+// While the link is empty it yields to the driver; it unwinds with poison
+// if the run fails meanwhile.
 func (p *Proc) take(src, tag int) message {
 	if src < 0 || src >= p.p {
 		panic(fmt.Sprintf("machine: Recv from invalid processor %d of %d", src, p.p))
 	}
-	msg := <-p.m.links[src*p.p+p.id]
+	l := &p.m.links[src*p.p+p.id]
+	for l.head == len(l.q) {
+		p.f.wait = l
+		if !p.f.yield(struct{}{}) || p.m.poisoned {
+			panic(poison{})
+		}
+	}
+	msg := l.pop()
 	if msg.tag != tag {
 		panic(fmt.Sprintf("machine: processor %d expected tag %d from %d, got %d",
 			p.id, tag, src, msg.tag))

@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// TestManyMessagesPerPairNoDeadlock pushes far more messages through a
-// single ordered pair than the per-link buffer holds; the sender must
-// block gracefully and the run must still complete.
+// TestManyMessagesPerPairNoDeadlock pushes many messages through a single
+// ordered pair before the receiver takes any: links are unbounded FIFO
+// queues, so the sender never blocks, and the receiver must drain them
+// all in order.
 func TestManyMessagesPerPairNoDeadlock(t *testing.T) {
 	const k = 10000
 	var sum int64

@@ -7,10 +7,12 @@
 // the element of any rank — median, quantiles, extremes — without sorting,
 // using one of four parallel algorithms (two deterministic, two
 // randomized) and optionally one of four dynamic load balancers. The
-// processors are goroutines connected by a virtual crossbar whose
-// communication is priced with the paper's two-level (tau, mu) cost
-// model, so results carry both a wall-clock time and a simulated parallel
-// time that reproduces the paper's CM-5 measurements in shape.
+// processors are coroutines connected by a virtual crossbar of FIFO links
+// whose communication is priced with the paper's two-level (tau, mu)
+// cost model, so results carry both a wall-clock time and a simulated
+// parallel time that reproduces the paper's CM-5 measurements in shape.
+// One query's processors share one host thread; concurrent queries on
+// separate machines (a Pool) run in parallel.
 //
 // Quick start:
 //
@@ -24,10 +26,10 @@
 //
 // # Reusing a Selector
 //
-// Every package-level call builds the simulated machine — channel fabric,
-// goroutine pool, random streams, scratch arenas — and tears it down
-// again. Callers that issue many selections (a latency dashboard, a
-// quantile service) should construct a Selector once and reuse it: the
+// Building the simulated machine — link fabric, processor coroutines,
+// random streams, scratch arenas — costs more than a small query.
+// Callers that issue many selections (a latency dashboard, a quantile
+// service) should construct a Selector once and reuse it: the
 // machine persists across calls, per-processor scratch memory is
 // recycled, and the hot path stays allocation-light. Results, including
 // the simulated metrics, are bit-identical to the one-shot functions.
@@ -246,8 +248,8 @@ var (
 	ErrPoolTimeout = errors.New("parsel: pool admission timed out waiting for a free machine")
 )
 
-// Selector is a reusable selection engine: the simulated machine —
-// channel fabric, parked goroutine pool, per-processor random streams and
+// Selector is a reusable selection engine: the simulated machine — link
+// fabric, parked processor coroutines, per-processor random streams and
 // scratch arenas — is constructed once and serves repeated queries. Run
 // answers any Query and is the one place an op meets the engine; the
 // named methods (Select, Median, Quantile, Quantiles, SelectRanks, TopK,
@@ -387,7 +389,7 @@ func (s *Selector[K]) ensure(p int) error {
 	return s.rebuild(p)
 }
 
-// Close releases the engine's goroutine pool. Every later method call
+// Close stops the engine's processor coroutines. Every later method call
 // returns ErrSelectorClosed. Closing is optional (dropped Selectors are
 // cleaned up by the runtime) but deterministic, and Close is idempotent.
 // A Close that races an in-flight call is safe: the call completes
