@@ -1,6 +1,8 @@
 // Package obs is the daemon's zero-dependency telemetry layer: a
-// metrics registry with Prometheus-text-format exposition (counters,
-// gauges, labeled histograms), a strict parser for the same format
+// metrics registry with Prometheus-text-format exposition (counters
+// and histograms updated in place, plus counter and gauge families the
+// caller samples at render time from a stats snapshot), a strict
+// parser for the same format
 // (golden tests and CI smoke probes check a scrape with it, and the
 // bench module's traces diff two), request-id generation for
 // cross-node tracing, and a slog constructor shared by internal/serve
@@ -53,8 +55,8 @@ type family struct {
 }
 
 // series is one label-value combination's state. Counters and gauges
-// are atomics (hot paths touch them lock-free); histogram state is
-// guarded by mu.
+// are atomics (hot paths touch them lock-free; gauges are only ever
+// sampled values); histogram state is guarded by mu.
 type series struct {
 	labelVals []string
 
@@ -121,23 +123,6 @@ func (c *Counter) Add(n int64) { c.s.count.Add(n) }
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.s.count.Add(1) }
 
-// Set overwrites the counter's value — for counters that mirror an
-// external monotonic source (a stats struct sampled at scrape time)
-// rather than being incremented in place.
-func (c *Counter) Set(n int64) { c.s.count.Store(n) }
-
-// Value reads the counter.
-func (c *Counter) Value() int64 { return c.s.count.Load() }
-
-// A Gauge is a value that can go up and down.
-type Gauge struct{ s *series }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.s.gauge.Store(math.Float64bits(v)) }
-
-// Value reads the gauge.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.s.gauge.Load()) }
-
 // A Histogram accumulates observations into fixed buckets.
 type Histogram struct {
 	s      *series
@@ -189,18 +174,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return out
 }
 
-// Counter registers an unlabeled counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	f := r.register(name, help, "counter", nil, nil)
-	return &Counter{s: f.get()}
-}
-
-// Gauge registers an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, "gauge", nil, nil)
-	return &Gauge{s: f.get()}
-}
-
 // Histogram registers an unlabeled histogram over the given ascending
 // bucket bounds.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
@@ -221,17 +194,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // the labels were registered), creating the series on first use.
 func (v *CounterVec) With(vals ...string) *Counter { return &Counter{s: v.f.get(vals...)} }
 
-// A GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{f: r.register(name, help, "gauge", labels, nil)}
-}
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(vals ...string) *Gauge { return &Gauge{s: v.f.get(vals...)} }
-
 // A HistogramVec is a histogram family with labels.
 type HistogramVec struct{ f *family }
 
@@ -246,29 +208,63 @@ func (v *HistogramVec) With(vals ...string) *Histogram {
 	return &Histogram{s: v.f.get(vals...), bounds: v.f.bounds}
 }
 
+// Sampled is a counter or gauge family whose values the caller reads
+// at render time — from one stats snapshot, say — instead of keeping
+// them in the registry.
+type Sampled struct {
+	Name, Help string
+	Kind       string   // "counter" or "gauge"
+	Labels     []string // label names; each sample carries their values
+	Samples    []Sample
+}
+
+// A Sample is one series of a Sampled family: its label values, in
+// the family's label order, and its value (a counter's is integral).
+type Sample struct {
+	Labels []string
+	Value  float64
+}
+
+// family builds a throwaway family holding the sampled values, so it
+// renders exactly as a registered one does.
+func (sf Sampled) family() *family {
+	f := &family{name: sf.Name, help: sf.Help, kind: sf.Kind, labels: sf.Labels,
+		series: make(map[string]*series, len(sf.Samples))}
+	for _, smp := range sf.Samples {
+		s := f.get(smp.Labels...) // render reads the field of its kind
+		s.count.Store(int64(smp.Value))
+		s.gauge.Store(math.Float64bits(smp.Value))
+	}
+	return f
+}
+
 // ContentType is the Content-Type of the text exposition format.
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// WriteTo renders every family in Prometheus text format: families
-// sorted by name, series sorted by label values, histograms as
-// cumulative buckets with +Inf and the _sum/_count pair. A family with
-// no series yet still renders its HELP and TYPE lines (a scraper sees
-// the schema before the first event).
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
+// Write renders every registered family together with the sampled
+// ones in Prometheus text format: families sorted by name, series
+// sorted by label values, histograms as cumulative buckets with +Inf
+// and the _sum/_count pair. A family with no series yet still renders
+// its HELP and TYPE lines (a scraper sees the schema before the first
+// event).
+func (r *Registry) Write(w io.Writer, sampled []Sampled) error {
 	r.mu.Lock()
-	fams := make([]*family, 0, len(r.families))
+	fams := make([]*family, 0, len(r.families)+len(sampled))
 	for _, f := range r.families {
 		fams = append(fams, f)
 	}
 	r.mu.Unlock()
+	for _, sf := range sampled {
+		fams = append(fams, sf.family())
+	}
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
 	var b strings.Builder
 	for _, f := range fams {
 		f.render(&b)
 	}
-	n, err := io.WriteString(w, b.String())
-	return int64(n), err
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // render writes one family's HELP/TYPE header and samples.

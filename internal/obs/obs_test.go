@@ -7,15 +7,11 @@ import (
 )
 
 // TestExpositionGolden pins the exact text rendering: HELP/TYPE pairs,
-// family and series ordering, label escaping, cumulative buckets with
-// +Inf, and the _sum/_count pair.
+// family and series ordering across registered and sampled families,
+// label escaping, cumulative buckets with +Inf, and the _sum/_count
+// pair.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("test_total", "a counter")
-	c.Add(41)
-	c.Inc()
-	g := r.Gauge("test_gauge", "a gauge")
-	g.Set(2.5)
 	cv := r.CounterVec("test_labeled_total", `labels with "quotes", \slashes and`+"\nnewlines", "tenant", "code")
 	cv.With(`te"nant\one`+"\n", "200").Add(3)
 	cv.With("b", "429").Add(1)
@@ -28,11 +24,21 @@ func TestExpositionGolden(t *testing.T) {
 	hv := r.HistogramVec("test_staged_seconds", "labeled histogram", []float64{1}, "stage")
 	hv.With("queue").Observe(0.5)
 
+	sampled := []Sampled{
+		{Name: "test_total", Help: "a counter", Kind: "counter", Samples: []Sample{{Value: 42}}},
+		{Name: "test_gauge", Help: "a gauge", Kind: "gauge", Samples: []Sample{{Value: 2.5}}},
+		{Name: "test_tenant_bytes", Help: "a labeled gauge", Kind: "gauge", Labels: []string{"tenant"},
+			Samples: []Sample{{Labels: []string{"b"}, Value: 1e9}, {Labels: []string{"a"}, Value: 0}}},
+		{Name: "test_empty_total", Help: "no series yet", Kind: "counter", Labels: []string{"tenant"}},
+	}
+
 	var b strings.Builder
-	if _, err := r.WriteTo(&b); err != nil {
+	if err := r.Write(&b, sampled); err != nil {
 		t.Fatal(err)
 	}
-	want := `# HELP test_gauge a gauge
+	want := `# HELP test_empty_total no series yet
+# TYPE test_empty_total counter
+# HELP test_gauge a gauge
 # TYPE test_gauge gauge
 test_gauge 2.5
 # HELP test_labeled_total labels with "quotes", \\slashes and\nnewlines
@@ -54,6 +60,10 @@ test_staged_seconds_bucket{stage="queue",le="1"} 1
 test_staged_seconds_bucket{stage="queue",le="+Inf"} 1
 test_staged_seconds_sum{stage="queue"} 0.5
 test_staged_seconds_count{stage="queue"} 1
+# HELP test_tenant_bytes a labeled gauge
+# TYPE test_tenant_bytes gauge
+test_tenant_bytes{tenant="a"} 0
+test_tenant_bytes{tenant="b"} 1e+09
 # HELP test_total a counter
 # TYPE test_total counter
 test_total 42

@@ -38,44 +38,22 @@ var latencyBounds = []float64{
 	1, 2.5, 5, 10,
 }
 
-// serverMetrics is the Server's obs instrument set behind GET /metrics.
-//
-// Two kinds of series live here. The live instruments (requests,
-// latency, stages) are updated on the request path and are the same
-// backing store /v1/stats renders its latency histogram from — the two
-// endpoints cannot disagree. Everything else is filled at scrape time
-// from the Stats() snapshot (fill), so the daemon's existing counters
-// stay the single source of truth and no request-path code does double
-// bookkeeping.
+// serverMetrics holds the live request-path instruments behind GET
+// /metrics. Each is the only ledger of its fact, updated where a
+// request finishes; /v1/stats renders its latency histogram from the
+// same instrument, so the two endpoints cannot disagree. Everything
+// else on /metrics is sampled per scrape from one Stats() snapshot
+// through statTable.
 type serverMetrics struct {
-	reg *obs.Registry
-
-	// Live request-path instruments.
+	reg      *obs.Registry
 	requests *obs.CounterVec   // parsel_requests_total{endpoint,kind,code}
 	latency  *obs.Histogram    // parsel_query_duration_seconds
 	stages   *obs.HistogramVec // parsel_query_stage_seconds{stage}
-
-	// Scrape-time mirrors of the Stats() snapshot.
-	poolCreates, poolHits, poolReshapes, poolWaits, poolTimeouts *obs.Counter
-	poolResident, poolIdle, poolMax                              *obs.Gauge
-	admitInflight, admitCapacity, draining                       *obs.Gauge
-	srvOK, srvClientErr, srvServerErr, srvTimeouts, srvRejected  *obs.Counter
-	srvPanics                                                    *obs.Counter
-	simQueries, simMessages, simBytes                            *obs.Counter
-	simSeconds                                                   *obs.Gauge
-	dsCount, dsBytes, dsBudget                                   *obs.Gauge
-	dsUploads, dsReplaced, dsDeletes, dsExpired                  *obs.Counter
-	dsRejected, dsNotFound, dsQueries, dsExports                 *obs.Counter
-	snapRestored, snapSkipped, snapQuarantined                   *obs.Counter
-	snapPersists, snapPersistErrors                              *obs.Counter
-	snapBytes, snapDirty, snapDegraded                           *obs.Gauge
-	tenantDatasets, tenantBytes                                  *obs.GaugeVec
-	tenantRequests, tenantRejected                               *obs.CounterVec
 }
 
 func newServerMetrics() *serverMetrics {
 	r := obs.NewRegistry()
-	m := &serverMetrics{
+	return &serverMetrics{
 		reg: r,
 		requests: r.CounterVec("parsel_requests_total",
 			"Requests finished, by endpoint (dataset ids collapsed to {id}), key kind and HTTP status code.",
@@ -86,123 +64,130 @@ func newServerMetrics() *serverMetrics {
 		stages: r.HistogramVec("parsel_query_stage_seconds",
 			"Per-stage latency of query requests: queue (admission+parse), checkout (pool semaphore wait), execute (simulation), encode (response write).",
 			latencyBounds, "stage"),
-
-		poolCreates:   r.Counter("parsel_pool_creates_total", "Selectors built by the pool."),
-		poolHits:      r.Counter("parsel_pool_hits_total", "Checkouts served by an idle same-shape Selector."),
-		poolReshapes:  r.Counter("parsel_pool_reshapes_total", "Checkouts that repurposed an idle Selector of another shape."),
-		poolWaits:     r.Counter("parsel_pool_waits_total", "Checkouts that blocked for a free machine slot."),
-		poolTimeouts:  r.Counter("parsel_pool_timeouts_total", "Checkouts abandoned because the admission deadline expired."),
-		poolResident:  r.Gauge("parsel_pool_resident", "Resident Selectors, idle or checked out."),
-		poolIdle:      r.Gauge("parsel_pool_idle", "Idle resident Selectors."),
-		poolMax:       r.Gauge("parsel_pool_max_machines", "Configured machine capacity of the int64 pool."),
-		admitInflight: r.Gauge("parsel_admission_inflight", "Requests currently holding an admission token."),
-		admitCapacity: r.Gauge("parsel_admission_capacity", "Admission tokens (MaxMachines + QueueDepth)."),
-		draining:      r.Gauge("parsel_draining", "1 while graceful shutdown is in progress."),
-
-		srvOK:        r.Counter("parsel_server_ok_total", "200 query responses (ServerStats.OK)."),
-		srvClientErr: r.Counter("parsel_server_client_errors_total", "4xx responses other than admission failures."),
-		srvServerErr: r.Counter("parsel_server_server_errors_total", "5xx responses."),
-		srvTimeouts:  r.Counter("parsel_server_pool_timeouts_total", "429 pool_timeout responses."),
-		srvRejected:  r.Counter("parsel_server_rejected_total", "429 queue_full admission rejections."),
-		srvPanics:    r.Counter("parsel_server_panics_total", "Handler panics caught by the recovery middleware."),
-
-		simQueries:  r.Counter("parsel_sim_queries_total", "Queries aggregated into the simulated-machine metrics."),
-		simSeconds:  r.Gauge("parsel_sim_seconds", "Simulated machine-seconds across served queries."),
-		simMessages: r.Counter("parsel_sim_messages_total", "Simulated messages across served queries."),
-		simBytes:    r.Counter("parsel_sim_bytes_total", "Simulated bytes across served queries."),
-
-		dsCount:    r.Gauge("parsel_datasets", "Resident datasets."),
-		dsBytes:    r.Gauge("parsel_dataset_resident_bytes", "Total resident bytes of all datasets."),
-		dsBudget:   r.Gauge("parsel_dataset_budget_bytes", "Configured resident-bytes budget."),
-		dsUploads:  r.Counter("parsel_dataset_uploads_total", "Accepted dataset uploads, replacements included."),
-		dsReplaced: r.Counter("parsel_dataset_replaced_total", "Uploads that overwrote an existing id."),
-		dsDeletes:  r.Counter("parsel_dataset_deletes_total", "Explicit dataset deletions."),
-		dsExpired:  r.Counter("parsel_dataset_expired_total", "TTL evictions."),
-		dsRejected: r.Counter("parsel_dataset_rejected_total", "Uploads refused for a resident budget (413)."),
-		dsNotFound: r.Counter("parsel_dataset_not_found_total", "Queries or deletes addressed at absent dataset ids."),
-		dsQueries:  r.Counter("parsel_dataset_queries_total", "Dataset-path queries served OK."),
-		dsExports:  r.Counter("parsel_dataset_exports_total", "Snapshot-stream exports served OK."),
-
-		snapRestored:      r.Counter("parsel_snapshot_restored_total", "Datasets recovered from snapshots at startup."),
-		snapSkipped:       r.Counter("parsel_snapshot_restore_skipped_total", "Manifest entries not recovered at startup."),
-		snapQuarantined:   r.Counter("parsel_snapshot_quarantined_total", "Corrupt snapshot files renamed aside."),
-		snapPersists:      r.Counter("parsel_snapshot_persists_total", "Snapshot writes."),
-		snapPersistErrors: r.Counter("parsel_snapshot_persist_errors_total", "Snapshot writes that failed."),
-		snapBytes:         r.Gauge("parsel_snapshot_bytes", "On-disk size of all live snapshot files."),
-		snapDirty:         r.Gauge("parsel_snapshot_dirty", "Datasets whose latest state is not yet on disk."),
-		snapDegraded:      r.Gauge("parsel_snapshot_degraded", "1 while snapshot persistence is failing."),
-
-		tenantDatasets: r.GaugeVec("parsel_tenant_datasets", "Resident datasets per tenant.", "tenant"),
-		tenantBytes:    r.GaugeVec("parsel_tenant_resident_bytes", "Resident bytes per tenant.", "tenant"),
-		tenantRequests: r.CounterVec("parsel_tenant_requests_total", "Authenticated requests per tenant.", "tenant"),
-		tenantRejected: r.CounterVec("parsel_tenant_rejected_total", "Budget/quota upload rejections per tenant (413 tenant_budget).", "tenant"),
-	}
-	return m
-}
-
-// fill mirrors one Stats() snapshot into the scrape-time series. Called
-// by the /metrics handler just before rendering, so the exposition and
-// /v1/stats describe the same instant without the request path paying
-// for two ledgers.
-func (m *serverMetrics) fill(st parselclient.Stats, admitCapacity int) {
-	m.poolCreates.Set(st.Pool.Creates)
-	m.poolHits.Set(st.Pool.Hits)
-	m.poolReshapes.Set(st.Pool.Reshapes)
-	m.poolWaits.Set(st.Pool.Waits)
-	m.poolTimeouts.Set(st.Pool.Timeouts)
-	m.poolResident.Set(float64(st.Pool.Resident))
-	m.poolIdle.Set(float64(st.Pool.Idle))
-	m.poolMax.Set(float64(st.Pool.MaxMachines))
-	m.admitInflight.Set(float64(st.Server.Inflight))
-	m.admitCapacity.Set(float64(admitCapacity))
-	m.draining.Set(boolGauge(st.Server.Draining))
-
-	m.srvOK.Set(st.Server.OK)
-	m.srvClientErr.Set(st.Server.ClientErrors)
-	m.srvServerErr.Set(st.Server.ServerErrors)
-	m.srvTimeouts.Set(st.Server.Timeouts)
-	m.srvRejected.Set(st.Server.Rejected)
-	m.srvPanics.Set(st.Server.Panics)
-
-	m.simQueries.Set(st.Sim.Queries)
-	m.simSeconds.Set(st.Sim.SimSeconds)
-	m.simMessages.Set(st.Sim.Messages)
-	m.simBytes.Set(st.Sim.Bytes)
-
-	m.dsCount.Set(float64(st.Datasets.Count))
-	m.dsBytes.Set(float64(st.Datasets.ResidentBytes))
-	m.dsBudget.Set(float64(st.Datasets.BudgetBytes))
-	m.dsUploads.Set(st.Datasets.Uploads)
-	m.dsReplaced.Set(st.Datasets.Replaced)
-	m.dsDeletes.Set(st.Datasets.Deletes)
-	m.dsExpired.Set(st.Datasets.Expired)
-	m.dsRejected.Set(st.Datasets.Rejected)
-	m.dsNotFound.Set(st.Datasets.NotFound)
-	m.dsQueries.Set(st.Datasets.Queries)
-	m.dsExports.Set(st.Datasets.Exports)
-
-	m.snapRestored.Set(st.Snapshots.Restored)
-	m.snapSkipped.Set(st.Snapshots.RestoreSkipped)
-	m.snapQuarantined.Set(st.Snapshots.Quarantined)
-	m.snapPersists.Set(st.Snapshots.Persists)
-	m.snapPersistErrors.Set(st.Snapshots.PersistErrors)
-	m.snapBytes.Set(float64(st.Snapshots.SnapshotBytes))
-	m.snapDirty.Set(float64(st.Snapshots.Dirty))
-	m.snapDegraded.Set(boolGauge(st.Snapshots.Degraded))
-
-	for name, ts := range st.Tenants {
-		m.tenantDatasets.With(name).Set(float64(ts.Datasets))
-		m.tenantBytes.With(name).Set(float64(ts.ResidentBytes))
-		m.tenantRequests.With(name).Set(ts.Requests)
-		m.tenantRejected.With(name).Set(ts.Rejected)
 	}
 }
 
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
+// statView is what one scrape samples: the Stats snapshot, the
+// admission capacity /v1/stats does not carry, and — while a per-tenant
+// row is sampled — the tenant block at hand.
+type statView struct {
+	parselclient.Stats
+	admitCapacity int
+	tenant        parselclient.TenantStats
+}
+
+// statRow binds one numeric or boolean fact of a statView to its
+// exposition family: name, TYPE, label (tenant rows render one series
+// per tenant block) and HELP.
+type statRow struct {
+	name, kind, label, help string
+	get                     func(*statView) any
+}
+
+const (
+	counter     = "counter"
+	gauge       = "gauge"
+	unlabeled   = ""
+	tenantLabel = "tenant"
+)
+
+// statTable is every /metrics family sampled from the Stats snapshot,
+// one row per fact. The pool rows sum the int64, float64 and string
+// kind pools; max_machines is the per-kind capacity.
+var statTable = []statRow{
+	{"parsel_pool_creates_total", counter, unlabeled, "Selectors built by the pool.", func(v *statView) any { return v.Pool.Creates }},
+	{"parsel_pool_hits_total", counter, unlabeled, "Checkouts served by an idle same-shape Selector.", func(v *statView) any { return v.Pool.Hits }},
+	{"parsel_pool_reshapes_total", counter, unlabeled, "Checkouts that repurposed an idle Selector of another shape.", func(v *statView) any { return v.Pool.Reshapes }},
+	{"parsel_pool_waits_total", counter, unlabeled, "Checkouts that blocked for a free machine slot.", func(v *statView) any { return v.Pool.Waits }},
+	{"parsel_pool_timeouts_total", counter, unlabeled, "Checkouts abandoned because the admission deadline expired.", func(v *statView) any { return v.Pool.Timeouts }},
+	{"parsel_pool_resident", gauge, unlabeled, "Resident Selectors, idle or checked out.", func(v *statView) any { return v.Pool.Resident }},
+	{"parsel_pool_idle", gauge, unlabeled, "Idle resident Selectors.", func(v *statView) any { return v.Pool.Idle }},
+	{"parsel_pool_max_machines", gauge, unlabeled, "Configured machine capacity of the int64 pool.", func(v *statView) any { return v.Pool.MaxMachines }},
+	{"parsel_admission_inflight", gauge, unlabeled, "Requests currently holding an admission token.", func(v *statView) any { return v.Server.Inflight }},
+	{"parsel_admission_capacity", gauge, unlabeled, "Admission tokens (MaxMachines + QueueDepth).", func(v *statView) any { return v.admitCapacity }},
+	{"parsel_draining", gauge, unlabeled, "1 while graceful shutdown is in progress.", func(v *statView) any { return v.Server.Draining }},
+
+	{"parsel_server_requests_total", counter, unlabeled, "Query requests received, whatever their outcome (ServerStats.Requests).", func(v *statView) any { return v.Server.Requests }},
+	{"parsel_server_ok_total", counter, unlabeled, "200 query responses (ServerStats.OK).", func(v *statView) any { return v.Server.OK }},
+	{"parsel_server_client_errors_total", counter, unlabeled, "4xx responses other than admission failures.", func(v *statView) any { return v.Server.ClientErrors }},
+	{"parsel_server_server_errors_total", counter, unlabeled, "5xx responses.", func(v *statView) any { return v.Server.ServerErrors }},
+	{"parsel_server_pool_timeouts_total", counter, unlabeled, "429 pool_timeout responses.", func(v *statView) any { return v.Server.Timeouts }},
+	{"parsel_server_rejected_total", counter, unlabeled, "429 queue_full admission rejections.", func(v *statView) any { return v.Server.Rejected }},
+	{"parsel_server_panics_total", counter, unlabeled, "Handler panics caught by the recovery middleware.", func(v *statView) any { return v.Server.Panics }},
+
+	{"parsel_sim_queries_total", counter, unlabeled, "Queries aggregated into the simulated-machine metrics.", func(v *statView) any { return v.Sim.Queries }},
+	{"parsel_sim_seconds", gauge, unlabeled, "Simulated machine-seconds across served queries.", func(v *statView) any { return v.Sim.SimSeconds }},
+	{"parsel_sim_messages_total", counter, unlabeled, "Simulated messages across served queries.", func(v *statView) any { return v.Sim.Messages }},
+	{"parsel_sim_bytes_total", counter, unlabeled, "Simulated bytes across served queries.", func(v *statView) any { return v.Sim.Bytes }},
+
+	{"parsel_datasets", gauge, unlabeled, "Resident datasets.", func(v *statView) any { return v.Datasets.Count }},
+	{"parsel_dataset_resident_bytes", gauge, unlabeled, "Total resident bytes of all datasets.", func(v *statView) any { return v.Datasets.ResidentBytes }},
+	{"parsel_dataset_budget_bytes", gauge, unlabeled, "Configured resident-bytes budget.", func(v *statView) any { return v.Datasets.BudgetBytes }},
+	{"parsel_dataset_uploads_total", counter, unlabeled, "Accepted dataset uploads, replacements included.", func(v *statView) any { return v.Datasets.Uploads }},
+	{"parsel_dataset_replaced_total", counter, unlabeled, "Uploads that overwrote an existing id.", func(v *statView) any { return v.Datasets.Replaced }},
+	{"parsel_dataset_deletes_total", counter, unlabeled, "Explicit dataset deletions.", func(v *statView) any { return v.Datasets.Deletes }},
+	{"parsel_dataset_expired_total", counter, unlabeled, "TTL evictions.", func(v *statView) any { return v.Datasets.Expired }},
+	{"parsel_dataset_rejected_total", counter, unlabeled, "Uploads refused for a resident budget (413).", func(v *statView) any { return v.Datasets.Rejected }},
+	{"parsel_dataset_not_found_total", counter, unlabeled, "Queries or deletes addressed at absent dataset ids.", func(v *statView) any { return v.Datasets.NotFound }},
+	{"parsel_dataset_queries_total", counter, unlabeled, "Dataset-path queries served OK.", func(v *statView) any { return v.Datasets.Queries }},
+	{"parsel_dataset_exports_total", counter, unlabeled, "Snapshot-stream exports served OK.", func(v *statView) any { return v.Datasets.Exports }},
+
+	{"parsel_snapshot_enabled", gauge, unlabeled, "1 when a snapshot directory is configured.", func(v *statView) any { return v.Snapshots.Enabled }},
+	{"parsel_snapshot_restored_total", counter, unlabeled, "Datasets recovered from snapshots at startup.", func(v *statView) any { return v.Snapshots.Restored }},
+	{"parsel_snapshot_restore_skipped_total", counter, unlabeled, "Manifest entries not recovered at startup.", func(v *statView) any { return v.Snapshots.RestoreSkipped }},
+	{"parsel_snapshot_quarantined_total", counter, unlabeled, "Corrupt snapshot files renamed aside.", func(v *statView) any { return v.Snapshots.Quarantined }},
+	{"parsel_snapshot_persists_total", counter, unlabeled, "Snapshot writes.", func(v *statView) any { return v.Snapshots.Persists }},
+	{"parsel_snapshot_persist_errors_total", counter, unlabeled, "Snapshot writes that failed.", func(v *statView) any { return v.Snapshots.PersistErrors }},
+	{"parsel_snapshot_bytes", gauge, unlabeled, "On-disk size of all live snapshot files.", func(v *statView) any { return v.Snapshots.SnapshotBytes }},
+	{"parsel_snapshot_dirty", gauge, unlabeled, "Datasets whose latest state is not yet on disk.", func(v *statView) any { return v.Snapshots.Dirty }},
+	{"parsel_snapshot_last_persist_unix_ms", gauge, unlabeled, "Unix time in milliseconds of the last successful snapshot write; 0 before the first.", func(v *statView) any { return v.Snapshots.LastPersistUnixMS }},
+	{"parsel_snapshot_degraded", gauge, unlabeled, "1 while snapshot persistence is failing.", func(v *statView) any { return v.Snapshots.Degraded }},
+
+	{"parsel_tenant_datasets", gauge, tenantLabel, "Resident datasets per tenant.", func(v *statView) any { return v.tenant.Datasets }},
+	{"parsel_tenant_resident_bytes", gauge, tenantLabel, "Resident bytes per tenant.", func(v *statView) any { return v.tenant.ResidentBytes }},
+	{"parsel_tenant_max_resident_bytes", gauge, tenantLabel, "Resident-bytes budget per tenant; 0 means only the global budget applies.", func(v *statView) any { return v.tenant.MaxResidentBytes }},
+	{"parsel_tenant_max_datasets", gauge, tenantLabel, "Dataset quota per tenant; 0 means no per-tenant count limit.", func(v *statView) any { return v.tenant.MaxDatasets }},
+	{"parsel_tenant_requests_total", counter, tenantLabel, "Authenticated requests per tenant.", func(v *statView) any { return v.tenant.Requests }},
+	{"parsel_tenant_rejected_total", counter, tenantLabel, "Budget/quota upload rejections per tenant (413 tenant_budget).", func(v *statView) any { return v.tenant.Rejected }},
+}
+
+// sample renders every statTable row from the one snapshot in v. A
+// tenant removed by reload is absent from the snapshot, so its series
+// leave /metrics with it.
+func (v *statView) sample() []obs.Sampled {
+	fams := make([]obs.Sampled, len(statTable))
+	for i, row := range statTable {
+		f := obs.Sampled{Name: row.name, Help: row.help, Kind: row.kind}
+		if row.label == unlabeled {
+			f.Samples = []obs.Sample{{Value: statValue(row.get(v))}}
+		} else {
+			f.Labels = []string{row.label}
+			for name, ts := range v.Tenants {
+				v.tenant = ts
+				f.Samples = append(f.Samples, obs.Sample{Labels: []string{name}, Value: statValue(row.get(v))})
+			}
+		}
+		fams[i] = f
 	}
-	return 0
+	return fams
+}
+
+// statValue converts one stats field to its sample value.
+func statValue(x any) float64 {
+	switch x := x.(type) {
+	case int64:
+		return float64(x)
+	case int:
+		return float64(x)
+	case float64:
+		return x
+	case bool:
+		if x {
+			return 1
+		}
+		return 0
+	}
+	panic(fmt.Sprintf("serve: stats field of type %T has no sample value", x))
 }
 
 // wireHistogram renders an obs histogram snapshot in the /v1/stats wire
@@ -230,9 +215,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"metrics is a GET request")
 		return
 	}
-	s.metrics.fill(s.Stats(), cap(s.admit))
+	v := statView{Stats: s.Stats(), admitCapacity: cap(s.admit)}
 	w.Header().Set("Content-Type", obs.ContentType)
-	_, _ = s.metrics.reg.WriteTo(w)
+	// A failed write means the scraper hung up; there is no one to tell.
+	_ = s.metrics.reg.Write(w, v.sample())
 }
 
 // reqTrack follows one request through the middleware stack: its

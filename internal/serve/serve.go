@@ -649,10 +649,21 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// Stats snapshots the daemon's counters: pool, server, aggregate
-// simulated metrics, and the host latency histogram.
+// Stats snapshots the daemon's counters: pool (summed over the int64,
+// float64 and string kind pools; MaxMachines is the per-kind
+// capacity), server, aggregate simulated metrics, and the host latency
+// histogram.
 func (s *Server) Stats() parselclient.Stats {
-	pst := s.pool.Stats()
+	pst := parselclient.PoolStats{MaxMachines: s.pool.MaxMachines()}
+	for _, ps := range []parsel.PoolStats{s.pool.Stats(), s.poolF64.Stats(), s.poolStr.Stats()} {
+		pst.Creates += ps.Creates
+		pst.Hits += ps.Hits
+		pst.Reshapes += ps.Reshapes
+		pst.Waits += ps.Waits
+		pst.Timeouts += ps.Timeouts
+		pst.Resident += ps.Resident
+		pst.Idle += ps.Idle
+	}
 	s.dsMu.Lock()
 	s.sweepLocked(s.now())
 	dst := s.dstats
@@ -681,16 +692,7 @@ func (s *Server) Stats() parselclient.Stats {
 	srv.Inflight = int64(len(s.admit))
 	srv.Draining = s.draining
 	return parselclient.Stats{
-		Pool: parselclient.PoolStats{
-			Creates:     pst.Creates,
-			Hits:        pst.Hits,
-			Reshapes:    pst.Reshapes,
-			Waits:       pst.Waits,
-			Timeouts:    pst.Timeouts,
-			Resident:    pst.Resident,
-			Idle:        pst.Idle,
-			MaxMachines: s.pool.MaxMachines(),
-		},
+		Pool:      pst,
 		Server:    srv,
 		Sim:       s.sim,
 		Datasets:  dst,

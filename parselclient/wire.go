@@ -439,16 +439,20 @@ func Codes() []Code {
 	}
 }
 
-// PoolStats mirrors parsel.PoolStats plus the pool's capacity.
+// PoolStats is parsel.PoolStats summed over the daemon's kind pools
+// (int64, float64 and string), plus the pool capacity.
 type PoolStats struct {
-	Creates     int64 `json:"creates"`
-	Hits        int64 `json:"hits"`
-	Reshapes    int64 `json:"reshapes"`
-	Waits       int64 `json:"waits"`
-	Timeouts    int64 `json:"timeouts"`
-	Resident    int64 `json:"resident"`
-	Idle        int64 `json:"idle"`
-	MaxMachines int   `json:"max_machines"`
+	Creates  int64 `json:"creates"`
+	Hits     int64 `json:"hits"`
+	Reshapes int64 `json:"reshapes"`
+	Waits    int64 `json:"waits"`
+	Timeouts int64 `json:"timeouts"`
+	Resident int64 `json:"resident"`
+	Idle     int64 `json:"idle"`
+	// MaxMachines is the per-kind capacity, not a sum over kinds: the
+	// int64 pool's machine limit, which the daemon's default float64
+	// and string pools copy.
+	MaxMachines int `json:"max_machines"`
 }
 
 // ServerStats counts what the HTTP front-end did.
