@@ -28,7 +28,8 @@
 #                  paper experiment CLI: list the experiments and run every
 #                  one on the shrunk grid with one seed (~1 s, deterministic);
 #                  then every collective host benchmark in internal/comm
-#                  once (-benchtime 1x), so the benchmarks cannot rot
+#                  once (-benchtime 1x), so the benchmarks cannot rot; then
+#                  every examples/* main (~2 s), failing on a non-zero exit
 #   make bench-smoke - the benchmark module's own tests (every workload once,
 #                  with short phases, plus its compare logic). bench/ is a
 #                  separate module outside `go test ./...`, so this is what
@@ -83,6 +84,10 @@ smoke:
 	$(GO) run ./cmd/selectbench -list
 	$(GO) run ./cmd/selectbench -exp all -quick -seeds 1
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/comm
+	@for ex in examples/*/; do \
+		echo "$(GO) run ./$$ex"; \
+		$(GO) run ./$$ex > /dev/null || exit 1; \
+	done
 
 bench-smoke:
 	$(GO) -C bench test -count=1 ./...

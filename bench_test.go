@@ -9,6 +9,7 @@
 package parsel_test
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -71,7 +72,7 @@ func benchSelect(b *testing.B, alg parsel.Algorithm, bal parsel.Balancer) {
 	opts := parsel.Options{Algorithm: alg, Balancer: bal}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := parsel.Median(shards, opts); err != nil {
+		if _, err := parsel.Over(shards, opts).Median(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -97,7 +98,7 @@ func BenchmarkSelectOneShot(b *testing.B) {
 	opts := parsel.Options{Algorithm: parsel.FastRandomized, Balancer: parsel.ModifiedOMLB}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := parsel.Median(shards, opts); err != nil {
+		if _, err := parsel.Over(shards, opts).Median(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -117,7 +118,7 @@ func BenchmarkSelectorReuse(b *testing.B) {
 	defer sel.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sel.Median(shards); err != nil {
+		if _, err := sel.Over(shards).Median(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

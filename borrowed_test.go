@@ -94,28 +94,39 @@ type namedQuery struct {
 
 // shardQuerier is the shard-per-query surface Selector and Pool share.
 type shardQuerier[K cmp.Ordered] interface {
-	Select(shards [][]K, rank int64) (parsel.Result[K], error)
-	Median(shards [][]K) (parsel.Result[K], error)
-	Quantile(shards [][]K, q float64) (parsel.Result[K], error)
-	SelectRanks(shards [][]K, ranks []int64) ([]K, parsel.Report, error)
-	Quantiles(shards [][]K, qs []float64) ([]K, parsel.Report, error)
-	TopK(shards [][]K, k int) ([]K, parsel.Report, error)
-	BottomK(shards [][]K, k int) ([]K, parsel.Report, error)
-	Summary(shards [][]K) (parsel.FiveNumber[K], parsel.Report, error)
+	Over(shards [][]K) parsel.Verbs[K]
 }
 
 // shardQueries lists every borrowing query kind of q on shards.
 func shardQueries[K cmp.Ordered](q shardQuerier[K], shards [][]K) []namedQuery {
-	n := population(shards)
+	return verbQueries(q.Over(shards), population(shards))
+}
+
+// verbSet is the eight named queries: parsel.Verbs, and every dataset
+// that embeds them.
+type verbSet[K cmp.Ordered] interface {
+	Select(ctx context.Context, rank int64) (parsel.Result[K], error)
+	Median(ctx context.Context) (parsel.Result[K], error)
+	Quantile(ctx context.Context, q float64) (parsel.Result[K], error)
+	Quantiles(ctx context.Context, qs []float64) ([]K, parsel.Report, error)
+	SelectRanks(ctx context.Context, ranks []int64) ([]K, parsel.Report, error)
+	TopK(ctx context.Context, k int) ([]K, parsel.Report, error)
+	BottomK(ctx context.Context, k int) ([]K, parsel.Report, error)
+	Summary(ctx context.Context) (parsel.FiveNumber[K], parsel.Report, error)
+}
+
+// verbQueries lists every named query of v over a population of n keys.
+func verbQueries[K cmp.Ordered](v verbSet[K], n int64) []namedQuery {
+	ctx := context.Background()
 	return []namedQuery{
-		{"Select", func() error { _, err := q.Select(shards, n/3+1); return err }},
-		{"Median", func() error { _, err := q.Median(shards); return err }},
-		{"Quantile", func() error { _, err := q.Quantile(shards, 0.9); return err }},
-		{"SelectRanks", func() error { _, _, err := q.SelectRanks(shards, []int64{1, n / 4, n / 2, n}); return err }},
-		{"Quantiles", func() error { _, _, err := q.Quantiles(shards, []float64{0.1, 0.5, 0.99}); return err }},
-		{"TopK", func() error { _, _, err := q.TopK(shards, 7); return err }},
-		{"BottomK", func() error { _, _, err := q.BottomK(shards, 7); return err }},
-		{"Summary", func() error { _, _, err := q.Summary(shards); return err }},
+		{"Select", func() error { _, err := v.Select(ctx, n/3+1); return err }},
+		{"Median", func() error { _, err := v.Median(ctx); return err }},
+		{"Quantile", func() error { _, err := v.Quantile(ctx, 0.9); return err }},
+		{"SelectRanks", func() error { _, _, err := v.SelectRanks(ctx, []int64{1, n / 4, n / 2, n}); return err }},
+		{"Quantiles", func() error { _, _, err := v.Quantiles(ctx, []float64{0.1, 0.5, 0.99}); return err }},
+		{"TopK", func() error { _, _, err := v.TopK(ctx, 7); return err }},
+		{"BottomK", func() error { _, _, err := v.BottomK(ctx, 7); return err }},
+		{"Summary", func() error { _, _, err := v.Summary(ctx); return err }},
 	}
 }
 
@@ -151,24 +162,16 @@ func population[K any](shards [][]K) int64 {
 // methods and Run alike.
 func datasetQueries[K cmp.Ordered](ds *parsel.Dataset[K]) []namedQuery {
 	n := ds.N()
-	return append([]namedQuery{
-		{"Select", func() error { _, err := ds.Select(n/3 + 1); return err }},
-		{"Median", func() error { _, err := ds.Median(); return err }},
-		{"Quantile", func() error { _, err := ds.Quantile(0.9); return err }},
-		{"SelectRanks", func() error { _, _, err := ds.SelectRanks([]int64{1, n / 4, n / 2, n}); return err }},
-		{"Quantiles", func() error { _, _, err := ds.Quantiles([]float64{0.1, 0.5, 0.99}); return err }},
-		{"TopK", func() error { _, _, err := ds.TopK(7); return err }},
-		{"BottomK", func() error { _, _, err := ds.BottomK(7); return err }},
-		{"Summary", func() error { _, _, err := ds.Summary(); return err }},
-		{"SelectMany", func() error {
-			for _, br := range ds.SelectMany([]int64{1, n / 2, n}) {
-				if br.Err != nil {
-					return br.Err
-				}
+	selectMany := namedQuery{"SelectMany", func() error {
+		for _, br := range ds.SelectMany([]int64{1, n / 2, n}) {
+			if br.Err != nil {
+				return br.Err
 			}
-			return nil
-		}},
-	}, runQueries(n, func(q parsel.Query) error { _, err := ds.Run(context.Background(), q); return err })...)
+		}
+		return nil
+	}}
+	run := runQueries(n, func(q parsel.Query) error { _, err := ds.Run(context.Background(), q); return err })
+	return append(append(verbQueries[K](ds, n), selectMany), run...)
 }
 
 // runGuarded runs each query and fails the test if it errs or if shards

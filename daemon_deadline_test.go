@@ -93,7 +93,7 @@ func TestDaemonDeadlinePropagation(t *testing.T) {
 	// typed pool timeout rather than hanging into the server default.
 	client := parselclient.New(ts.URL, parselclient.WithHTTPClient(ts.Client()))
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	_, err = client.Median(ctx, [][]int64{{3, 1}, {2}})
+	_, err = client.Over([][]int64{{3, 1}, {2}}).Median(ctx)
 	cancel()
 	if !errors.Is(err, parsel.ErrPoolTimeout) && !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("client with expiring context got %v, want a deadline-shaped refusal", err)

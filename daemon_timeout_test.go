@@ -43,7 +43,7 @@ func TestDaemonPoolTimeoutTyped(t *testing.T) {
 	}
 	hurried := parselclient.New(ts.URL, parselclient.WithHTTPClient(ts.Client()),
 		parselclient.WithLimits(parselclient.ClientLimits{QueryTimeout: 10 * time.Millisecond}))
-	_, err = hurried.Median(ctx, shards)
+	_, err = hurried.Over(shards).Median(ctx)
 	var apiErr *parselclient.APIError
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("held machine: err %v, want *APIError", err)
@@ -57,10 +57,10 @@ func TestDaemonPoolTimeoutTyped(t *testing.T) {
 	}
 
 	// Same over the multi-value and summary surfaces.
-	if _, _, err := hurried.Quantiles(ctx, shards, []float64{0.5, 0.9}); !errors.Is(err, parsel.ErrPoolTimeout) {
+	if _, _, err := hurried.Over(shards).Quantiles(ctx, []float64{0.5, 0.9}); !errors.Is(err, parsel.ErrPoolTimeout) {
 		t.Errorf("quantiles while held: %v", err)
 	}
-	if _, _, err := hurried.Summary(ctx, shards); !errors.Is(err, parsel.ErrPoolTimeout) {
+	if _, _, err := hurried.Over(shards).Summary(ctx); !errors.Is(err, parsel.ErrPoolTimeout) {
 		t.Errorf("summary while held: %v", err)
 	}
 
@@ -70,11 +70,11 @@ func TestDaemonPoolTimeoutTyped(t *testing.T) {
 	}
 
 	release()
-	res, err := client.Median(ctx, shards)
+	res, err := client.Over(shards).Median(ctx)
 	if err != nil {
 		t.Fatalf("released machine: %v", err)
 	}
-	direct, err := pool.Median(shards)
+	direct, err := pool.Over(shards).Median(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,13 +24,13 @@ var ErrDatasetClosed = errors.New("parsel: Dataset used after Close")
 // directly against the resident slices.
 //
 // Every query goes through Run(ctx, Query), which admits it against the
-// dataset's lifecycle and hands the resident shards to Pool.Run; the
-// named methods (Select, Median, Quantile, Quantiles, SelectRanks, TopK,
-// BottomK, Summary and their Context forms) are one-line wrappers over
-// Run, and SelectMany fans a batch of ranks out over it.
+// dataset's lifecycle and hands the resident shards to Pool.Run. The
+// embedded Verbs are bound to Run, so the named queries take the
+// context first (ds.Select(ctx, rank), ds.Median(ctx)), and SelectMany
+// fans a batch of ranks out over it.
 //
 // Results — values and every simulated metric — are bit-identical to
-// passing the same shards through the Pool's shard-per-query methods:
+// passing the same shards through Pool.Over:
 // the engine's per-run RNG/clock/counter reset makes a query's outcome
 // a function of (Options, shards, query) only, never of machine
 // history.
@@ -42,16 +42,18 @@ var ErrDatasetClosed = errors.New("parsel: Dataset used after Close")
 //     direct Pool calls do (at most MaxMachines run at once, the rest
 //     wait for admission).
 //   - The resident shards are never mutated by queries, the same
-//     read-only discipline as Pool.Select: fast randomized selection
+//     read-only discipline as Pool.Run: fast randomized selection
 //     (the default) scans them in place, concurrent queries included,
 //     and the other algorithms copy them into the checked-out machine's
 //     per-processor arenas first.
-//   - Multi-value results (Answer.Values, SelectRanks, Quantiles, TopK,
-//     BottomK) are caller-owned copies, safe to retain.
+//   - Multi-value results (Answer.Values and the multi-value verbs'
+//     results) are caller-owned copies, safe to retain.
 //   - Close marks the Dataset unusable (later methods return
 //     ErrDatasetClosed) but never interrupts queries already in flight;
 //     it does not touch the Pool, which the caller still owns.
 type Dataset[K cmp.Ordered] struct {
+	verbs[K] // bound to Run
+
 	pool   *Pool[K]
 	shards [][]K // the resident snapshot; read-only after construction
 	n      int64
@@ -69,14 +71,8 @@ type Dataset[K cmp.Ordered] struct {
 // allowed, matching the sharded entry points: queries on an empty
 // population return ErrNoData.
 func (pl *Pool[K]) NewDataset(shards [][]K) (*Dataset[K], error) {
-	if len(shards) == 0 {
-		return nil, ErrNoShards
-	}
-	pl.mu.Lock()
-	closed := pl.closed
-	pl.mu.Unlock()
-	if closed {
-		return nil, ErrPoolClosed
+	if err := pl.admitDataset(len(shards)); err != nil {
+		return nil, err
 	}
 	var n int64
 	for _, sh := range shards {
@@ -91,12 +87,7 @@ func (pl *Pool[K]) NewDataset(shards [][]K) (*Dataset[K], error) {
 		copy(resident[i], sh)
 		off = end
 	}
-	return &Dataset[K]{
-		pool:   pl,
-		shards: resident,
-		n:      n,
-		bytes:  n * int64(reflect.TypeFor[K]().Size()),
-	}, nil
+	return pl.RestoreDataset(resident)
 }
 
 // RestoreDataset adopts shards as a resident Dataset without copying:
@@ -112,25 +103,36 @@ func (pl *Pool[K]) NewDataset(shards [][]K) (*Dataset[K], error) {
 // (Options, shards, query) only, so results are bit-identical to the
 // upload the snapshot was taken from.
 func (pl *Pool[K]) RestoreDataset(shards [][]K) (*Dataset[K], error) {
-	if len(shards) == 0 {
-		return nil, ErrNoShards
-	}
-	pl.mu.Lock()
-	closed := pl.closed
-	pl.mu.Unlock()
-	if closed {
-		return nil, ErrPoolClosed
+	if err := pl.admitDataset(len(shards)); err != nil {
+		return nil, err
 	}
 	var n int64
 	for _, sh := range shards {
 		n += int64(len(sh))
 	}
-	return &Dataset[K]{
+	ds := &Dataset[K]{
 		pool:   pl,
 		shards: shards,
 		n:      n,
 		bytes:  n * int64(reflect.TypeFor[K]().Size()),
-	}, nil
+	}
+	ds.verbs = ds.Run
+	return ds, nil
+}
+
+// admitDataset reports why the pool cannot hold a dataset of procs
+// shards: NewDataset asks before it copies, RestoreDataset before it
+// adopts.
+func (pl *Pool[K]) admitDataset(procs int) error {
+	if procs == 0 {
+		return ErrNoShards
+	}
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	if pl.closed {
+		return ErrPoolClosed
+	}
+	return nil
 }
 
 // View returns the dataset's resident per-processor shards without
@@ -190,16 +192,16 @@ func (ds *Dataset[K]) Run(ctx context.Context, q Query) (Answer[K], error) {
 	return ds.pool.Run(ctx, ds.shards, q)
 }
 
-// Select returns the element of 1-based rank among the resident
-// population; see Pool.Select.
-func (ds *Dataset[K]) Select(rank int64) (Result[K], error) {
-	return ds.SelectContext(nil, rank)
+// SelectContext is Select under another name, kept only because the
+// benchmark module still calls it; use Select.
+func (ds *Dataset[K]) SelectContext(ctx context.Context, rank int64) (Result[K], error) {
+	return ds.Select(ctx, rank)
 }
 
-// SelectContext is Select with a deadline on pool admission; see
-// Pool.Run.
-func (ds *Dataset[K]) SelectContext(ctx context.Context, rank int64) (Result[K], error) {
-	return AsResult(ds.Run(ctx, Query{Op: OpSelect, Rank: rank}))
+// QuantilesContext is Quantiles under another name, kept only because
+// the benchmark module still calls it; use Quantiles.
+func (ds *Dataset[K]) QuantilesContext(ctx context.Context, qs []float64) ([]K, Report, error) {
+	return ds.Quantiles(ctx, qs)
 }
 
 // SelectMany fans a batch of independent rank queries against the
@@ -212,82 +214,7 @@ func (ds *Dataset[K]) SelectContext(ctx context.Context, rank int64) (Result[K],
 func (ds *Dataset[K]) SelectMany(ranks []int64) []BatchResult[K] {
 	out := make([]BatchResult[K], len(ranks))
 	fanout.Run(len(ranks), ds.pool.max, func(i int) {
-		out[i].Result, out[i].Err = ds.Select(ranks[i])
+		out[i].Result, out[i].Err = ds.Select(context.TODO(), ranks[i])
 	})
 	return out
-}
-
-// Median returns the element of rank ceil(n/2); see Pool.Median.
-func (ds *Dataset[K]) Median() (Result[K], error) {
-	return ds.MedianContext(nil)
-}
-
-// MedianContext is Median with a deadline on pool admission.
-func (ds *Dataset[K]) MedianContext(ctx context.Context) (Result[K], error) {
-	return AsResult(ds.Run(ctx, Query{Op: OpMedian}))
-}
-
-// Quantile returns the element of rank ceil(q*n); see Pool.Quantile.
-func (ds *Dataset[K]) Quantile(q float64) (Result[K], error) {
-	return ds.QuantileContext(nil, q)
-}
-
-// QuantileContext is Quantile with a deadline on pool admission.
-func (ds *Dataset[K]) QuantileContext(ctx context.Context, q float64) (Result[K], error) {
-	return AsResult(ds.Run(ctx, Query{Op: OpQuantile, Q: q}))
-}
-
-// SelectRanks returns the elements at several 1-based ranks in one
-// collective run; the returned slice is a caller-owned copy.
-func (ds *Dataset[K]) SelectRanks(ranks []int64) ([]K, Report, error) {
-	return ds.SelectRanksContext(nil, ranks)
-}
-
-// SelectRanksContext is SelectRanks with a deadline on pool admission.
-func (ds *Dataset[K]) SelectRanksContext(ctx context.Context, ranks []int64) ([]K, Report, error) {
-	return AsValues(ds.Run(ctx, Query{Op: OpRanks, Ranks: ranks}))
-}
-
-// Quantiles returns the elements at several quantiles in one collective
-// run; the returned slice is a caller-owned copy.
-func (ds *Dataset[K]) Quantiles(qs []float64) ([]K, Report, error) {
-	return ds.QuantilesContext(nil, qs)
-}
-
-// QuantilesContext is Quantiles with a deadline on pool admission.
-func (ds *Dataset[K]) QuantilesContext(ctx context.Context, qs []float64) ([]K, Report, error) {
-	return AsValues(ds.Run(ctx, Query{Op: OpQuantiles, Qs: qs}))
-}
-
-// TopK returns the k largest resident elements in descending order; see
-// Pool.TopK.
-func (ds *Dataset[K]) TopK(k int) ([]K, Report, error) {
-	return ds.TopKContext(nil, k)
-}
-
-// TopKContext is TopK with a deadline on pool admission.
-func (ds *Dataset[K]) TopKContext(ctx context.Context, k int) ([]K, Report, error) {
-	return AsValues(ds.Run(ctx, Query{Op: OpTopK, K: k}))
-}
-
-// BottomK returns the k smallest resident elements in ascending order;
-// see Pool.BottomK.
-func (ds *Dataset[K]) BottomK(k int) ([]K, Report, error) {
-	return ds.BottomKContext(nil, k)
-}
-
-// BottomKContext is BottomK with a deadline on pool admission.
-func (ds *Dataset[K]) BottomKContext(ctx context.Context, k int) ([]K, Report, error) {
-	return AsValues(ds.Run(ctx, Query{Op: OpBottomK, K: k}))
-}
-
-// Summary computes the five-number summary in a single multi-rank run;
-// see Pool.Summary.
-func (ds *Dataset[K]) Summary() (FiveNumber[K], Report, error) {
-	return ds.SummaryContext(nil)
-}
-
-// SummaryContext is Summary with a deadline on pool admission.
-func (ds *Dataset[K]) SummaryContext(ctx context.Context) (FiveNumber[K], Report, error) {
-	return AsSummary(ds.Run(ctx, Query{Op: OpSummary}))
 }

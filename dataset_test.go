@@ -53,11 +53,11 @@ func TestDatasetMatchesPool(t *testing.T) {
 			pool, ds := newDataset(t, cfg.opts, parsel.PoolOptions{MaxMachines: 2}, shards)
 
 			for _, rank := range []int64{1, n / 3, (n + 1) / 2, n} {
-				got, err := ds.Select(rank)
+				got, err := ds.Select(context.Background(), rank)
 				if err != nil {
 					t.Fatalf("dataset select rank %d: %v", rank, err)
 				}
-				want, err := pool.Select(shards, rank)
+				want, err := pool.Over(shards).Select(context.Background(), rank)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,11 +67,11 @@ func TestDatasetMatchesPool(t *testing.T) {
 				}
 			}
 
-			gmed, err := ds.Median()
+			gmed, err := ds.Median(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			wmed, err := pool.Median(shards)
+			wmed, err := pool.Over(shards).Median(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,11 +79,11 @@ func TestDatasetMatchesPool(t *testing.T) {
 				t.Errorf("median: dataset %d, pool %d", gmed.Value, wmed.Value)
 			}
 
-			gq, err := ds.Quantile(0.95)
+			gq, err := ds.Quantile(context.Background(), 0.95)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wq, err := pool.Quantile(shards, 0.95)
+			wq, err := pool.Over(shards).Quantile(context.Background(), 0.95)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,11 +92,11 @@ func TestDatasetMatchesPool(t *testing.T) {
 			}
 
 			qs := []float64{0, 0.25, 0.5, 0.75, 1}
-			gqs, grep, err := ds.Quantiles(qs)
+			gqs, grep, err := ds.Quantiles(context.Background(), qs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wqs, wrep, err := pool.Quantiles(shards, qs)
+			wqs, wrep, err := pool.Over(shards).Quantiles(context.Background(), qs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,11 +105,11 @@ func TestDatasetMatchesPool(t *testing.T) {
 			}
 
 			ranks := []int64{1, n / 4, n / 2, n, 1}
-			grs, grep2, err := ds.SelectRanks(ranks)
+			grs, grep2, err := ds.SelectRanks(context.Background(), ranks)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wrs, wrep2, err := pool.SelectRanks(shards, ranks)
+			wrs, wrep2, err := pool.Over(shards).SelectRanks(context.Background(), ranks)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,22 +117,22 @@ func TestDatasetMatchesPool(t *testing.T) {
 				t.Errorf("ranks: dataset %v, pool %v", grs, wrs)
 			}
 
-			gtop, gtrep, err := ds.TopK(7)
+			gtop, gtrep, err := ds.TopK(context.Background(), 7)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wtop, wtrep, err := pool.TopK(shards, 7)
+			wtop, wtrep, err := pool.Over(shards).TopK(context.Background(), 7)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(gtop, wtop) || simOf(gtrep) != simOf(wtrep) {
 				t.Errorf("topk: dataset %v, pool %v", gtop, wtop)
 			}
-			gbot, _, err := ds.BottomK(7)
+			gbot, _, err := ds.BottomK(context.Background(), 7)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wbot, _, err := pool.BottomK(shards, 7)
+			wbot, _, err := pool.Over(shards).BottomK(context.Background(), 7)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,11 +140,11 @@ func TestDatasetMatchesPool(t *testing.T) {
 				t.Errorf("bottomk: dataset %v, pool %v", gbot, wbot)
 			}
 
-			gsum, gsrep, err := ds.Summary()
+			gsum, gsrep, err := ds.Summary(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			wsum, wsrep, err := pool.Summary(shards)
+			wsum, wsrep, err := pool.Over(shards).Summary(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,11 +162,11 @@ func TestDatasetSnapshotIsolation(t *testing.T) {
 	shards := workload.Generate(workload.Random, 5000, 4, 9)
 	pool, ds := newDataset(t, parsel.Options{}, parsel.PoolOptions{}, shards)
 
-	before, err := ds.Median()
+	before, err := ds.Median(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := pool.Median(shards)
+	want, err := pool.Over(shards).Median(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestDatasetSnapshotIsolation(t *testing.T) {
 		shards[i] = shards[i][:len(shards[i])/2]
 	}
 
-	after, err := ds.Median()
+	after, err := ds.Median(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,12 +199,12 @@ func TestDatasetResultsAreCallerOwned(t *testing.T) {
 	_, ds := newDataset(t, parsel.Options{}, parsel.PoolOptions{}, shards)
 
 	ranks := []int64{1, 1000, 2000, 4000}
-	first, _, err := ds.SelectRanks(ranks)
+	first, _, err := ds.SelectRanks(context.Background(), ranks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	keep := slices.Clone(first)
-	if _, _, err := ds.Quantiles([]float64{0.1, 0.9}); err != nil {
+	if _, _, err := ds.Quantiles(context.Background(), []float64{0.1, 0.9}); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(first, keep) {
@@ -276,7 +276,7 @@ func TestDatasetLifecycle(t *testing.T) {
 	if empty.N() != 0 || empty.Bytes() != 0 || empty.Procs() != 2 {
 		t.Errorf("empty dataset: n=%d bytes=%d procs=%d", empty.N(), empty.Bytes(), empty.Procs())
 	}
-	if _, err := empty.Median(); !errors.Is(err, parsel.ErrNoData) {
+	if _, err := empty.Median(context.Background()); !errors.Is(err, parsel.ErrNoData) {
 		t.Errorf("median of empty dataset = %v, want ErrNoData", err)
 	}
 	empty.Close()
@@ -288,22 +288,22 @@ func TestDatasetLifecycle(t *testing.T) {
 	if ds.N() != 3 || ds.Bytes() != 24 || ds.Procs() != 2 {
 		t.Errorf("dataset gauges: n=%d bytes=%d procs=%d, want 3/24/2", ds.N(), ds.Bytes(), ds.Procs())
 	}
-	if res, err := ds.Select(2); err != nil || res.Value != 2 {
+	if res, err := ds.Select(context.Background(), 2); err != nil || res.Value != 2 {
 		t.Fatalf("select(2) = %v %v", res.Value, err)
 	}
-	if _, err := ds.Select(4); !errors.Is(err, parsel.ErrRankRange) {
+	if _, err := ds.Select(context.Background(), 4); !errors.Is(err, parsel.ErrRankRange) {
 		t.Errorf("select(4) = %v, want ErrRankRange", err)
 	}
-	if _, err := ds.Quantile(1.5); !errors.Is(err, parsel.ErrBadQuantile) {
+	if _, err := ds.Quantile(context.Background(), 1.5); !errors.Is(err, parsel.ErrBadQuantile) {
 		t.Errorf("quantile(1.5) = %v, want ErrBadQuantile", err)
 	}
 
 	ds.Close()
 	ds.Close() // idempotent
-	if _, err := ds.Median(); !errors.Is(err, parsel.ErrDatasetClosed) {
+	if _, err := ds.Median(context.Background()); !errors.Is(err, parsel.ErrDatasetClosed) {
 		t.Errorf("median after Close = %v, want ErrDatasetClosed", err)
 	}
-	if _, _, err := ds.TopK(1); !errors.Is(err, parsel.ErrDatasetClosed) {
+	if _, _, err := ds.TopK(context.Background(), 1); !errors.Is(err, parsel.ErrDatasetClosed) {
 		t.Errorf("topk after Close = %v, want ErrDatasetClosed", err)
 	}
 
@@ -317,12 +317,12 @@ func TestDatasetLifecycle(t *testing.T) {
 	if _, err := pool.NewDataset([][]int64{{1}}); !errors.Is(err, parsel.ErrPoolClosed) {
 		t.Errorf("NewDataset on closed pool = %v, want ErrPoolClosed", err)
 	}
-	if _, err := late.Median(); !errors.Is(err, parsel.ErrPoolClosed) {
+	if _, err := late.Median(context.Background()); !errors.Is(err, parsel.ErrPoolClosed) {
 		t.Errorf("dataset query on closed pool = %v, want ErrPoolClosed", err)
 	}
 }
 
-// TestDatasetAdmissionTimeout pins that the Context variants bound pool
+// TestDatasetAdmissionTimeout pins that a query's context bounds pool
 // admission with the typed ErrPoolTimeout, using the deterministic
 // checkout hook to hold the pool's only machine.
 func TestDatasetAdmissionTimeout(t *testing.T) {
@@ -335,12 +335,12 @@ func TestDatasetAdmissionTimeout(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	_, err = ds.MedianContext(ctx)
+	_, err = ds.Median(ctx)
 	if !errors.Is(err, parsel.ErrPoolTimeout) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("held-machine dataset query = %v, want ErrPoolTimeout + DeadlineExceeded", err)
 	}
 	release()
-	if res, err := ds.Median(); err != nil || res.Value != 5 {
+	if res, err := ds.Median(context.Background()); err != nil || res.Value != 5 {
 		t.Errorf("median after release = %v %v", res.Value, err)
 	}
 }
@@ -356,15 +356,15 @@ func TestDatasetConcurrent(t *testing.T) {
 	for _, sh := range shards {
 		n += int64(len(sh))
 	}
-	wantMed, err := pool.Median(shards)
+	wantMed, err := pool.Over(shards).Median(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTop, _, err := pool.TopK(shards, 5)
+	wantTop, _, err := pool.Over(shards).TopK(context.Background(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantQs, _, err := pool.Quantiles(shards, []float64{0.5, 0.99})
+	wantQs, _, err := pool.Over(shards).Quantiles(context.Background(), []float64{0.5, 0.99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestDatasetConcurrent(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				switch (c + i) % 3 {
 				case 0:
-					res, err := ds.Median()
+					res, err := ds.Median(context.Background())
 					if err != nil {
 						t.Errorf("client %d median: %v", c, err)
 						return
@@ -388,7 +388,7 @@ func TestDatasetConcurrent(t *testing.T) {
 						return
 					}
 				case 1:
-					top, _, err := ds.TopK(5)
+					top, _, err := ds.TopK(context.Background(), 5)
 					if err != nil {
 						t.Errorf("client %d topk: %v", c, err)
 						return
@@ -398,7 +398,7 @@ func TestDatasetConcurrent(t *testing.T) {
 						return
 					}
 				case 2:
-					vals, _, err := ds.Quantiles([]float64{0.5, 0.99})
+					vals, _, err := ds.Quantiles(context.Background(), []float64{0.5, 0.99})
 					if err != nil {
 						t.Errorf("client %d quantiles: %v", c, err)
 						return
@@ -416,10 +416,10 @@ func TestDatasetConcurrent(t *testing.T) {
 	// Close with the pool still healthy: in-flight work is done, later
 	// queries get the typed error, the pool is untouched.
 	ds.Close()
-	if _, err := ds.Median(); !errors.Is(err, parsel.ErrDatasetClosed) {
+	if _, err := ds.Median(context.Background()); !errors.Is(err, parsel.ErrDatasetClosed) {
 		t.Errorf("median after Close = %v, want ErrDatasetClosed", err)
 	}
-	if res, err := pool.Median(shards); err != nil || res.Value != wantMed.Value {
+	if res, err := pool.Over(shards).Median(context.Background()); err != nil || res.Value != wantMed.Value {
 		t.Errorf("pool unusable after dataset Close: %v %v", res.Value, err)
 	}
 }

@@ -7,10 +7,10 @@ import (
 	"sync"
 )
 
-// The package-level entry points (Select, Median, Quantile(s),
-// SelectRanks, TopK, BottomK, Summary) route through a process-wide set
-// of shared default pools, one per (Options, key type) pair, instead of
-// building and tearing a simulated machine down on every call. Two
+// The package-level queries (Run, and the Verbs of Over) route
+// through a process-wide set of shared default pools, one per (Options,
+// key type) pair, instead of building and tearing a simulated machine
+// down on every call. Two
 // concurrent package-level calls with the same Options therefore reuse
 // resident machines exactly like two clients of an explicit Pool, and a
 // sequence of calls pays machine construction only once.
@@ -20,7 +20,7 @@ import (
 // each, and their parked goroutines are reclaimed by the runtime at
 // exit. The cache itself is bounded too (maxDefaultPools): a caller
 // that varies Options per call (say, a fresh Seed per request) does
-// not pin machines per distinct value — beyond the cap, wrappers fall
+// not pin machines per distinct value — beyond the cap, queries fall
 // back to a private throwaway pool torn down after the call, the
 // pre-cache behavior. Callers that want explicit lifecycle control (or
 // a different capacity) should construct their own Pool or Selector.
@@ -49,7 +49,7 @@ var (
 )
 
 // defaultPool returns a pool for (opts, K) plus a release func the
-// wrapper must call after its query. Usually that is the shared
+// caller must call after its query. Usually that is the shared
 // resident pool (release is a no-op); when opts cannot be cached — a
 // NaN in a tuning field, or more distinct Options than maxDefaultPools
 // — it is a private single-machine pool that release tears down, which

@@ -1,6 +1,7 @@
 package parsel_test
 
 import (
+	"context"
 	"math"
 	"slices"
 	"sync"
@@ -31,7 +32,7 @@ func TestPackageWrappersShareDefaultPool(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				res, err := parsel.Select(shards, 10000, opts)
+				res, err := parsel.Over(shards, opts).Select(context.Background(), 10000)
 				if err != nil {
 					t.Errorf("Select: %v", err)
 					return
@@ -56,10 +57,10 @@ func TestPackageWrappersShareDefaultPool(t *testing.T) {
 	// Every later call — concurrent or sequential — must hit a resident
 	// machine; machine construction happens zero more times.
 	run(2)
-	if _, err := parsel.Median(shards, opts); err != nil {
+	if _, err := parsel.Over(shards, opts).Median(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := parsel.SelectRanks(shards, []int64{1, 20000}, opts); err != nil {
+	if _, _, err := parsel.Over(shards, opts).SelectRanks(context.Background(), []int64{1, 20000}); err != nil {
 		t.Fatal(err)
 	}
 	st = parsel.DefaultPoolStatsForTest(opts)
@@ -74,7 +75,7 @@ func TestPackageWrappersShareDefaultPool(t *testing.T) {
 	// over rather than aliasing the first pool.
 	other := opts
 	other.Machine.Seed = 0xBADCAB1E
-	if _, err := parsel.Median(shards, other); err != nil {
+	if _, err := parsel.Over(shards, other).Median(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if st := parsel.DefaultPoolStatsForTest(other); st.Creates != 1 {
@@ -88,12 +89,12 @@ func TestPackageWrappersShareDefaultPool(t *testing.T) {
 func TestDefaultPoolShapeSharing(t *testing.T) {
 	opts := parsel.Options{Machine: parsel.Machine{Seed: 0xFEEDFACE}}
 	shards := workload.Generate(workload.Random, 5000, 4, 3)
-	if _, err := parsel.Median(shards, opts); err != nil {
+	if _, err := parsel.Over(shards, opts).Median(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	withProcs := opts
 	withProcs.Machine.Procs = 32 // ignored by sharded calls
-	if _, err := parsel.Median(shards, withProcs); err != nil {
+	if _, err := parsel.Over(shards, withProcs).Median(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	st := parsel.DefaultPoolStatsForTest(opts)
@@ -116,7 +117,7 @@ func TestDefaultPoolCacheBounded(t *testing.T) {
 	before := parsel.DefaultPoolCountForTest()
 	nan := parsel.Options{SampleExponent: math.NaN()}
 	for i := 0; i < 3; i++ {
-		res, err := parsel.Select(shards, 3, nan)
+		res, err := parsel.Over(shards, nan).Select(context.Background(), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,9 +132,9 @@ func TestDefaultPoolCacheBounded(t *testing.T) {
 	// Churn far more distinct Options than the cap: the cache saturates
 	// at the cap, and every call past it still answers correctly.
 	for i := 0; i < 80; i++ {
-		res, err := parsel.Select(shards, 1, parsel.Options{
+		res, err := parsel.Over(shards, parsel.Options{
 			Machine: parsel.Machine{Seed: 0xC0FFEE + uint64(i)},
-		})
+		}).Select(context.Background(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -123,7 +123,7 @@ func TestDifferentialAgainstSortOracle(t *testing.T) {
 							t.Fatalf("%v/%v/%v: %v", alg, bal, topo, err)
 						}
 						for _, rank := range ranks {
-							res, err := sel.Select(shape.shards, rank)
+							res, err := sel.Over(shape.shards).Select(context.Background(), rank)
 							if err != nil {
 								t.Fatalf("%v/%v/%v rank %d: %v", alg, bal, topo, rank, err)
 							}
@@ -160,7 +160,7 @@ func TestDifferentialMultiRank(t *testing.T) {
 
 			// A shuffled, duplicate-carrying rank vector.
 			ranks := []int64{1, n, (n + 1) / 2, 1 + rng.Int64N(n), 1, (n + 3) / 4}
-			vals, _, err := parsel.SelectRanks(shape.shards, ranks, parsel.Options{})
+			vals, _, err := parsel.Over(shape.shards, parsel.Options{}).SelectRanks(context.Background(), ranks)
 			if err != nil {
 				t.Fatalf("SelectRanks: %v", err)
 			}
@@ -171,7 +171,7 @@ func TestDifferentialMultiRank(t *testing.T) {
 			}
 
 			k := int(min(7, n))
-			top, _, err := parsel.TopK(shape.shards, k, parsel.Options{})
+			top, _, err := parsel.Over(shape.shards, parsel.Options{}).TopK(context.Background(), k)
 			if err != nil {
 				t.Fatalf("TopK: %v", err)
 			}
@@ -183,7 +183,7 @@ func TestDifferentialMultiRank(t *testing.T) {
 				t.Errorf("TopK(%d) = %v, oracle says %v", k, top, wantTop)
 			}
 
-			bot, _, err := parsel.BottomK(shape.shards, k, parsel.Options{})
+			bot, _, err := parsel.Over(shape.shards, parsel.Options{}).BottomK(context.Background(), k)
 			if err != nil {
 				t.Fatalf("BottomK: %v", err)
 			}
@@ -203,7 +203,7 @@ func TestDifferentialShardsPreserved(t *testing.T) {
 		for i, s := range shape.shards {
 			before[i] = slices.Clone(s)
 		}
-		if _, err := parsel.Median(shape.shards, parsel.Options{Balancer: parsel.GlobalExchange}); err != nil {
+		if _, err := parsel.Over(shape.shards, parsel.Options{Balancer: parsel.GlobalExchange}).Median(context.Background()); err != nil {
 			t.Fatalf("%s: %v", shape.name, err)
 		}
 		for i := range shape.shards {
@@ -218,16 +218,18 @@ func TestDifferentialShardsPreserved(t *testing.T) {
 // shapes the generator cannot produce.
 func TestDifferentialEmptyPopulation(t *testing.T) {
 	allEmpty := [][]int64{{}, nil, {}}
-	if _, err := parsel.Select(allEmpty, 1, parsel.Options{}); !errors.Is(err, parsel.ErrNoData) {
+	if _, err := parsel.Over(allEmpty, parsel.Options{}).Select(context.Background(), 1); !errors.Is(err, parsel.ErrNoData) {
 		t.Errorf("all-empty shards: %v", err)
 	}
-	if _, _, err := parsel.SelectRanks(allEmpty, []int64{1}, parsel.Options{}); !errors.Is(err, parsel.ErrNoData) {
+	if _, _, err := parsel.Over(allEmpty, parsel.Options{}).SelectRanks(context.Background(), []int64{1}); !errors.Is(err, parsel.ErrNoData) {
 		t.Errorf("all-empty SelectRanks: %v", err)
 	}
 }
 
 // TestDifferentialRun is the Run layer of the catalogue: every op,
-// through Selector.Run, Pool.Run and Dataset.Run, on every int64 shape
+// through Selector.Run, Pool.Run and Dataset.Run and through the named
+// Verbs of Selector.Over, Pool.Over, Dataset and parsel.Over, on every
+// int64 shape
 // and on float64 keys carrying both zeros and both infinities, checked
 // against the sort oracle (keys compared under cmp.Compare, so -0
 // matches +0). NaN keys are incomparable to the engine's kernels, so a
@@ -253,8 +255,9 @@ func TestDifferentialRun(t *testing.T) {
 	t.Run("float64/zero-inf", func(t *testing.T) { diffRun(t, floats) })
 }
 
-// diffRun runs every op on shards through the three Run layers and
-// checks each answer against the sorted population.
+// diffRun runs every op on shards through the three Run layers and the
+// four verb layers and checks each answer against the sorted
+// population.
 func diffRun[K cmp.Ordered](t *testing.T, shards [][]K) {
 	oracle := slices.Concat(shards...)
 	slices.Sort(oracle)
@@ -325,6 +328,12 @@ func diffRun[K cmp.Ordered](t *testing.T, shards [][]K) {
 		{"Selector.Run", func(q parsel.Query) (parsel.Answer[K], error) { return sel.Run(shards, q) }},
 		{"Pool.Run", func(q parsel.Query) (parsel.Answer[K], error) { return pool.Run(context.Background(), shards, q) }},
 		{"Dataset.Run", func(q parsel.Query) (parsel.Answer[K], error) { return ds.Run(context.Background(), q) }},
+		{"Selector.Over", func(q parsel.Query) (parsel.Answer[K], error) { return viaVerbs(sel.Over(shards), q) }},
+		{"Pool.Over", func(q parsel.Query) (parsel.Answer[K], error) { return viaVerbs(pool.Over(shards), q) }},
+		{"Dataset verbs", func(q parsel.Query) (parsel.Answer[K], error) { return viaVerbs[K](ds, q) }},
+		{"parsel.Over", func(q parsel.Query) (parsel.Answer[K], error) {
+			return viaVerbs(parsel.Over(shards, parsel.Options{}), q)
+		}},
 	}
 	for _, l := range layers {
 		for _, q := range queries {
@@ -351,4 +360,34 @@ func diffRun[K cmp.Ordered](t *testing.T, shards [][]K) {
 			}
 		}
 	}
+}
+
+// viaVerbs answers q through the named verb of v for its op and
+// reassembles the outcome into an Answer, so the oracle check also pins
+// every verb's op and reshape.
+func viaVerbs[K cmp.Ordered](v verbSet[K], q parsel.Query) (a parsel.Answer[K], err error) {
+	ctx := context.Background()
+	var res parsel.Result[K]
+	switch q.Op {
+	case parsel.OpSelect:
+		res, err = v.Select(ctx, q.Rank)
+	case parsel.OpMedian:
+		res, err = v.Median(ctx)
+	case parsel.OpQuantile:
+		res, err = v.Quantile(ctx, q.Q)
+	case parsel.OpQuantiles:
+		a.Values, a.Report, err = v.Quantiles(ctx, q.Qs)
+	case parsel.OpRanks:
+		a.Values, a.Report, err = v.SelectRanks(ctx, q.Ranks)
+	case parsel.OpTopK:
+		a.Values, a.Report, err = v.TopK(ctx, q.K)
+	case parsel.OpBottomK:
+		a.Values, a.Report, err = v.BottomK(ctx, q.K)
+	case parsel.OpSummary:
+		a.Summary, a.Report, err = v.Summary(ctx)
+	}
+	if q.Op.Scalar() {
+		a.Value, a.Report = res.Value, res.Report
+	}
+	return a, err
 }

@@ -40,7 +40,7 @@ func engineShards(n, p int) [][]int64 {
 // TestSelectorMatchesOneShot pins the amortization contract: for a fixed
 // seed and inputs, a reused Selector must report bit-identical simulated
 // metrics (SimSeconds, Iterations, Messages, Bytes) and values to the
-// one-shot package functions, across all four algorithms and active
+// package-level parsel.Over(...) queries, across all four algorithms and active
 // balancers, and across repeated calls on the same engine.
 func TestSelectorMatchesOneShot(t *testing.T) {
 	shards := engineShards(20000, 8)
@@ -54,11 +54,11 @@ func TestSelectorMatchesOneShot(t *testing.T) {
 			}
 			defer sel.Close()
 			for call := 0; call < 3; call++ {
-				reused, err := sel.Median(shards)
+				reused, err := sel.Over(shards).Median(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
-				fresh, err := parsel.Median(shards, tc.opts)
+				fresh, err := parsel.Over(shards, tc.opts).Median(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -81,9 +81,10 @@ func TestSelectorMatchesOneShot(t *testing.T) {
 }
 
 // TestSelectorSteadyStateAllocs pins the allocation budget of the
-// amortized hot path: once warm, a Selector.Select call on the default
-// configuration must stay well below the one-shot path's footprint (the
-// seed measured ~2300 allocs per call on this workload shape).
+// amortized hot path: once warm, a Selector.Over(...).Select call on
+// the default configuration must stay well below the one-shot path's
+// footprint (the seed measured ~2300 allocs per call on this workload
+// shape).
 func TestSelectorSteadyStateAllocs(t *testing.T) {
 	shards := engineShards(64<<10, 8)
 	opts := parsel.Options{Algorithm: parsel.FastRandomized, Balancer: parsel.ModifiedOMLB}
@@ -99,18 +100,18 @@ func TestSelectorSteadyStateAllocs(t *testing.T) {
 	}
 	// Warm the arenas.
 	for i := 0; i < 3; i++ {
-		if _, err := sel.Select(shards, (n+1)/2); err != nil {
+		if _, err := sel.Over(shards).Select(context.Background(), (n+1)/2); err != nil {
 			t.Fatal(err)
 		}
 	}
 	const budget = 500
 	avg := testing.AllocsPerRun(10, func() {
-		if _, err := sel.Select(shards, (n+1)/2); err != nil {
+		if _, err := sel.Over(shards).Select(context.Background(), (n+1)/2); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if avg > budget {
-		t.Errorf("steady-state Selector.Select allocates %.0f objects per call, budget %d", avg, budget)
+		t.Errorf("steady-state Selector.Over(...).Select allocates %.0f objects per call, budget %d", avg, budget)
 	}
 }
 
@@ -133,16 +134,16 @@ func TestSelectRanksSteadyStateAllocs(t *testing.T) {
 	qs := []float64{0.01, 0.25, 0.5, 0.75, 0.99}
 	// Warm the arenas.
 	for i := 0; i < 3; i++ {
-		if _, _, err := sel.SelectRanks(shards, ranks); err != nil {
+		if _, _, err := sel.Over(shards).SelectRanks(context.Background(), ranks); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := sel.Quantiles(shards, qs); err != nil {
+		if _, _, err := sel.Over(shards).Quantiles(context.Background(), qs); err != nil {
 			t.Fatal(err)
 		}
 	}
 	const budget = 1000
 	avg := testing.AllocsPerRun(10, func() {
-		if _, _, err := sel.SelectRanks(shards, ranks); err != nil {
+		if _, _, err := sel.Over(shards).SelectRanks(context.Background(), ranks); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -150,7 +151,7 @@ func TestSelectRanksSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state SelectRanks allocates %.0f objects per call, budget %d", avg, budget)
 	}
 	avg = testing.AllocsPerRun(10, func() {
-		if _, _, err := sel.Quantiles(shards, qs); err != nil {
+		if _, _, err := sel.Over(shards).Quantiles(context.Background(), qs); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -174,7 +175,7 @@ func TestSelectorAdaptsShardCount(t *testing.T) {
 			all = append(all, s...)
 		}
 		slices.Sort(all)
-		res, err := sel.Select(shards, 500)
+		res, err := sel.Over(shards).Select(context.Background(), 500)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -232,11 +233,11 @@ func TestCrossProcAgreement(t *testing.T) {
 	defer parsel.SetAgreementChecks(false)
 	shards := engineShards(10000, 8)
 	for _, tc := range engineOpts {
-		if _, err := parsel.Median(shards, tc.opts); err != nil {
+		if _, err := parsel.Over(shards, tc.opts).Median(context.Background()); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 	}
-	if _, _, err := parsel.Quantiles(shards, []float64{0.1, 0.5, 0.5, 0.99}, parsel.Options{}); err != nil {
+	if _, _, err := parsel.Over(shards, parsel.Options{}).Quantiles(context.Background(), []float64{0.1, 0.5, 0.5, 0.99}); err != nil {
 		t.Fatal(err)
 	}
 	// The detector flags the first divergent processor.
@@ -322,7 +323,7 @@ func TestQuantileRankExact(t *testing.T) {
 		{0.5, 50},
 		{1, 100},
 	} {
-		res, err := parsel.Quantile(shards, tc.q, parsel.Options{})
+		res, err := parsel.Over(shards, parsel.Options{}).Quantile(context.Background(), tc.q)
 		if err != nil {
 			t.Fatalf("q=%g: %v", tc.q, err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -46,9 +47,10 @@ func main() {
 	fmt.Printf("fleet of %d nodes, %d latency samples (unequal shards: %d..%d)\n",
 		nodes, total, len(shards[0]), len(shards[nodes-1]))
 
-	opts := parsel.Options{} // fast randomized + modified OMLB
+	ctx := context.Background()
+	fleet := parsel.Over(shards, parsel.Options{}) // fast randomized + modified OMLB
 	for _, q := range []float64{0.50, 0.95, 0.99, 0.999} {
-		res, err := parsel.Quantile(shards, q, opts)
+		res, err := fleet.Quantile(ctx, q)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,7 +59,7 @@ func main() {
 	}
 
 	// Exact maximum as a sanity rank.
-	maxRes, err := parsel.Quantile(shards, 1.0, opts)
+	maxRes, err := fleet.Quantile(ctx, 1.0)
 	if err != nil {
 		log.Fatal(err)
 	}

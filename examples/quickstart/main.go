@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -26,7 +27,9 @@ func main() {
 		}
 	}
 
-	med, err := parsel.Median(shards, parsel.Options{})
+	ctx := context.Background()
+	fleet := parsel.Over(shards, parsel.Options{}) // the eight named queries over shards
+	med, err := fleet.Median(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,7 +40,7 @@ func main() {
 	fmt.Printf("  messages sent:           %d (%d bytes)\n", med.Messages, med.Bytes)
 
 	// Any rank works, not just the median: the 10th smallest key.
-	tenth, err := parsel.Select(shards, 10, parsel.Options{})
+	tenth, err := fleet.Select(ctx, 10)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -68,6 +68,8 @@ func main() {
 	defer pool.Close()
 
 	// Twelve concurrent clients issue mixed queries against the pool.
+	ctx := context.Background()
+	live := pool.Over(shards) // the named queries over the live shards
 	type answer struct {
 		client int
 		text   string
@@ -82,19 +84,19 @@ func main() {
 			var text string
 			switch c % 3 {
 			case 0:
-				vals, _, err := pool.Quantiles(shards, []float64{0.5, 0.95, 0.99})
+				vals, _, err := live.Quantiles(ctx, []float64{0.5, 0.95, 0.99})
 				if err != nil {
 					log.Fatal(err)
 				}
 				text = fmt.Sprintf("p50/p95/p99 = %d/%d/%d us", vals[0], vals[1], vals[2])
 			case 1:
-				top, _, err := pool.TopK(shards, 3)
+				top, _, err := live.TopK(ctx, 3)
 				if err != nil {
 					log.Fatal(err)
 				}
 				text = fmt.Sprintf("3 slowest requests: %v us", top)
 			case 2:
-				res, err := pool.Median(shards)
+				res, err := live.Median(ctx)
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -147,14 +149,13 @@ func main() {
 	defer hs.Close()
 
 	client := parselclient.New("http://" + ln.Addr().String())
-	ctx := context.Background()
-	vals, rep, err := client.Quantiles(ctx, shards, []float64{0.5, 0.95, 0.99})
+	vals, rep, err := client.Over(shards).Quantiles(ctx, []float64{0.5, 0.95, 0.99})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nover HTTP: p50/p95/p99 = %d/%d/%d us (sim %.4f s, %d msgs — identical to in-process)\n",
 		vals[0], vals[1], vals[2], rep.SimSeconds, rep.Messages)
-	sum, _, err := client.Summary(ctx, shards)
+	sum, _, err := client.Over(shards).Summary(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -170,11 +171,11 @@ func main() {
 		var wg sync.WaitGroup
 		for i := 0; i < 4; i++ {
 			wg.Add(1)
-			go func() { defer wg.Done(); _, _ = pool.Median(shards) }()
+			go func() { defer wg.Done(); _, _ = live.Median(ctx) }()
 		}
 		wg.Wait()
 	}()
-	if _, err := hurried.Median(ctx, shards); errors.Is(err, parsel.ErrPoolTimeout) {
+	if _, err := hurried.Over(shards).Median(ctx); errors.Is(err, parsel.ErrPoolTimeout) {
 		fmt.Println("over HTTP: hurried query got the typed pool-timeout, as designed")
 	} else if err != nil {
 		fmt.Printf("over HTTP: hurried query: %v\n", err)

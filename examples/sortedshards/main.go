@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -65,11 +66,11 @@ func main() {
 	fmt.Printf("median of %d keys on %d processors, sorted vs scrambled shards\n\n", n, p)
 	fmt.Printf("%-34s %12s %12s %8s\n", "configuration", "sorted (s)", "random (s)", "ratio")
 	for _, c := range configs {
-		srt, err := parsel.Median(rangePartitioned(n, p), c.opts)
+		srt, err := parsel.Over(rangePartitioned(n, p), c.opts).Median(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}
-		rnd, err := parsel.Median(scrambled(n, p), c.opts)
+		rnd, err := parsel.Over(scrambled(n, p), c.opts).Median(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -46,11 +47,11 @@ func main() {
 		for _, topo := range []parsel.Topology{
 			parsel.TopologyCrossbar, parsel.TopologyHypercube, parsel.TopologyMesh2D, parsel.TopologyRing,
 		} {
-			res, err := parsel.Median(shards, parsel.Options{
+			res, err := parsel.Over(shards, parsel.Options{
 				Algorithm: parsel.Randomized,
 				Balancer:  parsel.NoBalance,
 				Machine:   parsel.Machine{Topology: topo, PerHop: scenario.perHop},
-			})
+			}).Median(context.Background())
 			if err != nil {
 				log.Fatal(err)
 			}

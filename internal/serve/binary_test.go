@@ -82,7 +82,7 @@ func TestDaemonBinaryDifferentialE2E(t *testing.T) {
 			if err != nil {
 				t.Fatalf("binary select: %v", err)
 			}
-			osel, err := ods.Select(rank)
+			osel, err := ods.Select(context.Background(), rank)
 			if err != nil {
 				t.Fatal(err)
 			}

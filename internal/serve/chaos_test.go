@@ -81,11 +81,11 @@ func TestDaemonChaosDifferentialE2E(t *testing.T) {
 			n := int64(len(sorted))
 
 			rank := (n + 1) / 2
-			got, err := c.Select(ctx, shape.shards, rank)
+			got, err := c.Over(shape.shards).Select(ctx, rank)
 			if err != nil {
 				t.Fatalf("%s: select through faults: %v", shape.name, err)
 			}
-			want, err := oracle.Select(shape.shards, rank)
+			want, err := oracle.Over(shape.shards).Select(context.Background(), rank)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,11 +99,11 @@ func TestDaemonChaosDifferentialE2E(t *testing.T) {
 			}
 
 			qs := []float64{0, 0.5, 1}
-			gv, grep, err := c.Quantiles(ctx, shape.shards, qs)
+			gv, grep, err := c.Over(shape.shards).Quantiles(ctx, qs)
 			if err != nil {
 				t.Fatalf("%s: quantiles through faults: %v", shape.name, err)
 			}
-			wv, wrep, err := oracle.Quantiles(shape.shards, qs)
+			wv, wrep, err := oracle.Over(shape.shards).Quantiles(context.Background(), qs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,11 +112,11 @@ func TestDaemonChaosDifferentialE2E(t *testing.T) {
 					shape.name, gv, simOf(grep), wv, simOf(wrep))
 			}
 
-			gfn, gr, err := c.Summary(ctx, shape.shards)
+			gfn, gr, err := c.Over(shape.shards).Summary(ctx)
 			if err != nil {
 				t.Fatalf("%s: summary through faults: %v", shape.name, err)
 			}
-			wfn, wr, err := oracle.Summary(shape.shards)
+			wfn, wr, err := oracle.Over(shape.shards).Summary(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +162,7 @@ func TestDaemonChaosServerMiddleware(t *testing.T) {
 	slices.Sort(sorted)
 	wantMedian := sorted[(int64(len(sorted))+1)/2-1]
 	for i := 0; i < 40; i++ {
-		res, err := c.Median(ctx, shards)
+		res, err := c.Over(shards).Median(ctx)
 		if err != nil {
 			t.Fatalf("median %d through server-side faults: %v", i, err)
 		}
@@ -199,14 +199,14 @@ func TestDaemonPanicRecovery(t *testing.T) {
 	shards := [][]int64{{3, 1, 4}, {1, 5}}
 
 	// A non-retrying client sees the structured 500.
-	_, err := d.client.Median(ctx, shards)
+	_, err := d.client.Over(shards).Median(ctx)
 	var api *parselclient.APIError
 	if !errors.As(err, &api) || api.Status != 500 || api.Code != parselclient.CodeInternal {
 		t.Fatalf("panicking handler answered %v, want a structured 500 internal", err)
 	}
 
 	// The daemon is fine afterwards.
-	if res, err := d.client.Median(ctx, shards); err != nil || res.Value != 3 {
+	if res, err := d.client.Over(shards).Median(ctx); err != nil || res.Value != 3 {
 		t.Fatalf("daemon did not survive the panic: %v %v", res.Value, err)
 	}
 	st := d.server.Stats()
@@ -217,7 +217,7 @@ func TestDaemonPanicRecovery(t *testing.T) {
 	// A retrying client heals the same fault invisibly.
 	fired.Store(false)
 	rc := parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()), parselclient.WithRetry(chaosPolicy(3)))
-	if res, err := rc.Median(ctx, shards); err != nil || res.Value != 3 {
+	if res, err := rc.Over(shards).Median(ctx); err != nil || res.Value != 3 {
 		t.Errorf("retrying client surfaced the recovered panic: %v %v", res.Value, err)
 	}
 }

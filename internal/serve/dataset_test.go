@@ -78,7 +78,7 @@ func TestDatasetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wsel, err := oracle.Select(shards, rank)
+	wsel, err := oracle.Over(shards).Select(context.Background(), rank)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestDatasetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wq, err := oracle.Quantile(shards, 0.9)
+	wq, err := oracle.Over(shards).Quantile(context.Background(), 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestDatasetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wqs, wrep, err := oracle.Quantiles(shards, qs)
+	wqs, wrep, err := oracle.Over(shards).Quantiles(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestDatasetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrs, _, err := oracle.SelectRanks(shards, ranks)
+	wrs, _, err := oracle.Over(shards).SelectRanks(context.Background(), ranks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestDatasetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wtop, _, err := oracle.TopK(shards, 3)
+	wtop, _, err := oracle.Over(shards).TopK(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestDatasetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wbot, _, err := oracle.BottomK(shards, 3)
+	wbot, _, err := oracle.Over(shards).BottomK(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestDatasetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wsum, wsrep, err := oracle.Summary(shards)
+	wsum, wsrep, err := oracle.Over(shards).Summary(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestDatasetTTLEvictionUnderHeldMachine(t *testing.T) {
 	slow := workload.Generate(workload.Sorted, 262144, 8, 3)
 	slowDone := make(chan error, 1)
 	go func() {
-		_, err := d.client.Median(ctx, slow)
+		_, err := d.client.Over(slow).Median(ctx)
 		slowDone <- err
 	}()
 	waitStats(t, d, "slow query to be admitted", func(st parselclient.Stats) bool {

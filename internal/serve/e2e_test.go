@@ -175,11 +175,11 @@ func TestDaemonDifferentialE2E(t *testing.T) {
 					n := int64(len(sorted))
 
 					for _, rank := range []int64{1, n, (n + 1) / 2, 1 + rng.Int64N(n)} {
-						got, err := d.client.Select(ctx, shape.shards, rank)
+						got, err := d.client.Over(shape.shards).Select(ctx, rank)
 						if err != nil {
 							t.Fatalf("http select rank %d: %v", rank, err)
 						}
-						want, err := oracle.Select(shape.shards, rank)
+						want, err := oracle.Over(shape.shards).Select(context.Background(), rank)
 						if err != nil {
 							t.Fatalf("oracle select rank %d: %v", rank, err)
 						}
@@ -192,11 +192,11 @@ func TestDaemonDifferentialE2E(t *testing.T) {
 						}
 					}
 
-					gmed, err := d.client.Median(ctx, shape.shards)
+					gmed, err := d.client.Over(shape.shards).Median(ctx)
 					if err != nil {
 						t.Fatalf("http median: %v", err)
 					}
-					wmed, err := oracle.Median(shape.shards)
+					wmed, err := oracle.Over(shape.shards).Median(context.Background())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -205,11 +205,11 @@ func TestDaemonDifferentialE2E(t *testing.T) {
 							gmed.Value, simOf(gmed.Report), wmed.Value, simOf(wmed.Report))
 					}
 
-					gq, err := d.client.Quantile(ctx, shape.shards, 0.9)
+					gq, err := d.client.Over(shape.shards).Quantile(ctx, 0.9)
 					if err != nil {
 						t.Fatalf("http quantile: %v", err)
 					}
-					wq, err := oracle.Quantile(shape.shards, 0.9)
+					wq, err := oracle.Over(shape.shards).Quantile(context.Background(), 0.9)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -218,11 +218,11 @@ func TestDaemonDifferentialE2E(t *testing.T) {
 					}
 
 					qs := []float64{0, 0.25, 0.5, 0.75, 0.99, 1}
-					gqs, grep, err := d.client.Quantiles(ctx, shape.shards, qs)
+					gqs, grep, err := d.client.Over(shape.shards).Quantiles(ctx, qs)
 					if err != nil {
 						t.Fatalf("http quantiles: %v", err)
 					}
-					wqs, wrep, err := oracle.Quantiles(shape.shards, qs)
+					wqs, wrep, err := oracle.Over(shape.shards).Quantiles(context.Background(), qs)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -232,11 +232,11 @@ func TestDaemonDifferentialE2E(t *testing.T) {
 					}
 
 					ranks := []int64{1, n, (n + 1) / 2, 1 + rng.Int64N(n), 1}
-					grs, grep2, err := d.client.SelectRanks(ctx, shape.shards, ranks)
+					grs, grep2, err := d.client.Over(shape.shards).SelectRanks(ctx, ranks)
 					if err != nil {
 						t.Fatalf("http ranks: %v", err)
 					}
-					wrs, wrep2, err := oracle.SelectRanks(shape.shards, ranks)
+					wrs, wrep2, err := oracle.Over(shape.shards).SelectRanks(context.Background(), ranks)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -250,18 +250,18 @@ func TestDaemonDifferentialE2E(t *testing.T) {
 					}
 
 					k := int(min(5, n))
-					gtop, _, err := d.client.TopK(ctx, shape.shards, k)
+					gtop, _, err := d.client.Over(shape.shards).TopK(ctx, k)
 					if err != nil {
 						t.Fatalf("http topk: %v", err)
 					}
-					wtop, _, err := oracle.TopK(shape.shards, k)
+					wtop, _, err := oracle.Over(shape.shards).TopK(context.Background(), k)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !slices.Equal(gtop, wtop) {
 						t.Errorf("topk diverges: http %v, pool %v", gtop, wtop)
 					}
-					gbot, _, err := d.client.BottomK(ctx, shape.shards, k)
+					gbot, _, err := d.client.Over(shape.shards).BottomK(ctx, k)
 					if err != nil {
 						t.Fatalf("http bottomk: %v", err)
 					}
@@ -269,11 +269,11 @@ func TestDaemonDifferentialE2E(t *testing.T) {
 						t.Errorf("bottomk = %v, sort oracle says %v", gbot, sorted[:k])
 					}
 
-					gsum, gsrep, err := d.client.Summary(ctx, shape.shards)
+					gsum, gsrep, err := d.client.Over(shape.shards).Summary(ctx)
 					if err != nil {
 						t.Fatalf("http summary: %v", err)
 					}
-					wsum, wsrep, err := oracle.Summary(shape.shards)
+					wsum, wsrep, err := oracle.Over(shape.shards).Summary(context.Background())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -386,14 +386,14 @@ func TestDaemonConcurrentClientsBitIdentical(t *testing.T) {
 	} {
 		shards := workload.Generate(cfg.kind, cfg.n, cfg.p, 7)
 		for _, rank := range []int64{1, cfg.n / 3, (cfg.n + 1) / 2, cfg.n} {
-			res, err := parsel.Select(shards, rank, parsel.Options{})
+			res, err := parsel.Over(shards, parsel.Options{}).Select(context.Background(), rank)
 			if err != nil {
 				t.Fatal(err)
 			}
 			jobs = append(jobs, job{shards: shards, rank: rank, wantVal: res.Value, wantRep: simOf(res.Report)})
 		}
 		ranks := []int64{1, cfg.n / 4, cfg.n / 2, cfg.n}
-		vals, rep, err := parsel.SelectRanks(shards, ranks, parsel.Options{})
+		vals, rep, err := parsel.Over(shards, parsel.Options{}).SelectRanks(context.Background(), ranks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,7 +419,7 @@ func TestDaemonConcurrentClientsBitIdentical(t *testing.T) {
 				for off := 0; off < len(jobs); off++ {
 					j := jobs[(c+off)%len(jobs)]
 					if j.ranks != nil {
-						vals, rep, err := d.client.SelectRanks(ctx, j.shards, j.ranks)
+						vals, rep, err := d.client.Over(j.shards).SelectRanks(ctx, j.ranks)
 						if err != nil {
 							t.Errorf("client %d ranks: %v", c, err)
 							return
@@ -431,7 +431,7 @@ func TestDaemonConcurrentClientsBitIdentical(t *testing.T) {
 						}
 						continue
 					}
-					res, err := d.client.Select(ctx, j.shards, j.rank)
+					res, err := d.client.Over(j.shards).Select(ctx, j.rank)
 					if err != nil {
 						t.Errorf("client %d rank %d: %v", c, j.rank, err)
 						return
@@ -485,7 +485,7 @@ func TestDaemonStatsAndHealth(t *testing.T) {
 		t.Fatalf("healthy daemon: %v", err)
 	}
 	shards := [][]int64{{3, 1, 4}, {1, 5}}
-	if _, err := d.client.Median(ctx, shards); err != nil {
+	if _, err := d.client.Over(shards).Median(ctx); err != nil {
 		t.Fatal(err)
 	}
 	st, err := d.client.Stats(ctx)
@@ -504,7 +504,7 @@ func TestDaemonStatsAndHealth(t *testing.T) {
 	if err := d.client.Health(ctx); err == nil {
 		t.Error("draining daemon still reports healthy")
 	}
-	_, err = d.client.Median(ctx, shards)
+	_, err = d.client.Over(shards).Median(ctx)
 	var apiErr *parselclient.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != 503 || apiErr.Code != parselclient.CodeShuttingDown {
 		t.Errorf("query while draining: %v", err)

@@ -100,16 +100,16 @@ func TestDaemonRequestValidation(t *testing.T) {
 
 	// The client maps validation codes back to the library's typed
 	// errors.
-	if _, err := d.client.Select(context.Background(), [][]int64{{1}}, 99); !errors.Is(err, parsel.ErrRankRange) {
+	if _, err := d.client.Over([][]int64{{1}}).Select(context.Background(), 99); !errors.Is(err, parsel.ErrRankRange) {
 		t.Errorf("rank_range over the wire: %v", err)
 	}
-	if _, err := d.client.Quantile(context.Background(), [][]int64{{1}}, 2); !errors.Is(err, parsel.ErrBadQuantile) {
+	if _, err := d.client.Over([][]int64{{1}}).Quantile(context.Background(), 2); !errors.Is(err, parsel.ErrBadQuantile) {
 		t.Errorf("bad_quantile over the wire: %v", err)
 	}
 
 	// Validation failures must not poison the daemon: a good query
 	// still works.
-	res2, err := d.client.Median(context.Background(), [][]int64{{3, 1}, {2}})
+	res2, err := d.client.Over([][]int64{{3, 1}, {2}}).Median(context.Background())
 	if err != nil || res2.Value != 2 {
 		t.Errorf("median after error storm: %v %v", res2.Value, err)
 	}
@@ -147,7 +147,7 @@ func TestServeOptionValidation(t *testing.T) {
 func TestClientNilContext(t *testing.T) {
 	d := newDaemon(t, parsel.Options{}, parsel.PoolOptions{MaxMachines: 1}, serve.Options{})
 	defer d.close()
-	res, err := d.client.Median(nil, [][]int64{{3, 1}, {2}})
+	res, err := d.client.Over([][]int64{{3, 1}, {2}}).Median(nil)
 	if err != nil || res.Value != 2 {
 		t.Errorf("nil-context Median = %v, %v", res.Value, err)
 	}
@@ -164,7 +164,7 @@ func TestClientNilContext(t *testing.T) {
 func TestDaemonTopKZero(t *testing.T) {
 	d := newDaemon(t, parsel.Options{}, parsel.PoolOptions{MaxMachines: 1}, serve.Options{})
 	defer d.close()
-	vals, _, err := d.client.TopK(context.Background(), [][]int64{{5, 2}, {8}}, 0)
+	vals, _, err := d.client.Over([][]int64{{5, 2}, {8}}).TopK(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -272,11 +272,11 @@ func TestDaemonFloat64DifferentialE2E(t *testing.T) {
 				kc := parselclient.Keyed[float64](c)
 
 				rank := 1 + rand.Int64N(n)
-				got, err := kc.Select(ctx, shards, rank)
+				got, err := kc.Over(shards).Select(ctx, rank)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, werr := oracle.Select(shards, rank)
+				want, werr := oracle.Over(shards).Select(context.Background(), rank)
 				if werr != nil {
 					t.Fatal(werr)
 				}
@@ -286,7 +286,7 @@ func TestDaemonFloat64DifferentialE2E(t *testing.T) {
 						rank, got.Value, want.Value, sorted[rank-1])
 				}
 
-				med, err := kc.Median(ctx, shards)
+				med, err := kc.Over(shards).Median(ctx)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -295,11 +295,11 @@ func TestDaemonFloat64DifferentialE2E(t *testing.T) {
 				}
 
 				qs := []float64{0, 0.25, 0.5, 0.99, 1}
-				vals, _, err := kc.Quantiles(ctx, shards, qs)
+				vals, _, err := kc.Over(shards).Quantiles(ctx, qs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wvals, _, werr2 := oracle.Quantiles(shards, qs)
+				wvals, _, werr2 := oracle.Over(shards).Quantiles(context.Background(), qs)
 				if werr2 != nil {
 					t.Fatal(werr2)
 				}
@@ -308,7 +308,7 @@ func TestDaemonFloat64DifferentialE2E(t *testing.T) {
 				}
 
 				k := int(min(n, 5))
-				top, _, err := kc.TopK(ctx, shards, k)
+				top, _, err := kc.Over(shards).TopK(ctx, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -318,11 +318,11 @@ func TestDaemonFloat64DifferentialE2E(t *testing.T) {
 					t.Fatalf("topk: got %v, want %v", top, wtop)
 				}
 
-				sum, _, err := kc.Summary(ctx, shards)
+				sum, _, err := kc.Over(shards).Summary(ctx)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wsum, _, werr3 := oracle.Summary(shards)
+				wsum, _, werr3 := oracle.Over(shards).Summary(context.Background())
 				if werr3 != nil {
 					t.Fatal(werr3)
 				}
@@ -661,21 +661,21 @@ func TestTenantAdmission(t *testing.T) {
 	ctx := context.Background()
 
 	// No token: 401 with the typed sentinel. /healthz stays open.
-	if _, err := d.client.Median(ctx, [][]int64{{1, 2, 3}}); !errors.Is(err, parselclient.ErrUnknownTenant) {
+	if _, err := d.client.Over([][]int64{{1, 2, 3}}).Median(ctx); !errors.Is(err, parselclient.ErrUnknownTenant) {
 		t.Fatalf("tokenless query: %v, want ErrUnknownTenant", err)
 	}
 	if _, err := d.client.Healthz(ctx); err != nil {
 		t.Fatalf("tokenless healthz: %v", err)
 	}
 	wrong := parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()), parselclient.WithToken("tok-nobody"))
-	if _, err := wrong.Median(ctx, [][]int64{{1}}); !errors.Is(err, parselclient.ErrUnknownTenant) {
+	if _, err := wrong.Over([][]int64{{1}}).Median(ctx); !errors.Is(err, parselclient.ErrUnknownTenant) {
 		t.Fatalf("bad-token query: %v, want ErrUnknownTenant", err)
 	}
 
 	acme := parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()), parselclient.WithToken("tok-acme"))
 	globex := parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()), parselclient.WithToken("tok-globex"))
 
-	med, err := acme.Median(ctx, [][]int64{{4, 9, 6}})
+	med, err := acme.Over([][]int64{{4, 9, 6}}).Median(ctx)
 	if err != nil || med.Value != 6 {
 		t.Fatalf("acme median: %v, %v", med.Value, err)
 	}

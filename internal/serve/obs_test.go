@@ -140,7 +140,7 @@ func TestObsMetricsGolden(t *testing.T) {
 
 	ctx := context.Background()
 	for _, shape := range shapes {
-		if _, err := client.Median(ctx, shape.shards); err != nil {
+		if _, err := client.Over(shape.shards).Median(ctx); err != nil {
 			t.Fatalf("%s median: %v", shape.name, err)
 		}
 		rd := client.Dataset(dsID(shape.name))
@@ -367,7 +367,7 @@ func statLeaves(v reflect.Value, path, tenant string, leaf func(path, tenant str
 func replayKind[K parselclient.Key](t *testing.T, kc parselclient.KindClient[K], shards [][]K) {
 	t.Helper()
 	ctx := context.Background()
-	if _, err := kc.Median(ctx, shards); err != nil {
+	if _, err := kc.Over(shards).Median(ctx); err != nil {
 		t.Fatalf("%s median: %v", parselclient.KeyKindOf[K](), err)
 	}
 	ds := kc.Dataset("parity-" + parselclient.KeyKindOf[K]())
@@ -482,7 +482,7 @@ func TestObsReloadDropsTenantSeries(t *testing.T) {
 	ctx := context.Background()
 	for _, tok := range []string{"tok-a", "tok-b"} {
 		c := parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()), parselclient.WithToken(tok))
-		if _, err := c.Median(ctx, [][]int64{{3, 1}, {2}}); err != nil {
+		if _, err := c.Over([][]int64{{3, 1}, {2}}).Median(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -725,9 +725,9 @@ func TestObsScrapeStorm(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				var err error
 				if w%2 == 0 {
-					_, err = client.Median(ctx, shards)
+					_, err = client.Over(shards).Median(ctx)
 				} else {
-					_, err = parselclient.Keyed[float64](client).Median(ctx, fshards)
+					_, err = parselclient.Keyed[float64](client).Over(fshards).Median(ctx)
 				}
 				if err != nil {
 					t.Errorf("median: %v", err)
@@ -811,7 +811,7 @@ func TestObsScrapeSmoke(t *testing.T) {
 	d := newDaemon(t, parsel.Options{}, parsel.PoolOptions{MaxMachines: 2}, serve.Options{})
 	defer d.close()
 	ctx := context.Background()
-	if _, err := d.client.Median(ctx, [][]int64{{3, 1, 4}, {1, 5}}); err != nil {
+	if _, err := d.client.Over([][]int64{{3, 1, 4}, {1, 5}}).Median(ctx); err != nil {
 		t.Fatal(err)
 	}
 	sc := scrape(t, d.ts.URL)

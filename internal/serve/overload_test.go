@@ -67,7 +67,7 @@ func TestDaemonOverloadDeadlines(t *testing.T) {
 		slowWG.Add(1)
 		go func(i int) {
 			defer slowWG.Done()
-			_, slowErrs[i] = d.client.Median(ctx, slow)
+			_, slowErrs[i] = d.client.Over(slow).Median(ctx)
 		}(i)
 	}
 	waitStats(t, d, "slow queries to be admitted", func(st parselclient.Stats) bool {
@@ -92,7 +92,7 @@ func TestDaemonOverloadDeadlines(t *testing.T) {
 		go func() {
 			defer stormWG.Done()
 			for i := 0; i < 3; i++ {
-				_, err := tc.Median(ctx, small)
+				_, err := tc.Over(small).Median(ctx)
 				switch {
 				case err == nil:
 					ok.Add(1)
@@ -155,7 +155,7 @@ func TestDaemonOverloadDeadlines(t *testing.T) {
 	// Drain, shut down, and audit for leaks: no resident Selectors, and
 	// the goroutine count returns to its pre-daemon level.
 	d.server.Drain()
-	if _, err := d.client.Median(ctx, [][]int64{{1}, {2}}); !errors.Is(err, parsel.ErrPoolClosed) {
+	if _, err := d.client.Over([][]int64{{1}, {2}}).Median(ctx); !errors.Is(err, parsel.ErrPoolClosed) {
 		t.Errorf("query during drain: %v, want ErrPoolClosed mapping", err)
 	}
 	d.ts.Close()
@@ -218,7 +218,7 @@ func TestDaemonQueueFull(t *testing.T) {
 		return st.Server.Inflight >= 2
 	})
 
-	_, err := d.client.Median(ctx, small)
+	_, err := d.client.Over(small).Median(ctx)
 	if !errors.Is(err, parselclient.ErrQueueFull) {
 		t.Errorf("overfull daemon: %v, want ErrQueueFull", err)
 	}
@@ -234,7 +234,7 @@ func TestDaemonQueueFull(t *testing.T) {
 	waitStats(t, d, "slot release", func(st parselclient.Stats) bool {
 		return st.Server.Inflight <= 1
 	})
-	res, err := d.client.Median(ctx, small)
+	res, err := d.client.Over(small).Median(ctx)
 	if err != nil || res.Value != 2 {
 		t.Errorf("median after queue drain: %v %v", res.Value, err)
 	}

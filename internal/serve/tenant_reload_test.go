@@ -46,7 +46,7 @@ func TestTenantReload(t *testing.T) {
 	if _, err := acme.Dataset("held").Upload(ctx, [][]int64{{9, 4}, {7}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := beta.Median(ctx, [][]int64{{1, 2, 3}}); err != nil {
+	if _, err := beta.Over([][]int64{{1, 2, 3}}).Median(ctx); err != nil {
 		t.Fatal(err)
 	}
 	pre := d.server.Stats().Tenants["acme"]
@@ -72,17 +72,17 @@ func TestTenantReload(t *testing.T) {
 	}
 
 	// Old credentials die at once; the rotated and new ones work.
-	if _, err := acme.Median(ctx, [][]int64{{1}}); !errors.Is(err, parselclient.ErrUnknownTenant) {
+	if _, err := acme.Over([][]int64{{1}}).Median(ctx); !errors.Is(err, parselclient.ErrUnknownTenant) {
 		t.Fatalf("rotated-away token: %v, want ErrUnknownTenant", err)
 	}
-	if _, err := beta.Median(ctx, [][]int64{{1}}); !errors.Is(err, parselclient.ErrUnknownTenant) {
+	if _, err := beta.Over([][]int64{{1}}).Median(ctx); !errors.Is(err, parselclient.ErrUnknownTenant) {
 		t.Fatalf("dropped tenant token: %v, want ErrUnknownTenant", err)
 	}
 	acme2 := parselclient.New(d.ts.URL,
 		parselclient.WithHTTPClient(d.ts.Client()), parselclient.WithToken("tok-a2"))
 	gamma := parselclient.New(d.ts.URL,
 		parselclient.WithHTTPClient(d.ts.Client()), parselclient.WithToken("tok-g"))
-	if _, err := gamma.Median(ctx, [][]int64{{5, 2}}); err != nil {
+	if _, err := gamma.Over([][]int64{{5, 2}}).Median(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -114,7 +114,7 @@ func TestTenantReload(t *testing.T) {
 		apiErr.Status != 500 || apiErr.Code != parselclient.CodeInternal {
 		t.Fatalf("reload with broken source: %v, want 500 internal", err)
 	}
-	if _, err := acme2.Median(ctx, [][]int64{{3}}); err != nil {
+	if _, err := acme2.Over([][]int64{{3}}).Median(ctx); err != nil {
 		t.Fatalf("previous configuration stopped serving after failed reload: %v", err)
 	}
 

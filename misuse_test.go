@@ -1,6 +1,7 @@
 package parsel_test
 
 import (
+	"context"
 	"errors"
 	"slices"
 	"sync"
@@ -18,37 +19,37 @@ func TestSelectorUseAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	shards := [][]int64{{3, 1, 2}, {6, 5, 4}}
-	if _, err := sel.Select(shards, 1); err != nil {
+	if _, err := sel.Over(shards).Select(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 	sel.Close()
 	sel.Close() // idempotent
 
-	if _, err := sel.Select(shards, 1); !errors.Is(err, parsel.ErrSelectorClosed) {
+	if _, err := sel.Over(shards).Select(context.Background(), 1); !errors.Is(err, parsel.ErrSelectorClosed) {
 		t.Errorf("Select after Close: %v", err)
 	}
 	if _, err := sel.SelectInPlace(shards, 1); !errors.Is(err, parsel.ErrSelectorClosed) {
 		t.Errorf("SelectInPlace after Close: %v", err)
 	}
-	if _, err := sel.Median(shards); !errors.Is(err, parsel.ErrSelectorClosed) {
+	if _, err := sel.Over(shards).Median(context.Background()); !errors.Is(err, parsel.ErrSelectorClosed) {
 		t.Errorf("Median after Close: %v", err)
 	}
-	if _, err := sel.Quantile(shards, 0.5); !errors.Is(err, parsel.ErrSelectorClosed) {
+	if _, err := sel.Over(shards).Quantile(context.Background(), 0.5); !errors.Is(err, parsel.ErrSelectorClosed) {
 		t.Errorf("Quantile after Close: %v", err)
 	}
-	if _, _, err := sel.SelectRanks(shards, []int64{1}); !errors.Is(err, parsel.ErrSelectorClosed) {
+	if _, _, err := sel.Over(shards).SelectRanks(context.Background(), []int64{1}); !errors.Is(err, parsel.ErrSelectorClosed) {
 		t.Errorf("SelectRanks after Close: %v", err)
 	}
-	if _, _, err := sel.Quantiles(shards, []float64{0.5}); !errors.Is(err, parsel.ErrSelectorClosed) {
+	if _, _, err := sel.Over(shards).Quantiles(context.Background(), []float64{0.5}); !errors.Is(err, parsel.ErrSelectorClosed) {
 		t.Errorf("Quantiles after Close: %v", err)
 	}
-	if _, _, err := sel.TopK(shards, 1); !errors.Is(err, parsel.ErrSelectorClosed) {
+	if _, _, err := sel.Over(shards).TopK(context.Background(), 1); !errors.Is(err, parsel.ErrSelectorClosed) {
 		t.Errorf("TopK after Close: %v", err)
 	}
-	if _, _, err := sel.BottomK(shards, 1); !errors.Is(err, parsel.ErrSelectorClosed) {
+	if _, _, err := sel.Over(shards).BottomK(context.Background(), 1); !errors.Is(err, parsel.ErrSelectorClosed) {
 		t.Errorf("BottomK after Close: %v", err)
 	}
-	if _, _, err := sel.Summary(shards); !errors.Is(err, parsel.ErrSelectorClosed) {
+	if _, _, err := sel.Over(shards).Summary(context.Background()); !errors.Is(err, parsel.ErrSelectorClosed) {
 		t.Errorf("Summary after Close: %v", err)
 	}
 }
@@ -67,21 +68,21 @@ func TestSelectorBusyDetected(t *testing.T) {
 	if err := sel.AcquireForTest(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sel.Select(shards, 1); !errors.Is(err, parsel.ErrSelectorBusy) {
+	if _, err := sel.Over(shards).Select(context.Background(), 1); !errors.Is(err, parsel.ErrSelectorBusy) {
 		t.Errorf("Select while busy: %v", err)
 	}
-	if _, err := sel.Median(shards); !errors.Is(err, parsel.ErrSelectorBusy) {
+	if _, err := sel.Over(shards).Median(context.Background()); !errors.Is(err, parsel.ErrSelectorBusy) {
 		t.Errorf("Median while busy: %v", err)
 	}
-	if _, _, err := sel.SelectRanks(shards, []int64{1}); !errors.Is(err, parsel.ErrSelectorBusy) {
+	if _, _, err := sel.Over(shards).SelectRanks(context.Background(), []int64{1}); !errors.Is(err, parsel.ErrSelectorBusy) {
 		t.Errorf("SelectRanks while busy: %v", err)
 	}
-	if _, _, err := sel.TopK(shards, 2); !errors.Is(err, parsel.ErrSelectorBusy) {
+	if _, _, err := sel.Over(shards).TopK(context.Background(), 2); !errors.Is(err, parsel.ErrSelectorBusy) {
 		t.Errorf("TopK while busy: %v", err)
 	}
 	sel.ReleaseForTest()
 
-	res, err := sel.Select(shards, 4)
+	res, err := sel.Over(shards).Select(context.Background(), 4)
 	if err != nil {
 		t.Fatalf("Select after release: %v", err)
 	}
@@ -104,11 +105,11 @@ func TestSelectorCloseWhileBusy(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel.Close() // must not close the machine yet
-	if _, err := sel.Select(shards, 1); !errors.Is(err, parsel.ErrSelectorBusy) {
+	if _, err := sel.Over(shards).Select(context.Background(), 1); !errors.Is(err, parsel.ErrSelectorBusy) {
 		t.Errorf("Select during deferred close: %v", err)
 	}
 	sel.ReleaseForTest() // the in-flight call returns; close completes
-	if _, err := sel.Select(shards, 1); !errors.Is(err, parsel.ErrSelectorClosed) {
+	if _, err := sel.Over(shards).Select(context.Background(), 1); !errors.Is(err, parsel.ErrSelectorClosed) {
 		t.Errorf("Select after deferred close: %v", err)
 	}
 }
@@ -145,7 +146,7 @@ func TestSelectorConcurrentHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				res, err := sel.Select(shards, 2000)
+				res, err := sel.Over(shards).Select(context.Background(), 2000)
 				if err != nil {
 					if !errors.Is(err, parsel.ErrSelectorBusy) {
 						t.Errorf("unexpected error: %v", err)

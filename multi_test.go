@@ -1,6 +1,7 @@
 package parsel
 
 import (
+	"context"
 	"errors"
 	"math/rand/v2"
 	"slices"
@@ -16,7 +17,7 @@ func TestSelectRanks(t *testing.T) {
 	slices.Sort(sorted)
 	shards := shardInts(vals, 4)
 	ranks := []int64{1000, 1, 500, 250, 750, 1}
-	got, rep, err := SelectRanks(shards, ranks, Options{})
+	got, rep, err := Over(shards, Options{}).SelectRanks(context.Background(), ranks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestQuantilesPublic(t *testing.T) {
 		vals[i] = int64(i)
 	}
 	shards := shardInts(vals, 8)
-	got, _, err := Quantiles(shards, []float64{0.25, 0.5, 0.75}, Options{})
+	got, _, err := Over(shards, Options{}).Quantiles(context.Background(), []float64{0.25, 0.5, 0.75})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,25 +48,25 @@ func TestQuantilesPublic(t *testing.T) {
 }
 
 func TestSelectRanksErrors(t *testing.T) {
-	if _, _, err := SelectRanks[int64](nil, []int64{1}, Options{}); !errors.Is(err, ErrNoShards) {
+	if _, _, err := Over[int64](nil, Options{}).SelectRanks(context.Background(), []int64{1}); !errors.Is(err, ErrNoShards) {
 		t.Errorf("nil shards: %v", err)
 	}
-	if _, _, err := SelectRanks([][]int64{{}}, []int64{1}, Options{}); !errors.Is(err, ErrNoData) {
+	if _, _, err := Over([][]int64{{}}, Options{}).SelectRanks(context.Background(), []int64{1}); !errors.Is(err, ErrNoData) {
 		t.Errorf("no data: %v", err)
 	}
-	if _, _, err := SelectRanks([][]int64{{1, 2}}, []int64{3}, Options{}); !errors.Is(err, ErrRankRange) {
+	if _, _, err := Over([][]int64{{1, 2}}, Options{}).SelectRanks(context.Background(), []int64{3}); !errors.Is(err, ErrRankRange) {
 		t.Errorf("bad rank: %v", err)
 	}
-	if _, _, err := Quantiles([][]int64{{1, 2}}, []float64{-0.1}, Options{}); !errors.Is(err, ErrBadQuantile) {
+	if _, _, err := Over([][]int64{{1, 2}}, Options{}).Quantiles(context.Background(), []float64{-0.1}); !errors.Is(err, ErrBadQuantile) {
 		t.Errorf("bad quantile: %v", err)
 	}
-	if _, _, err := Quantiles([][]int64{{}}, []float64{0.5}, Options{}); !errors.Is(err, ErrNoData) {
+	if _, _, err := Over([][]int64{{}}, Options{}).Quantiles(context.Background(), []float64{0.5}); !errors.Is(err, ErrNoData) {
 		t.Errorf("quantiles no data: %v", err)
 	}
 }
 
 func TestSelectRanksEmptyRequest(t *testing.T) {
-	got, _, err := SelectRanks([][]int64{{5, 2, 9}}, nil, Options{})
+	got, _, err := Over([][]int64{{5, 2, 9}}, Options{}).SelectRanks(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,13 +82,13 @@ func TestSelectRanksMuchCheaperThanSeparate(t *testing.T) {
 	}
 	shards := shardInts(vals, 8)
 	qs := []float64{0.01, 0.25, 0.5, 0.75, 0.99}
-	_, repMany, err := Quantiles(shards, qs, Options{})
+	_, repMany, err := Over(shards, Options{}).Quantiles(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sumSingles float64
 	for _, q := range qs {
-		res, err := Quantile(shards, q, Options{Algorithm: Randomized, Balancer: NoBalance})
+		res, err := Over(shards, Options{Algorithm: Randomized, Balancer: NoBalance}).Quantile(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,11 +126,11 @@ func TestManyQuantilesStayUnderRoundCap(t *testing.T) {
 		return qs
 	}
 	deciles, percentiles := quantiles(9), quantiles(99)
-	_, rep9, err := Quantiles(shards, deciles, Options{})
+	_, rep9, err := Over(shards, Options{}).Quantiles(context.Background(), deciles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, rep99, err := Quantiles(shards, percentiles, Options{})
+	got, rep99, err := Over(shards, Options{}).Quantiles(context.Background(), percentiles)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,17 @@
 //
 // Quick start:
 //
+//	ctx := context.Background()
 //	shards := [][]int64{{9, 1, 5}, {3, 7, 2}}       // 2 processors
-//	res, err := parsel.Select(shards, 3, parsel.Options{})
+//	res, err := parsel.Over(shards, parsel.Options{}).Select(ctx, 3)
 //	// res.Value == 3, the 3rd smallest of {1,2,3,5,7,9}
+//
+// Every query is a Query answered by one Run per layer. The eight named
+// queries — Select, Median, Quantile, Quantiles, SelectRanks, TopK,
+// BottomK and Summary — are the methods of Verbs, written once over
+// Run: a resident Dataset carries them directly (ds.Median(ctx)), and
+// every layer that takes shards per query returns them from Over
+// (parsel.Over, Selector.Over, Pool.Over).
 //
 // The Options zero value picks the paper's overall winner: fast
 // randomized selection with modified order-maintaining load balancing on
@@ -32,12 +40,12 @@
 // service) should construct a Selector once and reuse it: the
 // machine persists across calls, per-processor scratch memory is
 // recycled, and the hot path stays allocation-light. Results, including
-// the simulated metrics, are bit-identical to the one-shot functions.
+// the simulated metrics, are bit-identical to the package-level queries.
 //
 //	sel, err := parsel.NewSelector[int64](parsel.Options{})
 //	defer sel.Close()
 //	for _, shards := range workload {
-//		res, err := sel.Select(shards, rank)   // no machine rebuild
+//		res, err := sel.Over(shards).Select(ctx, rank)   // no machine rebuild
 //		...
 //	}
 //
@@ -51,6 +59,7 @@ package parsel
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -160,10 +169,10 @@ type Machine struct {
 	PerHop time.Duration
 }
 
-// Options configures Select and friends. The zero value means: fast
+// Options configures every query. The zero value means: fast
 // randomized selection with modified OMLB balancing on an 8-processor
 // CM-5-like machine (the number of processors is overridden by the number
-// of shards passed in; see Select).
+// of shards passed in; see Run).
 type Options struct {
 	// Algorithm picks the selection algorithm (default FastRandomized).
 	Algorithm Algorithm
@@ -240,8 +249,9 @@ var (
 	ErrSelectorBusy = errors.New("parsel: concurrent call on a Selector (use a Pool to serve multiple goroutines)")
 	// ErrPoolClosed is returned by every Pool method called after Close.
 	ErrPoolClosed = errors.New("parsel: Pool used after Close")
-	// ErrPoolTimeout is returned by the context-taking Pool methods when
-	// every machine stays busy until the context expires: the query was
+	// ErrPoolTimeout is returned by a pool-backed query (Pool, Dataset
+	// and the package-level queries) when every machine stays busy
+	// until the context expires: the query was
 	// never admitted (no partial work happened). The returned error also
 	// matches the context's own verdict (context.DeadlineExceeded or
 	// context.Canceled) under errors.Is.
@@ -251,13 +261,12 @@ var (
 // Selector is a reusable selection engine: the simulated machine — link
 // fabric, parked processor coroutines, per-processor random streams and
 // scratch arenas — is constructed once and serves repeated queries. Run
-// answers any Query and is the one place an op meets the engine; the
-// named methods (Select, Median, Quantile, Quantiles, SelectRanks, TopK,
-// BottomK, Summary) are one-line wrappers over it, and SelectInPlace,
+// answers any Query and is the one place an op meets the engine; Over
+// binds the named Verbs to it for one set of shards, and SelectInPlace,
 // which takes over the caller's shards, is the only other entry point.
 // For a fixed seed and inputs, every simulated metric (SimSeconds,
-// Iterations, Messages, Bytes) is identical to the one-shot package
-// functions; only host-side cost differs.
+// Iterations, Messages, Bytes) is identical to the package-level
+// queries; only host-side cost differs.
 //
 // A Selector is not safe for concurrent use, but misuse is detected
 // rather than corrupting state: a method entered while another call is
@@ -416,85 +425,33 @@ func (s *Selector[K]) Close() {
 // Procs returns the current machine size.
 func (s *Selector[K]) Procs() int { return s.params.Procs }
 
-// Select returns the element of 1-based rank among all elements of
-// shards, running one simulated processor per shard. Shards may have any
-// (including zero) lengths; shard contents are not modified (fast
+// Over returns the named queries over shards, answered by Run: one
+// simulated processor per shard, shard contents never modified (fast
 // randomized selection reads them in place; the other algorithms, and
-// every run on one shard, copy each into its processor's arena).
-func (s *Selector[K]) Select(shards [][]K, rank int64) (Result[K], error) {
-	return AsResult(s.Run(shards, Query{Op: OpSelect, Rank: rank}))
+// every run on one shard, copy each into its processor's arena). The
+// context is unused: a Selector serves one call at a time and never
+// waits. Multi-value answers of Quantiles and SelectRanks are backed by
+// the Selector's arena; see Run.
+func (s *Selector[K]) Over(shards [][]K) Verbs[K] {
+	return func(_ context.Context, q Query) (Answer[K], error) {
+		return s.Run(shards, q)
+	}
 }
 
-// SelectInPlace is Select for callers that hand over ownership of their
-// shards: the engine partitions and migrates the caller's slices directly
-// instead of copying them. Only the non-default algorithms (and runs on
-// one shard) copy in Select, so only they save anything here; fast
-// randomized selection on several shards is zero-copy either way. On
-// return the shard contents are unspecified (permuted, possibly
-// redistributed); the multiset of elements is preserved across the union
-// of shards.
+// SelectInPlace is Over(shards).Select for callers that hand over
+// ownership of their shards: the engine partitions and migrates the
+// caller's slices directly instead of copying them. Only the
+// non-default algorithms (and runs on one shard) copy in Select, so
+// only they save anything here; fast randomized selection on several
+// shards is zero-copy either way. On return the shard contents are
+// unspecified (permuted, possibly redistributed); the multiset of
+// elements is preserved across the union of shards.
 func (s *Selector[K]) SelectInPlace(shards [][]K, rank int64) (Result[K], error) {
 	if err := s.acquire(); err != nil {
 		return Result[K]{}, err
 	}
 	defer s.release()
-	return AsResult(s.selectRank(shards, rank, false))
-}
-
-// Median returns the element of rank ceil(n/2) (the paper's median).
-func (s *Selector[K]) Median(shards [][]K) (Result[K], error) {
-	return AsResult(s.Run(shards, Query{Op: OpMedian}))
-}
-
-// Quantile returns the element of rank ceil(q*n) for q in (0,1], and the
-// minimum for q = 0.
-func (s *Selector[K]) Quantile(shards [][]K, q float64) (Result[K], error) {
-	return AsResult(s.Run(shards, Query{Op: OpQuantile, Q: q}))
-}
-
-// SelectRanks returns the elements at several 1-based ranks in one
-// collective run, sharing partitioning work across the ranks. The ranks
-// advance together in rounds, one randomized pivot step per unresolved
-// segment each, with one set of collectives per round, so the cost grows
-// with the deepest rank's round count rather than with the number of
-// ranks: 99 percentiles cost under twice the nine deciles. Ranks may
-// repeat and appear in any order; results align with the request.
-// Options.Balancer is ignored (multi-rank segments alias storage and
-// cannot migrate).
-//
-// The returned slice is backed by the Selector's reusable arena: it is
-// valid until the next call on this Selector, so callers that retain it
-// across calls must copy it first. (Results from the package-level
-// SelectRanks and from Pool.SelectRanks are caller-owned.)
-func (s *Selector[K]) SelectRanks(shards [][]K, ranks []int64) ([]K, Report, error) {
-	return AsValues(s.Run(shards, Query{Op: OpRanks, Ranks: ranks}))
-}
-
-// Quantiles returns the elements at several quantiles (each in [0,1]) in
-// one collective run; see SelectRanks (including the arena-backed
-// lifetime of the returned slice).
-func (s *Selector[K]) Quantiles(shards [][]K, qs []float64) ([]K, Report, error) {
-	return AsValues(s.Run(shards, Query{Op: OpQuantiles, Qs: qs}))
-}
-
-// TopK returns the k largest elements across all shards in descending
-// order, computed with one selection (the threshold element of rank
-// n-k+1) plus one filtering pass — never a full sort. Duplicates of the
-// threshold value are included only as many times as needed to return
-// exactly k elements. The returned slice is caller-owned.
-func (s *Selector[K]) TopK(shards [][]K, k int) ([]K, Report, error) {
-	return AsValues(s.Run(shards, Query{Op: OpTopK, K: k}))
-}
-
-// BottomK returns the k smallest elements in ascending order; see TopK.
-func (s *Selector[K]) BottomK(shards [][]K, k int) ([]K, Report, error) {
-	return AsValues(s.Run(shards, Query{Op: OpBottomK, K: k}))
-}
-
-// Summary computes the five-number summary in a single multi-rank
-// selection run (roughly one selection's cost for all five statistics).
-func (s *Selector[K]) Summary(shards [][]K) (FiveNumber[K], Report, error) {
-	return AsSummary(s.Run(shards, Query{Op: OpSummary}))
+	return asResult(s.selectRank(shards, rank, false))
 }
 
 // selectRank validates and executes one collective selection.
@@ -641,62 +598,6 @@ func quantileRank(n int64, q float64) int64 {
 		rank = n
 	}
 	return rank
-}
-
-// Select returns the element of 1-based rank among all elements of
-// shards, running one simulated processor per shard. Shards may have any
-// (including zero) lengths; shard contents are not modified. It routes
-// through a shared default Pool for its (Options, K) pair, so repeated
-// and concurrent package-level calls reuse resident machines; results —
-// including every simulated metric — are bit-identical to a dedicated
-// Selector's. The shared pool holds max(4, GOMAXPROCS) machines: that
-// many package-level calls run concurrently, and further ones wait
-// (without deadline) for a machine. Callers that want lifecycle
-// control, admission deadlines, or more capacity should construct a
-// Selector or Pool themselves.
-func Select[K cmp.Ordered](shards [][]K, rank int64, opts Options) (Result[K], error) {
-	return AsResult(Run(shards, Query{Op: OpSelect, Rank: rank}, opts))
-}
-
-// Median returns the element of rank ceil(n/2) (the paper's median).
-func Median[K cmp.Ordered](shards [][]K, opts Options) (Result[K], error) {
-	return AsResult(Run(shards, Query{Op: OpMedian}, opts))
-}
-
-// Quantile returns the element of rank ceil(q*n) for q in (0,1], and the
-// minimum for q = 0.
-func Quantile[K cmp.Ordered](shards [][]K, q float64, opts Options) (Result[K], error) {
-	return AsResult(Run(shards, Query{Op: OpQuantile, Q: q}, opts))
-}
-
-// SelectRanks returns the elements at several 1-based ranks in one
-// collective run; see Selector.SelectRanks. The returned slice is a
-// caller-owned copy.
-func SelectRanks[K cmp.Ordered](shards [][]K, ranks []int64, opts Options) ([]K, Report, error) {
-	return AsValues(Run(shards, Query{Op: OpRanks, Ranks: ranks}, opts))
-}
-
-// Quantiles returns the elements at several quantiles (each in [0,1]) in
-// one collective run; see SelectRanks. The returned slice is a
-// caller-owned copy.
-func Quantiles[K cmp.Ordered](shards [][]K, qs []float64, opts Options) ([]K, Report, error) {
-	return AsValues(Run(shards, Query{Op: OpQuantiles, Qs: qs}, opts))
-}
-
-// TopK returns the k largest elements across all shards in descending
-// order; see Selector.TopK.
-func TopK[K cmp.Ordered](shards [][]K, k int, opts Options) ([]K, Report, error) {
-	return AsValues(Run(shards, Query{Op: OpTopK, K: k}, opts))
-}
-
-// BottomK returns the k smallest elements in ascending order; see TopK.
-func BottomK[K cmp.Ordered](shards [][]K, k int, opts Options) ([]K, Report, error) {
-	return AsValues(Run(shards, Query{Op: OpBottomK, K: k}, opts))
-}
-
-// Summary computes the five-number summary; see Selector.Summary.
-func Summary[K cmp.Ordered](shards [][]K, opts Options) (FiveNumber[K], Report, error) {
-	return AsSummary(Run(shards, Query{Op: OpSummary}, opts))
 }
 
 // Balance redistributes shards so that every shard ends with floor(n/p)

@@ -1,6 +1,7 @@
 package parsel
 
 import (
+	"context"
 	"errors"
 	"slices"
 	"testing"
@@ -17,7 +18,7 @@ func shardInts(vals []int64, p int) [][]int64 {
 
 func TestSelectBasic(t *testing.T) {
 	shards := [][]int64{{9, 1, 5}, {3, 7, 2}}
-	res, err := Select(shards, 3, Options{})
+	res, err := Over(shards, Options{}).Select(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestSelectAllAlgorithmsAndBalancers(t *testing.T) {
 	for _, a := range algs {
 		for _, b := range bals {
 			for _, rank := range []int64{1, 250, 500} {
-				res, err := Select(shards, rank, Options{Algorithm: a, Balancer: b})
+				res, err := Over(shards, Options{Algorithm: a, Balancer: b}).Select(context.Background(), rank)
 				if err != nil {
 					t.Fatalf("%v/%v: %v", a, b, err)
 				}
@@ -58,7 +59,7 @@ func TestSelectAllAlgorithmsAndBalancers(t *testing.T) {
 func TestShardsNotModified(t *testing.T) {
 	shards := [][]int64{{9, 1, 5}, {3, 7, 2}}
 	want := [][]int64{{9, 1, 5}, {3, 7, 2}}
-	if _, err := Select(shards, 4, Options{Balancer: GlobalExchange}); err != nil {
+	if _, err := Over(shards, Options{Balancer: GlobalExchange}).Select(context.Background(), 4); err != nil {
 		t.Fatal(err)
 	}
 	for i := range shards {
@@ -74,7 +75,7 @@ func TestMedianAndQuantile(t *testing.T) {
 		vals[i] = int64(i) // 0..100
 	}
 	shards := shardInts(vals, 3)
-	med, err := Median(shards, Options{})
+	med, err := Over(shards, Options{}).Median(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestMedianAndQuantile(t *testing.T) {
 		q    float64
 		want int64
 	}{{0, 0}, {0.01, 1}, {0.5, 50}, {0.99, 99}, {1, 100}} {
-		res, err := Quantile(shards, tc.q, Options{})
+		res, err := Over(shards, Options{}).Quantile(context.Background(), tc.q)
 		if err != nil {
 			t.Fatalf("q=%g: %v", tc.q, err)
 		}
@@ -96,22 +97,22 @@ func TestMedianAndQuantile(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	if _, err := Select[int64](nil, 1, Options{}); !errors.Is(err, ErrNoShards) {
+	if _, err := Over[int64](nil, Options{}).Select(context.Background(), 1); !errors.Is(err, ErrNoShards) {
 		t.Errorf("nil shards: %v", err)
 	}
-	if _, err := Select([][]int64{{}, {}}, 1, Options{}); !errors.Is(err, ErrNoData) {
+	if _, err := Over([][]int64{{}, {}}, Options{}).Select(context.Background(), 1); !errors.Is(err, ErrNoData) {
 		t.Errorf("empty shards: %v", err)
 	}
-	if _, err := Select([][]int64{{1, 2}}, 0, Options{}); !errors.Is(err, ErrRankRange) {
+	if _, err := Over([][]int64{{1, 2}}, Options{}).Select(context.Background(), 0); !errors.Is(err, ErrRankRange) {
 		t.Errorf("rank 0: %v", err)
 	}
-	if _, err := Select([][]int64{{1, 2}}, 3, Options{}); !errors.Is(err, ErrRankRange) {
+	if _, err := Over([][]int64{{1, 2}}, Options{}).Select(context.Background(), 3); !errors.Is(err, ErrRankRange) {
 		t.Errorf("rank 3 of 2: %v", err)
 	}
-	if _, err := Quantile([][]int64{{1}}, 1.5, Options{}); !errors.Is(err, ErrBadQuantile) {
+	if _, err := Over([][]int64{{1}}, Options{}).Quantile(context.Background(), 1.5); !errors.Is(err, ErrBadQuantile) {
 		t.Errorf("q=1.5: %v", err)
 	}
-	if _, err := Quantile([][]int64{}, 0.5, Options{}); !errors.Is(err, ErrNoShards) {
+	if _, err := Over([][]int64{}, Options{}).Quantile(context.Background(), 0.5); !errors.Is(err, ErrNoShards) {
 		t.Errorf("quantile no shards: %v", err)
 	}
 	if _, _, err := Balance([][]int64{}, Options{}); !errors.Is(err, ErrNoShards) {
@@ -149,11 +150,11 @@ func TestCustomMachine(t *testing.T) {
 	shards := shardInts([]int64{5, 3, 8, 1, 9, 2, 7, 4, 6, 0}, 2)
 	fast := Options{Machine: Machine{Tau: time.Microsecond, BytesPerSecond: 1e9}}
 	slow := Options{Machine: Machine{Tau: 10 * time.Millisecond, BytesPerSecond: 1e3}}
-	rf, err := Select(shards, 5, fast)
+	rf, err := Over(shards, fast).Select(context.Background(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := Select(shards, 5, slow)
+	rs, err := Over(shards, slow).Select(context.Background(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +173,11 @@ func TestSeedDeterminism(t *testing.T) {
 	}
 	shards := shardInts(vals, 4)
 	o := Options{Algorithm: Randomized, Machine: Machine{Seed: 42}}
-	r1, err := Select(shards, 1000, o)
+	r1, err := Over(shards, o).Select(context.Background(), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Select(shards, 1000, o)
+	r2, err := Over(shards, o).Select(context.Background(), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestSeedDeterminism(t *testing.T) {
 
 func TestStringKeysPublic(t *testing.T) {
 	shards := [][]string{{"pear", "apple"}, {"fig", "date", "cherry"}}
-	res, err := Select(shards, 1, Options{})
+	res, err := Over(shards, Options{}).Select(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestStringKeysPublic(t *testing.T) {
 
 func TestFloatKeys(t *testing.T) {
 	shards := [][]float64{{3.5, 1.25}, {2.75, 0.5, 9.0}}
-	res, err := Median(shards, Options{Algorithm: Randomized})
+	res, err := Over(shards, Options{Algorithm: Randomized}).Median(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestReportTraffic(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i * 13 % 4999)
 	}
-	res, err := Select(shardInts(vals, 8), 2500, Options{})
+	res, err := Over(shardInts(vals, 8), Options{}).Select(context.Background(), 2500)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,8 @@ import (
 // construct with New, which takes every setting as an Option. Methods
 // are safe for concurrent use.
 //
-// The query surface — Run, Select, Median, Quantile, Quantiles,
-// SelectRanks, TopK, BottomK, Summary and Dataset — is the historical
-// int64 one, promoted from the embedded Keyed[int64] view.
+// The query surface — Run, Over and Dataset — is the int64 one,
+// promoted from the embedded Keyed[int64] view.
 type Client struct {
 	KindClient[int64]
 
@@ -268,9 +267,11 @@ func KeyKindField[K Key]() string {
 
 // KindClient is a typed view of a Client for one key kind: the same
 // connection, retry policy, token and binary negotiation, with the
-// query surface typed over K. Build one with Keyed; the zero value is
-// not usable. Methods are safe for concurrent use (they share the
-// underlying Client's synchronization).
+// query surface typed over K: Run answers one Query over shards, Over
+// binds the named parsel.Verbs to it, and Dataset addresses a resident
+// dataset. Build one with Keyed; the zero value is not usable. Methods
+// are safe for concurrent use (they share the underlying Client's
+// synchronization).
 type KindClient[K Key] struct {
 	c *Client
 }
@@ -355,8 +356,7 @@ func decodeError(status int, data []byte) error {
 }
 
 // Run answers one query over shards on the daemon (POST /v1/<op>),
-// like parsel.Pool.Run but over the wire. The named query methods are
-// one-line wrappers over it.
+// like parsel.Pool.Run but over the wire.
 func (kc KindClient[K]) Run(ctx context.Context, shards [][]K, q parsel.Query) (parsel.Answer[K], error) {
 	params := paramsOf(q)
 	return runQuery[K](ctx, kc.c, "/v1/"+q.Op.String(), q.Op, func(timeoutMS int64) any {
@@ -364,69 +364,45 @@ func (kc KindClient[K]) Run(ctx context.Context, shards [][]K, q parsel.Query) (
 	})
 }
 
-// Select returns the element of 1-based rank among all elements of
-// shards, like parsel.Pool.Select but over the wire.
-func (kc KindClient[K]) Select(ctx context.Context, shards [][]K, rank int64) (parsel.Result[K], error) {
-	return parsel.AsResult(kc.Run(ctx, shards, parsel.Query{Op: parsel.OpSelect, Rank: rank}))
-}
-
-// Median returns the element of rank ceil(n/2).
-func (kc KindClient[K]) Median(ctx context.Context, shards [][]K) (parsel.Result[K], error) {
-	return parsel.AsResult(kc.Run(ctx, shards, parsel.Query{Op: parsel.OpMedian}))
-}
-
-// Quantile returns the element of rank ceil(q*n) for q in (0,1], and
-// the minimum for q = 0.
-func (kc KindClient[K]) Quantile(ctx context.Context, shards [][]K, q float64) (parsel.Result[K], error) {
-	return parsel.AsResult(kc.Run(ctx, shards, parsel.Query{Op: parsel.OpQuantile, Q: q}))
-}
-
-// Quantiles returns the elements at several quantiles in one collective
-// run; results align with qs.
-func (kc KindClient[K]) Quantiles(ctx context.Context, shards [][]K, qs []float64) ([]K, parsel.Report, error) {
-	return parsel.AsValues(kc.Run(ctx, shards, parsel.Query{Op: parsel.OpQuantiles, Qs: qs}))
-}
-
-// SelectRanks returns the elements at several 1-based ranks in one
-// collective run; results align with ranks.
-func (kc KindClient[K]) SelectRanks(ctx context.Context, shards [][]K, ranks []int64) ([]K, parsel.Report, error) {
-	return parsel.AsValues(kc.Run(ctx, shards, parsel.Query{Op: parsel.OpRanks, Ranks: ranks}))
-}
-
-// TopK returns the k largest elements in descending order.
-func (kc KindClient[K]) TopK(ctx context.Context, shards [][]K, k int) ([]K, parsel.Report, error) {
-	return parsel.AsValues(kc.Run(ctx, shards, parsel.Query{Op: parsel.OpTopK, K: k}))
-}
-
-// BottomK returns the k smallest elements in ascending order.
-func (kc KindClient[K]) BottomK(ctx context.Context, shards [][]K, k int) ([]K, parsel.Report, error) {
-	return parsel.AsValues(kc.Run(ctx, shards, parsel.Query{Op: parsel.OpBottomK, K: k}))
-}
-
-// Summary computes the five-number summary in one multi-rank run.
-func (kc KindClient[K]) Summary(ctx context.Context, shards [][]K) (parsel.FiveNumber[K], parsel.Report, error) {
-	return parsel.AsSummary(kc.Run(ctx, shards, parsel.Query{Op: parsel.OpSummary}))
+// Over returns the named queries over shards, each answered by Run
+// over the wire, like parsel.Pool.Over:
+//
+//	vals, rep, err := client.Over(shards).Quantiles(ctx, []float64{0.5, 0.99})
+func (kc KindClient[K]) Over(shards [][]K) parsel.Verbs[K] {
+	return func(ctx context.Context, q parsel.Query) (parsel.Answer[K], error) {
+		return kc.Run(ctx, shards, q)
+	}
 }
 
 // Dataset addresses one resident dataset on the daemon by id, typed
 // over K. The handle is stateless (no network traffic until a method
 // call), so it may be built once and shared across goroutines.
 func (kc KindClient[K]) Dataset(id string) *RemoteDatasetOf[K] {
-	return &RemoteDatasetOf[K]{c: kc.c, id: id}
+	d := &RemoteDatasetOf[K]{c: kc.c, id: id}
+	d.verbs = d.Run
+	return d
 }
 
 // RemoteDatasetOf mirrors parsel.Dataset over the wire, typed over the
 // key kind: upload the shards once, then run any query of the daemon's
 // surface against the resident state — the query bodies carry no keys.
+// The embedded parsel.Verbs are bound to Run, so the named queries take
+// the context first, as on parsel.Dataset (d.Select(ctx, rank)).
 // Results, including every simulated metric, are bit-identical to
 // posting the same shards with each query. Non-int64 handles stamp
 // "key_kind" into uploads and queries, so addressing a dataset of
 // another kind fails with bad_kind instead of silently mistyping keys.
 // Methods are safe for concurrent use.
 type RemoteDatasetOf[K Key] struct {
+	verbs[K] // bound to Run
+
 	c  *Client
 	id string
 }
+
+// verbs is parsel.Verbs under an unexported name, so RemoteDatasetOf
+// gains the eight methods without an exported, writable field.
+type verbs[K Key] = parsel.Verbs[K]
 
 // RemoteDataset is the int64 instantiation of RemoteDatasetOf — the
 // historical client surface, unchanged.
@@ -784,50 +760,6 @@ func statusForCode(code Code) int {
 	default:
 		return http.StatusBadRequest
 	}
-}
-
-// Select returns the element of 1-based rank among the resident
-// population.
-func (d *RemoteDatasetOf[K]) Select(ctx context.Context, rank int64) (parsel.Result[K], error) {
-	return parsel.AsResult(d.Run(ctx, parsel.Query{Op: parsel.OpSelect, Rank: rank}))
-}
-
-// Median returns the element of rank ceil(n/2).
-func (d *RemoteDatasetOf[K]) Median(ctx context.Context) (parsel.Result[K], error) {
-	return parsel.AsResult(d.Run(ctx, parsel.Query{Op: parsel.OpMedian}))
-}
-
-// Quantile returns the element of rank ceil(q*n) for q in (0,1], and
-// the minimum for q = 0.
-func (d *RemoteDatasetOf[K]) Quantile(ctx context.Context, q float64) (parsel.Result[K], error) {
-	return parsel.AsResult(d.Run(ctx, parsel.Query{Op: parsel.OpQuantile, Q: q}))
-}
-
-// Quantiles returns the elements at several quantiles in one collective
-// run; results align with qs.
-func (d *RemoteDatasetOf[K]) Quantiles(ctx context.Context, qs []float64) ([]K, parsel.Report, error) {
-	return parsel.AsValues(d.Run(ctx, parsel.Query{Op: parsel.OpQuantiles, Qs: qs}))
-}
-
-// SelectRanks returns the elements at several 1-based ranks in one
-// collective run; results align with ranks.
-func (d *RemoteDatasetOf[K]) SelectRanks(ctx context.Context, ranks []int64) ([]K, parsel.Report, error) {
-	return parsel.AsValues(d.Run(ctx, parsel.Query{Op: parsel.OpRanks, Ranks: ranks}))
-}
-
-// TopK returns the k largest resident elements in descending order.
-func (d *RemoteDatasetOf[K]) TopK(ctx context.Context, k int) ([]K, parsel.Report, error) {
-	return parsel.AsValues(d.Run(ctx, parsel.Query{Op: parsel.OpTopK, K: k}))
-}
-
-// BottomK returns the k smallest resident elements in ascending order.
-func (d *RemoteDatasetOf[K]) BottomK(ctx context.Context, k int) ([]K, parsel.Report, error) {
-	return parsel.AsValues(d.Run(ctx, parsel.Query{Op: parsel.OpBottomK, K: k}))
-}
-
-// Summary computes the five-number summary in one multi-rank run.
-func (d *RemoteDatasetOf[K]) Summary(ctx context.Context) (parsel.FiveNumber[K], parsel.Report, error) {
-	return parsel.AsSummary(d.Run(ctx, parsel.Query{Op: parsel.OpSummary}))
 }
 
 // Stats fetches the daemon's observability snapshot. Like every other

@@ -100,7 +100,7 @@ func TestRetryRecomputesTimeoutMS(t *testing.T) {
 	}))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := c.Select(ctx, [][]int64{{3, 1, 4}}, 1); err != nil {
+	if _, err := c.Over([][]int64{{3, 1, 4}}).Select(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
 	if len(h.timeouts) != 2 {

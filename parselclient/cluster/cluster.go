@@ -417,21 +417,30 @@ func Keyed[K parselclient.Key](r *Router) KindRouter[K] {
 // Dataset returns a handle on the dataset with the given id, placed
 // and replicated by the router.
 func (kr KindRouter[K]) Dataset(id string) *Dataset[K] {
-	return &Dataset[K]{r: kr.r, id: id}
+	d := &Dataset[K]{r: kr.r, id: id}
+	d.verbs = d.Run
+	return d
 }
 
 // DatasetOf is shorthand for Keyed[K](r).Dataset(id).
 func DatasetOf[K parselclient.Key](r *Router, id string) *Dataset[K] {
-	return &Dataset[K]{r: r, id: id}
+	return Keyed[K](r).Dataset(id)
 }
 
 // Dataset is a replicated resident dataset addressed through the ring.
-// Its query surface matches parselclient.RemoteDatasetOf; every query
-// fails over across replicas.
+// Its query surface matches parselclient.RemoteDatasetOf: Run, the
+// embedded parsel.Verbs bound to it (d.Median(ctx)) and QueryMany;
+// every query fails over across replicas.
 type Dataset[K parselclient.Key] struct {
+	verbs[K] // bound to Run
+
 	r  *Router
 	id string
 }
+
+// verbs is parsel.Verbs under an unexported name, so Dataset gains the
+// eight methods without an exported, writable field.
+type verbs[K parselclient.Key] = parsel.Verbs[K]
 
 // ID returns the dataset id.
 func (d *Dataset[K]) ID() string { return d.id }
@@ -621,47 +630,6 @@ func (d *Dataset[K]) Run(ctx context.Context, q parsel.Query) (parsel.Answer[K],
 	return failover(ctx, d.r, d.id, func(ctx context.Context, c *parselclient.Client) (parsel.Answer[K], error) {
 		return d.remote(c).Run(ctx, q)
 	})
-}
-
-// Select returns the key of the given rank (1-based) from the resident
-// dataset.
-func (d *Dataset[K]) Select(ctx context.Context, rank int64) (parsel.Result[K], error) {
-	return parsel.AsResult(d.Run(ctx, parsel.Query{Op: parsel.OpSelect, Rank: rank}))
-}
-
-// Median returns the lower median.
-func (d *Dataset[K]) Median(ctx context.Context) (parsel.Result[K], error) {
-	return parsel.AsResult(d.Run(ctx, parsel.Query{Op: parsel.OpMedian}))
-}
-
-// Quantile returns the key at quantile q in (0,1].
-func (d *Dataset[K]) Quantile(ctx context.Context, q float64) (parsel.Result[K], error) {
-	return parsel.AsResult(d.Run(ctx, parsel.Query{Op: parsel.OpQuantile, Q: q}))
-}
-
-// Quantiles returns the keys at each quantile.
-func (d *Dataset[K]) Quantiles(ctx context.Context, qs []float64) ([]K, parsel.Report, error) {
-	return parsel.AsValues(d.Run(ctx, parsel.Query{Op: parsel.OpQuantiles, Qs: qs}))
-}
-
-// SelectRanks returns the keys at each requested rank.
-func (d *Dataset[K]) SelectRanks(ctx context.Context, ranks []int64) ([]K, parsel.Report, error) {
-	return parsel.AsValues(d.Run(ctx, parsel.Query{Op: parsel.OpRanks, Ranks: ranks}))
-}
-
-// TopK returns the k largest keys in descending order.
-func (d *Dataset[K]) TopK(ctx context.Context, k int) ([]K, parsel.Report, error) {
-	return parsel.AsValues(d.Run(ctx, parsel.Query{Op: parsel.OpTopK, K: k}))
-}
-
-// BottomK returns the k smallest keys in ascending order.
-func (d *Dataset[K]) BottomK(ctx context.Context, k int) ([]K, parsel.Report, error) {
-	return parsel.AsValues(d.Run(ctx, parsel.Query{Op: parsel.OpBottomK, K: k}))
-}
-
-// Summary returns the five-number summary.
-func (d *Dataset[K]) Summary(ctx context.Context) (parsel.FiveNumber[K], parsel.Report, error) {
-	return parsel.AsSummary(d.Run(ctx, parsel.Query{Op: parsel.OpSummary}))
 }
 
 // QueryMany runs a batch of queries in one round trip against the

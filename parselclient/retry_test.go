@@ -141,7 +141,7 @@ func TestRetryNonRetryableFailsFast(t *testing.T) {
 	defer ts.Close()
 	c := retryClient(ts, RetryPolicy{MaxAttempts: 5, Sleep: noSleep})
 	rank := int64(99)
-	_, err := c.Select(context.Background(), [][]int64{{1}}, rank)
+	_, err := c.Over([][]int64{{1}}).Select(context.Background(), rank)
 	var api *APIError
 	if !errors.As(err, &api) || api.Code != CodeRankRange {
 		t.Fatalf("err %v, want rank_range", err)

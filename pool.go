@@ -15,7 +15,8 @@ import (
 type PoolOptions struct {
 	// MaxMachines bounds the number of resident Selectors (simulated
 	// machines) the pool will hold at once. Calls beyond this many
-	// concurrent queries block until a machine frees up. 0 means 4.
+	// concurrent queries block until a machine frees up. 0 means 4;
+	// NewPool refuses a negative value.
 	MaxMachines int
 }
 
@@ -58,11 +59,10 @@ type PoolStats struct {
 // bit-identical to running the same query on a one-shot Selector.
 //
 // Every query goes through Run(ctx, shards, Query): check a Selector
-// out, run the query on it, check it back in. The named methods —
-// Select, Median, Quantile, Quantiles, SelectRanks, TopK, BottomK,
-// Summary and their Context forms — are one-line wrappers over Run;
-// SelectInPlace, which takes over the caller's shards, and the
-// SelectMany batch are the only other entry points.
+// out, run the query on it, check it back in. Over(shards) binds the
+// named Verbs to Run (pool.Over(shards).Median(ctx)); SelectInPlace,
+// which takes over the caller's shards, and the SelectMany batch are
+// the only other entry points.
 //
 // # Concurrency contract
 //
@@ -82,8 +82,8 @@ type PoolStats struct {
 //     possible.
 //   - Shard slices passed to a query are read but never modified; the
 //     caller keeps ownership. Result slices (Answer.Values, and the
-//     SelectRanks, Quantiles, TopK and BottomK results) are
-//     caller-owned copies, safe to retain.
+//     multi-value verbs' results) are caller-owned copies, safe to
+//     retain.
 //   - After Close, every method returns ErrPoolClosed. Queries already
 //     in flight complete normally.
 type Pool[K cmp.Ordered] struct {
@@ -109,6 +109,9 @@ type Pool[K cmp.Ordered] struct {
 // remaining options apply to every resident Selector. No machine is
 // built until the first query.
 func NewPool[K cmp.Ordered](opts Options, po PoolOptions) (*Pool[K], error) {
+	if po.MaxMachines < 0 {
+		return nil, fmt.Errorf("parsel: PoolOptions.MaxMachines must be >= 0, got %d", po.MaxMachines)
+	}
 	po = po.withDefaults()
 	// Validate the machine description once, eagerly, with a throwaway
 	// one-processor parameter set, so a misconfigured pool fails at
@@ -128,7 +131,7 @@ func NewPool[K cmp.Ordered](opts Options, po PoolOptions) (*Pool[K], error) {
 // query. The caller must hand it back with checkin. The context bounds
 // only the wait for a slot: once a Selector is checked out, the query
 // runs to completion (a collective simulation has no safe preemption
-// point). A nil context means wait forever, as the plain methods do.
+// point). A nil context means wait forever, as Warm does.
 func (pl *Pool[K]) checkout(ctx context.Context, procs int) (*Selector[K], error) {
 	if procs == 0 {
 		return nil, ErrNoShards
@@ -307,6 +310,9 @@ func (pl *Pool[K]) Warm(procs, count int) error {
 	if procs < 1 {
 		return ErrNoShards
 	}
+	if count < 0 {
+		return fmt.Errorf("parsel: Warm count must be >= 0, got %d", count)
+	}
 	if count > pl.max {
 		count = pl.max
 	}
@@ -354,115 +360,27 @@ func (pl *Pool[K]) Run(ctx context.Context, shards [][]K, q Query) (Answer[K], e
 	return a, err
 }
 
-// Select returns the element of 1-based rank among all elements of
-// shards; see Selector.Select. Safe for concurrent use.
-func (pl *Pool[K]) Select(shards [][]K, rank int64) (Result[K], error) {
-	return pl.SelectContext(nil, shards, rank)
+// Over returns the named queries over shards, each answered by Run
+// under its ctx; see Run.
+func (pl *Pool[K]) Over(shards [][]K) Verbs[K] {
+	return func(ctx context.Context, q Query) (Answer[K], error) {
+		return pl.Run(ctx, shards, q)
+	}
 }
 
-// SelectContext is Select with a deadline on pool admission; see Run.
-func (pl *Pool[K]) SelectContext(ctx context.Context, shards [][]K, rank int64) (Result[K], error) {
-	return AsResult(pl.Run(ctx, shards, Query{Op: OpSelect, Rank: rank}))
-}
-
-// SelectInPlace is Select for callers that hand over ownership of their
-// shards; see Selector.SelectInPlace. The caller must not touch the
-// shards until the call returns. Safe for concurrent use (with distinct
+// SelectInPlace is Over(shards).Select for callers that hand over
+// ownership of their shards; see Selector.SelectInPlace. The context
+// bounds pool admission as in Run, and a timed-out call has not
+// touched the caller's shards. The caller must not touch the shards
+// until the call returns. Safe for concurrent use (with distinct
 // shards per call).
-func (pl *Pool[K]) SelectInPlace(shards [][]K, rank int64) (Result[K], error) {
-	return pl.SelectInPlaceContext(nil, shards, rank)
-}
-
-// SelectInPlaceContext is SelectInPlace with a deadline on pool
-// admission; see Run. A timed-out call has not touched the caller's
-// shards.
-func (pl *Pool[K]) SelectInPlaceContext(ctx context.Context, shards [][]K, rank int64) (Result[K], error) {
+func (pl *Pool[K]) SelectInPlace(ctx context.Context, shards [][]K, rank int64) (Result[K], error) {
 	sel, err := pl.checkout(ctx, len(shards))
 	if err != nil {
 		return Result[K]{}, err
 	}
 	defer pl.checkin(sel)
 	return sel.SelectInPlace(shards, rank)
-}
-
-// Median returns the element of rank ceil(n/2); see Selector.Median.
-func (pl *Pool[K]) Median(shards [][]K) (Result[K], error) {
-	return pl.MedianContext(nil, shards)
-}
-
-// MedianContext is Median with a deadline on pool admission; see Run.
-func (pl *Pool[K]) MedianContext(ctx context.Context, shards [][]K) (Result[K], error) {
-	return AsResult(pl.Run(ctx, shards, Query{Op: OpMedian}))
-}
-
-// Quantile returns the element of rank ceil(q*n); see Selector.Quantile.
-func (pl *Pool[K]) Quantile(shards [][]K, q float64) (Result[K], error) {
-	return pl.QuantileContext(nil, shards, q)
-}
-
-// QuantileContext is Quantile with a deadline on pool admission; see
-// Run.
-func (pl *Pool[K]) QuantileContext(ctx context.Context, shards [][]K, q float64) (Result[K], error) {
-	return AsResult(pl.Run(ctx, shards, Query{Op: OpQuantile, Q: q}))
-}
-
-// SelectRanks returns the elements at several 1-based ranks in one
-// collective run; see Selector.SelectRanks. The returned slice is a
-// caller-owned copy.
-func (pl *Pool[K]) SelectRanks(shards [][]K, ranks []int64) ([]K, Report, error) {
-	return pl.SelectRanksContext(nil, shards, ranks)
-}
-
-// SelectRanksContext is SelectRanks with a deadline on pool admission;
-// see Run.
-func (pl *Pool[K]) SelectRanksContext(ctx context.Context, shards [][]K, ranks []int64) ([]K, Report, error) {
-	return AsValues(pl.Run(ctx, shards, Query{Op: OpRanks, Ranks: ranks}))
-}
-
-// Quantiles returns the elements at several quantiles in one collective
-// run; see Selector.Quantiles. The returned slice is a caller-owned
-// copy.
-func (pl *Pool[K]) Quantiles(shards [][]K, qs []float64) ([]K, Report, error) {
-	return pl.QuantilesContext(nil, shards, qs)
-}
-
-// QuantilesContext is Quantiles with a deadline on pool admission; see
-// Run.
-func (pl *Pool[K]) QuantilesContext(ctx context.Context, shards [][]K, qs []float64) ([]K, Report, error) {
-	return AsValues(pl.Run(ctx, shards, Query{Op: OpQuantiles, Qs: qs}))
-}
-
-// TopK returns the k largest elements in descending order; see
-// Selector.TopK.
-func (pl *Pool[K]) TopK(shards [][]K, k int) ([]K, Report, error) {
-	return pl.TopKContext(nil, shards, k)
-}
-
-// TopKContext is TopK with a deadline on pool admission; see Run.
-func (pl *Pool[K]) TopKContext(ctx context.Context, shards [][]K, k int) ([]K, Report, error) {
-	return AsValues(pl.Run(ctx, shards, Query{Op: OpTopK, K: k}))
-}
-
-// BottomK returns the k smallest elements in ascending order; see
-// Selector.BottomK.
-func (pl *Pool[K]) BottomK(shards [][]K, k int) ([]K, Report, error) {
-	return pl.BottomKContext(nil, shards, k)
-}
-
-// BottomKContext is BottomK with a deadline on pool admission; see Run.
-func (pl *Pool[K]) BottomKContext(ctx context.Context, shards [][]K, k int) ([]K, Report, error) {
-	return AsValues(pl.Run(ctx, shards, Query{Op: OpBottomK, K: k}))
-}
-
-// Summary computes the five-number summary in a single multi-rank run;
-// see Selector.Summary.
-func (pl *Pool[K]) Summary(shards [][]K) (FiveNumber[K], Report, error) {
-	return pl.SummaryContext(nil, shards)
-}
-
-// SummaryContext is Summary with a deadline on pool admission; see Run.
-func (pl *Pool[K]) SummaryContext(ctx context.Context, shards [][]K) (FiveNumber[K], Report, error) {
-	return AsSummary(pl.Run(ctx, shards, Query{Op: OpSummary}))
 }
 
 // ShardQuery is one independent selection request of a SelectMany
@@ -490,7 +408,7 @@ type BatchResult[K cmp.Ordered] struct {
 func (pl *Pool[K]) SelectMany(queries []ShardQuery[K]) []BatchResult[K] {
 	out := make([]BatchResult[K], len(queries))
 	fanout.Run(len(queries), pl.max, func(i int) {
-		out[i].Result, out[i].Err = pl.Select(queries[i].Shards, queries[i].Rank)
+		out[i].Result, out[i].Err = pl.Over(queries[i].Shards).Select(context.TODO(), queries[i].Rank)
 	})
 	return out
 }

@@ -3,6 +3,7 @@ package parsel_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -30,7 +31,7 @@ func TestPoolContextTimeout(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	_, err = pool.SelectContext(ctx, shards, 1)
+	_, err = pool.Over(shards).Select(ctx, 1)
 	if !errors.Is(err, parsel.ErrPoolTimeout) {
 		t.Fatalf("saturated pool: err = %v, want ErrPoolTimeout", err)
 	}
@@ -47,28 +48,28 @@ func TestPoolContextTimeout(t *testing.T) {
 		return context.WithTimeout(context.Background(), time.Millisecond)
 	}
 	ctx2, cancel2 := short()
-	if _, err := pool.MedianContext(ctx2, shards); !errors.Is(err, parsel.ErrPoolTimeout) {
-		t.Errorf("MedianContext: %v", err)
+	if _, err := pool.Over(shards).Median(ctx2); !errors.Is(err, parsel.ErrPoolTimeout) {
+		t.Errorf("Median: %v", err)
 	}
 	cancel2()
 	ctx3, cancel3 := short()
-	if _, _, err := pool.QuantilesContext(ctx3, shards, []float64{0.5}); !errors.Is(err, parsel.ErrPoolTimeout) {
-		t.Errorf("QuantilesContext: %v", err)
+	if _, _, err := pool.Over(shards).Quantiles(ctx3, []float64{0.5}); !errors.Is(err, parsel.ErrPoolTimeout) {
+		t.Errorf("Quantiles: %v", err)
 	}
 	cancel3()
 	ctx4, cancel4 := short()
-	if _, _, err := pool.TopKContext(ctx4, shards, 3); !errors.Is(err, parsel.ErrPoolTimeout) {
-		t.Errorf("TopKContext: %v", err)
+	if _, _, err := pool.Over(shards).TopK(ctx4, 3); !errors.Is(err, parsel.ErrPoolTimeout) {
+		t.Errorf("TopK: %v", err)
 	}
 	cancel4()
 	ctx5, cancel5 := short()
-	if _, _, err := pool.SummaryContext(ctx5, shards); !errors.Is(err, parsel.ErrPoolTimeout) {
-		t.Errorf("SummaryContext: %v", err)
+	if _, _, err := pool.Over(shards).Summary(ctx5); !errors.Is(err, parsel.ErrPoolTimeout) {
+		t.Errorf("Summary: %v", err)
 	}
 	cancel5()
 
 	release()
-	res, err := pool.SelectContext(context.Background(), shards, 1)
+	res, err := pool.Over(shards).Select(context.Background(), 1)
 	if err != nil {
 		t.Fatalf("freed pool: %v", err)
 	}
@@ -95,12 +96,45 @@ func TestPoolContextPreCancelled(t *testing.T) {
 	defer pool.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = pool.SelectContext(ctx, [][]int64{{1, 2}, {3}}, 1)
+	_, err = pool.Over([][]int64{{1, 2}, {3}}).Select(ctx, 1)
 	if !errors.Is(err, parsel.ErrPoolTimeout) || !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled ctx: err = %v, want ErrPoolTimeout wrapping context.Canceled", err)
 	}
 	if st := pool.Stats(); st.Creates != 0 {
 		t.Errorf("pre-cancelled ctx built a machine: %+v", st)
+	}
+}
+
+// TestPoolSelectInPlaceTimeout pins SelectInPlace's admission promise:
+// on a saturated pool an expired context is refused with ErrPoolTimeout
+// and the caller's shards are left byte-identical, even under an
+// algorithm that partitions them in place once admitted.
+func TestPoolSelectInPlaceTimeout(t *testing.T) {
+	pool, err := parsel.NewPool[int64](parsel.Options{Algorithm: parsel.Randomized}, parsel.PoolOptions{MaxMachines: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	shards := workload.Generate(workload.Random, 4000, 4, 11)
+	want := make([][]int64, len(shards))
+	for i, sh := range shards {
+		want[i] = slices.Clone(sh)
+	}
+
+	release, err := pool.CheckoutForTest(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if _, err := pool.SelectInPlace(ctx, shards, 2000); !errors.Is(err, parsel.ErrPoolTimeout) {
+		t.Fatalf("saturated pool: err = %v, want ErrPoolTimeout", err)
+	}
+	for i := range shards {
+		if !slices.Equal(shards[i], want[i]) {
+			t.Fatalf("timed-out SelectInPlace touched shard %d", i)
+		}
 	}
 }
 
@@ -123,7 +157,7 @@ func TestPoolContextNilMeansForever(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := pool.SelectContext(nil, shards, 1); err != nil {
+		if _, err := pool.Over(shards).Select(nil, 1); err != nil {
 			t.Errorf("nil-ctx select: %v", err)
 		}
 	}()

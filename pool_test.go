@@ -1,6 +1,7 @@
 package parsel_test
 
 import (
+	"context"
 	"errors"
 	"slices"
 	"sync"
@@ -46,8 +47,8 @@ type poolQuery struct {
 }
 
 // buildPoolQueries assembles a query mix over several machine shapes and
-// entry points, with expectations taken from the one-shot package
-// functions.
+// entry points, with expectations taken from the package-level
+// parsel.Over(...) queries.
 func buildPoolQueries(t *testing.T) []poolQuery {
 	t.Helper()
 	var queries []poolQuery
@@ -63,7 +64,7 @@ func buildPoolQueries(t *testing.T) []poolQuery {
 	} {
 		shards := workload.Generate(cfg.kind, cfg.n, cfg.p, 7)
 		for _, rank := range []int64{1, cfg.n / 3, (cfg.n + 1) / 2, cfg.n} {
-			res, err := parsel.Select(shards, rank, parsel.Options{})
+			res, err := parsel.Over(shards, parsel.Options{}).Select(context.Background(), rank)
 			if err != nil {
 				t.Fatalf("%v/%d one-shot: %v", cfg.kind, cfg.p, err)
 			}
@@ -76,7 +77,7 @@ func buildPoolQueries(t *testing.T) []poolQuery {
 			})
 		}
 		ranks := []int64{1, cfg.n / 4, cfg.n / 2, cfg.n}
-		vals, rep, err := parsel.SelectRanks(shards, ranks, parsel.Options{})
+		vals, rep, err := parsel.Over(shards, parsel.Options{}).SelectRanks(context.Background(), ranks)
 		if err != nil {
 			t.Fatalf("%v/%d one-shot ranks: %v", cfg.kind, cfg.p, err)
 		}
@@ -121,7 +122,7 @@ func TestPoolStressBitIdentical(t *testing.T) {
 				for off := 0; off < len(queries); off++ {
 					q := queries[(c+off)%len(queries)]
 					if q.ranks != nil {
-						vals, rep, err := pool.SelectRanks(q.shards, q.ranks)
+						vals, rep, err := pool.Over(q.shards).SelectRanks(context.Background(), q.ranks)
 						if err != nil {
 							t.Errorf("client %d %s: %v", c, q.name, err)
 							return
@@ -137,7 +138,7 @@ func TestPoolStressBitIdentical(t *testing.T) {
 						}
 						continue
 					}
-					res, err := pool.Select(q.shards, q.rank)
+					res, err := pool.Over(q.shards).Select(context.Background(), q.rank)
 					if err != nil {
 						t.Errorf("client %d %s rank %d: %v", c, q.name, q.rank, err)
 						return
@@ -181,11 +182,11 @@ func TestPoolQuerySurface(t *testing.T) {
 	}
 	defer pool.Close()
 
-	direct, err := parsel.Median(shards, parsel.Options{})
+	direct, err := parsel.Over(shards, parsel.Options{}).Median(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	med, err := pool.Median(shards)
+	med, err := pool.Over(shards).Median(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +194,11 @@ func TestPoolQuerySurface(t *testing.T) {
 		t.Errorf("pooled Median diverges: %+v vs %+v", med, direct)
 	}
 
-	dq, err := parsel.Quantile(shards, 0.99, parsel.Options{})
+	dq, err := parsel.Over(shards, parsel.Options{}).Quantile(context.Background(), 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pq, err := pool.Quantile(shards, 0.99)
+	pq, err := pool.Over(shards).Quantile(context.Background(), 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +207,11 @@ func TestPoolQuerySurface(t *testing.T) {
 	}
 
 	qs := []float64{0.25, 0.5, 0.75}
-	dvals, _, err := parsel.Quantiles(shards, qs, parsel.Options{})
+	dvals, _, err := parsel.Over(shards, parsel.Options{}).Quantiles(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pvals, _, err := pool.Quantiles(shards, qs)
+	pvals, _, err := pool.Over(shards).Quantiles(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +219,11 @@ func TestPoolQuerySurface(t *testing.T) {
 		t.Errorf("pooled Quantiles = %v, want %v", pvals, dvals)
 	}
 
-	dtop, _, err := parsel.TopK(shards, 10, parsel.Options{})
+	dtop, _, err := parsel.Over(shards, parsel.Options{}).TopK(context.Background(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptop, _, err := pool.TopK(shards, 10)
+	ptop, _, err := pool.Over(shards).TopK(context.Background(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,11 +231,11 @@ func TestPoolQuerySurface(t *testing.T) {
 		t.Errorf("pooled TopK = %v, want %v", ptop, dtop)
 	}
 
-	dbot, _, err := parsel.BottomK(shards, 7, parsel.Options{})
+	dbot, _, err := parsel.Over(shards, parsel.Options{}).BottomK(context.Background(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pbot, _, err := pool.BottomK(shards, 7)
+	pbot, _, err := pool.Over(shards).BottomK(context.Background(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +243,11 @@ func TestPoolQuerySurface(t *testing.T) {
 		t.Errorf("pooled BottomK = %v, want %v", pbot, dbot)
 	}
 
-	dsum, _, err := parsel.Summary(shards, parsel.Options{})
+	dsum, _, err := parsel.Over(shards, parsel.Options{}).Summary(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	psum, _, err := pool.Summary(shards)
+	psum, _, err := pool.Over(shards).Summary(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestPoolQuerySurface(t *testing.T) {
 	for i, s := range shards {
 		mine[i] = slices.Clone(s)
 	}
-	rip, err := pool.SelectInPlace(mine, (n+1)/2)
+	rip, err := pool.SelectInPlace(context.Background(), mine, (n+1)/2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +332,7 @@ func TestPoolResultsAreCallerOwned(t *testing.T) {
 	defer pool.Close()
 	shards := workload.Generate(workload.Random, 5000, 4, 1)
 	ranks := []int64{1, 2500, 5000}
-	vals, _, err := pool.SelectRanks(shards, ranks)
+	vals, _, err := pool.Over(shards).SelectRanks(context.Background(), ranks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +340,7 @@ func TestPoolResultsAreCallerOwned(t *testing.T) {
 	// Hammer the same (single) Selector with different requests.
 	other := workload.Generate(workload.FewDistinct, 4000, 4, 2)
 	for i := 0; i < 5; i++ {
-		if _, _, err := pool.SelectRanks(other, []int64{7, 9, 4000}); err != nil {
+		if _, _, err := pool.Over(other).SelectRanks(context.Background(), []int64{7, 9, 4000}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -356,21 +357,21 @@ func TestPoolClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	shards := [][]int64{{3, 1}, {2}}
-	if _, err := pool.Select(shards, 1); err != nil {
+	if _, err := pool.Over(shards).Select(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 	pool.Close()
 	pool.Close() // idempotent
-	if _, err := pool.Select(shards, 1); !errors.Is(err, parsel.ErrPoolClosed) {
+	if _, err := pool.Over(shards).Select(context.Background(), 1); !errors.Is(err, parsel.ErrPoolClosed) {
 		t.Errorf("Select after Close: %v", err)
 	}
-	if _, err := pool.Median(shards); !errors.Is(err, parsel.ErrPoolClosed) {
+	if _, err := pool.Over(shards).Median(context.Background()); !errors.Is(err, parsel.ErrPoolClosed) {
 		t.Errorf("Median after Close: %v", err)
 	}
-	if _, _, err := pool.SelectRanks(shards, []int64{1}); !errors.Is(err, parsel.ErrPoolClosed) {
+	if _, _, err := pool.Over(shards).SelectRanks(context.Background(), []int64{1}); !errors.Is(err, parsel.ErrPoolClosed) {
 		t.Errorf("SelectRanks after Close: %v", err)
 	}
-	if _, _, err := pool.TopK(shards, 1); !errors.Is(err, parsel.ErrPoolClosed) {
+	if _, _, err := pool.Over(shards).TopK(context.Background(), 1); !errors.Is(err, parsel.ErrPoolClosed) {
 		t.Errorf("TopK after Close: %v", err)
 	}
 	out := pool.SelectMany([]parsel.ShardQuery[int64]{{Shards: shards, Rank: 1}})
@@ -398,7 +399,7 @@ func TestPoolSerializesAtCap(t *testing.T) {
 		wg.Add(1)
 		go func(rank int64) {
 			defer wg.Done()
-			res, err := pool.Select(shards, rank)
+			res, err := pool.Over(shards).Select(context.Background(), rank)
 			if err != nil {
 				t.Errorf("rank %d: %v", rank, err)
 				return
@@ -430,7 +431,7 @@ func TestPoolWarm(t *testing.T) {
 		t.Errorf("Warm built %d Selectors, want 3 (the cap)", st.Creates)
 	}
 	shards := workload.Generate(workload.Random, 8000, 8, 1)
-	if _, err := pool.Median(shards); err != nil {
+	if _, err := pool.Over(shards).Median(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	st := pool.Stats()
@@ -439,6 +440,12 @@ func TestPoolWarm(t *testing.T) {
 	}
 	if err := pool.Warm(0, 1); !errors.Is(err, parsel.ErrNoShards) {
 		t.Errorf("Warm with 0 procs: %v", err)
+	}
+	if err := pool.Warm(4, -1); err == nil {
+		t.Error("Warm with a negative count: no error")
+	}
+	if _, err := parsel.NewPool[int64](parsel.Options{}, parsel.PoolOptions{MaxMachines: -1}); err == nil {
+		t.Error("NewPool with negative MaxMachines: no error")
 	}
 	// Concurrent Warms must serialize, not deadlock on partial
 	// capacity.
@@ -467,16 +474,16 @@ func TestPoolErrorValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	if _, err := pool.Select(nil, 1); !errors.Is(err, parsel.ErrNoShards) {
+	if _, err := pool.Over(nil).Select(context.Background(), 1); !errors.Is(err, parsel.ErrNoShards) {
 		t.Errorf("nil shards: %v", err)
 	}
-	if _, err := pool.Select([][]int64{{}, {}}, 1); !errors.Is(err, parsel.ErrNoData) {
+	if _, err := pool.Over([][]int64{{}, {}}).Select(context.Background(), 1); !errors.Is(err, parsel.ErrNoData) {
 		t.Errorf("empty shards: %v", err)
 	}
-	if _, err := pool.Select([][]int64{{1}}, 5); !errors.Is(err, parsel.ErrRankRange) {
+	if _, err := pool.Over([][]int64{{1}}).Select(context.Background(), 5); !errors.Is(err, parsel.ErrRankRange) {
 		t.Errorf("bad rank: %v", err)
 	}
-	if _, err := pool.Quantile([][]int64{{1}}, 2.0); !errors.Is(err, parsel.ErrBadQuantile) {
+	if _, err := pool.Over([][]int64{{1}}).Quantile(context.Background(), 2.0); !errors.Is(err, parsel.ErrBadQuantile) {
 		t.Errorf("bad quantile: %v", err)
 	}
 }

@@ -119,23 +119,86 @@ type FiveNumber[K cmp.Ordered] struct {
 	Min, Q1, Median, Q3, Max K
 }
 
-// AsResult, AsValues and AsSummary reshape a Run outcome into the
-// results of the named single-value, multi-value and summary query
-// methods, which every layer keeps as one-line wrappers over Run.
-func AsResult[K cmp.Ordered](a Answer[K], err error) (Result[K], error) {
+// Verbs is the named query surface over one Run: every verb builds its
+// Query, runs it through the bound function and reshapes the Answer.
+// It is written once here and shared by every layer. Resident datasets
+// (Dataset, parselclient.RemoteDatasetOf, cluster.Dataset) embed a
+// Verbs bound to their own Run; layers that take shards per query
+// (Selector, Pool, parselclient.KindClient and the package itself)
+// return one from Over(shards). The context bounds what the bound Run
+// waits for: pool admission, or a round trip over the wire.
+type Verbs[K cmp.Ordered] func(ctx context.Context, q Query) (Answer[K], error)
+
+// verbs is Verbs under an unexported name, so a type that embeds it
+// gains the eight methods without an exported, writable field.
+type verbs[K cmp.Ordered] = Verbs[K]
+
+// Select returns the element of 1-based rank among the population.
+func (v Verbs[K]) Select(ctx context.Context, rank int64) (Result[K], error) {
+	return asResult(v(ctx, Query{Op: OpSelect, Rank: rank}))
+}
+
+// Median returns the element of rank ceil(n/2) (the paper's median).
+func (v Verbs[K]) Median(ctx context.Context) (Result[K], error) {
+	return asResult(v(ctx, Query{Op: OpMedian}))
+}
+
+// Quantile returns the element of rank ceil(q*n) for q in (0,1], and
+// the minimum for q = 0.
+func (v Verbs[K]) Quantile(ctx context.Context, q float64) (Result[K], error) {
+	return asResult(v(ctx, Query{Op: OpQuantile, Q: q}))
+}
+
+// Quantiles returns the elements at several quantiles (each in [0,1])
+// in one multi-rank run, aligned with qs; see SelectRanks.
+func (v Verbs[K]) Quantiles(ctx context.Context, qs []float64) ([]K, Report, error) {
+	return asValues(v(ctx, Query{Op: OpQuantiles, Qs: qs}))
+}
+
+// SelectRanks returns the elements at several 1-based ranks in one
+// collective run, sharing partitioning work across the ranks. The
+// ranks advance together in rounds, one randomized pivot step per
+// unresolved segment each, with one set of collectives per round, so
+// the cost grows with the deepest rank's round count rather than with
+// the number of ranks: 99 percentiles cost under twice the nine
+// deciles. Ranks may repeat and appear in any order; results align
+// with the request. Options.Balancer is ignored (multi-rank segments
+// alias storage and cannot migrate). The result is caller-owned on
+// every layer but Selector.Over, where it is backed by the Selector's
+// arena until its next call.
+func (v Verbs[K]) SelectRanks(ctx context.Context, ranks []int64) ([]K, Report, error) {
+	return asValues(v(ctx, Query{Op: OpRanks, Ranks: ranks}))
+}
+
+// TopK returns the k largest elements in descending order, computed
+// with one selection (the threshold element of rank n-k+1) plus one
+// filtering pass — never a full sort. Duplicates of the threshold
+// value are included only as many times as needed to return exactly k
+// elements. The result is caller-owned.
+func (v Verbs[K]) TopK(ctx context.Context, k int) ([]K, Report, error) {
+	return asValues(v(ctx, Query{Op: OpTopK, K: k}))
+}
+
+// BottomK returns the k smallest elements in ascending order; see TopK.
+func (v Verbs[K]) BottomK(ctx context.Context, k int) ([]K, Report, error) {
+	return asValues(v(ctx, Query{Op: OpBottomK, K: k}))
+}
+
+// Summary computes Tukey's five-number summary in a single multi-rank
+// run (roughly one selection's cost for all five statistics).
+func (v Verbs[K]) Summary(ctx context.Context) (FiveNumber[K], Report, error) {
+	a, err := v(ctx, Query{Op: OpSummary})
+	return a.Summary, a.Report, err
+}
+
+// asResult and asValues reshape a Run outcome into the single-value
+// and multi-value results of the verbs.
+func asResult[K cmp.Ordered](a Answer[K], err error) (Result[K], error) {
 	return Result[K]{Value: a.Value, Report: a.Report}, err
 }
 
-// AsValues reshapes a Run outcome into a multi-value result; see
-// AsResult.
-func AsValues[K cmp.Ordered](a Answer[K], err error) ([]K, Report, error) {
+func asValues[K cmp.Ordered](a Answer[K], err error) ([]K, Report, error) {
 	return a.Values, a.Report, err
-}
-
-// AsSummary reshapes a Run outcome into a summary result; see
-// AsResult.
-func AsSummary[K cmp.Ordered](a Answer[K], err error) (FiveNumber[K], Report, error) {
-	return a.Summary, a.Report, err
 }
 
 // checkQuantile rejects a quantile outside [0,1], NaN included.
@@ -276,8 +339,16 @@ func collectK[K cmp.Ordered](shards [][]K, k int, threshold K, top bool) []K {
 }
 
 // Run answers one query through the shared default Pool for its
-// (Options, K) pair; see Select. Multi-value answers are caller-owned.
-func Run[K cmp.Ordered](shards [][]K, q Query, opts Options) (Answer[K], error) {
+// (Options, K) pair, running one simulated processor per shard; shard
+// contents are never modified. Repeated and concurrent package-level
+// calls reuse resident machines, and results — including every
+// simulated metric — are bit-identical to a dedicated Selector's. The
+// shared pool holds max(4, GOMAXPROCS) machines: that many
+// package-level calls run concurrently, and further ones wait for a
+// machine until ctx expires (ErrPoolTimeout, see Pool.Run). Callers
+// that want lifecycle control or more capacity should construct a
+// Selector or Pool themselves. Multi-value answers are caller-owned.
+func Run[K cmp.Ordered](ctx context.Context, shards [][]K, q Query, opts Options) (Answer[K], error) {
 	if err := q.precheck(); err != nil {
 		return Answer[K]{}, err
 	}
@@ -286,5 +357,15 @@ func Run[K cmp.Ordered](shards [][]K, q Query, opts Options) (Answer[K], error) 
 		return Answer[K]{}, err
 	}
 	defer done()
-	return pl.Run(context.Background(), shards, q)
+	return pl.Run(ctx, shards, q)
+}
+
+// Over returns the named queries over shards through the shared
+// default Pool; see Run.
+//
+//	res, err := parsel.Over(shards, parsel.Options{}).Median(ctx)
+func Over[K cmp.Ordered](shards [][]K, opts Options) Verbs[K] {
+	return func(ctx context.Context, q Query) (Answer[K], error) {
+		return Run(ctx, shards, q, opts)
+	}
 }

@@ -1,6 +1,9 @@
 package parsel
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestSimulatedTimeRegressionBands pins the simulated cost model: a fixed
 // configuration must land inside a generous band. Failures here mean the
@@ -32,7 +35,7 @@ func TestSimulatedTimeRegressionBands(t *testing.T) {
 		{"bucket", Options{Algorithm: BucketBased}, 0.15, 1.40},
 	}
 	for _, tc := range cases {
-		res, err := Median(shards, tc.opts)
+		res, err := Over(shards, tc.opts).Median(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -48,7 +51,7 @@ func TestSimulatedTimeRegressionBands(t *testing.T) {
 			t.Fatalf("%s: pool: %v", tc.name, err)
 		}
 		for _, pass := range []string{"cold", "warm"} {
-			pres, err := pool.Median(shards)
+			pres, err := pool.Over(shards).Median(context.Background())
 			if err != nil {
 				t.Fatalf("%s: pooled median (%s): %v", tc.name, pass, err)
 			}

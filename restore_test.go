@@ -1,6 +1,7 @@
 package parsel_test
 
 import (
+	"context"
 	"errors"
 	"slices"
 	"testing"
@@ -67,11 +68,11 @@ func TestDatasetViewRestoreBitIdentical(t *testing.T) {
 
 	n := ds.N()
 	for _, rank := range []int64{1, n / 3, (n + 1) / 2, n} {
-		want, err := ds.Select(rank)
+		want, err := ds.Select(context.Background(), rank)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := restored.Select(rank)
+		got, err := restored.Select(context.Background(), rank)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,22 +80,22 @@ func TestDatasetViewRestoreBitIdentical(t *testing.T) {
 			t.Errorf("rank %d: restored %+v, original %+v", rank, got, want)
 		}
 	}
-	wantQ, wantRep, err := ds.Quantiles([]float64{0.01, 0.5, 0.99})
+	wantQ, wantRep, err := ds.Quantiles(context.Background(), []float64{0.01, 0.5, 0.99})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotQ, gotRep, err := restored.Quantiles([]float64{0.01, 0.5, 0.99})
+	gotQ, gotRep, err := restored.Quantiles(context.Background(), []float64{0.01, 0.5, 0.99})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(gotQ, wantQ) || simOnly(gotRep) != simOnly(wantRep) {
 		t.Errorf("quantiles: restored %v %+v, original %v %+v", gotQ, gotRep, wantQ, wantRep)
 	}
-	wantS, wantSRep, err := ds.Summary()
+	wantS, wantSRep, err := ds.Summary(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotS, gotSRep, err := restored.Summary()
+	gotS, gotSRep, err := restored.Summary(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestDatasetViewRestoreLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := empty.Median(); !errors.Is(err, parsel.ErrNoData) {
+	if _, err := empty.Median(context.Background()); !errors.Is(err, parsel.ErrNoData) {
 		t.Errorf("empty restored median = %v, want ErrNoData", err)
 	}
 

@@ -1,6 +1,7 @@
 package parsel
 
 import (
+	"context"
 	"errors"
 	"slices"
 	"testing"
@@ -9,7 +10,7 @@ import (
 
 func TestTopKBasic(t *testing.T) {
 	shards := [][]int64{{5, 1, 9}, {3, 7, 9}}
-	got, _, err := TopK(shards, 3, Options{})
+	got, _, err := Over(shards, Options{}).TopK(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +21,7 @@ func TestTopKBasic(t *testing.T) {
 
 func TestBottomKBasic(t *testing.T) {
 	shards := [][]int64{{5, 1, 9}, {3, 7, 1}}
-	got, _, err := BottomK(shards, 3, Options{})
+	got, _, err := Over(shards, Options{}).BottomK(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestBottomKBasic(t *testing.T) {
 func TestTopKEdges(t *testing.T) {
 	shards := [][]int64{{2, 2, 2}, {2}}
 	// All duplicates: exactly k copies returned.
-	got, _, err := TopK(shards, 2, Options{})
+	got, _, err := Over(shards, Options{}).TopK(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,24 +41,24 @@ func TestTopKEdges(t *testing.T) {
 		t.Errorf("dup TopK = %v", got)
 	}
 	// k = 0.
-	if got, _, err := TopK(shards, 0, Options{}); err != nil || len(got) != 0 {
+	if got, _, err := Over(shards, Options{}).TopK(context.Background(), 0); err != nil || len(got) != 0 {
 		t.Errorf("TopK(0) = %v, %v", got, err)
 	}
 	// k = n.
-	if got, _, err := TopK(shards, 4, Options{}); err != nil || len(got) != 4 {
+	if got, _, err := Over(shards, Options{}).TopK(context.Background(), 4); err != nil || len(got) != 4 {
 		t.Errorf("TopK(n) = %v, %v", got, err)
 	}
 	// Errors.
-	if _, _, err := TopK(shards, 5, Options{}); !errors.Is(err, ErrRankRange) {
+	if _, _, err := Over(shards, Options{}).TopK(context.Background(), 5); !errors.Is(err, ErrRankRange) {
 		t.Errorf("TopK(5 of 4): %v", err)
 	}
-	if _, _, err := TopK(shards, -1, Options{}); !errors.Is(err, ErrRankRange) {
+	if _, _, err := Over(shards, Options{}).TopK(context.Background(), -1); !errors.Is(err, ErrRankRange) {
 		t.Errorf("TopK(-1): %v", err)
 	}
-	if _, _, err := TopK[int64](nil, 1, Options{}); !errors.Is(err, ErrNoShards) {
+	if _, _, err := Over[int64](nil, Options{}).TopK(context.Background(), 1); !errors.Is(err, ErrNoShards) {
 		t.Errorf("TopK(nil): %v", err)
 	}
-	if _, _, err := BottomK([][]int64{{}}, 1, Options{}); !errors.Is(err, ErrNoData) {
+	if _, _, err := Over([][]int64{{}}, Options{}).BottomK(context.Background(), 1); !errors.Is(err, ErrNoData) {
 		t.Errorf("BottomK(empty): %v", err)
 	}
 }
@@ -77,7 +78,7 @@ func TestTopKBottomKProperty(t *testing.T) {
 		sorted := slices.Clone(vals)
 		slices.Sort(sorted)
 
-		top, _, err := TopK(shards, k, Options{Algorithm: Randomized})
+		top, _, err := Over(shards, Options{Algorithm: Randomized}).TopK(context.Background(), k)
 		if err != nil {
 			return false
 		}
@@ -89,7 +90,7 @@ func TestTopKBottomKProperty(t *testing.T) {
 			return false
 		}
 
-		bot, _, err := BottomK(shards, k, Options{Algorithm: Randomized})
+		bot, _, err := Over(shards, Options{Algorithm: Randomized}).BottomK(context.Background(), k)
 		if err != nil {
 			return false
 		}
@@ -106,7 +107,7 @@ func TestSummary(t *testing.T) {
 		vals[i] = int64(i) // 0..100
 	}
 	shards := shardInts(vals, 4)
-	s, rep, err := Summary(shards, Options{})
+	s, rep, err := Over(shards, Options{}).Summary(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,17 +121,17 @@ func TestSummary(t *testing.T) {
 }
 
 func TestSummarySingleton(t *testing.T) {
-	s, _, err := Summary([][]int64{{7}}, Options{})
+	s, _, err := Over([][]int64{{7}}, Options{}).Summary(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Min != 7 || s.Max != 7 || s.Median != 7 || s.Q1 != 7 || s.Q3 != 7 {
 		t.Errorf("singleton summary = %+v", s)
 	}
-	if _, _, err := Summary([][]int64{{}}, Options{}); !errors.Is(err, ErrNoData) {
+	if _, _, err := Over([][]int64{{}}, Options{}).Summary(context.Background()); !errors.Is(err, ErrNoData) {
 		t.Errorf("empty summary: %v", err)
 	}
-	if _, _, err := Summary[int64](nil, Options{}); !errors.Is(err, ErrNoShards) {
+	if _, _, err := Over[int64](nil, Options{}).Summary(context.Background()); !errors.Is(err, ErrNoShards) {
 		t.Errorf("nil summary: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package parsel
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -11,17 +12,17 @@ func TestTopologyPricing(t *testing.T) {
 		vals[i] = int64((i * 104729) % 65536)
 	}
 	shards := shardInts(vals, 16)
-	want, err := Median(shards, Options{Algorithm: Randomized, Balancer: NoBalance})
+	want, err := Over(shards, Options{Algorithm: Randomized, Balancer: NoBalance}).Median(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var crossbar, ring float64
 	for _, topo := range []Topology{TopologyCrossbar, TopologyHypercube, TopologyMesh2D, TopologyRing} {
-		res, err := Median(shards, Options{
+		res, err := Over(shards, Options{
 			Algorithm: Randomized,
 			Balancer:  NoBalance,
 			Machine:   Machine{Topology: topo, PerHop: 50 * time.Microsecond},
-		})
+		}).Median(context.Background())
 		if err != nil {
 			t.Fatalf("%v: %v", topo, err)
 		}
@@ -53,7 +54,7 @@ func TestMoreProcessorsThanElements(t *testing.T) {
 		}
 	}
 	for _, alg := range []Algorithm{FastRandomized, Randomized, MedianOfMedians, BucketBased} {
-		res, err := Select(shards, 2, Options{Algorithm: alg})
+		res, err := Over(shards, Options{Algorithm: alg}).Select(context.Background(), 2)
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -73,7 +74,7 @@ func TestQuantileRankRounding(t *testing.T) {
 		{0.0, 10}, {0.1, 10}, {0.25, 10}, {0.26, 20}, {0.5, 20}, {0.51, 30}, {0.75, 30}, {0.76, 40}, {1.0, 40},
 	}
 	for _, tc := range cases {
-		res, err := Quantile(shards, tc.q, Options{})
+		res, err := Over(shards, Options{}).Quantile(context.Background(), tc.q)
 		if err != nil {
 			t.Fatalf("q=%g: %v", tc.q, err)
 		}
@@ -89,11 +90,11 @@ func TestFaithfulOptionAgrees(t *testing.T) {
 		vals[i] = int64((i * 48271) % 999331)
 	}
 	shards := shardInts(vals, 8)
-	fast, err := Select(shards, 30000, Options{Algorithm: FastRandomized, Faithful: false})
+	fast, err := Over(shards, Options{Algorithm: FastRandomized, Faithful: false}).Select(context.Background(), 30000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faithful, err := Select(shards, 30000, Options{Algorithm: FastRandomized, Faithful: true})
+	faithful, err := Over(shards, Options{Algorithm: FastRandomized, Faithful: true}).Select(context.Background(), 30000)
 	if err != nil {
 		t.Fatal(err)
 	}
