@@ -18,7 +18,8 @@
 #                  serving layer
 #   make fuzz    - short fuzz smoke: the 128-bit quantile-rank arithmetic, the
 #                  daemon's HTTP request decoder, its resident dataset-query
-#                  decoders (single and querymany), the snapshot decoder, the
+#                  decoders (single and querymany), its JSON upload decoder
+#                  (int64, float64 and string keys), the snapshot decoder, the
 #                  binary result-frame decoder, the branch-free three-way
 #                  partition kernel (differential against Partition3) and
 #                  the fast randomized window-filter kernel (differential
@@ -74,6 +75,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzQuantileRank -fuzztime=5s .
 	$(GO) test -run='^$$' -fuzz=FuzzParseRequest -fuzztime=5s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzParseDatasetQuery -fuzztime=5s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzParseDatasetUpload -fuzztime=5s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=5s ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=5s ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz=FuzzPartition3Branchless -fuzztime=5s ./internal/seq

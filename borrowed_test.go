@@ -162,16 +162,8 @@ func population[K any](shards [][]K) int64 {
 // methods and Run alike.
 func datasetQueries[K cmp.Ordered](ds *parsel.Dataset[K]) []namedQuery {
 	n := ds.N()
-	selectMany := namedQuery{"SelectMany", func() error {
-		for _, br := range ds.SelectMany([]int64{1, n / 2, n}) {
-			if br.Err != nil {
-				return br.Err
-			}
-		}
-		return nil
-	}}
 	run := runQueries(n, func(q parsel.Query) error { _, err := ds.Run(context.Background(), q); return err })
-	return append(append(verbQueries[K](ds, n), selectMany), run...)
+	return append(verbQueries[K](ds, n), run...)
 }
 
 // runGuarded runs each query and fails the test if it errs or if shards
@@ -250,16 +242,7 @@ func TestBorrowedShardsUnchangedPool(t *testing.T) {
 			}
 			want := cloneShards(shards)
 			label := fmt.Sprintf("pool/%v/cap%d/%s", opts.Algorithm, opts.MaxIterations, name)
-			queries := append(shardQueries[int64](pl, shards), namedQuery{"SelectMany", func() error {
-				qs := []parsel.ShardQuery[int64]{{Shards: shards, Rank: 1}, {Shards: shards, Rank: 1000}, {Shards: shards, Rank: 30000}}
-				for _, br := range pl.SelectMany(qs) {
-					if br.Err != nil {
-						return br.Err
-					}
-				}
-				return nil
-			}})
-			queries = append(queries, runQueries(population(shards), func(q parsel.Query) error {
+			queries := append(shardQueries[int64](pl, shards), runQueries(population(shards), func(q parsel.Query) error {
 				_, err := pl.Run(context.Background(), shards, q)
 				return err
 			})...)

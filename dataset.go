@@ -6,8 +6,6 @@ import (
 	"errors"
 	"reflect"
 	"sync"
-
-	"parsel/internal/fanout"
 )
 
 // ErrDatasetClosed is returned by every Dataset method called after
@@ -26,8 +24,7 @@ var ErrDatasetClosed = errors.New("parsel: Dataset used after Close")
 // Every query goes through Run(ctx, Query), which admits it against the
 // dataset's lifecycle and hands the resident shards to Pool.Run. The
 // embedded Verbs are bound to Run, so the named queries take the
-// context first (ds.Select(ctx, rank), ds.Median(ctx)), and SelectMany
-// fans a batch of ranks out over it.
+// context first (ds.Select(ctx, rank), ds.Median(ctx)).
 //
 // Results — values and every simulated metric — are bit-identical to
 // passing the same shards through Pool.Over:
@@ -202,19 +199,4 @@ func (ds *Dataset[K]) SelectContext(ctx context.Context, rank int64) (Result[K],
 // the benchmark module still calls it; use Quantiles.
 func (ds *Dataset[K]) QuantilesContext(ctx context.Context, qs []float64) ([]K, Report, error) {
 	return ds.Quantiles(ctx, qs)
-}
-
-// SelectMany fans a batch of independent rank queries against the
-// resident dataset, running up to the pool's MaxMachines of them
-// concurrently — Pool.SelectMany without the per-query shard shipping.
-// Results align with ranks; each query carries its own error, so one
-// out-of-range rank does not fail the batch, and every result is
-// bit-identical to running that query alone. This is the in-process
-// twin of the daemon's querymany endpoint.
-func (ds *Dataset[K]) SelectMany(ranks []int64) []BatchResult[K] {
-	out := make([]BatchResult[K], len(ranks))
-	fanout.Run(len(ranks), ds.pool.max, func(i int) {
-		out[i].Result, out[i].Err = ds.Select(context.TODO(), ranks[i])
-	})
-	return out
 }

@@ -212,48 +212,6 @@ func TestDatasetResultsAreCallerOwned(t *testing.T) {
 	}
 }
 
-// TestDatasetSelectManyBatch pins the resident batch surface: every
-// rank answers exactly as a one-at-a-time Select would, failing items
-// carry their typed error without poisoning the rest of the batch, and
-// a closed dataset fails every item.
-func TestDatasetSelectManyBatch(t *testing.T) {
-	shards := workload.Generate(workload.Random, 9000, 4, 7)
-	flat := workload.Flatten(shards)
-	slices.Sort(flat)
-	_, ds := newDataset(t, parsel.Options{}, parsel.PoolOptions{MaxMachines: 3}, shards)
-
-	ranks := []int64{1, 4500, 9000, 0, 2250, 9001, 42}
-	out := ds.SelectMany(ranks)
-	if len(out) != len(ranks) {
-		t.Fatalf("batch returned %d results for %d ranks", len(out), len(ranks))
-	}
-	for i, r := range out {
-		switch i {
-		case 3, 5: // rank 0 and rank n+1 are out of range
-			if !errors.Is(r.Err, parsel.ErrRankRange) {
-				t.Errorf("rank %d: err %v, want ErrRankRange", ranks[i], r.Err)
-			}
-		default:
-			if r.Err != nil {
-				t.Errorf("rank %d: %v", ranks[i], r.Err)
-			} else if r.Value != flat[ranks[i]-1] {
-				t.Errorf("rank %d: value %d, want %d", ranks[i], r.Value, flat[ranks[i]-1])
-			}
-		}
-	}
-
-	if got := ds.SelectMany(nil); len(got) != 0 {
-		t.Errorf("empty batch returned %d results", len(got))
-	}
-
-	ds.Close()
-	for i, r := range ds.SelectMany([]int64{1, 2}) {
-		if !errors.Is(r.Err, parsel.ErrDatasetClosed) {
-			t.Errorf("closed dataset item %d: err %v, want ErrDatasetClosed", i, r.Err)
-		}
-	}
-}
-
 // TestDatasetLifecycle pins construction validation and the Close
 // contract.
 func TestDatasetLifecycle(t *testing.T) {

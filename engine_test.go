@@ -338,9 +338,7 @@ func TestQuantileRankExact(t *testing.T) {
 // the named wrappers over it — must allocate no more than the
 // per-method path did before Query and Answer existed (107 and 170
 // objects per call on this 8 x 512 shape), so the single query shape
-// costs nothing on the resident path. A one-item SelectMany adds only
-// its result slice and item closure: the batch helper runs a single
-// item inline, without the worker goroutine (111 objects before).
+// costs nothing on the resident path.
 func TestDatasetRunSteadyStateAllocs(t *testing.T) {
 	const selectBudget, quantilesBudget = 107, 170
 	pool, err := parsel.NewPool[int64](parsel.Options{}, parsel.PoolOptions{MaxMachines: 1})
@@ -355,7 +353,6 @@ func TestDatasetRunSteadyStateAllocs(t *testing.T) {
 	defer ds.Close()
 	sel := parsel.Query{Op: parsel.OpSelect, Rank: 4096 / 3}
 	qs := parsel.Query{Op: parsel.OpQuantiles, Qs: []float64{0.01, 0.25, 0.5, 0.75, 0.99}}
-	one := []int64{sel.Rank}
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		if _, err := ds.Run(ctx, sel); err != nil {
@@ -374,7 +371,6 @@ func TestDatasetRunSteadyStateAllocs(t *testing.T) {
 		{"SelectContext", selectBudget, func() { ds.SelectContext(ctx, sel.Rank) }},
 		{"Run quantiles", quantilesBudget, func() { ds.Run(ctx, qs) }},
 		{"QuantilesContext", quantilesBudget, func() { ds.QuantilesContext(ctx, qs.Qs) }},
-		{"SelectMany of one", selectBudget + 2, func() { ds.SelectMany(one) }},
 	} {
 		if avg := testing.AllocsPerRun(50, c.run); avg > c.budget {
 			t.Errorf("steady-state Dataset %s allocates %.0f objects per call, budget %.0f", c.name, avg, c.budget)

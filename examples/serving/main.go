@@ -114,18 +114,26 @@ func main() {
 		fmt.Printf("client %2d: %s\n", a.client, a.text)
 	}
 
-	// A batched sweep: one rank query per node count, fanned across the
-	// pool's machines in one call.
-	queries := make([]parsel.ShardQuery[int64], 5)
-	for i := range queries {
-		queries[i] = parsel.ShardQuery[int64]{Shards: shards[:4+3*i], Rank: 1000}
+	// A batched sweep: one rank query per node count, fanned out across
+	// the pool's machines with one goroutine per query over pool.Run.
+	fleets := make([][][]int64, 5)
+	sweep := make([]parsel.Answer[int64], len(fleets))
+	errs := make([]error, len(fleets))
+	for i := range fleets {
+		fleets[i] = shards[:4+3*i]
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sweep[i], errs[i] = pool.Run(ctx, fleets[i], parsel.Query{Op: parsel.OpSelect, Rank: 1000})
+		}(i)
 	}
-	fmt.Println("\nbatched SelectMany over growing fleets:")
-	for i, r := range pool.SelectMany(queries) {
-		if r.Err != nil {
-			log.Fatal(r.Err)
+	wg.Wait()
+	fmt.Println("\nbatched sweep over growing fleets:")
+	for i, a := range sweep {
+		if errs[i] != nil {
+			log.Fatal(errs[i])
 		}
-		fmt.Printf("  %2d nodes: rank-1000 latency = %d us\n", len(queries[i].Shards), r.Value)
+		fmt.Printf("  %2d nodes: rank-1000 latency = %d us\n", len(fleets[i]), a.Value)
 	}
 
 	st := pool.Stats()

@@ -1,6 +1,5 @@
-// Package fanout is the one worker loop behind every batch entry point:
-// Pool.SelectMany, Dataset.SelectMany and the daemon's querymany
-// endpoint all run their items through Run.
+// Package fanout is the worker loop behind the daemon's querymany
+// endpoint: the items of one batch run through Run.
 package fanout
 
 import (

@@ -49,7 +49,7 @@ type dsEntry struct {
 	ds    any
 	procs int
 	n     int64
-	// tenant names the tenant whose ledger holds this dataset's bytes;
+	// tenant names the tenant whose ledger row holds this dataset's bytes;
 	// empty on a daemon without tenants.
 	tenant  string
 	bytes   int64
@@ -94,25 +94,72 @@ func (e *dsEntry) info(id string, now time.Time) parselclient.DatasetInfo {
 	}
 }
 
-// tenantLedger resolves a tenant name to its live ledger; nil for the
-// empty name, an unconfigured name (a snapshot from a tenant since
-// removed), or a daemon without tenants. Caller holds dsMu.
-func (s *Server) tenantLedger(name string) *tenantEntry {
-	if name == "" || s.tenantsByName == nil {
-		return nil
+// chargeLocked is the one writer of the dataset ledger: it adds d to
+// the tenant's row (none for the empty name, a daemon without tenants)
+// and its bytes and datasets to the daemon's row. Rows are keyed by
+// name, not by configuration, so a reload never resets or orphans
+// them. Caller holds dsMu.
+func (s *Server) chargeLocked(tenant string, d usage) {
+	s.total.bytes += d.bytes
+	s.total.datasets += d.datasets
+	if tenant == "" {
+		return
 	}
-	return s.tenantsByName[name]
+	u := s.byTenant[tenant]
+	u.bytes += d.bytes
+	u.datasets += d.datasets
+	u.requests += d.requests
+	u.rejected += d.rejected
+	s.byTenant[tenant] = u
 }
 
-// dropLocked removes an entry from the ledger (global and per-tenant
-// bytes and counts) without closing its dataset. Caller holds dsMu.
+// refusalLocked is the one admission policy for a dataset of need
+// bytes charged to tenant, replacing prev (nil for a new id): the
+// daemon's byte budget and dataset cap, then the tenant's byte budget
+// and quota when the tenant is configured. The replaced dataset's
+// bytes and slot are credited back — to the tenant only when that
+// tenant holds them. It returns the refusal's wire code and message,
+// or an empty code to admit. Uploads, frame uploads and snapshot
+// restores all admit here. Caller holds dsMu.
+func (s *Server) refusalLocked(tenant string, need int64, prev *dsEntry) (code parselclient.Code, msg string) {
+	freed, slot := int64(0), int64(1)
+	if prev != nil {
+		freed, slot = prev.bytes, 0
+	}
+	switch {
+	case s.total.bytes-freed+need > s.opts.MaxResidentBytes:
+		return parselclient.CodeResidentBudget, fmt.Sprintf(
+			"dataset needs %d resident bytes; %d of the %d-byte budget are held (live data is never evicted to make room)",
+			need, s.total.bytes, s.opts.MaxResidentBytes)
+	case s.total.datasets+slot > int64(s.opts.MaxDatasets):
+		return parselclient.CodeResidentBudget, fmt.Sprintf(
+			"daemon already holds %d datasets, the limit", s.opts.MaxDatasets)
+	}
+	cfg, ok := s.tenantsByName[tenant]
+	if !ok {
+		return "", ""
+	}
+	if prev == nil || prev.tenant != tenant {
+		freed, slot = 0, 1
+	}
+	u := s.byTenant[tenant]
+	switch {
+	case cfg.MaxResidentBytes > 0 && u.bytes-freed+need > cfg.MaxResidentBytes:
+		return parselclient.CodeTenantBudget, fmt.Sprintf(
+			"dataset needs %d resident bytes; tenant %q holds %d of its %d-byte budget",
+			need, tenant, u.bytes, cfg.MaxResidentBytes)
+	case cfg.MaxDatasets > 0 && u.datasets+slot > int64(cfg.MaxDatasets):
+		return parselclient.CodeTenantBudget, fmt.Sprintf(
+			"tenant %q already holds %d datasets, its quota", tenant, cfg.MaxDatasets)
+	}
+	return "", ""
+}
+
+// dropLocked removes an entry from the registry and the ledger without
+// closing its dataset. Caller holds dsMu.
 func (s *Server) dropLocked(id string, e *dsEntry) {
 	delete(s.datasets, id)
-	s.dsBytes -= e.bytes
-	if te := s.tenantLedger(e.tenant); te != nil {
-		te.bytes -= e.bytes
-		te.datasets--
-	}
+	s.chargeLocked(e.tenant, usage{bytes: -e.bytes, datasets: -1})
 }
 
 // sweepLocked evicts every dataset whose TTL has lapsed. Caller holds
@@ -277,7 +324,7 @@ func runUpload[K parselclient.Key](s *Server, w http.ResponseWriter, r *http.Req
 		s.writeQueryError(w, err)
 		return
 	}
-	commitUpload(s, w, id, tenant, ds, need, replacing)
+	commitUpload(s, w, id, tenant, ds, need)
 }
 
 // handleFrameUpload serves a PUT whose Content-Type negotiated the
@@ -340,7 +387,7 @@ func runFrameUpload[K snapshot.FixedKey](s *Server, w http.ResponseWriter, r *ht
 		s.writeQueryError(w, err)
 		return
 	}
-	commitUpload(s, w, id, tenant, ds, need, replacing)
+	commitUpload(s, w, id, tenant, ds, need)
 }
 
 // writeFrameUploadError reports a binary-upload decode failure. The
@@ -361,99 +408,50 @@ func (s *Server) writeFrameUploadError(w http.ResponseWriter, err error) {
 }
 
 // reserveUpload runs the admission half of an upload against the
-// registry: sweep, the constant-time budget and count checks, then the
-// need-byte reservation. Admission is a counter comparison under the
-// registry lock; the key copy or stream runs unlocked (a near-budget
-// upload must not stall queries and stats for the duration), against a
-// reservation that commitUpload or unwindUpload settles. A replaced
-// dataset leaves the registry here, so during the copy the id reads as
-// not-found — the same window a DELETE + re-upload sequence has — and
-// queries in flight on the old snapshot complete normally. On false
-// the refusal is already written.
+// registry: sweep, the admission policy (refusalLocked), then the
+// reservation of need bytes and one dataset slot. Admission is a
+// counter comparison under the registry lock; the key copy or stream
+// runs unlocked (a near-budget upload must not stall queries and stats
+// for the duration), against the reservation, which commitUpload
+// installs or unwindUpload returns. A replaced dataset leaves the
+// registry here, so during the copy the id reads as not-found — the
+// same window a DELETE + re-upload sequence has — and queries in
+// flight on the old snapshot complete normally. On false the refusal
+// is already written.
 func (s *Server) reserveUpload(w http.ResponseWriter, r *http.Request, id, tenant string, need int64) (replacing, ok bool) {
 	s.dsMu.Lock()
-	now := s.now()
-	s.sweepLocked(now)
-	prev, replacing := s.datasets[id]
-	freed := int64(0)
-	if replacing {
-		freed = prev.bytes
-	}
-	if s.dsBytes-freed+need > s.opts.MaxResidentBytes {
-		held := s.dsBytes
+	s.sweepLocked(s.now())
+	prev := s.datasets[id]
+	code, msg := s.refusalLocked(tenant, need, prev)
+	if code != "" {
 		s.dstats.Rejected++
+		if code == parselclient.CodeTenantBudget {
+			s.chargeLocked(tenant, usage{rejected: 1})
+		}
 		s.dsMu.Unlock()
-		s.countError(http.StatusRequestEntityTooLarge, parselclient.CodeResidentBudget)
-		s.logShed(r, http.StatusRequestEntityTooLarge, parselclient.CodeResidentBudget,
-			fmt.Sprintf("dataset %q needs %d bytes, %d of %d held", id, need, held, s.opts.MaxResidentBytes))
+		s.countError(http.StatusRequestEntityTooLarge, code)
+		s.logShed(r, http.StatusRequestEntityTooLarge, code, msg)
 		w.Header().Set("Retry-After", "1") // a delete or TTL eviction may free room
-		writeError(w, http.StatusRequestEntityTooLarge, parselclient.CodeResidentBudget,
-			fmt.Sprintf("dataset needs %d resident bytes; %d of the %d-byte budget are held (live data is never evicted to make room)",
-				need, held, s.opts.MaxResidentBytes))
+		writeError(w, http.StatusRequestEntityTooLarge, code, msg)
 		return false, false
 	}
-	if !replacing && len(s.datasets)+1 > s.opts.MaxDatasets {
-		s.dstats.Rejected++
-		s.dsMu.Unlock()
-		s.countError(http.StatusRequestEntityTooLarge, parselclient.CodeResidentBudget)
-		s.logShed(r, http.StatusRequestEntityTooLarge, parselclient.CodeResidentBudget,
-			fmt.Sprintf("daemon already holds %d datasets, the limit", s.opts.MaxDatasets))
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusRequestEntityTooLarge, parselclient.CodeResidentBudget,
-			fmt.Sprintf("daemon already holds %d datasets, the limit", s.opts.MaxDatasets))
-		return false, false
-	}
-	// The tenant's own slice of the budget, after the daemon-wide
-	// checks: bytes freed by replacing count only when the replaced
-	// dataset is charged to the same tenant.
-	if te := s.tenantLedger(tenant); te != nil {
-		tfreed, tcount := int64(0), te.datasets
-		if replacing && prev.tenant == tenant {
-			tfreed = prev.bytes
-			tcount--
-		}
-		var refusal string
-		switch {
-		case te.cfg.MaxResidentBytes > 0 && te.bytes-tfreed+need > te.cfg.MaxResidentBytes:
-			refusal = fmt.Sprintf("dataset needs %d resident bytes; tenant %q holds %d of its %d-byte budget",
-				need, tenant, te.bytes, te.cfg.MaxResidentBytes)
-		case te.cfg.MaxDatasets > 0 && tcount+1 > int64(te.cfg.MaxDatasets):
-			refusal = fmt.Sprintf("tenant %q already holds %d datasets, its quota", tenant, te.cfg.MaxDatasets)
-		}
-		if refusal != "" {
-			te.rejected++
-			s.dstats.Rejected++
-			s.dsMu.Unlock()
-			s.countError(http.StatusRequestEntityTooLarge, parselclient.CodeTenantBudget)
-			s.logShed(r, http.StatusRequestEntityTooLarge, parselclient.CodeTenantBudget, refusal)
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusRequestEntityTooLarge, parselclient.CodeTenantBudget, refusal)
-			return false, false
-		}
-	}
-	if replacing {
+	if prev != nil {
 		s.dropLocked(id, prev)
 		s.dstats.Replaced++
 	}
-	s.dsBytes += need // the reservation
-	if te := s.tenantLedger(tenant); te != nil {
-		te.bytes += need
-	}
+	s.chargeLocked(tenant, usage{bytes: need, datasets: 1}) // the reservation
 	s.dsMu.Unlock()
-	if replacing {
+	if prev != nil {
 		prev.closeDS()
 	}
-	return replacing, true
+	return prev != nil, true
 }
 
-// unwindUpload releases a reservation whose dataset never materialized
+// unwindUpload returns a reservation whose dataset never materialized
 // (a decode fault mid-stream, a closed pool).
 func (s *Server) unwindUpload(id, tenant string, need int64, replacing bool) {
 	s.dsMu.Lock()
-	s.dsBytes -= need
-	if te := s.tenantLedger(tenant); te != nil {
-		te.bytes -= need
-	}
+	s.chargeLocked(tenant, usage{bytes: -need, datasets: -1})
 	s.dsMu.Unlock()
 	if replacing {
 		// The id's previous dataset left the registry at reservation
@@ -462,11 +460,9 @@ func (s *Server) unwindUpload(id, tenant string, need int64, replacing bool) {
 	}
 }
 
-// commitUpload installs ds under id against a need-byte reservation,
-// reconciling the estimate with the dataset's true resident size, and
-// answers the request.
-func commitUpload[K parselclient.Key](s *Server, w http.ResponseWriter, id, tenant string, ds *parsel.Dataset[K], need int64, replacing bool) {
-	te := func() *tenantEntry { return s.tenantLedger(tenant) } // resolved under dsMu
+// commitUpload installs ds under id on its reservation and answers the
+// request. The ledger already holds the dataset's bytes and slot.
+func commitUpload[K parselclient.Key](s *Server, w http.ResponseWriter, id, tenant string, ds *parsel.Dataset[K], need int64) {
 	s.dsMu.Lock()
 	if cur, ok := s.datasets[id]; ok {
 		// A concurrent upload of the same id committed during our copy:
@@ -474,47 +470,12 @@ func commitUpload[K parselclient.Key](s *Server, w http.ResponseWriter, id, tena
 		s.dropLocked(id, cur)
 		s.dstats.Replaced++
 		cur.closeDS()
-	} else if !replacing && len(s.datasets)+1 > s.opts.MaxDatasets {
-		// Concurrent uploads of distinct new ids can pass the count
-		// check together; the loser unwinds here (the bytes budget
-		// cannot oversubscribe the same way — it is reserved up front).
-		s.dsBytes -= need
-		if t := te(); t != nil {
-			t.bytes -= need
-		}
-		s.dstats.Rejected++
-		s.dsMu.Unlock()
-		ds.Close()
-		s.countError(http.StatusRequestEntityTooLarge, parselclient.CodeResidentBudget)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusRequestEntityTooLarge, parselclient.CodeResidentBudget,
-			fmt.Sprintf("daemon already holds %d datasets, the limit", s.opts.MaxDatasets))
-		return
-	}
-	if t := te(); t != nil && t.cfg.MaxDatasets > 0 && t.datasets+1 > int64(t.cfg.MaxDatasets) {
-		// The same race, against the tenant's own quota.
-		s.dsBytes -= need
-		t.bytes -= need
-		t.rejected++
-		s.dstats.Rejected++
-		s.dsMu.Unlock()
-		ds.Close()
-		s.countError(http.StatusRequestEntityTooLarge, parselclient.CodeTenantBudget)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusRequestEntityTooLarge, parselclient.CodeTenantBudget,
-			fmt.Sprintf("tenant %q already holds %d datasets, its quota", tenant, t.cfg.MaxDatasets))
-		return
 	}
 	now := s.now()
 	e := &dsEntry{
 		kind: parselclient.KeyKindOf[K](), ds: ds, procs: ds.Procs(), n: ds.N(),
-		tenant: tenant, bytes: ds.Bytes(), expires: now.Add(s.opts.DatasetTTL),
+		tenant: tenant, bytes: need, expires: now.Add(s.opts.DatasetTTL),
 		gen: s.snapGen.Add(1),
-	}
-	s.dsBytes += e.bytes - need // reconcile the estimate with the ledger's truth
-	if t := te(); t != nil {
-		t.bytes += e.bytes - need
-		t.datasets++
 	}
 	s.datasets[id] = e
 	s.dstats.Uploads++
@@ -525,12 +486,11 @@ func commitUpload[K parselclient.Key](s *Server, w http.ResponseWriter, id, tena
 	writeJSON(w, http.StatusOK, info)
 }
 
-// residentBytes is the admission-time estimate of what the shards will
-// occupy once resident, kept in one place so the budget check and the
-// ledger (parsel.Dataset.Bytes, reconciled at commit) cannot drift:
-// n slots of K's in-memory size — 8 bytes for the fixed-width kinds,
-// the 16-byte string header for strings (whose backing arrays the
-// budget deliberately does not meter, matching Dataset.Bytes).
+// residentBytes is what the shards will occupy once resident — the
+// figure the ledger charges at admission, by the same formula as
+// parsel.Dataset.Bytes: n slots of K's in-memory size — 8 bytes for
+// the fixed-width kinds, the 16-byte string header for strings (whose
+// backing arrays the budget deliberately does not meter).
 func residentBytes[K parselclient.Key](shards [][]K) int64 {
 	var n int64
 	for _, sh := range shards {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"slices"
 	"strings"
@@ -14,6 +15,7 @@ import (
 
 	"parsel"
 	"parsel/internal/serve"
+	"parsel/internal/snapshot"
 	"parsel/internal/workload"
 	"parsel/parselclient"
 )
@@ -281,6 +283,84 @@ func TestDatasetBudget(t *testing.T) {
 	// Replacement of the resident id is not a new dataset.
 	if _, err := dc.client.Dataset("one").Upload(ctx, keys(5)); err != nil {
 		t.Errorf("replacement under count cap: %v", err)
+	}
+}
+
+// TestUploadInFlightHoldsSlot pins that an upload holds its dataset
+// slot from admission to commit. Under a full MaxDatasets cap, a frame
+// re-PUT of the resident id stalls mid-stream; while it streams the
+// count gauge still reads one, and a second PUT of the same id is
+// refused with a retryable 413 resident_budget before it copies a key.
+// The stalled upload then completes and is the one dataset resident.
+func TestUploadInFlightHoldsSlot(t *testing.T) {
+	ctx := context.Background()
+	d := newDaemon(t, parsel.Options{}, parsel.PoolOptions{MaxMachines: 1},
+		serve.Options{MaxDatasets: 1})
+	defer d.close()
+	if _, err := d.client.Dataset("one").Upload(ctx, [][]int64{{1, 2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+
+	shard := make([]int64, 1000)
+	for i := range shard {
+		shard[i] = int64(i)
+	}
+	body := snapshot.Encode(snapshot.Header{}, [][]int64{shard})
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPut, d.ts.URL+"/v1/datasets/one", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", parselclient.ContentTypeFrame)
+	status := make(chan int, 1)
+	go func() {
+		res, err := d.ts.Client().Do(req)
+		if err != nil {
+			t.Error(err)
+			status <- 0
+			return
+		}
+		res.Body.Close()
+		status <- res.StatusCode
+	}()
+	if _, err := pw.Write(body[:len(body)/2]); err != nil {
+		t.Fatal(err)
+	}
+	// The stalled upload has reserved once the resident "one" left the
+	// registry as replaced.
+	deadline := time.Now().Add(5 * time.Second)
+	for d.server.Stats().Datasets.Replaced != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("stalled upload never reserved: %+v", d.server.Stats().Datasets)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := d.server.Stats().Datasets; st.Count != 1 || st.ResidentBytes != 8000 {
+		t.Errorf("ledger with the upload in flight: %+v, want its slot and 8000 bytes", st)
+	}
+
+	_, err = d.client.Dataset("one").Upload(ctx, [][]int64{{4, 5}})
+	var apiErr *parselclient.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusRequestEntityTooLarge ||
+		apiErr.Code != parselclient.CodeResidentBudget || apiErr.RetryAfter <= 0 {
+		t.Fatalf("second PUT of the id in flight = %v, want 413 %s with Retry-After",
+			err, parselclient.CodeResidentBudget)
+	}
+
+	if _, err := pw.Write(body[len(body)/2:]); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	if got := <-status; got != http.StatusOK {
+		t.Fatalf("stalled upload finished %d, want 200", got)
+	}
+	st := d.server.Stats().Datasets
+	if st.Count != 1 || st.ResidentBytes != 8000 || st.Rejected != 1 {
+		t.Errorf("ledger after commit: %+v, want one 8000-byte dataset and one rejection", st)
+	}
+	if res, err := d.client.Dataset("one").Median(ctx); err != nil || res.Value != 499 {
+		t.Errorf("median after commit: %v %v, want 499", res.Value, err)
 	}
 }
 

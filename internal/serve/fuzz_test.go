@@ -224,3 +224,68 @@ func FuzzParseDatasetQuery(f *testing.F) {
 		}
 	})
 }
+
+// knownUploadCodes is the closed set of wire codes ParseDatasetUploadOf
+// may emit.
+var knownUploadCodes = map[parselclient.Code]bool{
+	parselclient.CodeBadJSON:       true,
+	parselclient.CodeMissingField:  true,
+	parselclient.CodeLimitExceeded: true,
+	parselclient.CodeTooLarge:      true,
+}
+
+// FuzzParseDatasetUpload throws adversarial bytes at the JSON upload
+// decoder, ParseDatasetUploadOf, for the key kind the selector picks
+// (int64, float64, string): it must never panic, every rejection must
+// be a *ParseError carrying a known wire code, and an accepted upload
+// carries shards and never more of them than MaxProcs.
+func FuzzParseDatasetUpload(f *testing.F) {
+	seeds := []string{
+		`{"shards": [[1,2],[3]]}`,
+		`{"shards": [[1.5, -2.25], []], "key_kind": "float64"}`,
+		`{"shards": [["b", "a"], ["c"]], "key_kind": "string"}`,
+		`{"shards": []}`,
+		`{"shards": null}`,
+		`{"shards": [[9007199254740993, -42]]}`,
+		`{"shards": [[1e999]]}`,
+		`{"shards": [[1]], "unknown_field": {"a": [1,2]}}`,
+		`{"key_kind": "int64"}`,
+		`{"shards": [` + strings.Repeat(`[1],`, 20) + `[1]]}`,
+		`{`, `[]`, `""`, ``,
+		strings.Repeat(`[`, 2000),
+	}
+	for sel := 0; sel < 3; sel++ {
+		for _, s := range seeds {
+			f.Add(uint8(sel), []byte(s))
+		}
+	}
+	f.Fuzz(func(t *testing.T, sel uint8, body []byte) {
+		switch sel % 3 {
+		case 0:
+			checkUpload[int64](t, body)
+		case 1:
+			checkUpload[float64](t, body)
+		default:
+			checkUpload[string](t, body)
+		}
+	})
+}
+
+// checkUpload decodes body as a K-keyed upload and asserts the
+// decoder's contract.
+func checkUpload[K parselclient.Key](t *testing.T, body []byte) {
+	t.Helper()
+	kind := parselclient.KeyKindOf[K]()
+	up, err := serve.ParseDatasetUploadOf[K](body, fuzzLimits)
+	if err != nil {
+		var pe *serve.ParseError
+		if !errors.As(err, &pe) || !knownUploadCodes[pe.Code] || pe.Msg == "" {
+			t.Fatalf("%s upload rejected with %T %v, want a *ParseError with a known code", kind, err, err)
+		}
+		return
+	}
+	if up.Shards == nil || len(up.Shards) > fuzzLimits.MaxProcs {
+		t.Fatalf("%s upload accepted with %d shards (nil: %v), limit %d",
+			kind, len(up.Shards), up.Shards == nil, fuzzLimits.MaxProcs)
+	}
+}

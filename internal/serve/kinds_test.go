@@ -746,23 +746,56 @@ func TestTenantAdmission(t *testing.T) {
 
 // TestTenantLedgerReconcileStorm drives concurrent uploads, queries,
 // replacements, deletes and TTL evictions against two budgeted tenants
-// and then requires the ledgers to reconcile exactly: after deleting
-// everything, every tenant gauge and the global registry must read
-// zero.
+// through every admission path — JSON and binary-frame int64 uploads,
+// float64 uploads, corrupt frame uploads that must unwind their
+// reservation, and a reload that drops one tenant and re-adds it while
+// it holds datasets — and then requires the ledgers to reconcile
+// exactly: after deleting everything, every tenant gauge and the
+// global registry must read zero.
 func TestTenantLedgerReconcileStorm(t *testing.T) {
+	tenants := []serve.Tenant{
+		{Name: "t1", Token: "tok1", MaxResidentBytes: 4096},
+		{Name: "t2", Token: "tok2", MaxResidentBytes: 4096, MaxDatasets: 8},
+	}
 	d := newDaemon(t, parsel.Options{}, parsel.PoolOptions{MaxMachines: 4}, serve.Options{
 		DatasetTTL: 250 * time.Millisecond,
-		Tenants: []serve.Tenant{
-			{Name: "t1", Token: "tok1", MaxResidentBytes: 4096},
-			{Name: "t2", Token: "tok2", MaxResidentBytes: 4096, MaxDatasets: 8},
-		},
+		Tenants:    tenants,
 	})
 	defer d.close()
 	ctx := context.Background()
 
+	// Worker w acts as tenant w%2; workers 2 and 3 upload and query in
+	// binary frames.
 	clients := []*parselclient.Client{
 		parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()), parselclient.WithToken("tok1")),
 		parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()), parselclient.WithToken("tok2")),
+		parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()), parselclient.WithToken("tok1"), parselclient.WithBinary(true)),
+		parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()), parselclient.WithToken("tok2"), parselclient.WithBinary(true)),
+	}
+	// putCorrupt uploads a frame whose data CRC (the body's last four
+	// bytes) has a flipped bit: the reservation is taken from the
+	// header, then the decode fails and must return it.
+	putCorrupt := func(token, id string, shard []int64) {
+		body := snapshot.Encode(snapshot.Header{}, [][]int64{shard})
+		body[len(body)-1] ^= 0x01
+		req, err := http.NewRequestWithContext(ctx, http.MethodPut, d.ts.URL+"/v1/datasets/"+id, bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		req.Header.Set("Content-Type", parselclient.ContentTypeFrame)
+		req.Header.Set("Authorization", "Bearer "+token)
+		res, err := d.ts.Client().Do(req)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer res.Body.Close()
+		var eb parselclient.ErrorBody
+		_ = json.NewDecoder(res.Body).Decode(&eb)
+		if res.StatusCode != http.StatusBadRequest || eb.Error.Code != parselclient.CodeBadFrame {
+			t.Errorf("corrupt frame upload of %q: %d %+v, want 400 bad_frame", id, res.StatusCode, eb)
+		}
 	}
 
 	const workers = 6
@@ -770,40 +803,70 @@ func TestTenantLedgerReconcileStorm(t *testing.T) {
 	if testing.Short() {
 		iters = 10
 	}
+	// Requests hold reloadMu shared; the reload holds it exclusively,
+	// so no t1 request lands in the window where t1 is unconfigured.
+	var reloadMu sync.RWMutex
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewPCG(7, uint64(w)))
-			c := clients[w%2]
+			c := clients[w%4]
 			for i := 0; i < iters; i++ {
-				id := fmt.Sprintf("led-%d-%d", w%2, rng.IntN(6))
+				if w == 0 && i == iters/2 {
+					reloadMu.Lock()
+					err := d.server.ReloadTenants(tenants[1:])
+					if err == nil {
+						err = d.server.ReloadTenants(tenants)
+					}
+					reloadMu.Unlock()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				// Ids 4 and 5 of each tenant hold float64 keys.
+				k := rng.IntN(6)
+				id := fmt.Sprintf("led-%d-%d", w%2, k)
 				n := 1 + rng.Int64N(40)
 				shard := make([]int64, n)
 				for j := range shard {
 					shard[j] = rng.Int64N(1 << 20)
 				}
 				rd := c.Dataset(id)
-				switch rng.IntN(4) {
-				case 0, 1:
-					if _, err := rd.Upload(ctx, [][]int64{shard}); err != nil &&
-						!errors.Is(err, parselclient.ErrTenantBudget) {
-						t.Error(err)
-						return
+				fd := parselclient.Keyed[float64](c).Dataset(id)
+				// Uploads may only be refused for budget; queries and
+				// deletes may only miss the dataset.
+				var err, allowed error
+				reloadMu.RLock()
+				switch op := rng.IntN(5); {
+				case op <= 1 && k >= 4:
+					fshard := make([]float64, n)
+					for j, v := range shard {
+						fshard[j] = float64(v) + 0.5
 					}
-				case 2:
-					if _, err := rd.Median(ctx); err != nil &&
-						!errors.Is(err, parselclient.ErrDatasetNotFound) {
-						t.Error(err)
-						return
-					}
+					_, err = fd.Upload(ctx, [][]float64{fshard})
+					allowed = parselclient.ErrTenantBudget
+				case op <= 1:
+					_, err = rd.Upload(ctx, [][]int64{shard})
+					allowed = parselclient.ErrTenantBudget
+				case op == 2 && k >= 4:
+					_, err = fd.Median(ctx)
+					allowed = parselclient.ErrDatasetNotFound
+				case op == 2:
+					_, err = rd.Median(ctx)
+					allowed = parselclient.ErrDatasetNotFound
+				case op == 3 && i%2 == 0:
+					putCorrupt(tenants[w%2].Token, id, shard)
 				default:
-					if _, err := rd.Delete(ctx); err != nil &&
-						!errors.Is(err, parselclient.ErrDatasetNotFound) {
-						t.Error(err)
-						return
-					}
+					_, err = rd.Delete(ctx)
+					allowed = parselclient.ErrDatasetNotFound
+				}
+				reloadMu.RUnlock()
+				if err != nil && !errors.Is(err, allowed) {
+					t.Error(err)
+					return
 				}
 			}
 		}(w)

@@ -67,16 +67,14 @@ type Tenant struct {
 	MaxDatasets int `json:"max_datasets"`
 }
 
-// tenantEntry is one tenant's live admission ledger. The ledger
-// fields (bytes, datasets) move in lockstep with the dataset registry
-// and are guarded by dsMu, as are the request counters (the auth path
-// touches the registry lock once per request).
-type tenantEntry struct {
-	cfg      Tenant
-	bytes    int64
-	datasets int64
-	requests int64
-	rejected int64
+// usage is one row of the dataset ledger: what a holder has resident
+// or reserved (bytes and datasets, reservations for uploads in flight
+// included) and, for a tenant, its request and rejection counters.
+// The daemon keeps one row for itself and one per tenant name; rows
+// change only through chargeLocked, under dsMu.
+type usage struct {
+	bytes, datasets    int64
+	requests, rejected int64
 }
 
 // Options configures a Server. Zero-valued knobs take defaults.
@@ -189,14 +187,13 @@ type Server struct {
 	// Immutable, so the admission fast path reads it lock-free;
 	// ReloadTenants can swap the maps below but never toggle this.
 	tenancy bool
-	// tenants maps bearer token → ledger, tenantsByName maps tenant
-	// name → the same ledgers (snapshot recovery attributes restored
-	// datasets by name), and tenantNames orders the /v1/stats blocks.
-	// All are nil when tenancy is off; guarded by dsMu (ReloadTenants
-	// replaces them wholesale).
-	tenants       map[string]*tenantEntry
-	tenantsByName map[string]*tenantEntry
-	tenantNames   []string
+	// tenants maps bearer token → tenant configuration and
+	// tenantsByName maps name → the same configuration. Both are nil
+	// when tenancy is off; guarded by dsMu (ReloadTenants replaces them
+	// wholesale). Usage is not configuration: it lives in the ledger
+	// rows below, keyed by name, which no reload touches.
+	tenants       map[string]Tenant
+	tenantsByName map[string]Tenant
 	mux           *http.ServeMux
 	handler       http.Handler  // recovery → Options.Middleware → routing
 	admit         chan struct{} // admission tokens: MaxMachines + QueueDepth
@@ -211,11 +208,14 @@ type Server struct {
 	// endpoints always agree.
 	metrics *serverMetrics
 
-	// The resident-dataset registry (see dataset.go). dsMu also guards
-	// now, the clock the TTL sweep reads — a test hook.
+	// The resident-dataset registry (see dataset.go) and its ledger:
+	// total is the daemon's row, byTenant one row per tenant name (see
+	// chargeLocked). dsMu also guards now, the clock the TTL sweep
+	// reads — a test hook.
 	dsMu     sync.Mutex
 	datasets map[string]*dsEntry
-	dsBytes  int64
+	total    usage
+	byTenant map[string]usage
 	dstats   parselclient.DatasetStats
 	now      func() time.Time
 
@@ -276,6 +276,7 @@ func New(opts Options) (*Server, error) {
 		poolStr:   opts.PoolString,
 		admit:     make(chan struct{}, opts.Pool.MaxMachines()+opts.QueueDepth),
 		datasets:  make(map[string]*dsEntry),
+		byTenant:  make(map[string]usage),
 		now:       time.Now,
 		optionsFP: fmt.Sprintf("%+v", opts.Pool.Options()),
 		log:       opts.Logger,
@@ -312,13 +313,13 @@ func New(opts Options) (*Server, error) {
 		s.ownedClose = append(s.ownedClose, func() { p.Close() })
 	}
 	if len(opts.Tenants) > 0 {
-		byToken, byName, names, err := buildTenantMaps(opts.Tenants)
+		byToken, byName, err := buildTenantMaps(opts.Tenants)
 		if err != nil {
 			s.Close()
 			return nil, err
 		}
 		s.tenancy = true
-		s.tenants, s.tenantsByName, s.tenantNames = byToken, byName, names
+		s.tenants, s.tenantsByName = byToken, byName
 	}
 	s.snapCond = sync.NewCond(&s.snapMu)
 	if opts.SnapshotDir != "" {
@@ -346,44 +347,43 @@ func New(opts Options) (*Server, error) {
 }
 
 // buildTenantMaps validates a tenant list and builds the lookup maps:
-// token → ledger, name → the same ledgers, and the stats ordering.
-// Shared between New and ReloadTenants so both enforce identical
-// rules.
-func buildTenantMaps(tenants []Tenant) (map[string]*tenantEntry, map[string]*tenantEntry, []string, error) {
-	byToken := make(map[string]*tenantEntry, len(tenants))
-	byName := make(map[string]*tenantEntry, len(tenants))
-	var names []string
+// token → configuration and name → configuration. Shared between New
+// and ReloadTenants so both enforce identical rules.
+func buildTenantMaps(tenants []Tenant) (byToken, byName map[string]Tenant, err error) {
+	byToken = make(map[string]Tenant, len(tenants))
+	byName = make(map[string]Tenant, len(tenants))
 	for _, t := range tenants {
 		if t.Name == "" || t.Token == "" {
-			return nil, nil, nil, fmt.Errorf("serve: tenant needs both a name and a token (got name %q)", t.Name)
+			return nil, nil, fmt.Errorf("serve: tenant needs both a name and a token (got name %q)", t.Name)
 		}
 		if t.MaxResidentBytes < 0 || t.MaxDatasets < 0 {
-			return nil, nil, nil, fmt.Errorf("serve: tenant %q has a negative bound", t.Name)
+			return nil, nil, fmt.Errorf("serve: tenant %q has a negative bound", t.Name)
 		}
 		if _, dup := byToken[t.Token]; dup {
-			return nil, nil, nil, errors.New("serve: duplicate tenant token")
+			return nil, nil, errors.New("serve: duplicate tenant token")
 		}
 		if _, dup := byName[t.Name]; dup {
-			return nil, nil, nil, fmt.Errorf("serve: duplicate tenant name %q", t.Name)
+			return nil, nil, fmt.Errorf("serve: duplicate tenant name %q", t.Name)
 		}
-		te := &tenantEntry{cfg: t}
-		byToken[t.Token] = te
-		byName[t.Name] = te
-		names = append(names, t.Name)
+		byToken[t.Token] = t
+		byName[t.Name] = t
 	}
-	return byToken, byName, names, nil
+	return byToken, byName, nil
 }
 
 // ReloadTenants swaps the tenant configuration without a restart —
 // rotated tokens take effect on the next request, adjusted budgets on
-// the next upload. The ledgers of tenants that survive the reload
-// (matched by name) carry over intact: their resident datasets stay
-// attributed and counted. A tenant that disappears keeps its resident
-// datasets until TTL or deletion, but its token stops authenticating
-// immediately. Tenancy itself cannot be toggled at runtime: a daemon
-// started without tenants stays unauthenticated (the admission fast
-// path is lock-free on that invariant), and a tenanted daemon refuses
-// an empty reload rather than silently opening up.
+// the next upload. It swaps configuration only: usage is kept in
+// ledger rows keyed by tenant name, so a tenant's resident bytes,
+// dataset count and request counters follow its name across any
+// sequence of reloads — a tenant that is dropped and later re-added
+// resumes its row, still charged for the datasets it holds. A tenant
+// that disappears keeps its resident datasets until TTL or deletion,
+// but its token stops authenticating immediately. Tenancy itself
+// cannot be toggled at runtime: a daemon started without tenants stays
+// unauthenticated (the admission fast path is lock-free on that
+// invariant), and a tenanted daemon refuses an empty reload rather
+// than silently opening up.
 func (s *Server) ReloadTenants(tenants []Tenant) error {
 	if !s.tenancy {
 		return errors.New("serve: daemon runs without tenants; start with Options.Tenants to enable tenancy")
@@ -391,21 +391,13 @@ func (s *Server) ReloadTenants(tenants []Tenant) error {
 	if len(tenants) == 0 {
 		return errors.New("serve: refusing to reload an empty tenant list (it would lock every caller out)")
 	}
-	byToken, byName, names, err := buildTenantMaps(tenants)
+	byToken, byName, err := buildTenantMaps(tenants)
 	if err != nil {
 		return err
 	}
 	s.dsMu.Lock()
-	defer s.dsMu.Unlock()
-	for name, te := range byName {
-		if old, ok := s.tenantsByName[name]; ok {
-			te.bytes = old.bytes
-			te.datasets = old.datasets
-			te.requests = old.requests
-			te.rejected = old.rejected
-		}
-	}
-	s.tenants, s.tenantsByName, s.tenantNames = byToken, byName, names
+	s.tenants, s.tenantsByName = byToken, byName
+	s.dsMu.Unlock()
 	return nil
 }
 
@@ -461,25 +453,26 @@ func (s *Server) authenticate(w http.ResponseWriter, r *http.Request) (*http.Req
 	}
 	auth := r.Header.Get("Authorization")
 	scheme, token, _ := strings.Cut(auth, " ")
-	var te *tenantEntry
+	var te Tenant
+	var ok bool
 	s.dsMu.Lock()
 	if strings.EqualFold(scheme, "Bearer") {
-		te = s.tenants[strings.TrimSpace(token)]
+		te, ok = s.tenants[strings.TrimSpace(token)]
 	}
-	if te != nil {
-		te.requests++
+	if ok {
+		s.chargeLocked(te.Name, usage{requests: 1})
 	}
 	s.dsMu.Unlock()
-	if te == nil {
+	if !ok {
 		s.countError(http.StatusUnauthorized, parselclient.CodeUnknownTenant)
 		writeError(w, http.StatusUnauthorized, parselclient.CodeUnknownTenant,
 			"this daemon requires a bearer token naming a configured tenant")
 		return r, false
 	}
 	if tr := trackFrom(r.Context()); tr != nil {
-		tr.tenant = te.cfg.Name
+		tr.tenant = te.Name
 	}
-	ctx := context.WithValue(r.Context(), tenantCtxKey{}, te.cfg.Name)
+	ctx := context.WithValue(r.Context(), tenantCtxKey{}, te.Name)
 	return r.WithContext(ctx), true
 }
 
@@ -667,21 +660,21 @@ func (s *Server) Stats() parselclient.Stats {
 	s.dsMu.Lock()
 	s.sweepLocked(s.now())
 	dst := s.dstats
-	dst.Count = int64(len(s.datasets))
-	dst.ResidentBytes = s.dsBytes
+	dst.Count = s.total.datasets
+	dst.ResidentBytes = s.total.bytes
 	dst.BudgetBytes = s.opts.MaxResidentBytes
 	var tenants map[string]parselclient.TenantStats
-	if s.tenants != nil {
-		tenants = make(map[string]parselclient.TenantStats, len(s.tenantNames))
-		for _, name := range s.tenantNames {
-			te := s.tenantsByName[name]
+	if s.tenancy {
+		tenants = make(map[string]parselclient.TenantStats, len(s.tenantsByName))
+		for name, cfg := range s.tenantsByName {
+			u := s.byTenant[name]
 			tenants[name] = parselclient.TenantStats{
-				Datasets:         te.datasets,
-				ResidentBytes:    te.bytes,
-				MaxResidentBytes: te.cfg.MaxResidentBytes,
-				MaxDatasets:      te.cfg.MaxDatasets,
-				Requests:         te.requests,
-				Rejected:         te.rejected,
+				Datasets:         u.datasets,
+				ResidentBytes:    u.bytes,
+				MaxResidentBytes: cfg.MaxResidentBytes,
+				MaxDatasets:      cfg.MaxDatasets,
+				Requests:         u.requests,
+				Rejected:         u.rejected,
 			}
 		}
 	}

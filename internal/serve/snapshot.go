@@ -84,7 +84,7 @@ func (s *Server) recoverSnapshots() {
 				"expired_ago", now.Sub(time.UnixMilli(m.ExpiresUnixMS)).Round(time.Second).String())
 			continue
 		}
-		if m.Tenant != "" && len(s.tenantsByName) > 0 && s.tenantsByName[m.Tenant] == nil {
+		if _, ok := s.tenantsByName[m.Tenant]; m.Tenant != "" && s.tenancy && !ok {
 			// The owning tenant left the configuration. The file is
 			// kept: a restart that re-adds the tenant restores it.
 			s.snapMu.Lock()
@@ -157,9 +157,10 @@ func (s *Server) RestoreDataset(id string, shards [][]int64, expires time.Time, 
 	return restoreDataset(s, id, shards, "", expires, gen)
 }
 
-// restoreDataset is the kind-typed core of RestoreDataset, charging
-// the owning tenant's ledger (and checking its budget and quota) when
-// the tenant is configured.
+// restoreDataset is the kind-typed core of RestoreDataset. It admits
+// through the same policy an upload faces (refusalLocked), charging
+// the owning tenant's row and checking its budget and quota when the
+// tenant is configured.
 func restoreDataset[K snapshot.FixedKey](s *Server, id string, shards [][]K, tenant string, expires time.Time, gen int64) error {
 	if err := checkDatasetID(id); err != nil {
 		return err
@@ -170,34 +171,11 @@ func restoreDataset[K snapshot.FixedKey](s *Server, id string, shards [][]K, ten
 		s.dsMu.Unlock()
 		return fmt.Errorf("serve: dataset %q is already resident", id)
 	}
-	if s.dsBytes+need > s.opts.MaxResidentBytes {
-		held := s.dsBytes
+	if _, msg := s.refusalLocked(tenant, need, nil); msg != "" {
 		s.dsMu.Unlock()
-		return fmt.Errorf("%w: needs %d bytes, %d of the %d-byte budget are held",
-			ErrSnapshotBudget, need, held, s.opts.MaxResidentBytes)
+		return fmt.Errorf("%w: %s", ErrSnapshotBudget, msg)
 	}
-	if len(s.datasets)+1 > s.opts.MaxDatasets {
-		s.dsMu.Unlock()
-		return fmt.Errorf("%w: daemon already holds %d datasets, the limit",
-			ErrSnapshotBudget, s.opts.MaxDatasets)
-	}
-	if te := s.tenantLedger(tenant); te != nil {
-		switch {
-		case te.cfg.MaxResidentBytes > 0 && te.bytes+need > te.cfg.MaxResidentBytes:
-			held := te.bytes
-			s.dsMu.Unlock()
-			return fmt.Errorf("%w: tenant %q holds %d of its %d-byte budget",
-				ErrSnapshotBudget, tenant, held, te.cfg.MaxResidentBytes)
-		case te.cfg.MaxDatasets > 0 && te.datasets+1 > int64(te.cfg.MaxDatasets):
-			s.dsMu.Unlock()
-			return fmt.Errorf("%w: tenant %q already holds %d datasets, its quota",
-				ErrSnapshotBudget, tenant, te.cfg.MaxDatasets)
-		}
-	}
-	s.dsBytes += need // the reservation, as in handleDatasetUpload
-	if te := s.tenantLedger(tenant); te != nil {
-		te.bytes += need
-	}
+	s.chargeLocked(tenant, usage{bytes: need, datasets: 1}) // the reservation, as for an upload
 	s.dsMu.Unlock()
 
 	ds, err := poolOf[K](s).RestoreDataset(shards)
@@ -209,10 +187,7 @@ func restoreDataset[K snapshot.FixedKey](s *Server, id string, shards [][]K, ten
 		}
 	}
 	if err != nil {
-		s.dsBytes -= need
-		if te := s.tenantLedger(tenant); te != nil {
-			te.bytes -= need
-		}
+		s.chargeLocked(tenant, usage{bytes: -need, datasets: -1})
 		s.dsMu.Unlock()
 		if ds != nil {
 			ds.Close()
@@ -223,13 +198,8 @@ func restoreDataset[K snapshot.FixedKey](s *Server, id string, shards [][]K, ten
 	// one just read off disk.
 	e := &dsEntry{
 		kind: parselclient.KeyKindOf[K](), ds: ds, procs: ds.Procs(), n: ds.N(),
-		tenant: tenant, bytes: ds.Bytes(), expires: expires, gen: gen,
+		tenant: tenant, bytes: need, expires: expires, gen: gen,
 		persistedExpires: expires, restored: true,
-	}
-	s.dsBytes += e.bytes - need
-	if te := s.tenantLedger(tenant); te != nil {
-		te.bytes += e.bytes - need
-		te.datasets++
 	}
 	s.datasets[id] = e
 	s.dsMu.Unlock()

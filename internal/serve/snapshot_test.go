@@ -225,6 +225,47 @@ func TestSnapshotRestoreAdmission(t *testing.T) {
 	if st := d3.server.Stats(); st.Snapshots.Restored != 1 {
 		t.Errorf("recovery with room: %+v", st.Snapshots)
 	}
+
+	// Recovery charges a tenant exactly as an upload would: persist two
+	// of acme's datasets, restart with acme's quota at one, and exactly
+	// one comes back, charged to both acme's row and the global row.
+	tdir := t.TempDir()
+	acmeOpts := func(quota int) serve.Options {
+		return serve.Options{SnapshotDir: tdir,
+			Tenants: []serve.Tenant{{Name: "acme", Token: "tok-a", MaxDatasets: quota}}}
+	}
+	d4 := newDaemon(t, parsel.Options{}, parsel.PoolOptions{MaxMachines: 1}, acmeOpts(0))
+	acme := parselclient.New(d4.ts.URL, parselclient.WithHTTPClient(d4.ts.Client()), parselclient.WithToken("tok-a"))
+	for id, sh := range map[string][][]int64{"t-one": {{1, 2, 3}}, "t-two": {{4, 5}}} {
+		if _, err := acme.Dataset(id).Upload(ctx, sh); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d4.server.Drain()
+	d4.close()
+	d5 := newDaemon(t, parsel.Options{}, parsel.PoolOptions{MaxMachines: 1}, acmeOpts(1))
+	defer d5.close()
+	acme = parselclient.New(d5.ts.URL, parselclient.WithHTTPClient(d5.ts.Client()), parselclient.WithToken("tok-a"))
+	st = d5.server.Stats()
+	if st.Snapshots.Restored != 1 || st.Snapshots.RestoreSkipped != 1 {
+		t.Fatalf("recovery under a one-dataset tenant quota: %+v", st.Snapshots)
+	}
+	var restored []parselclient.DatasetInfo
+	for _, id := range []string{"t-one", "t-two"} {
+		if info, err := acme.Dataset(id).Info(ctx); err == nil {
+			restored = append(restored, info)
+		}
+	}
+	if len(restored) != 1 || restored[0].Tenant != "acme" {
+		t.Fatalf("restored datasets: %+v, want one of acme's", restored)
+	}
+	st = d5.server.Stats()
+	if ta := st.Tenants["acme"]; ta.Datasets != 1 || ta.ResidentBytes != restored[0].Bytes {
+		t.Errorf("acme row after recovery: %+v, want 1 dataset of %d bytes", ta, restored[0].Bytes)
+	}
+	if st.Datasets.Count != 1 || st.Datasets.ResidentBytes != restored[0].Bytes {
+		t.Errorf("global row after recovery: %+v, want 1 dataset of %d bytes", st.Datasets, restored[0].Bytes)
+	}
 }
 
 // TestSnapshotCrashSafety pins the startup half of crash safety: a

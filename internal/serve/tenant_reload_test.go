@@ -15,8 +15,9 @@ import (
 // to end over the admin endpoint: token rotation and budget changes
 // apply without a restart, dropped tenants lose access immediately,
 // surviving tenants keep their ledger (resident bytes, dataset counts,
-// request counters) across the swap, and a failing source or an empty
-// list leaves the previous configuration serving.
+// request counters) across the swap, a failing source or an empty
+// list leaves the previous configuration serving, and a tenant dropped
+// and then re-added is still charged for the dataset it holds.
 func TestTenantReload(t *testing.T) {
 	var mu sync.Mutex
 	current := []serve.Tenant{
@@ -129,6 +130,30 @@ func TestTenantReload(t *testing.T) {
 		map[string]string{"Authorization": "Bearer tok-a2"})
 	if status != 405 || eb.Error.Code != parselclient.CodeMethodNotAllowed {
 		t.Fatalf("GET reload: %d %+v", status, eb)
+	}
+
+	// Drop acme while it still holds "held", then re-add it: usage
+	// follows the tenant name, so the re-added tenant is charged for
+	// the dataset, and deleting it returns the row to zero rather than
+	// below.
+	rotated := []serve.Tenant{
+		{Name: "acme", Token: "tok-a2", MaxResidentBytes: 8192},
+		{Name: "gamma", Token: "tok-g"},
+	}
+	if err := d.server.ReloadTenants(rotated[1:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.server.ReloadTenants(rotated); err != nil {
+		t.Fatal(err)
+	}
+	if a := d.server.Stats().Tenants["acme"]; a.Datasets != 1 || a.ResidentBytes != 24 {
+		t.Fatalf("re-added acme holding %q: %+v, want 1 dataset of 24 bytes", "held", a)
+	}
+	if _, err := acme2.Dataset("held").Delete(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if a := d.server.Stats().Tenants["acme"]; a.Datasets != 0 || a.ResidentBytes != 0 {
+		t.Fatalf("re-added acme after deleting %q: %+v, want zero gauges", "held", a)
 	}
 }
 

@@ -492,10 +492,11 @@ type SimStats struct {
 // gauges (Count, ResidentBytes against BudgetBytes) and the lifecycle
 // counters.
 type DatasetStats struct {
-	// Count is the number of resident datasets (a gauge).
+	// Count is the number of resident datasets, uploads in flight
+	// included: an upload holds its slot from admission (a gauge).
 	Count int64 `json:"count"`
-	// ResidentBytes is the total resident size of all datasets (a
-	// gauge), never above BudgetBytes.
+	// ResidentBytes is the total resident size of all datasets,
+	// uploads in flight included (a gauge), never above BudgetBytes.
 	ResidentBytes int64 `json:"resident_bytes"`
 	// BudgetBytes is the configured resident-bytes budget.
 	BudgetBytes int64 `json:"budget_bytes"`
@@ -528,7 +529,8 @@ type TenantReloadResult struct {
 // TenantStats is one tenant's block in Stats.Tenants: the tenant's
 // share of the resident-dataset ledger plus its configured limits.
 type TenantStats struct {
-	// Datasets is the tenant's resident dataset count (a gauge).
+	// Datasets is the tenant's resident dataset count, uploads in
+	// flight included (a gauge).
 	Datasets int64 `json:"datasets"`
 	// ResidentBytes is the tenant's resident size (a gauge), never
 	// above MaxResidentBytes.

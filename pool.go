@@ -7,8 +7,6 @@ import (
 	"slices"
 	"sync"
 	"time"
-
-	"parsel/internal/fanout"
 )
 
 // PoolOptions configures a Pool.
@@ -61,8 +59,7 @@ type PoolStats struct {
 // Every query goes through Run(ctx, shards, Query): check a Selector
 // out, run the query on it, check it back in. Over(shards) binds the
 // named Verbs to Run (pool.Over(shards).Median(ctx)); SelectInPlace,
-// which takes over the caller's shards, and the SelectMany batch are
-// the only other entry points.
+// which takes over the caller's shards, is the only other entry point.
 //
 // # Concurrency contract
 //
@@ -381,34 +378,4 @@ func (pl *Pool[K]) SelectInPlace(ctx context.Context, shards [][]K, rank int64) 
 	}
 	defer pl.checkin(sel)
 	return sel.SelectInPlace(shards, rank)
-}
-
-// ShardQuery is one independent selection request of a SelectMany
-// batch.
-type ShardQuery[K cmp.Ordered] struct {
-	// Shards is the sharded population (one simulated processor per
-	// shard, as in Select).
-	Shards [][]K
-	// Rank is the 1-based target rank.
-	Rank int64
-}
-
-// BatchResult is one query's outcome in a SelectMany batch.
-type BatchResult[K cmp.Ordered] struct {
-	Result[K]
-	// Err is the query's own error (other queries proceed regardless).
-	Err error
-}
-
-// SelectMany fans a batch of independent queries across the pool's
-// machines, running up to MaxMachines of them concurrently. Results
-// align with the request; each query carries its own error, so one
-// invalid query does not fail the batch. Every result is bit-identical
-// to running that query alone.
-func (pl *Pool[K]) SelectMany(queries []ShardQuery[K]) []BatchResult[K] {
-	out := make([]BatchResult[K], len(queries))
-	fanout.Run(len(queries), pl.max, func(i int) {
-		out[i].Result, out[i].Err = pl.Over(queries[i].Shards).Select(context.TODO(), queries[i].Rank)
-	})
-	return out
 }

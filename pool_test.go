@@ -269,58 +269,6 @@ func TestPoolQuerySurface(t *testing.T) {
 	}
 }
 
-// TestPoolSelectManyBatch fans a batch with both valid and invalid
-// queries: results align with the request and errors stay per-query.
-func TestPoolSelectManyBatch(t *testing.T) {
-	pool, err := parsel.NewPool[int64](parsel.Options{}, parsel.PoolOptions{MaxMachines: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	var queries []parsel.ShardQuery[int64]
-	var want []int64
-	for _, p := range []int{2, 4, 8} {
-		shards := workload.Generate(workload.Random, 9000, p, uint64(p))
-		flat := workload.Flatten(shards)
-		slices.Sort(flat)
-		for _, rank := range []int64{1, 4500, 9000} {
-			queries = append(queries, parsel.ShardQuery[int64]{Shards: shards, Rank: rank})
-			want = append(want, flat[rank-1])
-		}
-	}
-	// Two failing queries in the middle of the batch.
-	bad := workload.Generate(workload.Random, 100, 2, 9)
-	queries = append(queries[:4], append([]parsel.ShardQuery[int64]{
-		{Shards: bad, Rank: 0},
-		{Shards: nil, Rank: 1},
-	}, queries[4:]...)...)
-	want = append(want[:4], append([]int64{0, 0}, want[4:]...)...)
-
-	out := pool.SelectMany(queries)
-	if len(out) != len(queries) {
-		t.Fatalf("batch returned %d results for %d queries", len(out), len(queries))
-	}
-	for i, r := range out {
-		switch i {
-		case 4:
-			if !errors.Is(r.Err, parsel.ErrRankRange) {
-				t.Errorf("query %d: err %v, want ErrRankRange", i, r.Err)
-			}
-		case 5:
-			if !errors.Is(r.Err, parsel.ErrNoShards) {
-				t.Errorf("query %d: err %v, want ErrNoShards", i, r.Err)
-			}
-		default:
-			if r.Err != nil {
-				t.Errorf("query %d: %v", i, r.Err)
-			} else if r.Value != want[i] {
-				t.Errorf("query %d: value %d, want %d", i, r.Value, want[i])
-			}
-		}
-	}
-}
-
 // TestPoolResultsAreCallerOwned pins the copy-out contract: a slice
 // returned by a pooled multi-rank query must not be clobbered by later
 // queries on the same pool.
@@ -373,10 +321,6 @@ func TestPoolClose(t *testing.T) {
 	}
 	if _, _, err := pool.Over(shards).TopK(context.Background(), 1); !errors.Is(err, parsel.ErrPoolClosed) {
 		t.Errorf("TopK after Close: %v", err)
-	}
-	out := pool.SelectMany([]parsel.ShardQuery[int64]{{Shards: shards, Rank: 1}})
-	if !errors.Is(out[0].Err, parsel.ErrPoolClosed) {
-		t.Errorf("SelectMany after Close: %v", out[0].Err)
 	}
 }
 
