@@ -21,9 +21,11 @@
 #                  decoders (single and querymany), its JSON upload decoder
 #                  (int64, float64 and string keys), the snapshot decoder, the
 #                  binary result-frame decoder, the branch-free three-way
-#                  partition kernel (differential against Partition3) and
+#                  partition kernel (differential against Partition3),
 #                  the fast randomized window-filter kernel (differential
-#                  against its three-comparison reference)
+#                  against its three-comparison reference) and its
+#                  binary-search form for ascending slices (differential
+#                  against the scanning kernel)
 #   make smoke   - metrics-scrape smoke: boot a daemon, run one query, pull
 #                  /metrics and strictly validate the exposition; then the
 #                  paper experiment CLI: list the experiments and run every
@@ -80,6 +82,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=5s ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz=FuzzPartition3Branchless -fuzztime=5s ./internal/seq
 	$(GO) test -run='^$$' -fuzz=FuzzFilterWindowCount -fuzztime=5s ./internal/seq
+	$(GO) test -run='^$$' -fuzz=FuzzFilterWindowAscending -fuzztime=5s ./internal/seq
 
 smoke:
 	$(GO) test -count=1 -run 'TestObsScrapeSmoke' ./internal/serve

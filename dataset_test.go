@@ -305,9 +305,18 @@ func TestDatasetAdmissionTimeout(t *testing.T) {
 
 // TestDatasetConcurrent runs 32 goroutines of mixed queries against one
 // dataset (run under -race) and checks every result bit-identical to
-// the precomputed oracle, with a Close racing the tail of the storm.
+// the precomputed oracle, with a Close racing the tail of the storm. The
+// sorted layout makes the concurrent first queries compute the
+// dataset's ascending flags and take the binary-search filter.
 func TestDatasetConcurrent(t *testing.T) {
-	shards := workload.Generate(workload.FewDistinct, 12000, 6, 17)
+	for _, kind := range []workload.Kind{workload.FewDistinct, workload.Sorted} {
+		t.Run(kind.String(), func(t *testing.T) {
+			checkDatasetConcurrent(t, workload.Generate(kind, 12000, 6, 17))
+		})
+	}
+}
+
+func checkDatasetConcurrent(t *testing.T, shards [][]int64) {
 	pool, ds := newDataset(t, parsel.Options{}, parsel.PoolOptions{MaxMachines: 4}, shards)
 
 	var n int64

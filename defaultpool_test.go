@@ -52,7 +52,17 @@ func TestPackageWrappersShareDefaultPool(t *testing.T) {
 	if st.Creates == 0 || st.Creates > 2 {
 		t.Fatalf("cold concurrent wrappers built %d machines, want 1-2", st.Creates)
 	}
-	cold := st.Creates
+	// If the two cold calls happened to run one after the other they
+	// built one machine, and two overlapping warm calls would rightly
+	// build a second. Top the pool up to two so the warm phase below
+	// always finds both resident.
+	if err := parsel.WarmDefaultPoolForTest(opts, len(shards), 2); err != nil {
+		t.Fatal(err)
+	}
+	cold := parsel.DefaultPoolStatsForTest(opts).Creates
+	if cold != 2 {
+		t.Fatalf("warmed default pool holds %d machines, want 2", cold)
+	}
 
 	// Every later call — concurrent or sequential — must hit a resident
 	// machine; machine construction happens zero more times.

@@ -54,6 +54,22 @@ func DefaultPoolStatsForTest(opts Options) PoolStats {
 	return pl.Stats()
 }
 
+// WarmDefaultPoolForTest warms the shared default pool the
+// package-level wrappers route through for (opts, int64) to count
+// procs-shaped machines, so a test can start from a known resident set.
+func WarmDefaultPoolForTest(opts Options, procs, count int) error {
+	pl, done, err := defaultPool[int64](opts)
+	if err != nil {
+		return err
+	}
+	defer done()
+	return pl.Warm(procs, count)
+}
+
+// AscendingForTest returns the dataset's per-shard ascending flags,
+// computing them as its first query would.
+func (ds *Dataset[K]) AscendingForTest() []bool { return ds.ascending() }
+
 // DefaultPoolCountForTest reports how many shared default pools are
 // resident (the cache the wrappers intern pools into).
 func DefaultPoolCountForTest() int {

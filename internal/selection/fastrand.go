@@ -10,10 +10,6 @@ import (
 	"parsel/internal/seq"
 )
 
-// debugFastRand enables an iteration trace on processor 0 (development
-// aid; kept off).
-var debugFastRand = false
-
 // windowRanks brackets the scaled target rank m = ceil(rank*S/n) with the
 // slack delta of Alg. 4 step 3, returning 1-based sample ranks r1 <= r2.
 //
@@ -55,6 +51,12 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 	// curWin tracks which arena window buffer currently backs local, so
 	// each iteration's out-of-place filter targets the other one.
 	curWin := -1
+	// sorted reports that local is ascending. The first iteration takes
+	// the caller's word for it (a resident Dataset checks its shards
+	// once); later iterations re-check their survivors, because a
+	// balancer may reorder a slice in place without changing its
+	// storage.
+	sorted := opts.AscendingInput
 	for n > thr {
 		if st.Iterations >= opts.MaxIterations {
 			st.CapHit = true
@@ -126,20 +128,29 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 		// the positional sampling of later iterations draw a different
 		// (equally deterministic) trajectory than the scrambling
 		// implementation did.
+		//
+		// On an ascending slice the window is one contiguous run found
+		// by binary search, at the same charge (host work only). A
+		// window with k1 > k2 (a NaN key) keeps the scan.
 		tgt := 0
 		if curWin == 0 {
 			tgt = 1
 		}
-		midBuf, nLess, nMid, ops2 := seq.FilterWindowCount(ar.win[tgt], local, k1, k2)
+		if st.Iterations > 1 {
+			sorted = seq.Ascending(local)
+		}
+		fast := sorted && k1 <= k2
+		filter := seq.FilterWindowCount[K]
+		if fast {
+			filter = seq.FilterWindowAscending[K]
+		}
+		midBuf, nLess, nMid, ops2 := filter(ar.win[tgt], local, k1, k2)
 		ar.win[tgt] = midBuf[:cap(midBuf)]
 		p.Charge(ops2)
 
 		// Steps 6–8: tallies and the discard decision (c.eq holds the
 		// in-window count here).
 		c := combineCounts(p, int64(nLess), int64(nMid))
-		if debugFastRand && p.ID() == 0 {
-			println("iter", st.Iterations, "n", n, "cless", c.less, "cmid", c.eq, "rank", rank)
-		}
 		var newN int64
 		switch {
 		case rank > c.less && rank <= c.less+c.eq:
@@ -157,14 +168,22 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 			// Both window keys rank above the target: keep the < side
 			// (refiltered from the untouched input).
 			st.Unsuccessful++
-			local = seq.FilterLessInto(ar.win[tgt], local, k1)
+			if fast {
+				local = append(ar.win[tgt][:0], local[:nLess]...)
+			} else {
+				local = seq.FilterLessInto(ar.win[tgt], local, k1)
+			}
 			ar.win[tgt] = local[:cap(local)]
 			curWin = tgt
 			newN = c.less
 		default:
 			// Both window keys rank below the target: keep the > side.
 			st.Unsuccessful++
-			local = seq.FilterGreaterInto(ar.win[tgt], local, k2)
+			if fast {
+				local = append(ar.win[tgt][:0], local[nLess+nMid:]...)
+			} else {
+				local = seq.FilterGreaterInto(ar.win[tgt], local, k2)
+			}
 			ar.win[tgt] = local[:cap(local)]
 			curWin = tgt
 			rank -= c.less + c.eq

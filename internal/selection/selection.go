@@ -122,6 +122,12 @@ type Options struct {
 	// arena (host cost only — simulated metrics are unchanged). Callers
 	// that hand over ownership leave it false and never pay the copy.
 	BorrowedInput bool
+	// AscendingInput promises that local is in ascending order (every
+	// key <= its successor; see seq.Ascending). Fast randomized
+	// selection's first step-5 filter then finds its window by binary
+	// search instead of a scan. Host cost only: every answer and
+	// simulated metric is unchanged. Other algorithms ignore it.
+	AscendingInput bool
 }
 
 // withDefaults fills in zero-valued tuning knobs.

@@ -64,24 +64,44 @@ func BenchmarkPartition3BranchlessSorted(b *testing.B) {
 }
 
 func BenchmarkFilterWindowCount(b *testing.B) {
-	benchFilterWindow(b, benchData(1<<20))
+	benchFilterWindow(b, benchData(1<<20), FilterWindowCount[int64])
 }
 
 func BenchmarkFilterWindowCountSorted(b *testing.B) {
-	benchFilterWindow(b, sortedBenchData(1<<20))
+	benchFilterWindow(b, sortedBenchData(1<<20), FilterWindowCount[int64])
+}
+
+// BenchmarkFilterWindowAscending is BenchmarkFilterWindowCountSorted's
+// input and window through the binary-search kernel.
+func BenchmarkFilterWindowAscending(b *testing.B) {
+	benchFilterWindow(b, sortedBenchData(1<<20), FilterWindowAscending[int64])
+}
+
+// BenchmarkAscending times the check that admits a slice to
+// FilterWindowAscending, on the same sorted input (its worst case: a
+// random slice fails within a couple of keys).
+func BenchmarkAscending(b *testing.B) {
+	a := sortedBenchData(1 << 20)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !Ascending(a) {
+			b.Fatal("sorted input not ascending")
+		}
+	}
+	b.SetBytes(int64(len(a) * 8))
 }
 
 // benchFilterWindow times one window filter of a over the window between
 // its 44th and 56th percentile keys, about the share of n the first fast
 // randomized iteration keeps.
-func benchFilterWindow(b *testing.B, a []int64) {
+func benchFilterWindow(b *testing.B, a []int64, filter func(dst, a []int64, lo, hi int64) ([]int64, int, int, int64)) {
 	keys := slices.Clone(a)
 	slices.Sort(keys)
 	lo, hi := keys[len(keys)*44/100], keys[len(keys)*56/100]
 	dst := make([]int64, len(a))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst, _, _, _ = FilterWindowCount(dst, a, lo, hi)
+		dst, _, _, _ = filter(dst, a, lo, hi)
 		dst = dst[:cap(dst)]
 	}
 	b.SetBytes(int64(len(a) * 8))

@@ -157,3 +157,169 @@ func FuzzFilterWindowCount(f *testing.F) {
 		}
 	})
 }
+
+func TestAscending(t *testing.T) {
+	nan, negZero, inf := math.NaN(), math.Copysign(0, -1), math.Inf(1)
+	floats := []struct {
+		a    []float64
+		want bool
+	}{
+		{nil, true},
+		{[]float64{}, true},
+		{[]float64{3}, true},
+		{[]float64{nan}, true},
+		{[]float64{nan, nan}, false},
+		{[]float64{nan, 1}, false},
+		{[]float64{1, nan}, false},
+		{[]float64{1, nan, 2}, false},
+		{[]float64{-inf, 1, 2, nan}, false},
+		{[]float64{negZero, 0, negZero, 0}, true},
+		{[]float64{0, negZero}, true},
+		{[]float64{-inf, negZero, 0, 1, 1, inf}, true},
+		{[]float64{2, 1}, false},
+	}
+	for _, tc := range floats {
+		if got := Ascending(tc.a); got != tc.want {
+			t.Errorf("Ascending(%v) = %v, want %v", tc.a, got, tc.want)
+		}
+	}
+	ints := []struct {
+		a    []int64
+		want bool
+	}{
+		{[]int64{}, true},
+		{[]int64{1}, true},
+		{[]int64{1, 1, 2, 9}, true},
+		{[]int64{2, 1}, false},
+		{[]int64{1, 2, 3, 2}, false},
+		{[]int64{5, 1, 2, 3}, false},
+	}
+	for _, tc := range ints {
+		if got := Ascending(tc.a); got != tc.want {
+			t.Errorf("Ascending(%v) = %v, want %v", tc.a, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		a    []string
+		want bool
+	}{
+		{[]string{"", "a", "a", "ab", "b"}, true},
+		{[]string{"b", "a"}, false},
+	} {
+		if got := Ascending(tc.a); got != tc.want {
+			t.Errorf("Ascending(%q) = %v, want %v", tc.a, got, tc.want)
+		}
+	}
+}
+
+// ascendingAgree runs FilterWindowAscending and FilterWindowCount on the
+// ascending a and checks that they return the same (mid, nLess, nMid,
+// ops), that the prefix and suffix the engine copies on a window miss
+// equal FilterLessInto's and FilterGreaterInto's survivors, and that a is
+// left as it was. It returns a description of the first disagreement,
+// or "".
+func ascendingAgree[K cmp.Ordered](a []K, lo, hi K, order func(a, b K) int) string {
+	orig := slices.Clone(a)
+	refMid, refLess, refMidN, refOps := FilterWindowCount(nil, a, lo, hi)
+	// A short, non-empty dst exercises the kernel's growth.
+	mid, nLess, nMid, ops := FilterWindowAscending(make([]K, 1, 2), a, lo, hi)
+	if nLess != refLess || nMid != refMidN || ops != refOps {
+		return "counts differ"
+	}
+	if slices.CompareFunc(mid, refMid, order) != 0 {
+		return "survivors differ"
+	}
+	if len(mid) > 0 && len(a) > 0 && &mid[0] == &a[nLess] {
+		return "survivors alias the input"
+	}
+	if slices.CompareFunc(a[:nLess], FilterLessInto(nil, a, lo), order) != 0 {
+		return "prefix differs from FilterLessInto"
+	}
+	if slices.CompareFunc(a[nLess+nMid:], FilterGreaterInto(nil, a, hi), order) != 0 {
+		return "suffix differs from FilterGreaterInto"
+	}
+	if slices.CompareFunc(a, orig, order) != 0 {
+		return "input modified"
+	}
+	return ""
+}
+
+// ascendingWindow sorts keys and draws a window lo <= hi from them, from
+// values between neighbouring keys (between returns one, or reports that
+// it has none), and from the zero key, which may lie outside them all.
+// The picks index that candidate list.
+func ascendingWindow[K cmp.Ordered](keys []K, pickLo, pickHi uint8, between func(a, b K) (K, bool)) (lo, hi K) {
+	slices.Sort(keys)
+	var zero K
+	cands := append(slices.Clone(keys), zero)
+	for i := 1; i < len(keys); i++ {
+		if v, ok := between(keys[i-1], keys[i]); ok {
+			cands = append(cands, v)
+		}
+	}
+	lo, hi = cands[int(pickLo)%len(cands)], cands[int(pickHi)%len(cands)]
+	if hi < lo {
+		lo, hi = hi, lo
+	}
+	return lo, hi
+}
+
+// checkAscendingAllKinds runs the ascending-kernel differential on raw
+// decoded as each key kind and sorted: int64 with heavy duplicates,
+// float64 from the palette with its NaNs dropped (an ascending slice of
+// two or more keys holds none), so both zeros and both infinities remain,
+// and short strings.
+func checkAscendingAllKinds(raw []byte, pickLo, pickHi uint8) string {
+	ia := int64Keys(raw)
+	lo, hi := ascendingWindow(ia, pickLo, pickHi, func(a, b int64) (int64, bool) { return a + (b-a)/2, b-a > 1 })
+	if msg := ascendingAgree(ia, lo, hi, cmp.Compare[int64]); msg != "" {
+		return "int64: " + msg
+	}
+	fa := slices.DeleteFunc(float64Keys(raw), func(v float64) bool { return v != v })
+	flo, fhi := ascendingWindow(fa, pickLo, pickHi, func(a, b float64) (float64, bool) {
+		m := a/2 + b/2
+		return m, m == m && a < m && m < b
+	})
+	if msg := ascendingAgree(fa, flo, fhi, floatOrder); msg != "" {
+		return "float64: " + msg
+	}
+	sa := stringKeys(raw)
+	slo, shi := ascendingWindow(sa, pickLo, pickHi, func(a, b string) (string, bool) {
+		m := a + "\x00"
+		return m, m < b
+	})
+	if msg := ascendingAgree(sa, slo, shi, cmp.Compare[string]); msg != "" {
+		return "string: " + msg
+	}
+	return ""
+}
+
+func TestFilterWindowAscendingMatchesScan(t *testing.T) {
+	f := func(raw []byte, lo, hi uint8) bool { return checkAscendingAllKinds(raw, lo, hi) == "" }
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+	// Windows over one NaN: a lone NaN is ascending, and the kernel files
+	// it above every window, as the scan does.
+	for _, w := range [][2]float64{{0, 0}, {-1, 1}, {math.Inf(-1), math.Inf(1)}} {
+		if msg := ascendingAgree([]float64{math.NaN()}, w[0], w[1], floatOrder); msg != "" {
+			t.Errorf("lone NaN, window %v: %s", w, msg)
+		}
+	}
+}
+
+// FuzzFilterWindowAscending cross-checks the binary-search window kernel
+// against the scanning kernel on sorted keys of every kind, with the
+// window drawn from the keys and from values between them.
+func FuzzFilterWindowAscending(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint8(0))
+	f.Add([]byte{5, 5, 5, 5}, uint8(0), uint8(3))
+	f.Add([]byte{0, 1, 2, 0, 1, 2, 13}, uint8(1), uint8(9))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, uint8(20), uint8(4))
+	f.Add([]byte("the quick brown fox jumps"), uint8(7), uint8(30))
+	f.Fuzz(func(t *testing.T, raw []byte, lo, hi uint8) {
+		if msg := checkAscendingAllKinds(raw, lo, hi); msg != "" {
+			t.Fatal(msg)
+		}
+	})
+}

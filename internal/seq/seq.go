@@ -37,16 +37,6 @@ func InsertionSort[K cmp.Ordered](a []K) int64 {
 	return ops
 }
 
-// IsSorted reports whether a is in non-decreasing order.
-func IsSorted[K cmp.Ordered](a []K) bool {
-	for i := 1; i < len(a); i++ {
-		if a[i] < a[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
 // Partition3 performs an in-place three-way (Dutch national flag)
 // partition of a around pivot. On return a[:lt] < pivot,
 // a[lt:lt+eq] == pivot, and a[lt+eq:] > pivot.
@@ -204,10 +194,54 @@ func FilterWindowCount[K cmp.Ordered](dst, a []K, lo, hi K) (mid []K, nLess, nMi
 			c2++
 		}
 	}
-	g1 := len(a) - c2
-	g2 := len(a) - c3
-	ops = int64(2*len(a)+g1) + int64(2*g1+g2)
-	return dst[:k], c1, c3 - c1, ops
+	return dst[:k], c1, c3 - c1, windowOps(len(a), c2, c3)
+}
+
+// windowOps is the charge of the three-way partition pair for a window
+// filter over n keys, c2 of them <= lo and c3 of them <= hi: 2n + g1 for
+// the first partition, then 2*g1 + g2 over the g1 keys above lo, with g2
+// the keys above hi.
+func windowOps(n, c2, c3 int) int64 {
+	g1 := n - c2
+	g2 := n - c3
+	return int64(2*n+g1) + int64(2*g1+g2)
+}
+
+// Ascending reports whether every key of a is <= its successor. Empty
+// and one-key slices are ascending; a NaN among two or more keys is
+// incomparable to its neighbours, so such a slice is not. The previous
+// key stays in a register rather than being reloaded by index, which
+// halves the cost per key.
+func Ascending[K cmp.Ordered](a []K) bool {
+	if len(a) == 0 {
+		return true
+	}
+	prev := a[0]
+	for _, v := range a[1:] {
+		if !(prev <= v) {
+			return false
+		}
+		prev = v
+	}
+	return true
+}
+
+// FilterWindowAscending is FilterWindowCount for an ascending a (see
+// Ascending): the three region boundaries are binary searches, and the
+// in-window keys, one contiguous run a[nLess:nLess+nMid], are copied into
+// dst (grown as needed; must not alias a). It returns exactly what
+// FilterWindowCount returns for the same input, the charged operation
+// count included, so the simulated cost model cannot tell the two apart.
+// On a window miss the survivors are a prefix (a[:nLess], the keys < lo)
+// or a suffix (a[nLess+nMid:], the keys above hi), which the caller copies
+// instead of filtering. Requires lo <= hi and an ascending a.
+func FilterWindowAscending[K cmp.Ordered](dst, a []K, lo, hi K) (mid []K, nLess, nMid int, ops int64) {
+	c1, _ := LowerBound(a, lo)
+	c2, _ := UpperBound(a, lo)
+	c3, _ := UpperBound(a, hi)
+	dst = grow(dst, c3-c1)
+	copy(dst, a[c1:c3])
+	return dst, c1, c3 - c1, windowOps(len(a), c2, c3)
 }
 
 // FilterLessInto writes the stable sequence of elements < x into dst

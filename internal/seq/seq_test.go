@@ -40,15 +40,6 @@ func TestInsertionSort(t *testing.T) {
 	}
 }
 
-func TestIsSorted(t *testing.T) {
-	if !IsSorted([]int64{}) || !IsSorted([]int64{1}) || !IsSorted([]int64{1, 1, 2}) {
-		t.Error("IsSorted false negative")
-	}
-	if IsSorted([]int64{2, 1}) {
-		t.Error("IsSorted false positive")
-	}
-}
-
 func TestPartition3Property(t *testing.T) {
 	f := func(raw []int16, pivIdx uint8) bool {
 		a := make([]int64, len(raw))

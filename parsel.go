@@ -451,11 +451,12 @@ func (s *Selector[K]) SelectInPlace(shards [][]K, rank int64) (Result[K], error)
 		return Result[K]{}, err
 	}
 	defer s.release()
-	return asResult(s.selectRank(shards, rank, false))
+	return asResult(s.selectRank(shards, rank, false, nil))
 }
 
-// selectRank validates and executes one collective selection.
-func (s *Selector[K]) selectRank(shards [][]K, rank int64, borrowed bool) (Answer[K], error) {
+// selectRank validates and executes one collective selection. asc, when
+// non-nil, flags the shards known to be ascending.
+func (s *Selector[K]) selectRank(shards [][]K, rank int64, borrowed bool, asc []bool) (Answer[K], error) {
 	if err := s.prepare(shards, rank); err != nil {
 		return Answer[K]{}, err
 	}
@@ -469,7 +470,9 @@ func (s *Selector[K]) selectRank(shards [][]K, rank int64, borrowed bool) (Answe
 		BorrowedInput:  borrowed,
 	}
 	rep, err := s.execute(func(pr *machine.Proc) {
-		s.vals[pr.ID()], s.stats[pr.ID()] = selection.Select(pr, shards[pr.ID()], rank, iopts)
+		o := iopts
+		o.AscendingInput = asc != nil && asc[pr.ID()]
+		s.vals[pr.ID()], s.stats[pr.ID()] = selection.Select(pr, shards[pr.ID()], rank, o)
 		s.counters[pr.ID()] = pr.Counters
 	})
 	if err != nil {

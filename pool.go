@@ -345,12 +345,17 @@ func (pl *Pool[K]) Warm(procs, count int) error {
 // context waits forever. Answer.Values is caller-owned. Safe for
 // concurrent use.
 func (pl *Pool[K]) Run(ctx context.Context, shards [][]K, q Query) (Answer[K], error) {
+	return pl.run(ctx, shards, nil, q)
+}
+
+// run is Run with the ascending flags of Selector.run.
+func (pl *Pool[K]) run(ctx context.Context, shards [][]K, asc []bool, q Query) (Answer[K], error) {
 	sel, err := pl.checkout(ctx, len(shards))
 	if err != nil {
 		return Answer[K]{}, err
 	}
 	defer pl.checkin(sel)
-	a, err := sel.Run(shards, q)
+	a, err := sel.run(shards, asc, q)
 	if q.Op == OpQuantiles || q.Op == OpRanks {
 		a.Values = slices.Clone(a.Values) // arena-backed until the Selector's next call
 	}

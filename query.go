@@ -229,6 +229,13 @@ func (q Query) precheck() error {
 // Selector, so callers that retain it across calls must copy it first
 // (Pool.Run and Dataset.Run hand back copies).
 func (s *Selector[K]) Run(shards [][]K, q Query) (Answer[K], error) {
+	return s.run(shards, nil, q)
+}
+
+// run is Run with asc, when non-nil, flagging the shards known to be
+// ascending; the single-rank queries' fast randomized first iteration
+// then filters those shards by binary search (see Dataset.Run).
+func (s *Selector[K]) run(shards [][]K, asc []bool, q Query) (Answer[K], error) {
 	if err := q.precheck(); err != nil {
 		return Answer[K]{}, err
 	}
@@ -239,7 +246,7 @@ func (s *Selector[K]) Run(shards [][]K, q Query) (Answer[K], error) {
 	var zero Answer[K]
 	switch q.Op {
 	case OpSelect:
-		return s.selectRank(shards, q.Rank, true)
+		return s.selectRank(shards, q.Rank, true, asc)
 	case OpRanks:
 		return s.selectRanks(shards, q.Ranks)
 	}
@@ -249,9 +256,9 @@ func (s *Selector[K]) Run(shards [][]K, q Query) (Answer[K], error) {
 	}
 	switch q.Op {
 	case OpMedian:
-		return s.selectRank(shards, (n+1)/2, true)
+		return s.selectRank(shards, (n+1)/2, true, asc)
 	case OpQuantile:
-		return s.selectRank(shards, quantileRank(n, q.Q), true)
+		return s.selectRank(shards, quantileRank(n, q.Q), true, asc)
 	case OpQuantiles:
 		ranks := s.rankBuf[:0]
 		for _, qv := range q.Qs {
@@ -285,7 +292,7 @@ func (s *Selector[K]) Run(shards [][]K, q Query) (Answer[K], error) {
 		if top {
 			rank = n - rank + 1
 		}
-		a, err := s.selectRank(shards, rank, true)
+		a, err := s.selectRank(shards, rank, true, asc)
 		if err != nil {
 			return zero, err
 		}
