@@ -30,6 +30,8 @@
 #                  /metrics and strictly validate the exposition; then the
 #                  paper experiment CLI: list the experiments and run every
 #                  one on the shrunk grid with one seed (~1 s, deterministic);
+#                  then the single-selection CLI psel twice (a traced
+#                  randomized run with balancing, and a -q quantile run);
 #                  then every collective host benchmark in internal/comm
 #                  once (-benchtime 1x), so the benchmarks cannot rot; then
 #                  every examples/* main (~2 s), failing on a non-zero exit
@@ -88,6 +90,8 @@ smoke:
 	$(GO) test -count=1 -run 'TestObsScrapeSmoke' ./internal/serve
 	$(GO) run ./cmd/selectbench -list
 	$(GO) run ./cmd/selectbench -exp all -quick -seeds 1
+	$(GO) run ./cmd/psel -n 65536 -p 8 -alg rand -bal modomlb -trace
+	$(GO) run ./cmd/psel -n 65536 -p 8 -q 0.9
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/comm
 	@for ex in examples/*/; do \
 		echo "$(GO) run ./$$ex"; \

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math/big"
 	"os"
 	"strings"
 
@@ -86,12 +87,9 @@ func main() {
 	}
 	r := *rank
 	if r == 0 {
-		r = int64(float64(*n)**q + 0.9999999)
-		if r < 1 {
-			r = 1
-		}
-		if r > *n {
-			r = *n
+		var err error
+		if r, err = quantileRank(*n, *q); err != nil {
+			fail("%v", err)
 		}
 	}
 	if r < 1 || r > *n {
@@ -148,6 +146,21 @@ func main() {
 				i+1, tr.Population, tr.Rank, tr.Local, tr.SimSeconds, tr.BalanceSeconds)
 		}
 	}
+}
+
+// quantileRank returns the rank of quantile q among n keys: ceil(n*q),
+// at least 1, computed exactly in rationals so that it always agrees
+// with parsel.Quantile. A q outside [0,1] (NaN included) is an error.
+func quantileRank(n int64, q float64) (int64, error) {
+	if !(q >= 0 && q <= 1) {
+		return 0, fmt.Errorf("-q %g outside [0,1]", q)
+	}
+	r := new(big.Rat).SetFloat64(q)
+	r.Mul(r, new(big.Rat).SetInt64(n))
+	// ceil(a/b) = (a+b-1)/b for a >= 0, b > 0.
+	ceil := new(big.Int).Add(r.Num(), r.Denom())
+	ceil.Sub(ceil, big.NewInt(1)).Quo(ceil, r.Denom())
+	return max(1, ceil.Int64()), nil
 }
 
 func fail(format string, args ...any) {

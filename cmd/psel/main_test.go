@@ -1,0 +1,58 @@
+package main
+
+import (
+	"context"
+	"math"
+	"testing"
+
+	"parsel"
+)
+
+func TestQuantileRank(t *testing.T) {
+	cases := []struct {
+		n    int64
+		q    float64
+		want int64 // 0: rejected
+	}{
+		{2, 0.500000001, 2}, // just above 1/2: ceil(1.000000002)
+		{2, 0.5, 1},
+		{3, 0.5, 2},
+		{100, 0, 1},
+		{1, 0, 1},
+		{100, 0.25, 25},
+		{100, 0.9, 91}, // the float64 0.9 is a hair above 9/10
+		{100, 1, 100},
+		{1 << 62, math.Nextafter(0, 1), 1}, // subnormal q
+		{1<<53 + 1, 0.5, 1<<52 + 1},
+		{100, 1.5, 0},
+		{100, math.Nextafter(1, 2), 0},
+		{100, -0.1, 0},
+		{100, math.NaN(), 0},
+		{100, math.Inf(1), 0},
+	}
+	for _, c := range cases {
+		got, err := quantileRank(c.n, c.q)
+		if c.want == 0 {
+			if err == nil {
+				t.Errorf("quantileRank(%d, %v) = %d, want an error", c.n, c.q, got)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("quantileRank(%d, %v) = %d, %v; want %d", c.n, c.q, got, err, c.want)
+		}
+		if c.n > 1000 {
+			continue
+		}
+		// The keys 1..n make the value of each rank the rank itself, so
+		// parsel.Quantile must answer the same rank.
+		keys := make([]int64, c.n)
+		for i := range keys {
+			keys[i] = int64(i + 1)
+		}
+		res, err := parsel.Over([][]int64{keys}, parsel.Options{}).Quantile(context.Background(), c.q)
+		if err != nil || res.Value != got {
+			t.Errorf("parsel.Quantile(%v) over 1..%d = %d, %v; psel picks rank %d", c.q, c.n, res.Value, err, got)
+		}
+	}
+}

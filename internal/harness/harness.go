@@ -4,6 +4,12 @@
 // the paper's parameter grid (n in 32k..2M, p in 2..128, random and
 // sorted inputs, 5 seeds per random point) and prints the same series the
 // paper plots, measured in simulated seconds on the CM-5-like machine.
+//
+// Every selection cell is measured through the public engine: one
+// parsel.Selector per (cell, seed) runs a median query, and the cell
+// reads its Report. Two measurements call the machine directly, because
+// neither is a public selection: measureViaSort (the sort-the-world
+// baseline) and measurePrim (single collectives of the comm package).
 package harness
 
 import (
@@ -11,9 +17,8 @@ import (
 	"io"
 	"sync"
 
-	"parsel/internal/balance"
+	"parsel"
 	"parsel/internal/machine"
-	"parsel/internal/selection"
 	"parsel/internal/workload"
 )
 
@@ -99,17 +104,15 @@ func sizePair(cfg Config) []int64 {
 
 // cell is one averaged measurement.
 type cell struct {
-	sim      float64 // simulated total seconds
-	balance  float64 // simulated seconds inside load balancing
-	iters    float64
-	unsucc   float64
-	messages float64
+	sim     float64 // simulated total seconds
+	balance float64 // simulated seconds inside load balancing
+	iters   float64
 }
 
 // spec identifies one configuration to measure.
 type spec struct {
-	alg  selection.Algorithm
-	bal  balance.Method
+	alg  parsel.Algorithm
+	bal  parsel.Balancer
 	kind workload.Kind
 	n    int64
 	p    int
@@ -146,52 +149,40 @@ func measure(cfg Config, s spec) cell {
 
 func measureUncached(cfg Config, s spec) cell {
 	var c cell
-	seeds := cfg.Seeds
-	for t := 0; t < seeds; t++ {
-		shards := workload.Generate(s.kind, s.n, s.p, uint64(9000+t))
-		params := machine.DefaultParams(s.p)
-		params.Seed = uint64(t + 1)
-		stats := make([]selection.Stats, s.p)
-		counters := make([]machine.Counters, s.p)
-		sim, err := machine.Run(params, func(pr *machine.Proc) {
-			_, stats[pr.ID()] = selection.Select(pr, shards[pr.ID()], (s.n+1)/2, selection.Options{
-				Algorithm: s.alg,
-				Balancer:  s.bal,
-				Faithful:  !s.optimizedSampling,
-			})
-			counters[pr.ID()] = pr.Counters
-		})
-		if err != nil {
-			panic(fmt.Sprintf("harness: %v/%v n=%d p=%d: %v", s.alg, s.bal, s.n, s.p, err))
-		}
-		c.sim += sim
-		var bal float64
-		var iters, unsucc int
-		var msgs int64
-		for i := range stats {
-			if stats[i].BalanceSeconds > bal {
-				bal = stats[i].BalanceSeconds
-			}
-			if stats[i].Iterations > iters {
-				iters = stats[i].Iterations
-			}
-			if stats[i].Unsuccessful > unsucc {
-				unsucc = stats[i].Unsuccessful
-			}
-			msgs += counters[i].MsgsSent
-		}
-		c.balance += bal
-		c.iters += float64(iters)
-		c.unsucc += float64(unsucc)
-		c.messages += float64(msgs)
+	for t := 0; t < cfg.Seeds; t++ {
+		rep := medianReport(parsel.Options{
+			Algorithm: s.alg,
+			Balancer:  s.bal,
+			Faithful:  !s.optimizedSampling,
+			Machine:   parsel.Machine{Seed: uint64(t + 1)},
+		}, workload.Generate(s.kind, s.n, s.p, uint64(9000+t)))
+		c.sim += rep.SimSeconds
+		c.balance += rep.BalanceSeconds
+		c.iters += float64(rep.Iterations)
 	}
-	inv := 1 / float64(seeds)
+	inv := 1 / float64(cfg.Seeds)
 	c.sim *= inv
 	c.balance *= inv
 	c.iters *= inv
-	c.unsucc *= inv
-	c.messages *= inv
 	return c
+}
+
+// medianReport runs one median selection (the paper's task) over shards
+// on a fresh Selector, one simulated processor per shard. A Selector is
+// used rather than parsel.Over: the sweeps span more distinct Options
+// than the default pool caches, and cached pools would keep the largest
+// machines resident.
+func medianReport(opts parsel.Options, shards [][]int64) parsel.Report {
+	sel, err := parsel.NewSelector[int64](opts)
+	if err != nil {
+		panic(fmt.Sprintf("harness: %v", err))
+	}
+	defer sel.Close()
+	a, err := sel.Run(shards, parsel.Query{Op: parsel.OpMedian})
+	if err != nil {
+		panic(fmt.Sprintf("harness: %v/%v p=%d: %v", opts.Algorithm, opts.Balancer, len(shards), err))
+	}
+	return a.Report
 }
 
 // series is a named column of a figure.
@@ -252,11 +243,11 @@ func sizeName(n int64) string {
 	}
 }
 
-// sortedKinds is the input pair the paper evaluates everywhere.
+// bothKinds is the input pair the paper evaluates everywhere.
 var bothKinds = []workload.Kind{workload.Random, workload.Sorted}
 
-// fig1 series constructors.
-func algSeries(alg selection.Algorithm, bal balance.Method, name string, kind workload.Kind, n int64) series {
+// algSeries plots one algorithm under one balancer.
+func algSeries(alg parsel.Algorithm, bal parsel.Balancer, name string, kind workload.Kind, n int64) series {
 	return series{
 		name: name,
 		make: func(p int) spec { return spec{alg: alg, bal: bal, kind: kind, n: n, p: p} },
@@ -270,10 +261,10 @@ func runFig1(cfg Config) error {
 		emitTable(cfg, cfg.Out,
 			fmt.Sprintf("fig1 random n=%s: simulated seconds (MoM uses global exchange; others no LB)", sizeName(n)),
 			ps, []series{
-				algSeries(selection.MedianOfMedians, balance.GlobalExchange, "mom", workload.Random, n),
-				algSeries(selection.BucketBased, balance.None, "bucket", workload.Random, n),
-				algSeries(selection.Randomized, balance.None, "rand", workload.Random, n),
-				algSeries(selection.FastRandomized, balance.None, "fastrand", workload.Random, n),
+				algSeries(parsel.MedianOfMedians, parsel.GlobalExchange, "mom", workload.Random, n),
+				algSeries(parsel.BucketBased, parsel.NoBalance, "bucket", workload.Random, n),
+				algSeries(parsel.Randomized, parsel.NoBalance, "rand", workload.Random, n),
+				algSeries(parsel.FastRandomized, parsel.NoBalance, "fastrand", workload.Random, n),
 			})
 	}
 	return nil
@@ -286,35 +277,29 @@ func runFig1R(cfg Config) error {
 		emitTable(cfg, cfg.Out,
 			fmt.Sprintf("fig1r random n=%s: the two randomized algorithms", sizeName(n)),
 			ps, []series{
-				algSeries(selection.Randomized, balance.None, "rand", workload.Random, n),
-				algSeries(selection.FastRandomized, balance.None, "fastrand", workload.Random, n),
+				algSeries(parsel.Randomized, parsel.NoBalance, "rand", workload.Random, n),
+				algSeries(parsel.FastRandomized, parsel.NoBalance, "fastrand", workload.Random, n),
 			})
 	}
 	return nil
 }
 
 // lbSeries builds the four load-balancing series of figures 2 and 3.
-func lbSeries(alg selection.Algorithm, kind workload.Kind, n int64) []series {
-	mk := func(bal balance.Method, name string) series {
-		return series{
-			name: name,
-			make: func(p int) spec { return spec{alg: alg, bal: bal, kind: kind, n: n, p: p} },
-		}
-	}
+func lbSeries(alg parsel.Algorithm, kind workload.Kind, n int64) []series {
 	return []series{
-		mk(balance.None, "none"),
-		mk(balance.ModifiedOMLB, "modomlb"),
-		mk(balance.DimensionExchange, "dimexch"),
-		mk(balance.GlobalExchange, "globexch"),
+		algSeries(alg, parsel.NoBalance, "none", kind, n),
+		algSeries(alg, parsel.ModifiedOMLB, "modomlb", kind, n),
+		algSeries(alg, parsel.DimensionExchange, "dimexch", kind, n),
+		algSeries(alg, parsel.GlobalExchange, "globexch", kind, n),
 	}
 }
 
-func runFig2(cfg Config) error { return runLBFigure(cfg, selection.Randomized, "fig2 randomized") }
+func runFig2(cfg Config) error { return runLBFigure(cfg, parsel.Randomized, "fig2 randomized") }
 func runFig3(cfg Config) error {
-	return runLBFigure(cfg, selection.FastRandomized, "fig3 fast randomized")
+	return runLBFigure(cfg, parsel.FastRandomized, "fig3 fast randomized")
 }
 
-func runLBFigure(cfg Config, alg selection.Algorithm, label string) error {
+func runLBFigure(cfg Config, alg parsel.Algorithm, label string) error {
 	cfg = cfg.withDefaults()
 	_, ps := grid(cfg)
 	for _, kind := range bothKinds {
@@ -334,24 +319,24 @@ func runFig4(cfg Config) error {
 		emitTable(cfg, cfg.Out,
 			fmt.Sprintf("fig4 sorted n=%s: best-LB comparison (rand: none, fastrand: modified OMLB)", sizeName(n)),
 			ps, []series{
-				algSeries(selection.Randomized, balance.None, "rand", workload.Sorted, n),
-				algSeries(selection.FastRandomized, balance.ModifiedOMLB, "fastrand+omlb", workload.Sorted, n),
+				algSeries(parsel.Randomized, parsel.NoBalance, "rand", workload.Sorted, n),
+				algSeries(parsel.FastRandomized, parsel.ModifiedOMLB, "fastrand+omlb", workload.Sorted, n),
 			})
 	}
 	return nil
 }
 
 func runFig5(cfg Config) error {
-	return runBreakdown(cfg, selection.Randomized, "fig5 randomized")
+	return runBreakdown(cfg, parsel.Randomized, "fig5 randomized")
 }
 func runFig6(cfg Config) error {
-	return runBreakdown(cfg, selection.FastRandomized, "fig6 fast randomized")
+	return runBreakdown(cfg, parsel.FastRandomized, "fig6 fast randomized")
 }
 
 // runBreakdown prints the stacked-bar data of figures 5 and 6: total
 // simulated time and the load-balancing share, for the four strategies
 // N/O/D/G at n=2M across p in {4..128}.
-func runBreakdown(cfg Config, alg selection.Algorithm, label string) error {
+func runBreakdown(cfg Config, alg parsel.Algorithm, label string) error {
 	cfg = cfg.withDefaults()
 	n := int64(m2)
 	ps := []int{4, 8, 16, 32, 64, 128}
@@ -360,28 +345,20 @@ func runBreakdown(cfg Config, alg selection.Algorithm, label string) error {
 		ps = []int{4, 8, 16}
 	}
 	strategies := []struct {
-		bal  balance.Method
+		bal  parsel.Balancer
 		name string
 	}{
-		{balance.None, "N"},
-		{balance.ModifiedOMLB, "O"},
-		{balance.DimensionExchange, "D"},
-		{balance.GlobalExchange, "G"},
+		{parsel.NoBalance, "N"},
+		{parsel.ModifiedOMLB, "O"},
+		{parsel.DimensionExchange, "D"},
+		{parsel.GlobalExchange, "G"},
 	}
 	for _, kind := range bothKinds {
 		var cols []series
 		for _, s := range strategies {
-			s := s
-			cols = append(cols,
-				series{
-					name: s.name + "-total",
-					make: func(p int) spec { return spec{alg: alg, bal: s.bal, kind: kind, n: n, p: p} },
-				},
-				series{
-					name: s.name + "-lb",
-					make: func(p int) spec { return spec{alg: alg, bal: s.bal, kind: kind, n: n, p: p} },
-					get:  func(c cell) float64 { return c.balance },
-				})
+			lb := algSeries(alg, s.bal, s.name+"-lb", kind, n)
+			lb.get = func(c cell) float64 { return c.balance }
+			cols = append(cols, algSeries(alg, s.bal, s.name+"-total", kind, n), lb)
 		}
 		emitTable(cfg, cfg.Out,
 			fmt.Sprintf("%s %v n=%s: total simulated seconds and LB share per strategy", label, kind, sizeName(n)),
@@ -397,22 +374,22 @@ func runHybrid(cfg Config) error {
 		emitTable(cfg, cfg.Out,
 			fmt.Sprintf("hybrid random n=%s: deterministic vs hybrid vs randomized", sizeName(n)),
 			ps, []series{
-				algSeries(selection.MedianOfMedians, balance.GlobalExchange, "mom", workload.Random, n),
-				algSeries(selection.MedianOfMediansHybrid, balance.GlobalExchange, "mom-hybrid", workload.Random, n),
-				algSeries(selection.BucketBased, balance.None, "bucket", workload.Random, n),
-				algSeries(selection.BucketBasedHybrid, balance.None, "bucket-hyb", workload.Random, n),
-				algSeries(selection.Randomized, balance.None, "rand", workload.Random, n),
+				algSeries(parsel.MedianOfMedians, parsel.GlobalExchange, "mom", workload.Random, n),
+				algSeries(parsel.MedianOfMediansHybrid, parsel.GlobalExchange, "mom-hybrid", workload.Random, n),
+				algSeries(parsel.BucketBased, parsel.NoBalance, "bucket", workload.Random, n),
+				algSeries(parsel.BucketBasedHybrid, parsel.NoBalance, "bucket-hyb", workload.Random, n),
+				algSeries(parsel.Randomized, parsel.NoBalance, "rand", workload.Random, n),
 			})
 	}
 	return nil
 }
 
-// runAblate quantifies the design choice documented in DESIGN.md: when
-// the per-iteration sample is small relative to p^2, gathering it on P0
-// and picking the window keys with two sequential selections beats
-// running the full parallel sample sort (the paper's structure). The
-// series cross over exactly where the paper's fig. 1 rand/fastrand
-// crossover lives.
+// runAblate quantifies the fast randomized deviations stated in the
+// selection package doc: when the per-iteration sample is small relative
+// to p^2, gathering it on P0 and picking the window keys with two
+// sequential selections beats running the full parallel sample sort (the
+// paper's structure). The series cross over exactly where the paper's
+// fig. 1 rand/fastrand crossover lives.
 func runAblate(cfg Config) error {
 	cfg = cfg.withDefaults()
 	_, ps := grid(cfg)
@@ -421,7 +398,7 @@ func runAblate(cfg Config) error {
 			return series{
 				name: name,
 				make: func(p int) spec {
-					return spec{alg: selection.FastRandomized, bal: balance.None,
+					return spec{alg: parsel.FastRandomized, bal: parsel.NoBalance,
 						kind: workload.Random, n: n, p: p, optimizedSampling: opt}
 				},
 			}
@@ -431,7 +408,7 @@ func runAblate(cfg Config) error {
 			ps, []series{
 				mk(false, "faithful"),
 				mk(true, "optimized"),
-				algSeries(selection.Randomized, balance.None, "rand", workload.Random, n),
+				algSeries(parsel.Randomized, parsel.NoBalance, "rand", workload.Random, n),
 			})
 	}
 	return nil
@@ -450,10 +427,10 @@ func runVariance(cfg Config) error {
 	fmt.Fprintf(w, "%6s %12s %12s %12s %12s %10s %10s\n",
 		"p", "rand-rnd", "rand-srt", "fast-rnd", "fast-srt", "ratio-rand", "ratio-fast")
 	for _, p := range ps {
-		rr := measure(cfg, spec{alg: selection.Randomized, bal: balance.None, kind: workload.Random, n: n, p: p})
-		rs := measure(cfg, spec{alg: selection.Randomized, bal: balance.None, kind: workload.Sorted, n: n, p: p})
-		fr := measure(cfg, spec{alg: selection.FastRandomized, bal: balance.ModifiedOMLB, kind: workload.Random, n: n, p: p})
-		fs := measure(cfg, spec{alg: selection.FastRandomized, bal: balance.ModifiedOMLB, kind: workload.Sorted, n: n, p: p})
+		rr := measure(cfg, spec{alg: parsel.Randomized, bal: parsel.NoBalance, kind: workload.Random, n: n, p: p})
+		rs := measure(cfg, spec{alg: parsel.Randomized, bal: parsel.NoBalance, kind: workload.Sorted, n: n, p: p})
+		fr := measure(cfg, spec{alg: parsel.FastRandomized, bal: parsel.ModifiedOMLB, kind: workload.Random, n: n, p: p})
+		fs := measure(cfg, spec{alg: parsel.FastRandomized, bal: parsel.ModifiedOMLB, kind: workload.Sorted, n: n, p: p})
 		fmt.Fprintf(w, "%6d %12.6f %12.6f %12.6f %12.6f %10.2f %10.2f\n",
 			p, rr.sim, rs.sim, fr.sim, fs.sim, rs.sim/rr.sim, fs.sim/fr.sim)
 	}
@@ -485,14 +462,14 @@ func runScalingTable(cfg Config, kind workload.Kind, label string) error {
 	fmt.Fprintf(w, "%6s %10s %5s %10s %5s %10s %5s %10s %5s\n",
 		"p", "mom-t", "it", "bucket-t", "it", "rand-t", "it", "fast-t", "it")
 	for _, p := range ps {
-		momBal := balance.GlobalExchange
+		momBal := parsel.GlobalExchange
 		if kind == workload.Sorted {
-			momBal = balance.None
+			momBal = parsel.NoBalance
 		}
-		mo := measure(cfg, spec{alg: selection.MedianOfMedians, bal: momBal, kind: kind, n: n, p: p})
-		bu := measure(cfg, spec{alg: selection.BucketBased, bal: balance.None, kind: kind, n: n, p: p})
-		ra := measure(cfg, spec{alg: selection.Randomized, bal: balance.None, kind: kind, n: n, p: p})
-		fa := measure(cfg, spec{alg: selection.FastRandomized, bal: balance.None, kind: kind, n: n, p: p})
+		mo := measure(cfg, spec{alg: parsel.MedianOfMedians, bal: momBal, kind: kind, n: n, p: p})
+		bu := measure(cfg, spec{alg: parsel.BucketBased, bal: parsel.NoBalance, kind: kind, n: n, p: p})
+		ra := measure(cfg, spec{alg: parsel.Randomized, bal: parsel.NoBalance, kind: kind, n: n, p: p})
+		fa := measure(cfg, spec{alg: parsel.FastRandomized, bal: parsel.NoBalance, kind: kind, n: n, p: p})
 		fmt.Fprintf(w, "%6d %10.5f %5.1f %10.5f %5.1f %10.5f %5.1f %10.5f %5.1f\n",
 			p, mo.sim, mo.iters, bu.sim, bu.iters, ra.sim, ra.iters, fa.sim, fa.iters)
 	}

@@ -45,7 +45,8 @@ func primTransport(p *machine.Proc, payload []int64) {
 }
 
 // measurePrim returns the simulated time of one collective invocation
-// with m elements per processor.
+// with m elements per processor. It runs the machine directly: it times
+// comm collectives, not a selection.
 func measurePrim(p, m int, op primOp) float64 {
 	params := machine.DefaultParams(p)
 	sim, err := machine.Run(params, func(pr *machine.Proc) {

@@ -2,8 +2,9 @@ package harness
 
 import (
 	"fmt"
+	"time"
 
-	"parsel/internal/balance"
+	"parsel"
 	"parsel/internal/machine"
 	"parsel/internal/model"
 	"parsel/internal/selection"
@@ -25,10 +26,10 @@ func runTopo(cfg Config) error {
 	w := cfg.Out
 	for _, scenario := range []struct {
 		label  string
-		perHop float64
+		perHop time.Duration
 	}{
 		{"wormhole-like (per hop = tau/20)", 0}, // 0 = the default tau/20
-		{"store-and-forward-like (per hop = tau)", 100e-6},
+		{"store-and-forward-like (per hop = tau)", 100 * time.Microsecond},
 	} {
 		fmt.Fprintf(w, "\n# topo %s, randomized selection, random data, n=%s\n", scenario.label, sizeName(n))
 		fmt.Fprintf(w, "%6s", "p")
@@ -39,7 +40,7 @@ func runTopo(cfg Config) error {
 		for _, p := range ps {
 			fmt.Fprintf(w, "%6d", p)
 			for _, topo := range machine.Topologies {
-				fmt.Fprintf(w, " %12.6f", measureTopo(cfg, n, p, topo, scenario.perHop))
+				fmt.Fprintf(w, " %12.6f", measureTopo(cfg, n, p, parsel.Topology(topo), scenario.perHop))
 			}
 			fmt.Fprintln(w)
 		}
@@ -49,24 +50,14 @@ func runTopo(cfg Config) error {
 }
 
 // measureTopo runs randomized median selection under one topology.
-func measureTopo(cfg Config, n int64, p int, topo machine.Topology, perHop float64) float64 {
+func measureTopo(cfg Config, n int64, p int, topo parsel.Topology, perHop time.Duration) float64 {
 	var total float64
 	for t := 0; t < cfg.Seeds; t++ {
-		shards := workload.Generate(workload.Random, n, p, uint64(7000+t))
-		params := machine.DefaultParams(p)
-		params.Seed = uint64(t + 1)
-		params.Topology = topo
-		params.PerHopSec = perHop
-		sim, err := machine.Run(params, func(pr *machine.Proc) {
-			selection.Select(pr, shards[pr.ID()], (n+1)/2, selection.Options{
-				Algorithm: selection.Randomized,
-				Balancer:  balance.None,
-			})
-		})
-		if err != nil {
-			panic(err)
-		}
-		total += sim
+		total += medianReport(parsel.Options{
+			Algorithm: parsel.Randomized,
+			Balancer:  parsel.NoBalance,
+			Machine:   parsel.Machine{Seed: uint64(t + 1), Topology: topo, PerHop: perHop},
+		}, workload.Generate(workload.Random, n, p, uint64(7000+t))).SimSeconds
 	}
 	return total / float64(cfg.Seeds)
 }
@@ -86,15 +77,16 @@ func runSortSel(cfg Config) error {
 	fmt.Fprintf(w, "\n# sortsel random n=%s: simulated seconds, selection vs full parallel sort\n", sizeName(n))
 	fmt.Fprintf(w, "%6s %12s %12s %12s %10s\n", "p", "rand", "fastrand", "psort+rank", "sort/rand")
 	for _, p := range ps {
-		ra := measure(cfg, spec{alg: selection.Randomized, bal: balance.None, kind: workload.Random, n: n, p: p})
-		fa := measure(cfg, spec{alg: selection.FastRandomized, bal: balance.None, kind: workload.Random, n: n, p: p})
+		ra := measure(cfg, spec{alg: parsel.Randomized, bal: parsel.NoBalance, kind: workload.Random, n: n, p: p})
+		fa := measure(cfg, spec{alg: parsel.FastRandomized, bal: parsel.NoBalance, kind: workload.Random, n: n, p: p})
 		vs := measureViaSort(cfg, n, p)
 		fmt.Fprintf(w, "%6d %12.6f %12.6f %12.6f %10.1f\n", p, ra.sim, fa.sim, vs, vs/ra.sim)
 	}
 	return nil
 }
 
-// measureViaSort times the sort-based baseline.
+// measureViaSort times the sort-based baseline. It runs the engine
+// directly: sort-the-world is a baseline, not a public Algorithm.
 func measureViaSort(cfg Config, n int64, p int) float64 {
 	var total float64
 	for t := 0; t < cfg.Seeds; t++ {
@@ -126,23 +118,24 @@ func runModel(cfg Config) error {
 	w := cfg.Out
 	rows := []struct {
 		name      string
-		alg       selection.Algorithm
-		bal       balance.Method
+		alg       parsel.Algorithm
+		formula   selection.Algorithm // the model's name for alg
+		bal       parsel.Balancer
 		kind      workload.Kind
 		worstCase bool
 	}{
-		{"mom (table1)", selection.MedianOfMedians, balance.GlobalExchange, workload.Random, false},
-		{"bucket (table2)", selection.BucketBased, balance.None, workload.Sorted, true},
-		{"rand (table1)", selection.Randomized, balance.None, workload.Random, false},
-		{"rand (table2)", selection.Randomized, balance.None, workload.Sorted, true},
-		{"fastrand (table1)", selection.FastRandomized, balance.None, workload.Random, false},
+		{"mom (table1)", parsel.MedianOfMedians, selection.MedianOfMedians, parsel.GlobalExchange, workload.Random, false},
+		{"bucket (table2)", parsel.BucketBased, selection.BucketBased, parsel.NoBalance, workload.Sorted, true},
+		{"rand (table1)", parsel.Randomized, selection.Randomized, parsel.NoBalance, workload.Random, false},
+		{"rand (table2)", parsel.Randomized, selection.Randomized, parsel.NoBalance, workload.Sorted, true},
+		{"fastrand (table1)", parsel.FastRandomized, selection.FastRandomized, parsel.NoBalance, workload.Random, false},
 	}
 	fmt.Fprintf(w, "\n# model n=%s: analytic Table 1/2 prediction vs simulation\n", sizeName(n))
 	fmt.Fprintf(w, "%-18s %6s %12s %12s %8s\n", "row", "p", "predicted", "simulated", "ratio")
 	for _, r := range rows {
 		for _, p := range ps {
 			m := measure(cfg, spec{alg: r.alg, bal: r.bal, kind: r.kind, n: n, p: p})
-			pred := model.Predict(r.alg, n, machine.DefaultParams(p), r.worstCase)
+			pred := model.Predict(r.formula, n, machine.DefaultParams(p), r.worstCase)
 			fmt.Fprintf(w, "%-18s %6d %12.5f %12.5f %8.2f\n", r.name, p, pred, m.sim, pred/m.sim)
 		}
 	}

@@ -22,7 +22,7 @@ import (
 // paper's uncapped slack — and consequently also reproduces the paper's
 // finding that load balancing helps this algorithm on sorted inputs (the
 // tail repeatedly scans survivors concentrated on few processors). See
-// DESIGN.md (deviations) and the harness's ablate experiment.
+// the package doc (deviations) and the harness's ablate experiment.
 func windowRanks(rank, S, n int64, opts Options) (r1, r2 int64) {
 	m := (rank*S + n - 1) / n
 	delta := int64(opts.RankSlack*math.Sqrt(float64(S)*math.Log(float64(n)))) + 1

@@ -14,11 +14,14 @@
 // elements. When the surviving population drops to p^2 or below, the
 // remainder is gathered on processor 0 and solved sequentially.
 //
-// Deviations from the paper, both documented in DESIGN.md: partitions are
-// three-way, enabling an early exit when the pivot itself is the answer
-// (necessary for termination on duplicate-heavy inputs), and the fast
-// randomized algorithm falls back to one single-pivot step whenever a
-// sampling iteration fails to shrink the population.
+// Deviations from the paper: partitions are three-way, enabling an early
+// exit when the pivot itself is the answer (necessary for termination on
+// duplicate-heavy inputs), and the fast randomized algorithm falls back
+// to one single-pivot step whenever a sampling iteration fails to shrink
+// the population. Unless Options.Faithful is set, fast randomized
+// selection also gathers small samples on processor 0 instead of
+// parallel-sorting them and caps its rank-window slack; the harness's
+// ablate experiment quantifies both.
 package selection
 
 import (

@@ -611,28 +611,25 @@ func Balance[K cmp.Ordered](shards [][]K, opts Options) ([][]K, Report, error) {
 	if p == 0 {
 		return nil, Report{}, ErrNoShards
 	}
-	params, err := opts.Machine.params(p)
-	if err != nil {
+	// Not NewSelector: Balance ignores Machine.Procs, so only the
+	// p-processor machine is validated.
+	s := &Selector[K]{opts: opts}
+	if err := s.ensure(p); err != nil {
 		return nil, Report{}, err
 	}
+	defer s.Close()
 	method := toInternalBal(opts.Balancer)
 	out := make([][]K, p)
-	counters := make([]machine.Counters, p)
-	start := time.Now()
-	sim, err := machine.Run(params, func(pr *machine.Proc) {
+	rep, err := s.execute(func(pr *machine.Proc) {
 		local := make([]K, len(shards[pr.ID()]))
 		copy(local, shards[pr.ID()])
 		out[pr.ID()] = balance.Run(pr, local, method, machine.WordBytes)
-		counters[pr.ID()] = pr.Counters
+		s.counters[pr.ID()] = pr.Counters
 	})
 	if err != nil {
 		return nil, Report{}, err
 	}
-	rep := Report{SimSeconds: sim, BalanceSeconds: sim, WallSeconds: time.Since(start).Seconds()}
-	for i := range counters {
-		rep.Messages += counters[i].MsgsSent
-		rep.Bytes += counters[i].BytesSent
-	}
+	rep.BalanceSeconds = rep.SimSeconds
 	return out, rep, nil
 }
 

@@ -3,6 +3,7 @@ package parsel
 import (
 	"context"
 	"errors"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -143,6 +144,50 @@ func TestBalancePublic(t *testing.T) {
 	// Originals untouched.
 	if !slices.Equal(shards[0], []int64{1, 2, 3, 4, 5, 6, 7, 8}) {
 		t.Error("input shard modified")
+	}
+}
+
+// TestBalanceReport pins every Report field of Balance for each balancer
+// on a skewed five-shard layout under two topologies: the simulated
+// time's bits, the traffic totals, no iterations, and BalanceSeconds
+// equal to SimSeconds (the whole run is balancing).
+func TestBalanceReport(t *testing.T) {
+	shards := [][]int64{make([]int64, 700), {}, make([]int64, 90), {1}, make([]int64, 5)}
+	for i := range shards[0] {
+		shards[0][i] = int64(i * 7 % 701)
+	}
+	for _, c := range []struct {
+		bal      Balancer
+		topo     Topology
+		simBits  uint64
+		messages int64
+		bytes    int64
+	}{
+		{ModifiedOMLB, TopologyCrossbar, 0x3f5a7732f5aefc91, 19, 4480},
+		{ModifiedOMLB, TopologyMesh2D, 0x3f5ae00e815b6d9d, 19, 4480},
+		{NoBalance, TopologyCrossbar, 0, 0, 0},
+		{NoBalance, TopologyMesh2D, 0, 0, 0},
+		{OMLB, TopologyCrossbar, 0x3f59cb3b8b7fb3ce, 21, 5208},
+		{OMLB, TopologyMesh2D, 0x3f5a3417172c24db, 21, 5208},
+		{DimensionExchange, TopologyCrossbar, 0x3f598f9f655de797, 15, 6432},
+		{DimensionExchange, TopologyMesh2D, 0x3f59b990d06fae68, 15, 6432},
+		{GlobalExchange, TopologyCrossbar, 0x3f5a7d8dd75c58bf, 19, 4480},
+		{GlobalExchange, TopologyMesh2D, 0x3f5ae6696308c9cd, 19, 4480},
+	} {
+		_, rep, err := Balance(shards, Options{Balancer: c.bal, Machine: Machine{Topology: c.topo, Seed: 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep.WallSeconds = 0
+		want := Report{
+			SimSeconds:     math.Float64frombits(c.simBits),
+			BalanceSeconds: math.Float64frombits(c.simBits),
+			Messages:       c.messages,
+			Bytes:          c.bytes,
+		}
+		if rep != want {
+			t.Errorf("%v/%v: report %+v, want %+v", c.bal, c.topo, rep, want)
+		}
 	}
 }
 
