@@ -19,9 +19,11 @@
 #   make fuzz    - short fuzz smoke: the 128-bit quantile-rank arithmetic, the
 #                  daemon's HTTP request decoder, its resident dataset-query
 #                  decoders (single and querymany), its JSON upload decoder
-#                  (int64, float64 and string keys), the snapshot decoder, the
-#                  binary result-frame decoder, the branch-free three-way
-#                  partition kernel (differential against Partition3),
+#                  (int64, float64 and string keys), the snapshot decoder
+#                  (each input decoded under its header's key type: int64,
+#                  float64 or string), the binary result-frame decoder, the
+#                  branch-free three-way partition kernel (differential
+#                  against Partition3),
 #                  the fast randomized window-filter kernel (differential
 #                  against its three-comparison reference) and its
 #                  binary-search form for ascending slices (differential

@@ -47,9 +47,9 @@
 //
 // Keys default to int64; uploads and queries may instead carry
 // "key_kind": "float64" or "string" in the body (or the X-Parsel-Kind
-// header on uploads) and are answered by a kind-matched pool. Float64
-// datasets snapshot and frame like int64; string datasets are
-// serve-only (JSON responses, no snapshots).
+// header on uploads) and are answered by a kind-matched pool. Every
+// kind uploads as a binary frame, snapshots and ships the same way;
+// string query results are answered as JSON.
 //
 // With -tenants the daemon is multi-tenant: every request except
 // /healthz must present a configured bearer token, and each tenant

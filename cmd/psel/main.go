@@ -11,8 +11,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"math/big"
 	"os"
+	"slices"
 	"strings"
 
 	"parsel/internal/balance"
@@ -47,12 +49,10 @@ var distNames = map[string]workload.Kind{
 	"zipf":        workload.ZipfLike,
 }
 
+// keys lists a name table's names, sorted, for the usage text and the
+// unknown-name errors.
 func keys[V any](m map[string]V) string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return strings.Join(out, ", ")
+	return strings.Join(slices.Sorted(maps.Keys(m)), ", ")
 }
 
 func main() {

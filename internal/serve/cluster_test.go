@@ -109,12 +109,9 @@ func TestClusterKillOneNode(t *testing.T) {
 	before := runCatalogueOn(t, surface, shapes, true)
 
 	// Replication was pure snapshot shipping: one ship per dataset
-	// (replicas=2 means one copy beyond the primary), no client
-	// re-uploads, no shortfalls — the whole fleet was up.
+	// (replicas=2 means one copy beyond the primary), no shortfalls —
+	// the whole fleet was up.
 	st := f.router.Stats()
-	if st.Reuploads != 0 {
-		t.Fatalf("fixed-kind uploads re-sent client shards %d times, want 0", st.Reuploads)
-	}
 	if st.Shipped != int64(len(shapes)) {
 		t.Fatalf("shipped %d snapshots, want %d (one per dataset)", st.Shipped, len(shapes))
 	}
@@ -151,9 +148,6 @@ func TestClusterKillOneNode(t *testing.T) {
 	compareRecords(t, before, after)
 
 	st = f.router.Stats()
-	if st.Reuploads != 0 {
-		t.Errorf("replay re-uploaded client shards %d times, want 0", st.Reuploads)
-	}
 	if st.Failovers == 0 {
 		t.Errorf("replay never failed over, yet the victim was shape 0's primary")
 	}
@@ -206,7 +200,7 @@ func TestClusterRebalanceOnJoin(t *testing.T) {
 	if rep.Datasets != len(shapes) {
 		t.Fatalf("rebalance examined %d datasets, want %d", rep.Datasets, len(shapes))
 	}
-	if len(rep.Errors) != 0 || len(rep.Lost) != 0 || len(rep.Pinned) != 0 {
+	if len(rep.Errors) != 0 || len(rep.Lost) != 0 {
 		t.Fatalf("rebalance report: %+v", rep)
 	}
 
@@ -237,10 +231,6 @@ func TestClusterRebalanceOnJoin(t *testing.T) {
 		t.Errorf("rebalance shipped %d, deleted %d; want %d each (datasets placed on the joiner)",
 			rep.Shipped, rep.Deleted, moved)
 	}
-	if st := f.router.Stats(); st.Reuploads != 0 {
-		t.Errorf("rebalance re-uploaded client shards %d times, want 0", st.Reuploads)
-	}
-
 	// Every move is one structured record: a ship names the dataset and
 	// both ends, a drop the dataset and the node it left.
 	ships, drops := 0, 0
@@ -283,10 +273,11 @@ func TestClusterRebalanceOnJoin(t *testing.T) {
 	compareRecords(t, before, after)
 }
 
-// TestClusterStringReplication pins the string-kind caveat end to end:
-// string datasets have no snapshot encoding, so replicas fill by
-// re-sending the client's shards (counted in Stats.Reuploads), queries
-// still fail over, and Rebalance pins rather than ships them.
+// TestClusterStringReplication pins that string datasets replicate
+// like every other kind: the upload's replica fills by snapshot
+// shipping, queries fail over, and after the primary dies and leaves
+// the fleet, Rebalance refills the lost replica by shipping from the
+// survivor, and the new replica answers identically.
 func TestClusterStringReplication(t *testing.T) {
 	f := newFleet(t, 3, 2)
 	ctx := context.Background()
@@ -295,9 +286,8 @@ func TestClusterStringReplication(t *testing.T) {
 	if _, err := ds.Upload(ctx, shards); err != nil {
 		t.Fatal(err)
 	}
-	st := f.router.Stats()
-	if st.Reuploads != 1 || st.Shipped != 0 {
-		t.Fatalf("string replication: %+v, want 1 reupload and 0 ships", st)
+	if st := f.router.Stats(); st.Shipped != 1 || st.ReplicaShortfalls != 0 {
+		t.Fatalf("string replication: %+v, want 1 ship", st)
 	}
 	holders := f.copiesOf(t, "words")
 	if len(holders) != 2 {
@@ -308,26 +298,45 @@ func TestClusterStringReplication(t *testing.T) {
 	if err != nil || med.Value != "mango" {
 		t.Fatalf("median: %q, %v", med.Value, err)
 	}
-	// Kill the primary; the re-uploaded replica answers identically.
+	// Kill the primary; the shipped replica answers identically.
 	victim := f.router.Place("words")[0]
 	f.daemons[victim].close()
 	delete(f.daemons, victim)
 	med2, err := ds.Median(ctx)
-	if err != nil || med2.Value != med.Value {
-		t.Fatalf("median after kill: %q, %v; want %q", med2.Value, err, med.Value)
+	if err != nil || med2.Value != med.Value || simOf(med2.Report) != simOf(med.Report) {
+		t.Fatalf("median after kill: %+v, %v; want %+v", med2, err, med)
 	}
 
-	// Rebalance cannot refill the lost string replica by shipping: the
-	// dataset lands in Pinned, and nothing is deleted.
+	// Drop the dead node from the fleet: Rebalance ships the survivor's
+	// copy to the node that takes its place.
+	var nodes []string
+	for _, u := range f.urls {
+		if u != victim {
+			nodes = append(nodes, u)
+		}
+	}
+	if err := f.router.SetNodes(nodes); err != nil {
+		t.Fatal(err)
+	}
 	rep, err := f.router.Rebalance(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Pinned) != 1 || rep.Pinned[0] != "words" {
-		t.Fatalf("rebalance with dead string primary: %+v, want words pinned", rep)
+	if rep.Shipped != 1 || len(rep.Errors) != 0 || len(rep.Lost) != 0 {
+		t.Fatalf("rebalance after the primary left: %+v, want 1 ship and no errors", rep)
 	}
-	if rep.Shipped != 0 || rep.Deleted != 0 {
-		t.Fatalf("rebalance moved a string dataset: %+v", rep)
+	if st := f.router.Stats(); st.Shipped != 2 {
+		t.Fatalf("router shipped %d snapshots, want 2 (upload fill, rebalance)", st.Shipped)
+	}
+	holders = f.copiesOf(t, "words")
+	if len(holders) != 2 {
+		t.Fatalf("after rebalance resident on %v, want both remaining nodes", holders)
+	}
+	for _, url := range holders {
+		got, err := parselclient.Keyed[string](f.daemons[url].client).Dataset("words").Median(ctx)
+		if err != nil || got.Value != med.Value || simOf(got.Report) != simOf(med.Report) {
+			t.Fatalf("node %s median: %+v, %v; want %+v", url, got, err, med)
+		}
 	}
 }
 
@@ -374,7 +383,7 @@ func TestClusterFloat64Ships(t *testing.T) {
 	if _, err := ds.Upload(ctx, [][]float64{{0.25, 9.75}, {3.5}}); err != nil {
 		t.Fatal(err)
 	}
-	if st := f.router.Stats(); st.Shipped != 1 || st.Reuploads != 0 {
+	if st := f.router.Stats(); st.Shipped != 1 {
 		t.Fatalf("float64 replication: %+v, want 1 ship", st)
 	}
 	// Ask each node directly: both hold the same typed dataset.

@@ -41,14 +41,8 @@ import (
 
 // dsEntry is one resident dataset with its accounting state.
 type dsEntry struct {
-	// kind names the dataset's key kind (parselclient.KeyKind*); ds is
-	// the matching *parsel.Dataset[K], dispatched by type switch at the
-	// query sites. procs and n cache the dataset's shape so registry
-	// bookkeeping never needs the typed handle.
-	kind  string
-	ds    any
-	procs int
-	n     int64
+	// ds is the dataset behind its key kind (see kind.go).
+	ds resident
 	// tenant names the tenant whose ledger row holds this dataset's bytes;
 	// empty on a daemon without tenants.
 	tenant  string
@@ -70,24 +64,15 @@ type dsEntry struct {
 	restored bool
 }
 
-// closeDS releases the entry's typed dataset.
-func (e *dsEntry) closeDS() {
-	e.ds.(interface{ Close() }).Close()
-}
-
 // info shapes the entry's wire description. The key kind travels only
 // for non-int64 datasets, keeping the historical wire byte-identical.
 func (e *dsEntry) info(id string, now time.Time) parselclient.DatasetInfo {
-	kind := e.kind
-	if kind == parselclient.KeyKindInt64 {
-		kind = ""
-	}
 	return parselclient.DatasetInfo{
 		ID:          id,
-		KeyKind:     kind,
+		KeyKind:     e.ds.kindField(),
 		Tenant:      e.tenant,
-		Procs:       e.procs,
-		N:           e.n,
+		Procs:       e.ds.Procs(),
+		N:           e.ds.N(),
 		Bytes:       e.bytes,
 		ExpiresInMS: e.expires.Sub(now).Milliseconds(),
 		Restored:    e.restored,
@@ -173,7 +158,7 @@ func (s *Server) sweepLocked(now time.Time) {
 		}
 		s.dropLocked(id, e)
 		s.dstats.Expired++
-		e.closeDS()
+		e.ds.Close()
 		s.markDirty(id) // the snapshotter removes the evicted id's file
 	}
 }
@@ -295,36 +280,7 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request, id 
 		s.writeRequestError(w, err)
 		return
 	}
-	switch kind {
-	case parselclient.KeyKindFloat64:
-		runUpload[float64](s, w, r, id, body)
-	case parselclient.KeyKindString:
-		runUpload[string](s, w, r, id, body)
-	default:
-		runUpload[int64](s, w, r, id, body)
-	}
-}
-
-// runUpload is the kind-typed tail of a JSON upload.
-func runUpload[K parselclient.Key](s *Server, w http.ResponseWriter, r *http.Request, id string, body []byte) {
-	up, err := ParseDatasetUploadOf[K](body, s.opts.Limits)
-	if err != nil {
-		s.writeRequestError(w, err)
-		return
-	}
-	tenant := tenantOf(r)
-	need := residentBytes(up.Shards)
-	replacing, ok := s.reserveUpload(w, r, id, tenant, need)
-	if !ok {
-		return
-	}
-	ds, err := poolOf[K](s).NewDataset(up.Shards)
-	if err != nil {
-		s.unwindUpload(id, tenant, need, replacing)
-		s.writeQueryError(w, err)
-		return
-	}
-	commitUpload(s, w, id, tenant, ds, need)
+	s.kinds[kind].upload(s, w, r, id, body)
 }
 
 // handleFrameUpload serves a PUT whose Content-Type negotiated the
@@ -358,36 +314,8 @@ func (s *Server) handleFrameUpload(w http.ResponseWriter, r *http.Request, id st
 			"%d shards, limit %d simulated processors", h.Procs, s.opts.Limits.MaxProcs))
 		return
 	}
-	if h.KeyType == snapshot.KeyTypeFloat64 {
-		runFrameUpload[float64](s, w, r, id, dec, h.N)
-		return
-	}
-	runFrameUpload[int64](s, w, r, id, dec, h.N)
-}
-
-// runFrameUpload is the kind-typed tail of a binary upload: reserve
-// against the header's declared size, stream the keys into resident
-// backing, commit.
-func runFrameUpload[K snapshot.FixedKey](s *Server, w http.ResponseWriter, r *http.Request, id string, dec *snapshot.StreamDecoder, n int64) {
-	tenant := tenantOf(r)
-	need := n * 8
-	replacing, ok := s.reserveUpload(w, r, id, tenant, need)
-	if !ok {
-		return
-	}
-	shards, err := snapshot.ReadDataAs[K](dec)
-	if err != nil {
-		s.unwindUpload(id, tenant, need, replacing)
-		s.writeFrameUploadError(w, err)
-		return
-	}
-	ds, err := poolOf[K](s).RestoreDataset(shards)
-	if err != nil {
-		s.unwindUpload(id, tenant, need, replacing)
-		s.writeQueryError(w, err)
-		return
-	}
-	commitUpload(s, w, id, tenant, ds, need)
+	// The decoder admits only the key types the kind table holds.
+	s.kinds[h.KeyType].frameUpload(s, w, r, id, dec)
 }
 
 // writeFrameUploadError reports a binary-upload decode failure. The
@@ -442,7 +370,7 @@ func (s *Server) reserveUpload(w http.ResponseWriter, r *http.Request, id, tenan
 	s.chargeLocked(tenant, usage{bytes: need, datasets: 1}) // the reservation
 	s.dsMu.Unlock()
 	if prev != nil {
-		prev.closeDS()
+		prev.ds.Close()
 	}
 	return prev != nil, true
 }
@@ -469,13 +397,12 @@ func commitUpload[K parselclient.Key](s *Server, w http.ResponseWriter, id, tena
 		// last writer wins, exactly as serialized PUTs would end.
 		s.dropLocked(id, cur)
 		s.dstats.Replaced++
-		cur.closeDS()
+		cur.ds.Close()
 	}
 	now := s.now()
 	e := &dsEntry{
-		kind: parselclient.KeyKindOf[K](), ds: ds, procs: ds.Procs(), n: ds.N(),
-		tenant: tenant, bytes: need, expires: now.Add(s.opts.DatasetTTL),
-		gen: s.snapGen.Add(1),
+		ds: residentOf[K]{ds}, tenant: tenant, bytes: need,
+		expires: now.Add(s.opts.DatasetTTL), gen: s.snapGen.Add(1),
 	}
 	s.datasets[id] = e
 	s.dstats.Uploads++
@@ -486,17 +413,23 @@ func commitUpload[K parselclient.Key](s *Server, w http.ResponseWriter, id, tena
 	writeJSON(w, http.StatusOK, info)
 }
 
-// residentBytes is what the shards will occupy once resident — the
-// figure the ledger charges at admission, by the same formula as
+// residentBytes is what n keys of kind K will occupy once resident —
+// the figure the ledger charges at admission for JSON uploads, frame
+// uploads and restores alike, by the same formula as
 // parsel.Dataset.Bytes: n slots of K's in-memory size — 8 bytes for
 // the fixed-width kinds, the 16-byte string header for strings (whose
 // backing arrays the budget deliberately does not meter).
-func residentBytes[K parselclient.Key](shards [][]K) int64 {
+func residentBytes[K parselclient.Key](n int64) int64 {
+	return n * int64(reflect.TypeFor[K]().Size())
+}
+
+// keyCount is the population of shards.
+func keyCount[K any](shards [][]K) int64 {
 	var n int64
 	for _, sh := range shards {
 		n += int64(len(sh))
 	}
-	return n * int64(reflect.TypeFor[K]().Size())
+	return n
 }
 
 // lookup resolves id in the registry after the lazy sweep and runs
@@ -559,7 +492,7 @@ func (s *Server) handleDatasetDelete(w http.ResponseWriter, r *http.Request, id 
 	if !ok {
 		return
 	}
-	e.closeDS()
+	e.ds.Close()
 	s.markDirty(id) // the snapshotter removes the deleted id's file
 	s.countOK()
 	writeJSON(w, http.StatusOK, info)
@@ -572,9 +505,7 @@ func (s *Server) handleDatasetDelete(w http.ResponseWriter, r *http.Request, id 
 // upload (Dataset.View on this node, RestoreDataset on the receiver;
 // the keys are never materialized a second time on either end). The
 // export is TTL-neutral like Info: replication traffic must not keep
-// an otherwise-idle dataset alive. String datasets have no snapshot
-// encoding and answer 400 bad_kind — routers pin them to their
-// primary or re-upload (the documented string-key caveat).
+// an otherwise-idle dataset alive.
 func (s *Server) handleDatasetSnapshot(w http.ResponseWriter, r *http.Request, id string) {
 	if s.refuseIfDraining(w) {
 		return
@@ -590,27 +521,13 @@ func (s *Server) handleDatasetSnapshot(w http.ResponseWriter, r *http.Request, i
 	// all remove it under this lock first), so the shard views stay
 	// valid; they remain readable after release even if the dataset is
 	// deleted mid-stream, like queries in flight.
-	var i64 [][]int64
-	var f64 [][]float64
-	var kind string
+	var write func(http.ResponseWriter)
 	var verr error
 	if _, ok := s.lookup(w, id, func(e *dsEntry, _ time.Time) {
-		kind = e.kind
-		switch ds := e.ds.(type) {
-		case *parsel.Dataset[int64]:
-			i64, verr = ds.View()
-		case *parsel.Dataset[float64]:
-			f64, verr = ds.View()
-		}
-		if verr == nil && (i64 != nil || f64 != nil) {
+		if write, verr = e.ds.export(s); verr == nil {
 			s.dstats.Exports++
 		}
 	}); !ok {
-		return
-	}
-	if kind == parselclient.KeyKindString {
-		s.writeRequestError(w, parseErrf(parselclient.CodeBadKind,
-			"string datasets have no snapshot encoding; re-upload to replicate"))
 		return
 	}
 	if verr != nil {
@@ -618,23 +535,17 @@ func (s *Server) handleDatasetSnapshot(w http.ResponseWriter, r *http.Request, i
 		return
 	}
 	s.countOK()
-	if f64 != nil {
-		writeSnapshotOf(s, w, kind, f64)
-		return
-	}
-	writeSnapshotOf(s, w, kind, i64)
+	write(w)
 }
 
 // writeSnapshotOf streams one kind-typed snapshot export: exact
 // Content-Length up front (EncodedSize), then the incremental
-// CRC-chunked encoding — the dataset is never buffered whole.
-func writeSnapshotOf[K snapshot.FixedKey](s *Server, w http.ResponseWriter, kind string, shards [][]K) {
+// CRC-chunked encoding — the dataset is never buffered whole. The
+// stream's header names the key type.
+func writeSnapshotOf[K parselclient.Key](s *Server, w http.ResponseWriter, shards [][]K) {
 	h := snapshot.Header{Options: s.optionsFP}
 	w.Header().Set("Content-Type", parselclient.ContentTypeFrame)
 	w.Header().Set("Content-Length", strconv.FormatInt(snapshot.EncodedSize(h, shards), 10))
-	if kind != parselclient.KeyKindInt64 {
-		w.Header().Set(parselclient.KindHeader, kind)
-	}
 	w.WriteHeader(http.StatusOK)
 	_, _ = snapshot.WriteTo(w, h, shards)
 }
@@ -682,19 +593,11 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request, id s
 		return
 	}
 	for i := range qm.Queries {
-		if k := qm.Queries[i].KeyKind; k != "" && k != e.kind {
+		if k := qm.Queries[i].KeyKind; k != "" && k != e.ds.kind() {
 			s.writeRequestError(w, parseErrf(parselclient.CodeBadKind,
-				"dataset %q holds %s keys; query %d asked for %s", id, e.kind, i, k))
+				"dataset %q holds %s keys; query %d asked for %s", id, e.ds.kind(), i, k))
 			return
 		}
 	}
-
-	switch ds := e.ds.(type) {
-	case *parsel.Dataset[float64]:
-		runQueries(s, w, r, start, qm.TimeoutMS, ds, nil, qs, batch)
-	case *parsel.Dataset[string]:
-		runQueries(s, w, r, start, qm.TimeoutMS, ds, nil, qs, batch)
-	default:
-		runQueries(s, w, r, start, qm.TimeoutMS, e.ds.(*parsel.Dataset[int64]), nil, qs, batch)
-	}
+	e.ds.query(s, w, r, start, qm.TimeoutMS, qs, batch)
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"os"
@@ -368,10 +369,11 @@ func TestDaemonFloat64DifferentialE2E(t *testing.T) {
 	}
 }
 
-// TestDaemonStringDatasetE2E drives the serve-only string kind through
-// uploads, the full query surface and QueryMany, against a sorted
-// oracle. A Binary client exercises the server's refusal to frame
-// variable-width keys: responses must silently fall back to JSON.
+// TestDaemonStringDatasetE2E drives the string kind through uploads,
+// the full query surface and QueryMany, against a sorted oracle. A
+// Binary client uploads string frames, and exercises the server's
+// refusal to frame variable-width results: responses must silently
+// fall back to JSON.
 func TestDaemonStringDatasetE2E(t *testing.T) {
 	shapes := e2eShapes()
 	if testing.Short() {
@@ -542,9 +544,10 @@ func TestDaemonKindStorm(t *testing.T) {
 
 // TestSnapshotKindRestart is the multi-kind durability contract: a
 // daemon holding int64, float64 and string datasets drains; the
-// restarted daemon must recover both fixed-width kinds bit-identically,
-// refuse the string dataset (serve-only, never persisted), and skip —
-// not quarantine — a manifest entry whose key_type it cannot restore.
+// restarted daemon must recover all three bit-identically — values and
+// simulated seconds — and skip, not quarantine, a manifest entry whose
+// key type disagrees with its file or names a kind the daemon does not
+// have.
 func TestSnapshotKindRestart(t *testing.T) {
 	dir := t.TempDir()
 	po := parsel.PoolOptions{MaxMachines: 4}
@@ -552,7 +555,7 @@ func TestSnapshotKindRestart(t *testing.T) {
 
 	ints := [][]int64{{9, 2, 5}, {7, 1}}
 	floats := [][]float64{{2.5, 8.25}, {0.125, 7.75, 3.5}}
-	strs := [][]string{{"pear", "apple"}, {"mango"}}
+	strs := [][]string{{"pear", "apple"}, {"mango", "", "\xff"}}
 
 	d1 := newDaemon(t, parsel.Options{}, po, serve.Options{SnapshotDir: dir})
 	if _, err := d1.client.Dataset("ki").Upload(ctx, ints); err != nil {
@@ -568,18 +571,22 @@ func TestSnapshotKindRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sd1 := parselclient.Keyed[string](d1.client).Dataset("ks")
+	smed, err := sd1.Median(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ssel, err := sd1.Select(ctx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d1.server.Drain()
 	d1.close()
 
-	// The string dataset must have left nothing on disk.
-	if _, err := os.Stat(filepath.Join(dir, "ks.snap")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("string snapshot on disk: %v", err)
-	}
-
 	d2 := newDaemon(t, parsel.Options{}, po, serve.Options{SnapshotDir: dir})
 	st := d2.server.Stats()
-	if st.Snapshots.Restored != 2 || st.Snapshots.Quarantined != 0 {
-		t.Fatalf("recovery: %+v, want 2 restored, 0 quarantined", st.Snapshots)
+	if st.Snapshots.Restored != 3 || st.Snapshots.Quarantined != 0 {
+		t.Fatalf("recovery: %+v, want 3 restored, 0 quarantined", st.Snapshots)
 	}
 	got, err := parselclient.Keyed[float64](d2.client).Dataset("kf").Median(ctx)
 	if err != nil {
@@ -592,57 +599,69 @@ func TestSnapshotKindRestart(t *testing.T) {
 	if err != nil || imed.Value != 5 {
 		t.Fatalf("restored int64 median: %v, %v; want 5", imed.Value, err)
 	}
-	if _, err := parselclient.Keyed[string](d2.client).Dataset("ks").Info(ctx); !errors.Is(err, parselclient.ErrDatasetNotFound) {
-		t.Fatalf("string dataset after restart: %v, want ErrDatasetNotFound", err)
+	sd2 := parselclient.Keyed[string](d2.client).Dataset("ks")
+	for _, c := range []struct {
+		name string
+		run  func() (parsel.Result[string], error)
+		want parsel.Result[string]
+	}{
+		{"median", func() (parsel.Result[string], error) { return sd2.Median(ctx) }, smed},
+		{"select", func() (parsel.Result[string], error) { return sd2.Select(ctx, 2) }, ssel},
+	} {
+		res, err := c.run()
+		if err != nil || res.Value != c.want.Value ||
+			math.Float64bits(res.Report.SimSeconds) != math.Float64bits(c.want.Report.SimSeconds) {
+			t.Fatalf("restored string %s: %+v, %v; want %+v", c.name, res, err, c.want)
+		}
+	}
+	if info, err := sd2.Info(ctx); err != nil || !info.Restored || info.KeyKind != parselclient.KeyKindString {
+		t.Fatalf("restored string info: %+v, %v", info, err)
 	}
 	d2.server.Drain()
 	d2.close()
 
-	// Tamper: declare the float64 manifest entry as string-kinded. The
-	// restarted daemon cannot restore it and must skip (ErrKeyType),
-	// never quarantine — the bytes on disk are intact.
+	// Tamper: rewrite the float64 entry's manifest key type. A kind
+	// whose reader meets a float64 file header, and a kind the daemon
+	// does not have, both skip (ErrKeyType), never quarantine — the
+	// bytes on disk are intact.
 	manifest := filepath.Join(dir, "manifest.json")
-	raw, err := os.ReadFile(manifest)
+	pristine, err := os.ReadFile(manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mf struct {
-		Version  int               `json:"version"`
-		Datasets []json.RawMessage `json:"datasets"`
-	}
-	if err := json.Unmarshal(raw, &mf); err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range mf.Datasets {
-		var m map[string]any
-		if err := json.Unmarshal(e, &m); err != nil {
+	for _, keyType := range []string{"string", "int32"} {
+		var mf struct {
+			Version  int              `json:"version"`
+			Datasets []map[string]any `json:"datasets"`
+		}
+		if err := json.Unmarshal(pristine, &mf); err != nil {
 			t.Fatal(err)
 		}
-		if m["id"] == "kf" {
-			m["key_type"] = "string"
-			mf.Datasets[i], err = json.Marshal(m)
-			if err != nil {
-				t.Fatal(err)
+		for _, m := range mf.Datasets {
+			if m["id"] == "kf" {
+				m["key_type"] = keyType
 			}
 		}
-	}
-	tampered, err := json.Marshal(mf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(manifest, tampered, 0o644); err != nil {
-		t.Fatal(err)
-	}
+		tampered, err := json.Marshal(mf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(manifest, tampered, 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-	d3 := newDaemon(t, parsel.Options{}, po, serve.Options{SnapshotDir: dir})
-	defer d3.close()
-	st3 := d3.server.Stats()
-	if st3.Snapshots.Restored != 1 || st3.Snapshots.RestoreSkipped != 1 || st3.Snapshots.Quarantined != 0 {
-		t.Fatalf("tampered recovery: %+v, want 1 restored / 1 skipped / 0 quarantined", st3.Snapshots)
-	}
-	// Skipped, not quarantined: the snapshot file survives on disk.
-	if _, err := os.Stat(filepath.Join(dir, "kf.snap")); err != nil {
-		t.Fatalf("skipped snapshot removed: %v", err)
+		d3 := newDaemon(t, parsel.Options{}, po, serve.Options{SnapshotDir: dir})
+		st3 := d3.server.Stats()
+		d3.server.Drain()
+		d3.close()
+		if st3.Snapshots.Restored != 2 || st3.Snapshots.RestoreSkipped != 1 || st3.Snapshots.Quarantined != 0 {
+			t.Fatalf("key type %q: recovery %+v, want 2 restored / 1 skipped / 0 quarantined",
+				keyType, st3.Snapshots)
+		}
+		// Skipped, not quarantined: the snapshot file survives on disk.
+		if _, err := os.Stat(filepath.Join(dir, "kf.snap")); err != nil {
+			t.Fatalf("key type %q: skipped snapshot removed: %v", keyType, err)
+		}
 	}
 }
 
@@ -894,6 +913,82 @@ func TestTenantLedgerReconcileStorm(t *testing.T) {
 	for name, ts := range st.Tenants {
 		if ts.Datasets != 0 || ts.ResidentBytes != 0 {
 			t.Fatalf("tenant %q ledger after storm: %+v, want zero gauges", name, ts)
+		}
+	}
+}
+
+// TestUploadEncodingsAgree pins one upload path and one resident-bytes
+// formula for every key kind: the same shards uploaded as JSON, through
+// a WithBinary client, and as a raw snapshot frame give equal
+// DatasetInfo, bytes included, and equal dataset and tenant rows in
+// /v1/stats.
+func TestUploadEncodingsAgree(t *testing.T) {
+	checkEncodingsAgree(t, [][]int64{{9, 2, 5}, {7, 1}})
+	checkEncodingsAgree(t, [][]float64{{2.5}, {}, {0.125, 7.75}})
+	checkEncodingsAgree(t, [][]string{{"pear", "apple"}, {"mango", "", "\xff"}})
+}
+
+func checkEncodingsAgree[K parselclient.Key](t *testing.T, shards [][]K) {
+	t.Helper()
+	ctx := context.Background()
+	kind := parselclient.KeyKindOf[K]()
+	upload := map[string]func(d *daemon) (parselclient.DatasetInfo, error){
+		"json": func(d *daemon) (parselclient.DatasetInfo, error) {
+			c := parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()), parselclient.WithToken("tok"))
+			return parselclient.Keyed[K](c).Dataset("d").Upload(ctx, shards)
+		},
+		"binary client": func(d *daemon) (parselclient.DatasetInfo, error) {
+			c := parselclient.New(d.ts.URL, parselclient.WithHTTPClient(d.ts.Client()),
+				parselclient.WithToken("tok"), parselclient.WithBinary(true))
+			return parselclient.Keyed[K](c).Dataset("d").Upload(ctx, shards)
+		},
+		"raw frame": func(d *daemon) (parselclient.DatasetInfo, error) {
+			req, err := http.NewRequest(http.MethodPut, d.ts.URL+"/v1/datasets/d",
+				bytes.NewReader(snapshot.Encode(snapshot.Header{}, shards)))
+			if err != nil {
+				return parselclient.DatasetInfo{}, err
+			}
+			req.Header.Set("Content-Type", parselclient.ContentTypeFrame)
+			req.Header.Set("Authorization", "Bearer tok")
+			res, err := d.ts.Client().Do(req)
+			if err != nil {
+				return parselclient.DatasetInfo{}, err
+			}
+			defer res.Body.Close()
+			var info parselclient.DatasetInfo
+			if res.StatusCode != http.StatusOK {
+				return info, fmt.Errorf("status %d", res.StatusCode)
+			}
+			return info, json.NewDecoder(res.Body).Decode(&info)
+		},
+	}
+	type outcome struct {
+		info     parselclient.DatasetInfo
+		datasets parselclient.DatasetStats
+		tenants  map[string]parselclient.TenantStats
+	}
+	got := make(map[string]outcome, len(upload))
+	for name, up := range upload {
+		d := newDaemon(t, parsel.Options{}, parsel.PoolOptions{MaxMachines: 2}, serve.Options{
+			Tenants: []serve.Tenant{{Name: "acme", Token: "tok"}},
+		})
+		info, err := up(d)
+		st := d.server.Stats()
+		d.close()
+		if err != nil {
+			t.Fatalf("%s %s upload: %v", kind, name, err)
+		}
+		info.ExpiresInMS = 0 // wall-clock dependent
+		got[name] = outcome{info, st.Datasets, st.Tenants}
+	}
+	want := got["json"]
+	if want.info.Bytes == 0 || want.datasets.ResidentBytes != want.info.Bytes ||
+		want.tenants["acme"].ResidentBytes != want.info.Bytes {
+		t.Fatalf("%s json upload: %+v", kind, want)
+	}
+	for name, o := range got {
+		if o.info != want.info || o.datasets != want.datasets || o.tenants["acme"] != want.tenants["acme"] {
+			t.Errorf("%s %s upload: %+v, want %+v as for JSON", kind, name, o, want)
 		}
 	}
 }

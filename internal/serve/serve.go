@@ -80,15 +80,13 @@ type usage struct {
 // Options configures a Server. Zero-valued knobs take defaults.
 type Options struct {
 	// Pool is the resident machine pool int64 queries run on, and the
-	// template for any kind pool not given explicitly. Required.
+	// template for the other kinds' pools: New builds the string pool,
+	// and the float64 pool unless PoolFloat64 is given, from Pool's
+	// options and machine count, and owns them (Close releases them).
+	// Required.
 	Pool *parsel.Pool[int64]
-	// PoolFloat64 runs float64-kinded queries. When nil, New builds
-	// one from Pool's options and machine count and owns it (Close
-	// releases it).
+	// PoolFloat64 runs float64-kinded queries; nil builds one from Pool.
 	PoolFloat64 *parsel.Pool[float64]
-	// PoolString runs string-kinded queries. When nil, New builds one
-	// from Pool's options and machine count and owns it.
-	PoolString *parsel.Pool[string]
 	// Tenants, when non-empty, turns on tenant admission: every
 	// endpoint except /healthz requires a bearer token matching one
 	// tenant, uploads charge that tenant's ledger, and /v1/stats grows
@@ -176,12 +174,12 @@ func (o Options) withDefaults() Options {
 // Server is the HTTP handler of the selection daemon. Construct with
 // New; it is safe for concurrent use.
 type Server struct {
-	opts    Options
-	pool    *parsel.Pool[int64]
-	poolF64 *parsel.Pool[float64]
-	poolStr *parsel.Pool[string]
-	// ownedClose releases the kind pools New built itself (nil-valued
-	// Options fields); Close runs them.
+	opts Options
+	pool *parsel.Pool[int64]
+	// kinds is the kind table (see kind.go): one row per key kind name.
+	kinds map[string]keyKind
+	// ownedClose releases the kind pools New built itself; Close runs
+	// them.
 	ownedClose []func()
 	// tenancy is fixed at New: whether the daemon authenticates at all.
 	// Immutable, so the admission fast path reads it lock-free;
@@ -272,8 +270,6 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:      opts,
 		pool:      opts.Pool,
-		poolF64:   opts.PoolFloat64,
-		poolStr:   opts.PoolString,
 		admit:     make(chan struct{}, opts.Pool.MaxMachines()+opts.QueueDepth),
 		datasets:  make(map[string]*dsEntry),
 		byTenant:  make(map[string]usage),
@@ -289,28 +285,18 @@ func New(opts Options) (*Server, error) {
 	if s.log == nil {
 		s.log = slog.Default()
 	}
-	// The non-int64 kind pools default to clones of the int64 pool's
-	// shape, so a daemon configured for one kind serves all three.
-	// Admission (the admit channel) is shared across kinds: it bounds
-	// requests in flight, not machines per kind.
-	if s.poolF64 == nil {
-		p, err := parsel.NewPool[float64](s.pool.Options(),
-			parsel.PoolOptions{MaxMachines: s.pool.MaxMachines()})
-		if err != nil {
-			return nil, fmt.Errorf("serve: build float64 pool: %w", err)
-		}
-		s.poolF64 = p
-		s.ownedClose = append(s.ownedClose, func() { p.Close() })
+	// The kind table. The non-int64 kind pools default to clones of the
+	// int64 pool's shape, so a daemon configured for one kind serves all
+	// three. Admission (the admit channel) is shared across kinds: it
+	// bounds requests in flight, not machines per kind.
+	f64 := opts.PoolFloat64
+	if f64 == nil {
+		f64 = ownPool[float64](s)
 	}
-	if s.poolStr == nil {
-		p, err := parsel.NewPool[string](s.pool.Options(),
-			parsel.PoolOptions{MaxMachines: s.pool.MaxMachines()})
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("serve: build string pool: %w", err)
-		}
-		s.poolStr = p
-		s.ownedClose = append(s.ownedClose, func() { p.Close() })
+	s.kinds = map[string]keyKind{
+		parselclient.KeyKindInt64:   kindOf[int64]{s.pool},
+		parselclient.KeyKindFloat64: kindOf[float64]{f64},
+		parselclient.KeyKindString:  kindOf[string]{ownPool[string](s)},
 	}
 	if len(opts.Tenants) > 0 {
 		byToken, byName, err := buildTenantMaps(opts.Tenants)
@@ -344,6 +330,18 @@ func New(opts Options) (*Server, error) {
 	}
 	s.handler = s.recoverPanics(s.handler)
 	return s, nil
+}
+
+// ownPool builds a K pool of the int64 pool's options and machine
+// count, owned by the Server (Close releases it). The int64 pool's
+// options already built a pool, so this cannot fail.
+func ownPool[K parselclient.Key](s *Server) *parsel.Pool[K] {
+	p, err := parsel.NewPool[K](s.pool.Options(), parsel.PoolOptions{MaxMachines: s.pool.MaxMachines()})
+	if err != nil {
+		panic(fmt.Sprintf("serve: build %s pool from a working pool's options: %v", parselclient.KeyKindOf[K](), err))
+	}
+	s.ownedClose = append(s.ownedClose, p.Close)
+	return p
 }
 
 // buildTenantMaps validates a tenant list and builds the lookup maps:
@@ -648,7 +646,8 @@ func (s *Server) Draining() bool {
 // histogram.
 func (s *Server) Stats() parselclient.Stats {
 	pst := parselclient.PoolStats{MaxMachines: s.pool.MaxMachines()}
-	for _, ps := range []parsel.PoolStats{s.pool.Stats(), s.poolF64.Stats(), s.poolStr.Stats()} {
+	for _, k := range s.kinds {
+		ps := k.stats()
 		pst.Creates += ps.Creates
 		pst.Hits += ps.Hits
 		pst.Reshapes += ps.Reshapes
@@ -725,38 +724,20 @@ func (s *Server) queryHandler(op parsel.Op) http.HandlerFunc {
 			s.writeRequestError(w, err)
 			return
 		}
-		switch kind {
-		case parselclient.KeyKindFloat64:
-			shardQuery[float64](s, w, r, op, body, start)
-		case parselclient.KeyKindString:
-			shardQuery[string](s, w, r, op, body, start)
-		default:
-			shardQuery[int64](s, w, r, op, body, start)
-		}
+		s.kinds[kind].shardQuery(s, w, r, op, body, start)
 	}
-}
-
-// shardQuery is the kind-typed tail of a /v1/<op> query: parse the body
-// under K's schema and run it against its shards on K's pool.
-func shardQuery[K parselclient.Key](s *Server, w http.ResponseWriter, r *http.Request, op parsel.Op, body []byte, start time.Time) {
-	req, q, err := ParseRequestOf[K](op, body, s.opts.Limits)
-	if err != nil {
-		s.writeRequestError(w, err)
-		return
-	}
-	runQueries(s, w, r, start, req.TimeoutMS, nil, req.Shards, []parsel.Query{q}, false)
 }
 
 // runQueries is the one execution tail of every query endpoint: it runs
-// qs under the request's admission deadline — against the resident
-// dataset ds, or against shards on K's pool when ds is nil — and
-// answers in the negotiated encoding. A single query (/v1/<op>,
+// qs through run under the request's admission deadline — against a
+// resident dataset when onDataset is set, or against the request's
+// shards on K's pool — and answers in the negotiated encoding. A single query (/v1/<op>,
 // /query) answers its response, or its failure as an error status. A
 // batch (/querymany) fans out across workers bounded by the pool's
 // machine count and answers 200 with one result per item: per-item
 // failures carry the same stable wire codes single queries map onto
 // HTTP statuses, and one failing item never poisons the rest.
-func runQueries[K parselclient.Key](s *Server, w http.ResponseWriter, r *http.Request, start time.Time, timeoutMS int64, ds *parsel.Dataset[K], shards [][]K, qs []parsel.Query, batch bool) {
+func runQueries[K parselclient.Key](s *Server, w http.ResponseWriter, r *http.Request, start time.Time, timeoutMS int64, run func(context.Context, parsel.Query) (parsel.Answer[K], error), onDataset bool, qs []parsel.Query, batch bool) {
 	ctx, cancel := s.admissionContext(r, timeoutMS)
 	defer cancel()
 	tr := trackFrom(r.Context())
@@ -770,14 +751,9 @@ func runQueries[K parselclient.Key](s *Server, w http.ResponseWriter, r *http.Re
 	execStart := time.Now()
 	results := make([]parselclient.QueryManyResultOf[K], len(qs))
 	errs := make([]error, len(qs))
-	pool := poolOf[K](s)
 	fanout.Run(len(qs), s.pool.MaxMachines(), func(i int) {
 		var a parsel.Answer[K]
-		if ds != nil {
-			a, errs[i] = ds.Run(ctx, qs[i])
-		} else {
-			a, errs[i] = pool.Run(ctx, shards, qs[i])
-		}
+		a, errs[i] = run(ctx, qs[i])
 		if errs[i] == nil {
 			results[i].ResponseOf = responseOf(qs[i].Op, a)
 		}
@@ -806,7 +782,7 @@ func runQueries[K parselclient.Key](s *Server, w http.ResponseWriter, r *http.Re
 		agg.Messages += results[i].Report.Messages
 		agg.Bytes += results[i].Report.Bytes
 	}
-	if ds != nil {
+	if onDataset {
 		s.dsMu.Lock()
 		s.dstats.Queries += okItems
 		s.dsMu.Unlock()
@@ -855,19 +831,6 @@ func responseOf[K parselclient.Key](op parsel.Op, a parsel.Answer[K]) parselclie
 		}
 	}
 	return resp
-}
-
-// poolOf picks the Server's pool for key kind K.
-func poolOf[K parselclient.Key](s *Server) *parsel.Pool[K] {
-	var z K
-	switch any(z).(type) {
-	case float64:
-		return any(s.poolF64).(*parsel.Pool[K])
-	case string:
-		return any(s.poolStr).(*parsel.Pool[K])
-	default:
-		return any(s.pool).(*parsel.Pool[K])
-	}
 }
 
 // wantsFrame reports whether the request's Accept header asks for the

@@ -61,10 +61,10 @@ func (s *Server) initSnapshots(dir string) error {
 
 // recoverSnapshots re-registers every manifest entry; see the package
 // comment above for the skip/quarantine policy. The manifest's key
-// type picks the decode path: int64 (or a legacy manifest without the
-// field) and float64 restore through the same typed loader; any other
-// key type — there should be none, string datasets are never persisted
-// — is skipped with the typed snapshot.ErrKeyType logged.
+// type picks the kind table row that restores the entry (a legacy
+// manifest without the field reads as int64); a key type the table
+// does not hold, or a file whose header disagrees with its entry, is
+// skipped with the typed snapshot.ErrKeyType logged and the file kept.
 func (s *Server) recoverSnapshots() {
 	s.dsMu.Lock()
 	now := s.now()
@@ -95,14 +95,10 @@ func (s *Server) recoverSnapshots() {
 			continue
 		}
 		var loadErr, restoreErr error
-		switch m.KeyType {
-		case "", snapshot.KeyTypeInt64:
-			loadErr, restoreErr = recoverOne[int64](s, m)
-		case snapshot.KeyTypeFloat64:
-			loadErr, restoreErr = recoverOne[float64](s, m)
-		default:
-			loadErr = fmt.Errorf("%w: manifest declares %q keys (string datasets are serve-only, never persisted)",
-				snapshot.ErrKeyType, m.KeyType)
+		if k, ok := s.kinds[m.KeyType]; ok {
+			loadErr, restoreErr = k.recover(s, m)
+		} else {
+			loadErr = fmt.Errorf("%w: manifest declares %q keys", snapshot.ErrKeyType, m.KeyType)
 		}
 		switch {
 		case loadErr != nil:
@@ -128,22 +124,6 @@ func (s *Server) recoverSnapshots() {
 	s.snapGen.Store(maxGen)
 }
 
-// recoverOne loads and re-registers one manifest entry as K-keyed. A
-// load failure and a registration failure report separately so the
-// caller can attribute quarantines to decode faults only.
-func recoverOne[K snapshot.FixedKey](s *Server, m snapshot.Meta) (loadErr, restoreErr error) {
-	h, shards, meta, err := snapshot.LoadAs[K](s.snap, m.ID)
-	if err != nil {
-		return err, nil
-	}
-	if h.Options != s.optionsFP {
-		s.log.Warn("snapshots: dataset was persisted under different pool options; restoring anyway — values stay correct, simulated metrics follow the new configuration",
-			"id", m.ID, "options", h.Options)
-	}
-	return nil, restoreDataset[K](s, m.ID, shards, meta.Tenant,
-		time.UnixMilli(meta.ExpiresUnixMS), meta.Gen)
-}
-
 // RestoreDataset registers shards as a resident int64 dataset under id
 // with the given TTL deadline, admitting against the same
 // resident-bytes budget and count cap an upload faces — a refusal is
@@ -154,18 +134,18 @@ func recoverOne[K snapshot.FixedKey](s *Server, m snapshot.Meta) (loadErr, resto
 // from regressing newer state). Used by startup recovery; exported so
 // the admission contract is testable in isolation.
 func (s *Server) RestoreDataset(id string, shards [][]int64, expires time.Time, gen int64) error {
-	return restoreDataset(s, id, shards, "", expires, gen)
+	return restoreDataset(s, s.pool, id, shards, "", expires, gen)
 }
 
-// restoreDataset is the kind-typed core of RestoreDataset. It admits
-// through the same policy an upload faces (refusalLocked), charging
-// the owning tenant's row and checking its budget and quota when the
-// tenant is configured.
-func restoreDataset[K snapshot.FixedKey](s *Server, id string, shards [][]K, tenant string, expires time.Time, gen int64) error {
+// restoreDataset is the kind-typed core of RestoreDataset, restoring
+// onto pool. It admits through the same policy an upload faces
+// (refusalLocked), charging the owning tenant's row and checking its
+// budget and quota when the tenant is configured.
+func restoreDataset[K parselclient.Key](s *Server, pool *parsel.Pool[K], id string, shards [][]K, tenant string, expires time.Time, gen int64) error {
 	if err := checkDatasetID(id); err != nil {
 		return err
 	}
-	need := residentBytes(shards)
+	need := residentBytes[K](keyCount(shards))
 	s.dsMu.Lock()
 	if _, ok := s.datasets[id]; ok {
 		s.dsMu.Unlock()
@@ -178,7 +158,7 @@ func restoreDataset[K snapshot.FixedKey](s *Server, id string, shards [][]K, ten
 	s.chargeLocked(tenant, usage{bytes: need, datasets: 1}) // the reservation, as for an upload
 	s.dsMu.Unlock()
 
-	ds, err := poolOf[K](s).RestoreDataset(shards)
+	ds, err := pool.RestoreDataset(shards)
 
 	s.dsMu.Lock()
 	if err == nil {
@@ -197,9 +177,8 @@ func restoreDataset[K snapshot.FixedKey](s *Server, id string, shards [][]K, ten
 	// persistedExpires == expires: the deadline being registered is the
 	// one just read off disk.
 	e := &dsEntry{
-		kind: parselclient.KeyKindOf[K](), ds: ds, procs: ds.Procs(), n: ds.N(),
-		tenant: tenant, bytes: need, expires: expires, gen: gen,
-		persistedExpires: expires, restored: true,
+		ds: residentOf[K]{ds}, tenant: tenant, bytes: need, expires: expires,
+		gen: gen, persistedExpires: expires, restored: true,
 	}
 	s.datasets[id] = e
 	s.dsMu.Unlock()
@@ -278,13 +257,12 @@ func (s *Server) persistOne(id string) {
 	s.dsMu.Lock()
 	e, ok := s.datasets[id]
 	var (
-		dsAny   any
 		gen     int64
 		expires time.Time
 		tenant  string
 	)
 	if ok {
-		dsAny, gen, expires, tenant = e.ds, e.gen, e.expires, e.tenant
+		gen, expires, tenant = e.gen, e.expires, e.tenant
 	}
 	now := s.now()
 	s.dsMu.Unlock()
@@ -296,25 +274,12 @@ func (s *Server) persistOne(id string) {
 		}
 		return
 	}
-	switch ds := dsAny.(type) {
-	case *parsel.Dataset[int64]:
-		persistEntry(s, id, e, ds, gen, expires, tenant, now)
-	case *parsel.Dataset[float64]:
-		persistEntry(s, id, e, ds, gen, expires, tenant, now)
-	default:
-		// String datasets are serve-only — the snapshot format has no
-		// variable-width section — so reconcile disk by removing any
-		// file a same-id fixed-kind predecessor left behind.
-		if err := s.snap.Remove(id); err != nil {
-			s.countPersist(now, err)
-			s.log.Error("snapshots: remove failed", "id", id, "err", err.Error())
-		}
-	}
+	e.ds.persist(s, id, e, gen, expires, tenant, now)
 }
 
-// persistEntry writes one fixed-kind dataset's snapshot; the key type
-// is stamped from K by the store.
-func persistEntry[K snapshot.FixedKey](s *Server, id string, e *dsEntry, ds *parsel.Dataset[K], gen int64, expires time.Time, tenant string, now time.Time) {
+// persistEntry writes one dataset's snapshot; the key type is stamped
+// from K by the store.
+func persistEntry[K parselclient.Key](s *Server, id string, e *dsEntry, ds *parsel.Dataset[K], gen int64, expires time.Time, tenant string, now time.Time) {
 	shards, err := ds.View()
 	if err != nil {
 		// Replaced or deleted between the registry read and here; that
@@ -414,14 +379,11 @@ func (s *Server) drainSnapshots() {
 		now := s.now()
 		metas := make([]snapshot.Meta, 0, len(s.datasets))
 		for id, e := range s.datasets {
-			if e.kind == parselclient.KeyKindString {
-				continue // serve-only: nothing on disk to refresh
-			}
 			metas = append(metas, snapshot.Meta{
 				ID:            id,
-				KeyType:       e.kind,
-				Procs:         e.procs,
-				N:             e.n,
+				KeyType:       e.ds.kind(),
+				Procs:         e.ds.Procs(),
+				N:             e.ds.N(),
 				Bytes:         e.bytes,
 				Gen:           e.gen,
 				ExpiresUnixMS: e.expires.UnixMilli(),

@@ -101,7 +101,7 @@ func EncodeFrame(entries []FrameEntry) []byte {
 	return buf.Bytes()
 }
 
-// DecodeFrame parses one frame. Like Decode it never panics, bounds
+// DecodeFrame parses one frame. Like DecodeAs it never panics, bounds
 // every claimed length against the bytes actually present before
 // allocating, verifies every CRC, rejects trailing garbage, and on any
 // failure returns a typed error (ErrBadMagic, ErrVersion, ErrCorrupt)

@@ -105,7 +105,7 @@ func TestEncodedSize(t *testing.T) {
 func TestStreamDecoderMatchesDecode(t *testing.T) {
 	for si, shards := range testShapes {
 		data := Encode(Header{Options: "fp"}, shards)
-		wantH, want, err := Decode(data)
+		wantH, want, err := DecodeAs[int64](data)
 		if err != nil {
 			t.Fatalf("shape %d: Decode: %v", si, err)
 		}
@@ -118,7 +118,7 @@ func TestStreamDecoderMatchesDecode(t *testing.T) {
 		if dec.Header() != wantH {
 			t.Errorf("shape %d: header %+v, want %+v", si, dec.Header(), wantH)
 		}
-		got, err := dec.ReadData()
+		got, err := ReadDataAs[int64](dec)
 		if err != nil {
 			t.Fatalf("shape %d: ReadData: %v", si, err)
 		}

@@ -15,8 +15,11 @@
 //	extents  uint32 length, one uint64 shard length per processor, CRC
 //	data     uint64 length, the keys of every shard concatenated, CRC
 //
-// The header payload carries the key type (length-prefixed string, so
-// a future float64 daemon cannot silently misread an int64 snapshot),
+// An int64 key is its 8 two's-complement bytes and a float64 key its 8
+// IEEE-754 bytes; a string key is a uint32 byte length followed by the
+// bytes. The header payload carries the key type (length-prefixed
+// string, so a float64 reader cannot silently misread an int64
+// snapshot),
 // a fingerprint of the pool Options the daemon ran (informational —
 // restoring under different Options still answers queries correctly,
 // it just changes which algorithm serves them), the processor count
@@ -25,7 +28,7 @@
 // is bit-identical to the resident original: same shards, same machine
 // shape, no re-sharding.
 //
-// Decode never panics and never returns data from a corrupted,
+// Decoding never panics and never returns data from a corrupted,
 // truncated or bit-flipped file: every section is length-bounded
 // against the bytes actually present before anything is allocated,
 // CRCs are verified per section, and trailing garbage is an error.
@@ -45,7 +48,7 @@ import (
 	"math"
 )
 
-// Typed decode failures. Every Decode error matches exactly one of
+// Typed decode failures. Every decode error matches exactly one of
 // these under errors.Is.
 var (
 	// ErrBadMagic: the bytes are not a parsel snapshot at all.
@@ -65,17 +68,14 @@ const (
 	magic = "PSELSNAP"
 	// Version is the current format version Encode writes.
 	Version = 1
-	// KeyTypeInt64 and KeyTypeFloat64 are the fixed-width key types
-	// this package encodes; both use the same 8-byte flat data section
-	// (float64 keys are stored as their IEEE-754 bit patterns), so the
-	// header's key-type field is what keeps a float64 daemon from
-	// silently misreading an int64 snapshot and vice versa.
+	// KeyTypeInt64 and KeyTypeFloat64 are the fixed-width key types;
+	// both use 8 bytes a key (float64 keys are stored as their IEEE-754
+	// bit patterns), so the header's key-type field is what keeps a
+	// float64 reader from silently misreading an int64 snapshot and vice
+	// versa. KeyTypeString keys are length-prefixed byte strings.
 	KeyTypeInt64   = "int64"
 	KeyTypeFloat64 = "float64"
-	// KeyTypeString names the daemon's variable-width key kind. It is
-	// never encoded — string datasets are serve-only — and exists so
-	// refusals can name the kind in the ErrKeyType they carry.
-	KeyTypeString = "string"
+	KeyTypeString  = "string"
 
 	// maxHeaderLen bounds the header section so a corrupt length field
 	// cannot drive a huge allocation before the CRC is checked.
@@ -88,25 +88,43 @@ const (
 // castagnoli is the CRC-32C table shared by every section checksum.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// FixedKey is the set of key types with a fixed 8-byte encoding — the
-// kinds the snapshot format can hold. Strings are deliberately absent:
-// string datasets are serve-only.
+// Key is the set of key types a snapshot can hold.
+type Key interface {
+	int64 | float64 | string
+}
+
+// FixedKey is the subset of Key with a fixed 8-byte encoding.
 type FixedKey interface {
 	int64 | float64
 }
 
 // KeyTypeFor returns the header key-type name for K.
-func KeyTypeFor[K FixedKey]() string {
+func KeyTypeFor[K Key]() string {
 	var z K
-	if _, ok := any(z).(float64); ok {
+	switch any(z).(type) {
+	case float64:
 		return KeyTypeFloat64
+	case string:
+		return KeyTypeString
+	default:
+		return KeyTypeInt64
 	}
-	return KeyTypeInt64
 }
 
-// appendKeyBits appends the 8-byte little-endian encodings of keys:
-// int64 as its two's-complement bits, float64 as its IEEE-754 bits.
-func appendKeyBits[K FixedKey](buf []byte, keys []K) []byte {
+// minKeyBytes is the fewest data-section bytes one key of the named
+// type occupies: 8 for the fixed-width types, the 4-byte length prefix
+// of an empty string.
+func minKeyBytes(keyType string) int64 {
+	if keyType == KeyTypeString {
+		return 4
+	}
+	return 8
+}
+
+// appendKeys appends the data-section encodings of keys: int64 as its
+// two's-complement bits, float64 as its IEEE-754 bits, string as a
+// uint32 byte length and the bytes.
+func appendKeys[K Key](buf []byte, keys []K) []byte {
 	switch ks := any(keys).(type) {
 	case []int64:
 		for _, k := range ks {
@@ -116,13 +134,41 @@ func appendKeyBits[K FixedKey](buf []byte, keys []K) []byte {
 		for _, k := range ks {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(k))
 		}
+	case []string:
+		for _, k := range ks {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(k)))
+			buf = append(buf, k...)
+		}
 	}
 	return buf
 }
 
+// dataSize counts the keys of shards and the data section's payload
+// bytes: 8 a fixed-width key, 4 plus its length a string key. A string
+// longer than a uint32 can count is an error.
+func dataSize[K Key](shards [][]K) (n, size int64, err error) {
+	for _, sh := range shards {
+		n += int64(len(sh))
+	}
+	ss, ok := any(shards).([][]string)
+	if !ok {
+		return n, 8 * n, nil
+	}
+	size = 4 * n
+	for _, sh := range ss {
+		for _, k := range sh {
+			if int64(len(k)) > math.MaxUint32 {
+				return n, 0, fmt.Errorf("snapshot: string key of %d bytes exceeds the 4 GiB key limit", len(k))
+			}
+			size += int64(len(k))
+		}
+	}
+	return n, size, nil
+}
+
 // decodeKeyBits fills dst from len(dst) consecutive 8-byte encodings in
-// src, the inverse of appendKeyBits.
-func decodeKeyBits[K FixedKey](dst []K, src []byte) {
+// src, the inverse of appendKeys for the fixed-width types.
+func decodeKeyBits[K Key](dst []K, src []byte) {
 	switch ds := any(dst).(type) {
 	case []int64:
 		for i := range ds {
@@ -137,8 +183,8 @@ func decodeKeyBits[K FixedKey](dst []K, src []byte) {
 
 // Header describes one snapshot independent of its key data.
 type Header struct {
-	// KeyType names the element type of the shards (KeyTypeInt64 or
-	// KeyTypeFloat64).
+	// KeyType names the element type of the shards (KeyTypeInt64,
+	// KeyTypeFloat64 or KeyTypeString).
 	KeyType string
 	// Options fingerprints the pool configuration the snapshot was
 	// taken under (informational; see the package comment).
@@ -156,10 +202,10 @@ type Header struct {
 // caller's slices are only read. Header.KeyType, Procs and N are
 // derived from the arguments (the key type from K); only Options is
 // taken from h.
-func WriteTo[K FixedKey](w io.Writer, h Header, shards [][]K) (int64, error) {
-	var n int64
-	for _, sh := range shards {
-		n += int64(len(sh))
+func WriteTo[K Key](w io.Writer, h Header, shards [][]K) (int64, error) {
+	n, size, err := dataSize(shards)
+	if err != nil {
+		return 0, err
 	}
 
 	hdr := make([]byte, 0, 64)
@@ -185,14 +231,14 @@ func WriteTo[K FixedKey](w io.Writer, h Header, shards [][]K) (int64, error) {
 	bw.Write(ext)
 	writeU32(bw, crc32.Checksum(ext, castagnoli))
 
-	writeU64(bw, uint64(8*n))
+	writeU64(bw, uint64(size))
 	const chunkKeys = 8192
 	buf := make([]byte, 0, 8*chunkKeys)
 	sum := uint32(0)
 	for _, sh := range shards {
 		for off := 0; off < len(sh); off += chunkKeys {
 			end := min(off+chunkKeys, len(sh))
-			buf = appendKeyBits(buf[:0], sh[off:end])
+			buf = appendKeys(buf[:0], sh[off:end])
 			sum = crc32.Update(sum, castagnoli, buf)
 			bw.Write(buf)
 		}
@@ -207,7 +253,7 @@ func WriteTo[K FixedKey](w io.Writer, h Header, shards [][]K) (int64, error) {
 
 // Encode is WriteTo into a fresh byte slice, for tests and small
 // snapshots.
-func Encode[K FixedKey](h Header, shards [][]K) []byte {
+func Encode[K Key](h Header, shards [][]K) []byte {
 	var buf bytes.Buffer
 	WriteTo(&buf, h, shards) // a bytes.Buffer write cannot fail
 	return buf.Bytes()
@@ -216,17 +262,14 @@ func Encode[K FixedKey](h Header, shards [][]K) []byte {
 // EncodedSize is the exact byte length WriteTo will produce for the
 // same arguments — the Content-Length of a streaming upload, known
 // before a byte is encoded.
-func EncodedSize[K FixedKey](h Header, shards [][]K) int64 {
-	var n int64
-	for _, sh := range shards {
-		n += int64(len(sh))
-	}
+func EncodedSize[K Key](h Header, shards [][]K) int64 {
+	_, data, _ := dataSize(shards)
 	hdr := int64(2+len(KeyTypeFor[K]())) + int64(2+len(h.Options)) + 4 + 8
 	const sectionOverhead = 4 + 4  // uint32 length + uint32 CRC
 	return int64(len(magic)) + 4 + // magic + version
 		sectionOverhead + hdr + // header section
 		sectionOverhead + 8*int64(len(shards)) + // extents section
-		8 + 8*n + 4 // data section: uint64 length + keys + CRC
+		8 + data + 4 // data section: uint64 length + keys + CRC
 }
 
 // countWriter counts the bytes reaching the underlying writer.
@@ -383,10 +426,10 @@ func (sr *streamReader) u64(what string) (uint64, error) {
 // reader. Construction consumes and validates the prologue — magic,
 // version, the CRC-checked header section — so a serving layer can
 // admit an upload against its resident budget (Header.N keys are
-// coming) before ReadData streams the keys into place; nothing ever
-// materializes the whole input. Decode and the store's Load run on this
-// same decoder, so a restored snapshot and a streamed binary upload
-// share one decode path and one set of corruption guarantees.
+// coming) before ReadDataAs streams the keys into place; nothing ever
+// materializes the whole input. DecodeAs and the store's LoadAs run on
+// this same decoder, so a restored snapshot and a streamed binary
+// upload share one decode path and one set of corruption guarantees.
 //
 // maxBytes bounds every length claim and allocation. Pass the source's
 // true size when known (a file, a byte slice), or the transport's body
@@ -398,7 +441,7 @@ type StreamDecoder struct {
 }
 
 // NewStreamDecoder reads the prologue and returns a decoder ready for
-// ReadData. Failures are the same typed errors Decode returns.
+// ReadDataAs. Failures are the same typed errors DecodeAs returns.
 func NewStreamDecoder(r io.Reader, maxBytes int64) (*StreamDecoder, error) {
 	d := &StreamDecoder{sr: streamReader{r: r, budget: maxBytes}, max: maxBytes}
 	var mg [len(magic)]byte
@@ -431,14 +474,14 @@ func NewStreamDecoder(r io.Reader, maxBytes int64) (*StreamDecoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	if h.KeyType != KeyTypeInt64 && h.KeyType != KeyTypeFloat64 {
-		return nil, fmt.Errorf("%w: snapshot holds %q keys, reader decodes %q or %q",
-			ErrKeyType, h.KeyType, KeyTypeInt64, KeyTypeFloat64)
+	if h.KeyType != KeyTypeInt64 && h.KeyType != KeyTypeFloat64 && h.KeyType != KeyTypeString {
+		return nil, fmt.Errorf("%w: snapshot holds %q keys, reader decodes %q, %q or %q",
+			ErrKeyType, h.KeyType, KeyTypeInt64, KeyTypeFloat64, KeyTypeString)
 	}
 	if h.Procs < 1 || h.Procs > maxProcs {
 		return nil, fmt.Errorf("%w: header claims %d processors", ErrCorrupt, h.Procs)
 	}
-	if h.N < 0 || h.N > maxBytes/8 {
+	if h.N < 0 || h.N > maxBytes/minKeyBytes(h.KeyType) {
 		return nil, fmt.Errorf("%w: header claims %d keys within a %d-byte bound",
 			ErrCorrupt, h.N, maxBytes)
 	}
@@ -478,22 +521,19 @@ func (d *StreamDecoder) section32(name string, maxLen, wantLen int64) ([]byte, e
 	return payload, nil
 }
 
-// ReadData is ReadDataAs for int64 snapshots, the historical decode
-// path; a stream holding another key type is refused with ErrKeyType.
-func (d *StreamDecoder) ReadData() ([][]int64, error) {
-	return ReadDataAs[int64](d)
-}
-
 // ReadDataAs streams the extents and data sections, verifying the
-// per-section CRCs incrementally (fixed-size chunks, never a second
-// copy of the population) and requiring a clean end of stream. The
-// stream's key type must match K or the read is refused with
-// ErrKeyType before anything is allocated. The returned shards are
-// sliced out of a single contiguous backing array — exactly the layout
+// per-section CRCs and requiring a clean end of stream. The stream's
+// key type must match K or the read is refused with ErrKeyType before
+// anything is allocated. Fixed-width keys decode in fixed-size chunks
+// straight into place, never a second copy of the population; string
+// keys are read whole under the byte budget, CRC-checked, and only
+// then cut into substrings of one string conversion of the section
+// (one copy, no allocation per key). The returned shards are sliced out
+// of a single contiguous backing array — exactly the layout
 // parsel.Pool.RestoreDataset adopts without copying. Call it once,
 // after NewStreamDecoder. (A package-level function because Go methods
 // cannot take type parameters.)
-func ReadDataAs[K FixedKey](d *StreamDecoder) ([][]K, error) {
+func ReadDataAs[K Key](d *StreamDecoder) ([][]K, error) {
 	if want := KeyTypeFor[K](); d.h.KeyType != want {
 		return nil, fmt.Errorf("%w: snapshot holds %q keys, reader decodes %q",
 			ErrKeyType, d.h.KeyType, want)
@@ -518,11 +558,35 @@ func ReadDataAs[K FixedKey](d *StreamDecoder) ([][]K, error) {
 			ErrCorrupt, total, d.h.N)
 	}
 
-	want := 8 * d.h.N
 	claimed, err := d.sr.u64("data length")
 	if err != nil {
 		return nil, err
 	}
+	var backing []K
+	if ks, ok := any(&backing).(*[]string); ok {
+		*ks, err = d.readStrings(claimed)
+	} else {
+		backing, err = readFixed[K](d, claimed)
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	shards := make([][]K, d.h.Procs)
+	off := int64(0)
+	for i, l := range lens {
+		end := off + l
+		shards[i] = backing[off:end:end]
+		off = end
+	}
+	return shards, nil
+}
+
+// readFixed streams a fixed-width data section of claimed bytes into
+// a fresh backing array of N keys, then checks the CRC and the end of
+// the stream.
+func readFixed[K Key](d *StreamDecoder, claimed uint64) ([]K, error) {
+	want := 8 * d.h.N
 	if claimed != uint64(want) || int64(claimed) > d.sr.budget {
 		return nil, fmt.Errorf("%w: data section claims %d bytes, header needs %d",
 			ErrCorrupt, claimed, want)
@@ -543,38 +607,70 @@ func ReadDataAs[K FixedKey](d *StreamDecoder) ([][]K, error) {
 		key += keys
 		off += chunk
 	}
-	stored, err := d.sr.u32("data CRC")
-	if err != nil {
+	if err := d.finish(sum); err != nil {
 		return nil, err
 	}
+	return backing, nil
+}
+
+// readStrings reads a string data section of claimed bytes whole,
+// checks its CRC and the end of the stream, and only then cuts it into
+// N keys: substrings of one conversion of the section. The section
+// must hold exactly N length-prefixed keys.
+func (d *StreamDecoder) readStrings(claimed uint64) ([]string, error) {
+	if claimed < uint64(4*d.h.N) || claimed > uint64(d.sr.budget) {
+		return nil, fmt.Errorf("%w: data section claims %d bytes, header needs at least %d",
+			ErrCorrupt, claimed, 4*d.h.N)
+	}
+	payload := make([]byte, claimed)
+	if err := d.sr.read("data", payload); err != nil {
+		return nil, err
+	}
+	if err := d.finish(crc32.Checksum(payload, castagnoli)); err != nil {
+		return nil, err
+	}
+	all := string(payload)
+	keys := make([]string, d.h.N)
+	off := 0
+	for i := range keys {
+		if len(all)-off < 4 {
+			return nil, fmt.Errorf("%w: string key %d length truncated", ErrCorrupt, i)
+		}
+		l := int(binary.LittleEndian.Uint32(payload[off:]))
+		off += 4
+		if l > len(all)-off {
+			return nil, fmt.Errorf("%w: string key %d claims %d bytes, %d remain",
+				ErrCorrupt, i, l, len(all)-off)
+		}
+		keys[i] = all[off : off+l]
+		off += l
+	}
+	if off != len(all) {
+		return nil, fmt.Errorf("%w: %d data bytes after the last string key", ErrCorrupt, len(all)-off)
+	}
+	return keys, nil
+}
+
+// finish checks the data section's stored CRC against sum and requires
+// a clean end of stream after it.
+func (d *StreamDecoder) finish(sum uint32) error {
+	stored, err := d.sr.u32("data CRC")
+	if err != nil {
+		return err
+	}
 	if stored != sum {
-		return nil, fmt.Errorf("%w: data section CRC mismatch (stored %08x, computed %08x)",
+		return fmt.Errorf("%w: data section CRC mismatch (stored %08x, computed %08x)",
 			ErrCorrupt, stored, sum)
 	}
 	var tail [1]byte
 	switch _, err := io.ReadFull(d.sr.r, tail[:]); err {
 	case io.EOF:
-		// Clean end of stream.
+		return nil // clean end of stream
 	case nil:
-		return nil, fmt.Errorf("%w: trailing bytes after the data section", ErrCorrupt)
+		return fmt.Errorf("%w: trailing bytes after the data section", ErrCorrupt)
 	default:
-		return nil, fmt.Errorf("snapshot: read trailer: %w", err)
+		return fmt.Errorf("snapshot: read trailer: %w", err)
 	}
-
-	shards := make([][]K, d.h.Procs)
-	off := int64(0)
-	for i, l := range lens {
-		end := off + l
-		shards[i] = backing[off:end:end]
-		off = end
-	}
-	return shards, nil
-}
-
-// Decode parses one int64 snapshot held fully in memory; DecodeAs is
-// the kind-generic form.
-func Decode(data []byte) (Header, [][]int64, error) {
-	return DecodeAs[int64](data)
 }
 
 // DecodeAs parses one snapshot held fully in memory — NewStreamDecoder
@@ -585,7 +681,7 @@ func Decode(data []byte) (Header, [][]int64, error) {
 // population). On any corruption — including a key-type mismatch with
 // K — the error matches one of the typed failures and no shards are
 // returned.
-func DecodeAs[K FixedKey](data []byte) (Header, [][]K, error) {
+func DecodeAs[K Key](data []byte) (Header, [][]K, error) {
 	d, err := NewStreamDecoder(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		return Header{}, nil, err

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -19,6 +20,28 @@ var testShapes = [][][]int64{
 	{{}, {7, 7, 7}, {}, {-1, 1 << 62}},
 	{{}, {}},
 	{{-9223372036854775808, 9223372036854775807, 0}},
+}
+
+// stringTestShapes are string dataset shapes covering the payload's
+// edge cases: empty strings, non-UTF-8 bytes, empty shards, and a key
+// longer than a whole 8192-key write chunk of fixed-width keys.
+var stringTestShapes = [][][]string{
+	{{"pear", "apple"}, {"mango"}},
+	{{""}},
+	{{}, {"", "\xff\xfe", "\x00z"}, {}, {"caf\xc3\xa9", "\xc3"}},
+	{{}, {}},
+	{{"x"}, {strings.Repeat("\x80", 8*8192+1)}},
+}
+
+// manyStrings returns n distinct short keys, some of them empty.
+func manyStrings(n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		if i%7 != 0 {
+			out[i] = fmt.Sprint(i * 31)
+		}
+	}
+	return out
 }
 
 // randomShards draws a ragged random sharding.
@@ -43,7 +66,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for si, shards := range shapes {
 		t.Run(fmt.Sprintf("shape%d", si), func(t *testing.T) {
 			data := Encode(Header{Options: "alg=test seed=7"}, shards)
-			h, got, err := Decode(data)
+			h, got, err := DecodeAs[int64](data)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -79,20 +102,25 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // byte makes Decode fail with a typed error instead of returning
 // silently wrong data.
 func TestDecodeRejectsEveryBitFlip(t *testing.T) {
-	data := Encode(Header{Options: "fp"}, [][]int64{{3, 1, 4}, {}, {1, 5, 9}})
+	rejectEveryBitFlip(t, [][]int64{{3, 1, 4}, {}, {1, 5, 9}})
+	rejectEveryBitFlip(t, [][]string{{"pear", ""}, {}, {"\xff", "fig"}})
+}
+
+func rejectEveryBitFlip[K Key](t *testing.T, shards [][]K) {
+	t.Helper()
+	data := Encode(Header{Options: "fp"}, shards)
 	for off := range data {
 		mut := slices.Clone(data)
 		mut[off] ^= 0xff
-		_, shards, err := Decode(mut)
+		_, got, err := DecodeAs[K](mut)
 		if err == nil {
-			t.Fatalf("flip at offset %d of %d decoded successfully", off, len(data))
+			t.Fatalf("%s: flip at offset %d of %d decoded successfully", KeyTypeFor[K](), off, len(data))
 		}
-		if shards != nil {
-			t.Fatalf("flip at offset %d returned shards alongside error %v", off, err)
+		if got != nil {
+			t.Fatalf("%s: flip at offset %d returned shards alongside error %v", KeyTypeFor[K](), off, err)
 		}
-		if !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrVersion) &&
-			!errors.Is(err, ErrKeyType) && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("flip at offset %d: untyped error %v", off, err)
+		if !IsDecodeError(err) {
+			t.Fatalf("%s: flip at offset %d: untyped error %v", KeyTypeFor[K](), off, err)
 		}
 	}
 }
@@ -100,15 +128,21 @@ func TestDecodeRejectsEveryBitFlip(t *testing.T) {
 // TestDecodeRejectsEveryTruncation pins that no prefix of a snapshot
 // decodes: a partial write can never be mistaken for a dataset.
 func TestDecodeRejectsEveryTruncation(t *testing.T) {
-	data := Encode(Header{}, [][]int64{{2, 7, 1}, {8, 2, 8}})
+	rejectEveryTruncation(t, [][]int64{{2, 7, 1}, {8, 2, 8}})
+	rejectEveryTruncation(t, [][]string{{"kiwi", "", "\x00"}, {"plum"}})
+}
+
+func rejectEveryTruncation[K Key](t *testing.T, shards [][]K) {
+	t.Helper()
+	data := Encode(Header{}, shards)
 	for cut := 0; cut < len(data); cut++ {
-		if _, shards, err := Decode(data[:cut]); err == nil || shards != nil {
-			t.Fatalf("truncation to %d of %d bytes decoded (err %v)", cut, len(data), err)
+		if _, got, err := DecodeAs[K](data[:cut]); err == nil || got != nil {
+			t.Fatalf("%s: truncation to %d of %d bytes decoded (err %v)", KeyTypeFor[K](), cut, len(data), err)
 		}
 	}
 	// Trailing garbage is equally fatal.
-	if _, _, err := Decode(append(slices.Clone(data), 0)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("trailing byte: %v, want ErrCorrupt", err)
+	if _, _, err := DecodeAs[K](append(slices.Clone(data), 0)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("%s: trailing byte: %v, want ErrCorrupt", KeyTypeFor[K](), err)
 	}
 }
 
@@ -117,16 +151,16 @@ func TestDecodeRejectsEveryTruncation(t *testing.T) {
 func TestDecodeTypedFailures(t *testing.T) {
 	valid := Encode(Header{}, [][]int64{{1, 2}, {3}})
 
-	if _, _, err := Decode(nil); !errors.Is(err, ErrBadMagic) {
+	if _, _, err := DecodeAs[int64](nil); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("empty input: %v, want ErrBadMagic", err)
 	}
-	if _, _, err := Decode([]byte("NOTASNAPFILE")); !errors.Is(err, ErrBadMagic) {
+	if _, _, err := DecodeAs[int64]([]byte("NOTASNAPFILE")); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("alien bytes: %v, want ErrBadMagic", err)
 	}
 
 	skew := slices.Clone(valid)
 	skew[8] = 99 // the version field follows the 8-byte magic
-	if _, _, err := Decode(skew); !errors.Is(err, ErrVersion) {
+	if _, _, err := DecodeAs[int64](skew); !errors.Is(err, ErrVersion) {
 		t.Errorf("version skew: %v, want ErrVersion", err)
 	}
 
@@ -143,7 +177,91 @@ func TestDecodeTypedFailures(t *testing.T) {
 	}
 	copy(payload[idx:], "int32")
 	binary.LittleEndian.PutUint32(foreign[16+hdrLen:], crc32.Checksum(payload, castagnoli))
-	if _, _, err := Decode(foreign); !errors.Is(err, ErrKeyType) {
+	if _, _, err := DecodeAs[int64](foreign); !errors.Is(err, ErrKeyType) {
 		t.Errorf("foreign key type: %v, want ErrKeyType", err)
+	}
+}
+
+// TestStringRoundTrip pins that DecodeAs[string] inverts Encode exactly
+// on the string shapes, plus a shard of more keys than one 8192-key
+// write chunk: same shard boundaries, same bytes in every key, a
+// consistent header, a canonical re-encoding, and an exact EncodedSize.
+func TestStringRoundTrip(t *testing.T) {
+	shapes := append(slices.Clone(stringTestShapes), [][]string{manyStrings(8192 + 3), {"tail"}})
+	for si, shards := range shapes {
+		h := Header{Options: "alg=test"}
+		data := Encode(h, shards)
+		if got := EncodedSize(h, shards); got != int64(len(data)) {
+			t.Errorf("shape %d: EncodedSize %d, encoded %d bytes", si, got, len(data))
+		}
+		dh, got, err := DecodeAs[string](data)
+		if err != nil {
+			t.Fatalf("shape %d: decode: %v", si, err)
+		}
+		var n int64
+		for _, sh := range shards {
+			n += int64(len(sh))
+		}
+		if dh.KeyType != KeyTypeString || dh.Procs != len(shards) || dh.N != n {
+			t.Errorf("shape %d: header %+v", si, dh)
+		}
+		if len(got) != len(shards) {
+			t.Fatalf("shape %d: %d shards, want %d", si, len(got), len(shards))
+		}
+		for i := range shards {
+			if !slices.Equal(got[i], shards[i]) {
+				t.Errorf("shape %d shard %d differs", si, i)
+			}
+		}
+		if again := Encode(Header{Options: dh.Options}, got); !bytes.Equal(again, data) {
+			t.Errorf("shape %d: re-encoding the decoded shards changed the bytes", si)
+		}
+		// A fixed-width reader refuses the stream by its header.
+		if _, _, err := DecodeAs[int64](data); !errors.Is(err, ErrKeyType) {
+			t.Errorf("shape %d: int64 reader: %v, want ErrKeyType", si, err)
+		}
+	}
+}
+
+// replaceData swaps the data section of an encoded snapshot for
+// payload, with a matching length prefix and CRC, so the structural
+// checks inside the section (not the CRC) decide the verdict.
+func replaceData(t *testing.T, data, payload []byte) []byte {
+	t.Helper()
+	off := len(magic) + 4
+	for range 2 { // the header and extents sections
+		off += 4 + int(binary.LittleEndian.Uint32(data[off:])) + 4
+	}
+	out := slices.Clone(data[:off])
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
+	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
+}
+
+// TestStringSectionStructure pins the string payload's structural
+// checks: every key's length prefix must fit, the section must be
+// consumed exactly, it must hold at least four bytes a key, and a
+// header claiming more keys than the byte bound can carry is refused
+// before anything is read.
+func TestStringSectionStructure(t *testing.T) {
+	valid := Encode(Header{}, [][]string{{"ab", ""}}) // payload 02000000 'a' 'b' 00000000
+	if _, got, err := DecodeAs[string](replaceData(t, valid, []byte("\x02\x00\x00\x00ab\x00\x00\x00\x00"))); err != nil || got[0][0] != "ab" {
+		t.Fatalf("rebuilt valid section: %v, %q", err, got)
+	}
+	for name, payload := range map[string]string{
+		"length overrun":      "\x02\x00\x00\x00ab\x05\x00\x00\x00abcd",
+		"trailing bytes":      "\x02\x00\x00\x00ab\x00\x00\x00\x00z",
+		"under four per key":  "\x02\x00\x00",
+		"length prefix split": "\x01\x00\x00\x00a\x00\x00\x00",
+	} {
+		_, got, err := DecodeAs[string](replaceData(t, valid, []byte(payload)))
+		if !errors.Is(err, ErrCorrupt) || got != nil {
+			t.Errorf("%s: %v (shards %v), want ErrCorrupt", name, err, got)
+		}
+	}
+
+	many := Encode(Header{}, [][]string{{"", "", "", ""}, {"", ""}}) // six keys
+	if _, err := NewStreamDecoder(bytes.NewReader(many), 6*4-1); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("six keys under a 23-byte bound: %v, want ErrCorrupt", err)
 	}
 }

@@ -43,7 +43,7 @@ type Meta struct {
 	Bytes int64 `json:"bytes"`
 	// DiskBytes is the snapshot file's size.
 	DiskBytes int64 `json:"disk_bytes"`
-	// Gen is the dataset's upload generation; a Save carrying the
+	// Gen is the dataset's upload generation; a SaveAs carrying the
 	// generation already on disk skips the data rewrite, and a stale
 	// one is ignored entirely.
 	Gen int64 `json:"gen"`
@@ -55,8 +55,8 @@ type Meta struct {
 	SavedUnixMS int64 `json:"saved_unix_ms"`
 	// Options fingerprints the pool configuration at persist time.
 	Options string `json:"options"`
-	// KeyType names the dataset's key kind (KeyTypeInt64 or
-	// KeyTypeFloat64); manifests written before the field existed imply
+	// KeyType names the dataset's key kind (KeyTypeInt64,
+	// KeyTypeFloat64 or KeyTypeString); manifests written before the field existed imply
 	// KeyTypeInt64, which Open fills in.
 	KeyType string `json:"key_type,omitempty"`
 	// Tenant names the tenant the dataset's resident bytes are charged
@@ -177,18 +177,13 @@ func safeID(id string) bool {
 	return true
 }
 
-// Save is SaveAs for int64 datasets, the historical persist path.
-func (st *Store) Save(meta Meta, shards [][]int64) error {
-	return SaveAs(st, meta, shards)
-}
-
 // SaveAs persists one dataset: its snapshot file (skipped when the
 // on-disk generation already matches, so TTL refreshes don't rewrite
-// the data) and the manifest. A Save older than the manifest's
+// the data) and the manifest. A SaveAs older than the manifest's
 // generation is a no-op — a slow background persist can never regress
 // a newer state. Meta.KeyType is stamped from K. (A package-level
 // function because Go methods cannot take type parameters.)
-func SaveAs[K FixedKey](st *Store, meta Meta, shards [][]K) error {
+func SaveAs[K Key](st *Store, meta Meta, shards [][]K) error {
 	if !safeID(meta.ID) {
 		return fmt.Errorf("snapshot: unsafe dataset id %q", meta.ID)
 	}
@@ -221,7 +216,7 @@ func SaveAs[K FixedKey](st *Store, meta Meta, shards [][]K) error {
 // Remove drops a dataset from the manifest and deletes its snapshot
 // file. The file is unlinked before the manifest commits: a crash in
 // between leaves a manifest entry referencing a missing file, which
-// the next startup's Load skips and drops — self-healing — whereas
+// the next startup's LoadAs skips and drops — self-healing — whereas
 // the opposite order would orphan the file on disk forever.
 // Removing an absent id is a no-op.
 func (st *Store) Remove(id string) error {
@@ -273,24 +268,20 @@ func (st *Store) RefreshMeta(metas []Meta) error {
 	return st.writeManifestLocked()
 }
 
-// Load is LoadAs for int64 datasets, the historical restore path.
-func (st *Store) Load(id string) (Header, [][]int64, Meta, error) {
-	return LoadAs[int64](st, id)
-}
-
 // LoadAs reads and decodes one dataset's snapshot through the same
 // streaming decoder the daemon's binary uploads use (the file is never
 // materialized whole — the data section streams straight into the
 // contiguous backing RestoreDataset adopts). A missing file returns an
 // fs.ErrNotExist-matching error and drops the manifest entry (it
-// referenced nothing). An entry whose manifest key type differs from K
-// is refused with ErrKeyType without touching the file — it is the
-// reader that is mismatched, not the snapshot. A corrupt, truncated or
+// referenced nothing). An entry whose manifest or file header names a
+// key type other than K is refused with ErrKeyType and its file left in
+// place — it is the reader that is mismatched, not the snapshot. A
+// corrupt, truncated or
 // version-skewed file is quarantined — renamed to <file>.quarantined
 // so it never poisons another startup — its entry dropped, and the
 // typed decode error returned; I/O faults are reported without
 // quarantining (the file may be fine).
-func LoadAs[K FixedKey](st *Store, id string) (Header, [][]K, Meta, error) {
+func LoadAs[K Key](st *Store, id string) (Header, [][]K, Meta, error) {
 	st.mu.Lock()
 	meta, ok := st.entries[id]
 	st.mu.Unlock()
@@ -320,7 +311,7 @@ func LoadAs[K FixedKey](st *Store, id string) (Header, [][]K, Meta, error) {
 		shards, err = ReadDataAs[K](dec)
 	}
 	if err != nil {
-		if IsDecodeError(err) {
+		if IsDecodeError(err) && !errors.Is(err, ErrKeyType) {
 			st.quarantine(id, meta.File)
 			return Header{}, nil, Meta{}, err
 		}

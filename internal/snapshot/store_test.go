@@ -28,7 +28,7 @@ func meta(id string, gen int64) Meta {
 		ExpiresUnixMS: 1<<60 - 1, SavedUnixMS: 1000, Options: "fp"}
 }
 
-// TestStoreLifecycle pins Save/Load/Entries/Remove across a reopen:
+// TestStoreLifecycle pins SaveAs/LoadAs/Entries/Remove across a reopen:
 // the manifest is the durable registry, entries come back sorted, and
 // Remove deletes both the entry and its file.
 func TestStoreLifecycle(t *testing.T) {
@@ -37,10 +37,10 @@ func TestStoreLifecycle(t *testing.T) {
 
 	a := [][]int64{{3, 1}, {4}}
 	b := [][]int64{{9}, {8, 7}}
-	if err := st.Save(meta("beta", 1), b); err != nil {
+	if err := SaveAs(st, meta("beta", 1), b); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Save(meta("alpha", 2), a); err != nil {
+	if err := SaveAs(st, meta("alpha", 2), a); err != nil {
 		t.Fatal(err)
 	}
 
@@ -53,7 +53,7 @@ func TestStoreLifecycle(t *testing.T) {
 	if st.TotalDiskBytes() != entries[0].DiskBytes+entries[1].DiskBytes {
 		t.Errorf("TotalDiskBytes %d, entries sum differently", st.TotalDiskBytes())
 	}
-	h, shards, m, err := st.Load("alpha")
+	h, shards, m, err := LoadAs[int64](st, "alpha")
 	if err != nil {
 		t.Fatalf("load alpha: %v", err)
 	}
@@ -84,7 +84,7 @@ func TestStoreLifecycle(t *testing.T) {
 func TestStoreGenerationGuard(t *testing.T) {
 	dir := t.TempDir()
 	st := open(t, dir)
-	if err := st.Save(meta("x", 5), [][]int64{{1, 2, 3}}); err != nil {
+	if err := SaveAs(st, meta("x", 5), [][]int64{{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.Stat(filepath.Join(dir, "x.snap"))
@@ -96,10 +96,10 @@ func TestStoreGenerationGuard(t *testing.T) {
 	// the data was NOT rewritten).
 	m := meta("x", 5)
 	m.ExpiresUnixMS = 777777
-	if err := st.Save(m, [][]int64{{9, 9, 9, 9, 9, 9}}); err != nil {
+	if err := SaveAs(st, m, [][]int64{{9, 9, 9, 9, 9, 9}}); err != nil {
 		t.Fatal(err)
 	}
-	_, shards, got, err := st.Load("x")
+	_, shards, got, err := LoadAs[int64](st, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,18 +113,18 @@ func TestStoreGenerationGuard(t *testing.T) {
 	// Stale gen: no-op, metadata included.
 	stale := meta("x", 4)
 	stale.ExpiresUnixMS = 1
-	if err := st.Save(stale, [][]int64{{0}}); err != nil {
+	if err := SaveAs(st, stale, [][]int64{{0}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, got, _ := st.Load("x"); got.Gen != 5 || got.ExpiresUnixMS != 777777 {
+	if _, _, got, _ := LoadAs[int64](st, "x"); got.Gen != 5 || got.ExpiresUnixMS != 777777 {
 		t.Errorf("stale Save changed state: %+v", got)
 	}
 
 	// Newer gen: full rewrite.
-	if err := st.Save(meta("x", 6), [][]int64{{4, 4}}); err != nil {
+	if err := SaveAs(st, meta("x", 6), [][]int64{{4, 4}}); err != nil {
 		t.Fatal(err)
 	}
-	_, shards, _, err = st.Load("x")
+	_, shards, _, err = LoadAs[int64](st, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestStoreGenerationGuard(t *testing.T) {
 func TestStorePartialWriteInvisible(t *testing.T) {
 	dir := t.TempDir()
 	st := open(t, dir)
-	if err := st.Save(meta("live", 1), [][]int64{{5, 5}}); err != nil {
+	if err := SaveAs(st, meta("live", 1), [][]int64{{5, 5}}); err != nil {
 		t.Fatal(err)
 	}
 	// Crash artifacts: a half-written snapshot and a half-written
@@ -165,7 +165,7 @@ func TestStorePartialWriteInvisible(t *testing.T) {
 	if entries := st.Entries(); len(entries) != 1 || entries[0].ID != "live" {
 		t.Fatalf("entries: %+v", entries)
 	}
-	if _, shards, _, err := st.Load("live"); err != nil || !slices.Equal(shards[0], []int64{5, 5}) {
+	if _, shards, _, err := LoadAs[int64](st, "live"); err != nil || !slices.Equal(shards[0], []int64{5, 5}) {
 		t.Errorf("live dataset after partial-write sweep: %v %v", shards, err)
 	}
 	left, _ := filepath.Glob(filepath.Join(dir, tmpPrefix+"*"))
@@ -180,10 +180,10 @@ func TestStorePartialWriteInvisible(t *testing.T) {
 func TestStoreMissingFile(t *testing.T) {
 	dir := t.TempDir()
 	st := open(t, dir)
-	if err := st.Save(meta("gone", 1), [][]int64{{1}}); err != nil {
+	if err := SaveAs(st, meta("gone", 1), [][]int64{{1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Save(meta("here", 1), [][]int64{{2}}); err != nil {
+	if err := SaveAs(st, meta("here", 1), [][]int64{{2}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(filepath.Join(dir, "gone.snap")); err != nil {
@@ -191,7 +191,7 @@ func TestStoreMissingFile(t *testing.T) {
 	}
 
 	st = open(t, dir)
-	if _, _, _, err := st.Load("gone"); !errors.Is(err, fs.ErrNotExist) {
+	if _, _, _, err := LoadAs[int64](st, "gone"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("missing file: %v, want fs.ErrNotExist", err)
 	}
 	if entries := st.Entries(); len(entries) != 1 || entries[0].ID != "here" {
@@ -210,7 +210,7 @@ func TestStoreMissingFile(t *testing.T) {
 func TestStoreQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	st := open(t, dir)
-	if err := st.Save(meta("bad", 3), [][]int64{{8, 6, 7, 5, 3, 0, 9}}); err != nil {
+	if err := SaveAs(st, meta("bad", 3), [][]int64{{8, 6, 7, 5, 3, 0, 9}}); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "bad.snap")
@@ -223,7 +223,7 @@ func TestStoreQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, shards, _, err := st.Load("bad"); !errors.Is(err, ErrCorrupt) || shards != nil {
+	if _, shards, _, err := LoadAs[int64](st, "bad"); !errors.Is(err, ErrCorrupt) || shards != nil {
 		t.Fatalf("corrupt load: %v (shards %v), want ErrCorrupt and no data", err, shards)
 	}
 	if _, err := os.Stat(path + quarantineExt); err != nil {
@@ -267,7 +267,7 @@ func TestStoreCorruptManifest(t *testing.T) {
 				t.Errorf("manifest not quarantined: %v", err)
 			}
 			// The store is usable after the quarantine.
-			if err := st.Save(meta("fresh", 1), [][]int64{{1}}); err != nil {
+			if err := SaveAs(st, meta("fresh", 1), [][]int64{{1}}); err != nil {
 				t.Errorf("save after quarantine: %v", err)
 			}
 		})
@@ -280,7 +280,7 @@ func TestStoreCorruptManifest(t *testing.T) {
 func TestStoreOrphanSweep(t *testing.T) {
 	dir := t.TempDir()
 	st := open(t, dir)
-	if err := st.Save(meta("live", 1), [][]int64{{1}}); err != nil {
+	if err := SaveAs(st, meta("live", 1), [][]int64{{1}}); err != nil {
 		t.Fatal(err)
 	}
 	orphan := filepath.Join(dir, "ghost.snap")
@@ -298,7 +298,7 @@ func TestStoreOrphanSweep(t *testing.T) {
 	if _, err := os.Stat(orphan); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("orphan survives Open: %v", err)
 	}
-	if _, _, _, err := st.Load("live"); err != nil {
+	if _, _, _, err := LoadAs[int64](st, "live"); err != nil {
 		t.Errorf("referenced snapshot swept with the orphan: %v", err)
 	}
 }
@@ -309,10 +309,10 @@ func TestStoreOrphanSweep(t *testing.T) {
 func TestStoreRefreshMeta(t *testing.T) {
 	dir := t.TempDir()
 	st := open(t, dir)
-	if err := st.Save(meta("a", 1), [][]int64{{1}}); err != nil {
+	if err := SaveAs(st, meta("a", 1), [][]int64{{1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Save(meta("b", 2), [][]int64{{2}}); err != nil {
+	if err := SaveAs(st, meta("b", 2), [][]int64{{2}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -335,7 +335,7 @@ func TestStoreRefreshMeta(t *testing.T) {
 		t.Error("refresh invented an entry for an absent id")
 	}
 	// The refresh never touched the data files.
-	if _, shards, _, err := st.Load("a"); err != nil || !slices.Equal(shards[0], []int64{1}) {
+	if _, shards, _, err := LoadAs[int64](st, "a"); err != nil || !slices.Equal(shards[0], []int64{1}) {
 		t.Errorf("data after refresh: %v %v", shards, err)
 	}
 }
@@ -347,7 +347,7 @@ func TestStoreUnsafeIDs(t *testing.T) {
 	dir := t.TempDir()
 	st := open(t, dir)
 	for _, id := range []string{"", "a/b", "..", ".", "a b", strings.Repeat("x", 300)} {
-		if err := st.Save(meta(id, 1), [][]int64{{1}}); err == nil {
+		if err := SaveAs(st, meta(id, 1), [][]int64{{1}}); err == nil {
 			t.Errorf("Save accepted unsafe id %q", id)
 		}
 	}
@@ -363,5 +363,51 @@ func TestStoreUnsafeIDs(t *testing.T) {
 	}
 	if len(st2.Entries()) != 0 || len(warnings) == 0 {
 		t.Errorf("unsafe manifest entry survived: %+v (warnings %v)", st2.Entries(), warnings)
+	}
+}
+
+// TestStoreKeyTypes pins that every key type persists and restores
+// through the same store, with the manifest stamped from K, and that a
+// key-type disagreement — the reader against the manifest, or the file
+// header against both — is an ErrKeyType refusal that leaves the file
+// and its entry in place: the snapshot is intact, only the reader is
+// wrong.
+func TestStoreKeyTypes(t *testing.T) {
+	dir := t.TempDir()
+	st := open(t, dir)
+	words := [][]string{{"pear", ""}, {"\xff"}}
+	if err := SaveAs(st, meta("s", 1), words); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveAs(st, meta("f", 1), [][]float64{{0.5}, {-1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	st = open(t, dir)
+	h, got, m, err := LoadAs[string](st, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.KeyType != KeyTypeString || m.KeyType != KeyTypeString ||
+		!slices.Equal(got[0], words[0]) || !slices.Equal(got[1], words[1]) {
+		t.Fatalf("string load: header %+v meta %+v shards %q", h, m, got)
+	}
+
+	// The reader disagrees with the manifest.
+	if _, _, _, err := LoadAs[int64](st, "s"); !errors.Is(err, ErrKeyType) {
+		t.Errorf("int64 reader of a string entry: %v, want ErrKeyType", err)
+	}
+	// The file header disagrees with the manifest: a string snapshot
+	// under a float64 entry's file name.
+	if err := os.WriteFile(filepath.Join(dir, "f.snap"), Encode(Header{}, words), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, shards, _, err := LoadAs[float64](st, "f"); !errors.Is(err, ErrKeyType) || shards != nil {
+		t.Errorf("float64 entry holding a string file: %v (shards %v), want ErrKeyType", err, shards)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "f.snap"+quarantineExt)); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("key-type mismatch quarantined the file: %v", err)
+	}
+	if len(st.Entries()) != 2 {
+		t.Errorf("key-type mismatch dropped an entry: %+v", st.Entries())
 	}
 }

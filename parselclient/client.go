@@ -615,13 +615,12 @@ func float64sFromBits(bits []int64) []float64 {
 	return vals
 }
 
-// frameUploadBody builds the streaming binary body for a fixed-width
-// upload: the snapshot encoding flows through a pipe, never
-// materialized as one request buffer, with Content-Length declared up
-// front. Each retry attempt opens a fresh pipe, so the streaming body
+// frameUploadBody builds the streaming binary body for an upload: the
+// snapshot encoding flows through a pipe, never materialized as one
+// request buffer, with Content-Length declared up front. Each retry attempt opens a fresh pipe, so the streaming body
 // replays as safely as a buffered one. The encoded header carries the
 // key type, which the daemon treats as authoritative for the kind.
-func frameUploadBody[K snapshot.FixedKey](shards [][]K) bodyFunc {
+func frameUploadBody[K Key](shards [][]K) bodyFunc {
 	return func(context.Context) (io.Reader, int64, string, error) {
 		pr, pw := io.Pipe()
 		go func() {
@@ -635,20 +634,11 @@ func frameUploadBody[K snapshot.FixedKey](shards [][]K) bodyFunc {
 // Upload ships the shards into resident per-processor storage on the
 // daemon (PUT), replacing any dataset already under this id. This is
 // the only time the keys cross the wire. On a client built
-// WithBinary(true) the fixed-width kinds (int64, float64) stream as the
-// snapshot binary format; string shards have no frame encoding and
-// always marshal as JSON.
+// WithBinary(true) the shards stream as the snapshot binary format,
+// every kind alike; otherwise they marshal as JSON.
 func (d *RemoteDatasetOf[K]) Upload(ctx context.Context, shards [][]K) (DatasetInfo, error) {
-	var body bodyFunc
-	if d.c.binary {
-		switch sh := any(shards).(type) {
-		case [][]int64:
-			body = frameUploadBody(sh)
-		case [][]float64:
-			body = frameUploadBody(sh)
-		}
-	}
-	if body == nil {
+	body := frameUploadBody(shards)
+	if !d.c.binary {
 		data, err := json.Marshal(DatasetUploadOf[K]{KeyKind: KeyKindField[K](), Shards: shards})
 		if err != nil {
 			return DatasetInfo{}, fmt.Errorf("parselclient: encode: %w", err)
@@ -829,12 +819,11 @@ func (c *Client) Healthz(ctx context.Context) (HealthStatus, error) {
 }
 
 // DatasetSnapshot opens the binary snapshot stream of a resident
-// fixed-width dataset (GET /v1/datasets/{id}/snapshot): the same
+// dataset (GET /v1/datasets/{id}/snapshot): the same
 // PSELSNAP frame an upload or a disk snapshot carries, CRC-guarded,
 // exported without materializing the keys server-side. The caller owns
 // the returned body and must Close it. The declared length is the
-// exact encoded size (the server computes it up front). String
-// datasets have no snapshot encoding and answer bad_kind. The probe is
+// exact encoded size (the server computes it up front). The probe is
 // a single attempt — the shipping paths built on it (ShipSnapshot)
 // retry whole transfers instead, so a half-read stream is never
 // resumed mid-frame.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -48,9 +50,9 @@ type Config struct {
 
 	// Collector, when set, is installed on every per-node client (see
 	// parselclient.Collector) and additionally receives the router's own
-	// events — "cluster.failover", "cluster.ship", "cluster.reupload",
-	// "cluster.shortfall" — with a zero RetryStats delta, so client
-	// retries and router traffic shaping land in one scrapeable place.
+	// events — "cluster.failover", "cluster.ship", "cluster.shortfall" —
+	// with a zero RetryStats delta, so client retries and router traffic
+	// shaping land in one scrapeable place.
 	Collector parselclient.Collector
 
 	now func() time.Time // test hook; nil means time.Now
@@ -61,10 +63,6 @@ type Stats struct {
 	// Shipped counts node-to-node snapshot transfers (replication fills
 	// and rebalance moves). The client never touched those keys.
 	Shipped int64
-	// Reuploads counts replica fills that re-sent client-held shards
-	// over the wire — only string datasets, which have no snapshot
-	// encoding.
-	Reuploads int64
 	// Failovers counts queries answered by a replica other than the
 	// first one tried.
 	Failovers int64
@@ -89,11 +87,10 @@ type Router struct {
 	mu      sync.Mutex
 	clients map[string]*parselclient.Client
 	downAt  map[string]time.Time // node -> when marked down
-	reg     map[string]string    // placed dataset id -> key kind
+	reg     map[string]struct{}  // placed dataset ids
 	opts    []parselclient.Option
 
 	shipped    int64
-	reuploads  int64
 	failovers  int64
 	shortfalls int64
 }
@@ -137,7 +134,7 @@ func New(cfg Config, opts ...parselclient.Option) (*Router, error) {
 		log:     log,
 		clients: make(map[string]*parselclient.Client, len(cfg.Nodes)),
 		downAt:  make(map[string]time.Time),
-		reg:     make(map[string]string),
+		reg:     make(map[string]struct{}),
 		opts:    opts,
 	}
 	for _, n := range ring.Nodes() {
@@ -282,7 +279,6 @@ func (r *Router) Stats() Stats {
 	defer r.mu.Unlock()
 	s := Stats{
 		Shipped:           r.shipped,
-		Reuploads:         r.reuploads,
 		Failovers:         r.failovers,
 		ReplicaShortfalls: r.shortfalls,
 	}
@@ -297,25 +293,21 @@ func (r *Router) Stats() Stats {
 }
 
 // Datasets lists the dataset ids this Router has placed (uploaded or
-// observed via Rebalance input), with their key kinds. It is this
-// Router's memory, not cluster truth — another Router's uploads are
-// invisible until registered via Track.
-func (r *Router) Datasets() map[string]string {
+// registered via Track), sorted. It is this Router's memory, not
+// cluster truth — another Router's uploads are invisible until
+// registered via Track.
+func (r *Router) Datasets() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m := make(map[string]string, len(r.reg))
-	for k, v := range r.reg {
-		m[k] = v
-	}
-	return m
+	return slices.Sorted(maps.Keys(r.reg))
 }
 
-// Track registers a dataset id and key kind (a KeyKind constant) this
-// Router did not upload itself, so Rebalance and Delete cover it.
-func (r *Router) Track(id, kind string) {
+// Track registers a dataset id this Router did not upload itself, so
+// Rebalance and Delete cover it.
+func (r *Router) Track(id string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.reg[id] = kind
+	r.reg[id] = struct{}{}
 }
 
 func (r *Router) untrack(id string) {
@@ -453,8 +445,7 @@ func (d *Dataset[K]) remote(c *parselclient.Client) *parselclient.RemoteDatasetO
 // Upload makes the dataset resident on its replica set. The shards
 // travel the client wire once, to the first live replica in placement
 // order; the remaining replicas are filled node-to-node by snapshot
-// shipping (int64/float64) or, for string keys — which have no
-// snapshot encoding — by re-sending the shards to each replica.
+// shipping.
 //
 // A replica that is down at upload time is skipped and counted in
 // Stats.ReplicaShortfalls; Rebalance repairs the shortfall once the
@@ -462,7 +453,6 @@ func (d *Dataset[K]) remote(c *parselclient.Client) *parselclient.RemoteDatasetO
 func (d *Dataset[K]) Upload(ctx context.Context, shards [][]K) (parselclient.DatasetInfo, error) {
 	ctx = withOperationID(ctx) // one id for the landing and every replica fill
 	replicas := d.r.Place(d.id)
-	kind := parselclient.KeyKindOf[K]()
 
 	// Land the shards on the first replica that will take them.
 	var info parselclient.DatasetInfo
@@ -512,39 +502,25 @@ func (d *Dataset[K]) Upload(ctx context.Context, shards [][]K) (parselclient.Dat
 		if dst == nil { // node removed by a concurrent SetNodes
 			continue
 		}
-		var err error
-		if kind == parselclient.KeyKindString {
-			_, err = d.remote(dst).Upload(ctx, shards)
-			if err == nil {
-				d.r.bump(&d.r.reuploads)
-			} else if parselclient.Retryable(err) {
-				d.r.markDown(node, err)
-			}
-		} else {
-			src := d.r.Client(primary)
-			if src == nil {
-				// The primary left the fleet between landing and fill;
-				// the shortfall count below flags it for Rebalance.
-				break
-			}
-			_, err = src.ShipSnapshot(ctx, d.id, dst)
-			if err == nil {
-				d.r.bump(&d.r.shipped)
-			} else {
-				d.r.markShipDown(primary, node, err)
-			}
+		src := d.r.Client(primary)
+		if src == nil {
+			// The primary left the fleet between landing and fill;
+			// the shortfall count below flags it for Rebalance.
+			break
 		}
-		if err != nil {
+		if _, err := src.ShipSnapshot(ctx, d.id, dst); err != nil {
+			d.r.markShipDown(primary, node, err)
 			d.r.log.Warn("cluster: replicate failed", "dataset", d.id, "node", node, "err", err)
 			continue
 		}
+		d.r.bump(&d.r.shipped)
 		d.r.markUp(node)
 		live++
 	}
 	if live < len(replicas) {
 		d.r.bump(&d.r.shortfalls)
 	}
-	d.r.Track(d.id, kind)
+	d.r.Track(d.id)
 	return info, nil
 }
 
@@ -555,8 +531,6 @@ func (r *Router) bump(counter *int64) {
 	switch counter {
 	case &r.shipped:
 		op = "cluster.ship"
-	case &r.reuploads:
-		op = "cluster.reupload"
 	case &r.failovers:
 		op = "cluster.failover"
 	case &r.shortfalls:

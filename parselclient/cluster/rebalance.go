@@ -55,10 +55,6 @@ type RebalanceReport struct {
 	// Deleted counts surplus copies removed from nodes no longer in a
 	// dataset's replica set.
 	Deleted int
-	// Pinned lists string datasets (no snapshot encoding) whose desired
-	// placement could not be reached by shipping; their copies stay
-	// where they are. Re-upload them to move them.
-	Pinned []string
 	// Lost lists datasets with no reachable copy anywhere — nothing to
 	// ship from. They need a fresh upload.
 	Lost []string
@@ -72,9 +68,7 @@ type RebalanceReport struct {
 // snapshots node-to-node into desired replicas that lack one, and —
 // once the desired set is fully populated — deletes surplus copies
 // from nodes the ring no longer assigns. Keys never transit the
-// client. String datasets cannot ship; copies already on desired
-// nodes count, but missing ones are reported in Pinned rather than
-// filled.
+// client.
 //
 // The pass is idempotent and crash-safe: it only deletes a copy after
 // every desired replica confirms one, so interrupting it can leave
@@ -82,17 +76,9 @@ type RebalanceReport struct {
 // shortfall it created.
 func (r *Router) Rebalance(ctx context.Context) (RebalanceReport, error) {
 	var rep RebalanceReport
-	tracked := r.Datasets()
-	ids := make([]string, 0, len(tracked))
-	for id := range tracked {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
 	allNodes := r.nodes()
-	for _, id := range ids {
+	for _, id := range r.Datasets() {
 		rep.Datasets++
-		kind := tracked[id]
 		desired := r.Place(id)
 		want := make(map[string]bool, len(desired))
 		for _, n := range desired {
@@ -154,11 +140,6 @@ func (r *Router) Rebalance(ctx context.Context) (RebalanceReport, error) {
 		for _, dst := range desired {
 			if holders[dst] {
 				continue
-			}
-			if kind == parselclient.KeyKindString {
-				rep.Pinned = append(rep.Pinned, id)
-				filled = false
-				break
 			}
 			var shipErr error
 			shipped := false

@@ -13,12 +13,8 @@
 // on a p-processor coarse-grained machine scales by adding processors
 // that each own a shard of the data; serving scales the same way, with
 // datasets in place of shards and daemons in place of processors.
-//
-// String-keyed datasets are the one caveat: they have no snapshot
-// encoding (serve-only, like the daemon's own persistence), so they
-// cannot ship between nodes. Uploads replicate them by re-sending the
-// client's shards to each replica, and Rebalance pins them — they stay
-// where they are and the report names them.
+// Every key kind ships the same way: the snapshot format holds int64,
+// float64 and string keys alike.
 package cluster
 
 import (

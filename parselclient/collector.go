@@ -44,7 +44,7 @@ func NewRequestID() string { return obs.NewRequestID() }
 
 // Collector receives per-operation telemetry from a Client — the hook
 // that lands client-side retry behavior (and, via cluster.Config, the
-// router's failover/ship/reupload events) in one scrapeable place,
+// router's failover/ship/shortfall events) in one scrapeable place,
 // typically an obs.Registry owned by the embedding process.
 //
 // Implementations must be safe for concurrent use. A nil collector
@@ -57,8 +57,8 @@ type Collector interface {
 	// label space stays bounded), delta is the retry activity this one
 	// operation added to the client's cumulative RetryStats, and err is
 	// the operation's outcome. Router-level events arrive with op
-	// "cluster.failover", "cluster.ship", "cluster.reupload" or
-	// "cluster.shortfall" and a zero delta.
+	// "cluster.failover", "cluster.ship" or "cluster.shortfall" and a
+	// zero delta.
 	ClientOp(op string, delta RetryStats, err error)
 }
 

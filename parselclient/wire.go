@@ -54,7 +54,10 @@
 // draining, 500 for internal faults.
 package parselclient
 
-import "parsel"
+import (
+	"parsel"
+	"parsel/internal/snapshot"
+)
 
 // Key is the set of key kinds the daemon serves: one kind-dispatched
 // pool per kind behind a single process. int64 is the historical
@@ -80,17 +83,10 @@ const (
 // the HTTP header is then a cross-check.
 const KindHeader = "X-Parsel-Kind"
 
-// KeyKindOf returns the wire name of key kind K.
+// KeyKindOf returns the wire name of key kind K: the key type its
+// binary frames carry in their header.
 func KeyKindOf[K Key]() string {
-	var z K
-	switch any(z).(type) {
-	case float64:
-		return KeyKindFloat64
-	case string:
-		return KeyKindString
-	default:
-		return KeyKindInt64
-	}
+	return snapshot.KeyTypeFor[K]()
 }
 
 // Content types of the two wire encodings. JSON is the default and is
