@@ -35,7 +35,9 @@
 #                  then the single-selection CLI psel twice (a traced
 #                  randomized run with balancing, and a -q quantile run);
 #                  then every collective host benchmark in internal/comm
-#                  once (-benchtime 1x), so the benchmarks cannot rot; then
+#                  and the daemon's frame upload-and-persist benchmark
+#                  (BenchmarkFrameUploadPersist, internal/serve) once
+#                  (-benchtime 1x), so the benchmarks cannot rot; then
 #                  every examples/* main (~2 s), failing on a non-zero exit
 #   make bench-smoke - the benchmark module's own tests (every workload once,
 #                  with short phases, plus its compare logic). bench/ is a
@@ -95,6 +97,7 @@ smoke:
 	$(GO) run ./cmd/psel -n 65536 -p 8 -alg rand -bal modomlb -trace
 	$(GO) run ./cmd/psel -n 65536 -p 8 -q 0.9
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/comm
+	$(GO) test -run '^$$' -bench BenchmarkFrameUploadPersist -benchtime 1x ./internal/serve
 	@for ex in examples/*/; do \
 		echo "$(GO) run ./$$ex"; \
 		$(GO) run ./$$ex > /dev/null || exit 1; \

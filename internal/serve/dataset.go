@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net/http"
@@ -62,6 +61,12 @@ type dsEntry struct {
 	// restored marks a dataset recovered from a snapshot at startup
 	// rather than uploaded in this process's lifetime.
 	restored bool
+	// spool is a frame upload's snapshot file, written while it
+	// streamed in and not yet committed; nil once the persist takes it,
+	// and for JSON uploads and restores. Taken and cleared under dsMu:
+	// by the persist, which commits it, or by dropLocked, which
+	// discards it.
+	spool *snapshot.Spool
 }
 
 // info shapes the entry's wire description. The key kind travels only
@@ -141,10 +146,13 @@ func (s *Server) refusalLocked(tenant string, need int64, prev *dsEntry) (code p
 }
 
 // dropLocked removes an entry from the registry and the ledger without
-// closing its dataset. Caller holds dsMu.
+// closing its dataset, and discards its uncommitted spool: a dataset
+// that leaves before its persist never reaches disk. Caller holds dsMu.
 func (s *Server) dropLocked(id string, e *dsEntry) {
 	delete(s.datasets, id)
 	s.chargeLocked(e.tenant, usage{bytes: -e.bytes, datasets: -1})
+	e.spool.Discard()
+	e.spool = nil
 }
 
 // sweepLocked evicts every dataset whose TTL has lapsed. Caller holds
@@ -291,10 +299,13 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request, id 
 // check and the resident-bytes reservation happen up front; the keys
 // then stream in bounded chunks straight into one resident backing
 // array that RestoreDataset adopts without copying — the body is never
-// materialized whole.
+// materialized whole. The decoder reads the body unbuffered: the
+// server's connection reader already serves its small prologue reads,
+// and hands its chunk-sized data reads the socket's bytes directly,
+// where a second buffer would copy every key once more.
 func (s *Server) handleFrameUpload(w http.ResponseWriter, r *http.Request, id string) {
 	body := http.MaxBytesReader(w, r.Body, s.opts.Limits.MaxBodyBytes)
-	dec, err := snapshot.NewStreamDecoder(bufio.NewReaderSize(body, 1<<16), s.opts.Limits.MaxBodyBytes)
+	dec, err := snapshot.NewStreamDecoder(body, s.opts.Limits.MaxBodyBytes)
 	if err != nil {
 		s.writeFrameUploadError(w, err)
 		return
@@ -388,9 +399,10 @@ func (s *Server) unwindUpload(id, tenant string, need int64, replacing bool) {
 	}
 }
 
-// commitUpload installs ds under id on its reservation and answers the
-// request. The ledger already holds the dataset's bytes and slot.
-func commitUpload[K parselclient.Key](s *Server, w http.ResponseWriter, id, tenant string, ds *parsel.Dataset[K], need int64) {
+// commitUpload installs ds under id on its reservation, with the
+// upload's spool (nil for JSON) for its persist to commit, and answers
+// the request. The ledger already holds the dataset's bytes and slot.
+func commitUpload[K parselclient.Key](s *Server, w http.ResponseWriter, id, tenant string, ds *parsel.Dataset[K], need int64, sp *snapshot.Spool) {
 	s.dsMu.Lock()
 	if cur, ok := s.datasets[id]; ok {
 		// A concurrent upload of the same id committed during our copy:
@@ -402,7 +414,7 @@ func commitUpload[K parselclient.Key](s *Server, w http.ResponseWriter, id, tena
 	now := s.now()
 	e := &dsEntry{
 		ds: residentOf[K]{ds}, tenant: tenant, bytes: need,
-		expires: now.Add(s.opts.DatasetTTL), gen: s.snapGen.Add(1),
+		expires: now.Add(s.opts.DatasetTTL), gen: s.snapGen.Add(1), spool: sp,
 	}
 	s.datasets[id] = e
 	s.dstats.Uploads++

@@ -69,11 +69,12 @@ func (k kindOf[K]) upload(s *Server, w http.ResponseWriter, r *http.Request, id 
 		s.writeQueryError(w, err)
 		return
 	}
-	commitUpload(s, w, id, tenant, ds, need)
+	commitUpload(s, w, id, tenant, ds, need, nil)
 }
 
 // frameUpload reserves against the header's declared size, streams the
-// keys into resident backing, and commits.
+// keys into resident backing — spooling the verified bytes into the
+// snapshot store on the way (see spool) — and commits.
 func (k kindOf[K]) frameUpload(s *Server, w http.ResponseWriter, r *http.Request, id string, dec *snapshot.StreamDecoder) {
 	tenant := tenantOf(r)
 	need := residentBytes[K](dec.Header().N)
@@ -81,19 +82,22 @@ func (k kindOf[K]) frameUpload(s *Server, w http.ResponseWriter, r *http.Request
 	if !ok {
 		return
 	}
+	sp := s.spool(id, dec)
 	shards, err := snapshot.ReadDataAs[K](dec)
 	if err != nil {
+		sp.Discard()
 		s.unwindUpload(id, tenant, need, replacing)
 		s.writeFrameUploadError(w, err)
 		return
 	}
 	ds, err := k.pool.RestoreDataset(shards)
 	if err != nil {
+		sp.Discard()
 		s.unwindUpload(id, tenant, need, replacing)
 		s.writeQueryError(w, err)
 		return
 	}
-	commitUpload(s, w, id, tenant, ds, need)
+	commitUpload(s, w, id, tenant, ds, need, sp)
 }
 
 func (k kindOf[K]) recover(s *Server, m snapshot.Meta) (loadErr, restoreErr error) {
@@ -121,8 +125,9 @@ type resident interface {
 	kindField() string
 	// query answers a /query or /querymany batch against the dataset.
 	query(s *Server, w http.ResponseWriter, r *http.Request, start time.Time, timeoutMS int64, qs []parsel.Query, batch bool)
-	// persist saves the dataset's snapshot to the store.
-	persist(s *Server, id string, e *dsEntry, gen int64, expires time.Time, tenant string, now time.Time)
+	// save encodes the dataset as meta's snapshot (snapshot.SaveAs); a
+	// closed dataset reports parsel.ErrDatasetClosed.
+	save(st *snapshot.Store, meta snapshot.Meta) error
 	// export takes a view of the shards — under dsMu, see
 	// handleDatasetSnapshot — and returns the writer that streams it.
 	export(s *Server) (func(http.ResponseWriter), error)
@@ -140,8 +145,12 @@ func (d residentOf[K]) query(s *Server, w http.ResponseWriter, r *http.Request, 
 	runQueries(s, w, r, start, timeoutMS, d.Run, true, qs, batch)
 }
 
-func (d residentOf[K]) persist(s *Server, id string, e *dsEntry, gen int64, expires time.Time, tenant string, now time.Time) {
-	persistEntry(s, id, e, d.Dataset, gen, expires, tenant, now)
+func (d residentOf[K]) save(st *snapshot.Store, meta snapshot.Meta) error {
+	shards, err := d.View()
+	if err != nil {
+		return err
+	}
+	return snapshot.SaveAs(st, meta, shards)
 }
 
 func (d residentOf[K]) export(s *Server) (func(http.ResponseWriter), error) {

@@ -19,6 +19,15 @@ import (
 //   - Uploads mark their dataset dirty; a background snapshotter
 //     persists dirty datasets as they appear (atomic temp-file +
 //     fsync + rename writes, so a kill mid-write is invisible).
+//   - A frame upload is written to disk once: while it streams in, its
+//     CRC-verified bytes are spooled into a store temp file under the
+//     daemon's own prologue (see spool), and its persist commits that
+//     file — fsync, rename, manifest — byte-identical to an encode of
+//     the shards. A JSON upload, and a frame upload whose spool failed,
+//     is encoded from the resident shards at persist. A spool whose
+//     dataset never commits or leaves before its persist (decode
+//     error, replace, delete, eviction, stale generation) is removed;
+//     a spool that fails never fails its upload.
 //   - Deletes and TTL evictions mark the id dirty too; the
 //     snapshotter reconciles disk with the registry, removing the
 //     file of an id no longer resident.
@@ -247,24 +256,39 @@ func (s *Server) snapshotLoop() {
 
 // persistOne reconciles one id's disk state with the registry: a
 // resident dataset is saved (data rewrite skipped when its generation
-// is already on disk), an absent one has its snapshot removed.
-// Persists are serialized (snapIOMu) and each re-reads the registry
-// under the lock, so the last persist of an id always lands its
-// latest state — a stale observation can never clobber a newer one.
+// is already on disk), an absent one has its snapshot removed. A frame
+// upload's spool is committed as the snapshot; anything else — a JSON
+// upload, a failed or missing spool, a TTL refresh — is encoded from
+// the resident shards. Persists are serialized (snapIOMu) and each
+// re-reads the registry under the lock, so the last persist of an id
+// always lands its latest state — a stale observation can never
+// clobber a newer one.
 func (s *Server) persistOne(id string) {
 	s.snapIOMu.Lock()
 	defer s.snapIOMu.Unlock()
 	s.dsMu.Lock()
 	e, ok := s.datasets[id]
 	var (
-		gen     int64
+		meta    snapshot.Meta
+		sp      *snapshot.Spool
 		expires time.Time
-		tenant  string
 	)
-	if ok {
-		gen, expires, tenant = e.gen, e.expires, e.tenant
-	}
 	now := s.now()
+	if ok {
+		expires = e.expires
+		meta = snapshot.Meta{
+			ID:            id,
+			Procs:         e.ds.Procs(),
+			N:             e.ds.N(),
+			Bytes:         e.bytes,
+			Gen:           e.gen,
+			ExpiresUnixMS: expires.UnixMilli(),
+			SavedUnixMS:   now.UnixMilli(),
+			Options:       s.optionsFP,
+			Tenant:        e.tenant,
+		}
+		sp, e.spool = e.spool, nil
+	}
 	s.dsMu.Unlock()
 
 	if !ok {
@@ -274,45 +298,58 @@ func (s *Server) persistOne(id string) {
 		}
 		return
 	}
-	e.ds.persist(s, id, e, gen, expires, tenant, now)
-}
-
-// persistEntry writes one dataset's snapshot; the key type is stamped
-// from K by the store.
-func persistEntry[K parselclient.Key](s *Server, id string, e *dsEntry, ds *parsel.Dataset[K], gen int64, expires time.Time, tenant string, now time.Time) {
-	shards, err := ds.View()
-	if err != nil {
-		// Replaced or deleted between the registry read and here; that
-		// path re-marked the id dirty, so the newer state wins.
-		return
-	}
-	err = snapshot.SaveAs(s.snap, snapshot.Meta{
-		ID:            id,
-		Procs:         ds.Procs(),
-		N:             ds.N(),
-		Bytes:         ds.Bytes(),
-		Gen:           gen,
-		ExpiresUnixMS: expires.UnixMilli(),
-		SavedUnixMS:   now.UnixMilli(),
-		Options:       s.optionsFP,
-		Tenant:        tenant,
-	}, shards)
-	s.countPersist(now, err)
-	if err == nil {
-		// Record what deadline is on disk, so query-driven TTL
-		// refreshes know when a metadata re-persist is due.
-		s.dsMu.Lock()
-		if cur, ok := s.datasets[id]; ok && cur == e && cur.persistedExpires.Before(expires) {
-			cur.persistedExpires = expires
+	var err error
+	if sp != nil && sp.Err() == nil {
+		err = sp.Commit(meta)
+	} else {
+		if sp != nil {
+			s.log.Warn("snapshots: upload spool failed; encoding the dataset instead",
+				"id", id, "err", sp.Err().Error())
+			sp.Discard()
 		}
-		s.dsMu.Unlock()
+		if err = e.ds.save(s.snap, meta); errors.Is(err, parsel.ErrDatasetClosed) {
+			// Replaced or deleted between the registry read and here;
+			// that path re-marked the id dirty, so the newer state wins.
+			return
+		}
 	}
+	s.countPersist(now, err)
 	if err != nil {
 		// The dataset stays resident and serving; the next persist of
 		// this id (a later upload, or the drain flush marking every
 		// resident dataset) retries the write.
 		s.log.Error("snapshots: persist failed", "id", id, "err", err.Error())
+		return
 	}
+	// Record what deadline is on disk, so query-driven TTL refreshes
+	// know when a metadata re-persist is due.
+	s.dsMu.Lock()
+	if cur, ok := s.datasets[id]; ok && cur == e && cur.persistedExpires.Before(expires) {
+		cur.persistedExpires = expires
+	}
+	s.dsMu.Unlock()
+}
+
+// spool opens a store spool for a frame upload and points dec's
+// copy-out at it, so the stream's extents and data sections land on
+// disk as they are decoded, under a prologue carrying the daemon's own
+// Options fingerprint. It returns nil when snapshots are off or the
+// spool cannot be created; the persist then encodes the dataset, and
+// the upload goes ahead either way.
+func (s *Server) spool(id string, dec *snapshot.StreamDecoder) *snapshot.Spool {
+	if s.snap == nil {
+		return nil
+	}
+	h := dec.Header()
+	h.Options = s.optionsFP
+	sp, err := s.snap.NewSpool(h)
+	if err != nil {
+		s.log.Warn("snapshots: cannot spool upload; its persist will encode it",
+			"id", id, "err", err.Error())
+		return nil
+	}
+	dec.CopyTo(sp)
+	return sp
 }
 
 // countPersist attributes one snapshot write to the stats and drives

@@ -28,6 +28,14 @@
 // is bit-identical to the resident original: same shards, same machine
 // shape, no re-sharding.
 //
+// A snapshot file need not come from an encode. A binary upload
+// arrives in this same format, and the daemon spools it (Spool,
+// StreamDecoder.CopyTo): a fresh prologue under its own Options
+// fingerprint, then the upload's extents and data sections verbatim as
+// the decoder verifies them. Since every section's bytes are a function
+// of the decoded shards alone, the spooled file is byte-identical to
+// what WriteTo encodes for them.
+//
 // Decoding never panics and never returns data from a corrupted,
 // truncated or bit-flipped file: every section is length-bounded
 // against the bytes actually present before anything is allocated,
@@ -46,6 +54,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"unsafe"
 )
 
 // Typed decode failures. Every decode error matches exactly one of
@@ -166,6 +175,27 @@ func dataSize[K Key](shards [][]K) (n, size int64, err error) {
 	return n, size, nil
 }
 
+// littleEndian reports whether the host lays an 8-byte key out in
+// memory in the data section's byte order.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// keyBytes views fixed-width keys as their data-section bytes, which on
+// a little-endian host are exactly their memory, so a decode can read
+// the section straight into place. It returns nil for string keys, for
+// no keys, and on a big-endian host.
+func keyBytes[K Key](keys []K) []byte {
+	if !littleEndian || len(keys) == 0 {
+		return nil
+	}
+	switch ks := any(keys).(type) {
+	case []int64:
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(ks))), 8*len(ks))
+	case []float64:
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(ks))), 8*len(ks))
+	}
+	return nil
+}
+
 // decodeKeyBits fills dst from len(dst) consecutive 8-byte encodings in
 // src, the inverse of appendKeys for the fixed-width types.
 func decodeKeyBits[K Key](dst []K, src []byte) {
@@ -208,20 +238,11 @@ func WriteTo[K Key](w io.Writer, h Header, shards [][]K) (int64, error) {
 		return 0, err
 	}
 
-	hdr := make([]byte, 0, 64)
-	hdr = appendString(hdr, KeyTypeFor[K]())
-	hdr = appendString(hdr, h.Options)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(shards)))
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(n))
-
 	cw := &countWriter{w: w}
 	bw := bufio.NewWriterSize(cw, 1<<16)
-	bw.WriteString(magic)
-	writeU32(bw, Version)
-
-	writeU32(bw, uint32(len(hdr)))
-	bw.Write(hdr)
-	writeU32(bw, crc32.Checksum(hdr, castagnoli))
+	bw.Write(appendPrologue(nil, Header{
+		KeyType: KeyTypeFor[K](), Options: h.Options, Procs: len(shards), N: n,
+	}))
 
 	ext := make([]byte, 0, 8*len(shards))
 	for _, sh := range shards {
@@ -249,6 +270,22 @@ func WriteTo[K Key](w io.Writer, h Header, shards [][]K) (int64, error) {
 		return cw.n, err
 	}
 	return cw.n, nil
+}
+
+// appendPrologue appends the magic, the version and the header section
+// describing h: every byte of a snapshot before its extents section.
+func appendPrologue(b []byte, h Header) []byte {
+	hdr := make([]byte, 0, 64)
+	hdr = appendString(hdr, h.KeyType)
+	hdr = appendString(hdr, h.Options)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(h.Procs))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(h.N))
+
+	b = append(b, magic...)
+	b = binary.LittleEndian.AppendUint32(b, Version)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(hdr)))
+	b = append(b, hdr...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(hdr, castagnoli))
 }
 
 // Encode is WriteTo into a fresh byte slice, for tests and small
@@ -390,6 +427,9 @@ type streamReader struct {
 	r       io.Reader
 	budget  int64
 	scratch [8]byte
+	// copy, when set, receives every byte a read returns (see
+	// StreamDecoder.CopyTo); its write errors are its own.
+	copy io.Writer
 }
 
 func (sr *streamReader) read(what string, buf []byte) error {
@@ -404,6 +444,9 @@ func (sr *streamReader) read(what string, buf []byte) error {
 			return fmt.Errorf("%w: %s truncated", ErrCorrupt, what)
 		}
 		return fmt.Errorf("snapshot: read %s: %w", what, err)
+	}
+	if sr.copy != nil {
+		sr.copy.Write(buf)
 	}
 	return nil
 }
@@ -493,6 +536,15 @@ func NewStreamDecoder(r io.Reader, maxBytes int64) (*StreamDecoder, error) {
 // Options fingerprint, machine shape and population size.
 func (d *StreamDecoder) Header() Header { return d.h }
 
+// CopyTo makes ReadDataAs copy the extents and data sections to w
+// verbatim, length prefixes and CRCs included, as it reads them. The
+// sections' CRCs are verified as they pass, so once ReadDataAs succeeds
+// w holds exactly the bytes WriteTo encodes after its prologue for the
+// decoded shards; after a failed read w's bytes mean nothing. A failing
+// w never fails the decode: it keeps its own error. Call it after
+// NewStreamDecoder, before ReadDataAs.
+func (d *StreamDecoder) CopyTo(w io.Writer) { d.sr.copy = w }
+
 // section32 reads one uint32-length-prefixed section and verifies its
 // CRC; claims beyond maxLen, wantLen (when >= 0) or the remaining
 // budget never allocate.
@@ -524,8 +576,10 @@ func (d *StreamDecoder) section32(name string, maxLen, wantLen int64) ([]byte, e
 // ReadDataAs streams the extents and data sections, verifying the
 // per-section CRCs and requiring a clean end of stream. The stream's
 // key type must match K or the read is refused with ErrKeyType before
-// anything is allocated. Fixed-width keys decode in fixed-size chunks
-// straight into place, never a second copy of the population; string
+// anything is allocated. Fixed-width keys are read in fixed-size
+// chunks straight into the backing array's memory on a little-endian
+// host (decoded from a chunk buffer elsewhere), never a second copy of
+// the population; string
 // keys are read whole under the byte budget, CRC-checked, and only
 // then cut into substrings of one string conversion of the section
 // (one copy, no allocation per key). The returned shards are sliced out
@@ -584,7 +638,8 @@ func ReadDataAs[K Key](d *StreamDecoder) ([][]K, error) {
 
 // readFixed streams a fixed-width data section of claimed bytes into
 // a fresh backing array of N keys, then checks the CRC and the end of
-// the stream.
+// the stream. A corrupt section fails before the array is returned, so
+// bytes read into place unverified are never seen.
 func readFixed[K Key](d *StreamDecoder, claimed uint64) ([]K, error) {
 	want := 8 * d.h.N
 	if claimed != uint64(want) || int64(claimed) > d.sr.budget {
@@ -592,20 +647,30 @@ func readFixed[K Key](d *StreamDecoder, claimed uint64) ([]K, error) {
 			ErrCorrupt, claimed, want)
 	}
 	backing := make([]K, d.h.N)
-	const chunkKeys = 8192
-	buf := make([]byte, min(want, 8*chunkKeys))
+	// On a little-endian host the section's bytes are the keys' memory,
+	// so each chunk is read straight into place; elsewhere it is read
+	// into buf and decoded.
+	const chunkBytes = 8 * 8192
+	raw, buf := keyBytes(backing), []byte(nil)
+	if raw == nil {
+		buf = make([]byte, min(want, chunkBytes))
+	}
 	sum := uint32(0)
-	key := int64(0)
-	for off := int64(0); off < want; {
-		chunk := min(int64(len(buf)), want-off)
-		if err := d.sr.read("data", buf[:chunk]); err != nil {
+	for off := int64(0); off < want; off += chunkBytes {
+		end := min(off+chunkBytes, want)
+		var b []byte
+		if raw != nil {
+			b = raw[off:end]
+		} else {
+			b = buf[:end-off]
+		}
+		if err := d.sr.read("data", b); err != nil {
 			return nil, err
 		}
-		sum = crc32.Update(sum, castagnoli, buf[:chunk])
-		keys := chunk / 8
-		decodeKeyBits(backing[key:key+keys], buf[:chunk])
-		key += keys
-		off += chunk
+		sum = crc32.Update(sum, castagnoli, b)
+		if raw == nil {
+			decodeKeyBits(backing[off/8:end/8], b)
+		}
 	}
 	if err := d.finish(sum); err != nil {
 		return nil, err

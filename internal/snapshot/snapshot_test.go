@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"strings"
@@ -95,6 +96,49 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		})
 	}
 }
+
+// TestFixedDecodePaths pins that the two fixed-width decode paths —
+// reading the data section straight into the keys' memory (little-endian
+// hosts) and decoding it from a chunk buffer (big-endian hosts) — agree
+// bit for bit, NaN payloads included, over shapes that span several
+// chunks and end in a partial one.
+func TestFixedDecodePaths(t *testing.T) {
+	rng := rand.New(rand.NewPCG(24, 8))
+	ints := randomShards(rng, 3, 20011)
+	floats := make([][]float64, len(ints))
+	for i, sh := range ints {
+		floats[i] = make([]float64, len(sh))
+		for j, k := range sh {
+			floats[i][j] = math.Float64frombits(uint64(k))
+		}
+	}
+	floats[0][0] = math.Float64frombits(0x7ff8_0000_dead_beef) // a NaN payload
+	decodeBothWays(t, ints)
+	decodeBothWays(t, floats)
+}
+
+func decodeBothWays[K FixedKey](t *testing.T, shards [][]K) {
+	t.Helper()
+	data := Encode(Header{}, shards)
+	defer func(le bool) { littleEndian = le }(littleEndian)
+	var got [2][][]K
+	for i, le := range []bool{true, false} {
+		littleEndian = le
+		_, sh, err := DecodeAs[K](data)
+		if err != nil {
+			t.Fatalf("%s, little-endian path %v: %v", KeyTypeFor[K](), le, err)
+		}
+		got[i] = sh
+	}
+	for i := range shards {
+		if !slices.Equal(bitsOf(got[0][i]), bitsOf(shards[i])) || !slices.Equal(bitsOf(got[1][i]), bitsOf(shards[i])) {
+			t.Fatalf("%s shard %d: the decode paths disagree with the input", KeyTypeFor[K](), i)
+		}
+	}
+}
+
+// bitsOf is the data-section encoding of keys, for bitwise comparison.
+func bitsOf[K FixedKey](keys []K) []byte { return appendKeys(nil, keys) }
 
 // TestDecodeRejectsEveryBitFlip pins the corruption guarantee behind
 // the durability story: every byte of a snapshot is load-bearing

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Store is a directory of snapshot files plus a manifest of the live
@@ -27,6 +28,39 @@ type Store struct {
 
 	mu      sync.Mutex
 	entries map[string]Meta
+
+	// fault, when set, is consulted before each step a test may fail
+	// (see SetFault).
+	fault atomic.Pointer[func(Step) error]
+}
+
+// Step names a store operation a test can fail through SetFault.
+type Step string
+
+const (
+	// StepSpoolWrite is one write into a Spool.
+	StepSpoolWrite Step = "spool write"
+	// StepDirSync is the directory fsync that makes a rename durable.
+	StepDirSync Step = "dir sync"
+)
+
+// SetFault installs a failure seam for tests: before each step the
+// store calls f, and a non-nil result fails the step as an I/O error
+// would. A nil f removes the seam.
+func (st *Store) SetFault(f func(Step) error) {
+	if f == nil {
+		st.fault.Store(nil)
+		return
+	}
+	st.fault.Store(&f)
+}
+
+// failed reports the seam's verdict on step; nil without a seam.
+func (st *Store) failed(step Step) error {
+	if f := st.fault.Load(); f != nil {
+		return (*f)(step)
+	}
+	return nil
 }
 
 // Meta is one manifest entry: everything the daemon needs to
@@ -184,10 +218,23 @@ func safeID(id string) bool {
 // a newer state. Meta.KeyType is stamped from K. (A package-level
 // function because Go methods cannot take type parameters.)
 func SaveAs[K Key](st *Store, meta Meta, shards [][]K) error {
+	meta.KeyType = KeyTypeFor[K]()
+	return st.commit(meta, func(name string) (int64, error) {
+		// Streamed, not buffered: a near-budget dataset must not double
+		// resident memory on its way to disk.
+		return st.writeAtomicStream(name, func(w io.Writer) (int64, error) {
+			return WriteTo(w, Header{Options: meta.Options}, shards)
+		})
+	})
+}
+
+// commit is the one commit tail of SaveAs and Spool.Commit: the
+// generation guard, the data file (write lands it under name, and is
+// skipped when the generation is already on disk) and the manifest.
+func (st *Store) commit(meta Meta, write func(name string) (int64, error)) error {
 	if !safeID(meta.ID) {
 		return fmt.Errorf("snapshot: unsafe dataset id %q", meta.ID)
 	}
-	meta.KeyType = KeyTypeFor[K]()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	prev, exists := st.entries[meta.ID]
@@ -199,11 +246,7 @@ func SaveAs[K Key](st *Store, meta Meta, shards [][]K) error {
 		// Same data already on disk: metadata-only refresh.
 		meta.DiskBytes = prev.DiskBytes
 	} else {
-		// Streamed, not buffered: a near-budget dataset must not double
-		// resident memory on its way to disk.
-		size, err := st.writeAtomicStream(meta.File, func(w io.Writer) (int64, error) {
-			return WriteTo(w, Header{Options: meta.Options}, shards)
-		})
+		size, err := write(meta.File)
 		if err != nil {
 			return err
 		}
@@ -211,6 +254,95 @@ func SaveAs[K Key](st *Store, meta Meta, shards [][]K) error {
 	}
 	st.entries[meta.ID] = meta
 	return st.writeManifestLocked()
+}
+
+// Spool is a snapshot file written while its dataset streams in, so
+// the persist that follows has only to commit it: a temp file in the
+// store directory holding h's prologue, then whatever the caller
+// writes — the extents and data sections exactly as a StreamDecoder
+// reads them (StreamDecoder.CopyTo). After a successful ReadDataAs the
+// file is byte-identical to what SaveAs writes for the decoded shards.
+// The temp name carries the store's temp prefix, so a crash leaves
+// nothing Open does not sweep.
+//
+// A Spool has one owner at a time; it ends in exactly one Commit or
+// Discard.
+type Spool struct {
+	st      *Store
+	f       *os.File
+	bw      *bufio.Writer
+	keyType string
+	size    int64
+	err     error
+}
+
+// NewSpool creates a spool whose prologue describes h: its key type,
+// Options fingerprint, machine shape and population size.
+func (st *Store) NewSpool(h Header) (*Spool, error) {
+	f, err := os.CreateTemp(st.dir, tmpPrefix+"spool-*")
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: create spool: %w", err)
+	}
+	sp := &Spool{st: st, f: f, bw: bufio.NewWriterSize(f, 4096), keyType: h.KeyType}
+	sp.Write(appendPrologue(nil, h))
+	return sp, nil
+}
+
+// Write appends p to the spool. The first failure is sticky: every
+// later Write returns it, and Err reports it.
+func (sp *Spool) Write(p []byte) (int, error) {
+	if sp.err == nil {
+		sp.err = sp.st.failed(StepSpoolWrite)
+	}
+	if sp.err == nil && len(p) > sp.bw.Available() && sp.bw.Buffered() > 0 {
+		// Flush first, so the buffer does not re-copy a large write:
+		// bufio hands one that finds it empty straight to the file.
+		sp.err = sp.bw.Flush()
+	}
+	if sp.err == nil {
+		_, sp.err = sp.bw.Write(p)
+	}
+	if sp.err != nil {
+		return 0, sp.err
+	}
+	sp.size += int64(len(p))
+	return len(p), nil
+}
+
+// Err is the spool's first write failure, if any. A spool with one
+// must not be committed: its file is incomplete.
+func (sp *Spool) Err() error { return sp.err }
+
+// Commit lands the spool as meta.ID's snapshot through the same commit
+// tail as SaveAs — generation guard, fsync, rename, directory sync,
+// manifest — with Meta.KeyType stamped from the spool's prologue. The
+// temp file is removed whatever the outcome, including a stale
+// generation that leaves the newer file in place.
+func (sp *Spool) Commit(meta Meta) error {
+	defer sp.Discard()
+	if sp.err != nil {
+		return fmt.Errorf("snapshot: spool for %s: %w", meta.ID, sp.err)
+	}
+	meta.KeyType = sp.keyType
+	return sp.st.commit(meta, func(name string) (int64, error) {
+		if err := sp.bw.Flush(); err != nil {
+			return 0, fmt.Errorf("snapshot: write %s: %w", name, err)
+		}
+		f := sp.f
+		sp.f = nil // the rename consumes the temp file, or commitTemp removes it
+		return sp.size, sp.st.commitTemp(f, name)
+	})
+}
+
+// Discard removes an uncommitted spool's temp file. It is a no-op on a
+// nil or already finished spool.
+func (sp *Spool) Discard() {
+	if sp == nil || sp.f == nil {
+		return
+	}
+	sp.f.Close()
+	os.Remove(sp.f.Name())
+	sp.f = nil
 }
 
 // Remove drops a dataset from the manifest and deletes its snapshot
@@ -400,27 +532,44 @@ func (st *Store) writeAtomicStream(name string, write func(io.Writer) (int64, er
 	if err != nil {
 		return 0, fmt.Errorf("snapshot: create temp for %s: %w", name, err)
 	}
-	tmpName := tmp.Name()
 	size, err := write(tmp)
-	if err == nil {
-		err = tmp.Sync()
-	}
 	if err != nil {
 		tmp.Close()
-		os.Remove(tmpName)
+		os.Remove(tmp.Name())
 		return 0, fmt.Errorf("snapshot: write %s: %w", name, err)
+	}
+	return size, st.commitTemp(tmp, name)
+}
+
+// commitTemp makes a fully written temp file the store's file name:
+// fsync, close, rename, and the directory fsync that makes the rename
+// durable. The temp file is removed on any failure before the rename;
+// a failure after it is still reported, since the new name may not
+// survive a crash.
+func (st *Store) commitTemp(tmp *os.File, name string) error {
+	tmpName := tmp.Name()
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		os.Remove(tmpName)
+		return fmt.Errorf("snapshot: write %s: %w", name, err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmpName)
-		return 0, fmt.Errorf("snapshot: close %s: %w", name, err)
+		return fmt.Errorf("snapshot: close %s: %w", name, err)
 	}
 	if err := os.Rename(tmpName, filepath.Join(st.dir, name)); err != nil {
 		os.Remove(tmpName)
-		return 0, fmt.Errorf("snapshot: commit %s: %w", name, err)
+		return fmt.Errorf("snapshot: commit %s: %w", name, err)
 	}
-	if d, err := os.Open(st.dir); err == nil {
-		d.Sync()
+	d, err := os.Open(st.dir)
+	if err == nil {
+		if err = st.failed(StepDirSync); err == nil {
+			err = d.Sync()
+		}
 		d.Close()
 	}
-	return size, nil
+	if err != nil {
+		return fmt.Errorf("snapshot: sync directory for %s: %w", name, err)
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"errors"
 	"io/fs"
 	"os"
@@ -133,6 +134,150 @@ func TestStoreGenerationGuard(t *testing.T) {
 	}
 	if after, _ := os.Stat(filepath.Join(dir, "x.snap")); after.Size() == before.Size() {
 		t.Logf("note: sizes equal (%d), rewrite verified by content", after.Size())
+	}
+}
+
+// spoolOf streams body through a decoder whose copy-out is a fresh
+// spool under the "fp" fingerprint, as the daemon does for a frame
+// upload.
+func spoolOf(t *testing.T, st *Store, body []byte) *Spool {
+	t.Helper()
+	dec, err := NewStreamDecoder(bytes.NewReader(body), int64(len(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := dec.Header()
+	h.Options = "fp"
+	sp, err := st.NewSpool(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec.CopyTo(sp)
+	if _, err := ReadDataAs[int64](dec); err != nil {
+		t.Fatal(err)
+	}
+	return sp
+}
+
+// tempFiles lists the store's leftover temp files.
+func tempFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	m, err := filepath.Glob(filepath.Join(dir, tmpPrefix+"*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestStoreSpoolCommit pins the spool's half of the commit tail: a
+// committed spool is byte-identical to SaveAs's encode of the decoded
+// shards (the upload's own Options fingerprint replaced by the
+// store's), a stale-generation spool leaves the newer file in place,
+// an equal-generation one refreshes metadata only, and every outcome
+// removes the temp file.
+func TestStoreSpoolCommit(t *testing.T) {
+	dir := t.TempDir()
+	st := open(t, dir)
+	shards := [][]int64{{1, 2, 3}}
+	body := Encode(Header{Options: "the uploader's"}, shards)
+
+	if err := spoolOf(t, st, body).Commit(meta("x", 5)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "x.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := Encode(Header{Options: "fp"}, shards); !bytes.Equal(got, want) {
+		t.Errorf("committed spool:\n %x\nwant the encode\n %x", got, want)
+	}
+	if m, _ := st.Meta("x"); m.KeyType != KeyTypeInt64 || m.DiskBytes != int64(len(got)) {
+		t.Errorf("committed spool's entry: %+v", m)
+	}
+
+	// Newer generation by SaveAs, then a stale spool: the newer file
+	// stays and the spool's temp file goes.
+	if err := SaveAs(st, meta("x", 7), [][]int64{{4, 4}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := spoolOf(t, st, body).Commit(meta("x", 6)); err != nil {
+		t.Fatal(err)
+	}
+	_, loaded, m, err := LoadAs[int64](st, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Gen != 7 || !slices.Equal(loaded[0], []int64{4, 4}) {
+		t.Errorf("stale spool commit changed state: %+v %v", m, loaded)
+	}
+	if tmp := tempFiles(t, dir); len(tmp) != 0 {
+		t.Errorf("stale spool left %v", tmp)
+	}
+
+	// Equal generation: metadata only, temp file removed.
+	same := meta("x", 7)
+	same.ExpiresUnixMS = 4242
+	if err := spoolOf(t, st, body).Commit(same); err != nil {
+		t.Fatal(err)
+	}
+	_, loaded, m, _ = LoadAs[int64](st, "x")
+	if m.ExpiresUnixMS != 4242 || !slices.Equal(loaded[0], []int64{4, 4}) {
+		t.Errorf("equal-gen spool commit: %+v %v", m, loaded)
+	}
+
+	// A discarded spool leaves nothing either.
+	spoolOf(t, st, body).Discard()
+	if tmp := tempFiles(t, dir); len(tmp) != 0 {
+		t.Errorf("spools left %v", tmp)
+	}
+}
+
+// TestStoreFaults pins the failure seam's two steps. A failing
+// directory sync after the rename fails SaveAs and a spool commit
+// alike, so the caller cannot count a persist whose rename may not be
+// durable. A failing spool write is sticky: the spool reports it, and
+// refuses to commit.
+func TestStoreFaults(t *testing.T) {
+	dir := t.TempDir()
+	st := open(t, dir)
+	body := Encode(Header{}, [][]int64{{1, 2, 3}})
+	boom := errors.New("injected")
+	st.SetFault(func(s Step) error {
+		if s == StepDirSync {
+			return boom
+		}
+		return nil
+	})
+	if err := SaveAs(st, meta("enc", 1), [][]int64{{1}}); !errors.Is(err, boom) {
+		t.Errorf("SaveAs under a failing dir sync = %v, want the injected error", err)
+	}
+	if err := spoolOf(t, st, body).Commit(meta("spooled", 1)); !errors.Is(err, boom) {
+		t.Errorf("spool commit under a failing dir sync = %v, want the injected error", err)
+	}
+
+	st.SetFault(func(s Step) error {
+		if s == StepSpoolWrite {
+			return boom
+		}
+		return nil
+	})
+	sp := spoolOf(t, st, body)
+	if !errors.Is(sp.Err(), boom) {
+		t.Errorf("spool Err = %v, want the injected error", sp.Err())
+	}
+	if err := sp.Commit(meta("broken", 1)); !errors.Is(err, boom) {
+		t.Errorf("commit of a failed spool = %v, want the injected error", err)
+	}
+	if _, ok := st.Meta("broken"); ok {
+		t.Error("a failed spool reached the manifest")
+	}
+
+	st.SetFault(nil)
+	if err := SaveAs(st, meta("enc", 2), [][]int64{{1}}); err != nil {
+		t.Errorf("SaveAs with the seam removed: %v", err)
+	}
+	if tmp := tempFiles(t, dir); len(tmp) != 0 {
+		t.Errorf("faults left %v", tmp)
 	}
 }
 
