@@ -34,8 +34,10 @@
 #                  one on the shrunk grid with one seed (~1 s, deterministic);
 #                  then the single-selection CLI psel twice (a traced
 #                  randomized run with balancing, and a -q quantile run);
-#                  then every collective host benchmark in internal/comm
-#                  and the daemon's frame upload-and-persist benchmark
+#                  then every collective host benchmark in internal/comm,
+#                  the snapshot encoder benchmark (BenchmarkEncode,
+#                  internal/snapshot: int64, float64 and string keys) and
+#                  the daemon's frame upload-and-persist benchmark
 #                  (BenchmarkFrameUploadPersist, internal/serve) once
 #                  (-benchtime 1x), so the benchmarks cannot rot; then
 #                  every examples/* main (~2 s), failing on a non-zero exit
@@ -97,6 +99,7 @@ smoke:
 	$(GO) run ./cmd/psel -n 65536 -p 8 -alg rand -bal modomlb -trace
 	$(GO) run ./cmd/psel -n 65536 -p 8 -q 0.9
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/comm
+	$(GO) test -run '^$$' -bench BenchmarkEncode -benchtime 1x ./internal/snapshot
 	$(GO) test -run '^$$' -bench BenchmarkFrameUploadPersist -benchtime 1x ./internal/serve
 	@for ex in examples/*/; do \
 		echo "$(GO) run ./$$ex"; \

@@ -546,20 +546,24 @@ func (s *Server) handleDatasetSnapshot(w http.ResponseWriter, r *http.Request, i
 		s.writeQueryError(w, verr)
 		return
 	}
-	s.countOK()
 	write(w)
 }
 
-// writeSnapshotOf streams one kind-typed snapshot export: exact
-// Content-Length up front (EncodedSize), then the incremental
-// CRC-chunked encoding — the dataset is never buffered whole. The
+// writeSnapshotOf streams one kind-typed snapshot export through a
+// snapshot encoder: exact Content-Length up front, then the encoding
+// written piece by piece — the dataset is never buffered whole. The
 // stream's header names the key type.
 func writeSnapshotOf[K parselclient.Key](s *Server, w http.ResponseWriter, shards [][]K) {
-	h := snapshot.Header{Options: s.optionsFP}
+	rd, err := snapshot.NewReader(snapshot.Header{Options: s.optionsFP}, shards)
+	if err != nil {
+		s.writeQueryError(w, err)
+		return
+	}
+	s.countOK()
 	w.Header().Set("Content-Type", parselclient.ContentTypeFrame)
-	w.Header().Set("Content-Length", strconv.FormatInt(snapshot.EncodedSize(h, shards), 10))
+	w.Header().Set("Content-Length", strconv.FormatInt(rd.Size(), 10))
 	w.WriteHeader(http.StatusOK)
-	_, _ = snapshot.WriteTo(w, h, shards)
+	_, _ = rd.WriteTo(w)
 }
 
 // handleDatasetQuery serves POST /v1/datasets/{id}/query and, with

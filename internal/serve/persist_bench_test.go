@@ -15,22 +15,25 @@ import (
 	"parsel/parselclient"
 )
 
-// processCPU is the CPU time the process has used so far, user and
-// system, on all its threads — the background snapshotter's included.
-func processCPU() time.Duration {
+// processUsage is the CPU time the process has used so far, user and
+// system, on all its threads — the background snapshotter's included —
+// and the minor page faults it has taken.
+func processUsage() (time.Duration, int64) {
 	var ru syscall.Rusage
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
 		panic(err) // RUSAGE_SELF with a valid pointer cannot fail
 	}
-	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano()), ru.Minflt
 }
 
 // BenchmarkFrameUploadPersist measures the daemon's write path for one
 // binary upload: a 2^18-key int64 frame PUT straight into the handler
 // (no client, no socket), then FlushSnapshots, so each iteration pays
 // the decode, the resident restore and the fsync'd persist of one new
-// generation. cpu-ns/upload is the process CPU per iteration; ns/op is
-// wall time and includes the fsyncs' waits.
+// generation. cpu-ns/upload is the process CPU per iteration and
+// minflt/upload its minor page faults (first touches of fresh memory,
+// such as each upload's new backing array); ns/op is wall time and
+// includes the fsyncs' waits.
 func BenchmarkFrameUploadPersist(b *testing.B) {
 	const procs, n = 8, 1 << 18
 	rng := rand.New(rand.NewPCG(24, 1))
@@ -68,9 +71,11 @@ func BenchmarkFrameUploadPersist(b *testing.B) {
 	upload() // the first persist also creates the manifest
 	b.SetBytes(int64(len(body)))
 	b.ResetTimer()
-	cpu0 := processCPU()
+	cpu0, flt0 := processUsage()
 	for range b.N {
 		upload()
 	}
-	b.ReportMetric(float64(processCPU()-cpu0)/float64(b.N), "cpu-ns/upload")
+	cpu, flt := processUsage()
+	b.ReportMetric(float64(cpu-cpu0)/float64(b.N), "cpu-ns/upload")
+	b.ReportMetric(float64(flt-flt0)/float64(b.N), "minflt/upload")
 }

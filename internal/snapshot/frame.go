@@ -157,3 +157,27 @@ func DecodeFrame(data []byte) ([]FrameEntry, error) {
 	}
 	return entries, nil
 }
+
+// countWriter counts the bytes reaching the underlying writer.
+type countWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (cw *countWriter) Write(p []byte) (int, error) {
+	n, err := cw.w.Write(p)
+	cw.n += int64(n)
+	return n, err
+}
+
+func writeU32(w io.Writer, v uint32) {
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	w.Write(b[:])
+}
+
+func writeU64(w io.Writer, v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	w.Write(b[:])
+}

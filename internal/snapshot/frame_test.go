@@ -87,16 +87,26 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestEncodedSize pins EncodedSize against the bytes WriteTo actually
-// produces, across the shared shape catalogue — the client's streaming
-// upload declares this as its Content-Length.
+// TestEncodedSize pins Reader.Size against the bytes the encoder
+// actually produces, across the shared shape catalogue — the client's
+// streaming upload declares it as its Content-Length.
 func TestEncodedSize(t *testing.T) {
 	for si, shards := range testShapes {
 		h := Header{Options: strings.Repeat("o", si)}
-		if got, want := EncodedSize(h, shards), int64(len(Encode(h, shards))); got != want {
-			t.Errorf("shape %d: EncodedSize %d, encoded %d bytes", si, got, want)
+		if got, want := encodedSize(t, h, shards), int64(len(Encode(h, shards))); got != want {
+			t.Errorf("shape %d: Size %d, encoded %d bytes", si, got, want)
 		}
 	}
+}
+
+// encodedSize is NewReader(h, shards).Size().
+func encodedSize[K Key](t *testing.T, h Header, shards [][]K) int64 {
+	t.Helper()
+	r, err := NewReader(h, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.Size()
 }
 
 // TestStreamDecoderMatchesDecode pins that the streaming decoder and

@@ -28,13 +28,21 @@
 // is bit-identical to the resident original: same shards, same machine
 // shape, no re-sharding.
 //
+// Every encode runs through one encoder, Reader: a client's binary
+// upload pulls it as the request body, and the store's SaveAs and the
+// daemon's snapshot export have it write itself out (WriteTo and
+// Encode are shorthands for it). It knows its exact Size before a byte
+// is served, and on a little-endian host it serves int64 and float64
+// keys straight from their memory, which is already their data-section
+// encoding; string keys are staged through one reused chunk.
+//
 // A snapshot file need not come from an encode. A binary upload
 // arrives in this same format, and the daemon spools it (Spool,
 // StreamDecoder.CopyTo): a fresh prologue under its own Options
 // fingerprint, then the upload's extents and data sections verbatim as
 // the decoder verifies them. Since every section's bytes are a function
 // of the decoded shards alone, the spooled file is byte-identical to
-// what WriteTo encodes for them.
+// what Reader encodes for them.
 //
 // Decoding never panics and never returns data from a corrupted,
 // truncated or bit-flipped file: every section is length-bounded
@@ -46,7 +54,6 @@
 package snapshot
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -225,51 +232,178 @@ type Header struct {
 	N int64
 }
 
-// WriteTo streams one dataset's resident shards into w as a snapshot,
-// returning the bytes written. The data section's CRC is computed
-// incrementally over fixed-size chunks, so a near-budget dataset is
-// never materialized a second time in memory on its way to disk. The
-// caller's slices are only read. Header.KeyType, Procs and N are
-// derived from the arguments (the key type from K); only Options is
-// taken from h.
-func WriteTo[K Key](w io.Writer, h Header, shards [][]K) (int64, error) {
+// chunkBytes is the most data-section bytes the encoder hands on at
+// once: a view of fixed-width keys in place, or one fill of the staging
+// chunk.
+const chunkBytes = 1 << 16
+
+// Reader is the snapshot encoder: it serves one dataset's shards as
+// PSELSNAP bytes, through Read to a consumer that pulls (an HTTP
+// request body) or WriteTo to a writer (a file, an HTTP response). The
+// prologue, extents section and data length are built once, up front;
+// the data section follows shard by shard. On a little-endian host
+// int64 and float64 keys are served straight from their memory, which
+// already is their encoding; string keys, and fixed-width keys on a
+// big-endian host, are staged through one reused chunk of chunkBytes,
+// and a string key longer than that chunk is served in place after
+// its staged length prefix. The data CRC is computed over each piece
+// as it is emitted. The caller's slices are only read and must not
+// change until the reader is drained. A Reader is single-use.
+type Reader[K Key] struct {
+	shards [][]K
+	size   int64
+	cur    []byte // the unserved rest of the piece being emitted
+	shard  int    // shards[shard][key] is the next key to emit
+	key    int
+	long   []byte // a string key's bytes, due after its staged prefix
+	chunk  []byte // the staging buffer, allocated on first use
+	sum    uint32 // CRC-32C of the data bytes emitted so far
+	crc    [4]byte
+	ended  bool // the CRC piece has been emitted
+}
+
+// NewReader returns the encoder of shards as a snapshot.
+// Header.KeyType, Procs and N are derived from the arguments (the key
+// type from K); only Options is taken from h. A dataset the format
+// cannot hold (a string key of 4 GiB or more) fails here, before a
+// byte is served.
+func NewReader[K Key](h Header, shards [][]K) (*Reader[K], error) {
 	n, size, err := dataSize(shards)
+	if err != nil {
+		return nil, err
+	}
+	head := appendPrologue(make([]byte, 0, 96+len(h.Options)+8*len(shards)), Header{
+		KeyType: KeyTypeFor[K](), Options: h.Options, Procs: len(shards), N: n,
+	})
+	head = binary.LittleEndian.AppendUint32(head, uint32(8*len(shards)))
+	ext := len(head)
+	for _, sh := range shards {
+		head = binary.LittleEndian.AppendUint64(head, uint64(len(sh)))
+	}
+	head = binary.LittleEndian.AppendUint32(head, crc32.Checksum(head[ext:], castagnoli))
+	head = binary.LittleEndian.AppendUint64(head, uint64(size))
+	return &Reader[K]{shards: shards, size: int64(len(head)) + size + 4, cur: head}, nil
+}
+
+// Size is the exact byte length of the encoding: the Content-Length of
+// an upload or an export, known before a byte is served.
+func (r *Reader[K]) Size() int64 { return r.size }
+
+// Read serves the next bytes of the encoding, at most the rest of one
+// piece; after the last byte it returns io.EOF.
+func (r *Reader[K]) Read(p []byte) (int, error) {
+	if len(r.cur) == 0 && !r.advance() {
+		return 0, io.EOF
+	}
+	n := copy(p, r.cur)
+	r.cur = r.cur[n:]
+	return n, nil
+}
+
+// WriteTo writes the rest of the encoding to w, one piece per Write,
+// and returns the bytes written.
+func (r *Reader[K]) WriteTo(w io.Writer) (int64, error) {
+	var total int64
+	for len(r.cur) > 0 || r.advance() {
+		n, err := w.Write(r.cur)
+		total += int64(n)
+		r.cur = r.cur[n:]
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
+}
+
+// advance makes cur the next piece of the encoding: a piece of the
+// data section, then the data CRC. It reports false once the encoding
+// has ended.
+func (r *Reader[K]) advance() bool {
+	if r.ended {
+		return false
+	}
+	if b := r.data(); len(b) > 0 {
+		r.sum = crc32.Update(r.sum, castagnoli, b)
+		r.cur = b
+		return true
+	}
+	binary.LittleEndian.PutUint32(r.crc[:], r.sum)
+	r.cur, r.ended = r.crc[:], true
+	return true
+}
+
+// data returns the next piece of the data section, empty at its end.
+func (r *Reader[K]) data() []byte {
+	if b := r.long; b != nil {
+		r.long = nil
+		return b
+	}
+	for r.shard < len(r.shards) && r.key == len(r.shards[r.shard]) {
+		r.shard, r.key = r.shard+1, 0
+	}
+	if r.shard == len(r.shards) {
+		return nil
+	}
+	sh := r.shards[r.shard]
+	if raw := keyBytes(sh); raw != nil {
+		end := min(len(sh), r.key+chunkBytes/8)
+		b := raw[8*r.key : 8*end]
+		r.key = end
+		return b
+	}
+	return r.stage()
+}
+
+// stage encodes the next keys, across shard boundaries, into the chunk
+// until the next one does not fit. A string key too long for an empty
+// chunk stages only its length prefix and leaves its bytes in r.long.
+func (r *Reader[K]) stage() []byte {
+	if r.chunk == nil {
+		r.chunk = make([]byte, 0, chunkBytes)
+	}
+	buf := r.chunk[:0]
+	for ; r.shard < len(r.shards); r.shard, r.key = r.shard+1, 0 {
+		keys := r.shards[r.shard][r.key:]
+		n := fit(keys, chunkBytes-len(buf))
+		buf = appendKeys(buf, keys[:n])
+		r.key += n
+		if n == len(keys) {
+			continue
+		}
+		if len(buf) == 0 {
+			s := any(keys[0]).(string) // only a string key outgrows a chunk
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
+			r.long = unsafe.Slice(unsafe.StringData(s), len(s))
+			r.key++
+		}
+		break
+	}
+	r.chunk = buf
+	return buf
+}
+
+// fit counts the leading keys whose encodings fit in room bytes.
+func fit[K Key](keys []K, room int) int {
+	ss, ok := any(keys).([]string)
+	if !ok {
+		return min(len(keys), room/8)
+	}
+	for i, s := range ss {
+		if room -= 4 + len(s); room < 0 {
+			return i
+		}
+	}
+	return len(ss)
+}
+
+// WriteTo writes shards to w as a snapshot through a Reader, returning
+// the bytes written.
+func WriteTo[K Key](w io.Writer, h Header, shards [][]K) (int64, error) {
+	r, err := NewReader(h, shards)
 	if err != nil {
 		return 0, err
 	}
-
-	cw := &countWriter{w: w}
-	bw := bufio.NewWriterSize(cw, 1<<16)
-	bw.Write(appendPrologue(nil, Header{
-		KeyType: KeyTypeFor[K](), Options: h.Options, Procs: len(shards), N: n,
-	}))
-
-	ext := make([]byte, 0, 8*len(shards))
-	for _, sh := range shards {
-		ext = binary.LittleEndian.AppendUint64(ext, uint64(len(sh)))
-	}
-	writeU32(bw, uint32(len(ext)))
-	bw.Write(ext)
-	writeU32(bw, crc32.Checksum(ext, castagnoli))
-
-	writeU64(bw, uint64(size))
-	const chunkKeys = 8192
-	buf := make([]byte, 0, 8*chunkKeys)
-	sum := uint32(0)
-	for _, sh := range shards {
-		for off := 0; off < len(sh); off += chunkKeys {
-			end := min(off+chunkKeys, len(sh))
-			buf = appendKeys(buf[:0], sh[off:end])
-			sum = crc32.Update(sum, castagnoli, buf)
-			bw.Write(buf)
-		}
-	}
-	writeU32(bw, sum)
-	// bufio errors are sticky; Flush surfaces the first one.
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+	return r.WriteTo(w)
 }
 
 // appendPrologue appends the magic, the version and the header section
@@ -288,49 +422,17 @@ func appendPrologue(b []byte, h Header) []byte {
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(hdr, castagnoli))
 }
 
-// Encode is WriteTo into a fresh byte slice, for tests and small
-// snapshots.
+// Encode is the snapshot of shards as one byte slice, for tests and
+// small snapshots; nil when NewReader refuses the shards.
 func Encode[K Key](h Header, shards [][]K) []byte {
+	r, err := NewReader(h, shards)
+	if err != nil {
+		return nil
+	}
 	var buf bytes.Buffer
-	WriteTo(&buf, h, shards) // a bytes.Buffer write cannot fail
+	buf.Grow(int(r.Size()))
+	r.WriteTo(&buf) // a bytes.Buffer write cannot fail
 	return buf.Bytes()
-}
-
-// EncodedSize is the exact byte length WriteTo will produce for the
-// same arguments — the Content-Length of a streaming upload, known
-// before a byte is encoded.
-func EncodedSize[K Key](h Header, shards [][]K) int64 {
-	_, data, _ := dataSize(shards)
-	hdr := int64(2+len(KeyTypeFor[K]())) + int64(2+len(h.Options)) + 4 + 8
-	const sectionOverhead = 4 + 4  // uint32 length + uint32 CRC
-	return int64(len(magic)) + 4 + // magic + version
-		sectionOverhead + hdr + // header section
-		sectionOverhead + 8*int64(len(shards)) + // extents section
-		8 + data + 4 // data section: uint64 length + keys + CRC
-}
-
-// countWriter counts the bytes reaching the underlying writer.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-func writeU32(w io.Writer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.Write(b[:])
-}
-
-func writeU64(w io.Writer, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.Write(b[:])
 }
 
 // appendString appends a uint16-length-prefixed string.
@@ -539,7 +641,7 @@ func (d *StreamDecoder) Header() Header { return d.h }
 // CopyTo makes ReadDataAs copy the extents and data sections to w
 // verbatim, length prefixes and CRCs included, as it reads them. The
 // sections' CRCs are verified as they pass, so once ReadDataAs succeeds
-// w holds exactly the bytes WriteTo encodes after its prologue for the
+// w holds exactly the bytes Reader encodes after its prologue for the
 // decoded shards; after a failed read w's bytes mean nothing. A failing
 // w never fails the decode: it keeps its own error. Call it after
 // NewStreamDecoder, before ReadDataAs.
@@ -650,7 +752,6 @@ func readFixed[K Key](d *StreamDecoder, claimed uint64) ([]K, error) {
 	// On a little-endian host the section's bytes are the keys' memory,
 	// so each chunk is read straight into place; elsewhere it is read
 	// into buf and decoded.
-	const chunkBytes = 8 * 8192
 	raw, buf := keyBytes(backing), []byte(nil)
 	if raw == nil {
 		buf = make([]byte, min(want, chunkBytes))

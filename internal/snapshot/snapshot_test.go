@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -97,11 +98,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFixedDecodePaths pins that the two fixed-width decode paths —
-// reading the data section straight into the keys' memory (little-endian
-// hosts) and decoding it from a chunk buffer (big-endian hosts) — agree
+// TestFixedDecodePaths pins that the two fixed-width codec paths agree
 // bit for bit, NaN payloads included, over shapes that span several
-// chunks and end in a partial one.
+// chunks and end in a partial one: the encoder serving the keys'
+// memory in place (little-endian hosts) emits the same bytes as the
+// one staging them through its chunk (big-endian hosts), and reading
+// the data section straight into the keys' memory decodes the same
+// keys as decoding it from a chunk buffer.
 func TestFixedDecodePaths(t *testing.T) {
 	rng := rand.New(rand.NewPCG(24, 8))
 	ints := randomShards(rng, 3, 20011)
@@ -113,26 +116,164 @@ func TestFixedDecodePaths(t *testing.T) {
 		}
 	}
 	floats[0][0] = math.Float64frombits(0x7ff8_0000_dead_beef) // a NaN payload
-	decodeBothWays(t, ints)
-	decodeBothWays(t, floats)
+	codecBothWays(t, ints)
+	codecBothWays(t, floats)
 }
 
-func decodeBothWays[K FixedKey](t *testing.T, shards [][]K) {
+func codecBothWays[K FixedKey](t *testing.T, shards [][]K) {
 	t.Helper()
-	data := Encode(Header{}, shards)
 	defer func(le bool) { littleEndian = le }(littleEndian)
+	var enc [2][]byte
 	var got [2][][]K
 	for i, le := range []bool{true, false} {
 		littleEndian = le
-		_, sh, err := DecodeAs[K](data)
+		enc[i] = Encode(Header{}, shards)
+		_, sh, err := DecodeAs[K](enc[0])
 		if err != nil {
 			t.Fatalf("%s, little-endian path %v: %v", KeyTypeFor[K](), le, err)
 		}
 		got[i] = sh
 	}
+	if !bytes.Equal(enc[0], enc[1]) {
+		t.Fatalf("%s: the in-place and staged encoders disagree", KeyTypeFor[K]())
+	}
 	for i := range shards {
 		if !slices.Equal(bitsOf(got[0][i]), bitsOf(shards[i])) || !slices.Equal(bitsOf(got[1][i]), bitsOf(shards[i])) {
 			t.Fatalf("%s shard %d: the decode paths disagree with the input", KeyTypeFor[K](), i)
+		}
+	}
+}
+
+// TestReaderReadSizes pins that the encoder serves the same bytes
+// however it is drained: Read at 1, 3, 4096 and 65537 bytes a call and
+// WriteTo each yield exactly Encode's bytes, Size() of them, and those
+// are the sections assembled directly from appendKeys. The shapes
+// include empty shards, zero-key populations, several staging chunks
+// of short string keys whose encodings straddle every read boundary,
+// and a string key longer than a chunk.
+func TestReaderReadSizes(t *testing.T) {
+	rng := rand.New(rand.NewPCG(25, 1))
+	ints := append(slices.Clone(testShapes), randomShards(rng, 4, 3*8192+5), [][]int64{})
+	floats := make([][][]float64, len(ints))
+	for si, shards := range ints {
+		floats[si] = make([][]float64, len(shards))
+		for p, sh := range shards {
+			for _, k := range sh {
+				floats[si][p] = append(floats[si][p], math.Float64frombits(uint64(k)))
+			}
+		}
+	}
+	strs := append(slices.Clone(stringTestShapes),
+		[][]string{manyStrings(3*8192 + 1), {}, {"tail"}},
+		[][]string{{"a"}, {strings.Repeat("b", chunkBytes-4)}, {strings.Repeat("c", chunkBytes-3), ""}})
+	for si, shards := range ints {
+		drainEveryWay(t, fmt.Sprintf("int64 shape %d", si), shards)
+	}
+	for si, shards := range floats {
+		drainEveryWay(t, fmt.Sprintf("float64 shape %d", si), shards)
+	}
+	for si, shards := range strs {
+		drainEveryWay(t, fmt.Sprintf("string shape %d", si), shards)
+	}
+}
+
+func drainEveryWay[K Key](t *testing.T, name string, shards [][]K) {
+	t.Helper()
+	h := Header{Options: "fp"}
+	want := Encode(h, shards)
+	if ref := referenceEncode(h, shards); !bytes.Equal(want, ref) {
+		t.Fatalf("%s: Encode differs from the reference sections", name)
+	}
+	for _, size := range []int{1, 3, 4096, 65537} {
+		r, err := NewReader(h, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []byte
+		p := make([]byte, size)
+		for {
+			n, err := r.Read(p)
+			got = append(got, p[:n]...)
+			if err == io.EOF {
+				break
+			}
+			if err != nil || n == 0 {
+				t.Fatalf("%s: Read(%d): n=%d err=%v", name, size, n, err)
+			}
+		}
+		if !bytes.Equal(got, want) || r.Size() != int64(len(want)) {
+			t.Fatalf("%s: Read(%d) served %d bytes (Size %d), Encode %d, equal %v",
+				name, size, len(got), r.Size(), len(want), bytes.Equal(got, want))
+		}
+	}
+	r, err := NewReader(h, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if n, err := r.WriteTo(&buf); err != nil || n != int64(len(want)) || !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("%s: WriteTo wrote %d bytes (err %v), want Encode's %d", name, n, err, len(want))
+	}
+	if n, err := r.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Fatalf("%s: Read after the end: %d, %v", name, n, err)
+	}
+}
+
+// referenceEncode assembles a snapshot section by section from
+// appendPrologue and appendKeys, with no chunking.
+func referenceEncode[K Key](h Header, shards [][]K) []byte {
+	var n int64
+	var ext, data []byte
+	for _, sh := range shards {
+		n += int64(len(sh))
+		ext = binary.LittleEndian.AppendUint64(ext, uint64(len(sh)))
+		data = appendKeys(data, sh)
+	}
+	b := appendPrologue(nil, Header{KeyType: KeyTypeFor[K](), Options: h.Options, Procs: len(shards), N: n})
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(ext)))
+	b = append(b, ext...)
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(ext, castagnoli))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(data)))
+	b = append(b, data...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(data, castagnoli))
+}
+
+// BenchmarkEncode measures the encoder on 2^18 keys of each kind
+// (eight shards), drained through a 32 KiB io.CopyBuffer as net/http
+// drains a request body: int64 and float64 keys are served from their
+// memory on a little-endian host, string keys are staged.
+func BenchmarkEncode(b *testing.B) {
+	const procs, n = 8, 1 << 18
+	rng := rand.New(rand.NewPCG(25, 2))
+	ints := make([][]int64, procs)
+	floats := make([][]float64, procs)
+	strs := make([][]string, procs)
+	for p := range procs {
+		for range n / procs {
+			k := rng.Int64()
+			ints[p] = append(ints[p], k)
+			floats[p] = append(floats[p], math.Float64frombits(uint64(k)))
+			strs[p] = append(strs[p], fmt.Sprint(k))
+		}
+	}
+	b.Run("int64", func(b *testing.B) { benchEncode(b, ints) })
+	b.Run("float64", func(b *testing.B) { benchEncode(b, floats) })
+	b.Run("string", func(b *testing.B) { benchEncode(b, strs) })
+}
+
+func benchEncode[K Key](b *testing.B, shards [][]K) {
+	buf := make([]byte, 32<<10)
+	// Hiding WriteTo and ReadFrom makes CopyBuffer pull through buf.
+	dst := struct{ io.Writer }{io.Discard}
+	b.SetBytes(int64(len(Encode(Header{}, shards))))
+	b.ResetTimer()
+	for range b.N {
+		r, err := NewReader(Header{}, shards)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.CopyBuffer(dst, struct{ io.Reader }{r}, buf); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -229,14 +370,14 @@ func TestDecodeTypedFailures(t *testing.T) {
 // TestStringRoundTrip pins that DecodeAs[string] inverts Encode exactly
 // on the string shapes, plus a shard of more keys than one 8192-key
 // write chunk: same shard boundaries, same bytes in every key, a
-// consistent header, a canonical re-encoding, and an exact EncodedSize.
+// consistent header, a canonical re-encoding, and an exact Size.
 func TestStringRoundTrip(t *testing.T) {
 	shapes := append(slices.Clone(stringTestShapes), [][]string{manyStrings(8192 + 3), {"tail"}})
 	for si, shards := range shapes {
 		h := Header{Options: "alg=test"}
 		data := Encode(h, shards)
-		if got := EncodedSize(h, shards); got != int64(len(data)) {
-			t.Errorf("shape %d: EncodedSize %d, encoded %d bytes", si, got, len(data))
+		if got := encodedSize(t, h, shards); got != int64(len(data)) {
+			t.Errorf("shape %d: Size %d, encoded %d bytes", si, got, len(data))
 		}
 		dh, got, err := DecodeAs[string](data)
 		if err != nil {

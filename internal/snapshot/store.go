@@ -219,12 +219,14 @@ func safeID(id string) bool {
 // function because Go methods cannot take type parameters.)
 func SaveAs[K Key](st *Store, meta Meta, shards [][]K) error {
 	meta.KeyType = KeyTypeFor[K]()
+	r, err := NewReader(Header{Options: meta.Options}, shards)
+	if err != nil {
+		return err
+	}
 	return st.commit(meta, func(name string) (int64, error) {
 		// Streamed, not buffered: a near-budget dataset must not double
 		// resident memory on its way to disk.
-		return st.writeAtomicStream(name, func(w io.Writer) (int64, error) {
-			return WriteTo(w, Header{Options: meta.Options}, shards)
-		})
+		return st.writeAtomicStream(name, r.WriteTo)
 	})
 }
 

@@ -420,8 +420,10 @@ func (d *RemoteDatasetOf[K]) path(suffix string) string {
 // (the request's Content-Length), and its Content-Type. The retry loop
 // calls it afresh for every attempt — with the attempt's own context —
 // so deadline-derived fields (timeout_ms) are recomputed from the
-// remaining budget, and streaming bodies (a binary upload's pipe) get a
-// fresh, fully rewound stream per send. A nil bodyFunc means no body.
+// remaining budget, and streaming bodies (a binary upload's snapshot
+// encoder) start from their first byte on every send. An error from it
+// is permanent: nothing was sent, and resending cannot change it. A nil
+// bodyFunc means no body.
 type bodyFunc func(ctx context.Context) (io.Reader, int64, string, error)
 
 // jsonBody adapts pre-marshaled JSON bytes into a bodyFunc (GET/DELETE
@@ -615,19 +617,21 @@ func float64sFromBits(bits []int64) []float64 {
 	return vals
 }
 
-// frameUploadBody builds the streaming binary body for an upload: the
-// snapshot encoding flows through a pipe, never materialized as one
-// request buffer, with Content-Length declared up front. Each retry attempt opens a fresh pipe, so the streaming body
-// replays as safely as a buffered one. The encoded header carries the
-// key type, which the daemon treats as authoritative for the kind.
+// frameUploadBody builds the binary body for an upload: a snapshot
+// encoder over the shards, which the transport pulls as it sends, so
+// the keys are never materialized as one request buffer and the
+// Content-Length is declared up front. Each retry attempt gets a fresh
+// encoder, so the streamed body replays byte for byte. Shards the
+// format cannot hold fail here, before any byte is sent, so the retry
+// loop does not resend them. The encoded header carries the key type,
+// which the daemon treats as authoritative for the kind.
 func frameUploadBody[K Key](shards [][]K) bodyFunc {
 	return func(context.Context) (io.Reader, int64, string, error) {
-		pr, pw := io.Pipe()
-		go func() {
-			_, err := snapshot.WriteTo(pw, snapshot.Header{}, shards)
-			pw.CloseWithError(err)
-		}()
-		return pr, snapshot.EncodedSize(snapshot.Header{}, shards), ContentTypeFrame, nil
+		rd, err := snapshot.NewReader(snapshot.Header{}, shards)
+		if err != nil {
+			return nil, 0, "", fmt.Errorf("parselclient: encode: %w", err)
+		}
+		return rd, rd.Size(), ContentTypeFrame, nil
 	}
 }
 

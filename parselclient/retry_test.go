@@ -1,20 +1,26 @@
 package parselclient
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"parsel/internal/snapshot"
 )
 
 // failNTimes answers the first n requests with (status, code) and every
 // later one 200 with body. It also records the DeadlineHeader values
-// seen. Safe for the sequential traffic these tests generate.
+// seen and every request body. Safe for the sequential traffic these
+// tests generate.
 type failNTimes struct {
 	n          int64
 	status     int
@@ -24,10 +30,13 @@ type failNTimes struct {
 
 	calls     atomic.Int64
 	deadlines []string
+	bodies    [][]byte
 }
 
 func (f *failNTimes) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.deadlines = append(f.deadlines, r.Header.Get(DeadlineHeader))
+	body, _ := io.ReadAll(r.Body) // a short body shows as a mismatch
+	f.bodies = append(f.bodies, body)
 	if f.calls.Add(1) <= f.n {
 		if f.retryAfter != "" {
 			w.Header().Set("Retry-After", f.retryAfter)
@@ -85,22 +94,52 @@ func TestRetryRecoversFromTransientFaults(t *testing.T) {
 }
 
 // TestRetryUploadIsIdempotent checks that dataset PUT retries like any
-// read: upload-generation semantics make a replayed PUT safe.
+// read: upload-generation semantics make a replayed PUT safe. A binary
+// upload's retry replays the same body: both attempts carry exactly the
+// snapshot encoding of the shards, for every key kind.
 func TestRetryUploadIsIdempotent(t *testing.T) {
-	h := &failNTimes{n: 1, status: 500, code: CodeInternal,
-		body: `{"id":"d","procs":2,"n":5,"bytes":40,"expires_in_ms":1000}`}
+	const info = `{"id":"d","procs":2,"n":5,"bytes":40,"expires_in_ms":1000}`
+	h := &failNTimes{n: 1, status: 500, code: CodeInternal, body: info}
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	c := retryClient(ts, RetryPolicy{MaxAttempts: 3, Sleep: noSleep})
-	info, err := c.Dataset("d").Upload(context.Background(), [][]int64{{3, 1, 4}, {1, 5}})
+	got, err := c.Dataset("d").Upload(context.Background(), [][]int64{{3, 1, 4}, {1, 5}})
 	if err != nil {
 		t.Fatalf("PUT did not retry the transient 500: %v", err)
 	}
-	if info.ID != "d" || info.N != 5 {
-		t.Errorf("upload info %+v after retry", info)
+	if got.ID != "d" || got.N != 5 {
+		t.Errorf("upload info %+v after retry", got)
 	}
 	if got := h.calls.Load(); got != 2 {
 		t.Errorf("%d attempts, want 2", got)
+	}
+
+	binaryUploadReplays(t, [][]int64{{3, 1, 4}, {1, 5}})
+	binaryUploadReplays(t, [][]float64{{math.Float64frombits(0x7ff8_0000_dead_beef), -0.5}, {}, {1e300, 2, 0}})
+	binaryUploadReplays(t, [][]string{{"pear", ""}, {strings.Repeat("x", 70000), "\xff"}})
+}
+
+// binaryUploadReplays uploads shards from a WithBinary(true) client to
+// a server that fails the first attempt, and checks that both attempts
+// sent snapshot.Encode of the shards.
+func binaryUploadReplays[K Key](t *testing.T, shards [][]K) {
+	t.Helper()
+	h := &failNTimes{n: 1, status: 500, code: CodeInternal, body: `{"id":"d"}`}
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	c := New(ts.URL, WithHTTPClient(ts.Client()), WithBinary(true),
+		WithRetry(RetryPolicy{MaxAttempts: 3, Sleep: noSleep}))
+	if _, err := Keyed[K](c).Dataset("d").Upload(context.Background(), shards); err != nil {
+		t.Fatalf("%s: binary PUT did not retry the transient 500: %v", KeyKindOf[K](), err)
+	}
+	want := snapshot.Encode(snapshot.Header{}, shards)
+	if len(h.bodies) != 2 {
+		t.Fatalf("%s: %d attempts, want 2", KeyKindOf[K](), len(h.bodies))
+	}
+	for i, body := range h.bodies {
+		if !bytes.Equal(body, want) {
+			t.Errorf("%s: attempt %d sent %d bytes, not the %d-byte encoding", KeyKindOf[K](), i+1, len(body), len(want))
+		}
 	}
 }
 
