@@ -36,9 +36,12 @@
 #                  randomized run with balancing, and a -q quantile run);
 #                  then every collective host benchmark in internal/comm,
 #                  the snapshot encoder benchmark (BenchmarkEncode,
-#                  internal/snapshot: int64, float64 and string keys) and
+#                  internal/snapshot: int64, float64 and string keys),
 #                  the daemon's frame upload-and-persist benchmark
-#                  (BenchmarkFrameUploadPersist, internal/serve) once
+#                  (BenchmarkFrameUploadPersist, internal/serve) and the
+#                  resident sorted-select benchmark
+#                  (BenchmarkDatasetSelectSorted: Pool.Over against a
+#                  warmed Dataset replaying its first sample sort) once
 #                  (-benchtime 1x), so the benchmarks cannot rot; then
 #                  every examples/* main (~2 s), failing on a non-zero exit
 #   make bench-smoke - the benchmark module's own tests (every workload once,
@@ -101,6 +104,7 @@ smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/comm
 	$(GO) test -run '^$$' -bench BenchmarkEncode -benchtime 1x ./internal/snapshot
 	$(GO) test -run '^$$' -bench BenchmarkFrameUploadPersist -benchtime 1x ./internal/serve
+	$(GO) test -run '^$$' -bench BenchmarkDatasetSelectSorted -benchtime 1x .
 	@for ex in examples/*/; do \
 		echo "$(GO) run ./$$ex"; \
 		$(GO) run ./$$ex > /dev/null || exit 1; \

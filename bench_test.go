@@ -15,6 +15,7 @@ import (
 
 	"parsel"
 	"parsel/internal/harness"
+	"parsel/internal/workload"
 )
 
 // benchExperiment runs one harness experiment per iteration on the quick
@@ -165,4 +166,57 @@ func BenchmarkBalanceGlobalExchange(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkDatasetSelectSorted selects a spread of ranks from 2^20
+// sorted keys on 8 shards, the paper's worst-case layout: through
+// Pool.Over, which ships the shards per query and runs every step;
+// through a warmed Dataset, which filters its ascending shards by binary
+// search and replays its memoized first sample sort; and the Dataset's
+// first query, which checks the shards' order and captures that memo.
+func BenchmarkDatasetSelectSorted(b *testing.B) {
+	const n, p = 1 << 20, 8
+	shards := workload.Generate(workload.Sorted, n, p, 1)
+	pool, err := parsel.NewPool[int64](parsel.Options{}, parsel.PoolOptions{MaxMachines: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pool.Close()
+	ctx := context.Background()
+	rank := func(i int) int64 { return int64(i)*7919%n + 1 }
+	b.Run("pool", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := pool.Over(shards).Select(ctx, rank(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("dataset", func(b *testing.B) {
+		ds, err := pool.RestoreDataset(shards)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer ds.Close()
+		if _, err := ds.Select(ctx, 1); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ds.Select(ctx, rank(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("dataset-first", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ds, err := pool.RestoreDataset(shards)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := ds.Select(ctx, rank(i)); err != nil {
+				b.Fatal(err)
+			}
+			ds.Close()
+		}
+	})
 }

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"reflect"
 	"sync"
+	"sync/atomic"
 
+	"parsel/internal/selection"
 	"parsel/internal/seq"
 )
 
@@ -36,6 +38,20 @@ var ErrDatasetClosed = errors.New("parsel: Dataset used after Close")
 // the simulated operations the scan would have, so range-partitioned
 // data (the paper's sorted layout) costs the same simulated seconds and
 // far less CPU.
+//
+// The first fast randomized single-rank query (select, median,
+// quantile, topk or bottomk) on two or more shards also memoizes the
+// part of the run that does not read the rank: the Combine of n, the
+// first sample (n^SampleExponent keys), its parallel sort (or its
+// gather on processor 0) and the Combine of its size. It records each
+// simulated processor's clock, counters and random streams at that
+// point, plus the sorted sample keys the next step reads. Every later
+// such query restores that state instead of redoing the work. The
+// simulated charge is restored, not dropped, so answers, simulated
+// seconds and every Report field are unchanged. The memo holds
+// O(sample) keys (about 32 KB for 2^20 int64 keys on 8 shards).
+// Multi-rank queries, the other algorithms and one-shard datasets
+// build none.
 //
 // Results — values and every simulated metric — are bit-identical to
 // passing the same shards through Pool.Over:
@@ -67,12 +83,7 @@ type Dataset[K cmp.Ordered] struct {
 	n      int64
 	bytes  int64
 
-	// asc flags the ascending shards (seq.Ascending), computed once by
-	// the first query rather than at construction: a restore should not
-	// pay a scan of the whole population, and a random shard fails the
-	// check within a couple of keys.
-	ascOnce sync.Once
-	asc     []bool
+	hints hints[K]
 
 	mu     sync.Mutex
 	closed bool
@@ -204,19 +215,64 @@ func (ds *Dataset[K]) Run(ctx context.Context, q Query) (Answer[K], error) {
 	if err := ds.enter(); err != nil {
 		return Answer[K]{}, err
 	}
-	return ds.pool.run(ctx, ds.shards, ds.ascending(), q)
+	ds.ascending()
+	return ds.pool.run(ctx, ds.shards, &ds.hints, q)
+}
+
+// hints is what a resident Dataset knows about its shards beyond their
+// keys; every query it runs carries them to the engine (Pool.Run on
+// caller shards carries none).
+type hints[K cmp.Ordered] struct {
+	// asc flags the ascending shards (seq.Ascending), computed once by
+	// the first query rather than at construction: a restore should not
+	// pay a scan of the whole population, and a random shard fails the
+	// check within a couple of keys.
+	ascOnce sync.Once
+	asc     []bool
+
+	// prefix is fast randomized selection's rank-independent prefix on
+	// these shards (see selection.Prefix), published once by the first
+	// query that captured it on every processor; nil until then.
+	prefix atomic.Pointer[selection.Prefix[K]]
+	// builds counts the memos queries built to capture into (tests
+	// read it: only first queries may build one).
+	builds atomic.Int64
 }
 
 // ascending returns the per-shard ascending flags, computing them on
 // the first call.
 func (ds *Dataset[K]) ascending() []bool {
-	ds.ascOnce.Do(func() {
-		ds.asc = make([]bool, len(ds.shards))
+	h := &ds.hints
+	h.ascOnce.Do(func() {
+		h.asc = make([]bool, len(ds.shards))
 		for i, sh := range ds.shards {
-			ds.asc[i] = seq.Ascending(sh)
+			h.asc[i] = seq.Ascending(sh)
 		}
 	})
-	return ds.asc
+	return h.asc
+}
+
+// prefixMemo returns the prefix memo a single-rank run of alg on procs
+// shards uses: the published one, or a fresh one that the run captures
+// into (capture true). Only fast randomized runs on several shards of a
+// resident Dataset have one.
+func (h *hints[K]) prefixMemo(alg Algorithm, procs int) (pre *selection.Prefix[K], capture bool) {
+	if h == nil || alg != FastRandomized || procs == 1 {
+		return nil, false
+	}
+	if pre := h.prefix.Load(); pre != nil {
+		return pre, false
+	}
+	h.builds.Add(1)
+	return selection.NewPrefix[K](procs), true
+}
+
+// publish offers the memo captured by a run that succeeded. Concurrent
+// first queries each capture one; the first complete one is kept.
+func (h *hints[K]) publish(pre *selection.Prefix[K]) {
+	if pre.Seal() {
+		h.prefix.CompareAndSwap(nil, pre)
+	}
 }
 
 // SelectContext is Select under another name, kept only because the

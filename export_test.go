@@ -90,3 +90,15 @@ func ResetDefaultPoolsForTest() {
 		p.(interface{ Close() }).Close()
 	}
 }
+
+// PrefixForTest returns the dataset's published prefix memo (nil when
+// none is published; compare for identity only), whether it replays,
+// and how many memos the dataset's queries have built to capture into.
+func (ds *Dataset[K]) PrefixForTest() (memo any, replays bool, builds int64) {
+	builds = ds.hints.builds.Load()
+	pre := ds.hints.prefix.Load()
+	if pre == nil {
+		return nil, false, builds
+	}
+	return pre, pre.Replays(), builds
+}

@@ -501,6 +501,33 @@ func (p *Proc) reset(seed uint64) {
 	p.localSrc.Seed(seed, uint64(p.id)+1)
 }
 
+// State is a checkpoint of a processor's simulated state: its clock, its
+// counters and the positions of both random streams. It holds no
+// payload and no fabric state, so it is meaningful only at a point of
+// the SPMD program where every message sent so far has been received.
+type State struct {
+	Now      float64
+	Counters Counters
+	shared   rand.PCG
+	local    rand.PCG
+}
+
+// State returns a checkpoint of the processor's simulated state.
+func (p *Proc) State() State {
+	return State{Now: p.now, Counters: p.Counters, shared: *p.sharedSrc, local: *p.localSrc}
+}
+
+// SetState restores a checkpoint taken by State, on this or any
+// processor of the same id and machine parameters: the clock, the
+// counters and both random streams continue exactly as they did after
+// the checkpoint. The caller skips the work between the checkpoint's
+// start of run and its capture point on every processor, so every
+// message of the skipped part is also skipped.
+func (p *Proc) SetState(s State) {
+	p.now, p.Counters = s.Now, s.Counters
+	*p.sharedSrc, *p.localSrc = s.shared, s.local
+}
+
 // Counters records communication and computation volume on one processor.
 type Counters struct {
 	MsgsSent      int64

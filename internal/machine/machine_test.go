@@ -344,3 +344,76 @@ func TestMachineReuse(t *testing.T) {
 		t.Errorf("Params().Procs = %d", m.Params().Procs)
 	}
 }
+
+// TestStateRestore checks the checkpoint/restore pair: a run that skips
+// its first half and restores a checkpoint taken there ends with the
+// same clocks, the same counters and the same next draws from both
+// random streams as the run that executed the whole body.
+func TestStateRestore(t *testing.T) {
+	const p = 4
+	type end struct {
+		now             float64
+		counters        Counters
+		shared, local   uint64
+		sharedN, localN uint64
+	}
+	// ring sends a draw to the next processor and receives the previous
+	// one's, charging work proportional to what arrived.
+	ring := func(pr *Proc, tag int) {
+		pr.Send((pr.ID()+1)%p, tag, pr.Local.Uint64(), 8*(pr.ID()+1))
+		v := pr.Recv((pr.ID()+p-1)%p, tag).(uint64)
+		pr.Charge(int64(v%97) + int64(pr.Shared.IntN(50)))
+	}
+	checkpoints := make([]State, p)
+	run := func(m *Machine, restore bool) (float64, []end) {
+		ends := make([]end, p)
+		sim, err := m.Run(func(pr *Proc) {
+			if restore {
+				pr.SetState(checkpoints[pr.ID()])
+			} else {
+				for round := 0; round < 3; round++ {
+					ring(pr, round)
+				}
+				checkpoints[pr.ID()] = pr.State()
+			}
+			for round := 3; round < 6; round++ {
+				ring(pr, round)
+			}
+			ends[pr.ID()] = end{
+				now: pr.Now(), counters: pr.Counters,
+				shared: pr.Shared.Uint64(), local: pr.Local.Uint64(),
+				sharedN: pr.Shared.Uint64(), localN: pr.Local.Uint64(),
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sim, ends
+	}
+	m, err := New(DefaultParams(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	wantSim, want := run(m, false)
+	// Restore on the same machine and on a fresh one of the same shape.
+	other, err := New(DefaultParams(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	for i, mm := range []*Machine{m, other} {
+		sim, got := run(mm, true)
+		if math.Float64bits(sim) != math.Float64bits(wantSim) {
+			t.Errorf("machine %d: restored run sim %v, full run %v", i, sim, wantSim)
+		}
+		for id := range got {
+			if got[id] != want[id] {
+				t.Errorf("machine %d processor %d: restored run ends %+v, full run %+v", i, id, got[id], want[id])
+			}
+		}
+	}
+	if checkpoints[0].Now == 0 || checkpoints[0].Counters.MsgsSent != 3 {
+		t.Errorf("checkpoint taken at clock %v with %d sends, want a mid-body state", checkpoints[0].Now, checkpoints[0].Counters.MsgsSent)
+	}
+}

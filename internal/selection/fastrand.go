@@ -45,7 +45,12 @@ func windowRanks(rank, S, n int64, opts Options) (r1, r2 int64) {
 // iteration fails to shrink the population at all (possible only with
 // massive duplication), one single-pivot randomized step runs instead —
 // a documented termination safeguard.
-func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int64, opts Options, st *Stats, sel selector[K]) K {
+//
+// The first iteration up to its first read of the rank (windowRanks) is
+// the rank-independent prefix that pre memoizes: a capturing run records
+// each processor's state there, and a replaying run restores it in place
+// of the sample draw, its sort or gather and the Combine of its size.
+func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int64, opts Options, st *Stats, sel selector[K], pre *Prefix[K]) K {
 	ar := arenaOf[K](p)
 	thr := threshold(p)
 	// curWin tracks which arena window buffer currently backs local, so
@@ -63,23 +68,28 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 			break
 		}
 		st.Iterations++
+		replay := st.Iterations == 1 && pre.Replays()
+		capture := st.Iterations == 1 && pre.capturing()
 
 		// Step 1: draw |S| ~ n^e keys, each processor contributing in
 		// proportion to its surviving population.
-		ni := int64(len(local))
 		sTarget := int64(math.Pow(float64(n), opts.SampleExponent))
 		if sTarget < 1 {
 			sTarget = 1
 		}
-		si := 0
-		if ni > 0 {
-			// Ceil keeps the global sample non-empty and spreads it
-			// across all non-empty processors.
-			si = int((ni*sTarget + n - 1) / n)
+		var sample []K
+		if !replay {
+			si := 0
+			if ni := int64(len(local)); ni > 0 {
+				// Ceil keeps the global sample non-empty and spreads it
+				// across all non-empty processors.
+				si = int((ni*sTarget + n - 1) / n)
+			}
+			var ops int64
+			sample, ops = seq.SampleAppend(ar.sample, local, si, p.Local)
+			ar.sample = sample
+			p.Charge(ops)
 		}
-		sample, ops := seq.SampleAppend(ar.sample, local, si, p.Local)
-		ar.sample = sample
-		p.Charge(ops)
 
 		// Steps 2–4: order the sample and extract the two window keys
 		// k1 and k2 bracketing the scaled target rank.
@@ -91,8 +101,20 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 		// pays ~10 collectives per iteration and dominates at high p.
 		var k1, k2 K
 		if !opts.Faithful && sTarget <= int64(4*p.Procs()*p.Procs()) {
-			all, gbuf := comm.GatherFlatInto(p, 0, sample, opts.ElemBytes, ar.gather)
-			ar.gather = gbuf
+			var all []K
+			if replay {
+				// Quickselect permutes the gathered sample: copy it.
+				_, keys := pre.restore(p)
+				all = append(ar.gather[:0], keys...)
+				ar.gather = all
+			} else {
+				var gbuf []K
+				all, gbuf = comm.GatherFlatInto(p, 0, sample, opts.ElemBytes, ar.gather)
+				ar.gather = gbuf
+				if capture {
+					pre.capture(p, n, int64(len(all)), all)
+				}
+			}
 			var pair []K
 			if p.ID() == 0 {
 				r1, r2 := windowRanks(rank, int64(len(all)), n, opts)
@@ -108,8 +130,17 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 			// Oversampling factor 8: classic PSRS's p samples per
 			// processor would make the root sort p^2 keys, which
 			// dwarfs the o(n) sample itself at high p.
-			run := psort.SortOversampledScratch(p, sample, opts.ElemBytes, 8, &ar.sort)
-			S := comm.CombineInt64(p, int64(len(run)))
+			var run []K
+			var S int64
+			if replay {
+				S, run = pre.restore(p)
+			} else {
+				run = psort.SortOversampledScratch(p, sample, opts.ElemBytes, 8, &ar.sort)
+				S = comm.CombineInt64(p, int64(len(run)))
+				if capture {
+					pre.capture(p, n, S, run)
+				}
+			}
 			r1, r2 := windowRanks(rank, S, n, opts)
 			k1 = psort.RankElement(p, run, r1-1, opts.ElemBytes)
 			k2 = psort.RankElement(p, run, r2-1, opts.ElemBytes)

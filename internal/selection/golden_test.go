@@ -48,17 +48,11 @@ func goldenCatalogue(t *testing.T) []string {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				var sum machine.Counters
-				for _, c := range counters {
-					sum.Add(c)
-				}
 				answer := fmt.Sprint(vals[0])
 				if many[0] != nil {
 					answer = fmt.Sprint(many[0])
 				}
-				rows = append(rows, fmt.Sprintf("%s\t%016x\t%d %d %d %d %d\t%s", name,
-					math.Float64bits(sim), sum.MsgsSent, sum.BytesSent,
-					sum.MsgsReceived, sum.BytesReceived, sum.Ops, answer))
+				rows = append(rows, goldenRow(name, sim, counters, answer))
 				clear(vals)
 				clear(many)
 			}
@@ -98,6 +92,18 @@ func goldenCatalogue(t *testing.T) []string {
 	return rows
 }
 
+// goldenRow renders one catalogue row: the bits of the simulated time,
+// the machine-wide counters and the answer.
+func goldenRow(name string, sim float64, counters []machine.Counters, answer string) string {
+	var sum machine.Counters
+	for _, c := range counters {
+		sum.Add(c)
+	}
+	return fmt.Sprintf("%s\t%016x\t%d %d %d %d %d\t%s", name,
+		math.Float64bits(sim), sum.MsgsSent, sum.BytesSent,
+		sum.MsgsReceived, sum.BytesReceived, sum.Ops, answer)
+}
+
 // TestEngineGolden pins the engine's simulated behaviour bit for bit:
 // simulated time, every counter and every answer of the catalogue must
 // equal the recorded rows. The rows depend only on the two-level cost
@@ -135,5 +141,71 @@ func TestEngineGolden(t *testing.T) {
 	}
 	if bad > 5 {
 		t.Errorf("%d of %d rows differ", bad, len(want))
+	}
+}
+
+// TestEngineGoldenReplay reruns TestEngineGolden's fast randomized
+// single-rank rows on p > 1 from a prefix memo captured by a run at
+// another rank (rank n), and checks them against the recorded rows,
+// which are not regenerated for it. At n = 3000 the p = 2 and 3 rows
+// replay the parallel sample sort and the p = 8 and 17 rows the gather
+// on processor 0. The capturing run itself must equal a plain run.
+func TestEngineGoldenReplay(t *testing.T) {
+	const n = 3000
+	wantBytes, err := os.ReadFile(filepath.Join("testdata", "engine_golden.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, row := range strings.Split(strings.TrimSuffix(string(wantBytes), "\n"), "\n") {
+		name, _, _ := strings.Cut(row, "\t")
+		want[name] = row
+	}
+	replayed := 0
+	for _, p := range []int{2, 3, 8, 17} {
+		for _, topo := range []machine.Topology{machine.Crossbar, machine.Mesh2D} {
+			params := machine.DefaultParams(p)
+			params.Topology = topo
+			m, err := machine.New(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals := make([]int64, p)
+			counters := make([]machine.Counters, p)
+			row := func(name string, shards [][]int64, rank int64, opts Options, pre *Prefix[int64]) string {
+				sim, err := m.Run(func(pr *machine.Proc) {
+					vals[pr.ID()], _ = SelectPrefix(pr, shards[pr.ID()], rank, opts, pre)
+					counters[pr.ID()] = pr.Counters
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				return goldenRow(name, sim, counters, fmt.Sprint(vals[0]))
+			}
+			for _, kind := range []workload.Kind{workload.Random, workload.Sorted} {
+				shards := workload.Generate(kind, n, p, uint64(100+p))
+				for _, bal := range balance.Methods {
+					opts := Options{Algorithm: FastRandomized, Balancer: bal, BorrowedInput: true}
+					name := fmt.Sprintf("%v/%v/%v/p%d/%v/single", FastRandomized, bal, kind, p, topo)
+					pre := NewPrefix[int64](p)
+					if got, plain := row(name, shards, n, opts, pre), row(name, shards, n, opts, nil); got != plain {
+						t.Errorf("capturing run differs from a plain run:\n got  %s\n want %s", got, plain)
+					}
+					if !pre.Seal() || !pre.Replays() {
+						t.Fatalf("%s: capture did not record every processor", name)
+					}
+					for rep := 0; rep < 2; rep++ {
+						if got := row(name, shards, n/3+1, opts, pre); got != want[name] {
+							t.Errorf("replay %d:\n got  %s\n want %s", rep, got, want[name])
+						}
+						replayed++
+					}
+				}
+			}
+			m.Close()
+		}
+	}
+	if replayed != 2*4*2*2*len(balance.Methods) {
+		t.Errorf("replayed %d rows", replayed)
 	}
 }

@@ -217,9 +217,26 @@ type selector[K cmp.Ordered] func(a []K, k int) (K, int64)
 // processor receives the same result. local is consumed (permuted and
 // possibly redistributed) unless opts.BorrowedInput is set.
 func Select[K cmp.Ordered](p *machine.Proc, local []K, rank int64, opts Options) (K, Stats) {
+	return SelectPrefix(p, local, rank, opts, nil)
+}
+
+// SelectPrefix is Select with a memo of fast randomized selection's
+// rank-independent prefix (see Prefix): a fresh memo records this run's
+// prefix, a sealed one is replayed instead of running it, and nil runs
+// plainly. Every processor of the run must be given the same memo.
+// Other algorithms, and runs on one processor, ignore it.
+func SelectPrefix[K cmp.Ordered](p *machine.Proc, local []K, rank int64, opts Options, pre *Prefix[K]) (K, Stats) {
 	opts = opts.withDefaults()
 	st := &Stats{}
-	n := comm.CombineInt64(p, int64(len(local)))
+	if opts.Algorithm != FastRandomized || p.Procs() == 1 {
+		pre = nil
+	}
+	var n int64
+	if pre.Replays() {
+		n = pre.n
+	} else {
+		n = comm.CombineInt64(p, int64(len(local)))
+	}
 	if n == 0 {
 		panic("selection: Select on an empty population")
 	}
@@ -264,7 +281,7 @@ func Select[K cmp.Ordered](p *machine.Proc, local []K, rank int64, opts Options)
 	case Randomized:
 		res = selectRandomized(p, local, rank, n, opts, st, rnd)
 	case FastRandomized:
-		res = selectFastRandomized(p, local, rank, n, opts, st, rnd)
+		res = selectFastRandomized(p, local, rank, n, opts, st, rnd, pre)
 	default:
 		panic(fmt.Sprintf("selection: unknown algorithm %d", int(opts.Algorithm)))
 	}

@@ -454,12 +454,17 @@ func (s *Selector[K]) SelectInPlace(shards [][]K, rank int64) (Result[K], error)
 	return asResult(s.selectRank(shards, rank, false, nil))
 }
 
-// selectRank validates and executes one collective selection. asc, when
-// non-nil, flags the shards known to be ascending.
-func (s *Selector[K]) selectRank(shards [][]K, rank int64, borrowed bool, asc []bool) (Answer[K], error) {
+// selectRank validates and executes one collective selection. h, when
+// non-nil, carries a resident Dataset's ascending flags and prefix memo.
+func (s *Selector[K]) selectRank(shards [][]K, rank int64, borrowed bool, h *hints[K]) (Answer[K], error) {
 	if err := s.prepare(shards, rank); err != nil {
 		return Answer[K]{}, err
 	}
+	var asc []bool
+	if h != nil {
+		asc = h.asc
+	}
+	pre, capture := h.prefixMemo(s.opts.Algorithm, len(shards))
 	iopts := selection.Options{
 		Algorithm:      toInternalAlg(s.opts.Algorithm),
 		Balancer:       toInternalBal(s.opts.Balancer),
@@ -472,11 +477,14 @@ func (s *Selector[K]) selectRank(shards [][]K, rank int64, borrowed bool, asc []
 	rep, err := s.execute(func(pr *machine.Proc) {
 		o := iopts
 		o.AscendingInput = asc != nil && asc[pr.ID()]
-		s.vals[pr.ID()], s.stats[pr.ID()] = selection.Select(pr, shards[pr.ID()], rank, o)
+		s.vals[pr.ID()], s.stats[pr.ID()] = selection.SelectPrefix(pr, shards[pr.ID()], rank, o, pre)
 		s.counters[pr.ID()] = pr.Counters
 	})
 	if err != nil {
 		return Answer[K]{}, err
+	}
+	if capture {
+		h.publish(pre)
 	}
 	if agreementChecks {
 		if proc, ok := disagreement(s.vals); !ok {

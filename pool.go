@@ -348,14 +348,14 @@ func (pl *Pool[K]) Run(ctx context.Context, shards [][]K, q Query) (Answer[K], e
 	return pl.run(ctx, shards, nil, q)
 }
 
-// run is Run with the ascending flags of Selector.run.
-func (pl *Pool[K]) run(ctx context.Context, shards [][]K, asc []bool, q Query) (Answer[K], error) {
+// run is Run with a resident Dataset's hints; see Selector.run.
+func (pl *Pool[K]) run(ctx context.Context, shards [][]K, h *hints[K], q Query) (Answer[K], error) {
 	sel, err := pl.checkout(ctx, len(shards))
 	if err != nil {
 		return Answer[K]{}, err
 	}
 	defer pl.checkin(sel)
-	a, err := sel.run(shards, asc, q)
+	a, err := sel.run(shards, h, q)
 	if q.Op == OpQuantiles || q.Op == OpRanks {
 		a.Values = slices.Clone(a.Values) // arena-backed until the Selector's next call
 	}

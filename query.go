@@ -232,10 +232,11 @@ func (s *Selector[K]) Run(shards [][]K, q Query) (Answer[K], error) {
 	return s.run(shards, nil, q)
 }
 
-// run is Run with asc, when non-nil, flagging the shards known to be
-// ascending; the single-rank queries' fast randomized first iteration
-// then filters those shards by binary search (see Dataset.Run).
-func (s *Selector[K]) run(shards [][]K, asc []bool, q Query) (Answer[K], error) {
+// run is Run with a resident Dataset's hints (nil for caller shards):
+// the single-rank queries' fast randomized first iteration filters the
+// shards flagged ascending by binary search, and replays the dataset's
+// prefix memo (see Dataset).
+func (s *Selector[K]) run(shards [][]K, h *hints[K], q Query) (Answer[K], error) {
 	if err := q.precheck(); err != nil {
 		return Answer[K]{}, err
 	}
@@ -246,7 +247,7 @@ func (s *Selector[K]) run(shards [][]K, asc []bool, q Query) (Answer[K], error) 
 	var zero Answer[K]
 	switch q.Op {
 	case OpSelect:
-		return s.selectRank(shards, q.Rank, true, asc)
+		return s.selectRank(shards, q.Rank, true, h)
 	case OpRanks:
 		return s.selectRanks(shards, q.Ranks)
 	}
@@ -256,9 +257,9 @@ func (s *Selector[K]) run(shards [][]K, asc []bool, q Query) (Answer[K], error) 
 	}
 	switch q.Op {
 	case OpMedian:
-		return s.selectRank(shards, (n+1)/2, true, asc)
+		return s.selectRank(shards, (n+1)/2, true, h)
 	case OpQuantile:
-		return s.selectRank(shards, quantileRank(n, q.Q), true, asc)
+		return s.selectRank(shards, quantileRank(n, q.Q), true, h)
 	case OpQuantiles:
 		ranks := s.rankBuf[:0]
 		for _, qv := range q.Qs {
@@ -292,7 +293,7 @@ func (s *Selector[K]) run(shards [][]K, asc []bool, q Query) (Answer[K], error) 
 		if top {
 			rank = n - rank + 1
 		}
-		a, err := s.selectRank(shards, rank, true, asc)
+		a, err := s.selectRank(shards, rank, true, h)
 		if err != nil {
 			return zero, err
 		}
