@@ -3,7 +3,10 @@
 #   make ci      - everything below, in order (what a PR must pass);
 #                  .github/workflows/ci.yml runs exactly these targets,
 #                  split across jobs so the race leg parallelizes
-#   make vet     - static checks: go vet + gofmt (fails on unformatted files)
+#   make vet     - static checks: go vet of this module and of the
+#                  benchmark module (bench/ is a separate module, which
+#                  `go vet ./...` does not reach) + gofmt (fails on
+#                  unformatted files)
 #   make build   - compile all packages, commands and examples
 #   make test    - full test suite (includes the differential oracle suite)
 #   make race    - full suite under the race detector (pool/selector/daemon/
@@ -65,6 +68,7 @@ ci: vet build test race e2e fuzz smoke bench-smoke cover
 
 vet:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt: the following files need formatting:"; \

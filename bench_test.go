@@ -125,33 +125,6 @@ func BenchmarkSelectorReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkSelectorReuseInPlace additionally skips the defensive shard
-// copy (the zero-copy hot path); the input is re-sharded outside the
-// timed region less often than it is consumed, so treat its numbers as a
-// bound rather than a steady-state measurement.
-func BenchmarkSelectorReuseInPlace(b *testing.B) {
-	shards := makeShards(256<<10, 8)
-	opts := parsel.Options{Algorithm: parsel.Randomized, Balancer: parsel.NoBalance}
-	opts.Machine.Procs = len(shards)
-	sel, err := parsel.NewSelector[int64](opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sel.Close()
-	var n int64
-	for _, s := range shards {
-		n += int64(len(s))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// The multiset is preserved, so the median stays valid across
-		// iterations even though the shards are permuted in place.
-		if _, err := sel.SelectInPlace(shards, (n+1)/2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBalanceGlobalExchange(b *testing.B) {
 	shards := makeShards(256<<10, 16)
 	// Skew it: everything from the first half onto the first processor.

@@ -12,9 +12,8 @@ import (
 	"parsel"
 )
 
-// The borrowed-input guard: no query that borrows shards (every method but
-// SelectInPlace) may write them, whichever algorithm, balancer and path
-// serves it. Fast randomized selection reads borrowed shards in place, so
+// The borrowed-input guard: no query may write the shards it reads,
+// whichever algorithm, balancer and path serves it. Fast randomized selection reads borrowed shards in place, so
 // these populations are well above p^2 (8 x 4096 keys): the pivot
 // iterations, their filters, the stall fallback and the iteration cap all
 // run against the caller's memory.
@@ -97,7 +96,7 @@ type shardQuerier[K cmp.Ordered] interface {
 	Over(shards [][]K) parsel.Verbs[K]
 }
 
-// shardQueries lists every borrowing query kind of q on shards.
+// shardQueries lists every query kind of q on shards.
 func shardQueries[K cmp.Ordered](q shardQuerier[K], shards [][]K) []namedQuery {
 	return verbQueries(q.Over(shards), population(shards))
 }

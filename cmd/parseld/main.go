@@ -74,10 +74,12 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -111,12 +113,10 @@ var topoNames = map[string]parsel.Topology{
 	"ring":      parsel.TopologyRing,
 }
 
+// keys lists a name table's names, sorted, for the usage text and the
+// unknown-name errors.
 func keys[V any](m map[string]V) string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return strings.Join(out, ", ")
+	return strings.Join(slices.Sorted(maps.Keys(m)), ", ")
 }
 
 func main() {

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"errors"
-	"reflect"
 	"sync"
 	"sync/atomic"
 
@@ -81,7 +80,6 @@ type Dataset[K cmp.Ordered] struct {
 	pool   *Pool[K]
 	shards [][]K // the resident snapshot; read-only after construction
 	n      int64
-	bytes  int64
 
 	hints hints[K]
 
@@ -140,7 +138,6 @@ func (pl *Pool[K]) RestoreDataset(shards [][]K) (*Dataset[K], error) {
 		pool:   pl,
 		shards: shards,
 		n:      n,
-		bytes:  n * int64(reflect.TypeFor[K]().Size()),
 	}
 	ds.verbs = ds.Run
 	return ds, nil
@@ -203,12 +200,6 @@ func (ds *Dataset[K]) Procs() int { return len(ds.shards) }
 
 // N returns the resident population size.
 func (ds *Dataset[K]) N() int64 { return ds.n }
-
-// Bytes returns the resident size of the snapshot in bytes (population
-// times the key's in-memory size; variable-size keys such as strings
-// count their headers only). This is the quantity the daemon's
-// resident-bytes budget accounts.
-func (ds *Dataset[K]) Bytes() int64 { return ds.bytes }
 
 // Run answers one query against the resident population; see Pool.Run.
 func (ds *Dataset[K]) Run(ctx context.Context, q Query) (Answer[K], error) {

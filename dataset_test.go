@@ -231,8 +231,8 @@ func TestDatasetLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if empty.N() != 0 || empty.Bytes() != 0 || empty.Procs() != 2 {
-		t.Errorf("empty dataset: n=%d bytes=%d procs=%d", empty.N(), empty.Bytes(), empty.Procs())
+	if empty.N() != 0 || empty.Procs() != 2 {
+		t.Errorf("empty dataset: n=%d procs=%d", empty.N(), empty.Procs())
 	}
 	if _, err := empty.Median(context.Background()); !errors.Is(err, parsel.ErrNoData) {
 		t.Errorf("median of empty dataset = %v, want ErrNoData", err)
@@ -243,8 +243,8 @@ func TestDatasetLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.N() != 3 || ds.Bytes() != 24 || ds.Procs() != 2 {
-		t.Errorf("dataset gauges: n=%d bytes=%d procs=%d, want 3/24/2", ds.N(), ds.Bytes(), ds.Procs())
+	if ds.N() != 3 || ds.Procs() != 2 {
+		t.Errorf("dataset gauges: n=%d procs=%d, want 3/2", ds.N(), ds.Procs())
 	}
 	if res, err := ds.Select(context.Background(), 2); err != nil || res.Value != 2 {
 		t.Fatalf("select(2) = %v %v", res.Value, err)

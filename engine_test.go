@@ -188,42 +188,6 @@ func TestSelectorAdaptsShardCount(t *testing.T) {
 	}
 }
 
-// TestSelectInPlace verifies the zero-copy path returns the same answer
-// as the copying path and preserves the multiset of elements.
-func TestSelectInPlace(t *testing.T) {
-	shards := engineShards(5000, 4)
-	var all []int64
-	for _, s := range shards {
-		all = append(all, s...)
-	}
-	slices.Sort(all)
-
-	opts := parsel.Options{}
-	opts.Machine.Procs = len(shards)
-	sel, err := parsel.NewSelector[int64](opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sel.Close()
-	res, err := sel.SelectInPlace(shards, 2500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Value != all[2499] {
-		t.Errorf("in-place rank 2500 = %d, want %d", res.Value, all[2499])
-	}
-	// The shards are consumed (permuted) but the union multiset of the
-	// caller's slices must be preserved.
-	var after []int64
-	for _, s := range shards {
-		after = append(after, s...)
-	}
-	slices.Sort(after)
-	if !slices.Equal(after, all) {
-		t.Error("in-place selection lost or duplicated elements")
-	}
-}
-
 // TestCrossProcAgreement exercises the cross-processor result assertion:
 // with checks enabled, every algorithm's collective runs must agree on
 // the result across all simulated processors, and the detector itself

@@ -68,12 +68,6 @@ func BenchmarkTransport16(b *testing.B) {
 	})
 }
 
-func BenchmarkBarrier64(b *testing.B) {
-	benchCollective(b, 64, func(pr *machine.Proc, payload []int64) {
-		Barrier(pr)
-	})
-}
-
 // benchReused times one collective per Run on a reused p-processor
 // machine, as a resident query issues them. Each processor keeps its
 // buffers across runs in bufs, so allocations reported by -benchmem are

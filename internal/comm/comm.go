@@ -7,7 +7,11 @@
 //	Gather             O(tau log p + mu p)  binomial tree
 //	Global Concatenate O(tau log p + mu p)  Bruck all-gather
 //	Transportation     ~2 mu t              pairwise-scheduled all-to-all-v
-//	Barrier            O(tau log p)         dissemination
+//
+// The parallel prefix exists as an int64 sum (PrefixSumInt64), the only
+// form the algorithms use; Gather and Global Concatenate come in
+// variable-length (Gatherv, GatherFlat, GlobalConcatv) and int64
+// (GlobalConcatInt64) forms.
 //
 // All primitives work for arbitrary processor counts, not only powers of
 // two. Message costs (tau + mu*bytes) are charged by the machine layer;
@@ -27,7 +31,6 @@ const (
 	tagGather    = 4 << 20
 	tagConcat    = 5 << 20
 	tagTransport = 6 << 20
-	tagBarrier   = 7 << 20
 	tagCounts    = 8 << 20
 )
 
@@ -125,25 +128,6 @@ func Combine[T any](p *machine.Proc, val T, bytes int, op func(T, T) T) T {
 	return Broadcast(p, 0, res, bytes)
 }
 
-// Prefix computes the inclusive parallel prefix of val under the
-// associative op: processor i returns op(x0, x1, ..., xi). Implemented as a
-// dissemination (Hillis–Steele) scan in ceil(log2 p) rounds for any p.
-func Prefix[T any](p *machine.Proc, val T, bytes int, op func(T, T) T) T {
-	size := p.Procs()
-	me := p.ID()
-	acc := val
-	for pow, round := 1, 0; pow < size; pow, round = pow<<1, round+1 {
-		if me+pow < size {
-			p.Send(me+pow, tagPrefix+round, acc, bytes)
-		}
-		if me-pow >= 0 {
-			left := p.Recv(me-pow, tagPrefix+round).(T)
-			acc = op(left, acc)
-		}
-	}
-	return acc
-}
-
 // gatherBlock is a contiguous run of per-processor slices in relative-rank
 // order, used internally by the binomial gather tree.
 type gatherBlock[T any] struct {
@@ -184,20 +168,6 @@ func Gatherv[T any](p *machine.Proc, root int, vals []T, elemBytes int) [][]T {
 	out := make([][]T, size)
 	for i, part := range block.parts {
 		out[(i+root)%size] = part
-	}
-	return out
-}
-
-// Gather collects one value per processor on root (absolute-rank order).
-// On non-roots the result is nil.
-func Gather[T any](p *machine.Proc, root int, val T, bytes int) []T {
-	parts := Gatherv(p, root, []T{val}, bytes)
-	if parts == nil {
-		return nil
-	}
-	out := make([]T, len(parts))
-	for i, part := range parts {
-		out[i] = part[0]
 	}
 	return out
 }
@@ -304,17 +274,6 @@ func GlobalConcatv[T any](p *machine.Proc, vals []T, elemBytes int) [][]T {
 	return out
 }
 
-// GlobalConcat gathers one value per processor onto all processors
-// (absolute-rank order). This is the paper's Global Concatenate.
-func GlobalConcat[T any](p *machine.Proc, val T, bytes int) []T {
-	parts := GlobalConcatv(p, []T{val}, bytes)
-	out := make([]T, len(parts))
-	for i, part := range parts {
-		out[i] = part[0]
-	}
-	return out
-}
-
 // Transport is the transportation primitive: many-to-many personalized
 // communication with possibly high variance in message sizes. out[j] holds
 // the elements destined for processor j (out[me] is delivered locally).
@@ -380,20 +339,6 @@ func TransportKnownInto[T any](p *machine.Proc, out [][]T, inCounts []int64, ele
 		}
 	}
 	return in
-}
-
-// Barrier synchronises all processors (dissemination barrier, any p).
-// Simulated clocks advance to a common frontier through the message
-// arrival rule.
-func Barrier(p *machine.Proc) {
-	size := p.Procs()
-	me := p.ID()
-	for pow, round := 1, 0; pow < size; pow, round = pow<<1, round+1 {
-		dst := (me + pow) % size
-		src := (me - pow + size) % size
-		p.Send(dst, tagBarrier+round, nil, 0)
-		p.Recv(src, tagBarrier+round)
-	}
 }
 
 // relRank maps an absolute rank to its rank relative to root.

@@ -1,7 +1,7 @@
-// Typed int64 fast paths for the hottest collectives. Each mirrors its
-// generic counterpart exactly — same tree shape, same tags, same message
-// count and byte sizes — so simulated time and traffic counters are
-// bit-identical; the only difference is that values travel through the
+// Typed int64 fast paths for the hottest collectives. Each has the tree
+// shape, tags, message count and byte sizes of the generic form of its
+// collective, so simulated time and traffic counters are bit-identical
+// to it; the only difference is that values travel through the
 // machine's inline int64 message fields instead of being boxed into
 // interfaces, making the host-side cost allocation-free.
 package comm
@@ -155,8 +155,9 @@ func CombineMaxInt64(p *machine.Proc, val int64, bytes int) int64 {
 	return v
 }
 
-// PrefixSumInt64 returns the inclusive prefix sum of val across processors
-// (dissemination scan, identical in shape to Prefix).
+// PrefixSumInt64 returns the inclusive prefix sum of val across
+// processors: processor i returns x0 + ... + xi. It is a dissemination
+// (Hillis–Steele) scan in ceil(log2 p) rounds for any p.
 func PrefixSumInt64(p *machine.Proc, val int64) int64 {
 	size := p.Procs()
 	me := p.ID()
@@ -173,12 +174,12 @@ func PrefixSumInt64(p *machine.Proc, val int64) int64 {
 	return acc
 }
 
-// GlobalConcatInt64 is GlobalConcat specialised to one int64 per
+// GlobalConcatInt64 is GlobalConcatv specialised to one int64 per
 // processor. buf, when large enough (2p), provides all working storage so
 // the collective allocates nothing; it is returned (possibly grown) for
 // the caller to retain. The result is a view into it indexed by absolute
 // rank, valid until the next call that reuses the buffer. Shape, tags and
-// bytes match GlobalConcat exactly.
+// bytes match GlobalConcatv of one-key slices exactly.
 func GlobalConcatInt64(p *machine.Proc, val int64, buf []int64) (out, grown []int64) {
 	return globalConcatInt64Flat(p, val, nil, 1, buf)
 }

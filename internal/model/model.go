@@ -110,18 +110,3 @@ func Predict(alg selection.Algorithm, n int64, params machine.Params, worstCase 
 		return 0
 	}
 }
-
-// Speedup returns the modelled speedup of alg at p processors relative to
-// one processor running the corresponding sequential kernel.
-func Speedup(alg selection.Algorithm, n int64, params machine.Params, worstCase bool) float64 {
-	seq := float64(n) * opsFR * params.SecPerOp
-	switch alg {
-	case selection.MedianOfMedians, selection.BucketBased:
-		seq = float64(n) * opsBFPRT * params.SecPerOp
-	}
-	t := Predict(alg, n, params, worstCase)
-	if t <= 0 {
-		return 0
-	}
-	return seq / t
-}

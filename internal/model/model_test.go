@@ -67,15 +67,19 @@ func TestWorstCaseCostlier(t *testing.T) {
 	}
 }
 
+// TestSpeedupReasonable checks the modelled speedup, the one-processor
+// prediction over the eight-processor one.
 func TestSpeedupReasonable(t *testing.T) {
+	speedup := func(alg selection.Algorithm, n int64) float64 {
+		return Predict(alg, n, predictParams(1), false) / Predict(alg, n, predictParams(8), false)
+	}
 	for _, alg := range selection.Algorithms {
-		s8 := Speedup(alg, 2<<20, predictParams(8), false)
-		if s8 <= 0 {
+		if s8 := speedup(alg, 2<<20); !(s8 > 1) {
 			t.Errorf("%v: speedup %g", alg, s8)
 		}
 	}
 	// Randomized selection at large n should achieve real speedup.
-	if s := Speedup(selection.Randomized, 8<<20, predictParams(8), false); s < 2 {
+	if s := speedup(selection.Randomized, 8<<20); s < 2 {
 		t.Errorf("randomized speedup at p=8 only %g", s)
 	}
 }

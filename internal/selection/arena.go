@@ -9,8 +9,8 @@ import (
 )
 
 // Arena holds one simulated processor's reusable scratch memory: the
-// copy-in buffer for borrowed caller shards (used by every algorithm but
-// fast randomized selection on p > 1, which reads them in place), the
+// copy-in buffer for the caller's shard (used by every algorithm but
+// fast randomized selection on p > 1, which reads it in place), the
 // per-iteration sample and pivot buffers, the gather-tree staging buffer,
 // and the nested balance and sample-sort scratches. It is parked in
 // machine.Proc.Scratch, so a long-lived machine serves repeated
@@ -22,7 +22,7 @@ import (
 // synchronized all processors, which is when any cross-processor aliases
 // created by the zero-copy message layer are guaranteed drained.
 type Arena[K cmp.Ordered] struct {
-	local   []K    // copy-in buffer for borrowed shards of in-place algorithms
+	local   []K    // copy-in buffer for the shards of in-place algorithms
 	sample  []K    // fast randomized per-iteration sample
 	gather  []K    // gather-tree staging / root gather target
 	kbuf    []K    // tiny pivot and window-key slices (1–2 elements)
@@ -99,7 +99,7 @@ func arenaOf[K cmp.Ordered](p *machine.Proc) *Arena[K] {
 	return a
 }
 
-// copyIn copies borrowed caller data into the arena so the algorithms can
+// copyIn copies the caller's shard into the arena so the algorithms can
 // permute and migrate it freely. The copy is host work only — the
 // simulated model never charged for the entry copy and still does not.
 func (a *Arena[K]) copyIn(data []K) []K {

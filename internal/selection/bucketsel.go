@@ -46,7 +46,7 @@ func selectBucket[K cmp.Ordered](p *machine.Proc, local []K, rank, n int64, opts
 
 		// Steps 2–3: gather (median, weight) pairs on P0, compute the
 		// weighted median of medians, broadcast it.
-		ms, gbuf := comm.GatherFlatInto(p, 0, meds, opts.ElemBytes, ar.gather)
+		ms, gbuf := comm.GatherFlatInto(p, 0, meds, machine.WordBytes, ar.gather)
 		ar.gather = gbuf
 		qs, wbuf := comm.GatherFlatInto(p, 0, wts, machine.WordBytes, ar.wgather)
 		ar.wgather = wbuf
@@ -57,7 +57,7 @@ func selectBucket[K cmp.Ordered](p *machine.Proc, local []K, rank, n int64, opts
 			pivS = append(ar.kbuf[:0], wm)
 			ar.kbuf = pivS
 		}
-		piv := comm.BroadcastSlice(p, 0, pivS, opts.ElemBytes)[0]
+		piv := comm.BroadcastSlice(p, 0, pivS, machine.WordBytes)[0]
 
 		// Step 4: partition against the estimate inside the straddling
 		// bucket(s) only.

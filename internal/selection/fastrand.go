@@ -109,7 +109,7 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 				ar.gather = all
 			} else {
 				var gbuf []K
-				all, gbuf = comm.GatherFlatInto(p, 0, sample, opts.ElemBytes, ar.gather)
+				all, gbuf = comm.GatherFlatInto(p, 0, sample, machine.WordBytes, ar.gather)
 				ar.gather = gbuf
 				if capture {
 					pre.capture(p, n, int64(len(all)), all)
@@ -124,7 +124,7 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 				pair = append(ar.kbuf[:0], v1, v2)
 				ar.kbuf = pair
 			}
-			pair = comm.BroadcastSlice(p, 0, pair, opts.ElemBytes)
+			pair = comm.BroadcastSlice(p, 0, pair, machine.WordBytes)
 			k1, k2 = pair[0], pair[1]
 		} else {
 			// Oversampling factor 8: classic PSRS's p samples per
@@ -135,24 +135,24 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 			if replay {
 				S, run = pre.restore(p)
 			} else {
-				run = psort.SortOversampledScratch(p, sample, opts.ElemBytes, 8, &ar.sort)
+				run = psort.SortOversampledScratch(p, sample, machine.WordBytes, 8, &ar.sort)
 				S = comm.CombineInt64(p, int64(len(run)))
 				if capture {
 					pre.capture(p, n, S, run)
 				}
 			}
 			r1, r2 := windowRanks(rank, S, n, opts)
-			k1 = psort.RankElement(p, run, r1-1, opts.ElemBytes)
-			k2 = psort.RankElement(p, run, r2-1, opts.ElemBytes)
+			k1 = psort.RankElement(p, run, r1-1, machine.WordBytes)
+			k2 = psort.RankElement(p, run, r2-1, machine.WordBytes)
 		}
 
 		// Step 5: one fused scan tallies the window regions and
 		// speculatively materializes the in-window survivors out of
 		// place — window hits are the overwhelmingly common outcome by
 		// construction of the slack, and the originals stay intact in
-		// local for the rare miss. On the first iteration local may be
-		// the caller's borrowed shard (Select does not copy it for this
-		// algorithm): this filter only reads it, and every later step
+		// local for the rare miss. On the first iteration local is the
+		// caller's shard (Select does not copy it for this algorithm):
+		// this filter only reads it, and every later step
 		// works on arena buffers. The scan charges exactly what the
 		// three-way partition pair would; survivors keep their stable
 		// input order rather than the partition's scramble, which makes

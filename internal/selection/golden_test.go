@@ -62,7 +62,7 @@ func goldenCatalogue(t *testing.T) []string {
 				slices.Sort(sorted)
 				for _, alg := range AllAlgorithms {
 					for _, bal := range balance.Methods {
-						opts := Options{Algorithm: alg, Balancer: bal, BorrowedInput: true}
+						opts := Options{Algorithm: alg, Balancer: bal}
 						name := fmt.Sprintf("%v/%v/%v/p%d/%v/single", alg, bal, kind, p, topo)
 						row(name, func(pr *machine.Proc) {
 							vals[pr.ID()], _ = Select(pr, shards[pr.ID()], n/3+1, opts)
@@ -75,7 +75,7 @@ func goldenCatalogue(t *testing.T) []string {
 				ranks := []int64{1, n / 4, n / 2, 3 * n / 4, n}
 				name := fmt.Sprintf("many/%v/p%d/%v/multi", kind, p, topo)
 				row(name, func(pr *machine.Proc) {
-					res, _ := SelectMany(pr, shards[pr.ID()], ranks, Options{BorrowedInput: true})
+					res, _ := SelectMany(pr, shards[pr.ID()], ranks, Options{})
 					many[pr.ID()] = slices.Clone(res)
 				})
 				want := make([]int64, len(ranks))
@@ -185,7 +185,7 @@ func TestEngineGoldenReplay(t *testing.T) {
 			for _, kind := range []workload.Kind{workload.Random, workload.Sorted} {
 				shards := workload.Generate(kind, n, p, uint64(100+p))
 				for _, bal := range balance.Methods {
-					opts := Options{Algorithm: FastRandomized, Balancer: bal, BorrowedInput: true}
+					opts := Options{Algorithm: FastRandomized, Balancer: bal}
 					name := fmt.Sprintf("%v/%v/%v/p%d/%v/single", FastRandomized, bal, kind, p, topo)
 					pre := NewPrefix[int64](p)
 					if got, plain := row(name, shards, n, opts, pre), row(name, shards, n, opts, nil); got != plain {

@@ -41,7 +41,7 @@ func selectMoM[K cmp.Ordered](p *machine.Proc, local []K, rank, n int64, opts Op
 		}
 
 		// Steps 2–3: gather medians on P0, find their median, broadcast.
-		all, gbuf := comm.GatherFlatInto(p, 0, meds, opts.ElemBytes, ar.gather)
+		all, gbuf := comm.GatherFlatInto(p, 0, meds, machine.WordBytes, ar.gather)
 		ar.gather = gbuf
 		var pivS []K
 		if p.ID() == 0 {
@@ -50,7 +50,7 @@ func selectMoM[K cmp.Ordered](p *machine.Proc, local []K, rank, n int64, opts Op
 			pivS = append(ar.kbuf[:0], m)
 			ar.kbuf = pivS
 		}
-		piv := comm.BroadcastSlice(p, 0, pivS, opts.ElemBytes)[0]
+		piv := comm.BroadcastSlice(p, 0, pivS, machine.WordBytes)[0]
 
 		// Step 4: one fused scan splits the local list into its two
 		// candidate survivor streams out of place (both stable), at

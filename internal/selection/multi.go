@@ -47,8 +47,10 @@ type multiSeg[K cmp.Ordered] struct {
 // applied (segments alias one another's storage), so Options.Balancer is
 // ignored.
 //
-// The returned slice is backed by the processor's arena and is valid
-// until the next selection on the same machine.
+// local is only read: the rounds partition a copy of it in the
+// processor's arena (host cost only). The returned slice is backed by
+// the processor's arena and is valid until the next selection on the
+// same machine.
 func SelectMany[K cmp.Ordered](p *machine.Proc, local []K, ranks []int64, opts Options) ([]K, Stats) {
 	opts = opts.withDefaults()
 	st := &Stats{}
@@ -69,9 +71,7 @@ func SelectMany[K cmp.Ordered](p *machine.Proc, local []K, ranks []int64, opts O
 	if len(ranks) == 0 {
 		return results, *st
 	}
-	if opts.BorrowedInput {
-		local = ar.copyIn(local)
-	}
+	local = ar.copyIn(local)
 
 	// Sort the rank set once, remembering result positions.
 	order := ar.mouts.take(len(ranks))
@@ -137,7 +137,7 @@ func multiRound[K cmp.Ordered](p *machine.Proc, ar *Arena[K], live, next, small 
 		}
 	}
 	ar.mown = own
-	pivs := combineOwnedSlice(p, own, opts.ElemBytes, ar.mpivs)
+	pivs := combineOwnedSlice(p, own, ar.mpivs)
 	ar.mpivs = pivs
 
 	// Partition every segment around its pivot and total the tallies.
@@ -220,7 +220,7 @@ func multiFinish[K cmp.Ordered](p *machine.Proc, ar *Arena[K], small []multiSeg[
 	// selection, the root has received from every processor (gather
 	// tree) and every processor has received from the root (broadcast),
 	// so all cross-processor aliases of these buffers are drained.
-	all, gbuf := comm.GatherFlatInto(p, 0, mine, opts.ElemBytes, ar.gather)
+	all, gbuf := comm.GatherFlatInto(p, 0, mine, machine.WordBytes, ar.gather)
 	ar.gather = gbuf
 	var vals []K
 	if p.ID() == 0 {
@@ -236,7 +236,7 @@ func multiFinish[K cmp.Ordered](p *machine.Proc, ar *Arena[K], small []multiSeg[
 		}
 		ar.mvals = vals
 	}
-	vals = comm.BroadcastSlice(p, 0, vals, opts.ElemBytes)
+	vals = comm.BroadcastSlice(p, 0, vals, machine.WordBytes)
 	i := 0
 	for _, seg := range small {
 		for _, pos := range seg.out {
@@ -249,8 +249,8 @@ func multiFinish[K cmp.Ordered](p *machine.Proc, ar *Arena[K], small []multiSeg[
 // combineOwnedSlice resolves a round's pivots, each held by exactly one
 // processor, in one Combine of the whole vector, and copies them into
 // dst (grown as needed), which it returns.
-func combineOwnedSlice[K any](p *machine.Proc, mine []owned[K], elemBytes int, dst []K) []K {
-	res := comm.Combine(p, mine, len(mine)*(elemBytes+1), func(a, b []owned[K]) []owned[K] {
+func combineOwnedSlice[K any](p *machine.Proc, mine []owned[K], dst []K) []K {
+	res := comm.Combine(p, mine, len(mine)*(machine.WordBytes+1), func(a, b []owned[K]) []owned[K] {
 		for i := range a {
 			if !a[i].has {
 				a[i] = b[i]

@@ -29,7 +29,7 @@ func randomizedStep[K cmp.Ordered](p *machine.Proc, local []K, rank, n int64, op
 	if nr >= s-ni && nr < s {
 		mine = owned[K]{has: true, val: local[nr-(s-ni)]}
 	}
-	piv := combineOwned(p, mine, opts.ElemBytes)
+	piv := combineOwned(p, mine)
 
 	// Step 4: partition. This stays a true three-way partition rather
 	// than the count-then-compact of the other algorithms: the next

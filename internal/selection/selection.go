@@ -116,15 +116,6 @@ type Options struct {
 	// RecordTrace appends one IterTrace per pivot iteration to
 	// Stats.Trace (costs memory only; simulated time is unaffected).
 	RecordTrace bool
-	// ElemBytes is the wire size of one key. 0 means 8 (int64 keys).
-	ElemBytes int
-	// BorrowedInput marks local as caller-owned memory that must not be
-	// mutated. Fast randomized selection on p > 1 reads it in place (its
-	// first filter writes the survivors into arena buffers); every other
-	// algorithm, and the p = 1 path, first copies it into the processor's
-	// arena (host cost only — simulated metrics are unchanged). Callers
-	// that hand over ownership leave it false and never pay the copy.
-	BorrowedInput bool
 	// AscendingInput promises that local is in ascending order (every
 	// key <= its successor; see seq.Ascending). Fast randomized
 	// selection's first step-5 filter then finds its window by binary
@@ -143,9 +134,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 200
-	}
-	if o.ElemBytes == 0 {
-		o.ElemBytes = machine.WordBytes
 	}
 	return o
 }
@@ -214,8 +202,11 @@ type selector[K cmp.Ordered] func(a []K, k int) (K, int64)
 
 // Select returns the element of 1-based rank among the union of all
 // processors' local slices. It must be called collectively; every
-// processor receives the same result. local is consumed (permuted and
-// possibly redistributed) unless opts.BorrowedInput is set.
+// processor receives the same result. local is only read: fast
+// randomized selection on p > 1 scans it in place, and every other
+// algorithm, like every run on one processor, first copies it into the
+// processor's arena (host cost only — the simulated model never charged
+// for the copy). Every key travels as one machine.WordBytes word.
 func Select[K cmp.Ordered](p *machine.Proc, local []K, rank int64, opts Options) (K, Stats) {
 	return SelectPrefix(p, local, rank, opts, nil)
 }
@@ -243,11 +234,11 @@ func SelectPrefix[K cmp.Ordered](p *machine.Proc, local []K, rank int64, opts Op
 	if rank < 1 || rank > n {
 		panic(fmt.Sprintf("selection: rank %d out of range [1,%d]", rank, n))
 	}
-	if opts.BorrowedInput && (opts.Algorithm != FastRandomized || p.Procs() == 1) {
+	if opts.Algorithm != FastRandomized || p.Procs() == 1 {
 		// Fast randomized selection on p > 1 never writes its input: its
 		// first step-5 filter moves the survivors into arena buffers, and
-		// every later step works on those. It scans a borrowed shard in
-		// place. All other paths partition local in place, so they copy.
+		// every later step works on those. All other paths partition
+		// local in place, so they work on a copy.
 		local = arenaOf[K](p).copyIn(local)
 	}
 
@@ -288,15 +279,6 @@ func SelectPrefix[K cmp.Ordered](p *machine.Proc, local []K, rank int64, opts Op
 	return res, *st
 }
 
-// Median returns the element of rank ceil(n/2), the paper's median.
-func Median[K cmp.Ordered](p *machine.Proc, local []K, opts Options) (K, Stats) {
-	n := comm.CombineInt64(p, int64(len(local)))
-	if n == 0 {
-		panic("selection: Median of an empty population")
-	}
-	return Select(p, local, (n+1)/2, opts)
-}
-
 // threshold is the population size at which iteration stops and the
 // remainder is solved sequentially on processor 0 (the paper's p^2).
 func threshold(p *machine.Proc) int64 {
@@ -308,7 +290,7 @@ func threshold(p *machine.Proc) int64 {
 // rank-th smallest there, and broadcasts the answer.
 func finalSolve[K cmp.Ordered](p *machine.Proc, local []K, rank int64, opts Options, st *Stats, sel selector[K]) K {
 	ar := arenaOf[K](p)
-	all, gbuf := comm.GatherFlatInto(p, 0, local, opts.ElemBytes, ar.gather)
+	all, gbuf := comm.GatherFlatInto(p, 0, local, machine.WordBytes, ar.gather)
 	ar.gather = gbuf
 	var res []K
 	if p.ID() == 0 {
@@ -318,7 +300,7 @@ func finalSolve[K cmp.Ordered](p *machine.Proc, local []K, rank int64, opts Opti
 		res = append(ar.kbuf[:0], v)
 		ar.kbuf = res
 	}
-	return comm.BroadcastSlice(p, 0, res, opts.ElemBytes)[0]
+	return comm.BroadcastSlice(p, 0, res, machine.WordBytes)[0]
 }
 
 // counts carries the (less, equal) tallies through a Combine.
@@ -340,8 +322,8 @@ type owned[K any] struct {
 }
 
 // combineOwned resolves the value held by exactly one processor.
-func combineOwned[K any](p *machine.Proc, mine owned[K], elemBytes int) K {
-	res := comm.Combine(p, mine, elemBytes+1, func(a, b owned[K]) owned[K] {
+func combineOwned[K any](p *machine.Proc, mine owned[K]) K {
+	res := comm.Combine(p, mine, machine.WordBytes+1, func(a, b owned[K]) owned[K] {
 		if a.has {
 			return a
 		}
@@ -360,7 +342,7 @@ func runBalance[K cmp.Ordered](p *machine.Proc, local []K, opts Options, st *Sta
 		return local
 	}
 	t0 := p.Now()
-	local = balance.RunScratch(p, local, opts.Balancer, opts.ElemBytes, &arenaOf[K](p).bal)
+	local = balance.RunScratch(p, local, opts.Balancer, machine.WordBytes, &arenaOf[K](p).bal)
 	st.BalanceSeconds += p.Now() - t0
 	return local
 }

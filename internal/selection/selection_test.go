@@ -201,26 +201,6 @@ func TestEmptyShardsMixed(t *testing.T) {
 	}
 }
 
-func TestMedianHelper(t *testing.T) {
-	const p = 4
-	shards := workload.Generate(workload.Random, 1001, p, 3)
-	want := oracle(shards, 501) // ceil(1001/2)
-	res := make([]int64, p)
-	work := make([][]int64, p)
-	for i := range shards {
-		work[i] = slices.Clone(shards[i])
-	}
-	_, err := machine.Run(machine.DefaultParams(p), func(pr *machine.Proc) {
-		res[pr.ID()], _ = Median(pr, work[pr.ID()], Options{Algorithm: Randomized})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0] != want {
-		t.Errorf("Median = %d, want %d", res[0], want)
-	}
-}
-
 func TestInvalidArgsPanicCollectively(t *testing.T) {
 	shards := workload.Generate(workload.Random, 100, 2, 1)
 	for name, rank := range map[string]int64{"zero": 0, "negative": -5, "too big": 101} {
@@ -382,7 +362,7 @@ func TestStringKeys(t *testing.T) {
 			slices.Clone(shards[0]), slices.Clone(shards[1]), slices.Clone(shards[2]),
 		}
 		_, err := machine.Run(machine.DefaultParams(3), func(pr *machine.Proc) {
-			res[pr.ID()], _ = Select(pr, work[pr.ID()], 3, Options{Algorithm: alg, ElemBytes: 8})
+			res[pr.ID()], _ = Select(pr, work[pr.ID()], 3, Options{Algorithm: alg})
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)

@@ -13,7 +13,8 @@ import (
 // the element at the target rank. It is asymptotically and practically
 // inferior to every §3 algorithm — the harness's "sortsel" experiment
 // quantifies by how much — but is useful as an oracle and as a baseline
-// for benchmarks.
+// for benchmarks. Unlike Select it consumes local: the sort permutes it
+// in place.
 func ViaSort[K cmp.Ordered](p *machine.Proc, local []K, rank int64, opts Options) (K, Stats) {
 	opts = opts.withDefaults()
 	st := &Stats{}
@@ -24,7 +25,7 @@ func ViaSort[K cmp.Ordered](p *machine.Proc, local []K, rank int64, opts Options
 	if rank < 1 || rank > n {
 		panic("selection: ViaSort rank out of range")
 	}
-	run := psort.Sort(p, local, opts.ElemBytes)
+	run := psort.Sort(p, local, machine.WordBytes)
 	st.Iterations = 1
-	return psort.RankElement(p, run, rank-1, opts.ElemBytes), *st
+	return psort.RankElement(p, run, rank-1, machine.WordBytes), *st
 }

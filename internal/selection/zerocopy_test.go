@@ -34,8 +34,8 @@ func selectOn(t *testing.T, m *machine.Machine, shards [][]int64, rank int64, op
 	return out
 }
 
-func cloneAll(shards [][]int64) [][]int64 {
-	out := make([][]int64, len(shards))
+func cloneAll[K any](shards [][]K) [][]K {
+	out := make([][]K, len(shards))
 	for i, s := range shards {
 		out[i] = slices.Clone(s)
 	}
@@ -63,9 +63,9 @@ func zeroCopyInputs(p int) map[string][][]int64 {
 }
 
 // TestFastRandomizedBorrowedMatchesOwned pins the zero-copy path as
-// host-only: reading borrowed shards in place gives the same value, the
-// same Stats (trace included), the same simulated clock and the same
-// counters on every processor as a run that owns a copy of them, and
+// host-only: reading the caller's shards in place gives the same value,
+// the same Stats (trace included), the same simulated clock and the same
+// counters on every processor as a run over a private copy of them, and
 // leaves the shards untouched (one rank per input runs the paper-faithful
 // sample sort).
 func TestFastRandomizedBorrowedMatchesOwned(t *testing.T) {
@@ -86,7 +86,6 @@ func TestFastRandomizedBorrowedMatchesOwned(t *testing.T) {
 					label := fmt.Sprintf("%s/%v/cap%d/rank%d", name, bal, maxIter, rank)
 					before := cloneAll(shards)
 					owned := selectOn(t, m, cloneAll(shards), rank, opts)
-					opts.BorrowedInput = true
 					borrowed := selectOn(t, m, shards, rank, opts)
 					if !reflect.DeepEqual(borrowed, owned) {
 						t.Fatalf("%s: borrowed run %+v differs from owned run %+v", label, borrowed[0], owned[0])
@@ -108,8 +107,8 @@ func TestFastRandomizedBorrowedMatchesOwned(t *testing.T) {
 }
 
 // TestFastRandomizedBorrowedAllocatesNoCopy pins the memory saving: warm
-// borrowed fast randomized runs at p = 8 never allocate the arena's
-// copy-in buffer, while a borrowed run of an in-place algorithm does.
+// fast randomized runs at p = 8 never allocate the arena's copy-in
+// buffer, while a run of an in-place algorithm does.
 func TestFastRandomizedBorrowedAllocatesNoCopy(t *testing.T) {
 	const p = 8
 	m, err := machine.New(machine.DefaultParams(p))
@@ -128,7 +127,7 @@ func TestFastRandomizedBorrowedAllocatesNoCopy(t *testing.T) {
 	n := int64(p * len(shards[0]))
 	for i := 0; i < 5; i++ {
 		for _, bal := range balance.Methods {
-			selectOn(t, m, shards, n/2+int64(i), Options{Algorithm: FastRandomized, Balancer: bal, BorrowedInput: true})
+			selectOn(t, m, shards, n/2+int64(i), Options{Algorithm: FastRandomized, Balancer: bal})
 		}
 	}
 	for id, c := range copyIn() {
@@ -136,7 +135,7 @@ func TestFastRandomizedBorrowedAllocatesNoCopy(t *testing.T) {
 			t.Errorf("proc %d: copy-in buffer grew to %d keys under fast randomized selection", id, c)
 		}
 	}
-	selectOn(t, m, shards, n/2, Options{Algorithm: Randomized, BorrowedInput: true})
+	selectOn(t, m, shards, n/2, Options{Algorithm: Randomized})
 	for id, c := range copyIn() {
 		if c < len(shards[id]) {
 			t.Errorf("proc %d: randomized selection copied into a %d-key buffer, want >= %d", id, c, len(shards[id]))

@@ -156,9 +156,10 @@ func BenchmarkMergeK(b *testing.B) {
 		data[i] = benchData(per)
 		slices.Sort(data[i])
 	}
+	var out []int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MergeK(data)
+		out, _ = MergeKInto(out, data)
 	}
 	b.SetBytes(runs * per * 8)
 }

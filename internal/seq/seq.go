@@ -108,36 +108,6 @@ func Partition3Branchless[K cmp.Ordered](a []K, pivot K) (lt, eq int, ops int64)
 	return lt, eq, int64(2*len(a) + gt)
 }
 
-// PartitionRange performs an in-place partition of a into three regions
-// around the closed interval [lo, hi]: a[:nLess] < lo,
-// a[nLess:nLess+nMid] in [lo, hi], and the rest > hi. It is the scan step
-// of the fast randomized algorithm (Alg. 4 step 5). Requires lo <= hi.
-func PartitionRange[K cmp.Ordered](a []K, lo, hi K) (nLess, nMid int, ops int64) {
-	lt, eq, o1 := Partition3(a, lo)
-	ops = o1
-	// a[:lt] < lo; a[lt:lt+eq] == lo belongs to the middle region.
-	rest := a[lt+eq:]
-	lt2, eq2, o2 := Partition3(rest, hi)
-	ops += o2
-	// rest[:lt2] in (lo, hi); rest[lt2:lt2+eq2] == hi.
-	return lt, eq + lt2 + eq2, ops
-}
-
-// CountLE returns how many elements of a are <= x (no reordering). The
-// comparison result feeds the counter arithmetically so the scan compiles
-// branch-free.
-func CountLE[K cmp.Ordered](a []K, x K) (int, int64) {
-	n := 0
-	for _, v := range a {
-		inc := 0
-		if v <= x {
-			inc = 1
-		}
-		n += inc
-	}
-	return n, int64(len(a))
-}
-
 // grow returns dst resized to n elements, reallocating only when the
 // capacity is short (the out-of-place kernels overwrite every slot they
 // return, so no clearing is needed).
@@ -162,7 +132,8 @@ func grow[K any](dst []K, n int) []K {
 // counts them.
 //
 // The reported operation count is exactly what the three-way partition
-// pair of PartitionRange charges for the same input (2n + g1 over all of
+// pair of Alg. 4 step 5 — Partition3 at lo, then Partition3 at hi over
+// the keys above lo — charges for the same input (2n + g1 over all of
 // a, then 2*g1 + g2 over the g1 elements above lo, with g2 the elements
 // above hi) — the simulated cost model must not see the host-side
 // restructuring. Requires lo <= hi; when that fails (lo > hi, or either
@@ -425,23 +396,6 @@ func SelectBFPRT[K cmp.Ordered](a []K, k int) (K, int64) {
 	}
 }
 
-// Median returns the element with rank ceil(n/2) (the paper's definition
-// of the median) using the deterministic selection algorithm.
-func Median[K cmp.Ordered](a []K) (K, int64) {
-	if len(a) == 0 {
-		panic("seq: Median of empty slice")
-	}
-	return SelectBFPRT(a, MedianIndex(len(a)))
-}
-
-// MedianRandomized is Median using Floyd–Rivest selection.
-func MedianRandomized[K cmp.Ordered](a []K, rng *rand.Rand) (K, int64) {
-	if len(a) == 0 {
-		panic("seq: MedianRandomized of empty slice")
-	}
-	return Quickselect(a, MedianIndex(len(a)), rng)
-}
-
 // MedianIndex converts the paper's 1-based median rank ceil(n/2) into a
 // 0-based index.
 func MedianIndex(n int) int { return (n+1)/2 - 1 }
@@ -552,18 +506,10 @@ func PseudoMedian[K cmp.Ordered](a []K) (K, int64) {
 	return buf[(len(buf)-1)/2], ops
 }
 
-// SampleWithReplacement draws m elements of a uniformly at random (with
-// replacement). It never fails for m > len(a); duplicates simply repeat.
-func SampleWithReplacement[K cmp.Ordered](a []K, m int, rng *rand.Rand) ([]K, int64) {
-	if m < 0 {
-		panic("seq: negative sample size")
-	}
-	return SampleAppend(make([]K, 0, m), a, m, rng)
-}
-
-// SampleAppend is SampleWithReplacement writing into dst (truncated, then
-// grown as needed), so steady-state callers sample without allocating.
-// The random draws are identical to SampleWithReplacement's.
+// SampleAppend draws m elements of a uniformly at random (with
+// replacement) into dst (truncated, then grown as needed), so
+// steady-state callers sample without allocating. It never fails for
+// m > len(a); duplicates simply repeat.
 func SampleAppend[K cmp.Ordered](dst, a []K, m int, rng *rand.Rand) ([]K, int64) {
 	if m < 0 {
 		panic("seq: negative sample size")

@@ -74,50 +74,6 @@ func TestPartition3Property(t *testing.T) {
 	}
 }
 
-func TestPartitionRangeProperty(t *testing.T) {
-	f := func(raw []int16, x, y int16) bool {
-		lo, hi := int64(x), int64(y)
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		a := make([]int64, len(raw))
-		for i, v := range raw {
-			a[i] = int64(v)
-		}
-		before := slices.Clone(a)
-		nLess, nMid, _ := PartitionRange(a, lo, hi)
-		for i, v := range a {
-			switch {
-			case i < nLess && v >= lo:
-				return false
-			case i >= nLess && i < nLess+nMid && (v < lo || v > hi):
-				return false
-			case i >= nLess+nMid && v <= hi:
-				return false
-			}
-		}
-		slices.Sort(before)
-		after := slices.Clone(a)
-		slices.Sort(after)
-		return slices.Equal(before, after)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCountLE(t *testing.T) {
-	a := []int64{5, 1, 3, 3, 9}
-	for _, tc := range []struct {
-		x    int64
-		want int
-	}{{0, 0}, {1, 1}, {3, 3}, {4, 3}, {9, 5}, {100, 5}} {
-		if got, _ := CountLE(a, tc.x); got != tc.want {
-			t.Errorf("CountLE(%d) = %d, want %d", tc.x, got, tc.want)
-		}
-	}
-}
-
 func TestQuickselectMatchesOracle(t *testing.T) {
 	r := rng()
 	for _, n := range []int{1, 2, 3, 10, 100, 1000, 5000} {
@@ -227,15 +183,15 @@ func TestMedianDefinitions(t *testing.T) {
 		}
 	}
 	a := []int64{9, 1, 5, 3, 7}
-	if m, _ := Median(slices.Clone(a)); m != 5 {
-		t.Errorf("Median = %d, want 5", m)
+	if m, _ := SelectBFPRT(slices.Clone(a), MedianIndex(len(a))); m != 5 {
+		t.Errorf("BFPRT median = %d, want 5", m)
 	}
-	if m, _ := MedianRandomized(slices.Clone(a), rng()); m != 5 {
-		t.Errorf("MedianRandomized = %d, want 5", m)
+	if m, _ := Quickselect(slices.Clone(a), MedianIndex(len(a)), rng()); m != 5 {
+		t.Errorf("Floyd–Rivest median = %d, want 5", m)
 	}
 	b := []int64{4, 1, 3, 2}
-	if m, _ := Median(slices.Clone(b)); m != 2 {
-		t.Errorf("even Median = %d, want 2", m)
+	if m, _ := SelectBFPRT(slices.Clone(b), MedianIndex(len(b))); m != 2 {
+		t.Errorf("even BFPRT median = %d, want 2", m)
 	}
 }
 
@@ -351,7 +307,7 @@ func TestBoundsProperty(t *testing.T) {
 func TestSampleWithReplacement(t *testing.T) {
 	r := rng()
 	a := []int64{10, 20, 30}
-	s, ops := SampleWithReplacement(a, 100, r)
+	s, ops := SampleAppend(nil, a, 100, r)
 	if len(s) != 100 || ops != 100 {
 		t.Fatalf("len=%d ops=%d", len(s), ops)
 	}
@@ -360,7 +316,7 @@ func TestSampleWithReplacement(t *testing.T) {
 			t.Errorf("sampled foreign value %d", v)
 		}
 	}
-	if s2, _ := SampleWithReplacement(a, 0, r); len(s2) != 0 {
+	if s2, _ := SampleAppend(s, a, 0, r); len(s2) != 0 {
 		t.Error("empty sample not empty")
 	}
 }
@@ -431,16 +387,16 @@ func TestMergeK(t *testing.T) {
 		{0},
 		{5, 6},
 	}
-	got, _ := MergeK(runs)
+	got, _ := MergeKInto(nil, runs)
 	want := []int64{0, 1, 2, 2, 2, 4, 5, 6, 9}
 	if !slices.Equal(got, want) {
-		t.Errorf("MergeK = %v, want %v", got, want)
+		t.Errorf("MergeKInto = %v, want %v", got, want)
 	}
-	if out, _ := MergeK[int64](nil); len(out) != 0 {
-		t.Error("MergeK(nil) not empty")
+	if out, _ := MergeKInto[int64](got, nil); len(out) != 0 {
+		t.Error("MergeKInto(nil runs) not empty")
 	}
-	if out, _ := MergeK([][]int64{{}, {}}); len(out) != 0 {
-		t.Error("MergeK(empty runs) not empty")
+	if out, _ := MergeKInto(got, [][]int64{{}, {}}); len(out) != 0 {
+		t.Error("MergeKInto(empty runs) not empty")
 	}
 }
 
@@ -456,7 +412,7 @@ func TestMergeKProperty(t *testing.T) {
 			slices.Sort(runs[i])
 			all = append(all, runs[i]...)
 		}
-		got, _ := MergeK(runs)
+		got, _ := MergeKInto(nil, runs)
 		slices.Sort(all)
 		return slices.Equal(got, all)
 	}

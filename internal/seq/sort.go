@@ -161,15 +161,9 @@ func sortFuncRec[T any](a []T, less func(T, T) bool, ops *int64) {
 	}
 }
 
-// MergeK merges k sorted runs into a single sorted slice using a binary
-// heap of run heads; cost O(total log k). It is the final step of the
-// parallel sample sort.
-func MergeK[K cmp.Ordered](runs [][]K) ([]K, int64) {
-	return MergeKInto[K](nil, runs)
-}
-
-// MergeKInto is MergeK appending into dst (truncated first), so repeated
-// merges can reuse one buffer.
+// MergeKInto merges k sorted runs into dst (truncated first, so repeated
+// merges can reuse one buffer) using a binary heap of run heads; cost
+// O(total log k). It is the final step of the parallel sample sort.
 func MergeKInto[K cmp.Ordered](dst []K, runs [][]K) ([]K, int64) {
 	var ops int64
 	total := 0

@@ -274,7 +274,7 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request, id 
 			"declared body of %d bytes exceeds %d", r.ContentLength, s.opts.Limits.MaxBodyBytes))
 		return
 	}
-	if isFrameContentType(r.Header.Get("Content-Type")) {
+	if parselclient.IsFrameContentType(r.Header.Get("Content-Type")) {
 		s.handleFrameUpload(w, r, id)
 		return
 	}
@@ -427,9 +427,9 @@ func commitUpload[K parselclient.Key](s *Server, w http.ResponseWriter, id, tena
 
 // residentBytes is what n keys of kind K will occupy once resident —
 // the figure the ledger charges at admission for JSON uploads, frame
-// uploads and restores alike, by the same formula as
-// parsel.Dataset.Bytes: n slots of K's in-memory size — 8 bytes for
-// the fixed-width kinds, the 16-byte string header for strings (whose
+// uploads and restores alike, and the one place a dataset's resident
+// size is computed: n slots of K's in-memory size — 8 bytes for the
+// fixed-width kinds, the 16-byte string header for strings (whose
 // backing arrays the budget deliberately does not meter).
 func residentBytes[K parselclient.Key](n int64) int64 {
 	return n * int64(reflect.TypeFor[K]().Size())

@@ -839,22 +839,12 @@ func responseOf[K parselclient.Key](op parsel.Op, a parsel.Answer[K]) parselclie
 func wantsFrame(r *http.Request) bool {
 	for _, v := range r.Header.Values("Accept") {
 		for _, part := range strings.Split(v, ",") {
-			if isFrameContentType(part) {
+			if parselclient.IsFrameContentType(part) {
 				return true
 			}
 		}
 	}
 	return false
-}
-
-// isFrameContentType reports whether a Content-Type (or Accept member)
-// names the binary frame encoding, ignoring parameters. Media types
-// are case-insensitive (RFC 9110 §8.3.1), so the match folds case.
-func isFrameContentType(ct string) bool {
-	if i := strings.IndexByte(ct, ';'); i >= 0 {
-		ct = ct[:i]
-	}
-	return strings.EqualFold(strings.TrimSpace(ct), parselclient.ContentTypeFrame)
 }
 
 // frameBits reinterprets a result's values as the frame's int64 bit

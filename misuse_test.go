@@ -28,9 +28,6 @@ func TestSelectorUseAfterClose(t *testing.T) {
 	if _, err := sel.Over(shards).Select(context.Background(), 1); !errors.Is(err, parsel.ErrSelectorClosed) {
 		t.Errorf("Select after Close: %v", err)
 	}
-	if _, err := sel.SelectInPlace(shards, 1); !errors.Is(err, parsel.ErrSelectorClosed) {
-		t.Errorf("SelectInPlace after Close: %v", err)
-	}
 	if _, err := sel.Over(shards).Median(context.Background()); !errors.Is(err, parsel.ErrSelectorClosed) {
 		t.Errorf("Median after Close: %v", err)
 	}

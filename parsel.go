@@ -49,12 +49,11 @@
 //		...
 //	}
 //
-// The default algorithm, fast randomized selection, reads the caller's
-// shards in place and never writes them, so a single-rank query (Select,
-// Median, Quantile, TopK) costs no shard copy. The other algorithms and
-// the multi-rank queries partition in place and first copy each shard
-// into the processor's arena; Selector.SelectInPlace skips that copy for
-// callers that hand over ownership of their shards.
+// No query writes the caller's shards. The default algorithm, fast
+// randomized selection, reads them in place, so a single-rank query
+// (Select, Median, Quantile, TopK) costs no shard copy; the other
+// algorithms and the multi-rank queries partition in place and first
+// copy each shard into the processor's arena.
 package parsel
 
 import (
@@ -261,9 +260,9 @@ var (
 // Selector is a reusable selection engine: the simulated machine — link
 // fabric, parked processor coroutines, per-processor random streams and
 // scratch arenas — is constructed once and serves repeated queries. Run
-// answers any Query and is the one place an op meets the engine; Over
-// binds the named Verbs to it for one set of shards, and SelectInPlace,
-// which takes over the caller's shards, is the only other entry point.
+// answers any Query and is the one place an op meets the engine, and
+// Over binds the named Verbs to it for one set of shards. No query
+// writes the caller's shards.
 // For a fixed seed and inputs, every simulated metric (SimSeconds,
 // Iterations, Messages, Bytes) is identical to the package-level
 // queries; only host-side cost differs.
@@ -426,10 +425,10 @@ func (s *Selector[K]) Close() {
 func (s *Selector[K]) Procs() int { return s.params.Procs }
 
 // Over returns the named queries over shards, answered by Run: one
-// simulated processor per shard, shard contents never modified (fast
-// randomized selection reads them in place; the other algorithms, and
-// every run on one shard, copy each into its processor's arena). The
-// context is unused: a Selector serves one call at a time and never
+// simulated processor per shard. The shards are only read: fast
+// randomized selection scans them in place, and the other algorithms,
+// like every run on one shard, copy each into its processor's arena.
+// The context is unused: a Selector serves one call at a time and never
 // waits. Multi-value answers of Quantiles and SelectRanks are backed by
 // the Selector's arena; see Run.
 func (s *Selector[K]) Over(shards [][]K) Verbs[K] {
@@ -438,25 +437,9 @@ func (s *Selector[K]) Over(shards [][]K) Verbs[K] {
 	}
 }
 
-// SelectInPlace is Over(shards).Select for callers that hand over
-// ownership of their shards: the engine partitions and migrates the
-// caller's slices directly instead of copying them. Only the
-// non-default algorithms (and runs on one shard) copy in Select, so
-// only they save anything here; fast randomized selection on several
-// shards is zero-copy either way. On return the shard contents are
-// unspecified (permuted, possibly redistributed); the multiset of
-// elements is preserved across the union of shards.
-func (s *Selector[K]) SelectInPlace(shards [][]K, rank int64) (Result[K], error) {
-	if err := s.acquire(); err != nil {
-		return Result[K]{}, err
-	}
-	defer s.release()
-	return asResult(s.selectRank(shards, rank, false, nil))
-}
-
 // selectRank validates and executes one collective selection. h, when
 // non-nil, carries a resident Dataset's ascending flags and prefix memo.
-func (s *Selector[K]) selectRank(shards [][]K, rank int64, borrowed bool, h *hints[K]) (Answer[K], error) {
+func (s *Selector[K]) selectRank(shards [][]K, rank int64, h *hints[K]) (Answer[K], error) {
 	if err := s.prepare(shards, rank); err != nil {
 		return Answer[K]{}, err
 	}
@@ -472,7 +455,6 @@ func (s *Selector[K]) selectRank(shards [][]K, rank int64, borrowed bool, h *hin
 		RankSlack:      s.opts.RankSlack,
 		MaxIterations:  s.opts.MaxIterations,
 		Faithful:       s.opts.Faithful,
-		BorrowedInput:  borrowed,
 	}
 	rep, err := s.execute(func(pr *machine.Proc) {
 		o := iopts
@@ -501,10 +483,7 @@ func (s *Selector[K]) selectRanks(shards [][]K, ranks []int64) (Answer[K], error
 	if err := s.prepare(shards, ranks...); err != nil {
 		return Answer[K]{}, err
 	}
-	iopts := selection.Options{
-		MaxIterations: s.opts.MaxIterations,
-		BorrowedInput: true,
-	}
+	iopts := selection.Options{MaxIterations: s.opts.MaxIterations}
 	rep, err := s.execute(func(pr *machine.Proc) {
 		s.many[pr.ID()], s.stats[pr.ID()] = selection.SelectMany(pr, shards[pr.ID()], ranks, iopts)
 		s.counters[pr.ID()] = pr.Counters

@@ -529,7 +529,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body bodyFunc
 	if v := reflect.ValueOf(out); v.Kind() == reflect.Pointer && !v.IsNil() {
 		v.Elem().SetZero()
 	}
-	if isFrameContentType(hres.Header.Get("Content-Type")) {
+	if IsFrameContentType(hres.Header.Get("Content-Type")) {
 		return decodeFrameInto(data, out), 0
 	}
 	if err := json.Unmarshal(data, out); err != nil {
@@ -538,9 +538,10 @@ func (c *Client) attempt(ctx context.Context, method, path string, body bodyFunc
 	return nil, 0
 }
 
-// isFrameContentType reports whether a Content-Type names the binary
-// frame encoding, ignoring parameters.
-func isFrameContentType(ct string) bool {
+// IsFrameContentType reports whether a Content-Type (or one member of
+// an Accept list) names the binary frame encoding, ignoring parameters.
+// The client and the daemon both match media types with it.
+func IsFrameContentType(ct string) bool {
 	if i := strings.IndexByte(ct, ';'); i >= 0 {
 		ct = ct[:i]
 	}
@@ -854,7 +855,7 @@ func (c *Client) DatasetSnapshot(ctx context.Context, id string) (io.ReadCloser,
 		}
 		return nil, 0, decodeError(hres.StatusCode, data)
 	}
-	if !isFrameContentType(hres.Header.Get("Content-Type")) {
+	if !IsFrameContentType(hres.Header.Get("Content-Type")) {
 		hres.Body.Close()
 		return nil, 0, fmt.Errorf("parselclient: snapshot response is %q, not a frame",
 			hres.Header.Get("Content-Type"))

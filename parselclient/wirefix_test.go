@@ -77,8 +77,8 @@ func TestIsFrameContentType(t *testing.T) {
 		{"", false},
 	}
 	for _, tc := range cases {
-		if got := isFrameContentType(tc.ct); got != tc.want {
-			t.Errorf("isFrameContentType(%q) = %v, want %v", tc.ct, got, tc.want)
+		if got := IsFrameContentType(tc.ct); got != tc.want {
+			t.Errorf("IsFrameContentType(%q) = %v, want %v", tc.ct, got, tc.want)
 		}
 	}
 }

@@ -58,8 +58,8 @@ type PoolStats struct {
 //
 // Every query goes through Run(ctx, shards, Query): check a Selector
 // out, run the query on it, check it back in. Over(shards) binds the
-// named Verbs to Run (pool.Over(shards).Median(ctx)); SelectInPlace,
-// which takes over the caller's shards, is the only other entry point.
+// named Verbs to Run (pool.Over(shards).Median(ctx)). No query writes
+// the caller's shards.
 //
 // # Concurrency contract
 //
@@ -368,19 +368,4 @@ func (pl *Pool[K]) Over(shards [][]K) Verbs[K] {
 	return func(ctx context.Context, q Query) (Answer[K], error) {
 		return pl.Run(ctx, shards, q)
 	}
-}
-
-// SelectInPlace is Over(shards).Select for callers that hand over
-// ownership of their shards; see Selector.SelectInPlace. The context
-// bounds pool admission as in Run, and a timed-out call has not
-// touched the caller's shards. The caller must not touch the shards
-// until the call returns. Safe for concurrent use (with distinct
-// shards per call).
-func (pl *Pool[K]) SelectInPlace(ctx context.Context, shards [][]K, rank int64) (Result[K], error) {
-	sel, err := pl.checkout(ctx, len(shards))
-	if err != nil {
-		return Result[K]{}, err
-	}
-	defer pl.checkin(sel)
-	return sel.SelectInPlace(shards, rank)
 }

@@ -3,7 +3,6 @@ package parsel_test
 import (
 	"context"
 	"errors"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -102,39 +101,6 @@ func TestPoolContextPreCancelled(t *testing.T) {
 	}
 	if st := pool.Stats(); st.Creates != 0 {
 		t.Errorf("pre-cancelled ctx built a machine: %+v", st)
-	}
-}
-
-// TestPoolSelectInPlaceTimeout pins SelectInPlace's admission promise:
-// on a saturated pool an expired context is refused with ErrPoolTimeout
-// and the caller's shards are left byte-identical, even under an
-// algorithm that partitions them in place once admitted.
-func TestPoolSelectInPlaceTimeout(t *testing.T) {
-	pool, err := parsel.NewPool[int64](parsel.Options{Algorithm: parsel.Randomized}, parsel.PoolOptions{MaxMachines: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	shards := workload.Generate(workload.Random, 4000, 4, 11)
-	want := make([][]int64, len(shards))
-	for i, sh := range shards {
-		want[i] = slices.Clone(sh)
-	}
-
-	release, err := pool.CheckoutForTest(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-	if _, err := pool.SelectInPlace(ctx, shards, 2000); !errors.Is(err, parsel.ErrPoolTimeout) {
-		t.Fatalf("saturated pool: err = %v, want ErrPoolTimeout", err)
-	}
-	for i := range shards {
-		if !slices.Equal(shards[i], want[i]) {
-			t.Fatalf("timed-out SelectInPlace touched shard %d", i)
-		}
 	}
 }
 

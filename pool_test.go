@@ -175,7 +175,6 @@ func TestPoolStressBitIdentical(t *testing.T) {
 // direct (one-shot) counterpart on one workload.
 func TestPoolQuerySurface(t *testing.T) {
 	shards := workload.Generate(workload.Gaussian, 20000, 8, 3)
-	n := workload.Total(shards)
 	pool, err := parsel.NewPool[int64](parsel.Options{}, parsel.PoolOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -255,18 +254,6 @@ func TestPoolQuerySurface(t *testing.T) {
 		t.Errorf("pooled Summary = %+v, want %+v", psum, dsum)
 	}
 
-	// SelectInPlace through the pool: hand over a private copy.
-	mine := make([][]int64, len(shards))
-	for i, s := range shards {
-		mine[i] = slices.Clone(s)
-	}
-	rip, err := pool.SelectInPlace(context.Background(), mine, (n+1)/2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rip.Value != direct.Value {
-		t.Errorf("pooled SelectInPlace = %d, want %d", rip.Value, direct.Value)
-	}
 }
 
 // TestPoolResultsAreCallerOwned pins the copy-out contract: a slice

@@ -247,7 +247,7 @@ func (s *Selector[K]) run(shards [][]K, h *hints[K], q Query) (Answer[K], error)
 	var zero Answer[K]
 	switch q.Op {
 	case OpSelect:
-		return s.selectRank(shards, q.Rank, true, h)
+		return s.selectRank(shards, q.Rank, h)
 	case OpRanks:
 		return s.selectRanks(shards, q.Ranks)
 	}
@@ -257,9 +257,9 @@ func (s *Selector[K]) run(shards [][]K, h *hints[K], q Query) (Answer[K], error)
 	}
 	switch q.Op {
 	case OpMedian:
-		return s.selectRank(shards, (n+1)/2, true, h)
+		return s.selectRank(shards, (n+1)/2, h)
 	case OpQuantile:
-		return s.selectRank(shards, quantileRank(n, q.Q), true, h)
+		return s.selectRank(shards, quantileRank(n, q.Q), h)
 	case OpQuantiles:
 		ranks := s.rankBuf[:0]
 		for _, qv := range q.Qs {
@@ -293,7 +293,7 @@ func (s *Selector[K]) run(shards [][]K, h *hints[K], q Query) (Answer[K], error)
 		if top {
 			rank = n - rank + 1
 		}
-		a, err := s.selectRank(shards, rank, true, h)
+		a, err := s.selectRank(shards, rank, h)
 		if err != nil {
 			return zero, err
 		}

@@ -61,9 +61,9 @@ func TestDatasetViewRestoreBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer restored.Close()
-	if restored.Procs() != ds.Procs() || restored.N() != ds.N() || restored.Bytes() != ds.Bytes() {
-		t.Errorf("restored shape %d/%d/%d, original %d/%d/%d",
-			restored.Procs(), restored.N(), restored.Bytes(), ds.Procs(), ds.N(), ds.Bytes())
+	if restored.Procs() != ds.Procs() || restored.N() != ds.N() {
+		t.Errorf("restored shape %d/%d, original %d/%d",
+			restored.Procs(), restored.N(), ds.Procs(), ds.N())
 	}
 
 	n := ds.N()
