@@ -44,7 +44,8 @@
 #                  (BenchmarkFrameUploadPersist, internal/serve) and the
 #                  resident sorted-select benchmark
 #                  (BenchmarkDatasetSelectSorted: Pool.Over against a
-#                  warmed Dataset replaying its first sample sort) once
+#                  warmed Dataset replaying its first sample sort, with
+#                  allocations per query reported) once
 #                  (-benchtime 1x), so the benchmarks cannot rot; then
 #                  every examples/* main (~2 s), failing on a non-zero exit
 #   make bench-smoke - the benchmark module's own tests (every workload once,

@@ -144,9 +144,11 @@ func BenchmarkBalanceGlobalExchange(b *testing.B) {
 // BenchmarkDatasetSelectSorted selects a spread of ranks from 2^20
 // sorted keys on 8 shards, the paper's worst-case layout: through
 // Pool.Over, which ships the shards per query and runs every step;
-// through a warmed Dataset, which filters its ascending shards by binary
-// search and replays its memoized first sample sort; and the Dataset's
-// first query, which checks the shards' order and captures that memo.
+// through a warmed Dataset, which finds each window in its ascending
+// shards by binary search, keeps the survivors as views of them and
+// replays its memoized first sample sort; and the Dataset's first query,
+// which checks the shards' order and captures that memo. It reports
+// allocations, so a per-query allocation on the view path shows.
 func BenchmarkDatasetSelectSorted(b *testing.B) {
 	const n, p = 1 << 20, 8
 	shards := workload.Generate(workload.Sorted, n, p, 1)
@@ -158,6 +160,7 @@ func BenchmarkDatasetSelectSorted(b *testing.B) {
 	ctx := context.Background()
 	rank := func(i int) int64 { return int64(i)*7919%n + 1 }
 	b.Run("pool", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := pool.Over(shards).Select(ctx, rank(i)); err != nil {
 				b.Fatal(err)
@@ -165,6 +168,7 @@ func BenchmarkDatasetSelectSorted(b *testing.B) {
 		}
 	})
 	b.Run("dataset", func(b *testing.B) {
+		b.ReportAllocs()
 		ds, err := pool.RestoreDataset(shards)
 		if err != nil {
 			b.Fatal(err)
@@ -181,6 +185,7 @@ func BenchmarkDatasetSelectSorted(b *testing.B) {
 		}
 	})
 	b.Run("dataset-first", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			ds, err := pool.RestoreDataset(shards)
 			if err != nil {

@@ -77,7 +77,52 @@ func diffShapes() []diffShape {
 		diffShape{name: "singleton/p4", shards: [][]int64{{}, {}, {11}, {}}},
 		diffShape{name: "singleproc/p1", shards: [][]int64{{5, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}}},
 	)
+
+	// Sorted and reverse-sorted layouts at odd processor counts, where
+	// dimension exchange leaves some processors without a partner and
+	// balancing rounds start from empty survivors. Three of the four
+	// once lost keys under DimensionExchange.
+	for _, s := range []struct {
+		kind workload.Kind
+		n    int64
+		p    int
+	}{
+		{workload.Sorted, 1150, 3},
+		{workload.Sorted, 3000, 5},
+		{workload.ReverseSorted, 926, 3},
+		{workload.ReverseSorted, 1650, 5},
+	} {
+		shapes = append(shapes, diffShape{
+			name:   fmt.Sprintf("%s/n%d/p%d", s.kind, s.n, s.p),
+			shards: workload.Generate(s.kind, s.n, s.p, 1),
+		})
+	}
 	return shapes
+}
+
+// TestDimensionExchangeSortedFresh pins a fresh selector's first
+// dimension-exchange query on sorted shards at p = 3: the balancer once
+// appended received keys into the buffer its input lived in, which the
+// next iteration's filter then overwrote, duplicating and losing keys.
+func TestDimensionExchangeSortedFresh(t *testing.T) {
+	shards := workload.Generate(workload.Sorted, 3000, 3, 1)
+	oracle := workload.Flatten(shards)
+	slices.Sort(oracle)
+	sel, err := parsel.NewSelector[int64](parsel.Options{
+		Balancer: parsel.DimensionExchange,
+		Machine:  parsel.Machine{Procs: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sel.Close()
+	res, err := sel.Over(shards).Select(context.Background(), 75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Value != oracle[74] {
+		t.Fatalf("rank 75 = %d, oracle says %d", res.Value, oracle[74])
+	}
 }
 
 // diffTopologies are the interconnects the suite sweeps: the paper's

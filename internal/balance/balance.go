@@ -77,11 +77,13 @@ const (
 // Scratch holds one processor's reusable balancing buffers, so that the
 // migrate paths of a long-lived machine allocate nothing in steady state.
 // A zero Scratch is ready to use; buffers grow on demand and are retained
-// between rounds. The assembled output alternates between two retained
-// arrays because the current round's input is a view of the previous
-// round's output — the sourced blocks it sends must stay intact until
-// every receiver has copied them, which the collectives between two
-// balancing rounds guarantee.
+// between rounds. No balancer writes its input: a processor that receives
+// keys assembles its new shard in one of two retained output arrays, so
+// the input may be the caller's read-only shard or a view of it. The
+// output alternates between the two arrays because the current round's
+// input may be a view of the previous round's output — the sourced blocks
+// it sends must stay intact until every receiver has copied them, which
+// the collectives between two balancing rounds guarantee.
 type Scratch[K any] struct {
 	cbuf     []int64 // Bruck all-gather working space (2p)
 	targ     []int64
@@ -110,6 +112,21 @@ func (s *Scratch[K]) outBuf(n int) []K {
 		*buf = make([]K, 0, n)
 	}
 	return (*buf)[:0]
+}
+
+// outGrow returns out, a slice of the array the last outBuf call handed
+// out, with capacity for n keys: when the array is short it is replaced by
+// a larger one holding out's keys, which the scratch retains in its place.
+func (s *Scratch[K]) outGrow(out []K, n int) []K {
+	if cap(out) >= n {
+		return out
+	}
+	buf := &s.bufA
+	if s.useB {
+		buf = &s.bufB
+	}
+	*buf = append(make([]K, 0, n), out...)
+	return *buf
 }
 
 // outSlices returns the per-destination block table, cleared.
@@ -149,16 +166,16 @@ func (s *Scratch[K]) dimBuf(round, n int) []K {
 }
 
 // Run redistributes local using the given method and returns the new local
-// slice. It must be called by all processors collectively. elemBytes is
-// the wire size of one element.
-func Run[K any](p *machine.Proc, local []K, method Method, elemBytes int) []K {
-	return RunScratch(p, local, method, elemBytes, nil)
+// slice. It must be called by all processors collectively. Every key is
+// one machine.WordBytes word on the wire.
+func Run[K any](p *machine.Proc, local []K, method Method) []K {
+	return RunScratch(p, local, method, nil)
 }
 
 // RunScratch is Run with per-processor reusable scratch (nil behaves like
 // Run). Simulated cost and traffic are identical to Run; only host-side
 // allocation differs.
-func RunScratch[K any](p *machine.Proc, local []K, method Method, elemBytes int, scr *Scratch[K]) []K {
+func RunScratch[K any](p *machine.Proc, local []K, method Method, scr *Scratch[K]) []K {
 	if scr == nil {
 		scr = &Scratch[K]{}
 	}
@@ -166,13 +183,13 @@ func RunScratch[K any](p *machine.Proc, local []K, method Method, elemBytes int,
 	case None:
 		return local
 	case OMLB:
-		return orderMaintaining(p, local, elemBytes, scr)
+		return orderMaintaining(p, local, scr)
 	case ModifiedOMLB:
-		return sourceSink(p, local, elemBytes, false, scr)
+		return sourceSink(p, local, false, scr)
 	case DimensionExchange:
-		return dimensionExchange(p, local, elemBytes, scr)
+		return dimensionExchange(p, local, scr)
 	case GlobalExchange:
-		return sourceSink(p, local, elemBytes, true, scr)
+		return sourceSink(p, local, true, scr)
 	default:
 		panic(fmt.Sprintf("balance: unknown method %d", int(method)))
 	}
@@ -195,7 +212,7 @@ func targets(slot *[]int64, n int64, p int) []int64 {
 // orderMaintaining implements the unmodified OMLB: elements keep their
 // global order; processor i ends with the elements whose global positions
 // fall in its target interval.
-func orderMaintaining[K any](p *machine.Proc, local []K, elemBytes int, scr *Scratch[K]) []K {
+func orderMaintaining[K any](p *machine.Proc, local []K, scr *Scratch[K]) []K {
 	size := p.Procs()
 	counts, cbuf := comm.GlobalConcatInt64(p, int64(len(local)), scr.cbuf)
 	scr.cbuf = cbuf
@@ -239,7 +256,7 @@ func orderMaintaining[K any](p *machine.Proc, local []K, elemBytes int, scr *Scr
 		}
 		srcStart += counts[s]
 	}
-	in := comm.TransportKnownInto(p, out, inCounts, elemBytes, scr.in)
+	in := comm.TransportKnownInto(p, out, inCounts, machine.WordBytes, scr.in)
 	scr.in = in
 	res := scr.outBuf(int(targ[p.ID()]))
 	for s := 0; s < size; s++ {
@@ -258,7 +275,7 @@ type procExcess struct {
 
 // sourceSink implements both Modified OMLB (sorted=false: processor-index
 // order) and Global Exchange (sorted=true: decreasing excess/need order).
-func sourceSink[K any](p *machine.Proc, local []K, elemBytes int, sorted bool, scr *Scratch[K]) []K {
+func sourceSink[K any](p *machine.Proc, local []K, sorted bool, scr *Scratch[K]) []K {
 	size := p.Procs()
 	counts, cbuf := comm.GlobalConcatInt64(p, int64(len(local)), scr.cbuf)
 	scr.cbuf = cbuf
@@ -326,7 +343,7 @@ func sourceSink[K any](p *machine.Proc, local []K, elemBytes int, sorted bool, s
 			srcPos += src.amt
 		}
 	}
-	in := comm.TransportKnownInto(p, out, inCounts, elemBytes, scr.in)
+	in := comm.TransportKnownInto(p, out, inCounts, machine.WordBytes, scr.in)
 	scr.in = in
 	final := scr.outBuf(int(targ[me]))
 	final = append(final, local[:keep]...)
@@ -371,9 +388,13 @@ func sortByAmtDesc(a []procExcess) {
 // surplus so both end with ceil/floor of their joint total. For
 // non-power-of-two p a processor whose partner does not exist sits the
 // round out (the standard generalization); balance is then approximate.
-func dimensionExchange[K any](p *machine.Proc, local []K, elemBytes int, scr *Scratch[K]) []K {
+// A processor that receives assembles its keys in the scratch's output
+// buffer (see Scratch.outBuf); one that only sends returns a prefix of
+// local.
+func dimensionExchange[K any](p *machine.Proc, local []K, scr *Scratch[K]) []K {
 	size := p.Procs()
 	me := p.ID()
+	own := false // local lives in the output buffer, not the input
 	for pow, round := 1, 0; pow < size; pow, round = pow<<1, round+1 {
 		partner := me ^ pow
 		if partner >= size {
@@ -385,20 +406,25 @@ func dimensionExchange[K any](p *machine.Proc, local []K, elemBytes int, scr *Sc
 		navg := (ni + nl + 1) / 2
 		switch {
 		case ni > navg:
-			// Copy the surplus out: a later round may append into this
-			// slice's backing array, which must not alias the block the
-			// partner received. The staging block is per-round scratch;
-			// it is free for reuse once the collectives separating two
-			// balancing rounds have synchronized every processor.
+			// Copy the surplus out: a later round may append into the
+			// output buffer that local lives in, which must not alias
+			// the block the partner received. The staging block is
+			// per-round scratch; it is free for reuse once the
+			// collectives separating two balancing rounds have
+			// synchronized every processor.
 			give := ni - navg
 			blk := scr.dimBuf(round, int(give))
 			copy(blk, local[navg:ni])
-			p.Send(partner, tagDimData+round, blk, int(give)*elemBytes)
+			p.Send(partner, tagDimData+round, blk, int(give)*machine.WordBytes)
 			local = local[:navg]
 			p.Charge(give)
 		case nl > navg:
 			blk := p.Recv(partner, tagDimData+round).([]K)
-			local = append(local, blk...)
+			if !own {
+				local = append(scr.outBuf(int(navg)), local...)
+				own = true
+			}
+			local = append(scr.outGrow(local, int(navg)), blk...)
 			p.Charge(int64(len(blk)))
 		}
 	}

@@ -2,6 +2,7 @@ package balance
 
 import (
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -16,7 +17,7 @@ func runBalance(t *testing.T, method Method, shards [][]int64) [][]int64 {
 	p := len(shards)
 	out := make([][]int64, p)
 	_, err := machine.Run(machine.DefaultParams(p), func(pr *machine.Proc) {
-		out[pr.ID()] = Run(pr, shards[pr.ID()], method, machine.WordBytes)
+		out[pr.ID()] = Run(pr, shards[pr.ID()], method)
 	})
 	if err != nil {
 		t.Fatalf("%v: %v", method, err)
@@ -171,7 +172,7 @@ func TestAlreadyBalancedMovesNothing(t *testing.T) {
 		shards := workload.Generate(workload.Random, 800, p, 2)
 		var moved int64
 		_, err := machine.Run(machine.DefaultParams(p), func(pr *machine.Proc) {
-			Run(pr, shards[pr.ID()], method, machine.WordBytes)
+			Run(pr, shards[pr.ID()], method)
 			// Count only data-plane bytes: everything beyond the
 			// count-exchange traffic. Data elements are 8 bytes each and
 			// blocks are >= 1 element, so any data transfer shows up as
@@ -211,7 +212,7 @@ func TestGlobalExchangeFewerMessagesThanModOMLB(t *testing.T) {
 	count := func(method Method) int64 {
 		var msgs int64
 		_, err := machine.Run(machine.DefaultParams(p), func(pr *machine.Proc) {
-			Run(pr, build()[pr.ID()], method, machine.WordBytes)
+			Run(pr, build()[pr.ID()], method)
 			if pr.ID() == 0 {
 				msgs = pr.Counters.MsgsSent
 			}
@@ -261,7 +262,7 @@ func TestMethodString(t *testing.T) {
 
 func TestUnknownMethodPanics(t *testing.T) {
 	_, err := machine.Run(machine.DefaultParams(1), func(pr *machine.Proc) {
-		Run(pr, []int64{1}, Method(42), 8)
+		Run(pr, []int64{1}, Method(42))
 	})
 	if err == nil {
 		t.Fatal("expected panic for unknown method")
@@ -292,5 +293,68 @@ func TestSortByAmtDesc(t *testing.T) {
 	want := []procExcess{{1, 9}, {0, 5}, {2, 5}, {3, 1}}
 	if !slices.Equal(a, want) {
 		t.Errorf("sortByAmtDesc = %v, want %v", a, want)
+	}
+}
+
+// TestRunScratchLeavesInputAndReusesBuffers checks two properties of
+// every balancer on retained scratch, at a power-of-two p and at an odd
+// one. No balancer writes its input: each shard carries spare capacity
+// filled with a sentinel, which an append onto the input would
+// overwrite. And once warm, a balance allocates no key buffers: the
+// bytes allocated per run stay far below the keys it moves.
+func TestRunScratchLeavesInputAndReusesBuffers(t *testing.T) {
+	const n, sentinel = 1 << 14, -7
+	for _, p := range []int{4, 5} {
+		m, err := machine.New(machine.DefaultParams(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, method := range Active {
+			shards := workload.Unbalanced(n, p, 3)
+			want := make([][]int64, p)
+			for i, s := range shards {
+				want[i] = slices.Clone(s)
+				spare := make([]int64, len(s), 2*len(s)+1)
+				copy(spare, s)
+				for j := len(s); j < cap(spare); j++ {
+					spare[:cap(spare)][j] = sentinel
+				}
+				shards[i] = spare
+			}
+			scr := make([]Scratch[int64], p)
+			run := func() {
+				if _, err := m.Run(func(pr *machine.Proc) {
+					RunScratch(pr, shards[pr.ID()], method, &scr[pr.ID()])
+				}); err != nil {
+					t.Fatalf("p%d %v: %v", p, method, err)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				run()
+			}
+			const runs = 10
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+			t.Logf("p%d %v: %d bytes per warm run", p, method, perRun)
+			if perRun > n*8/8 {
+				t.Errorf("p%d %v: warm balance allocates %d bytes per run", p, method, perRun)
+			}
+			for i, s := range shards {
+				if !slices.Equal(s, want[i]) {
+					t.Fatalf("p%d %v: shard %d modified", p, method, i)
+				}
+				for j, v := range s[len(s):cap(s)] {
+					if v != sentinel {
+						t.Fatalf("p%d %v: shard %d written past its length at %d", p, method, i, len(s)+j)
+					}
+				}
+			}
+		}
+		m.Close()
 	}
 }

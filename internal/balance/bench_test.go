@@ -20,7 +20,7 @@ func benchBalance(b *testing.B, method Method) {
 		shards := workload.Unbalanced(n, p, uint64(i))
 		b.StartTimer()
 		_, err := m.Run(func(pr *machine.Proc) {
-			Run(pr, shards[pr.ID()], method, machine.WordBytes)
+			Run(pr, shards[pr.ID()], method)
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -42,7 +42,7 @@ func TestQuickBalanceProperties(t *testing.T) {
 		before := workload.Flatten(shards)
 		out := make([][]int64, p)
 		_, err := machine.Run(machine.DefaultParams(p), func(pr *machine.Proc) {
-			out[pr.ID()] = Run(pr, shards[pr.ID()], method, machine.WordBytes)
+			out[pr.ID()] = Run(pr, shards[pr.ID()], method)
 		})
 		if err != nil {
 			return false
@@ -97,7 +97,7 @@ func TestQuickOMLBOrder(t *testing.T) {
 		}
 		out := make([][]int64, p)
 		_, err := machine.Run(machine.DefaultParams(p), func(pr *machine.Proc) {
-			out[pr.ID()] = Run(pr, shards[pr.ID()], OMLB, machine.WordBytes)
+			out[pr.ID()] = Run(pr, shards[pr.ID()], OMLB)
 		})
 		if err != nil {
 			return false

@@ -18,7 +18,7 @@ func benchSort(b *testing.B, p int, n int64, kind workload.Kind) {
 		shards := workload.Generate(kind, n, p, uint64(i))
 		b.StartTimer()
 		_, err := m.Run(func(pr *machine.Proc) {
-			Sort(pr, shards[pr.ID()], machine.WordBytes)
+			Sort(pr, shards[pr.ID()])
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -24,9 +24,10 @@ import (
 // on processor i are <= all keys on processor j for i < j, each run is
 // sorted, and the multiset is preserved. The output sizes are roughly
 // balanced for well-spread inputs but are not guaranteed equal (standard
-// PSRS behaviour). local is taken over and permuted.
-func Sort[K cmp.Ordered](p *machine.Proc, local []K, elemBytes int) []K {
-	return SortOversampled(p, local, elemBytes, p.Procs())
+// PSRS behaviour). local is taken over and permuted. Every key is one
+// machine.WordBytes word on the wire.
+func Sort[K cmp.Ordered](p *machine.Proc, local []K) []K {
+	return SortOversampled(p, local, p.Procs())
 }
 
 // SortOversampled is Sort with an explicit per-processor sample count c.
@@ -35,8 +36,8 @@ func Sort[K cmp.Ordered](p *machine.Proc, local []K, elemBytes int) []K {
 // high processor counts when the data itself is small. Smaller c trades
 // output balance for a cheaper splitter phase; correctness (global order,
 // multiset preservation) never depends on c.
-func SortOversampled[K cmp.Ordered](p *machine.Proc, local []K, elemBytes, c int) []K {
-	return SortOversampledScratch(p, local, elemBytes, c, nil)
+func SortOversampled[K cmp.Ordered](p *machine.Proc, local []K, c int) []K {
+	return SortOversampledScratch(p, local, c, nil)
 }
 
 // Scratch holds one processor's reusable sample-sort buffers. A zero
@@ -57,7 +58,7 @@ type Scratch[K cmp.Ordered] struct {
 // SortOversampledScratch is SortOversampled drawing every buffer from scr
 // (nil behaves like SortOversampled). Simulated cost and traffic are
 // identical; only host-side allocation differs.
-func SortOversampledScratch[K cmp.Ordered](p *machine.Proc, local []K, elemBytes, c int, scr *Scratch[K]) []K {
+func SortOversampledScratch[K cmp.Ordered](p *machine.Proc, local []K, c int, scr *Scratch[K]) []K {
 	if scr == nil {
 		scr = &Scratch[K]{}
 	}
@@ -86,7 +87,7 @@ func SortOversampledScratch[K cmp.Ordered](p *machine.Proc, local []K, elemBytes
 		p.Charge(int64(cnt))
 	}
 	scr.samples = samples
-	all, gbuf := comm.GatherFlatInto(p, 0, samples, elemBytes, scr.gather)
+	all, gbuf := comm.GatherFlatInto(p, 0, samples, machine.WordBytes, scr.gather)
 	scr.gather = gbuf
 
 	// Root: sort samples, choose p-1 regular splitters.
@@ -106,7 +107,7 @@ func SortOversampledScratch[K cmp.Ordered](p *machine.Proc, local []K, elemBytes
 		}
 		scr.splitters = splitters
 	}
-	splitters = comm.BroadcastSlice(p, 0, splitters, elemBytes)
+	splitters = comm.BroadcastSlice(p, 0, splitters, machine.WordBytes)
 
 	// Split the sorted local run along the splitters. Splitter j is the
 	// upper bound of destination j's range, so destination j receives
@@ -153,7 +154,7 @@ func SortOversampledScratch[K cmp.Ordered](p *machine.Proc, local []K, elemBytes
 		counts[src] = allCounts[src*size+p.ID()]
 	}
 	scr.counts = counts
-	in := comm.TransportKnownInto(p, out, counts, elemBytes, scr.in)
+	in := comm.TransportKnownInto(p, out, counts, machine.WordBytes, scr.in)
 	scr.in = in
 	merged, ops := seq.MergeKInto(scr.merged, in)
 	scr.merged = merged
@@ -165,7 +166,7 @@ func SortOversampledScratch[K cmp.Ordered](p *machine.Proc, local []K, elemBytes
 // distributed sorted sequence (as produced by Sort): runs[i] on processor
 // i, globally ordered by rank. All processors receive the element. It
 // panics (collectively) if r is out of range.
-func RankElement[K cmp.Ordered](p *machine.Proc, run []K, r int64, elemBytes int) K {
+func RankElement[K cmp.Ordered](p *machine.Proc, run []K, r int64) K {
 	prefix := comm.PrefixSumInt64(p, int64(len(run)))
 	myStart := prefix - int64(len(run))
 	total := comm.BroadcastInt64(p, p.Procs()-1, prefix, machine.WordBytes)
@@ -186,5 +187,5 @@ func RankElement[K cmp.Ordered](p *machine.Proc, run []K, r int64, elemBytes int
 		cand = int64(p.ID())
 	}
 	owner = int(comm.CombineMaxInt64(p, cand, machine.WordBytes))
-	return comm.Broadcast(p, owner, val, elemBytes)
+	return comm.Broadcast(p, owner, val, machine.WordBytes)
 }

@@ -14,7 +14,7 @@ func runSort(t *testing.T, shards [][]int64) [][]int64 {
 	p := len(shards)
 	out := make([][]int64, p)
 	_, err := machine.Run(machine.DefaultParams(p), func(pr *machine.Proc) {
-		out[pr.ID()] = Sort(pr, shards[pr.ID()], machine.WordBytes)
+		out[pr.ID()] = Sort(pr, shards[pr.ID()])
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,8 +114,8 @@ func TestRankElement(t *testing.T) {
 	got := make([]int64, p)
 	for _, r := range []int64{0, 1, 499, 500, 999} {
 		_, err := machine.Run(machine.DefaultParams(p), func(pr *machine.Proc) {
-			run := Sort(pr, slices.Clone(shards[pr.ID()]), machine.WordBytes)
-			got[pr.ID()] = RankElement(pr, run, r, machine.WordBytes)
+			run := Sort(pr, slices.Clone(shards[pr.ID()]))
+			got[pr.ID()] = RankElement(pr, run, r)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -130,8 +130,8 @@ func TestRankElement(t *testing.T) {
 
 func TestRankElementOutOfRange(t *testing.T) {
 	_, err := machine.Run(machine.DefaultParams(2), func(pr *machine.Proc) {
-		run := Sort(pr, []int64{1, 2}, machine.WordBytes)
-		RankElement(pr, run, 10, machine.WordBytes)
+		run := Sort(pr, []int64{1, 2})
+		RankElement(pr, run, 10)
 	})
 	if err == nil {
 		t.Fatal("expected out-of-range panic")

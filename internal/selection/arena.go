@@ -17,6 +17,12 @@ import (
 // selections without per-call allocation. Buffers grow on demand and are
 // never shrunk.
 //
+// The window buffers back only filtered copies: when fast randomized
+// selection finds its window in an ascending slice by binary search, the
+// survivors stay a view of that slice (possibly the caller's shard),
+// which nothing writes — no balancer writes its input, and the stall
+// fallback copies a view into a window buffer before partitioning it.
+//
 // Reuse safety: every buffer is written by exactly one processor and is
 // re-filled only after a full collective (Combine, gather + broadcast) has
 // synchronized all processors, which is when any cross-processor aliases

@@ -53,14 +53,15 @@ func windowRanks(rank, S, n int64, opts Options) (r1, r2 int64) {
 func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int64, opts Options, st *Stats, sel selector[K], pre *Prefix[K]) K {
 	ar := arenaOf[K](p)
 	thr := threshold(p)
-	// curWin tracks which arena window buffer currently backs local, so
-	// each iteration's out-of-place filter targets the other one.
+	// curWin tracks which arena window buffer currently backs local
+	// (-1: none, e.g. the caller's shard or a balancer's output), so each
+	// iteration's out-of-place filter targets another one.
 	curWin := -1
 	// sorted reports that local is ascending. The first iteration takes
 	// the caller's word for it (a resident Dataset checks its shards
 	// once); later iterations re-check their survivors, because a
-	// balancer may reorder a slice in place without changing its
-	// storage.
+	// balancer's output appends keys received from other processors to
+	// the ones it kept.
 	sorted := opts.AscendingInput
 	for n > thr {
 		if st.Iterations >= opts.MaxIterations {
@@ -135,15 +136,15 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 			if replay {
 				S, run = pre.restore(p)
 			} else {
-				run = psort.SortOversampledScratch(p, sample, machine.WordBytes, 8, &ar.sort)
+				run = psort.SortOversampledScratch(p, sample, 8, &ar.sort)
 				S = comm.CombineInt64(p, int64(len(run)))
 				if capture {
 					pre.capture(p, n, S, run)
 				}
 			}
 			r1, r2 := windowRanks(rank, S, n, opts)
-			k1 = psort.RankElement(p, run, r1-1, machine.WordBytes)
-			k2 = psort.RankElement(p, run, r2-1, machine.WordBytes)
+			k1 = psort.RankElement(p, run, r1-1)
+			k2 = psort.RankElement(p, run, r2-1)
 		}
 
 		// Step 5: one fused scan tallies the window regions and
@@ -152,16 +153,22 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 		// construction of the slack, and the originals stay intact in
 		// local for the rare miss. On the first iteration local is the
 		// caller's shard (Select does not copy it for this algorithm):
-		// this filter only reads it, and every later step
-		// works on arena buffers. The scan charges exactly what the
-		// three-way partition pair would; survivors keep their stable
-		// input order rather than the partition's scramble, which makes
-		// the positional sampling of later iterations draw a different
+		// this filter only reads it, and the survivors land in an arena
+		// window buffer. The scan charges exactly what the three-way
+		// partition pair would; survivors keep their stable input order
+		// rather than the partition's scramble, which makes the
+		// positional sampling of later iterations draw a different
 		// (equally deterministic) trajectory than the scrambling
 		// implementation did.
 		//
 		// On an ascending slice the window is one contiguous run found
-		// by binary search, at the same charge (host work only). A
+		// by binary search, at the same charge (host work only), and the
+		// survivors are not copied at all: local becomes a view of that
+		// run, or on a miss of the prefix or suffix that survives,
+		// capped so that no append can run past it. Nothing writes a
+		// view — no balancer writes its input, and the stall fallback
+		// below copies before it partitions — so the view may be the
+		// caller's read-only shard, and it leaves curWin as it was. A
 		// window with k1 > k2 (a NaN key) keeps the scan.
 		tgt := 0
 		if curWin == 0 {
@@ -171,12 +178,17 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 			sorted = seq.Ascending(local)
 		}
 		fast := sorted && k1 <= k2
-		filter := seq.FilterWindowCount[K]
+		var mid []K
+		var nLess, nMid int
+		var ops2 int64
 		if fast {
-			filter = seq.FilterWindowAscending[K]
+			var c1, c3 int
+			c1, c3, ops2 = seq.WindowAscending(local, k1, k2)
+			mid, nLess, nMid = local[c1:c3:c3], c1, c3-c1
+		} else {
+			mid, nLess, nMid, ops2 = seq.FilterWindowCount(ar.win[tgt], local, k1, k2)
+			ar.win[tgt] = mid[:cap(mid)]
 		}
-		midBuf, nLess, nMid, ops2 := filter(ar.win[tgt], local, k1, k2)
-		ar.win[tgt] = midBuf[:cap(midBuf)]
 		p.Charge(ops2)
 
 		// Steps 6–8: tallies and the discard decision (c.eq holds the
@@ -191,8 +203,10 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 				st.PivotExit = true
 				return k1
 			}
-			local = midBuf
-			curWin = tgt
+			local = mid
+			if !fast {
+				curWin = tgt
+			}
 			rank -= c.less
 			newN = c.eq
 		case rank <= c.less:
@@ -200,23 +214,23 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 			// (refiltered from the untouched input).
 			st.Unsuccessful++
 			if fast {
-				local = append(ar.win[tgt][:0], local[:nLess]...)
+				local = local[:nLess:nLess]
 			} else {
 				local = seq.FilterLessInto(ar.win[tgt], local, k1)
+				ar.win[tgt] = local[:cap(local)]
+				curWin = tgt
 			}
-			ar.win[tgt] = local[:cap(local)]
-			curWin = tgt
 			newN = c.less
 		default:
 			// Both window keys rank below the target: keep the > side.
 			st.Unsuccessful++
 			if fast {
-				local = append(ar.win[tgt][:0], local[nLess+nMid:]...)
+				local = local[nLess+nMid : len(local) : len(local)]
 			} else {
 				local = seq.FilterGreaterInto(ar.win[tgt], local, k2)
+				ar.win[tgt] = local[:cap(local)]
+				curWin = tgt
 			}
-			ar.win[tgt] = local[:cap(local)]
-			curWin = tgt
 			rank -= c.less + c.eq
 			newN = n - c.less - c.eq
 		}
@@ -224,8 +238,15 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 		if newN >= n {
 			// No progress (duplicates spanning the whole window): fall
 			// back to one single-pivot step, which always either shrinks
-			// the population or proves a pivot.
+			// the population or proves a pivot. It partitions local in
+			// place, so a view is first copied into the free window
+			// buffer.
 			st.Stalled++
+			if fast {
+				local = append(ar.win[tgt][:0], local...)
+				ar.win[tgt] = local[:cap(local)]
+				curWin = tgt
+			}
 			var piv K
 			var done bool
 			local, rank, newN, piv, done = randomizedStep(p, local, rank, n, opts)

@@ -91,9 +91,65 @@ func checkReadOnly[K cmp.Ordered](t *testing.T, m *machine.Machine, label string
 	}
 }
 
+// sortedDups returns p ascending shards of per keys: 45% zeros, 5% ones,
+// 5% twos and 45% threes. A window around the median then spans every
+// value, so the iteration stalls, and the single-pivot step that follows
+// permutes the survivors it partitions.
+func sortedDups(p, per int) [][]int64 {
+	shards := make([][]int64, p)
+	for i := range shards {
+		shards[i] = make([]int64, per)
+		for j := range shards[i] {
+			for _, cut := range []int{45, 50, 55} {
+				if 100*j >= cut*per {
+					shards[i][j]++
+				}
+			}
+		}
+	}
+	return shards
+}
+
+// checkAscendingReadOnly runs fast randomized Select and SelectPrefix
+// (capturing, then replaying) with AscendingInput set, so that the
+// window survivors are views of the shards, under every balancer at
+// several ranks. It fails if a run changed a shard and reports whether
+// any run reached the stall fallback, which partitions its survivors in
+// place.
+func checkAscendingReadOnly[K cmp.Ordered](t *testing.T, m *machine.Machine, label string, shards [][]K) (stalled bool) {
+	t.Helper()
+	p := len(shards)
+	want := cloneAll(shards)
+	var n int64
+	for _, s := range shards {
+		n += int64(len(s))
+	}
+	for _, bal := range balance.Methods {
+		opts := Options{Algorithm: FastRandomized, Balancer: bal, AscendingInput: true}
+		pre := NewPrefix[K](p)
+		for _, rank := range []int64{1, n / 5, n / 3, (n + 1) / 2, n - n/7, n} {
+			stats := make([]Stats, p)
+			if _, err := m.Run(func(pr *machine.Proc) {
+				_, stats[pr.ID()] = SelectPrefix(pr, shards[pr.ID()], rank, opts, pre)
+			}); err != nil {
+				t.Fatalf("%s %v rank %d: %v", label, bal, rank, err)
+			}
+			pre.Seal()
+			for i := range shards {
+				if !sameBits(shards[i], want[i]) {
+					t.Fatalf("%s %v rank %d: shard %d modified", label, bal, rank, i)
+				}
+			}
+			stalled = stalled || stats[0].Stalled > 0
+		}
+	}
+	return stalled
+}
+
 // TestSelectionLeavesShardsUnchanged pins the read-only contract of the
 // engine's entry points: whichever algorithm, balancer and processor
-// count serves it, no selection writes the shards it is given.
+// count serves it, no selection writes the shards it is given — also not
+// when fast randomized selection keeps views of ascending shards.
 func TestSelectionLeavesShardsUnchanged(t *testing.T) {
 	const per = 1024
 	for _, p := range []int{1, 3, 8} {
@@ -103,6 +159,12 @@ func TestSelectionLeavesShardsUnchanged(t *testing.T) {
 		}
 		for name, shards := range readOnlyShards(p, per) {
 			checkReadOnly(t, m, fmt.Sprintf("p%d/%s", p, name), shards)
+		}
+		if p > 1 {
+			checkAscendingReadOnly(t, m, fmt.Sprintf("p%d/sorted/ascending", p), readOnlyShards(p, per)["sorted"])
+			if !checkAscendingReadOnly(t, m, fmt.Sprintf("p%d/sorted-dups/ascending", p), sortedDups(p, per)) {
+				t.Errorf("p%d: the duplicate-heavy sorted shards never reached the stall fallback", p)
+			}
 		}
 		m.Close()
 		// A machine's arenas serve one key type.

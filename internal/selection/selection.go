@@ -236,9 +236,10 @@ func SelectPrefix[K cmp.Ordered](p *machine.Proc, local []K, rank int64, opts Op
 	}
 	if opts.Algorithm != FastRandomized || p.Procs() == 1 {
 		// Fast randomized selection on p > 1 never writes its input: its
-		// first step-5 filter moves the survivors into arena buffers, and
-		// every later step works on those. All other paths partition
-		// local in place, so they work on a copy.
+		// step-5 filter copies the survivors into arena buffers or, on
+		// an ascending slice, keeps them as a view that nothing writes.
+		// All other paths partition local in place, so they work on a
+		// copy.
 		local = arenaOf[K](p).copyIn(local)
 	}
 
@@ -342,7 +343,7 @@ func runBalance[K cmp.Ordered](p *machine.Proc, local []K, opts Options, st *Sta
 		return local
 	}
 	t0 := p.Now()
-	local = balance.RunScratch(p, local, opts.Balancer, machine.WordBytes, &arenaOf[K](p).bal)
+	local = balance.RunScratch(p, local, opts.Balancer, &arenaOf[K](p).bal)
 	st.BalanceSeconds += p.Now() - t0
 	return local
 }

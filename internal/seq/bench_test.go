@@ -71,14 +71,23 @@ func BenchmarkFilterWindowCountSorted(b *testing.B) {
 	benchFilterWindow(b, sortedBenchData(1<<20), FilterWindowCount[int64])
 }
 
-// BenchmarkFilterWindowAscending is BenchmarkFilterWindowCountSorted's
-// input and window through the binary-search kernel.
-func BenchmarkFilterWindowAscending(b *testing.B) {
-	benchFilterWindow(b, sortedBenchData(1<<20), FilterWindowAscending[int64])
+// BenchmarkWindowAscending is BenchmarkFilterWindowCountSorted's input
+// and window through the binary-search kernel, which locates the
+// survivors without copying them.
+func BenchmarkWindowAscending(b *testing.B) {
+	a := sortedBenchData(1 << 20)
+	lo, hi := benchWindow(a)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c1, c3, _ := WindowAscending(a, lo, hi); c1 >= c3 {
+			b.Fatal("empty window")
+		}
+	}
+	b.SetBytes(int64(len(a) * 8))
 }
 
 // BenchmarkAscending times the check that admits a slice to
-// FilterWindowAscending, on the same sorted input (its worst case: a
+// WindowAscending, on the same sorted input (its worst case: a
 // random slice fails within a couple of keys).
 func BenchmarkAscending(b *testing.B) {
 	a := sortedBenchData(1 << 20)
@@ -91,13 +100,18 @@ func BenchmarkAscending(b *testing.B) {
 	b.SetBytes(int64(len(a) * 8))
 }
 
-// benchFilterWindow times one window filter of a over the window between
-// its 44th and 56th percentile keys, about the share of n the first fast
-// randomized iteration keeps.
-func benchFilterWindow(b *testing.B, a []int64, filter func(dst, a []int64, lo, hi int64) ([]int64, int, int, int64)) {
+// benchWindow returns the window between a's 44th and 56th percentile
+// keys, about the share of n the first fast randomized iteration keeps.
+func benchWindow(a []int64) (lo, hi int64) {
 	keys := slices.Clone(a)
 	slices.Sort(keys)
-	lo, hi := keys[len(keys)*44/100], keys[len(keys)*56/100]
+	return keys[len(keys)*44/100], keys[len(keys)*56/100]
+}
+
+// benchFilterWindow times one window filter of a over benchWindow's
+// window.
+func benchFilterWindow(b *testing.B, a []int64, filter func(dst, a []int64, lo, hi int64) ([]int64, int, int, int64)) {
+	lo, hi := benchWindow(a)
 	dst := make([]int64, len(a))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

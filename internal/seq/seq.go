@@ -197,22 +197,20 @@ func Ascending[K cmp.Ordered](a []K) bool {
 	return true
 }
 
-// FilterWindowAscending is FilterWindowCount for an ascending a (see
-// Ascending): the three region boundaries are binary searches, and the
-// in-window keys, one contiguous run a[nLess:nLess+nMid], are copied into
-// dst (grown as needed; must not alias a). It returns exactly what
-// FilterWindowCount returns for the same input, the charged operation
-// count included, so the simulated cost model cannot tell the two apart.
-// On a window miss the survivors are a prefix (a[:nLess], the keys < lo)
-// or a suffix (a[nLess+nMid:], the keys above hi), which the caller copies
-// instead of filtering. Requires lo <= hi and an ascending a.
-func FilterWindowAscending[K cmp.Ordered](dst, a []K, lo, hi K) (mid []K, nLess, nMid int, ops int64) {
-	c1, _ := LowerBound(a, lo)
+// WindowAscending is FilterWindowCount for an ascending a (see
+// Ascending) without the copy: the three region boundaries are binary
+// searches, and it returns the bounds of the one contiguous run of
+// in-window keys, a[c1:c3], so nLess = c1 and nMid = c3 - c1. The charged
+// operation count is exactly what FilterWindowCount charges for the same
+// input, so the simulated cost model cannot tell the two apart. The
+// survivors of a window miss are a prefix (a[:c1], the keys < lo) or a
+// suffix (a[c3:], the keys above hi). Requires lo <= hi and an ascending
+// a.
+func WindowAscending[K cmp.Ordered](a []K, lo, hi K) (c1, c3 int, ops int64) {
+	c1, _ = LowerBound(a, lo)
 	c2, _ := UpperBound(a, lo)
-	c3, _ := UpperBound(a, hi)
-	dst = grow(dst, c3-c1)
-	copy(dst, a[c1:c3])
-	return dst, c1, c3 - c1, windowOps(len(a), c2, c3)
+	c3, _ = UpperBound(a, hi)
+	return c1, c3, windowOps(len(a), c2, c3)
 }
 
 // FilterLessInto writes the stable sequence of elements < x into dst

@@ -610,7 +610,7 @@ func Balance[K cmp.Ordered](shards [][]K, opts Options) ([][]K, Report, error) {
 	rep, err := s.execute(func(pr *machine.Proc) {
 		local := make([]K, len(shards[pr.ID()]))
 		copy(local, shards[pr.ID()])
-		out[pr.ID()] = balance.Run(pr, local, method, machine.WordBytes)
+		out[pr.ID()] = balance.Run(pr, local, method)
 		s.counters[pr.ID()] = pr.Counters
 	})
 	if err != nil {
