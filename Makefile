@@ -28,8 +28,9 @@
 #                  branch-free three-way partition kernel (differential
 #                  against Partition3),
 #                  the fast randomized window-filter kernel (differential
-#                  against its three-comparison reference) and its
-#                  binary-search form for ascending slices (differential
+#                  against its three-comparison reference) and the
+#                  window's binary-search index on ascending slices
+#                  (FuzzWindowAscending: seq.WindowAscending, differential
 #                  against the scanning kernel)
 #   make smoke   - metrics-scrape smoke: boot a daemon, run one query, pull
 #                  /metrics and strictly validate the exposition; then the
@@ -38,8 +39,10 @@
 #                  then the single-selection CLI psel twice (a traced
 #                  randomized run with balancing, and a -q quantile run);
 #                  then every collective host benchmark in internal/comm,
-#                  the snapshot encoder benchmark (BenchmarkEncode,
-#                  internal/snapshot: int64, float64 and string keys),
+#                  the snapshot encoder benchmarks (internal/snapshot:
+#                  BenchmarkEncode over int64, float64 and string keys,
+#                  BenchmarkFrameEncode over scalar and 2^16-value result
+#                  frames of int64 and float64 values, with allocations),
 #                  the daemon's frame upload-and-persist benchmark
 #                  (BenchmarkFrameUploadPersist, internal/serve) and the
 #                  resident sorted-select benchmark
@@ -98,7 +101,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=5s ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz=FuzzPartition3Branchless -fuzztime=5s ./internal/seq
 	$(GO) test -run='^$$' -fuzz=FuzzFilterWindowCount -fuzztime=5s ./internal/seq
-	$(GO) test -run='^$$' -fuzz=FuzzFilterWindowAscending -fuzztime=5s ./internal/seq
+	$(GO) test -run='^$$' -fuzz=FuzzWindowAscending -fuzztime=5s ./internal/seq
 
 smoke:
 	$(GO) test -count=1 -run 'TestObsScrapeSmoke' ./internal/serve
@@ -107,7 +110,7 @@ smoke:
 	$(GO) run ./cmd/psel -n 65536 -p 8 -alg rand -bal modomlb -trace
 	$(GO) run ./cmd/psel -n 65536 -p 8 -q 0.9
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/comm
-	$(GO) test -run '^$$' -bench BenchmarkEncode -benchtime 1x ./internal/snapshot
+	$(GO) test -run '^$$' -bench 'BenchmarkEncode|BenchmarkFrameEncode' -benchmem -benchtime 1x ./internal/snapshot
 	$(GO) test -run '^$$' -bench BenchmarkFrameUploadPersist -benchtime 1x ./internal/serve
 	$(GO) test -run '^$$' -bench BenchmarkDatasetSelectSorted -benchtime 1x .
 	@for ex in examples/*/; do \

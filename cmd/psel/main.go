@@ -23,30 +23,20 @@ import (
 	"parsel/internal/workload"
 )
 
-var algNames = map[string]selection.Algorithm{
-	"mom":           selection.MedianOfMedians,
-	"bucket":        selection.BucketBased,
-	"rand":          selection.Randomized,
-	"fastrand":      selection.FastRandomized,
-	"mom-hybrid":    selection.MedianOfMediansHybrid,
-	"bucket-hybrid": selection.BucketBasedHybrid,
-}
+var (
+	algNames  = byName(selection.AllAlgorithms)
+	balNames  = byName(balance.Methods)
+	distNames = byName(workload.Kinds)
+)
 
-var balNames = map[string]balance.Method{
-	"none":     balance.None,
-	"omlb":     balance.OMLB,
-	"modomlb":  balance.ModifiedOMLB,
-	"dimexch":  balance.DimensionExchange,
-	"globexch": balance.GlobalExchange,
-}
-
-var distNames = map[string]workload.Kind{
-	"random":      workload.Random,
-	"sorted":      workload.Sorted,
-	"revsorted":   workload.ReverseSorted,
-	"gaussian":    workload.Gaussian,
-	"fewdistinct": workload.FewDistinct,
-	"zipf":        workload.ZipfLike,
+// byName indexes values by their String names, the names the harness
+// prints, so each name is decided once, by its type.
+func byName[V fmt.Stringer](values []V) map[string]V {
+	m := make(map[string]V, len(values))
+	for _, v := range values {
+		m[v.String()] = v
+	}
+	return m
 }
 
 // keys lists a name table's names, sorted, for the usage text and the

@@ -256,7 +256,7 @@ func orderMaintaining[K any](p *machine.Proc, local []K, scr *Scratch[K]) []K {
 		}
 		srcStart += counts[s]
 	}
-	in := comm.TransportKnownInto(p, out, inCounts, machine.WordBytes, scr.in)
+	in := comm.TransportKnown(p, out, inCounts, machine.WordBytes, scr.in)
 	scr.in = in
 	res := scr.outBuf(int(targ[p.ID()]))
 	for s := 0; s < size; s++ {
@@ -343,7 +343,7 @@ func sourceSink[K any](p *machine.Proc, local []K, sorted bool, scr *Scratch[K])
 			srcPos += src.amt
 		}
 	}
-	in := comm.TransportKnownInto(p, out, inCounts, machine.WordBytes, scr.in)
+	in := comm.TransportKnown(p, out, inCounts, machine.WordBytes, scr.in)
 	scr.in = in
 	final := scr.outBuf(int(targ[me]))
 	final = append(final, local[:keep]...)

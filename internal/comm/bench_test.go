@@ -45,12 +45,6 @@ func BenchmarkPrefix16(b *testing.B) {
 	})
 }
 
-func BenchmarkGatherv16(b *testing.B) {
-	benchCollective(b, 16, func(pr *machine.Proc, payload []int64) {
-		Gatherv(pr, 0, payload, machine.WordBytes)
-	})
-}
-
 func BenchmarkGlobalConcatv16(b *testing.B) {
 	benchCollective(b, 16, func(pr *machine.Proc, payload []int64) {
 		GlobalConcatv(pr, payload[:64], machine.WordBytes)
@@ -113,7 +107,7 @@ func BenchmarkGatherBroadcast8(b *testing.B) {
 	var local [64]int64
 	answer := []int64{42}
 	benchReused(b, 8, func(pr *machine.Proc, buf *[]int64) {
-		_, *buf = GatherFlatInto(pr, 0, local[:], machine.WordBytes, *buf)
+		_, *buf = GatherFlatInto(pr, local[:], machine.WordBytes, *buf)
 		var res []int64
 		if pr.ID() == 0 {
 			res = answer
@@ -122,9 +116,9 @@ func BenchmarkGatherBroadcast8(b *testing.B) {
 	})
 }
 
-// BenchmarkTransportKnownInto8 is the load balancers' all-to-all: every
+// BenchmarkTransportKnown8 is the load balancers' all-to-all: every
 // processor sends 16 keys to every other.
-func BenchmarkTransportKnownInto8(b *testing.B) {
+func BenchmarkTransportKnown8(b *testing.B) {
 	const p = 8
 	var block [16]int64
 	out := make([][]int64, p)
@@ -135,6 +129,6 @@ func BenchmarkTransportKnownInto8(b *testing.B) {
 	}
 	in := make([][][]int64, p)
 	benchReused(b, p, func(pr *machine.Proc, buf *[]int64) {
-		in[pr.ID()] = TransportKnownInto(pr, out, counts, machine.WordBytes, in[pr.ID()])
+		in[pr.ID()] = TransportKnown(pr, out, counts, machine.WordBytes, in[pr.ID()])
 	})
 }

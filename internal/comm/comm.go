@@ -9,9 +9,9 @@
 //	Transportation     ~2 mu t              pairwise-scheduled all-to-all-v
 //
 // The parallel prefix exists as an int64 sum (PrefixSumInt64), the only
-// form the algorithms use; Gather and Global Concatenate come in
-// variable-length (Gatherv, GatherFlat, GlobalConcatv) and int64
-// (GlobalConcatInt64) forms.
+// form the algorithms use; Gather is a flat variable-length gather on
+// processor 0 (GatherFlatInto), and Global Concatenate comes in
+// variable-length (GlobalConcatv) and int64 (GlobalConcatInt64) forms.
 //
 // All primitives work for arbitrary processor counts, not only powers of
 // two. Message costs (tau + mu*bytes) are charged by the machine layer;
@@ -88,9 +88,9 @@ func BroadcastSlice[T any](p *machine.Proc, root int, vals []T, elemBytes int) [
 	return vals
 }
 
-// Reduce combines one value per processor with a commutative, associative
+// reduce combines one value per processor with a commutative, associative
 // op and leaves the result on root. The second return is true only on root.
-func Reduce[T any](p *machine.Proc, root int, val T, bytes int, op func(T, T) T) (T, bool) {
+func reduce[T any](p *machine.Proc, root int, val T, bytes int, op func(T, T) T) (T, bool) {
 	size := p.Procs()
 	if size == 1 {
 		return val, true
@@ -117,7 +117,7 @@ func Reduce[T any](p *machine.Proc, root int, val T, bytes int, op func(T, T) T)
 // Combine is the paper's Combine primitive: an all-reduce. Every processor
 // contributes val and receives op applied across all contributions.
 func Combine[T any](p *machine.Proc, val T, bytes int, op func(T, T) T) T {
-	res, ok := Reduce(p, 0, val, bytes, op)
+	res, ok := reduce(p, 0, val, bytes, op)
 	if p.Procs() == 1 {
 		return res
 	}
@@ -128,111 +128,33 @@ func Combine[T any](p *machine.Proc, val T, bytes int, op func(T, T) T) T {
 	return Broadcast(p, 0, res, bytes)
 }
 
-// gatherBlock is a contiguous run of per-processor slices in relative-rank
-// order, used internally by the binomial gather tree.
-type gatherBlock[T any] struct {
-	start int // relative rank of the first slice
-	parts [][]T
-}
-
-// Gatherv collects a variable-length slice from every processor on root.
-// On root the result has one entry per processor (indexed by absolute
-// rank); on other processors it is nil. Cost O(tau log p + mu * total).
-func Gatherv[T any](p *machine.Proc, root int, vals []T, elemBytes int) [][]T {
-	size := p.Procs()
-	if size == 1 {
-		return [][]T{vals}
-	}
-	me := p.ID()
-	rel := relRank(me, root, size)
-	block := gatherBlock[T]{start: rel, parts: [][]T{vals}}
-	blockBytes := len(vals) * elemBytes
-	for mask := 1; mask < size; mask <<= 1 {
-		if rel&mask == 0 {
-			srcRel := rel + mask
-			if srcRel < size {
-				src := absRank(srcRel, root, size)
-				in := p.Recv(src, tagGather+mask).(gatherBlock[T])
-				block.parts = append(block.parts, in.parts...)
-				for _, part := range in.parts {
-					blockBytes += len(part) * elemBytes
-				}
-			}
-		} else {
-			dst := absRank(rel-mask, root, size)
-			p.Send(dst, tagGather+mask, block, blockBytes)
-			return nil
-		}
-	}
-	// Root: block.parts[i] is the slice of relative rank i; unrotate.
-	out := make([][]T, size)
-	for i, part := range block.parts {
-		out[(i+root)%size] = part
-	}
-	return out
-}
-
-// GatherFlat gathers variable-length slices on root and concatenates them
-// in absolute-rank order. Non-roots receive nil.
-func GatherFlat[T any](p *machine.Proc, root int, vals []T, elemBytes int) []T {
-	parts := Gatherv(p, root, vals, elemBytes)
-	if parts == nil {
-		return nil
-	}
-	total := 0
-	for _, part := range parts {
-		total += len(part)
-	}
-	out := make([]T, 0, total)
-	for _, part := range parts {
-		out = append(out, part...)
-	}
-	return out
-}
-
-// flatRun is a contiguous run of relative-rank blocks already flattened
-// into one slice, the payload of the allocation-light gather tree.
+// flatRun is a contiguous run of rank-order blocks already flattened
+// into one slice, the payload of the gather tree.
 type flatRun[T any] struct {
 	data []T
 }
 
-// GatherFlatInto is GatherFlat with caller-provided storage: every
-// processor passes its own reusable buffer (dst may be nil), interior tree
-// nodes flatten their subtree into it, and the root's buffer carries the
-// final concatenation. It returns the gathered slice (nil on non-roots)
-// and the possibly grown buffer, which the caller should retain for the
-// next call. Tree shape, tags and byte counts are identical to GatherFlat;
-// only host-side allocation differs. Requires root 0 (all hot callers
-// gather on processor 0); other roots fall back to GatherFlat.
-func GatherFlatInto[T any](p *machine.Proc, root int, vals []T, elemBytes int, dst []T) (out, buf []T) {
+// GatherFlatInto gathers variable-length slices on processor 0 and
+// concatenates them in rank order, over a binomial tree: O(tau log p +
+// mu * total). Every processor passes its own reusable buffer (dst may
+// be nil), interior tree nodes flatten their subtree into it, and the
+// root's buffer carries the final concatenation. It returns the
+// gathered slice (nil on non-roots) and the possibly grown buffer,
+// which the caller should retain for the next call.
+func GatherFlatInto[T any](p *machine.Proc, vals []T, elemBytes int, dst []T) (out, buf []T) {
 	size := p.Procs()
-	if root != 0 {
-		// The flat representation loses per-processor boundaries, which
-		// the rank rotation of a non-zero root would need.
-		flat := GatherFlat(p, root, vals, elemBytes)
-		if flat == nil {
-			return nil, dst
-		}
-		buf = append(dst[:0], flat...)
-		return buf, buf
-	}
-	if size == 1 {
-		buf = append(dst[:0], vals...)
-		return buf, buf
-	}
-	rel := p.ID()
+	me := p.ID()
 	buf = append(dst[:0], vals...)
 	bufBytes := len(vals) * elemBytes
 	for mask := 1; mask < size; mask <<= 1 {
-		if rel&mask == 0 {
-			srcRel := rel + mask
-			if srcRel < size {
-				in := p.Recv(srcRel, tagGather+mask).(flatRun[T])
+		if me&mask == 0 {
+			if src := me + mask; src < size {
+				in := p.Recv(src, tagGather+mask).(flatRun[T])
 				buf = append(buf, in.data...)
 				bufBytes += len(in.data) * elemBytes
 			}
 		} else {
-			p.Send(rel-mask, tagGather+mask, flatRun[T]{buf}, bufBytes)
+			p.Send(me-mask, tagGather+mask, flatRun[T]{buf}, bufBytes)
 			return nil, buf
 		}
 	}
@@ -294,21 +216,17 @@ func Transport[T any](p *machine.Proc, out [][]T, elemBytes int) [][]T {
 	for src := 0; src < size; src++ {
 		inCounts[src] = all[src*size+p.ID()]
 	}
-	return TransportKnown(p, out, inCounts, elemBytes)
+	return TransportKnown(p, out, inCounts, elemBytes, nil)
 }
 
 // TransportKnown performs the transportation primitive when every receiver
 // already knows how many elements arrive from each source (inCounts[src]).
 // Only non-empty messages are sent. Communication is scheduled pairwise
 // (step k exchanges with ranks me±k) to avoid hot spots, giving the
-// ~2*mu*t behaviour the paper cites for bounded in/out traffic t.
-func TransportKnown[T any](p *machine.Proc, out [][]T, inCounts []int64, elemBytes int) [][]T {
-	return TransportKnownInto(p, out, inCounts, elemBytes, nil)
-}
-
-// TransportKnownInto is TransportKnown with a caller-provided result
-// buffer for the p incoming block headers (grown as needed).
-func TransportKnownInto[T any](p *machine.Proc, out [][]T, inCounts []int64, elemBytes int, in [][]T) [][]T {
+// ~2*mu*t behaviour the paper cites for bounded in/out traffic t. The p
+// incoming block headers are returned in in, grown as needed (in may be
+// nil).
+func TransportKnown[T any](p *machine.Proc, out [][]T, inCounts []int64, elemBytes int, in [][]T) [][]T {
 	size := p.Procs()
 	me := p.ID()
 	if len(out) != size || len(inCounts) != size {

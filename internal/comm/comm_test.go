@@ -71,7 +71,7 @@ func TestReduceSum(t *testing.T) {
 			}
 			runSPMD(t, p, func(pr *machine.Proc) {
 				v := int64(pr.ID() * pr.ID())
-				got, ok := Reduce(pr, root, v, 8, func(a, b int64) int64 { return a + b })
+				got, ok := reduce(pr, root, v, 8, func(a, b int64) int64 { return a + b })
 				if (pr.ID() == root) != ok {
 					t.Errorf("p=%d proc %d ok=%v", p, pr.ID(), ok)
 				}
@@ -87,7 +87,7 @@ func TestReduceMax(t *testing.T) {
 	for _, p := range procCounts {
 		runSPMD(t, p, func(pr *machine.Proc) {
 			v := int64((pr.ID()*7 + 3) % p)
-			got, ok := Reduce(pr, 0, v, 8, func(a, b int64) int64 {
+			got, ok := reduce(pr, 0, v, 8, func(a, b int64) int64 {
 				if a > b {
 					return a
 				}
@@ -141,71 +141,76 @@ func TestPrefixSum(t *testing.T) {
 
 func TestGatherScalar(t *testing.T) {
 	for _, p := range procCounts {
-		for _, root := range []int{0, p - 1} {
-			runSPMD(t, p, func(pr *machine.Proc) {
-				res := Gatherv(pr, root, []int64{int64(pr.ID() * 10)}, 8)
-				if pr.ID() != root {
-					if res != nil {
-						t.Errorf("p=%d non-root %d got %v", p, pr.ID(), res)
-					}
-					return
+		runSPMD(t, p, func(pr *machine.Proc) {
+			res, _ := GatherFlatInto(pr, []int64{int64(pr.ID() * 10)}, 8, nil)
+			if pr.ID() != 0 {
+				if res != nil {
+					t.Errorf("p=%d non-root %d got %v", p, pr.ID(), res)
 				}
-				if len(res) != p {
-					t.Fatalf("p=%d root got %d entries", p, len(res))
+				return
+			}
+			if len(res) != p {
+				t.Fatalf("p=%d root got %d entries", p, len(res))
+			}
+			for i, v := range res {
+				if v != int64(i*10) {
+					t.Errorf("p=%d root entry %d = %d", p, i, v)
 				}
-				for i, v := range res {
-					if len(v) != 1 || v[0] != int64(i*10) {
-						t.Errorf("p=%d root entry %d = %v", p, i, v)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
 func TestGathervVariableSizes(t *testing.T) {
 	for _, p := range procCounts {
-		root := p / 2
 		runSPMD(t, p, func(pr *machine.Proc) {
 			mine := make([]int64, pr.ID()) // proc i contributes i elements
 			for j := range mine {
 				mine[j] = int64(pr.ID()*1000 + j)
 			}
-			res := Gatherv(pr, root, mine, 8)
-			if pr.ID() != root {
+			res, _ := GatherFlatInto(pr, mine, 8, nil)
+			if pr.ID() != 0 {
 				return
 			}
+			if len(res) != p*(p-1)/2 {
+				t.Fatalf("p=%d flat len %d", p, len(res))
+			}
+			off := 0
 			for src := 0; src < p; src++ {
-				if len(res[src]) != src {
-					t.Fatalf("p=%d block %d has %d elems", p, src, len(res[src]))
-				}
-				for j, v := range res[src] {
-					if v != int64(src*1000+j) {
-						t.Errorf("p=%d block %d elem %d = %d", p, src, j, v)
+				for j := range src {
+					if res[off] != int64(src*1000+j) {
+						t.Errorf("p=%d block %d elem %d = %d", p, src, j, res[off])
 					}
+					off++
 				}
 			}
 		})
 	}
 }
 
+// TestGatherFlat gathers into buffers reused across two runs: the root
+// holds every key in rank order both times.
 func TestGatherFlat(t *testing.T) {
 	for _, p := range procCounts {
-		runSPMD(t, p, func(pr *machine.Proc) {
-			mine := []int64{int64(pr.ID()), int64(pr.ID() + 100)}
-			res := GatherFlat(pr, 0, mine, 8)
-			if pr.ID() != 0 {
-				return
-			}
-			if len(res) != 2*p {
-				t.Fatalf("p=%d flat len %d", p, len(res))
-			}
-			for i := 0; i < p; i++ {
-				if res[2*i] != int64(i) || res[2*i+1] != int64(i+100) {
-					t.Errorf("p=%d wrong flat order at %d: %v", p, i, res[2*i:2*i+2])
+		bufs := make([][]int64, p)
+		for range 2 {
+			runSPMD(t, p, func(pr *machine.Proc) {
+				mine := []int64{int64(pr.ID()), int64(pr.ID() + 100)}
+				var res []int64
+				res, bufs[pr.ID()] = GatherFlatInto(pr, mine, 8, bufs[pr.ID()])
+				if pr.ID() != 0 {
+					return
 				}
-			}
-		})
+				if len(res) != 2*p {
+					t.Fatalf("p=%d flat len %d", p, len(res))
+				}
+				for i := 0; i < p; i++ {
+					if res[2*i] != int64(i) || res[2*i+1] != int64(i+100) {
+						t.Errorf("p=%d wrong flat order at %d: %v", p, i, res[2*i:2*i+2])
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -292,7 +297,7 @@ func TestTransportKnown(t *testing.T) {
 				out[dst] = transportPattern(p, pr.ID(), dst)
 				inCounts[dst] = int64(len(transportPattern(p, dst, pr.ID())))
 			}
-			in := TransportKnown(pr, out, inCounts, 8)
+			in := TransportKnown(pr, out, inCounts, 8, nil)
 			for src := 0; src < p; src++ {
 				want := transportPattern(p, src, pr.ID())
 				if len(want) == 0 {
@@ -342,7 +347,7 @@ func TestGatherModelCost(t *testing.T) {
 	const perProc = 4096
 	sim, err := machine.Run(params, func(pr *machine.Proc) {
 		mine := make([]int64, perProc)
-		Gatherv(pr, 0, mine, 8)
+		GatherFlatInto(pr, mine, 8, nil)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -51,12 +51,12 @@ func runProbe(t *testing.T, m *machine.Machine) probe {
 			blocks[j] = transportPattern(p, me, j)
 			counts[j] = int64(len(transportPattern(p, j, me)))
 		}
-		in := TransportKnown(pr, blocks, counts, machine.WordBytes)
+		in := TransportKnown(pr, blocks, counts, machine.WordBytes, nil)
 		var mine []int64
 		for _, blk := range in {
 			mine = append(mine, blk...)
 		}
-		if all, _ := GatherFlatInto(pr, 0, mine, machine.WordBytes, nil); me == 0 {
+		if all, _ := GatherFlatInto(pr, mine, machine.WordBytes, nil); me == 0 {
 			out.gathered = all
 		}
 		out.counters[me] = pr.Counters
@@ -126,7 +126,7 @@ func TestPanicDuringTransport(t *testing.T) {
 		if me == 3 {
 			counts[(me-4+p)%p]++ // mismatch on the fourth exchange
 		}
-		TransportKnown(pr, blocks, counts, machine.WordBytes)
+		TransportKnown(pr, blocks, counts, machine.WordBytes, nil)
 	})
 	if err == nil || !strings.Contains(err.Error(), "unexpected element count") {
 		t.Fatalf("Run = %v, want the count-check panic", err)

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -91,12 +92,11 @@ func TestQuickPrefixAgainstSerial(t *testing.T) {
 	}
 }
 
-// TestQuickGatherConcatAgree: Gatherv on the root must agree with
-// GlobalConcatv everywhere, for arbitrary shard shapes.
+// TestQuickGatherConcatAgree: GatherFlatInto on the root must agree
+// with GlobalConcatv everywhere, for arbitrary shard shapes.
 func TestQuickGatherConcatAgree(t *testing.T) {
-	f := func(raw [][]int16, pRaw, rootRaw uint8) bool {
+	f := func(raw [][]int16, pRaw uint8) bool {
 		p := 1 + int(pRaw%10)
-		root := int(rootRaw) % p
 		shards := make([][]int64, p)
 		for i := range shards {
 			if i < len(raw) {
@@ -108,33 +108,16 @@ func TestQuickGatherConcatAgree(t *testing.T) {
 		}
 		good := true
 		ok := quickRun(p, func(pr *machine.Proc) {
-			gat := Gatherv(pr, root, shards[pr.ID()], 8)
+			gat, _ := GatherFlatInto(pr, shards[pr.ID()], 8, nil)
 			all := GlobalConcatv(pr, shards[pr.ID()], 8)
 			for src := 0; src < p; src++ {
-				if len(all[src]) != len(shards[src]) {
+				if !slices.Equal(all[src], shards[src]) {
 					good = false
 					return
 				}
-				for j, v := range all[src] {
-					if v != shards[src][j] {
-						good = false
-						return
-					}
-				}
 			}
-			if pr.ID() == root {
-				for src := 0; src < p; src++ {
-					if len(gat[src]) != len(all[src]) {
-						good = false
-						return
-					}
-					for j := range gat[src] {
-						if gat[src][j] != all[src][j] {
-							good = false
-							return
-						}
-					}
-				}
+			if pr.ID() == 0 && !slices.Equal(gat, slices.Concat(all...)) {
+				good = false
 			}
 		})
 		return ok && good

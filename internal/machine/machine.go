@@ -574,15 +574,6 @@ func (p *Proc) Charge(ops int64) {
 	p.now += float64(ops) * p.m.params.SecPerOp
 }
 
-// ChargeSeconds advances the clock by raw simulated seconds. It is used by
-// higher layers that price work directly (rarely; prefer Charge).
-func (p *Proc) ChargeSeconds(s float64) {
-	if s < 0 {
-		panic(fmt.Sprintf("machine: negative time charge %g", s))
-	}
-	p.now += s
-}
-
 // post prices an outgoing message (tau + mu*bytes for remote sends,
 // nothing for self-sends), stamps its arrival time, and enqueues it.
 func (p *Proc) post(dst int, msg message) {

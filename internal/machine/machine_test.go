@@ -93,11 +93,13 @@ func TestChargeAdvancesClock(t *testing.T) {
 }
 
 func TestChargeSecondsAndAdvanceTo(t *testing.T) {
-	_, err := Run(DefaultParams(1), func(pr *Proc) {
-		pr.ChargeSeconds(0.5)
-		pr.AdvanceTo(0.25) // in the past: no-op
-		if pr.Now() != 0.5 {
-			t.Errorf("Now() = %g, want 0.5", pr.Now())
+	params := DefaultParams(1)
+	_, err := Run(params, func(pr *Proc) {
+		pr.Charge(1000)
+		want := 1000 * params.SecPerOp
+		pr.AdvanceTo(want / 2) // in the past: no-op
+		if pr.Now() != want {
+			t.Errorf("Now() = %g after AdvanceTo into the past, want %g", pr.Now(), want)
 		}
 		pr.AdvanceTo(0.75)
 		if pr.Now() != 0.75 {
@@ -310,10 +312,6 @@ func TestSendInvalidDestinationPanics(t *testing.T) {
 	_, err = Run(DefaultParams(1), func(pr *Proc) { pr.Charge(-1) })
 	if err == nil {
 		t.Fatal("expected panic for negative charge")
-	}
-	_, err = Run(DefaultParams(1), func(pr *Proc) { pr.ChargeSeconds(-1) })
-	if err == nil {
-		t.Fatal("expected panic for negative time charge")
 	}
 }
 

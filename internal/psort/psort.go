@@ -19,27 +19,6 @@ import (
 	"parsel/internal/seq"
 )
 
-// Sort sorts the distributed multiset whose local part is local. It
-// returns this processor's run of the globally sorted sequence: all keys
-// on processor i are <= all keys on processor j for i < j, each run is
-// sorted, and the multiset is preserved. The output sizes are roughly
-// balanced for well-spread inputs but are not guaranteed equal (standard
-// PSRS behaviour). local is taken over and permuted. Every key is one
-// machine.WordBytes word on the wire.
-func Sort[K cmp.Ordered](p *machine.Proc, local []K) []K {
-	return SortOversampled(p, local, p.Procs())
-}
-
-// SortOversampled is Sort with an explicit per-processor sample count c.
-// Classic PSRS uses c = p, whose p^2 gathered samples give a 2x balance
-// guarantee but cost the root O(p^2 log p) sorting work — prohibitive at
-// high processor counts when the data itself is small. Smaller c trades
-// output balance for a cheaper splitter phase; correctness (global order,
-// multiset preservation) never depends on c.
-func SortOversampled[K cmp.Ordered](p *machine.Proc, local []K, c int) []K {
-	return SortOversampledScratch(p, local, c, nil)
-}
-
 // Scratch holds one processor's reusable sample-sort buffers. A zero
 // Scratch is ready; buffers grow on demand. The merged output of a
 // scratch-backed sort aliases the scratch and is valid only until the
@@ -55,10 +34,24 @@ type Scratch[K cmp.Ordered] struct {
 	merged    []K
 }
 
-// SortOversampledScratch is SortOversampled drawing every buffer from scr
-// (nil behaves like SortOversampled). Simulated cost and traffic are
-// identical; only host-side allocation differs.
-func SortOversampledScratch[K cmp.Ordered](p *machine.Proc, local []K, c int, scr *Scratch[K]) []K {
+// Sort sorts the distributed multiset whose local part is local. It
+// returns this processor's run of the globally sorted sequence: all keys
+// on processor i are <= all keys on processor j for i < j, each run is
+// sorted, and the multiset is preserved. The output sizes are roughly
+// balanced for well-spread inputs but are not guaranteed equal (standard
+// PSRS behaviour). local is taken over and permuted. Every key is one
+// machine.WordBytes word on the wire.
+//
+// c is the per-processor sample count. Classic PSRS uses c = p, whose
+// p^2 gathered samples give a 2x balance guarantee but cost the root
+// O(p^2 log p) sorting work — prohibitive at high processor counts when
+// the data itself is small. Smaller c trades output balance for a
+// cheaper splitter phase; correctness (global order, multiset
+// preservation) never depends on c.
+//
+// Every buffer is drawn from scr; nil draws them fresh. Simulated cost
+// and traffic do not depend on scr, only host-side allocation does.
+func Sort[K cmp.Ordered](p *machine.Proc, local []K, c int, scr *Scratch[K]) []K {
 	if scr == nil {
 		scr = &Scratch[K]{}
 	}
@@ -87,7 +80,7 @@ func SortOversampledScratch[K cmp.Ordered](p *machine.Proc, local []K, c int, sc
 		p.Charge(int64(cnt))
 	}
 	scr.samples = samples
-	all, gbuf := comm.GatherFlatInto(p, 0, samples, machine.WordBytes, scr.gather)
+	all, gbuf := comm.GatherFlatInto(p, samples, machine.WordBytes, scr.gather)
 	scr.gather = gbuf
 
 	// Root: sort samples, choose p-1 regular splitters.
@@ -154,7 +147,7 @@ func SortOversampledScratch[K cmp.Ordered](p *machine.Proc, local []K, c int, sc
 		counts[src] = allCounts[src*size+p.ID()]
 	}
 	scr.counts = counts
-	in := comm.TransportKnownInto(p, out, counts, machine.WordBytes, scr.in)
+	in := comm.TransportKnown(p, out, counts, machine.WordBytes, scr.in)
 	scr.in = in
 	merged, ops := seq.MergeKInto(scr.merged, in)
 	scr.merged = merged

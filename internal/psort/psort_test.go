@@ -14,7 +14,7 @@ func runSort(t *testing.T, shards [][]int64) [][]int64 {
 	p := len(shards)
 	out := make([][]int64, p)
 	_, err := machine.Run(machine.DefaultParams(p), func(pr *machine.Proc) {
-		out[pr.ID()] = Sort(pr, shards[pr.ID()])
+		out[pr.ID()] = Sort(pr, shards[pr.ID()], pr.Procs(), nil)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestRankElement(t *testing.T) {
 	got := make([]int64, p)
 	for _, r := range []int64{0, 1, 499, 500, 999} {
 		_, err := machine.Run(machine.DefaultParams(p), func(pr *machine.Proc) {
-			run := Sort(pr, slices.Clone(shards[pr.ID()]))
+			run := Sort(pr, slices.Clone(shards[pr.ID()]), pr.Procs(), nil)
 			got[pr.ID()] = RankElement(pr, run, r)
 		})
 		if err != nil {
@@ -130,7 +130,7 @@ func TestRankElement(t *testing.T) {
 
 func TestRankElementOutOfRange(t *testing.T) {
 	_, err := machine.Run(machine.DefaultParams(2), func(pr *machine.Proc) {
-		run := Sort(pr, []int64{1, 2})
+		run := Sort(pr, []int64{1, 2}, pr.Procs(), nil)
 		RankElement(pr, run, 10)
 	})
 	if err == nil {

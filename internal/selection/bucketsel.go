@@ -46,9 +46,9 @@ func selectBucket[K cmp.Ordered](p *machine.Proc, local []K, rank, n int64, opts
 
 		// Steps 2–3: gather (median, weight) pairs on P0, compute the
 		// weighted median of medians, broadcast it.
-		ms, gbuf := comm.GatherFlatInto(p, 0, meds, machine.WordBytes, ar.gather)
+		ms, gbuf := comm.GatherFlatInto(p, meds, machine.WordBytes, ar.gather)
 		ar.gather = gbuf
-		qs, wbuf := comm.GatherFlatInto(p, 0, wts, machine.WordBytes, ar.wgather)
+		qs, wbuf := comm.GatherFlatInto(p, wts, machine.WordBytes, ar.wgather)
 		ar.wgather = wbuf
 		var pivS []K
 		if p.ID() == 0 {

@@ -110,7 +110,7 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 				ar.gather = all
 			} else {
 				var gbuf []K
-				all, gbuf = comm.GatherFlatInto(p, 0, sample, machine.WordBytes, ar.gather)
+				all, gbuf = comm.GatherFlatInto(p, sample, machine.WordBytes, ar.gather)
 				ar.gather = gbuf
 				if capture {
 					pre.capture(p, n, int64(len(all)), all)
@@ -136,7 +136,7 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 			if replay {
 				S, run = pre.restore(p)
 			} else {
-				run = psort.SortOversampledScratch(p, sample, 8, &ar.sort)
+				run = psort.Sort(p, sample, 8, &ar.sort)
 				S = comm.CombineInt64(p, int64(len(run)))
 				if capture {
 					pre.capture(p, n, S, run)

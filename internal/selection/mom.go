@@ -41,7 +41,7 @@ func selectMoM[K cmp.Ordered](p *machine.Proc, local []K, rank, n int64, opts Op
 		}
 
 		// Steps 2–3: gather medians on P0, find their median, broadcast.
-		all, gbuf := comm.GatherFlatInto(p, 0, meds, machine.WordBytes, ar.gather)
+		all, gbuf := comm.GatherFlatInto(p, meds, machine.WordBytes, ar.gather)
 		ar.gather = gbuf
 		var pivS []K
 		if p.ID() == 0 {

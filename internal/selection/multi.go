@@ -220,7 +220,7 @@ func multiFinish[K cmp.Ordered](p *machine.Proc, ar *Arena[K], small []multiSeg[
 	// selection, the root has received from every processor (gather
 	// tree) and every processor has received from the root (broadcast),
 	// so all cross-processor aliases of these buffers are drained.
-	all, gbuf := comm.GatherFlatInto(p, 0, mine, machine.WordBytes, ar.gather)
+	all, gbuf := comm.GatherFlatInto(p, mine, machine.WordBytes, ar.gather)
 	ar.gather = gbuf
 	var vals []K
 	if p.ID() == 0 {

@@ -291,7 +291,7 @@ func threshold(p *machine.Proc) int64 {
 // rank-th smallest there, and broadcasts the answer.
 func finalSolve[K cmp.Ordered](p *machine.Proc, local []K, rank int64, opts Options, st *Stats, sel selector[K]) K {
 	ar := arenaOf[K](p)
-	all, gbuf := comm.GatherFlatInto(p, 0, local, machine.WordBytes, ar.gather)
+	all, gbuf := comm.GatherFlatInto(p, local, machine.WordBytes, ar.gather)
 	ar.gather = gbuf
 	var res []K
 	if p.ID() == 0 {

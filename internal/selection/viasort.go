@@ -25,7 +25,7 @@ func ViaSort[K cmp.Ordered](p *machine.Proc, local []K, rank int64, opts Options
 	if rank < 1 || rank > n {
 		panic("selection: ViaSort rank out of range")
 	}
-	run := psort.Sort(p, local)
+	run := psort.Sort(p, local, p.Procs(), nil)
 	st.Iterations = 1
 	return psort.RankElement(p, run, rank-1), *st
 }

@@ -291,9 +291,9 @@ func checkAscendingAllKinds(raw []byte, pickLo, pickHi uint8) string {
 	return ""
 }
 
-// TestFilterWindowAscendingMatchesScan checks that filtering an ascending
+// TestWindowAscendingMatchesScan checks that filtering an ascending
 // slice by index (WindowAscending) agrees with the scanning filter.
-func TestFilterWindowAscendingMatchesScan(t *testing.T) {
+func TestWindowAscendingMatchesScan(t *testing.T) {
 	f := func(raw []byte, lo, hi uint8) bool { return checkAscendingAllKinds(raw, lo, hi) == "" }
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
@@ -307,10 +307,10 @@ func TestFilterWindowAscendingMatchesScan(t *testing.T) {
 	}
 }
 
-// FuzzFilterWindowAscending cross-checks the binary-search window kernel
+// FuzzWindowAscending cross-checks the binary-search window kernel
 // (WindowAscending) against the scanning kernel on sorted keys of every
 // kind, with the window drawn from the keys and from values between them.
-func FuzzFilterWindowAscending(f *testing.F) {
+func FuzzWindowAscending(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0))
 	f.Add([]byte{5, 5, 5, 5}, uint8(0), uint8(3))
 	f.Add([]byte{0, 1, 2, 0, 1, 2, 13}, uint8(1), uint8(9))

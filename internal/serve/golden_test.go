@@ -70,13 +70,14 @@ func normalizeJSON(b []byte) []byte {
 
 // normalizeResponse normalizes one response body: JSON directly, a
 // binary result frame entry by entry (re-encoded after the metadata
-// is normalized, so the framing itself stays covered).
+// is normalized, so the framing itself stays covered). Values decode at
+// int64 whatever the kind: their bytes, not their numbers, are pinned.
 func normalizeResponse(t *testing.T, b []byte) string {
 	t.Helper()
 	if !bytes.HasPrefix(b, []byte("PSELFRME")) {
 		return string(normalizeJSON(b))
 	}
-	entries, err := snapshot.DecodeFrame(b)
+	entries, err := snapshot.DecodeFrame[int64](b)
 	if err != nil {
 		t.Fatalf("decode response frame: %v", err)
 	}

@@ -369,6 +369,114 @@ func TestDaemonFloat64DifferentialE2E(t *testing.T) {
 	}
 }
 
+// TestDaemonFloat64FrameBitExact pins that float64 values cross the
+// binary frame bit for bit: over shards holding both zeros, both
+// infinities, the smallest subnormal and the largest finite float, the
+// values a framing client decodes for TopK, Quantiles and a QueryMany
+// batch have exactly the bits an in-process float64 dataset answers.
+// == cannot see a -0 turned +0, so the comparison is on
+// math.Float64bits. (Scalar answers travel as JSON metadata, which has
+// no infinities, so only value-list queries run here.)
+func TestDaemonFloat64FrameBitExact(t *testing.T) {
+	ctx := context.Background()
+	d := newDaemon(t, parsel.Options{}, parsel.PoolOptions{MaxMachines: 2}, serve.Options{})
+	defer d.close()
+	oracle, err := parsel.NewPool[float64](parsel.Options{}, parsel.PoolOptions{MaxMachines: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oracle.Close()
+
+	negZero, tiny, inf := math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.Inf(1)
+	shards := [][]float64{
+		{negZero, 0, inf, 1.5, -2, tiny},
+		{tiny, math.MaxFloat64, negZero, -inf, 0},
+		{-tiny, -math.MaxFloat64, 0, 3, negZero, inf, math.MaxFloat64},
+	}
+	n := 0
+	for _, sh := range shards {
+		n += len(sh)
+	}
+	ods, err := oracle.NewDataset(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ods.Close()
+	rd := parselclient.Keyed[float64](binaryClient(d)).Dataset("bits")
+	if _, err := rd.Upload(ctx, shards); err != nil {
+		t.Fatal(err)
+	}
+
+	sameBits := func(what string, got, want []float64) {
+		t.Helper()
+		gb, wb := make([]uint64, len(got)), make([]uint64, len(want))
+		for i, v := range got {
+			gb[i] = math.Float64bits(v)
+		}
+		for i, v := range want {
+			wb[i] = math.Float64bits(v)
+		}
+		if !slices.Equal(gb, wb) {
+			t.Errorf("%s: frame values %v (bits %x), in-process %v (bits %x)", what, got, gb, want, wb)
+		}
+	}
+	top, _, err := rd.TopK(ctx, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wtop, _, err := ods.TopK(ctx, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits("topk", top, wtop)
+
+	qs := make([]float64, n+1)
+	for i := range qs {
+		qs[i] = float64(i) / float64(n)
+	}
+	vals, _, err := rd.Quantiles(ctx, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wvals, _, err := ods.Quantiles(ctx, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits("quantiles", vals, wvals)
+
+	ranks := make([]int64, n)
+	for i := range ranks {
+		ranks[i] = int64(i + 1)
+	}
+	batch := []parsel.Query{
+		{Op: parsel.OpTopK, K: 4},
+		{Op: parsel.OpBottomK, K: n},
+		{Op: parsel.OpQuantiles, Qs: qs},
+		{Op: parsel.OpRanks, Ranks: ranks},
+	}
+	queries := make([]parselclient.DatasetQuery, len(batch))
+	for i, q := range batch {
+		queries[i] = parselclient.DatasetQueryOf(q)
+	}
+	results, err := rd.QueryMany(ctx, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(batch) {
+		t.Fatalf("querymany: %d results, want %d", len(results), len(batch))
+	}
+	for i, q := range batch {
+		want, err := ods.Run(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results[i].Err() != nil {
+			t.Fatalf("querymany[%d]: %v", i, results[i].Err())
+		}
+		sameBits(fmt.Sprintf("querymany[%d] %s", i, q.Op), results[i].Values, want.Values)
+	}
+}
+
 // TestDaemonStringDatasetE2E drives the string kind through uploads,
 // the full query surface and QueryMany, against a sorted oracle. A
 // Binary client uploads string frames, and exercises the server's

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -799,12 +798,12 @@ func runQueries[K parselclient.Key](s *Server, w http.ResponseWriter, r *http.Re
 		w.Header().Set(StagesHeader, tr.stagesValue())
 	}
 
-	// String results have no frame encoding and are answered as JSON
-	// regardless of Accept — negotiation is per response Content-Type,
-	// so a framing client still decodes them.
+	// writeFrameResultsOf answers int64 and float64 results and reports
+	// whether it did. String results have no frame encoding and are
+	// answered as JSON regardless of Accept — negotiation is per
+	// response Content-Type, so a framing client still decodes them.
 	switch {
-	case wantsFrame(r) && parselclient.KeyKindOf[K]() != parselclient.KeyKindString:
-		writeFrameResultsOf(w, results)
+	case wantsFrame(r) && writeFrameResultsOf(w, results):
 	case batch:
 		writeJSON(w, http.StatusOK, parselclient.QueryManyResponseOf[K]{Results: results})
 	default:
@@ -847,44 +846,34 @@ func wantsFrame(r *http.Request) bool {
 	return false
 }
 
-// frameBits reinterprets a result's values as the frame's int64 bit
-// container: int64 passes through, float64 contributes its IEEE-754
-// bits. nil (with false) means the kind has no frame encoding.
-func frameBits[K parselclient.Key](vals []K) ([]int64, bool) {
-	switch v := any(vals).(type) {
-	case []int64:
-		return v, true
-	case []float64:
-		bits := make([]int64, len(v))
-		for i, f := range v {
-			bits[i] = int64(math.Float64bits(f))
-		}
-		return bits, true
+// writeFrameResultsOf writes int64 or float64 results as a binary
+// frame and reports true; other kinds have no frame encoding and are
+// left to the caller.
+func writeFrameResultsOf[K parselclient.Key](w http.ResponseWriter, results []parselclient.QueryManyResultOf[K]) bool {
+	switch rs := any(results).(type) {
+	case []parselclient.QueryManyResultOf[int64]:
+		writeFrame(w, rs)
+	case []parselclient.QueryManyResultOf[float64]:
+		writeFrame(w, rs)
 	default:
-		return nil, false
+		return false
 	}
+	return true
 }
 
-// writeFrameResultsOf writes results as a binary frame, one entry per
-// item. Non-empty values move into each entry's binary section (as the
-// kind's bit pattern) and out of its JSON metadata; empty or absent
-// values stay in the metadata, so the []-versus-null distinction — and
-// with it bit-identity to the JSON encoding — survives the frame. A
-// success entry's metadata marshals exactly like a bare response (the
-// error field is omitted when nil). Callers must not reach here for
-// string results — they have no bit container.
-func writeFrameResultsOf[K parselclient.Key](w http.ResponseWriter, results []parselclient.QueryManyResultOf[K]) {
-	entries := make([]snapshot.FrameEntry, len(results))
+// writeFrame writes results as a binary frame, one entry per item.
+// Non-empty values move into each entry's values section (served from
+// their memory) and out of its JSON metadata; empty or absent values
+// stay in the metadata, so the []-versus-null distinction — and with it
+// bit-identity to the JSON encoding — survives the frame. A success
+// entry's metadata marshals exactly like a bare response (the error
+// field is omitted when nil).
+func writeFrame[K snapshot.FixedKey](w http.ResponseWriter, results []parselclient.QueryManyResultOf[K]) {
+	entries := make([]snapshot.FrameEntry[K], len(results))
 	for i := range results {
 		item := results[i]
 		if len(item.Values) > 0 {
-			bits, ok := frameBits(item.Values)
-			if !ok {
-				writeError(w, http.StatusInternalServerError, parselclient.CodeInternal,
-					fmt.Sprintf("result %d has no frame encoding", i))
-				return
-			}
-			entries[i].Values = bits
+			entries[i].Values = item.Values
 			item.Values = nil
 		}
 		meta, err := json.Marshal(item)
@@ -895,10 +884,11 @@ func writeFrameResultsOf[K parselclient.Key](w http.ResponseWriter, results []pa
 		}
 		entries[i].Meta = meta
 	}
+	fr := snapshot.NewFrameReader(entries)
 	w.Header().Set("Content-Type", parselclient.ContentTypeFrame)
-	w.Header().Set("Content-Length", strconv.FormatInt(snapshot.FrameSize(entries), 10))
+	w.Header().Set("Content-Length", strconv.FormatInt(fr.Size(), 10))
 	w.WriteHeader(http.StatusOK)
-	_, _ = snapshot.WriteFrameTo(w, entries)
+	_, _ = fr.WriteTo(w)
 }
 
 // readBody drains the request body under the byte limit, mapping an

@@ -2,8 +2,13 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"math"
+	"math/rand/v2"
 	"slices"
 	"strings"
 	"testing"
@@ -12,7 +17,7 @@ import (
 // testFrames are frame shapes covering the wire's edge cases: empty
 // frames, empty metadata, empty values, multi-entry batches, extreme
 // keys.
-var testFrames = [][]FrameEntry{
+var testFrames = [][]FrameEntry[int64]{
 	{},
 	{{Meta: []byte(`{"report":{}}`), Values: []int64{3, 1, 4}}},
 	{{Meta: nil, Values: nil}},
@@ -30,10 +35,10 @@ func TestFrameRoundTrip(t *testing.T) {
 	for fi, entries := range testFrames {
 		t.Run(fmt.Sprintf("frame%d", fi), func(t *testing.T) {
 			data := EncodeFrame(entries)
-			if got := FrameSize(entries); got != int64(len(data)) {
-				t.Errorf("FrameSize %d, encoded %d bytes", got, len(data))
+			if got := NewFrameReader(entries).Size(); got != int64(len(data)) {
+				t.Errorf("Size %d, encoded %d bytes", got, len(data))
 			}
-			got, err := DecodeFrame(data)
+			got, err := DecodeFrame[int64](data)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -51,7 +56,59 @@ func TestFrameRoundTrip(t *testing.T) {
 			if again := EncodeFrame(got); !bytes.Equal(again, data) {
 				t.Error("re-encoding the decoded entries changed the bytes")
 			}
+			if ref := referenceFrame(entries); !bytes.Equal(data, ref) {
+				t.Error("EncodeFrame differs from the reference sections")
+			}
+			drainReader(t, fmt.Sprintf("frame%d", fi), data, func() *Reader[int64] { return NewFrameReader(entries) })
 		})
+	}
+}
+
+// referenceFrame assembles a frame section by section, with no
+// chunking.
+func referenceFrame[K FixedKey](entries []FrameEntry[K]) []byte {
+	b := binary.LittleEndian.AppendUint32([]byte(frameMagic), FrameVersion)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(entries)))
+	for _, e := range entries {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(e.Meta)))
+		b = append(b, e.Meta...)
+		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(e.Meta, castagnoli))
+		vals := appendKeys(nil, e.Values)
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(vals)))
+		b = append(b, vals...)
+		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(vals, castagnoli))
+	}
+	return b
+}
+
+// BenchmarkFrameEncode measures one frame response's encode into
+// io.Discard, as the daemon writes it to the connection: a scalar entry
+// (metadata only, as a select answers) and an entry of 2^16 values (a
+// large top-k), for both value kinds.
+func BenchmarkFrameEncode(b *testing.B) {
+	meta := []byte(`{"value":4611686018427387904,"report":{"algorithm":"fast-randomized",` +
+		`"sim_seconds":0.0123456789,"messages":42,"bytes":336,"iterations":3,"wall_seconds":0.0001}}`)
+	rng := rand.New(rand.NewPCG(29, 1))
+	ints := make([]int64, 1<<16)
+	floats := make([]float64, len(ints))
+	for i := range ints {
+		ints[i] = rng.Int64()
+		floats[i] = math.Float64frombits(uint64(ints[i]))
+	}
+	b.Run("int64/scalar", func(b *testing.B) { benchFrame(b, []FrameEntry[int64]{{Meta: meta}}) })
+	b.Run("int64/65536", func(b *testing.B) { benchFrame(b, []FrameEntry[int64]{{Meta: meta, Values: ints}}) })
+	b.Run("float64/scalar", func(b *testing.B) { benchFrame(b, []FrameEntry[float64]{{Meta: meta}}) })
+	b.Run("float64/65536", func(b *testing.B) { benchFrame(b, []FrameEntry[float64]{{Meta: meta, Values: floats}}) })
+}
+
+func benchFrame[K FixedKey](b *testing.B, entries []FrameEntry[K]) {
+	b.ReportAllocs()
+	b.SetBytes(int64(len(EncodeFrame(entries))))
+	b.ResetTimer()
+	for range b.N {
+		if _, err := NewFrameReader(entries).WriteTo(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -59,14 +116,14 @@ func TestFrameRoundTrip(t *testing.T) {
 // every single-byte corruption and every truncation fails with a typed
 // error and no entries.
 func TestFrameRejectsCorruption(t *testing.T) {
-	data := EncodeFrame([]FrameEntry{
+	data := EncodeFrame([]FrameEntry[int64]{
 		{Meta: []byte(`{"report":{}}`), Values: []int64{3, 1, 4, 1, 5}},
 		{Meta: []byte(`{"value":9}`)},
 	})
 	for off := range data {
 		mut := slices.Clone(data)
 		mut[off] ^= 0xff
-		entries, err := DecodeFrame(mut)
+		entries, err := DecodeFrame[int64](mut)
 		if err == nil {
 			t.Fatalf("flip at offset %d of %d decoded successfully", off, len(data))
 		}
@@ -75,14 +132,14 @@ func TestFrameRejectsCorruption(t *testing.T) {
 		}
 	}
 	for cut := 0; cut < len(data); cut++ {
-		if entries, err := DecodeFrame(data[:cut]); err == nil || entries != nil {
+		if entries, err := DecodeFrame[int64](data[:cut]); err == nil || entries != nil {
 			t.Fatalf("truncation to %d of %d bytes decoded (err %v)", cut, len(data), err)
 		}
 	}
-	if _, err := DecodeFrame(append(slices.Clone(data), 7)); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodeFrame[int64](append(slices.Clone(data), 7)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("trailing byte: %v, want ErrCorrupt", err)
 	}
-	if _, err := DecodeFrame([]byte("PSELSNAP....")); !errors.Is(err, ErrBadMagic) {
+	if _, err := DecodeFrame[int64]([]byte("PSELSNAP....")); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("snapshot magic on a frame: %v, want ErrBadMagic", err)
 	}
 }

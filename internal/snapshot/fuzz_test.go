@@ -93,7 +93,7 @@ func FuzzFrameDecode(f *testing.F) {
 	for _, entries := range testFrames {
 		f.Add(EncodeFrame(entries))
 	}
-	valid := EncodeFrame([]FrameEntry{
+	valid := EncodeFrame([]FrameEntry[int64]{
 		{Meta: []byte(`{"report":{"sim_seconds":0.5}}`), Values: []int64{3, 1, 4, 1, 5}},
 		{Meta: []byte(`{"error":{"code":"no_data","message":"m"}}`)},
 	})
@@ -107,21 +107,30 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(corrupt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := DecodeFrame(data)
-		if err != nil {
-			if entries != nil {
-				t.Fatalf("error %v returned alongside %d entries", err, len(entries))
-			}
-			if !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrVersion) &&
-				!errors.Is(err, ErrCorrupt) {
-				t.Fatalf("untyped decode error: %v", err)
-			}
-			return
-		}
-		// Accepted: the encoding must be canonical, so no two distinct
-		// frames decode to the same results.
-		if again := EncodeFrame(entries); !bytes.Equal(again, data) {
-			t.Fatalf("accepted non-canonical frame (%d bytes, canonical %d)", len(data), len(again))
-		}
+		checkFuzzFrame[int64](t, data)
+		checkFuzzFrame[float64](t, data)
 	})
+}
+
+// checkFuzzFrame decodes data as a frame of K values and checks the
+// fuzz invariants: a typed error and no entries, or entries that
+// re-encode to exactly data.
+func checkFuzzFrame[K FixedKey](t *testing.T, data []byte) {
+	entries, err := DecodeFrame[K](data)
+	if err != nil {
+		if entries != nil {
+			t.Fatalf("error %v returned alongside %d entries", err, len(entries))
+		}
+		if !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrVersion) &&
+			!errors.Is(err, ErrCorrupt) {
+			t.Fatalf("untyped decode error: %v", err)
+		}
+		return
+	}
+	// Accepted: the encoding must be canonical, so no two distinct
+	// frames decode to the same results.
+	if again := EncodeFrame(entries); !bytes.Equal(again, data) {
+		t.Fatalf("accepted non-canonical %s frame (%d bytes, canonical %d)",
+			KeyTypeFor[K](), len(data), len(again))
+	}
 }

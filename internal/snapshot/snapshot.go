@@ -36,6 +36,12 @@
 // keys straight from their memory, which is already their data-section
 // encoding; string keys are staged through one reused chunk.
 //
+// The daemon's result frame (frame.go) is a second layout over the same
+// codec: NewFrameReader is this encoder with one key section per
+// result, and DecodeFrame runs on the stream decoder's section reader,
+// reading each values section straight into place. Both binary formats
+// therefore have one encoder and one decoder.
+//
 // A snapshot file need not come from an encode. A binary upload
 // arrives in this same format, and the daemon spools it (Spool,
 // StreamDecoder.CopyTo): a fresh prologue under its own Options
@@ -232,34 +238,50 @@ type Header struct {
 	N int64
 }
 
-// chunkBytes is the most data-section bytes the encoder hands on at
+// chunkBytes is the most key-section bytes the encoder hands on at
 // once: a view of fixed-width keys in place, or one fill of the staging
 // chunk.
 const chunkBytes = 1 << 16
 
-// Reader is the snapshot encoder: it serves one dataset's shards as
-// PSELSNAP bytes, through Read to a consumer that pulls (an HTTP
-// request body) or WriteTo to a writer (a file, an HTTP response). The
-// prologue, extents section and data length are built once, up front;
-// the data section follows shard by shard. On a little-endian host
-// int64 and float64 keys are served straight from their memory, which
-// already is their encoding; string keys, and fixed-width keys on a
-// big-endian host, are staged through one reused chunk of chunkBytes,
-// and a string key longer than that chunk is served in place after
-// its staged length prefix. The data CRC is computed over each piece
-// as it is emitted. The caller's slices are only read and must not
-// change until the reader is drained. A Reader is single-use.
+// Reader is the one encoder of both binary formats: it serves a
+// snapshot (NewReader) or a result frame (NewFrameReader) as bytes,
+// through Read to a consumer that pulls (an HTTP request body) or
+// WriteTo to a writer (a file, an HTTP response). An encoding is a run
+// of heads and key sections, heads[0] sections[0] heads[1] ...
+// sections[n-1] heads[n]: every byte but the keys and their CRCs is
+// built into the heads up front, each head ending in the length of the
+// key section after it, and each key section's CRC-32C, computed over
+// its pieces as they are emitted, fills the first four bytes of the
+// head that follows it. A snapshot is one key section (the data
+// section, every shard); a frame has one per entry (its values). On a
+// little-endian host int64 and float64 keys are served straight from
+// their memory, which already is their encoding; string keys, and
+// fixed-width keys on a big-endian host, are staged through one reused
+// chunk of chunkBytes, and a string key longer than that chunk is
+// served in place after its staged length prefix. The caller's slices
+// are only read and must not change until the reader is drained. A
+// Reader is single-use.
 type Reader[K Key] struct {
-	shards [][]K
-	size   int64
-	cur    []byte // the unserved rest of the piece being emitted
-	shard  int    // shards[shard][key] is the next key to emit
-	key    int
-	long   []byte // a string key's bytes, due after its staged prefix
-	chunk  []byte // the staging buffer, allocated on first use
-	sum    uint32 // CRC-32C of the data bytes emitted so far
-	crc    [4]byte
-	ended  bool // the CRC piece has been emitted
+	heads    [][]byte
+	sections [][][]K
+	size     int64
+	cur      []byte // the unserved rest of the piece being emitted
+	sec      int    // sections[sec][shard][key] is the next key to emit
+	shard    int
+	key      int
+	long     []byte // a string key's bytes, due after its staged prefix
+	chunk    []byte // the staging buffer, allocated on first use
+	sum      uint32 // CRC-32C of the section's bytes emitted so far
+}
+
+// newReader returns the encoder of heads interleaved with sections
+// (len(heads) == len(sections)+1), whose keys encode to keyBytes.
+func newReader[K Key](heads [][]byte, sections [][][]K, keyBytes int64) *Reader[K] {
+	size := keyBytes
+	for _, h := range heads {
+		size += int64(len(h))
+	}
+	return &Reader[K]{heads: heads, sections: sections, size: size, cur: heads[0]}
 }
 
 // NewReader returns the encoder of shards as a snapshot.
@@ -272,7 +294,7 @@ func NewReader[K Key](h Header, shards [][]K) (*Reader[K], error) {
 	if err != nil {
 		return nil, err
 	}
-	head := appendPrologue(make([]byte, 0, 96+len(h.Options)+8*len(shards)), Header{
+	head := appendPrologue(make([]byte, 0, 100+len(h.Options)+8*len(shards)), Header{
 		KeyType: KeyTypeFor[K](), Options: h.Options, Procs: len(shards), N: n,
 	})
 	head = binary.LittleEndian.AppendUint32(head, uint32(8*len(shards)))
@@ -282,11 +304,14 @@ func NewReader[K Key](h Header, shards [][]K) (*Reader[K], error) {
 	}
 	head = binary.LittleEndian.AppendUint32(head, crc32.Checksum(head[ext:], castagnoli))
 	head = binary.LittleEndian.AppendUint64(head, uint64(size))
-	return &Reader[K]{shards: shards, size: int64(len(head)) + size + 4, cur: head}, nil
+	end := len(head)
+	head = append(head, 0, 0, 0, 0) // the data CRC
+	return newReader([][]byte{head[:end], head[end:]}, [][][]K{shards}, size), nil
 }
 
 // Size is the exact byte length of the encoding: the Content-Length of
-// an upload or an export, known before a byte is served.
+// an upload, an export or a frame response, known before a byte is
+// served.
 func (r *Reader[K]) Size() int64 { return r.size }
 
 // Read serves the next bytes of the encoding, at most the rest of one
@@ -315,11 +340,20 @@ func (r *Reader[K]) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
+// bytes drains the encoding into one byte slice.
+func (r *Reader[K]) bytes() []byte {
+	var buf bytes.Buffer
+	buf.Grow(int(r.size))
+	r.WriteTo(&buf) // a bytes.Buffer write cannot fail
+	return buf.Bytes()
+}
+
 // advance makes cur the next piece of the encoding: a piece of the
-// data section, then the data CRC. It reports false once the encoding
-// has ended.
+// current key section, or, once the section has ended, the next head
+// opened by the section's CRC. It reports false once the encoding has
+// ended.
 func (r *Reader[K]) advance() bool {
-	if r.ended {
+	if r.sec == len(r.sections) {
 		return false
 	}
 	if b := r.data(); len(b) > 0 {
@@ -327,43 +361,48 @@ func (r *Reader[K]) advance() bool {
 		r.cur = b
 		return true
 	}
-	binary.LittleEndian.PutUint32(r.crc[:], r.sum)
-	r.cur, r.ended = r.crc[:], true
+	r.sec++
+	r.cur = r.heads[r.sec]
+	binary.LittleEndian.PutUint32(r.cur, r.sum)
+	r.sum, r.shard, r.key = 0, 0, 0
 	return true
 }
 
-// data returns the next piece of the data section, empty at its end.
+// data returns the next piece of the current key section, empty at its
+// end.
 func (r *Reader[K]) data() []byte {
 	if b := r.long; b != nil {
 		r.long = nil
 		return b
 	}
-	for r.shard < len(r.shards) && r.key == len(r.shards[r.shard]) {
+	shards := r.sections[r.sec]
+	for r.shard < len(shards) && r.key == len(shards[r.shard]) {
 		r.shard, r.key = r.shard+1, 0
 	}
-	if r.shard == len(r.shards) {
+	if r.shard == len(shards) {
 		return nil
 	}
-	sh := r.shards[r.shard]
+	sh := shards[r.shard]
 	if raw := keyBytes(sh); raw != nil {
 		end := min(len(sh), r.key+chunkBytes/8)
 		b := raw[8*r.key : 8*end]
 		r.key = end
 		return b
 	}
-	return r.stage()
+	return r.stage(shards)
 }
 
-// stage encodes the next keys, across shard boundaries, into the chunk
-// until the next one does not fit. A string key too long for an empty
-// chunk stages only its length prefix and leaves its bytes in r.long.
-func (r *Reader[K]) stage() []byte {
+// stage encodes the next keys of shards, across shard boundaries, into
+// the chunk until the next one does not fit. A string key too long for
+// an empty chunk stages only its length prefix and leaves its bytes in
+// r.long.
+func (r *Reader[K]) stage(shards [][]K) []byte {
 	if r.chunk == nil {
 		r.chunk = make([]byte, 0, chunkBytes)
 	}
 	buf := r.chunk[:0]
-	for ; r.shard < len(r.shards); r.shard, r.key = r.shard+1, 0 {
-		keys := r.shards[r.shard][r.key:]
+	for ; r.shard < len(shards); r.shard, r.key = r.shard+1, 0 {
+		keys := shards[r.shard][r.key:]
 		n := fit(keys, chunkBytes-len(buf))
 		buf = appendKeys(buf, keys[:n])
 		r.key += n
@@ -429,10 +468,7 @@ func Encode[K Key](h Header, shards [][]K) []byte {
 	if err != nil {
 		return nil
 	}
-	var buf bytes.Buffer
-	buf.Grow(int(r.Size()))
-	r.WriteTo(&buf) // a bytes.Buffer write cannot fail
-	return buf.Bytes()
+	return r.bytes()
 }
 
 // appendString appends a uint16-length-prefixed string.
@@ -444,82 +480,8 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// reader walks the snapshot bytes with bounds-checked reads; every
-// overrun is ErrCorrupt, never a panic.
-type reader struct {
-	data []byte
-	off  int
-}
-
-func (r *reader) take(n int) ([]byte, error) {
-	if n < 0 || n > len(r.data)-r.off {
-		return nil, fmt.Errorf("%w: need %d bytes at offset %d, have %d",
-			ErrCorrupt, n, r.off, len(r.data)-r.off)
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *reader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-// section reads one length-prefixed payload and verifies its trailing
-// CRC. wide selects a uint64 length prefix (the data/values sections)
-// over the uint32 one. maxLen bounds the claimed length before
-// allocation-free slicing; wantLen, when >= 0, additionally pins the
-// exact length.
-func (r *reader) section(name string, wide bool, maxLen, wantLen int64) ([]byte, error) {
-	var claimed int64
-	if wide {
-		n, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(maxLen) {
-			return nil, fmt.Errorf("%w: %s section claims %d bytes", ErrCorrupt, name, n)
-		}
-		claimed = int64(n)
-	} else {
-		n, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		claimed = int64(n)
-	}
-	if claimed > maxLen || (wantLen >= 0 && claimed != wantLen) {
-		return nil, fmt.Errorf("%w: %s section claims %d bytes (limit %d, want %d)",
-			ErrCorrupt, name, claimed, maxLen, wantLen)
-	}
-	payload, err := r.take(int(claimed))
-	if err != nil {
-		return nil, err
-	}
-	sum, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if got := crc32.Checksum(payload, castagnoli); got != sum {
-		return nil, fmt.Errorf("%w: %s section CRC mismatch (stored %08x, computed %08x)",
-			ErrCorrupt, name, sum, got)
-	}
-	return payload, nil
-}
-
-// streamReader feeds StreamDecoder with budgeted, bounds-checked reads:
+// streamReader feeds both decoders (StreamDecoder, DecodeFrame) with
+// budgeted, bounds-checked reads:
 // every claim is charged against the remaining byte budget before
 // anything is read or allocated, every truncation is ErrCorrupt, and a
 // genuine I/O failure of the underlying reader (a network fault, an
@@ -567,6 +529,99 @@ func (sr *streamReader) u64(what string) (uint64, error) {
 	return binary.LittleEndian.Uint64(sr.scratch[:8]), nil
 }
 
+// str reads a uint16-length-prefixed string.
+func (sr *streamReader) str(what string) (string, error) {
+	if err := sr.read(what+" length", sr.scratch[:2]); err != nil {
+		return "", err
+	}
+	b := make([]byte, binary.LittleEndian.Uint16(sr.scratch[:2]))
+	if err := sr.read(what, b); err != nil {
+		return "", err
+	}
+	return string(b), nil
+}
+
+// section32 reads one uint32-length-prefixed section and verifies its
+// CRC; claims beyond maxLen, wantLen (when >= 0) or the remaining
+// budget never allocate.
+func (sr *streamReader) section32(name string, maxLen, wantLen int64) ([]byte, error) {
+	n, err := sr.u32(name + " length")
+	if err != nil {
+		return nil, err
+	}
+	claimed := int64(n)
+	if claimed > maxLen || claimed > sr.budget || (wantLen >= 0 && claimed != wantLen) {
+		return nil, fmt.Errorf("%w: %s section claims %d bytes (limit %d, want %d)",
+			ErrCorrupt, name, claimed, min(maxLen, sr.budget), wantLen)
+	}
+	payload := make([]byte, claimed)
+	if err := sr.read(name+" payload", payload); err != nil {
+		return nil, err
+	}
+	if err := sr.checkCRC(name, crc32.Checksum(payload, castagnoli)); err != nil {
+		return nil, err
+	}
+	return payload, nil
+}
+
+// checkCRC reads a section's stored CRC and compares it with sum, the
+// CRC of the payload read.
+func (sr *streamReader) checkCRC(name string, sum uint32) error {
+	stored, err := sr.u32(name + " CRC")
+	if err != nil {
+		return err
+	}
+	if stored != sum {
+		return fmt.Errorf("%w: %s section CRC mismatch (stored %08x, computed %08x)",
+			ErrCorrupt, name, stored, sum)
+	}
+	return nil
+}
+
+// readKeys reads a fixed-width key section's payload, 8 bytes a key,
+// into keys and verifies the CRC that follows it. On a little-endian
+// host the payload is the keys' memory, so each chunk is read straight
+// into place; elsewhere it is read into a chunk buffer and decoded.
+// After a failure the keys hold unverified bytes and must not be used.
+func readKeys[K Key](sr *streamReader, name string, keys []K) error {
+	want := 8 * int64(len(keys))
+	raw, buf := keyBytes(keys), []byte(nil)
+	if raw == nil {
+		buf = make([]byte, min(want, chunkBytes))
+	}
+	sum := uint32(0)
+	for off := int64(0); off < want; off += chunkBytes {
+		end := min(off+chunkBytes, want)
+		var b []byte
+		if raw != nil {
+			b = raw[off:end]
+		} else {
+			b = buf[:end-off]
+		}
+		if err := sr.read(name, b); err != nil {
+			return err
+		}
+		sum = crc32.Update(sum, castagnoli, b)
+		if raw == nil {
+			decodeKeyBits(keys[off/8:end/8], b)
+		}
+	}
+	return sr.checkCRC(name, sum)
+}
+
+// end requires a clean end of stream after the data section.
+func (sr *streamReader) end() error {
+	var tail [1]byte
+	switch _, err := io.ReadFull(sr.r, tail[:]); err {
+	case io.EOF:
+		return nil // clean end of stream
+	case nil:
+		return fmt.Errorf("%w: trailing bytes after the data section", ErrCorrupt)
+	default:
+		return fmt.Errorf("snapshot: read trailer: %w", err)
+	}
+}
+
 // StreamDecoder decodes the snapshot format incrementally from a
 // reader. Construction consumes and validates the prologue — magic,
 // version, the CRC-checked header section — so a serving layer can
@@ -611,7 +666,7 @@ func NewStreamDecoder(r io.Reader, maxBytes int64) (*StreamDecoder, error) {
 	if ver != Version {
 		return nil, fmt.Errorf("%w: file version %d, reader version %d", ErrVersion, ver, Version)
 	}
-	payload, err := d.section32("header", maxHeaderLen, -1)
+	payload, err := d.sr.section32("header", maxHeaderLen, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -647,34 +702,6 @@ func (d *StreamDecoder) Header() Header { return d.h }
 // NewStreamDecoder, before ReadDataAs.
 func (d *StreamDecoder) CopyTo(w io.Writer) { d.sr.copy = w }
 
-// section32 reads one uint32-length-prefixed section and verifies its
-// CRC; claims beyond maxLen, wantLen (when >= 0) or the remaining
-// budget never allocate.
-func (d *StreamDecoder) section32(name string, maxLen, wantLen int64) ([]byte, error) {
-	n, err := d.sr.u32(name + " length")
-	if err != nil {
-		return nil, err
-	}
-	claimed := int64(n)
-	if claimed > maxLen || claimed > d.sr.budget || (wantLen >= 0 && claimed != wantLen) {
-		return nil, fmt.Errorf("%w: %s section claims %d bytes (limit %d, want %d)",
-			ErrCorrupt, name, claimed, min(maxLen, d.sr.budget), wantLen)
-	}
-	payload := make([]byte, claimed)
-	if err := d.sr.read(name+" payload", payload); err != nil {
-		return nil, err
-	}
-	sum, err := d.sr.u32(name + " CRC")
-	if err != nil {
-		return nil, err
-	}
-	if got := crc32.Checksum(payload, castagnoli); got != sum {
-		return nil, fmt.Errorf("%w: %s section CRC mismatch (stored %08x, computed %08x)",
-			ErrCorrupt, name, sum, got)
-	}
-	return payload, nil
-}
-
 // ReadDataAs streams the extents and data sections, verifying the
 // per-section CRCs and requiring a clean end of stream. The stream's
 // key type must match K or the read is refused with ErrKeyType before
@@ -694,7 +721,7 @@ func ReadDataAs[K Key](d *StreamDecoder) ([][]K, error) {
 		return nil, fmt.Errorf("%w: snapshot holds %q keys, reader decodes %q",
 			ErrKeyType, d.h.KeyType, want)
 	}
-	ext, err := d.section32("extents", 8*int64(maxProcs), int64(8*d.h.Procs))
+	ext, err := d.sr.section32("extents", 8*int64(maxProcs), int64(8*d.h.Procs))
 	if err != nil {
 		return nil, err
 	}
@@ -743,37 +770,15 @@ func ReadDataAs[K Key](d *StreamDecoder) ([][]K, error) {
 // the stream. A corrupt section fails before the array is returned, so
 // bytes read into place unverified are never seen.
 func readFixed[K Key](d *StreamDecoder, claimed uint64) ([]K, error) {
-	want := 8 * d.h.N
-	if claimed != uint64(want) || int64(claimed) > d.sr.budget {
+	if claimed != uint64(8*d.h.N) || int64(claimed) > d.sr.budget {
 		return nil, fmt.Errorf("%w: data section claims %d bytes, header needs %d",
-			ErrCorrupt, claimed, want)
+			ErrCorrupt, claimed, 8*d.h.N)
 	}
 	backing := make([]K, d.h.N)
-	// On a little-endian host the section's bytes are the keys' memory,
-	// so each chunk is read straight into place; elsewhere it is read
-	// into buf and decoded.
-	raw, buf := keyBytes(backing), []byte(nil)
-	if raw == nil {
-		buf = make([]byte, min(want, chunkBytes))
+	if err := readKeys(&d.sr, "data", backing); err != nil {
+		return nil, err
 	}
-	sum := uint32(0)
-	for off := int64(0); off < want; off += chunkBytes {
-		end := min(off+chunkBytes, want)
-		var b []byte
-		if raw != nil {
-			b = raw[off:end]
-		} else {
-			b = buf[:end-off]
-		}
-		if err := d.sr.read("data", b); err != nil {
-			return nil, err
-		}
-		sum = crc32.Update(sum, castagnoli, b)
-		if raw == nil {
-			decodeKeyBits(backing[off/8:end/8], b)
-		}
-	}
-	if err := d.finish(sum); err != nil {
+	if err := d.sr.end(); err != nil {
 		return nil, err
 	}
 	return backing, nil
@@ -792,7 +797,10 @@ func (d *StreamDecoder) readStrings(claimed uint64) ([]string, error) {
 	if err := d.sr.read("data", payload); err != nil {
 		return nil, err
 	}
-	if err := d.finish(crc32.Checksum(payload, castagnoli)); err != nil {
+	if err := d.sr.checkCRC("data", crc32.Checksum(payload, castagnoli)); err != nil {
+		return nil, err
+	}
+	if err := d.sr.end(); err != nil {
 		return nil, err
 	}
 	all := string(payload)
@@ -815,28 +823,6 @@ func (d *StreamDecoder) readStrings(claimed uint64) ([]string, error) {
 		return nil, fmt.Errorf("%w: %d data bytes after the last string key", ErrCorrupt, len(all)-off)
 	}
 	return keys, nil
-}
-
-// finish checks the data section's stored CRC against sum and requires
-// a clean end of stream after it.
-func (d *StreamDecoder) finish(sum uint32) error {
-	stored, err := d.sr.u32("data CRC")
-	if err != nil {
-		return err
-	}
-	if stored != sum {
-		return fmt.Errorf("%w: data section CRC mismatch (stored %08x, computed %08x)",
-			ErrCorrupt, stored, sum)
-	}
-	var tail [1]byte
-	switch _, err := io.ReadFull(d.sr.r, tail[:]); err {
-	case io.EOF:
-		return nil // clean end of stream
-	case nil:
-		return fmt.Errorf("%w: trailing bytes after the data section", ErrCorrupt)
-	default:
-		return fmt.Errorf("snapshot: read trailer: %w", err)
-	}
 }
 
 // DecodeAs parses one snapshot held fully in memory — NewStreamDecoder
@@ -870,36 +856,25 @@ func IsDecodeError(err error) bool {
 
 // decodeHeader parses the CRC-verified header payload.
 func decodeHeader(payload []byte) (Header, error) {
-	r := &reader{data: payload}
-	str := func(what string) (string, error) {
-		b, err := r.take(2)
-		if err != nil {
-			return "", fmt.Errorf("%w: header %s length truncated", ErrCorrupt, what)
-		}
-		s, err := r.take(int(binary.LittleEndian.Uint16(b)))
-		if err != nil {
-			return "", fmt.Errorf("%w: header %s truncated", ErrCorrupt, what)
-		}
-		return string(s), nil
-	}
+	sr := &streamReader{r: bytes.NewReader(payload), budget: int64(len(payload))}
 	var h Header
 	var err error
-	if h.KeyType, err = str("key type"); err != nil {
+	if h.KeyType, err = sr.str("header key type"); err != nil {
 		return Header{}, err
 	}
-	if h.Options, err = str("options"); err != nil {
+	if h.Options, err = sr.str("header options"); err != nil {
 		return Header{}, err
 	}
-	procs, err := r.u32()
+	procs, err := sr.u32("header processor count")
 	if err != nil {
-		return Header{}, fmt.Errorf("%w: header processor count truncated", ErrCorrupt)
+		return Header{}, err
 	}
-	n, err := r.u64()
+	n, err := sr.u64("header population size")
 	if err != nil {
-		return Header{}, fmt.Errorf("%w: header population size truncated", ErrCorrupt)
+		return Header{}, err
 	}
-	if r.off != len(payload) {
-		return Header{}, fmt.Errorf("%w: %d trailing header bytes", ErrCorrupt, len(payload)-r.off)
+	if sr.budget != 0 {
+		return Header{}, fmt.Errorf("%w: %d trailing header bytes", ErrCorrupt, sr.budget)
 	}
 	h.Procs = int(procs)
 	h.N = int64(n)

@@ -142,6 +142,30 @@ func codecBothWays[K FixedKey](t *testing.T, shards [][]K) {
 			t.Fatalf("%s shard %d: the decode paths disagree with the input", KeyTypeFor[K](), i)
 		}
 	}
+
+	// The same two paths run every result frame: one entry per shard.
+	entries := make([]FrameEntry[K], len(shards))
+	for i, sh := range shards {
+		entries[i] = FrameEntry[K]{Meta: []byte{byte(i)}, Values: sh}
+	}
+	var frames [2][]FrameEntry[K]
+	for i, le := range []bool{true, false} {
+		littleEndian = le
+		enc[i] = EncodeFrame(entries)
+		fr, err := DecodeFrame[K](enc[0])
+		if err != nil {
+			t.Fatalf("%s frame, little-endian path %v: %v", KeyTypeFor[K](), le, err)
+		}
+		frames[i] = fr
+	}
+	if !bytes.Equal(enc[0], enc[1]) {
+		t.Fatalf("%s: the in-place and staged frame encoders disagree", KeyTypeFor[K]())
+	}
+	for i := range shards {
+		if !slices.Equal(bitsOf(frames[0][i].Values), bitsOf(shards[i])) || !slices.Equal(bitsOf(frames[1][i].Values), bitsOf(shards[i])) {
+			t.Fatalf("%s frame entry %d: the decode paths disagree with the input", KeyTypeFor[K](), i)
+		}
+	}
 }
 
 // TestReaderReadSizes pins that the encoder serves the same bytes
@@ -184,11 +208,22 @@ func drainEveryWay[K Key](t *testing.T, name string, shards [][]K) {
 	if ref := referenceEncode(h, shards); !bytes.Equal(want, ref) {
 		t.Fatalf("%s: Encode differs from the reference sections", name)
 	}
-	for _, size := range []int{1, 3, 4096, 65537} {
+	drainReader(t, name, want, func() *Reader[K] {
 		r, err := NewReader(h, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return r
+	})
+}
+
+// drainReader pins that every fresh encoder from newR serves exactly
+// want, and Size() of it, through Read at every size and through
+// WriteTo.
+func drainReader[K Key](t *testing.T, name string, want []byte, newR func() *Reader[K]) {
+	t.Helper()
+	for _, size := range []int{1, 3, 4096, 65537} {
+		r := newR()
 		var got []byte
 		p := make([]byte, size)
 		for {
@@ -202,17 +237,14 @@ func drainEveryWay[K Key](t *testing.T, name string, shards [][]K) {
 			}
 		}
 		if !bytes.Equal(got, want) || r.Size() != int64(len(want)) {
-			t.Fatalf("%s: Read(%d) served %d bytes (Size %d), Encode %d, equal %v",
+			t.Fatalf("%s: Read(%d) served %d bytes (Size %d), want %d, equal %v",
 				name, size, len(got), r.Size(), len(want), bytes.Equal(got, want))
 		}
 	}
-	r, err := NewReader(h, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newR()
 	var buf bytes.Buffer
 	if n, err := r.WriteTo(&buf); err != nil || n != int64(len(want)) || !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("%s: WriteTo wrote %d bytes (err %v), want Encode's %d", name, n, err, len(want))
+		t.Fatalf("%s: WriteTo wrote %d bytes (err %v), want %d", name, n, err, len(want))
 	}
 	if n, err := r.Read(make([]byte, 1)); n != 0 || err != io.EOF {
 		t.Fatalf("%s: Read after the end: %d, %v", name, n, err)

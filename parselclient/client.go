@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/url"
@@ -558,64 +557,52 @@ func IsFrameContentType(ct string) bool {
 // the values back and yields a struct bit-identical to the JSON
 // encoding of the same result.
 func decodeFrameInto(data []byte, out any) error {
-	entries, err := snapshot.DecodeFrame(data)
-	if err != nil {
-		return fmt.Errorf("parselclient: decode frame: %w", err)
-	}
-	// Frame values are a bit container: float64 results travel as
-	// their IEEE-754 bits and convert back losslessly.
-	int64s := func(bits []int64) []int64 { return bits }
+	var err error
 	switch v := out.(type) {
 	case *ResponseOf[int64]:
-		return frameResponse(entries, v, int64s)
+		return frameResponse(data, v)
 	case *QueryManyResponseOf[int64]:
-		v.Results, err = frameResults(entries, int64s)
+		v.Results, err = frameResults[int64](data)
 	case *ResponseOf[float64]:
-		return frameResponse(entries, v, float64sFromBits)
+		return frameResponse(data, v)
 	case *QueryManyResponseOf[float64]:
-		v.Results, err = frameResults(entries, float64sFromBits)
+		v.Results, err = frameResults[float64](data)
 	default:
 		return fmt.Errorf("parselclient: unexpected binary frame for %T", out)
 	}
 	return err
 }
 
-// frameResults decodes each entry's metadata and overlays its binary
-// values, converted from the frame's bit container by vals.
-func frameResults[K Key](entries []snapshot.FrameEntry, vals func([]int64) []K) ([]QueryManyResultOf[K], error) {
+// frameResults decodes a frame whose values are K keys: each entry's
+// metadata, with its values overlaid as decoded.
+func frameResults[K snapshot.FixedKey](data []byte) ([]QueryManyResultOf[K], error) {
+	entries, err := snapshot.DecodeFrame[K](data)
+	if err != nil {
+		return nil, fmt.Errorf("parselclient: decode frame: %w", err)
+	}
 	results := make([]QueryManyResultOf[K], len(entries))
 	for i := range entries {
 		if err := json.Unmarshal(entries[i].Meta, &results[i]); err != nil {
 			return nil, fmt.Errorf("parselclient: decode frame meta %d: %w", i, err)
 		}
 		if entries[i].Values != nil {
-			results[i].Values = vals(entries[i].Values)
+			results[i].Values = entries[i].Values
 		}
 	}
 	return results, nil
 }
 
 // frameResponse decodes a single-query frame: exactly one entry.
-func frameResponse[K Key](entries []snapshot.FrameEntry, v *ResponseOf[K], vals func([]int64) []K) error {
-	if len(entries) != 1 {
-		return fmt.Errorf("parselclient: frame carries %d results, want 1", len(entries))
-	}
-	results, err := frameResults(entries, vals)
+func frameResponse[K snapshot.FixedKey](data []byte, v *ResponseOf[K]) error {
+	results, err := frameResults[K](data)
 	if err != nil {
 		return err
 	}
+	if len(results) != 1 {
+		return fmt.Errorf("parselclient: frame carries %d results, want 1", len(results))
+	}
 	*v = results[0].ResponseOf
 	return nil
-}
-
-// float64sFromBits reinterprets a frame's bit-container values as the
-// float64 keys they encode.
-func float64sFromBits(bits []int64) []float64 {
-	vals := make([]float64, len(bits))
-	for i, b := range bits {
-		vals[i] = math.Float64frombits(uint64(b))
-	}
-	return vals
 }
 
 // frameUploadBody builds the binary body for an upload: a snapshot
