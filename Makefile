@@ -31,7 +31,10 @@
 #                  against its three-comparison reference) and the
 #                  window's binary-search index on ascending slices
 #                  (FuzzWindowAscending: seq.WindowAscending, differential
-#                  against the scanning kernel)
+#                  against the scanning kernel) and the balancers'
+#                  copy-and-check kernel (FuzzAppendAscending:
+#                  seq.AppendAscending, differential against append
+#                  followed by seq.Ascending)
 #   make smoke   - metrics-scrape smoke: boot a daemon, run one query, pull
 #                  /metrics and strictly validate the exposition; then the
 #                  paper experiment CLI: list the experiments and run every
@@ -39,6 +42,10 @@
 #                  then the single-selection CLI psel twice (a traced
 #                  randomized run with balancing, and a -q quantile run);
 #                  then every collective host benchmark in internal/comm,
+#                  the four load balancers' benchmarks (internal/balance:
+#                  BenchmarkOMLB, BenchmarkModifiedOMLB,
+#                  BenchmarkDimensionExchange, BenchmarkGlobalExchange,
+#                  with allocations),
 #                  the snapshot encoder benchmarks (internal/snapshot:
 #                  BenchmarkEncode over int64, float64 and string keys,
 #                  BenchmarkFrameEncode over scalar and 2^16-value result
@@ -102,6 +109,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPartition3Branchless -fuzztime=5s ./internal/seq
 	$(GO) test -run='^$$' -fuzz=FuzzFilterWindowCount -fuzztime=5s ./internal/seq
 	$(GO) test -run='^$$' -fuzz=FuzzWindowAscending -fuzztime=5s ./internal/seq
+	$(GO) test -run='^$$' -fuzz=FuzzAppendAscending -fuzztime=5s ./internal/seq
 
 smoke:
 	$(GO) test -count=1 -run 'TestObsScrapeSmoke' ./internal/serve
@@ -110,6 +118,7 @@ smoke:
 	$(GO) run ./cmd/psel -n 65536 -p 8 -alg rand -bal modomlb -trace
 	$(GO) run ./cmd/psel -n 65536 -p 8 -q 0.9
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/comm
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./internal/balance
 	$(GO) test -run '^$$' -bench 'BenchmarkEncode|BenchmarkFrameEncode' -benchmem -benchtime 1x ./internal/snapshot
 	$(GO) test -run '^$$' -bench BenchmarkFrameUploadPersist -benchtime 1x ./internal/serve
 	$(GO) test -run '^$$' -bench BenchmarkDatasetSelectSorted -benchtime 1x .

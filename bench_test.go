@@ -146,8 +146,10 @@ func BenchmarkBalanceGlobalExchange(b *testing.B) {
 // Pool.Over, which ships the shards per query and runs every step;
 // through a warmed Dataset, which finds each window in its ascending
 // shards by binary search, keeps the survivors as views of them and
-// replays its memoized first sample sort; and the Dataset's first query,
-// which checks the shards' order and captures that memo. It reports
+// replays its memoized first sample sort, and whose balancing (modified
+// OMLB) copies keys only on the processors that receive some, checking
+// their order in the same pass; and the Dataset's first query, which
+// checks the shards' order and captures that memo. It reports
 // allocations, so a per-query allocation on the view path shows.
 func BenchmarkDatasetSelectSorted(b *testing.B) {
 	const n, p = 1 << 20, 8

@@ -97,6 +97,27 @@ func diffShapes() []diffShape {
 			shards: workload.Generate(s.kind, s.n, s.p, 1),
 		})
 	}
+
+	// Ascending shards, duplicate-heavy at both ends: 45% zeros, a band
+	// of distinct keys, 45% copies of the largest. A resident Dataset
+	// flags them ascending; the median's first window spans every value,
+	// so fast randomized selection stalls, and the single-pivot step that
+	// follows leaves its survivors out of order, which a stale order
+	// flag would then binary-search.
+	dups := make([][]int64, 8)
+	for i := range dups {
+		dups[i] = make([]int64, 1024)
+		for j := range dups[i] {
+			switch {
+			case j < 460:
+			case j < 563:
+				dups[i][j] = int64(j)
+			default:
+				dups[i][j] = 1024
+			}
+		}
+	}
+	shapes = append(shapes, diffShape{name: "sorteddups/p8", shards: dups})
 	return shapes
 }
 

@@ -8,10 +8,12 @@
 package balance
 
 import (
+	"cmp"
 	"fmt"
 
 	"parsel/internal/comm"
 	"parsel/internal/machine"
+	"parsel/internal/seq"
 )
 
 // Method selects a load-balancing algorithm.
@@ -74,16 +76,20 @@ const (
 	tagDimData  = 10 << 20
 )
 
-// Scratch holds one processor's reusable balancing buffers, so that the
-// migrate paths of a long-lived machine allocate nothing in steady state.
-// A zero Scratch is ready to use; buffers grow on demand and are retained
-// between rounds. No balancer writes its input: a processor that receives
-// keys assembles its new shard in one of two retained output arrays, so
-// the input may be the caller's read-only shard or a view of it. The
-// output alternates between the two arrays because the current round's
-// input may be a view of the previous round's output — the sourced blocks
-// it sends must stay intact until every receiver has copied them, which
-// the collectives between two balancing rounds guarantee.
+// Scratch holds one processor's reusable balancing tables and staging
+// blocks, so that the migrate paths of a long-lived machine allocate
+// nothing in steady state. A zero Scratch is ready to use; buffers grow
+// on demand and are retained between rounds.
+//
+// It holds no output keys. A processor that receives keys assembles its
+// new shard in the buffer the caller passes to RunScratch, which the
+// caller owns and must not back the input (the selection engine passes
+// whichever arena window buffer does not hold its survivors): the input
+// is read while the output is written, and the blocks it sources must
+// stay intact until every receiver has copied them. One that receives
+// nothing returns a capped view of its input. No balancer writes its
+// input, so the input may be the caller's read-only shard or a view of
+// it.
 type Scratch[K any] struct {
 	cbuf     []int64 // Bruck all-gather working space (2p)
 	targ     []int64
@@ -93,40 +99,16 @@ type Scratch[K any] struct {
 	in       [][]K
 	sources  []procExcess
 	sinks    []procExcess
-	bufA     []K
-	bufB     []K
-	useB     bool
 	dim      [][]K // per-round staging blocks for dimension exchange
 }
 
-// outBuf returns an empty output buffer with the requested capacity,
-// alternating between the two retained arrays so it never aliases the
-// previous round's output (this round's input).
-func (s *Scratch[K]) outBuf(n int) []K {
-	s.useB = !s.useB
-	buf := &s.bufA
-	if s.useB {
-		buf = &s.bufB
-	}
+// outBuf returns *buf emptied, with capacity for n keys: when it is short
+// it is replaced by a larger array, which *buf then holds.
+func outBuf[K any](buf *[]K, n int) []K {
 	if cap(*buf) < n {
 		*buf = make([]K, 0, n)
 	}
 	return (*buf)[:0]
-}
-
-// outGrow returns out, a slice of the array the last outBuf call handed
-// out, with capacity for n keys: when the array is short it is replaced by
-// a larger one holding out's keys, which the scratch retains in its place.
-func (s *Scratch[K]) outGrow(out []K, n int) []K {
-	if cap(out) >= n {
-		return out
-	}
-	buf := &s.bufA
-	if s.useB {
-		buf = &s.bufB
-	}
-	*buf = append(make([]K, 0, n), out...)
-	return *buf
 }
 
 // outSlices returns the per-destination block table, cleared.
@@ -168,28 +150,35 @@ func (s *Scratch[K]) dimBuf(round, n int) []K {
 // Run redistributes local using the given method and returns the new local
 // slice. It must be called by all processors collectively. Every key is
 // one machine.WordBytes word on the wire.
-func Run[K any](p *machine.Proc, local []K, method Method) []K {
-	return RunScratch(p, local, method, nil)
+func Run[K cmp.Ordered](p *machine.Proc, local []K, method Method) []K {
+	out, _ := RunScratch(p, local, false, method, new([]K), nil)
+	return out
 }
 
 // RunScratch is Run with per-processor reusable scratch (nil behaves like
-// Run). Simulated cost and traffic are identical to Run; only host-side
-// allocation differs.
-func RunScratch[K any](p *machine.Proc, local []K, method Method, scr *Scratch[K]) []K {
+// Run) and a caller-owned output buffer. asc reports that local is
+// ascending; the second result reports the new local is. A processor
+// that receives keys assembles them in *buf (grown as needed, and *buf
+// then holds the larger array), which must not back local, and reports
+// whether they are ascending exactly; one that receives nothing returns
+// a view of local, capped so that no append can reach past it, and
+// passes asc on. Simulated cost and traffic are identical to Run; only
+// host-side work differs.
+func RunScratch[K cmp.Ordered](p *machine.Proc, local []K, asc bool, method Method, buf *[]K, scr *Scratch[K]) ([]K, bool) {
 	if scr == nil {
 		scr = &Scratch[K]{}
 	}
 	switch method {
 	case None:
-		return local
+		return local, asc
 	case OMLB:
-		return orderMaintaining(p, local, scr)
+		return orderMaintaining(p, local, asc, buf, scr)
 	case ModifiedOMLB:
-		return sourceSink(p, local, false, scr)
+		return sourceSink(p, local, asc, false, buf, scr)
 	case DimensionExchange:
-		return dimensionExchange(p, local, scr)
+		return dimensionExchange(p, local, asc, buf, scr)
 	case GlobalExchange:
-		return sourceSink(p, local, true, scr)
+		return sourceSink(p, local, asc, true, buf, scr)
 	default:
 		panic(fmt.Sprintf("balance: unknown method %d", int(method)))
 	}
@@ -212,7 +201,7 @@ func targets(slot *[]int64, n int64, p int) []int64 {
 // orderMaintaining implements the unmodified OMLB: elements keep their
 // global order; processor i ends with the elements whose global positions
 // fall in its target interval.
-func orderMaintaining[K any](p *machine.Proc, local []K, scr *Scratch[K]) []K {
+func orderMaintaining[K cmp.Ordered](p *machine.Proc, local []K, asc bool, buf *[]K, scr *Scratch[K]) ([]K, bool) {
 	size := p.Procs()
 	counts, cbuf := comm.GlobalConcatInt64(p, int64(len(local)), scr.cbuf)
 	scr.cbuf = cbuf
@@ -221,7 +210,7 @@ func orderMaintaining[K any](p *machine.Proc, local []K, scr *Scratch[K]) []K {
 		n += c
 	}
 	if n == 0 || size == 1 {
-		return local
+		return local, asc
 	}
 	targ := targets(&scr.targ, n, size)
 	// Cumulative target starts: processor j owns [cumT[j], cumT[j+1]).
@@ -258,12 +247,17 @@ func orderMaintaining[K any](p *machine.Proc, local []K, scr *Scratch[K]) []K {
 	}
 	in := comm.TransportKnown(p, out, inCounts, machine.WordBytes, scr.in)
 	scr.in = in
-	res := scr.outBuf(int(targ[p.ID()]))
-	for s := 0; s < size; s++ {
-		res = append(res, in[s]...)
+	p.Charge(targ[p.ID()]) // assemble the balanced shard
+	if inCounts[p.ID()] == targ[p.ID()] {
+		// Everything stays here: the shard is one run of local.
+		own := in[p.ID()]
+		return own[:len(own):len(own)], asc
 	}
-	p.Charge(int64(len(res))) // assemble the balanced shard
-	return res
+	res, rasc := outBuf(buf, int(targ[p.ID()])), true
+	for s := 0; s < size; s++ {
+		res, rasc = seq.AppendAscending(res, rasc, in[s])
+	}
+	return res, rasc
 }
 
 // procExcess is one processor's surplus (source) or deficit (sink) in the
@@ -275,7 +269,7 @@ type procExcess struct {
 
 // sourceSink implements both Modified OMLB (sorted=false: processor-index
 // order) and Global Exchange (sorted=true: decreasing excess/need order).
-func sourceSink[K any](p *machine.Proc, local []K, sorted bool, scr *Scratch[K]) []K {
+func sourceSink[K cmp.Ordered](p *machine.Proc, local []K, asc, sorted bool, buf *[]K, scr *Scratch[K]) ([]K, bool) {
 	size := p.Procs()
 	counts, cbuf := comm.GlobalConcatInt64(p, int64(len(local)), scr.cbuf)
 	scr.cbuf = cbuf
@@ -284,7 +278,7 @@ func sourceSink[K any](p *machine.Proc, local []K, sorted bool, scr *Scratch[K])
 		n += c
 	}
 	if n == 0 || size == 1 {
-		return local
+		return local, asc
 	}
 	targ := targets(&scr.targ, n, size)
 	sources, sinks := scr.sources[:0], scr.sinks[:0]
@@ -329,7 +323,8 @@ func sourceSink[K any](p *machine.Proc, local []K, sorted bool, scr *Scratch[K])
 			sinkPos += snk.amt
 		}
 	}
-	if need := unitStart(sinks, me); need >= 0 {
+	need := unitStart(sinks, me)
+	if need >= 0 {
 		// I am a sink: my need units occupy [need, need+amt); receive
 		// each overlap with a source's unit interval from that source.
 		amt := targ[me] - counts[me]
@@ -345,15 +340,19 @@ func sourceSink[K any](p *machine.Proc, local []K, sorted bool, scr *Scratch[K])
 	}
 	in := comm.TransportKnown(p, out, inCounts, machine.WordBytes, scr.in)
 	scr.in = in
-	final := scr.outBuf(int(targ[me]))
-	final = append(final, local[:keep]...)
+	if need < 0 {
+		// Not a sink, so nothing arrives: the shard is the kept prefix.
+		p.Charge(keep)
+		return local[:keep:keep], asc
+	}
+	final, fasc := seq.AppendAscending(outBuf(buf, int(targ[me])), true, local[:keep])
 	for s := 0; s < size; s++ {
 		if s != me {
-			final = append(final, in[s]...)
+			final, fasc = seq.AppendAscending(final, fasc, in[s])
 		}
 	}
 	p.Charge(int64(len(final)))
-	return final
+	return final, fasc
 }
 
 // unitStart returns the cumulative unit rank at which proc's entry starts
@@ -388,13 +387,12 @@ func sortByAmtDesc(a []procExcess) {
 // surplus so both end with ceil/floor of their joint total. For
 // non-power-of-two p a processor whose partner does not exist sits the
 // round out (the standard generalization); balance is then approximate.
-// A processor that receives assembles its keys in the scratch's output
-// buffer (see Scratch.outBuf); one that only sends returns a prefix of
-// local.
-func dimensionExchange[K any](p *machine.Proc, local []K, scr *Scratch[K]) []K {
+// A processor that receives assembles its keys in *buf; one that only
+// sends returns a prefix of local.
+func dimensionExchange[K cmp.Ordered](p *machine.Proc, local []K, asc bool, buf *[]K, scr *Scratch[K]) ([]K, bool) {
 	size := p.Procs()
 	me := p.ID()
-	own := false // local lives in the output buffer, not the input
+	own, trimmed := false, false // local lives in *buf; a send shortened it since
 	for pow, round := 1, 0; pow < size; pow, round = pow<<1, round+1 {
 		partner := me ^ pow
 		if partner >= size {
@@ -406,29 +404,37 @@ func dimensionExchange[K any](p *machine.Proc, local []K, scr *Scratch[K]) []K {
 		navg := (ni + nl + 1) / 2
 		switch {
 		case ni > navg:
-			// Copy the surplus out: a later round may append into the
-			// output buffer that local lives in, which must not alias
-			// the block the partner received. The staging block is
-			// per-round scratch; it is free for reuse once the
-			// collectives separating two balancing rounds have
-			// synchronized every processor.
+			// Copy the surplus out: a later round may append into *buf,
+			// where local may live, which must not alias the block the
+			// partner received. The staging block is per-round scratch;
+			// it is free for reuse once the collectives separating two
+			// balancing rounds have synchronized every processor.
 			give := ni - navg
 			blk := scr.dimBuf(round, int(give))
 			copy(blk, local[navg:ni])
 			p.Send(partner, tagDimData+round, blk, int(give)*machine.WordBytes)
 			local = local[:navg]
+			trimmed = own
 			p.Charge(give)
 		case nl > navg:
 			blk := p.Recv(partner, tagDimData+round).([]K)
 			if !own {
-				local = append(scr.outBuf(int(navg)), local...)
+				local, asc = seq.AppendAscending(outBuf(buf, int(navg)), true, local)
 				own = true
 			}
-			local = append(scr.outGrow(local, int(navg)), blk...)
+			local, asc = seq.AppendAscending(local, asc, blk)
+			*buf = local
 			p.Charge(int64(len(blk)))
 		}
 	}
-	return local
+	if !own {
+		return local[:len(local):len(local)], asc
+	}
+	if trimmed && !asc {
+		// A prefix of unordered keys may be ordered: keep the flag exact.
+		asc = seq.Ascending(local)
+	}
+	return local, asc
 }
 
 func max64(a, b int64) int64 {

@@ -297,11 +297,13 @@ func TestSortByAmtDesc(t *testing.T) {
 }
 
 // TestRunScratchLeavesInputAndReusesBuffers checks two properties of
-// every balancer on retained scratch, at a power-of-two p and at an odd
-// one. No balancer writes its input: each shard carries spare capacity
-// filled with a sentinel, which an append onto the input would
-// overwrite. And once warm, a balance allocates no key buffers: the
-// bytes allocated per run stay far below the keys it moves.
+// every balancer on retained scratch and caller-owned output buffers, at
+// a power-of-two p and at an odd one. No balancer writes its input: each
+// shard carries spare capacity filled with a sentinel, which an append
+// onto the input would overwrite, and the warm-up runs append a key to
+// every output, which must not reach the input either (a view of it is
+// capped). And once warm, a balance allocates no key buffers: the bytes
+// allocated per run stay far below the keys it moves.
 func TestRunScratchLeavesInputAndReusesBuffers(t *testing.T) {
 	const n, sentinel = 1 << 14, -7
 	for _, p := range []int{4, 5} {
@@ -322,21 +324,25 @@ func TestRunScratchLeavesInputAndReusesBuffers(t *testing.T) {
 				shards[i] = spare
 			}
 			scr := make([]Scratch[int64], p)
-			run := func() {
+			bufs, poked := make([][]int64, p), make([][]int64, p)
+			run := func(poke bool) {
 				if _, err := m.Run(func(pr *machine.Proc) {
-					RunScratch(pr, shards[pr.ID()], method, &scr[pr.ID()])
+					out, _ := RunScratch(pr, shards[pr.ID()], false, method, &bufs[pr.ID()], &scr[pr.ID()])
+					if poke {
+						poked[pr.ID()] = append(out, sentinel+1)
+					}
 				}); err != nil {
 					t.Fatalf("p%d %v: %v", p, method, err)
 				}
 			}
 			for i := 0; i < 3; i++ {
-				run()
+				run(true)
 			}
 			const runs = 10
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < runs; i++ {
-				run()
+				run(false)
 			}
 			runtime.ReadMemStats(&after)
 			perRun := (after.TotalAlloc - before.TotalAlloc) / runs

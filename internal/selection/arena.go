@@ -17,11 +17,17 @@ import (
 // selections without per-call allocation. Buffers grow on demand and are
 // never shrunk.
 //
-// The window buffers back only filtered copies: when fast randomized
-// selection finds its window in an ascending slice by binary search, the
-// survivors stay a view of that slice (possibly the caller's shard),
-// which nothing writes — no balancer writes its input, and the stall
-// fallback copies a view into a window buffer before partitioning it.
+// The window buffers are the processor's one set of survivor buffers.
+// They back the filters' out-of-place copies and the balancers' output:
+// each iteration tracks which of them backs local, the filter writes
+// another, and a processor that receives keys while balancing assembles
+// its new shard in one that does not back local (the balance Scratch
+// holds no keys). So no output ever aliases the input it is built from.
+// Survivors that need no copy stay views — the binary-search window of
+// an ascending slice (possibly the caller's shard), a balancer's kept
+// prefix when nothing arrives — which nothing writes: no balancer writes
+// its input, and the stall fallback copies a view into a window buffer
+// before partitioning it.
 //
 // Reuse safety: every buffer is written by exactly one processor and is
 // re-filled only after a full collective (Combine, gather + broadcast) has
@@ -32,7 +38,7 @@ type Arena[K cmp.Ordered] struct {
 	sample  []K    // fast randomized per-iteration sample
 	gather  []K    // gather-tree staging / root gather target
 	kbuf    []K    // tiny pivot and window-key slices (1–2 elements)
-	win     [3][]K // rotating targets for the out-of-place filter kernels
+	win     [3][]K // survivor buffers: filter and balancer output targets
 	wts     []int64
 	wgather []int64
 	bal     balance.Scratch[K]
@@ -103,6 +109,15 @@ func arenaOf[K cmp.Ordered](p *machine.Proc) *Arena[K] {
 	a := &Arena[K]{}
 	p.Scratch = a
 	return a
+}
+
+// freeWin returns the index of a window buffer that does not back local,
+// given the one that does (cur; -1 for none).
+func freeWin(cur int) int {
+	if cur == 0 {
+		return 1
+	}
+	return 0
 }
 
 // copyIn copies the caller's shard into the arena so the algorithms can

@@ -54,15 +54,19 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 	ar := arenaOf[K](p)
 	thr := threshold(p)
 	// curWin tracks which arena window buffer currently backs local
-	// (-1: none, e.g. the caller's shard or a balancer's output), so each
-	// iteration's out-of-place filter targets another one.
+	// (-1: none, e.g. the caller's shard or a view of it), so that each
+	// iteration's out-of-place filter, and a balancer assembling a new
+	// shard, targets the other one.
 	curWin := -1
 	// sorted reports that local is ascending. The first iteration takes
 	// the caller's word for it (a resident Dataset checks its shards
-	// once); later iterations re-check their survivors, because a
-	// balancer's output appends keys received from other processors to
-	// the ones it kept.
-	sorted := opts.AscendingInput
+	// once). Later iterations know it wherever the order was kept or
+	// checked in passing — the survivors of a binary-search window are a
+	// view of an ascending slice, and a balancer that assembles a new
+	// shard checks its order as it copies — and recheck it otherwise:
+	// after a scanning filter or the stall fallback's partition, when no
+	// balancer copied the survivors.
+	sorted, recheck := opts.AscendingInput, false
 	for n > thr {
 		if st.Iterations >= opts.MaxIterations {
 			st.CapHit = true
@@ -170,11 +174,8 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 		// below copies before it partitions — so the view may be the
 		// caller's read-only shard, and it leaves curWin as it was. A
 		// window with k1 > k2 (a NaN key) keeps the scan.
-		tgt := 0
-		if curWin == 0 {
-			tgt = 1
-		}
-		if st.Iterations > 1 {
+		tgt := freeWin(curWin)
+		if recheck {
 			sorted = seq.Ascending(local)
 		}
 		fast := sorted && k1 <= k2
@@ -234,6 +235,8 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 			rank -= c.less + c.eq
 			newN = n - c.less - c.eq
 		}
+		// A scan's survivors may have come from unordered keys.
+		sorted = fast
 
 		if newN >= n {
 			// No progress (duplicates spanning the whole window): fall
@@ -250,6 +253,7 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 			var piv K
 			var done bool
 			local, rank, newN, piv, done = randomizedStep(p, local, rank, n, opts)
+			sorted = false
 			if done {
 				st.PivotExit = true
 				return piv
@@ -258,14 +262,17 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 		n = newN
 
 		// Load balancing between iterations (the paper's best variant
-		// for sorted data uses modified OMLB here). When the balancer
-		// hands back different storage, the window buffer it replaced
-		// becomes a free filter target again.
-		prev := local
-		local = runBalance(p, local, opts, st)
-		if len(local) == 0 || len(prev) == 0 || &local[0] != &prev[0] {
-			curWin = -1
+		// for sorted data uses modified OMLB here). A processor that
+		// receives keys assembles its new shard in the free window
+		// buffer, which then backs local; one that receives nothing
+		// keeps a view of local, which leaves curWin as it was.
+		free := freeWin(curWin)
+		var moved bool
+		local, sorted, moved = runBalance(p, local, sorted, &ar.win[free], opts, st)
+		if moved {
+			curWin = free
 		}
+		recheck = !sorted && !moved
 		st.record(p, opts, n, rank, len(local))
 	}
 	// Steps 9–10: gather the survivors and solve sequentially.

@@ -89,12 +89,17 @@ func selectMoM[K cmp.Ordered](p *machine.Proc, local []K, rank, n int64, opts Op
 		}
 		rank, n = newRank, newN
 
-		// Step 7: rebalance the survivors. A balancer that hands back
-		// different storage frees the window buffer it replaced.
-		prev := local
-		local = runBalance(p, local, opts, st)
-		if len(local) == 0 || len(prev) == 0 || &local[0] != &prev[0] {
-			curWin = -1
+		// Step 7: rebalance the survivors. The discarded stream's buffer
+		// is free: a processor that receives keys assembles its new
+		// shard there.
+		free := tA
+		if curWin == tA {
+			free = tB
+		}
+		var moved bool
+		local, _, moved = runBalance(p, local, false, &ar.win[free], opts, st)
+		if moved {
+			curWin = free
 		}
 		st.record(p, opts, n, rank, len(local))
 	}

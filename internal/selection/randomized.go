@@ -55,7 +55,12 @@ func randomizedStep[K cmp.Ordered](p *machine.Proc, local []K, rank, n int64, op
 // selectRandomized is Alg. 3, the parallel randomized (Floyd–Rivest
 // style) selection: expected O(log n) single-pivot iterations.
 func selectRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int64, opts Options, st *Stats, sel selector[K]) K {
+	ar := arenaOf[K](p)
 	thr := threshold(p)
+	// curWin tracks which arena window buffer backs local (-1: the
+	// arena's copy of the caller's shard), so that a balancer assembling
+	// a new shard targets another.
+	curWin := -1
 	for n > thr {
 		if st.Iterations >= opts.MaxIterations {
 			st.CapHit = true
@@ -72,7 +77,12 @@ func selectRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int64, 
 		}
 
 		// Step 7: rebalance the survivors.
-		local = runBalance(p, local, opts, st)
+		free := freeWin(curWin)
+		var moved bool
+		local, _, moved = runBalance(p, local, false, &ar.win[free], opts, st)
+		if moved {
+			curWin = free
+		}
 		st.record(p, opts, n, rank, len(local))
 	}
 	// Steps 8–9 (labelled 7–8 in the paper's listing): gather and solve.

@@ -91,19 +91,24 @@ func checkReadOnly[K cmp.Ordered](t *testing.T, m *machine.Machine, label string
 	}
 }
 
-// sortedDups returns p ascending shards of per keys: 45% zeros, 5% ones,
-// 5% twos and 45% threes. A window around the median then spans every
-// value, so the iteration stalls, and the single-pivot step that follows
-// permutes the survivors it partitions.
+// sortedDups returns p ascending shards of per keys: 45% zeros, a 10%
+// band of distinct keys, and 45% copies of the largest key. A window
+// around the median then spans every value, so the iteration stalls,
+// and the single-pivot step that follows permutes the survivors it
+// partitions: when it keeps the keys above a zero pivot, they are no
+// longer ascending, and the next iteration's window is narrower than
+// their range.
 func sortedDups(p, per int) [][]int64 {
 	shards := make([][]int64, p)
 	for i := range shards {
 		shards[i] = make([]int64, per)
 		for j := range shards[i] {
-			for _, cut := range []int{45, 50, 55} {
-				if 100*j >= cut*per {
-					shards[i][j]++
-				}
+			switch {
+			case 100*j < 45*per:
+			case 100*j < 55*per:
+				shards[i][j] = int64(j)
+			default:
+				shards[i][j] = int64(per)
 			}
 		}
 	}
@@ -113,28 +118,37 @@ func sortedDups(p, per int) [][]int64 {
 // checkAscendingReadOnly runs fast randomized Select and SelectPrefix
 // (capturing, then replaying) with AscendingInput set, so that the
 // window survivors are views of the shards, under every balancer at
-// several ranks. It fails if a run changed a shard and reports whether
+// several ranks. It fails if a run changed a shard or answered other
+// than the sort oracle (the survivors' order is tracked, not rechecked,
+// so a stale order flag shows as a wrong answer), and reports whether
 // any run reached the stall fallback, which partitions its survivors in
 // place.
 func checkAscendingReadOnly[K cmp.Ordered](t *testing.T, m *machine.Machine, label string, shards [][]K) (stalled bool) {
 	t.Helper()
 	p := len(shards)
 	want := cloneAll(shards)
-	var n int64
-	for _, s := range shards {
-		n += int64(len(s))
-	}
+	oracle := slices.Concat(shards...)
+	slices.Sort(oracle)
+	n := int64(len(oracle))
 	for _, bal := range balance.Methods {
 		opts := Options{Algorithm: FastRandomized, Balancer: bal, AscendingInput: true}
 		pre := NewPrefix[K](p)
 		for _, rank := range []int64{1, n / 5, n / 3, (n + 1) / 2, n - n/7, n} {
 			stats := make([]Stats, p)
+			var got K
 			if _, err := m.Run(func(pr *machine.Proc) {
-				_, stats[pr.ID()] = SelectPrefix(pr, shards[pr.ID()], rank, opts, pre)
+				v, st := SelectPrefix(pr, shards[pr.ID()], rank, opts, pre)
+				stats[pr.ID()] = st
+				if pr.ID() == 0 {
+					got = v
+				}
 			}); err != nil {
 				t.Fatalf("%s %v rank %d: %v", label, bal, rank, err)
 			}
 			pre.Seal()
+			if got != oracle[rank-1] {
+				t.Errorf("%s %v rank %d = %v, oracle says %v", label, bal, rank, got, oracle[rank-1])
+			}
 			for i := range shards {
 				if !sameBits(shards[i], want[i]) {
 					t.Fatalf("%s %v rank %d: shard %d modified", label, bal, rank, i)

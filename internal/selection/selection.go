@@ -337,15 +337,20 @@ func combineOwned[K any](p *machine.Proc, mine owned[K]) K {
 }
 
 // runBalance applies the configured balancer and accounts its simulated
-// time on this processor.
-func runBalance[K cmp.Ordered](p *machine.Proc, local []K, opts Options, st *Stats) []K {
+// time on this processor. asc reports that local is ascending, and buf
+// is a window buffer that does not back local: a processor that receives
+// keys assembles its new shard there, and one that receives nothing keeps
+// a capped view of local. It returns the new local, whether it is
+// ascending, and whether it was assembled in *buf — when it was, its
+// order was checked as it was copied, so a false flag is exact.
+func runBalance[K cmp.Ordered](p *machine.Proc, local []K, asc bool, buf *[]K, opts Options, st *Stats) (out []K, outAsc, moved bool) {
 	if opts.Balancer == balance.None {
-		return local
+		return local, asc, false
 	}
 	t0 := p.Now()
-	local = balance.RunScratch(p, local, opts.Balancer, &arenaOf[K](p).bal)
+	out, outAsc = balance.RunScratch(p, local, asc, opts.Balancer, buf, &arenaOf[K](p).bal)
 	st.BalanceSeconds += p.Now() - t0
-	return local
+	return out, outAsc, len(out) > 0 && cap(*buf) > 0 && &out[0] == &(*buf)[:1][0]
 }
 
 // decide applies the paper's step 6 to three-way counts. It returns the

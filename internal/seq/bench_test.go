@@ -1,6 +1,7 @@
 package seq
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -98,6 +99,34 @@ func BenchmarkAscending(b *testing.B) {
 		}
 	}
 	b.SetBytes(int64(len(a) * 8))
+}
+
+// BenchmarkAppendAscending copies sorted keys into a retained buffer and
+// checks their order, the way a balancer assembles a processor's new
+// shard: through the blocked copy-and-check kernel, and as a whole copy
+// followed by Ascending. The 2^14-key source is a typical received
+// block, which stays in the L2 cache; the 2^20-key one does not.
+func BenchmarkAppendAscending(b *testing.B) {
+	for _, n := range []int{1 << 14, 1 << 20} {
+		a := sortedBenchData(n)
+		buf := make([]int64, 0, n)
+		b.Run(fmt.Sprintf("n=%d/kernel", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, asc := AppendAscending(buf, true, a); !asc {
+					b.Fatal("sorted input not ascending")
+				}
+			}
+			b.SetBytes(int64(n * 8))
+		})
+		b.Run(fmt.Sprintf("n=%d/copy+Ascending", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if !Ascending(append(buf, a...)) {
+					b.Fatal("sorted input not ascending")
+				}
+			}
+			b.SetBytes(int64(n * 8))
+		})
+	}
 }
 
 // benchWindow returns the window between a's 44th and 56th percentile

@@ -322,3 +322,137 @@ func FuzzWindowAscending(f *testing.F) {
 		}
 	})
 }
+
+// appendAgree runs AppendAscending on dst and src and checks it against
+// append followed by Ascending: the same keys bit for bit, the exact
+// order flag when dst's order is given truly, false when dst is given as
+// unordered, and src left as it was. It returns a description of the
+// first disagreement, or "".
+func appendAgree[K cmp.Ordered](dst, src []K, order func(a, b K) int) string {
+	orig := slices.Clone(src)
+	want := append(slices.Clone(dst), src...)
+	got, asc := AppendAscending(slices.Clone(dst), Ascending(dst), src)
+	if slices.CompareFunc(got, want, order) != 0 {
+		return "keys differ from append"
+	}
+	if asc != Ascending(want) {
+		return "order flag differs from Ascending"
+	}
+	if got, asc := AppendAscending(slices.Clip(slices.Clone(dst)), false, src); asc || slices.CompareFunc(got, want, order) != 0 {
+		return "unordered dst: flag set or keys differ"
+	}
+	if slices.CompareFunc(src, orig, order) != 0 {
+		return "src modified"
+	}
+	return ""
+}
+
+func TestAppendAscending(t *testing.T) {
+	nan, negZero, inf := math.NaN(), math.Copysign(0, -1), math.Inf(1)
+	for _, tc := range []struct{ dst, src []float64 }{
+		{nil, nil},
+		{nil, []float64{nan}},
+		{[]float64{nan}, nil},
+		{[]float64{nan}, []float64{1}},
+		{[]float64{1}, []float64{nan}},
+		{[]float64{-inf, negZero}, []float64{0, negZero, inf}},
+		{[]float64{0}, []float64{negZero}},
+		{[]float64{1, 2}, []float64{2, 3}},
+		{[]float64{1, 3}, []float64{2}},
+		{[]float64{2, 1}, []float64{3}},
+		{[]float64{}, []float64{inf, -inf}},
+	} {
+		if msg := appendAgree(tc.dst, tc.src, floatOrder); msg != "" {
+			t.Errorf("AppendAscending(%v, %v): %s", tc.dst, tc.src, msg)
+		}
+	}
+	// Long runs cross the copy blocks: a single descent placed at and
+	// around each block boundary, in dst's last key and at the very end.
+	const n = 3*appendBlock + 7
+	for _, at := range []int{-1, 0, 1, appendBlock - 1, appendBlock, appendBlock + 1, 2 * appendBlock, n - 1} {
+		src := make([]int64, n)
+		for i := range src {
+			src[i] = int64(i)
+		}
+		dst := []int64{-5, -1}
+		if at >= 0 {
+			src[at] = -10
+		} else {
+			dst[1] = 7
+		}
+		if msg := appendAgree(dst, src, cmp.Compare[int64]); msg != "" {
+			t.Errorf("descent at %d: %s", at, msg)
+		}
+		if msg := appendAgree(nil, src, cmp.Compare[int64]); msg != "" {
+			t.Errorf("empty dst, descent at %d: %s", at, msg)
+		}
+	}
+}
+
+// splitSorted cuts keys at k into dst and src and sorts each when sort's
+// low bit (dst) or second bit (src) is set.
+func splitSorted[K cmp.Ordered](keys []K, k int, sort uint8) (dst, src []K) {
+	dst, src = keys[:k:k], keys[k:]
+	if sort&1 != 0 {
+		slices.Sort(dst)
+	}
+	if sort&2 != 0 {
+		slices.Sort(src)
+	}
+	return dst, src
+}
+
+// checkAppendAllKinds runs the AppendAscending differential on raw cut
+// into dst and src, decoded as each key kind: int64 with heavy
+// duplicates, float64 from the palette (NaNs, both zeros, both
+// infinities) and short strings. Each byte is repeated stretch%4*400+1
+// times, so short inputs cross the copy blocks, and sort picks which
+// side is sorted (see splitSorted), so ascending runs are common.
+func checkAppendAllKinds(raw []byte, cut, stretch, sort uint8) string {
+	reps := int(stretch%4)*400 + 1
+	long := make([]byte, 0, len(raw)*reps)
+	for _, b := range raw {
+		for range reps {
+			long = append(long, b)
+		}
+	}
+	k := int(cut) % (len(raw) + 1) * reps
+	id, is := splitSorted(int64Keys(long), k, sort)
+	if msg := appendAgree(id, is, cmp.Compare[int64]); msg != "" {
+		return "int64: " + msg
+	}
+	fd, fs := splitSorted(float64Keys(long), k, sort)
+	if msg := appendAgree(fd, fs, floatOrder); msg != "" {
+		return "float64: " + msg
+	}
+	sd, ss := splitSorted(stringKeys(long), k, sort)
+	if msg := appendAgree(sd, ss, cmp.Compare[string]); msg != "" {
+		return "string: " + msg
+	}
+	return ""
+}
+
+func TestAppendAscendingMatchesAppend(t *testing.T) {
+	f := func(raw []byte, cut, stretch, sort uint8) bool {
+		return checkAppendAllKinds(raw, cut, stretch, sort) == ""
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// FuzzAppendAscending cross-checks the copy-and-check kernel
+// (AppendAscending) against append followed by Ascending on every key
+// kind, with dst or src or both empty, sorted or not.
+func FuzzAppendAscending(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(3))
+	f.Add([]byte{0, 1, 2, 3, 4, 5}, uint8(3), uint8(1), uint8(3))
+	f.Add([]byte{0, 1, 2, 3, 4, 5}, uint8(0), uint8(2), uint8(2))
+	f.Add([]byte{0, 1, 2, 3, 4, 5}, uint8(6), uint8(0), uint8(1))
+	f.Add([]byte{9, 1, 2, 0, 13, 4, 7}, uint8(2), uint8(3), uint8(0))
+	f.Fuzz(func(t *testing.T, raw []byte, cut, stretch, sort uint8) {
+		if msg := checkAppendAllKinds(raw, cut, stretch, sort); msg != "" {
+			t.Fatal(msg)
+		}
+	})
+}

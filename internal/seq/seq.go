@@ -14,6 +14,7 @@ import (
 	"cmp"
 	"math"
 	"math/rand/v2"
+	"slices"
 )
 
 // insertionCutoff is the subproblem size below which selection and sorting
@@ -195,6 +196,28 @@ func Ascending[K cmp.Ordered](a []K) bool {
 		prev = v
 	}
 	return true
+}
+
+// appendBlock is how many keys AppendAscending copies before it checks
+// them: small enough that the check reads what the copy just wrote from
+// the L1 cache, large enough that the copy runs at memmove speed.
+const appendBlock = 1024
+
+// AppendAscending appends src to dst and reports whether the result is
+// ascending (see Ascending), given asc, whether dst is. It copies a block
+// at a time and checks each block, with the key before it, right after
+// copying it; once the order fails the rest is a plain copy, so on
+// unordered keys the check costs a few comparisons.
+func AppendAscending[K cmp.Ordered](dst []K, asc bool, src []K) ([]K, bool) {
+	dst = slices.Grow(dst, len(src))
+	for asc && len(src) > 0 {
+		b := min(len(src), appendBlock)
+		from := max(len(dst)-1, 0)
+		dst = append(dst, src[:b]...)
+		asc = Ascending(dst[from:])
+		src = src[b:]
+	}
+	return append(dst, src...), asc
 }
 
 // WindowAscending is FilterWindowCount for an ascending a (see
