@@ -74,38 +74,30 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"maps"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"slices"
-	"strings"
 	"syscall"
 	"time"
 
 	"parsel"
+	"parsel/internal/balance"
+	"parsel/internal/flagname"
 	"parsel/internal/obs"
+	"parsel/internal/selection"
 	"parsel/internal/serve"
 )
 
-var algNames = map[string]parsel.Algorithm{
-	"fastrand":      parsel.FastRandomized,
-	"rand":          parsel.Randomized,
-	"mom":           parsel.MedianOfMedians,
-	"bucket":        parsel.BucketBased,
-	"mom-hybrid":    parsel.MedianOfMediansHybrid,
-	"bucket-hybrid": parsel.BucketBasedHybrid,
-}
+// The -alg and -bal names are the engine's, whose constants parsel's
+// Algorithm and Balancer number the same way.
+var (
+	algNames = flagname.ByName[parsel.Algorithm](selection.AllAlgorithms)
+	balNames = flagname.ByName[parsel.Balancer](balance.Methods)
+)
 
-var balNames = map[string]parsel.Balancer{
-	"modomlb":  parsel.ModifiedOMLB,
-	"none":     parsel.NoBalance,
-	"omlb":     parsel.OMLB,
-	"dimexch":  parsel.DimensionExchange,
-	"globexch": parsel.GlobalExchange,
-}
-
+// topoNames is spelled out: users type -topo mesh, while the engine
+// names that topology mesh2d in the harness output.
 var topoNames = map[string]parsel.Topology{
 	"crossbar":  parsel.TopologyCrossbar,
 	"hypercube": parsel.TopologyHypercube,
@@ -113,11 +105,8 @@ var topoNames = map[string]parsel.Topology{
 	"ring":      parsel.TopologyRing,
 }
 
-// keys lists a name table's names, sorted, for the usage text and the
-// unknown-name errors.
-func keys[V any](m map[string]V) string {
-	return strings.Join(slices.Sorted(maps.Keys(m)), ", ")
-}
+// keys lists a name table's names, sorted (see flagname.Keys).
+func keys[V any](m map[string]V) string { return flagname.Keys(m) }
 
 func main() {
 	var (

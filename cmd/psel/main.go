@@ -11,39 +11,24 @@ package main
 import (
 	"flag"
 	"fmt"
-	"maps"
 	"math/big"
 	"os"
-	"slices"
-	"strings"
 
 	"parsel/internal/balance"
+	"parsel/internal/flagname"
 	"parsel/internal/machine"
 	"parsel/internal/selection"
 	"parsel/internal/workload"
 )
 
 var (
-	algNames  = byName(selection.AllAlgorithms)
-	balNames  = byName(balance.Methods)
-	distNames = byName(workload.Kinds)
+	algNames  = flagname.ByName[selection.Algorithm](selection.AllAlgorithms)
+	balNames  = flagname.ByName[balance.Method](balance.Methods)
+	distNames = flagname.ByName[workload.Kind](workload.Kinds)
 )
 
-// byName indexes values by their String names, the names the harness
-// prints, so each name is decided once, by its type.
-func byName[V fmt.Stringer](values []V) map[string]V {
-	m := make(map[string]V, len(values))
-	for _, v := range values {
-		m[v.String()] = v
-	}
-	return m
-}
-
-// keys lists a name table's names, sorted, for the usage text and the
-// unknown-name errors.
-func keys[V any](m map[string]V) string {
-	return strings.Join(slices.Sorted(maps.Keys(m)), ", ")
-}
+// keys lists a name table's names, sorted (see flagname.Keys).
+func keys[V any](m map[string]V) string { return flagname.Keys(m) }
 
 func main() {
 	var (

@@ -41,8 +41,8 @@ var ErrDatasetClosed = errors.New("parsel: Dataset used after Close")
 // The first fast randomized single-rank query (select, median,
 // quantile, topk or bottomk) on two or more shards also memoizes the
 // part of the run that does not read the rank: the Combine of n, the
-// first sample (n^SampleExponent keys), its parallel sort (or its
-// gather on processor 0) and the Combine of its size. It records each
+// first sample (n^0.6 keys), its parallel sort (or its gather on
+// processor 0) and the Combine of its size. It records each
 // simulated processor's clock, counters and random streams at that
 // point, plus the sorted sample keys the next step reads. Every later
 // such query restores that state instead of redoing the work. The

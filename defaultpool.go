@@ -37,7 +37,8 @@ var defaultPoolMachines = max(4, runtime.GOMAXPROCS(0))
 const maxDefaultPools = 64
 
 // defaultPoolKey identifies one shared pool. Options is comparable
-// (scalars only), and the key type is included because Pool is generic.
+// (scalars only, none of them floats, so every key equals itself and is
+// found again), and the key type is included because Pool is generic.
 type defaultPoolKey struct {
 	opts Options
 	typ  reflect.Type
@@ -50,38 +51,32 @@ var (
 
 // defaultPool returns a pool for (opts, K) plus a release func the
 // caller must call after its query. Usually that is the shared
-// resident pool (release is a no-op); when opts cannot be cached — a
-// NaN in a tuning field, or more distinct Options than maxDefaultPools
-// — it is a private single-machine pool that release tears down, which
-// is exactly the old throwaway-Selector behavior.
+// resident pool (release is a no-op); past maxDefaultPools distinct
+// Options it is a private single-machine pool that release tears down,
+// which is exactly the old throwaway-Selector behavior.
 //
 // Machine.Procs is normalized out of the key: a pool serves every
 // machine shape (each call's shard count picks its shape), so calls
 // differing only in Procs share one pool.
 func defaultPool[K cmp.Ordered](opts Options) (*Pool[K], func(), error) {
 	opts.Machine.Procs = 0
-	// opts != opts exactly when a float field is NaN — such a key would
-	// never be found again and would grow the cache by one dead entry
-	// per call.
-	if opts == opts {
-		key := defaultPoolKey{opts: opts, typ: reflect.TypeFor[K]()}
-		defaultPoolsMu.Lock()
-		if p, ok := defaultPools[key]; ok {
-			defaultPoolsMu.Unlock()
-			return p.(*Pool[K]), func() {}, nil
-		}
-		if len(defaultPools) < maxDefaultPools {
-			pl, err := NewPool[K](opts, PoolOptions{MaxMachines: defaultPoolMachines})
-			if err != nil {
-				defaultPoolsMu.Unlock()
-				return nil, nil, err
-			}
-			defaultPools[key] = pl
-			defaultPoolsMu.Unlock()
-			return pl, func() {}, nil
-		}
+	key := defaultPoolKey{opts: opts, typ: reflect.TypeFor[K]()}
+	defaultPoolsMu.Lock()
+	if p, ok := defaultPools[key]; ok {
 		defaultPoolsMu.Unlock()
+		return p.(*Pool[K]), func() {}, nil
 	}
+	if len(defaultPools) < maxDefaultPools {
+		pl, err := NewPool[K](opts, PoolOptions{MaxMachines: defaultPoolMachines})
+		if err != nil {
+			defaultPoolsMu.Unlock()
+			return nil, nil, err
+		}
+		defaultPools[key] = pl
+		defaultPoolsMu.Unlock()
+		return pl, func() {}, nil
+	}
+	defaultPoolsMu.Unlock()
 	pl, err := NewPool[K](opts, PoolOptions{MaxMachines: 1})
 	if err != nil {
 		return nil, nil, err

@@ -16,23 +16,25 @@ import (
 	"parsel/internal/seq"
 )
 
-// Method selects a load-balancing algorithm.
+// Method selects a load-balancing algorithm. The constants are numbered
+// as parsel.Balancer numbers them, default first, so the two convert by
+// a cast; Methods lists them in the paper's order.
 type Method int
 
 const (
+	// ModifiedOMLB (Alg. 5, the paper's "O" series) lets every
+	// processor retain min(ni, navg) of its own elements and moves only
+	// the excess from sources to sinks, matched by prefix-sum intervals
+	// in processor order. The default.
+	ModifiedOMLB Method = iota
 	// None performs no balancing (the paper's "N" series).
-	None Method = iota
+	None
 	// OMLB is the order-maintaining load balance of §4.1: a parallel
 	// prefix computes each element's global position and elements move
 	// so that processor i holds positions [i*navg, (i+1)*navg). It can
 	// generate much more communication than necessary but preserves
 	// the global order of the data.
 	OMLB
-	// ModifiedOMLB (Alg. 5, the paper's "O" series) lets every
-	// processor retain min(ni, navg) of its own elements and moves only
-	// the excess from sources to sinks, matched by prefix-sum intervals
-	// in processor order.
-	ModifiedOMLB
 	// DimensionExchange (Alg. 6, "D") pairs processors that differ in
 	// bit j of their rank for j = 0..log2(p)-1 and averages their loads
 	// pairwise, converging to global balance on a hypercube.

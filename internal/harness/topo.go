@@ -119,23 +119,22 @@ func runModel(cfg Config) error {
 	rows := []struct {
 		name      string
 		alg       parsel.Algorithm
-		formula   selection.Algorithm // the model's name for alg
 		bal       parsel.Balancer
 		kind      workload.Kind
 		worstCase bool
 	}{
-		{"mom (table1)", parsel.MedianOfMedians, selection.MedianOfMedians, parsel.GlobalExchange, workload.Random, false},
-		{"bucket (table2)", parsel.BucketBased, selection.BucketBased, parsel.NoBalance, workload.Sorted, true},
-		{"rand (table1)", parsel.Randomized, selection.Randomized, parsel.NoBalance, workload.Random, false},
-		{"rand (table2)", parsel.Randomized, selection.Randomized, parsel.NoBalance, workload.Sorted, true},
-		{"fastrand (table1)", parsel.FastRandomized, selection.FastRandomized, parsel.NoBalance, workload.Random, false},
+		{"mom (table1)", parsel.MedianOfMedians, parsel.GlobalExchange, workload.Random, false},
+		{"bucket (table2)", parsel.BucketBased, parsel.NoBalance, workload.Sorted, true},
+		{"rand (table1)", parsel.Randomized, parsel.NoBalance, workload.Random, false},
+		{"rand (table2)", parsel.Randomized, parsel.NoBalance, workload.Sorted, true},
+		{"fastrand (table1)", parsel.FastRandomized, parsel.NoBalance, workload.Random, false},
 	}
 	fmt.Fprintf(w, "\n# model n=%s: analytic Table 1/2 prediction vs simulation\n", sizeName(n))
 	fmt.Fprintf(w, "%-18s %6s %12s %12s %8s\n", "row", "p", "predicted", "simulated", "ratio")
 	for _, r := range rows {
 		for _, p := range ps {
 			m := measure(cfg, spec{alg: r.alg, bal: r.bal, kind: r.kind, n: n, p: p})
-			pred := model.Predict(r.formula, n, machine.DefaultParams(p), r.worstCase)
+			pred := model.Predict(selection.Algorithm(r.alg), n, machine.DefaultParams(p), r.worstCase)
 			fmt.Fprintf(w, "%-18s %6d %12.5f %12.5f %8.2f\n", r.name, p, pred, m.sim, pred/m.sim)
 		}
 	}

@@ -10,6 +10,14 @@ import (
 	"parsel/internal/seq"
 )
 
+// The paper's Alg. 4 parameters: each iteration samples n^sampleExponent
+// keys, and the sample-rank window's half-width is
+// rankSlack*sqrt(|S| ln n).
+const (
+	sampleExponent = 0.6
+	rankSlack      = 1.0
+)
+
 // windowRanks brackets the scaled target rank m = ceil(rank*S/n) with the
 // slack delta of Alg. 4 step 3, returning 1-based sample ranks r1 <= r2.
 //
@@ -25,7 +33,7 @@ import (
 // the package doc (deviations) and the harness's ablate experiment.
 func windowRanks(rank, S, n int64, opts Options) (r1, r2 int64) {
 	m := (rank*S + n - 1) / n
-	delta := int64(opts.RankSlack*math.Sqrt(float64(S)*math.Log(float64(n)))) + 1
+	delta := int64(rankSlack*math.Sqrt(float64(S)*math.Log(float64(n)))) + 1
 	if cap := 1 + S/8; !opts.Faithful && delta > cap {
 		delta = cap
 	}
@@ -76,9 +84,9 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 		replay := st.Iterations == 1 && pre.Replays()
 		capture := st.Iterations == 1 && pre.capturing()
 
-		// Step 1: draw |S| ~ n^e keys, each processor contributing in
-		// proportion to its surviving population.
-		sTarget := int64(math.Pow(float64(n), opts.SampleExponent))
+		// Step 1: draw |S| ~ n^sampleExponent keys, each processor
+		// contributing in proportion to its surviving population.
+		sTarget := int64(math.Pow(float64(n), sampleExponent))
 		if sTarget < 1 {
 			sTarget = 1
 		}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"parsel/internal/balance"
 	"parsel/internal/machine"
 	"parsel/internal/workload"
 )
@@ -89,7 +90,7 @@ func TestSelectManySharesWork(t *testing.T) {
 
 	var singleIters int
 	for _, r := range ranks {
-		_, st, _ := runSelect(t, shards, r, Options{Algorithm: Randomized})
+		_, st, _ := runSelect(t, shards, r, Options{Algorithm: Randomized, Balancer: balance.None})
 		singleIters += st[0].Iterations
 	}
 	if stMany[0].Iterations >= singleIters {
@@ -142,7 +143,7 @@ func TestSelectManyFewerMessagesThanTwoSingles(t *testing.T) {
 		})
 		for _, r := range []int64{n / 10, n / 2} {
 			singles += messagesOf(t, shards, func(pr *machine.Proc, local []int64) {
-				Select(pr, local, r, Options{Algorithm: Randomized})
+				Select(pr, local, r, Options{Algorithm: Randomized, Balancer: balance.None})
 			})
 		}
 	}
@@ -205,7 +206,7 @@ func TestSelectManyFuzz(t *testing.T) {
 func TestTraceRecording(t *testing.T) {
 	shards := workload.Generate(workload.Random, 50000, 4, 2)
 	for _, alg := range Algorithms {
-		_, stats, _ := runSelect(t, shards, 25000, Options{Algorithm: alg, RecordTrace: true})
+		_, stats, _ := runSelect(t, shards, 25000, Options{Algorithm: alg, Balancer: balance.None, RecordTrace: true})
 		st := stats[0]
 		if len(st.Trace) != st.Iterations {
 			t.Errorf("%v: %d trace entries for %d iterations", alg, len(st.Trace), st.Iterations)
@@ -224,7 +225,7 @@ func TestTraceRecording(t *testing.T) {
 			prevPop = tr.Population
 		}
 		// Without the option, no trace.
-		_, stats2, _ := runSelect(t, shards, 25000, Options{Algorithm: alg})
+		_, stats2, _ := runSelect(t, shards, 25000, Options{Algorithm: alg, Balancer: balance.None})
 		if len(stats2[0].Trace) != 0 {
 			t.Errorf("%v: trace recorded without RecordTrace", alg)
 		}

@@ -34,20 +34,23 @@ import (
 	"parsel/internal/seq"
 )
 
-// Algorithm identifies a parallel selection algorithm.
+// Algorithm identifies a parallel selection algorithm. The constants
+// are numbered as parsel.Algorithm numbers them, default first, so the
+// two convert by a cast; Algorithms and AllAlgorithms list them in the
+// paper's order.
 type Algorithm int
 
 const (
+	// FastRandomized is Alg. 4, the default.
+	FastRandomized Algorithm = iota
+	// Randomized is Alg. 3.
+	Randomized
 	// MedianOfMedians is Alg. 1.
-	MedianOfMedians Algorithm = iota
+	MedianOfMedians
 	// BucketBased is Alg. 2. It ignores Options.Balancer: the bucketed
 	// representation is local by construction and the algorithm is
 	// designed to not need balancing.
 	BucketBased
-	// Randomized is Alg. 3.
-	Randomized
-	// FastRandomized is Alg. 4.
-	FastRandomized
 	// MedianOfMediansHybrid is Alg. 1 with the sequential kernels
 	// (local medians, median of medians, final solve) replaced by
 	// Floyd–Rivest selection — the hybrid experiment of §5.
@@ -85,20 +88,14 @@ func (a Algorithm) String() string {
 	}
 }
 
-// Options configures a selection run. The zero value is usable: it means
-// MedianOfMedians with no load balancing and default tuning.
+// Options configures a selection run. The zero value is the library
+// default: FastRandomized with ModifiedOMLB balancing.
 type Options struct {
 	// Algorithm picks the parallel selection algorithm.
 	Algorithm Algorithm
 	// Balancer is applied at the end of every iteration (None disables;
 	// BucketBased always behaves as None).
 	Balancer balance.Method
-	// SampleExponent e sets the fast randomized sample size to n^e per
-	// iteration. The paper found 0.6 appropriate; 0 means 0.6.
-	SampleExponent float64
-	// RankSlack scales the sample-rank window half-width
-	// sqrt(|S| ln n) of the fast randomized algorithm. 0 means 1.0.
-	RankSlack float64
 	// MaxIterations caps the iteration count before falling back to a
 	// gather-and-solve (a safety net; unreachable on sane inputs).
 	// SelectMany counts rounds against it. 0 means 200.
@@ -124,14 +121,8 @@ type Options struct {
 	AscendingInput bool
 }
 
-// withDefaults fills in zero-valued tuning knobs.
+// withDefaults fills in a zero MaxIterations.
 func (o Options) withDefaults() Options {
-	if o.SampleExponent == 0 {
-		o.SampleExponent = 0.6
-	}
-	if o.RankSlack == 0 {
-		o.RankSlack = 1.0
-	}
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 200
 	}

@@ -63,7 +63,7 @@ func TestAllAlgorithmsMatchOracle(t *testing.T) {
 				shards := workload.Generate(kind, n, p, 21)
 				for _, rank := range ranksToProbe(n) {
 					want := oracle(shards, rank)
-					got, _, _ := runSelect(t, shards, rank, Options{Algorithm: alg})
+					got, _, _ := runSelect(t, shards, rank, Options{Algorithm: alg, Balancer: balance.None})
 					if got != want {
 						t.Errorf("%v %v p=%d rank=%d: got %d want %d", alg, kind, p, rank, got, want)
 					}
@@ -81,7 +81,7 @@ func TestAllAlgorithmsAllDistributions(t *testing.T) {
 			shards := workload.Generate(kind, n, p, 33)
 			rank := int64((n + 1) / 2)
 			want := oracle(shards, rank)
-			got, _, _ := runSelect(t, shards, rank, Options{Algorithm: alg})
+			got, _, _ := runSelect(t, shards, rank, Options{Algorithm: alg, Balancer: balance.None})
 			if got != want {
 				t.Errorf("%v %v: median got %d want %d", alg, kind, got, want)
 			}
@@ -114,7 +114,7 @@ func TestExtremeRanks(t *testing.T) {
 	for _, alg := range Algorithms {
 		for _, rank := range []int64{1, 2, n - 1, n} {
 			want := oracle(shards, rank)
-			got, _, _ := runSelect(t, shards, rank, Options{Algorithm: alg})
+			got, _, _ := runSelect(t, shards, rank, Options{Algorithm: alg, Balancer: balance.None})
 			if got != want {
 				t.Errorf("%v rank=%d: got %d want %d", alg, rank, got, want)
 			}
@@ -132,7 +132,7 @@ func TestAllEqualKeys(t *testing.T) {
 		}
 	}
 	for _, alg := range AllAlgorithms {
-		got, _, _ := runSelect(t, shards, 2000, Options{Algorithm: alg})
+		got, _, _ := runSelect(t, shards, 2000, Options{Algorithm: alg, Balancer: balance.None})
 		if got != 99 {
 			t.Errorf("%v: all-equal select = %d", alg, got)
 		}
@@ -152,7 +152,7 @@ func TestTwoDistinctValues(t *testing.T) {
 	// 1600 zeros, 1600 ones; rank 1600 is 0, rank 1601 is 1.
 	for _, alg := range AllAlgorithms {
 		for rank, want := range map[int64]int64{1: 0, 1600: 0, 1601: 1, 3200: 1} {
-			got, stats, _ := runSelect(t, shards, rank, Options{Algorithm: alg})
+			got, stats, _ := runSelect(t, shards, rank, Options{Algorithm: alg, Balancer: balance.None})
 			if got != want {
 				t.Errorf("%v rank=%d: got %d want %d", alg, rank, got, want)
 			}
@@ -172,7 +172,7 @@ func TestSmallPopulations(t *testing.T) {
 				shards := workload.Generate(workload.Random, n, p, 13)
 				for _, rank := range []int64{1, (n + 1) / 2, n} {
 					want := oracle(shards, rank)
-					got, _, _ := runSelect(t, shards, rank, Options{Algorithm: alg})
+					got, _, _ := runSelect(t, shards, rank, Options{Algorithm: alg, Balancer: balance.None})
 					if got != want {
 						t.Errorf("%v p=%d n=%d rank=%d: got %d want %d", alg, p, n, rank, got, want)
 					}
@@ -193,7 +193,7 @@ func TestEmptyShardsMixed(t *testing.T) {
 	for _, alg := range Algorithms {
 		for rank := int64(1); rank <= 9; rank++ {
 			want := oracle(shards, rank)
-			got, _, _ := runSelect(t, shards, rank, Options{Algorithm: alg})
+			got, _, _ := runSelect(t, shards, rank, Options{Algorithm: alg, Balancer: balance.None})
 			if got != want {
 				t.Errorf("%v rank=%d: got %d want %d", alg, rank, got, want)
 			}
@@ -206,7 +206,7 @@ func TestInvalidArgsPanicCollectively(t *testing.T) {
 	for name, rank := range map[string]int64{"zero": 0, "negative": -5, "too big": 101} {
 		work := [][]int64{slices.Clone(shards[0]), slices.Clone(shards[1])}
 		_, err := machine.Run(machine.DefaultParams(2), func(pr *machine.Proc) {
-			Select(pr, work[pr.ID()], rank, Options{Algorithm: Randomized})
+			Select(pr, work[pr.ID()], rank, Options{Algorithm: Randomized, Balancer: balance.None})
 		})
 		if err == nil {
 			t.Errorf("%s rank: expected error", name)
@@ -214,14 +214,14 @@ func TestInvalidArgsPanicCollectively(t *testing.T) {
 	}
 	// Empty population.
 	_, err := machine.Run(machine.DefaultParams(2), func(pr *machine.Proc) {
-		Select(pr, []int64{}, 1, Options{})
+		Select(pr, []int64{}, 1, Options{Algorithm: MedianOfMedians, Balancer: balance.None})
 	})
 	if err == nil {
 		t.Error("empty population: expected error")
 	}
 	// Unknown algorithm.
 	_, err = machine.Run(machine.DefaultParams(2), func(pr *machine.Proc) {
-		Select(pr, []int64{1, 2}, 1, Options{Algorithm: Algorithm(77)})
+		Select(pr, []int64{1, 2}, 1, Options{Algorithm: Algorithm(77), Balancer: balance.None})
 	})
 	if err == nil {
 		t.Error("unknown algorithm: expected error")
@@ -231,8 +231,8 @@ func TestInvalidArgsPanicCollectively(t *testing.T) {
 func TestDeterminismSameSeed(t *testing.T) {
 	shards := workload.Generate(workload.Random, 3000, 4, 77)
 	for _, alg := range Algorithms {
-		r1, s1, sim1 := runSelect(t, shards, 1500, Options{Algorithm: alg})
-		r2, s2, sim2 := runSelect(t, shards, 1500, Options{Algorithm: alg})
+		r1, s1, sim1 := runSelect(t, shards, 1500, Options{Algorithm: alg, Balancer: balance.None})
+		r2, s2, sim2 := runSelect(t, shards, 1500, Options{Algorithm: alg, Balancer: balance.None})
 		if r1 != r2 || sim1 != sim2 {
 			t.Errorf("%v: non-deterministic result/time: (%d,%g) vs (%d,%g)", alg, r1, sim1, r2, sim2)
 		}
@@ -252,8 +252,8 @@ func TestIterationCountsScale(t *testing.T) {
 	const n = 200000
 	const p = 8
 	shards := workload.Generate(workload.Random, n, p, 5)
-	_, stR, _ := runSelect(t, shards, n/2, Options{Algorithm: Randomized})
-	_, stF, _ := runSelect(t, shards, n/2, Options{Algorithm: FastRandomized})
+	_, stR, _ := runSelect(t, shards, n/2, Options{Algorithm: Randomized, Balancer: balance.None})
+	_, stF, _ := runSelect(t, shards, n/2, Options{Algorithm: FastRandomized, Balancer: balance.None})
 	if stF[0].Iterations >= stR[0].Iterations {
 		t.Errorf("fastrand iterations %d not below rand iterations %d",
 			stF[0].Iterations, stR[0].Iterations)
@@ -276,7 +276,7 @@ func TestBalanceTimeAccounted(t *testing.T) {
 	if total <= 0 {
 		t.Error("no balance time recorded despite active balancer on sorted data")
 	}
-	_, stats2, _ := runSelect(t, shards, 20000, Options{Algorithm: Randomized})
+	_, stats2, _ := runSelect(t, shards, 20000, Options{Algorithm: Randomized, Balancer: balance.None})
 	for _, st := range stats2 {
 		if st.BalanceSeconds != 0 {
 			t.Error("balance time recorded with balancer None")
@@ -362,7 +362,7 @@ func TestStringKeys(t *testing.T) {
 			slices.Clone(shards[0]), slices.Clone(shards[1]), slices.Clone(shards[2]),
 		}
 		_, err := machine.Run(machine.DefaultParams(3), func(pr *machine.Proc) {
-			res[pr.ID()], _ = Select(pr, work[pr.ID()], 3, Options{Algorithm: alg})
+			res[pr.ID()], _ = Select(pr, work[pr.ID()], 3, Options{Algorithm: alg, Balancer: balance.None})
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"parsel/internal/balance"
 	"parsel/internal/machine"
 	"parsel/internal/workload"
 )
@@ -76,7 +77,7 @@ func TestSelectionBeatsSorting(t *testing.T) {
 		ViaSort(pr, local, n/2, Options{})
 	})
 	tRand := runSim(func(pr *machine.Proc, local []int64) {
-		Select(pr, local, n/2, Options{Algorithm: Randomized})
+		Select(pr, local, n/2, Options{Algorithm: Randomized, Balancer: balance.None})
 	})
 	if tRand*3 >= tSort {
 		t.Errorf("randomized selection (%g) not well below sort baseline (%g)", tRand, tSort)

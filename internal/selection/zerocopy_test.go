@@ -135,7 +135,7 @@ func TestFastRandomizedBorrowedAllocatesNoCopy(t *testing.T) {
 			t.Errorf("proc %d: copy-in buffer grew to %d keys under fast randomized selection", id, c)
 		}
 	}
-	selectOn(t, m, shards, n/2, Options{Algorithm: Randomized})
+	selectOn(t, m, shards, n/2, Options{Algorithm: Randomized, Balancer: balance.None})
 	for id, c := range copyIn() {
 		if c < len(shards[id]) {
 			t.Errorf("proc %d: randomized selection copied into a %d-key buffer, want >= %d", id, c, len(shards[id]))

@@ -63,6 +63,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -99,7 +100,7 @@ const (
 )
 
 // String names the algorithm as in the paper's figures.
-func (a Algorithm) String() string { return toInternalAlg(a).String() }
+func (a Algorithm) String() string { return selection.Algorithm(a).String() }
 
 // Balancer selects the dynamic load-balancing strategy (paper §4).
 type Balancer int
@@ -123,7 +124,7 @@ const (
 )
 
 // String names the balancer as in the paper's figures.
-func (b Balancer) String() string { return toInternalBal(b).String() }
+func (b Balancer) String() string { return balance.Method(b).String() }
 
 // Topology selects the interconnection network used to price messages.
 // The paper's model is the distance-independent crossbar (§2.1); the
@@ -145,33 +146,31 @@ const (
 // String names the topology.
 func (t Topology) String() string { return machine.Topology(t).String() }
 
-// Machine describes the simulated coarse-grained machine. The zero value
-// of each field is replaced by the CM-5-like default.
+// Machine describes the simulated coarse-grained machine. It prices
+// work as the paper's CM-5 does: a message costs a 100 microsecond
+// start-up overhead (tau) plus its bytes at 8 MB/s per link (mu), and a
+// counted element operation costs 10 cycles at 33 MHz (memory-bound
+// kernels). The zero value of each field is replaced by its default.
 type Machine struct {
 	// Procs is the number of simulated processors (default 8).
 	Procs int
-	// Tau is the message start-up overhead (default 100 microseconds).
-	Tau time.Duration
-	// BytesPerSecond is the per-link bandwidth, the inverse of the
-	// paper's mu (default 8 MB/s).
-	BytesPerSecond float64
-	// SecondsPerOp prices one counted element operation (default: 10
-	// cycles at 33 MHz — memory-bound kernels).
-	SecondsPerOp float64
 	// Seed drives every random stream (default 1).
 	Seed uint64
 	// Topology prices messages by routing distance (default crossbar,
 	// the paper's model).
 	Topology Topology
 	// PerHop is the extra latency per hop beyond the first for
-	// non-crossbar topologies (default Tau/20, wormhole-like).
+	// non-crossbar topologies (default tau/20, wormhole-like).
 	PerHop time.Duration
 }
 
 // Options configures every query. The zero value means: fast
 // randomized selection with modified OMLB balancing on an 8-processor
 // CM-5-like machine (the number of processors is overridden by the number
-// of shards passed in; see Run).
+// of shards passed in; see Run). Fast randomized selection draws the
+// paper's n^0.6-key sample per iteration and brackets the target rank
+// with its sqrt(|S| ln n) rank slack. An Algorithm or Balancer outside
+// its constants is an error from NewSelector, NewPool and Balance.
 type Options struct {
 	// Algorithm picks the selection algorithm (default FastRandomized).
 	Algorithm Algorithm
@@ -182,10 +181,6 @@ type Options struct {
 	// ignored by the sharded entry points, which use one processor per
 	// shard.
 	Machine Machine
-	// SampleExponent and RankSlack tune the fast randomized algorithm;
-	// zero means the paper's values (0.6 and 1.0).
-	SampleExponent float64
-	RankSlack      float64
 	// MaxIterations caps pivot iterations before the safety fallback
 	// (default 200). For multi-rank runs (SelectRanks, Quantiles and
 	// the queries built on them) it caps rounds, each of which advances
@@ -360,7 +355,7 @@ func NewSelector[K cmp.Ordered](opts Options) (*Selector[K], error) {
 	if procs == 0 {
 		procs = 8
 	}
-	params, err := opts.Machine.params(procs)
+	params, err := opts.params(procs)
 	if err != nil {
 		return nil, err
 	}
@@ -369,7 +364,7 @@ func NewSelector[K cmp.Ordered](opts Options) (*Selector[K], error) {
 
 // rebuild constructs the machine and result arrays for p processors.
 func (s *Selector[K]) rebuild(p int) error {
-	params, err := s.opts.Machine.params(p)
+	params, err := s.opts.params(p)
 	if err != nil {
 		return err
 	}
@@ -449,12 +444,10 @@ func (s *Selector[K]) selectRank(shards [][]K, rank int64, h *hints[K]) (Answer[
 	}
 	pre, capture := h.prefixMemo(s.opts.Algorithm, len(shards))
 	iopts := selection.Options{
-		Algorithm:      toInternalAlg(s.opts.Algorithm),
-		Balancer:       toInternalBal(s.opts.Balancer),
-		SampleExponent: s.opts.SampleExponent,
-		RankSlack:      s.opts.RankSlack,
-		MaxIterations:  s.opts.MaxIterations,
-		Faithful:       s.opts.Faithful,
+		Algorithm:     selection.Algorithm(s.opts.Algorithm),
+		Balancer:      balance.Method(s.opts.Balancer),
+		MaxIterations: s.opts.MaxIterations,
+		Faithful:      s.opts.Faithful,
 	}
 	rep, err := s.execute(func(pr *machine.Proc) {
 		o := iopts
@@ -605,7 +598,7 @@ func Balance[K cmp.Ordered](shards [][]K, opts Options) ([][]K, Report, error) {
 		return nil, Report{}, err
 	}
 	defer s.Close()
-	method := toInternalBal(opts.Balancer)
+	method := balance.Method(opts.Balancer)
 	out := make([][]K, p)
 	rep, err := s.execute(func(pr *machine.Proc) {
 		local := make([]K, len(shards[pr.ID()]))
@@ -620,18 +613,19 @@ func Balance[K cmp.Ordered](shards [][]K, opts Options) ([][]K, Report, error) {
 	return out, rep, nil
 }
 
-// params converts the public machine description to internal parameters.
-func (m Machine) params(procs int) (machine.Params, error) {
+// params validates opts and converts its machine description to the
+// internal parameters of a procs-processor machine. An Algorithm or
+// Balancer outside its constants is an error here, before any
+// processor runs.
+func (o Options) params(procs int) (machine.Params, error) {
+	if !slices.Contains(selection.AllAlgorithms, selection.Algorithm(o.Algorithm)) {
+		return machine.Params{}, fmt.Errorf("parsel: unknown algorithm %d", int(o.Algorithm))
+	}
+	if !slices.Contains(balance.Methods, balance.Method(o.Balancer)) {
+		return machine.Params{}, fmt.Errorf("parsel: unknown balancer %d", int(o.Balancer))
+	}
+	m := o.Machine
 	params := machine.DefaultParams(procs)
-	if m.Tau > 0 {
-		params.TauSec = m.Tau.Seconds()
-	}
-	if m.BytesPerSecond > 0 {
-		params.MuSecPerByte = 1 / m.BytesPerSecond
-	}
-	if m.SecondsPerOp > 0 {
-		params.SecPerOp = m.SecondsPerOp
-	}
 	if m.Seed != 0 {
 		params.Seed = m.Seed
 	}
@@ -643,44 +637,4 @@ func (m Machine) params(procs int) (machine.Params, error) {
 		return machine.Params{}, err
 	}
 	return params, nil
-}
-
-// toInternalAlg maps the public algorithm enum (default-first) onto the
-// internal one (paper order).
-func toInternalAlg(a Algorithm) selection.Algorithm {
-	switch a {
-	case FastRandomized:
-		return selection.FastRandomized
-	case Randomized:
-		return selection.Randomized
-	case MedianOfMedians:
-		return selection.MedianOfMedians
-	case BucketBased:
-		return selection.BucketBased
-	case MedianOfMediansHybrid:
-		return selection.MedianOfMediansHybrid
-	case BucketBasedHybrid:
-		return selection.BucketBasedHybrid
-	default:
-		panic(fmt.Sprintf("parsel: unknown algorithm %d", int(a)))
-	}
-}
-
-// toInternalBal maps the public balancer enum (default-first) onto the
-// internal one.
-func toInternalBal(b Balancer) balance.Method {
-	switch b {
-	case ModifiedOMLB:
-		return balance.ModifiedOMLB
-	case NoBalance:
-		return balance.None
-	case OMLB:
-		return balance.OMLB
-	case DimensionExchange:
-		return balance.DimensionExchange
-	case GlobalExchange:
-		return balance.GlobalExchange
-	default:
-		panic(fmt.Sprintf("parsel: unknown balancer %d", int(b)))
-	}
 }

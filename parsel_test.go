@@ -5,8 +5,11 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"strings"
 	"testing"
-	"time"
+
+	"parsel/internal/balance"
+	"parsel/internal/selection"
 )
 
 func shardInts(vals []int64, p int) [][]int64 {
@@ -191,26 +194,6 @@ func TestBalanceReport(t *testing.T) {
 	}
 }
 
-func TestCustomMachine(t *testing.T) {
-	shards := shardInts([]int64{5, 3, 8, 1, 9, 2, 7, 4, 6, 0}, 2)
-	fast := Options{Machine: Machine{Tau: time.Microsecond, BytesPerSecond: 1e9}}
-	slow := Options{Machine: Machine{Tau: 10 * time.Millisecond, BytesPerSecond: 1e3}}
-	rf, err := Over(shards, fast).Select(context.Background(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := Over(shards, slow).Select(context.Background(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rf.Value != 4 || rs.Value != 4 {
-		t.Errorf("values %d, %d want 4", rf.Value, rs.Value)
-	}
-	if rs.SimSeconds <= rf.SimSeconds {
-		t.Errorf("slow machine (%g) not slower than fast (%g)", rs.SimSeconds, rf.SimSeconds)
-	}
-}
-
 func TestSeedDeterminism(t *testing.T) {
 	vals := make([]int64, 2000)
 	for i := range vals {
@@ -280,5 +263,87 @@ func TestEnumStrings(t *testing.T) {
 		if b.String() == "" {
 			t.Errorf("balancer %d unnamed", int(b))
 		}
+	}
+}
+
+// TestEnumsMatchEngine pins the casts between the public enums and the
+// engine's: for every value the engine lists, the public constant of
+// the same algorithm or balancer has the same number and the same name.
+func TestEnumsMatchEngine(t *testing.T) {
+	algs := map[selection.Algorithm]Algorithm{
+		selection.FastRandomized:        FastRandomized,
+		selection.Randomized:            Randomized,
+		selection.MedianOfMedians:       MedianOfMedians,
+		selection.BucketBased:           BucketBased,
+		selection.MedianOfMediansHybrid: MedianOfMediansHybrid,
+		selection.BucketBasedHybrid:     BucketBasedHybrid,
+	}
+	for _, e := range selection.AllAlgorithms {
+		a, ok := algs[e]
+		if !ok {
+			t.Errorf("engine algorithm %v has no public constant", e)
+			continue
+		}
+		if int(a) != int(e) || a.String() != e.String() {
+			t.Errorf("public algorithm %d %q, engine %d %q", int(a), a, int(e), e)
+		}
+	}
+	bals := map[balance.Method]Balancer{
+		balance.ModifiedOMLB:      ModifiedOMLB,
+		balance.None:              NoBalance,
+		balance.OMLB:              OMLB,
+		balance.DimensionExchange: DimensionExchange,
+		balance.GlobalExchange:    GlobalExchange,
+	}
+	for _, e := range balance.Methods {
+		b, ok := bals[e]
+		if !ok {
+			t.Errorf("engine balancer %v has no public constant", e)
+			continue
+		}
+		if int(b) != int(e) || b.String() != e.String() {
+			t.Errorf("public balancer %d %q, engine %d %q", int(b), b, int(e), e)
+		}
+	}
+	if len(algs) != len(selection.AllAlgorithms) || len(bals) != len(balance.Methods) {
+		t.Errorf("%d public algorithms for %d engine ones, %d public balancers for %d engine ones",
+			len(algs), len(selection.AllAlgorithms), len(bals), len(balance.Methods))
+	}
+}
+
+// TestUnknownEnumRejected pins that an Algorithm or Balancer outside its
+// constants is an error at every entry point that validates Options,
+// never a panic inside the simulated processors.
+func TestUnknownEnumRejected(t *testing.T) {
+	shards := [][]int64{{3, 1}, {2}}
+	for _, c := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{Algorithm: BucketBasedHybrid + 1}, "unknown algorithm 6"},
+		{Options{Algorithm: -1}, "unknown algorithm -1"},
+		{Options{Balancer: GlobalExchange + 1}, "unknown balancer 5"},
+		{Options{Balancer: -1}, "unknown balancer -1"},
+	} {
+		check := func(entry string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s(%+v): error %v, want %q", entry, c.opts, err, c.want)
+			}
+		}
+		_, err := NewSelector[int64](c.opts)
+		check("NewSelector", err)
+		_, err = NewPool[int64](c.opts, PoolOptions{})
+		check("NewPool", err)
+		_, _, err = Balance(shards, c.opts)
+		check("Balance", err)
+		_, err = Over(shards, c.opts).Median(context.Background())
+		check("Over", err)
+	}
+	if got := (BucketBasedHybrid + 1).String(); got != "Algorithm(6)" {
+		t.Errorf("unknown algorithm named %q", got)
+	}
+	if got := (GlobalExchange + 1).String(); got != "Method(5)" {
+		t.Errorf("unknown balancer named %q", got)
 	}
 }

@@ -110,10 +110,10 @@ func NewPool[K cmp.Ordered](opts Options, po PoolOptions) (*Pool[K], error) {
 		return nil, fmt.Errorf("parsel: PoolOptions.MaxMachines must be >= 0, got %d", po.MaxMachines)
 	}
 	po = po.withDefaults()
-	// Validate the machine description once, eagerly, with a throwaway
+	// Validate the options once, eagerly, with a throwaway
 	// one-processor parameter set, so a misconfigured pool fails at
 	// construction rather than on first use.
-	if _, err := opts.Machine.params(1); err != nil {
+	if _, err := opts.params(1); err != nil {
 		return nil, err
 	}
 	return &Pool[K]{

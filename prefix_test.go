@@ -53,7 +53,7 @@ func TestDatasetPrefixReplayMatchesPool(t *testing.T) {
 	}{
 		{"default", parsel.Options{}},
 		{"faithful", parsel.Options{Faithful: true, Balancer: parsel.NoBalance}},
-		{"exp0.5-slack2-dimexch", parsel.Options{SampleExponent: 0.5, RankSlack: 2, Balancer: parsel.DimensionExchange}},
+		{"dimexch", parsel.Options{Balancer: parsel.DimensionExchange}},
 		{"mesh-seed9-globexch", parsel.Options{Balancer: parsel.GlobalExchange,
 			Machine: parsel.Machine{Topology: parsel.TopologyMesh2D, Seed: 9}}},
 	}
@@ -260,7 +260,7 @@ func TestDatasetPrefixRestoreReplays(t *testing.T) {
 }
 
 // TestDatasetPrefixPerOptions pins that a memo never crosses Options:
-// two Pools whose Options differ (sample exponent, seed, topology) hold
+// two Pools whose Options differ (seed, topology) hold
 // Datasets over the same shards, and each Dataset, memo replayed,
 // matches its own Pool.Over, not the other's.
 func TestDatasetPrefixPerOptions(t *testing.T) {
@@ -268,7 +268,7 @@ func TestDatasetPrefixPerOptions(t *testing.T) {
 	shards := workload.Generate(workload.Gaussian, 20000, 8, 13)
 	for _, opts := range []parsel.Options{
 		{},
-		{SampleExponent: 0.55, Machine: parsel.Machine{Seed: 4, Topology: parsel.TopologyRing}},
+		{Machine: parsel.Machine{Seed: 4, Topology: parsel.TopologyRing}},
 	} {
 		pool, ds := newDataset(t, opts, parsel.PoolOptions{MaxMachines: 1}, shards)
 		for round := 0; round < 2; round++ {
