@@ -32,8 +32,9 @@
 #                  window's binary-search index on ascending slices
 #                  (FuzzWindowAscending: seq.WindowAscending, differential
 #                  against the scanning kernel) and the balancers'
-#                  copy-and-check kernel (FuzzAppendAscending:
-#                  seq.AppendAscending, differential against append
+#                  copy kernel (FuzzAppendAscending: seq.AppendAscending
+#                  with the source's order given as seq.Ascending finds
+#                  it and as unknown, differential against append
 #                  followed by seq.Ascending)
 #   make smoke   - metrics-scrape smoke: boot a daemon, run one query, pull
 #                  /metrics and strictly validate the exposition; then the

@@ -91,7 +91,10 @@ const (
 // stay intact until every receiver has copied them. One that receives
 // nothing returns a capped view of its input. No balancer writes its
 // input, so the input may be the caller's read-only shard or a view of
-// it.
+// it. Every block a processor sends carries its input's order flag as
+// one unpriced bit (comm.TransportKnown's order bit, or the second word
+// of dimension exchange's count message), so a receiver copies a block
+// from a known-ascending source without checking every key.
 type Scratch[K any] struct {
 	cbuf     []int64 // Bruck all-gather working space (2p)
 	targ     []int64
@@ -99,6 +102,7 @@ type Scratch[K any] struct {
 	inCounts []int64
 	out      [][]K
 	in       [][]K
+	inAsc    []bool // the order bit each incoming block carried
 	sources  []procExcess
 	sinks    []procExcess
 	dim      [][]K // per-round staging blocks for dimension exchange
@@ -159,13 +163,19 @@ func Run[K cmp.Ordered](p *machine.Proc, local []K, method Method) []K {
 
 // RunScratch is Run with per-processor reusable scratch (nil behaves like
 // Run) and a caller-owned output buffer. asc reports that local is
-// ascending; the second result reports the new local is. A processor
-// that receives keys assembles them in *buf (grown as needed, and *buf
-// then holds the larger array), which must not back local, and reports
-// whether they are ascending exactly; one that receives nothing returns
-// a view of local, capped so that no append can reach past it, and
-// passes asc on. Simulated cost and traffic are identical to Run; only
-// host-side work differs.
+// ascending (false means unknown; true for a local that is not
+// ascending makes every flag it reaches wrong); the second result
+// reports the new local is. The flag travels with every block this
+// processor sends, unpriced. A processor that receives keys assembles
+// them in *buf (grown as needed, and *buf then holds the larger array),
+// which must not back local, and reports whether they are ascending
+// exactly: a block whose sender flagged it ascending, and its own kept
+// keys when asc is true, are copied with only their first key compared,
+// and any other block is checked as it is copied. One that receives
+// nothing returns a view of local, capped so that no append can reach
+// past it, and passes asc on. Simulated cost and traffic are identical
+// to Run, and to RunScratch with any other asc; only host-side work
+// differs.
 func RunScratch[K cmp.Ordered](p *machine.Proc, local []K, asc bool, method Method, buf *[]K, scr *Scratch[K]) ([]K, bool) {
 	if scr == nil {
 		scr = &Scratch[K]{}
@@ -247,8 +257,8 @@ func orderMaintaining[K cmp.Ordered](p *machine.Proc, local []K, asc bool, buf *
 		}
 		srcStart += counts[s]
 	}
-	in := comm.TransportKnown(p, out, inCounts, machine.WordBytes, scr.in)
-	scr.in = in
+	in, inAsc := comm.TransportKnown(p, out, asc, inCounts, machine.WordBytes, scr.in, scr.inAsc)
+	scr.in, scr.inAsc = in, inAsc
 	p.Charge(targ[p.ID()]) // assemble the balanced shard
 	if inCounts[p.ID()] == targ[p.ID()] {
 		// Everything stays here: the shard is one run of local.
@@ -257,7 +267,7 @@ func orderMaintaining[K cmp.Ordered](p *machine.Proc, local []K, asc bool, buf *
 	}
 	res, rasc := outBuf(buf, int(targ[p.ID()])), true
 	for s := 0; s < size; s++ {
-		res, rasc = seq.AppendAscending(res, rasc, in[s])
+		res, rasc = seq.AppendAscending(res, rasc, in[s], inAsc[s])
 	}
 	return res, rasc
 }
@@ -340,17 +350,17 @@ func sourceSink[K cmp.Ordered](p *machine.Proc, local []K, asc, sorted bool, buf
 			srcPos += src.amt
 		}
 	}
-	in := comm.TransportKnown(p, out, inCounts, machine.WordBytes, scr.in)
-	scr.in = in
+	in, inAsc := comm.TransportKnown(p, out, asc, inCounts, machine.WordBytes, scr.in, scr.inAsc)
+	scr.in, scr.inAsc = in, inAsc
 	if need < 0 {
 		// Not a sink, so nothing arrives: the shard is the kept prefix.
 		p.Charge(keep)
 		return local[:keep:keep], asc
 	}
-	final, fasc := seq.AppendAscending(outBuf(buf, int(targ[me])), true, local[:keep])
+	final, fasc := seq.AppendAscending(outBuf(buf, int(targ[me])), true, local[:keep], asc)
 	for s := 0; s < size; s++ {
 		if s != me {
-			final, fasc = seq.AppendAscending(final, fasc, in[s])
+			final, fasc = seq.AppendAscending(final, fasc, in[s], inAsc[s])
 		}
 	}
 	p.Charge(int64(len(final)))
@@ -401,8 +411,11 @@ func dimensionExchange[K cmp.Ordered](p *machine.Proc, local []K, asc bool, buf 
 			continue
 		}
 		ni := int64(len(local))
-		p.SendInt64Pair(partner, tagDimCount+round, ni, 0, machine.WordBytes)
-		nl, _ := p.RecvInt64Pair(partner, tagDimCount+round)
+		// The count message's second word is the order bit of local,
+		// and so of any surplus sent from it (unpriced: the message
+		// costs one word either way).
+		p.SendInt64Pair(partner, tagDimCount+round, ni, b2i(asc), machine.WordBytes)
+		nl, partnerAsc := p.RecvInt64Pair(partner, tagDimCount+round)
 		navg := (ni + nl + 1) / 2
 		switch {
 		case ni > navg:
@@ -421,10 +434,10 @@ func dimensionExchange[K cmp.Ordered](p *machine.Proc, local []K, asc bool, buf 
 		case nl > navg:
 			blk := p.Recv(partner, tagDimData+round).([]K)
 			if !own {
-				local, asc = seq.AppendAscending(outBuf(buf, int(navg)), true, local)
+				local, asc = seq.AppendAscending(outBuf(buf, int(navg)), true, local, asc)
 				own = true
 			}
-			local, asc = seq.AppendAscending(local, asc, blk)
+			local, asc = seq.AppendAscending(local, asc, blk, partnerAsc == 1)
 			*buf = local
 			p.Charge(int64(len(blk)))
 		}
@@ -437,6 +450,13 @@ func dimensionExchange[K cmp.Ordered](p *machine.Proc, local []K, asc bool, buf 
 		asc = seq.Ascending(local)
 	}
 	return local, asc
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func max64(a, b int64) int64 {

@@ -63,9 +63,21 @@ func fillShards(p int, r *rand.Rand, emptyOneIn int, next func(prev int64) int64
 	return shards
 }
 
+// orderKnown lists how the order of each processor's shard is given to
+// RunScratch: truly on every processor, as unknown on every processor,
+// or truly on the even-numbered and as unknown on the odd-numbered ones
+// and the other way round, so that a receiver assembles blocks whose
+// order bits differ.
+var orderKnown = map[string]func(me int) bool{
+	"truthful": func(int) bool { return true },
+	"unknown":  func(int) bool { return false },
+	"even":     func(me int) bool { return me%2 == 0 },
+	"odd":      func(me int) bool { return me%2 == 1 },
+}
+
 // TestRunScratchOrderFlag checks the order flag RunScratch returns, for
 // every method at p in {2, 3, 4, 5, 8} over every shape in orderShapes,
-// with each shard's order given truly and given as unknown:
+// with each shard's order given as orderKnown says:
 //
 //   - a flag of true is never returned for a non-ascending output;
 //   - an output assembled in the caller's buffer carries the exact flag,
@@ -81,9 +93,9 @@ func TestRunScratchOrderFlag(t *testing.T) {
 			for name, shape := range orderShapes {
 				for seed := uint64(1); seed <= 12; seed++ {
 					shards := shape(p, rand.New(rand.NewPCG(seed, uint64(p))))
-					for _, truthful := range []bool{true, false} {
-						id := fmt.Sprintf("%v p%d %s seed %d truthful=%v", method, p, name, seed, truthful)
-						checkOrderFlag(t, id, method, shards, truthful)
+					for given, known := range orderKnown {
+						id := fmt.Sprintf("%v p%d %s seed %d order %s", method, p, name, seed, given)
+						checkOrderFlag(t, id, method, shards, known)
 					}
 				}
 			}
@@ -91,13 +103,13 @@ func TestRunScratchOrderFlag(t *testing.T) {
 	}
 }
 
-func checkOrderFlag(t *testing.T, id string, method Method, shards [][]int64, truthful bool) {
+func checkOrderFlag(t *testing.T, id string, method Method, shards [][]int64, known func(me int) bool) {
 	t.Helper()
 	p := len(shards)
 	outs, flags, bufs := make([][]int64, p), make([]bool, p), make([][]int64, p)
 	if _, err := machine.Run(machine.DefaultParams(p), func(pr *machine.Proc) {
 		me := pr.ID()
-		asc := truthful && seq.Ascending(shards[me])
+		asc := known(me) && seq.Ascending(shards[me])
 		outs[me], flags[me] = RunScratch(pr, shards[me], asc, method, &bufs[me], nil)
 	}); err != nil {
 		t.Fatalf("%s: %v", id, err)

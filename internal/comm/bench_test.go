@@ -127,8 +127,9 @@ func BenchmarkTransportKnown8(b *testing.B) {
 		out[j] = block[:]
 		counts[j] = int64(len(block))
 	}
-	in := make([][][]int64, p)
+	in, inOrdered := make([][][]int64, p), make([][]bool, p)
 	benchReused(b, p, func(pr *machine.Proc, buf *[]int64) {
-		in[pr.ID()] = TransportKnown(pr, out, counts, machine.WordBytes, in[pr.ID()])
+		me := pr.ID()
+		in[me], inOrdered[me] = TransportKnown(pr, out, true, counts, machine.WordBytes, in[me], inOrdered[me])
 	})
 }

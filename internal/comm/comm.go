@@ -216,7 +216,15 @@ func Transport[T any](p *machine.Proc, out [][]T, elemBytes int) [][]T {
 	for src := 0; src < size; src++ {
 		inCounts[src] = all[src*size+p.ID()]
 	}
-	return TransportKnown(p, out, inCounts, elemBytes, nil)
+	in, _ := TransportKnown(p, out, false, inCounts, elemBytes, nil, nil)
+	return in
+}
+
+// orderedBlock is one TransportKnown message: a block and its sender's
+// order bit. The message is priced at the block's bytes alone.
+type orderedBlock[T any] struct {
+	keys    []T
+	ordered bool
 }
 
 // TransportKnown performs the transportation primitive when every receiver
@@ -226,7 +234,13 @@ func Transport[T any](p *machine.Proc, out [][]T, elemBytes int) [][]T {
 // ~2*mu*t behaviour the paper cites for bounded in/out traffic t. The p
 // incoming block headers are returned in in, grown as needed (in may be
 // nil).
-func TransportKnown[T any](p *machine.Proc, out [][]T, inCounts []int64, elemBytes int, in [][]T) [][]T {
+//
+// ordered is one bit the sender attaches to each of its blocks: for the
+// load balancers, that the block is known to be ascending (false means
+// unknown). It travels with the block unpriced, so messages, bytes and
+// simulated time do not depend on it, and inOrdered[src] (grown like in;
+// false for an empty block) reports the bit of the block from src.
+func TransportKnown[T any](p *machine.Proc, out [][]T, ordered bool, inCounts []int64, elemBytes int, in [][]T, inOrdered []bool) ([][]T, []bool) {
 	size := p.Procs()
 	me := p.ID()
 	if len(out) != size || len(inCounts) != size {
@@ -235,28 +249,31 @@ func TransportKnown[T any](p *machine.Proc, out [][]T, inCounts []int64, elemByt
 	if cap(in) < size {
 		in = make([][]T, size)
 	}
-	in = in[:size]
+	if cap(inOrdered) < size {
+		inOrdered = make([]bool, size)
+	}
+	in, inOrdered = in[:size], inOrdered[:size]
 	for i := range in {
-		in[i] = nil
+		in[i], inOrdered[i] = nil, false
 	}
 	if len(out[me]) > 0 {
-		in[me] = out[me]
+		in[me], inOrdered[me] = out[me], ordered
 	}
 	for k := 1; k < size; k++ {
 		dst := (me + k) % size
 		src := (me - k + size) % size
 		if len(out[dst]) > 0 {
-			p.Send(dst, tagTransport+k, out[dst], len(out[dst])*elemBytes)
+			p.Send(dst, tagTransport+k, orderedBlock[T]{out[dst], ordered}, len(out[dst])*elemBytes)
 		}
 		if inCounts[src] > 0 {
-			blk := p.Recv(src, tagTransport+k).([]T)
-			if int64(len(blk)) != inCounts[src] {
+			blk := p.Recv(src, tagTransport+k).(orderedBlock[T])
+			if int64(len(blk.keys)) != inCounts[src] {
 				panic("comm: TransportKnown received unexpected element count")
 			}
-			in[src] = blk
+			in[src], inOrdered[src] = blk.keys, blk.ordered
 		}
 	}
-	return in
+	return in, inOrdered
 }
 
 // relRank maps an absolute rank to its rank relative to root.

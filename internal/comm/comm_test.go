@@ -288,26 +288,38 @@ func TestTransport(t *testing.T) {
 	}
 }
 
+// TestTransportKnown checks every block and its order bit (set by the
+// odd-numbered senders) at the receiver, and that the bit is unpriced:
+// the run's simulated time equals that of the same run with every bit
+// false.
 func TestTransportKnown(t *testing.T) {
 	for _, p := range procCounts {
-		runSPMD(t, p, func(pr *machine.Proc) {
-			out := make([][]int64, p)
-			inCounts := make([]int64, p)
-			for dst := 0; dst < p; dst++ {
-				out[dst] = transportPattern(p, pr.ID(), dst)
-				inCounts[dst] = int64(len(transportPattern(p, dst, pr.ID())))
-			}
-			in := TransportKnown(pr, out, inCounts, 8, nil)
-			for src := 0; src < p; src++ {
-				want := transportPattern(p, src, pr.ID())
-				if len(want) == 0 {
-					continue
+		run := func(bits bool) float64 {
+			return runSPMD(t, p, func(pr *machine.Proc) {
+				out := make([][]int64, p)
+				inCounts := make([]int64, p)
+				for dst := 0; dst < p; dst++ {
+					out[dst] = transportPattern(p, pr.ID(), dst)
+					inCounts[dst] = int64(len(transportPattern(p, dst, pr.ID())))
 				}
-				if !reflect.DeepEqual(in[src], want) {
-					t.Errorf("p=%d from %d got %v want %v", p, src, in[src], want)
+				in, inOrdered := TransportKnown(pr, out, bits && pr.ID()%2 == 1, inCounts, 8, nil, nil)
+				for src := 0; src < p; src++ {
+					want := transportPattern(p, src, pr.ID())
+					if wantBit := bits && src%2 == 1 && len(want) > 0; inOrdered[src] != wantBit {
+						t.Errorf("p=%d from %d: order bit %v, want %v", p, src, inOrdered[src], wantBit)
+					}
+					if len(want) == 0 {
+						continue
+					}
+					if !reflect.DeepEqual(in[src], want) {
+						t.Errorf("p=%d from %d got %v want %v", p, src, in[src], want)
+					}
 				}
-			}
-		})
+			})
+		}
+		if with, without := run(true), run(false); with != without {
+			t.Errorf("p=%d: simulated time %v with order bits, %v without", p, with, without)
+		}
 	}
 }
 

@@ -51,7 +51,7 @@ func runProbe(t *testing.T, m *machine.Machine) probe {
 			blocks[j] = transportPattern(p, me, j)
 			counts[j] = int64(len(transportPattern(p, j, me)))
 		}
-		in := TransportKnown(pr, blocks, counts, machine.WordBytes, nil)
+		in, _ := TransportKnown(pr, blocks, false, counts, machine.WordBytes, nil, nil)
 		var mine []int64
 		for _, blk := range in {
 			mine = append(mine, blk...)
@@ -126,7 +126,7 @@ func TestPanicDuringTransport(t *testing.T) {
 		if me == 3 {
 			counts[(me-4+p)%p]++ // mismatch on the fourth exchange
 		}
-		TransportKnown(pr, blocks, counts, machine.WordBytes, nil)
+		TransportKnown(pr, blocks, false, counts, machine.WordBytes, nil, nil)
 	})
 	if err == nil || !strings.Contains(err.Error(), "unexpected element count") {
 		t.Fatalf("Run = %v, want the count-check panic", err)

@@ -113,15 +113,20 @@ func (pr Params) hopCost(src, dst int) float64 {
 	if pr.Topology == Crossbar {
 		return 0
 	}
-	perHop := pr.PerHopSec
-	if perHop == 0 {
-		perHop = pr.TauSec / 20
-	}
 	h := pr.Topology.Hops(src, dst, pr.Procs)
 	if h <= 1 {
 		return 0
 	}
-	return perHop * float64(h-1)
+	return pr.PerHop() * float64(h-1)
+}
+
+// PerHop returns the per-hop latency non-crossbar topologies charge:
+// PerHopSec, or Tau/20 when it is zero.
+func (pr Params) PerHop() float64 {
+	if pr.PerHopSec == 0 {
+		return pr.TauSec / 20
+	}
+	return pr.PerHopSec
 }
 
 // message is a point-to-point payload with simulated arrival time. Small

@@ -29,6 +29,7 @@ type Scratch[K cmp.Ordered] struct {
 	splitters []K
 	out       [][]K
 	in        [][]K
+	inOrdered []bool // the transport's order bits, unused: blocks go as unknown
 	counts    []int64
 	cbuf      []int64
 	merged    []K
@@ -147,8 +148,8 @@ func Sort[K cmp.Ordered](p *machine.Proc, local []K, c int, scr *Scratch[K]) []K
 		counts[src] = allCounts[src*size+p.ID()]
 	}
 	scr.counts = counts
-	in := comm.TransportKnown(p, out, counts, machine.WordBytes, scr.in)
-	scr.in = in
+	in, inOrdered := comm.TransportKnown(p, out, false, counts, machine.WordBytes, scr.in, scr.inOrdered)
+	scr.in, scr.inOrdered = in, inOrdered
 	merged, ops := seq.MergeKInto(scr.merged, in)
 	scr.merged = merged
 	p.Charge(ops)

@@ -121,10 +121,13 @@ type Options struct {
 	AscendingInput bool
 }
 
+// DefaultMaxIterations is what a zero Options.MaxIterations means.
+const DefaultMaxIterations = 200
+
 // withDefaults fills in a zero MaxIterations.
 func (o Options) withDefaults() Options {
 	if o.MaxIterations == 0 {
-		o.MaxIterations = 200
+		o.MaxIterations = DefaultMaxIterations
 	}
 	return o
 }

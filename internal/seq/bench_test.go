@@ -103,21 +103,28 @@ func BenchmarkAscending(b *testing.B) {
 
 // BenchmarkAppendAscending copies sorted keys into a retained buffer and
 // checks their order, the way a balancer assembles a processor's new
-// shard: through the blocked copy-and-check kernel, and as a whole copy
-// followed by Ascending. The 2^14-key source is a typical received
-// block, which stays in the L2 cache; the 2^20-key one does not.
+// shard: through the blocked copy-and-check kernel (src's order
+// unknown), through the known-order copy that compares only the first
+// key (src's order known, as a block from an ascending source), and as a
+// whole copy followed by Ascending. The 2^14-key source is a typical
+// received block, which stays in the L2 cache; the 2^20-key one does not.
 func BenchmarkAppendAscending(b *testing.B) {
 	for _, n := range []int{1 << 14, 1 << 20} {
 		a := sortedBenchData(n)
 		buf := make([]int64, 0, n)
-		b.Run(fmt.Sprintf("n=%d/kernel", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, asc := AppendAscending(buf, true, a); !asc {
-					b.Fatal("sorted input not ascending")
+		for _, c := range []struct {
+			name   string
+			srcAsc bool
+		}{{"kernel", false}, {"known", true}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, c.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, asc := AppendAscending(buf, true, a, c.srcAsc); !asc {
+						b.Fatal("sorted input not ascending")
+					}
 				}
-			}
-			b.SetBytes(int64(n * 8))
-		})
+				b.SetBytes(int64(n * 8))
+			})
+		}
 		b.Run(fmt.Sprintf("n=%d/copy+Ascending", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if !Ascending(append(buf, a...)) {

@@ -2,6 +2,7 @@ package seq
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -325,21 +326,24 @@ func FuzzWindowAscending(f *testing.F) {
 
 // appendAgree runs AppendAscending on dst and src and checks it against
 // append followed by Ascending: the same keys bit for bit, the exact
-// order flag when dst's order is given truly, false when dst is given as
-// unordered, and src left as it was. It returns a description of the
-// first disagreement, or "".
+// order flag when dst's order is given truly, with src's order given
+// truly (the known-order copy when src is ascending) and as unknown,
+// false when dst is given as unordered, and src left as it was. It
+// returns a description of the first disagreement, or "".
 func appendAgree[K cmp.Ordered](dst, src []K, order func(a, b K) int) string {
 	orig := slices.Clone(src)
 	want := append(slices.Clone(dst), src...)
-	got, asc := AppendAscending(slices.Clone(dst), Ascending(dst), src)
-	if slices.CompareFunc(got, want, order) != 0 {
-		return "keys differ from append"
-	}
-	if asc != Ascending(want) {
-		return "order flag differs from Ascending"
-	}
-	if got, asc := AppendAscending(slices.Clip(slices.Clone(dst)), false, src); asc || slices.CompareFunc(got, want, order) != 0 {
-		return "unordered dst: flag set or keys differ"
+	for _, srcAsc := range []bool{Ascending(src), false} {
+		got, asc := AppendAscending(slices.Clone(dst), Ascending(dst), src, srcAsc)
+		if slices.CompareFunc(got, want, order) != 0 {
+			return fmt.Sprintf("src order %v: keys differ from append", srcAsc)
+		}
+		if asc != Ascending(want) {
+			return fmt.Sprintf("src order %v: order flag differs from Ascending", srcAsc)
+		}
+		if got, asc := AppendAscending(slices.Clip(slices.Clone(dst)), false, src, srcAsc); asc || slices.CompareFunc(got, want, order) != 0 {
+			return fmt.Sprintf("src order %v, unordered dst: flag set or keys differ", srcAsc)
+		}
 	}
 	if slices.CompareFunc(src, orig, order) != 0 {
 		return "src modified"
@@ -443,7 +447,9 @@ func TestAppendAscendingMatchesAppend(t *testing.T) {
 
 // FuzzAppendAscending cross-checks the copy-and-check kernel
 // (AppendAscending) against append followed by Ascending on every key
-// kind, with dst or src or both empty, sorted or not.
+// kind, with dst or src or both empty, sorted or not, and src's order
+// passed as seq.Ascending finds it (the known-order copy) and as
+// unknown.
 func FuzzAppendAscending(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0), uint8(3))
 	f.Add([]byte{0, 1, 2, 3, 4, 5}, uint8(3), uint8(1), uint8(3))

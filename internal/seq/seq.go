@@ -204,11 +204,20 @@ func Ascending[K cmp.Ordered](a []K) bool {
 const appendBlock = 1024
 
 // AppendAscending appends src to dst and reports whether the result is
-// ascending (see Ascending), given asc, whether dst is. It copies a block
-// at a time and checks each block, with the key before it, right after
-// copying it; once the order fails the rest is a plain copy, so on
-// unordered keys the check costs a few comparisons.
-func AppendAscending[K cmp.Ordered](dst []K, asc bool, src []K) ([]K, bool) {
+// ascending (see Ascending), given asc, whether dst is, and srcAsc,
+// whether src is known to be. A known-ascending src is copied whole and
+// only its first key is compared, with dst's last. Otherwise it copies a
+// block at a time and checks each block, with the key before it, right
+// after copying it; once the order fails the rest is a plain copy, so on
+// unordered keys the check costs a few comparisons. srcAsc must not be
+// true for a src that is not ascending: the result's flag would be too.
+func AppendAscending[K cmp.Ordered](dst []K, asc bool, src []K, srcAsc bool) ([]K, bool) {
+	if srcAsc {
+		if asc && len(dst) > 0 && len(src) > 0 {
+			asc = dst[len(dst)-1] <= src[0]
+		}
+		return append(dst, src...), asc
+	}
 	dst = slices.Grow(dst, len(src))
 	for asc && len(src) > 0 {
 		b := min(len(src), appendBlock)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -175,7 +176,10 @@ func TestClusterKillOneNode(t *testing.T) {
 // node moves only the datasets the ring now places there, the moves
 // are node-to-node snapshot ships (never client re-uploads), surplus
 // copies are deleted only after the new replica is confirmed, and the
-// post-rebalance fleet answers queries exactly as before.
+// post-rebalance fleet answers queries exactly as before. The ring
+// hashes the daemons' ephemeral URLs, so it may place none of the
+// shapes on the joiner; the test then uploads one more dataset that the
+// new ring does place there, so that every run ships at least once.
 func TestClusterRebalanceOnJoin(t *testing.T) {
 	shapes := e2eShapes()[:8]
 	var logs syncBuf
@@ -190,6 +194,16 @@ func TestClusterRebalanceOnJoin(t *testing.T) {
 	t.Cleanup(joined.close)
 	f.daemons[joined.ts.URL] = joined
 	f.urls = append(f.urls, joined.ts.URL)
+	ids := make([]string, 0, len(shapes)+1)
+	for _, shape := range shapes {
+		ids = append(ids, dsID(shape.name))
+	}
+	if extra := joinerID(t, f.urls, ids, joined.ts.URL); extra != "" {
+		if _, err := cluster.DatasetOf[int64](f.router, extra).Upload(context.Background(), [][]int64{{3, 1}, {2}}); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, extra)
+	}
 	if err := f.router.SetNodes(f.urls); err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +211,8 @@ func TestClusterRebalanceOnJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Datasets != len(shapes) {
-		t.Fatalf("rebalance examined %d datasets, want %d", rep.Datasets, len(shapes))
+	if rep.Datasets != len(ids) {
+		t.Fatalf("rebalance examined %d datasets, want %d", rep.Datasets, len(ids))
 	}
 	if len(rep.Errors) != 0 || len(rep.Lost) != 0 {
 		t.Fatalf("rebalance report: %+v", rep)
@@ -207,8 +221,7 @@ func TestClusterRebalanceOnJoin(t *testing.T) {
 	// After the pass every dataset sits on exactly its (new) replica
 	// set: fills happened, surpluses are gone.
 	moved := 0
-	for _, shape := range shapes {
-		id := dsID(shape.name)
+	for _, id := range ids {
 		want := f.router.Place(id)
 		wantSet := make(map[string]bool, len(want))
 		for _, n := range want {
@@ -227,6 +240,9 @@ func TestClusterRebalanceOnJoin(t *testing.T) {
 			moved++
 		}
 	}
+	if moved == 0 {
+		t.Fatal("no dataset is placed on the joiner: the ship path went untested")
+	}
 	if rep.Shipped != moved || rep.Deleted != moved {
 		t.Errorf("rebalance shipped %d, deleted %d; want %d each (datasets placed on the joiner)",
 			rep.Shipped, rep.Deleted, moved)
@@ -235,6 +251,9 @@ func TestClusterRebalanceOnJoin(t *testing.T) {
 	// both ends, a drop the dataset and the node it left.
 	ships, drops := 0, 0
 	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		if line == "" {
+			continue
+		}
 		var rec map[string]any
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("router log line %q: %v", line, err)
@@ -271,6 +290,26 @@ func TestClusterRebalanceOnJoin(t *testing.T) {
 	// The rebalanced fleet answers the catalogue bit-identically.
 	after := runCatalogueOn(t, surface, shapes, false)
 	compareRecords(t, before, after)
+}
+
+// joinerID returns "" when the ring over nodes places one of ids on
+// joiner, and otherwise the first of "wd-join-0", "wd-join-1", ... that
+// it places there.
+func joinerID(t *testing.T, nodes, ids []string, joiner string) string {
+	t.Helper()
+	ring, err := cluster.NewRing(nodes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	on := func(id string) bool { return slices.Contains(ring.Place(id, 2), joiner) }
+	if slices.ContainsFunc(ids, on) {
+		return ""
+	}
+	for i := 0; ; i++ {
+		if id := fmt.Sprintf("wd-join-%d", i); on(id) {
+			return id
+		}
+	}
 }
 
 // TestClusterStringReplication pins that string datasets replicate

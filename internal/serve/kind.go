@@ -105,12 +105,19 @@ func (k kindOf[K]) recover(s *Server, m snapshot.Meta) (loadErr, restoreErr erro
 	if err != nil {
 		return err, nil
 	}
-	if h.Options != s.optionsFP {
+	stale := h.Options != s.optionsFP
+	if stale {
 		s.log.Warn("snapshots: dataset was persisted under different pool options; restoring anyway — values stay correct, simulated metrics follow the new configuration",
 			"id", m.ID, "options", h.Options)
 	}
-	return nil, restoreDataset(s, k.pool, m.ID, shards, meta.Tenant,
+	restoreErr = restoreDataset(s, k.pool, m.ID, shards, meta.Tenant,
 		time.UnixMilli(meta.ExpiresUnixMS), meta.Gen)
+	if stale && restoreErr == nil {
+		// Re-persist under this daemon's options, so that the warning
+		// fires once per configuration change, not on every restart.
+		s.markDirty(m.ID)
+	}
+	return nil, restoreErr
 }
 
 // resident is a registered dataset behind its key kind: the typed

@@ -273,7 +273,7 @@ func New(opts Options) (*Server, error) {
 		datasets:  make(map[string]*dsEntry),
 		byTenant:  make(map[string]usage),
 		now:       time.Now,
-		optionsFP: fmt.Sprintf("%+v", opts.Pool.Options()),
+		optionsFP: optionsFingerprint(opts.Pool.Options()),
 		log:       opts.Logger,
 		metrics:   newServerMetrics(),
 		snapDirty: make(map[string]struct{}),

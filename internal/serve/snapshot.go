@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"parsel"
+	"parsel/internal/machine"
+	"parsel/internal/selection"
 	"parsel/internal/snapshot"
 	"parsel/parselclient"
 )
@@ -461,4 +463,26 @@ func (s *Server) snapshotStats() parselclient.SnapshotStats {
 	st.Enabled = true
 	st.SnapshotBytes = s.snap.TotalDiskBytes()
 	return st
+}
+
+// optionsFingerprint names the engine configuration a snapshot is
+// written under (its header's Options string, compared at restore). It
+// lists the effective value of every setting that moves simulated
+// metrics, by name, with a zero field read as its default: the same
+// configuration gives the same string however it was spelled, and a
+// renamed or added Options field does not change it.
+func optionsFingerprint(o parsel.Options) string {
+	params := machine.DefaultParams(1)
+	if o.Machine.Seed != 0 {
+		params.Seed = o.Machine.Seed
+	}
+	if o.Machine.PerHop > 0 {
+		params.PerHopSec = o.Machine.PerHop.Seconds()
+	}
+	maxIter := o.MaxIterations
+	if maxIter == 0 {
+		maxIter = selection.DefaultMaxIterations
+	}
+	return fmt.Sprintf("algorithm=%v balancer=%v seed=%d topology=%v per_hop_s=%g max_iterations=%d faithful=%t",
+		o.Algorithm, o.Balancer, params.Seed, o.Machine.Topology, params.PerHop(), maxIter, o.Faithful)
 }

@@ -244,8 +244,9 @@ func (st *Store) commit(meta Meta, write func(name string) (int64, error)) error
 		return nil
 	}
 	meta.File = meta.ID + snapSuffix
-	if exists && prev.Gen == meta.Gen && prev.KeyType == meta.KeyType {
-		// Same data already on disk: metadata-only refresh.
+	if exists && prev.Gen == meta.Gen && prev.KeyType == meta.KeyType && prev.Options == meta.Options {
+		// Same data under the same header already on disk:
+		// metadata-only refresh.
 		meta.DiskBytes = prev.DiskBytes
 	} else {
 		size, err := write(meta.File)
@@ -380,7 +381,9 @@ func (st *Store) Meta(id string) (Meta, bool) {
 // batched alternative to N gen-matching Saves, each of which would
 // rewrite and fsync the manifest individually. An entry that is
 // absent or holds a different generation is skipped: metadata must
-// never point a manifest entry at data it does not describe.
+// never point a manifest entry at data it does not describe. For the
+// same reason an entry keeps its Options, the fingerprint in its
+// file's header, which only a Save rewrites.
 func (st *Store) RefreshMeta(metas []Meta) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -393,6 +396,7 @@ func (st *Store) RefreshMeta(metas []Meta) error {
 		m.File = prev.File
 		m.DiskBytes = prev.DiskBytes
 		m.KeyType = prev.KeyType
+		m.Options = prev.Options
 		st.entries[m.ID] = m
 		changed = true
 	}

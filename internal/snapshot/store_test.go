@@ -450,7 +450,8 @@ func TestStoreOrphanSweep(t *testing.T) {
 
 // TestStoreRefreshMeta pins the batched metadata commit: matching-gen
 // entries get their TTL state updated in one manifest write, absent
-// or gen-skewed ones are skipped untouched.
+// or gen-skewed ones are skipped untouched, and an entry keeps the
+// Options its file's header holds.
 func TestStoreRefreshMeta(t *testing.T) {
 	dir := t.TempDir()
 	st := open(t, dir)
@@ -463,6 +464,7 @@ func TestStoreRefreshMeta(t *testing.T) {
 
 	ma, mb, mc := meta("a", 1), meta("b", 99), meta("c", 1)
 	ma.ExpiresUnixMS, mb.ExpiresUnixMS, mc.ExpiresUnixMS = 111, 222, 333
+	ma.Options = "other"
 	if err := st.RefreshMeta([]Meta{ma, mb, mc}); err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +472,7 @@ func TestStoreRefreshMeta(t *testing.T) {
 	// Durable: read back through a fresh Open.
 	st = open(t, dir)
 	got, ok := st.Meta("a")
-	if !ok || got.ExpiresUnixMS != 111 || got.File != "a.snap" || got.DiskBytes == 0 {
+	if !ok || got.ExpiresUnixMS != 111 || got.File != "a.snap" || got.DiskBytes == 0 || got.Options != "fp" {
 		t.Errorf("refreshed entry a: %+v", got)
 	}
 	if got, _ := st.Meta("b"); got.ExpiresUnixMS == 222 {
