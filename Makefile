@@ -42,11 +42,14 @@
 #                  one on the shrunk grid with one seed (~1 s, deterministic);
 #                  then the single-selection CLI psel twice (a traced
 #                  randomized run with balancing, and a -q quantile run);
-#                  then every collective host benchmark in internal/comm,
-#                  the four load balancers' benchmarks (internal/balance:
-#                  BenchmarkOMLB, BenchmarkModifiedOMLB,
+#                  then every collective host benchmark in internal/comm
+#                  (with allocations), the four load balancers' benchmarks
+#                  (internal/balance: BenchmarkOMLB, BenchmarkModifiedOMLB,
 #                  BenchmarkDimensionExchange, BenchmarkGlobalExchange,
-#                  with allocations),
+#                  with allocations), the parallel sample sort's
+#                  benchmarks (internal/psort: BenchmarkPSRSRandom8,
+#                  BenchmarkPSRSSorted8, BenchmarkPSRSDuplicate8, with
+#                  allocations),
 #                  the snapshot encoder benchmarks (internal/snapshot:
 #                  BenchmarkEncode over int64, float64 and string keys,
 #                  BenchmarkFrameEncode over scalar and 2^16-value result
@@ -118,8 +121,9 @@ smoke:
 	$(GO) run ./cmd/selectbench -exp all -quick -seeds 1
 	$(GO) run ./cmd/psel -n 65536 -p 8 -alg rand -bal modomlb -trace
 	$(GO) run ./cmd/psel -n 65536 -p 8 -q 0.9
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/comm
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./internal/comm
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./internal/balance
+	$(GO) test -run '^$$' -bench BenchmarkPSRS -benchmem -benchtime 1x ./internal/psort
 	$(GO) test -run '^$$' -bench 'BenchmarkEncode|BenchmarkFrameEncode' -benchmem -benchtime 1x ./internal/snapshot
 	$(GO) test -run '^$$' -bench BenchmarkFrameUploadPersist -benchtime 1x ./internal/serve
 	$(GO) test -run '^$$' -bench BenchmarkDatasetSelectSorted -benchtime 1x .

@@ -215,7 +215,7 @@ func targets(slot *[]int64, n int64, p int) []int64 {
 // fall in its target interval.
 func orderMaintaining[K cmp.Ordered](p *machine.Proc, local []K, asc bool, buf *[]K, scr *Scratch[K]) ([]K, bool) {
 	size := p.Procs()
-	counts, cbuf := comm.GlobalConcatInt64(p, int64(len(local)), scr.cbuf)
+	counts, cbuf := comm.GlobalConcatInt64Flat(p, []int64{int64(len(local))}, scr.cbuf)
 	scr.cbuf = cbuf
 	var n int64
 	for _, c := range counts {
@@ -239,8 +239,8 @@ func orderMaintaining[K cmp.Ordered](p *machine.Proc, local []K, asc bool, buf *
 
 	out := scr.outSlices(size)
 	for j := 0; j < size; j++ {
-		lo := max64(myStart, cumT[j])
-		hi := min64(myStart+int64(len(local)), cumT[j+1])
+		lo := max(myStart, cumT[j])
+		hi := min(myStart+int64(len(local)), cumT[j+1])
 		if lo < hi {
 			out[j] = local[lo-myStart : hi-myStart]
 			p.Charge(hi - lo) // block assembly / copy-out
@@ -250,8 +250,8 @@ func orderMaintaining[K cmp.Ordered](p *machine.Proc, local []K, asc bool, buf *
 	inCounts := int64Buf(&scr.inCounts, size)
 	var srcStart int64
 	for s := 0; s < size; s++ {
-		lo := max64(srcStart, cumT[p.ID()])
-		hi := min64(srcStart+counts[s], cumT[p.ID()+1])
+		lo := max(srcStart, cumT[p.ID()])
+		hi := min(srcStart+counts[s], cumT[p.ID()+1])
 		if lo < hi {
 			inCounts[s] = hi - lo
 		}
@@ -283,7 +283,7 @@ type procExcess struct {
 // order) and Global Exchange (sorted=true: decreasing excess/need order).
 func sourceSink[K cmp.Ordered](p *machine.Proc, local []K, asc, sorted bool, buf *[]K, scr *Scratch[K]) ([]K, bool) {
 	size := p.Procs()
-	counts, cbuf := comm.GlobalConcatInt64(p, int64(len(local)), scr.cbuf)
+	counts, cbuf := comm.GlobalConcatInt64Flat(p, []int64{int64(len(local))}, scr.cbuf)
 	scr.cbuf = cbuf
 	var n int64
 	for _, c := range counts {
@@ -315,7 +315,7 @@ func sourceSink[K cmp.Ordered](p *machine.Proc, local []K, asc, sorted bool, buf
 	me := p.ID()
 	out := scr.outSlices(size)
 	inCounts := int64Buf(&scr.inCounts, size)
-	keep := min64(int64(len(local)), targ[me])
+	keep := min(int64(len(local)), targ[me])
 
 	if excess := unitStart(sources, me); excess >= 0 {
 		// I am a source: my excess units occupy [excess, excess+amt);
@@ -324,8 +324,8 @@ func sourceSink[K cmp.Ordered](p *machine.Proc, local []K, asc, sorted bool, buf
 		sent := int64(0)
 		var sinkPos int64
 		for _, snk := range sinks {
-			lo := max64(excess, sinkPos)
-			hi := min64(excess+amt, sinkPos+snk.amt)
+			lo := max(excess, sinkPos)
+			hi := min(excess+amt, sinkPos+snk.amt)
 			if lo < hi {
 				cnt := hi - lo
 				out[snk.proc] = local[keep+sent : keep+sent+cnt]
@@ -342,8 +342,8 @@ func sourceSink[K cmp.Ordered](p *machine.Proc, local []K, asc, sorted bool, buf
 		amt := targ[me] - counts[me]
 		var srcPos int64
 		for _, src := range sources {
-			lo := max64(need, srcPos)
-			hi := min64(need+amt, srcPos+src.amt)
+			lo := max(need, srcPos)
+			hi := min(need+amt, srcPos+src.amt)
 			if lo < hi {
 				inCounts[src.proc] = hi - lo
 			}
@@ -457,18 +457,4 @@ func b2i(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -45,9 +45,9 @@ func BenchmarkPrefix16(b *testing.B) {
 	})
 }
 
-func BenchmarkGlobalConcatv16(b *testing.B) {
+func BenchmarkGlobalConcat16(b *testing.B) {
 	benchCollective(b, 16, func(pr *machine.Proc, payload []int64) {
-		GlobalConcatv(pr, payload[:64], machine.WordBytes)
+		GlobalConcatInt64Flat(pr, payload[:64], nil)
 	})
 }
 
@@ -58,7 +58,7 @@ func BenchmarkTransport16(b *testing.B) {
 		for j := range out {
 			out[j] = payload[j*per : (j+1)*per]
 		}
-		Transport(pr, out, machine.WordBytes)
+		Transport(pr, out, machine.WordBytes, &TransportScratch[int64]{})
 	})
 }
 
@@ -97,7 +97,7 @@ func BenchmarkCombineSumInt64Pair8(b *testing.B) {
 
 func BenchmarkGlobalConcatInt64_8(b *testing.B) {
 	benchReused(b, 8, func(pr *machine.Proc, buf *[]int64) {
-		_, *buf = GlobalConcatInt64(pr, int64(pr.ID()), *buf)
+		_, *buf = GlobalConcatInt64Flat(pr, []int64{int64(pr.ID())}, *buf)
 	})
 }
 

@@ -8,10 +8,15 @@
 //	Global Concatenate O(tau log p + mu p)  Bruck all-gather
 //	Transportation     ~2 mu t              pairwise-scheduled all-to-all-v
 //
-// The parallel prefix exists as an int64 sum (PrefixSumInt64), the only
-// form the algorithms use; Gather is a flat variable-length gather on
-// processor 0 (GatherFlatInto), and Global Concatenate comes in
-// variable-length (GlobalConcatv) and int64 (GlobalConcatInt64) forms.
+// Each pattern is written once: Broadcast, BroadcastSlice and the int64
+// forms walk one binomial broadcast tree (down), every Combine walks one
+// binomial reduce tree (up) and then broadcasts, and Transport is the
+// Global Concatenate of the counts followed by TransportKnown. The
+// parallel prefix exists as an int64 sum (PrefixSumInt64), the only form
+// the algorithms use; Gather is a flat variable-length gather on
+// processor 0 (GatherFlatInto), and Global Concatenate is the Bruck
+// all-gather of a fixed-length int64 slice per processor
+// (GlobalConcatInt64Flat).
 //
 // All primitives work for arbitrary processor counts, not only powers of
 // two. Message costs (tau + mu*bytes) are charged by the machine layer;
@@ -31,32 +36,14 @@ const (
 	tagGather    = 4 << 20
 	tagConcat    = 5 << 20
 	tagTransport = 6 << 20
-	tagCounts    = 8 << 20
 )
 
 // Broadcast distributes the root's value to every processor and returns it.
 // bytes is the on-the-wire size of the value.
 func Broadcast[T any](p *machine.Proc, root int, val T, bytes int) T {
-	size := p.Procs()
-	if size == 1 {
-		return val
-	}
-	rel := relRank(p.ID(), root, size)
-	mask := 1
-	for mask < size {
-		if rel&mask != 0 {
-			src := absRank(rel-mask, root, size)
-			val = p.Recv(src, tagBroadcast+mask).(T)
-			break
-		}
-		mask <<= 1
-	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if rel&(mask-1) == 0 && rel&mask == 0 && rel+mask < size {
-			dst := absRank(rel+mask, root, size)
-			p.Send(dst, tagBroadcast+mask, val, bytes)
-		}
-	}
+	down(p.ID(), root, p.Procs(),
+		func(peer, mask int) { val = p.Recv(peer, tagBroadcast+mask).(T) },
+		func(peer, mask int) { p.Send(peer, tagBroadcast+mask, val, bytes) })
 	return val
 }
 
@@ -65,67 +52,57 @@ func Broadcast[T any](p *machine.Proc, root int, val T, bytes int) T {
 // that share memory with the root in-process; callers that need ownership
 // should copy.
 func BroadcastSlice[T any](p *machine.Proc, root int, vals []T, elemBytes int) []T {
-	size := p.Procs()
-	if size == 1 {
-		return vals
-	}
-	rel := relRank(p.ID(), root, size)
-	mask := 1
-	for mask < size {
-		if rel&mask != 0 {
-			src := absRank(rel-mask, root, size)
-			vals = p.Recv(src, tagBroadcast+mask).([]T)
-			break
-		}
-		mask <<= 1
-	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if rel&(mask-1) == 0 && rel&mask == 0 && rel+mask < size {
-			dst := absRank(rel+mask, root, size)
-			p.Send(dst, tagBroadcast+mask, vals, len(vals)*elemBytes)
-		}
-	}
+	down(p.ID(), root, p.Procs(),
+		func(peer, mask int) { vals = p.Recv(peer, tagBroadcast+mask).([]T) },
+		func(peer, mask int) { p.Send(peer, tagBroadcast+mask, vals, len(vals)*elemBytes) })
 	return vals
-}
-
-// reduce combines one value per processor with a commutative, associative
-// op and leaves the result on root. The second return is true only on root.
-func reduce[T any](p *machine.Proc, root int, val T, bytes int, op func(T, T) T) (T, bool) {
-	size := p.Procs()
-	if size == 1 {
-		return val, true
-	}
-	rel := relRank(p.ID(), root, size)
-	for mask := 1; mask < size; mask <<= 1 {
-		if rel&mask == 0 {
-			srcRel := rel | mask
-			if srcRel < size {
-				src := absRank(srcRel, root, size)
-				other := p.Recv(src, tagReduce+mask).(T)
-				val = op(val, other)
-			}
-		} else {
-			dst := absRank(rel&^mask, root, size)
-			p.Send(dst, tagReduce+mask, val, bytes)
-			var zero T
-			return zero, false
-		}
-	}
-	return val, true
 }
 
 // Combine is the paper's Combine primitive: an all-reduce. Every processor
 // contributes val and receives op applied across all contributions.
 func Combine[T any](p *machine.Proc, val T, bytes int, op func(T, T) T) T {
-	res, ok := reduce(p, 0, val, bytes, op)
-	if p.Procs() == 1 {
-		return res
+	up(p.ID(), p.Procs(),
+		func(peer, mask int) { val = op(val, p.Recv(peer, tagReduce+mask).(T)) },
+		func(peer, mask int) { p.Send(peer, tagReduce+mask, val, bytes) })
+	return Broadcast(p, 0, val, bytes)
+}
+
+// down walks processor me's edges of the binomial broadcast tree rooted
+// at root: recv(peer, mask) once from its parent (never on the root),
+// then send(peer, mask) to each child, farthest first. mask is the
+// tree level, which the callers add to their tag.
+func down(me, root, size int, recv, send func(peer, mask int)) {
+	rel := (me - root + size) % size
+	mask := 1
+	for ; mask < size; mask <<= 1 {
+		if rel&mask != 0 {
+			recv((me-mask+size)%size, mask)
+			break
+		}
 	}
-	if !ok {
-		var zero T
-		res = zero
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if rel+mask < size {
+			send((me+mask)%size, mask)
+		}
 	}
-	return Broadcast(p, 0, res, bytes)
+}
+
+// up walks processor me's edges of the binomial reduce tree rooted at
+// processor 0, the mirror of down's tree: recv(peer, mask) from each
+// child, nearest first, then send(peer, mask) once to its parent,
+// which ends the walk. It reports whether me is the root, the one
+// processor that holds the full reduction.
+func up(me, size int, recv, send func(peer, mask int)) (isRoot bool) {
+	for mask := 1; mask < size; mask <<= 1 {
+		if me&mask != 0 {
+			send(me&^mask, mask)
+			return false
+		}
+		if me|mask < size {
+			recv(me|mask, mask)
+		}
+	}
+	return true
 }
 
 // flatRun is a contiguous run of rank-order blocks already flattened
@@ -161,62 +138,41 @@ func GatherFlatInto[T any](p *machine.Proc, vals []T, elemBytes int, dst []T) (o
 	return buf, buf
 }
 
-// GlobalConcatv is the paper's Global Concatenate for variable-length
-// slices: every processor receives all p slices, indexed by absolute rank.
-// Implemented with the Bruck all-gather: ceil(log2 p) rounds, total data
-// moved per processor O(sum of slice sizes), so O(tau log p + mu p m).
-func GlobalConcatv[T any](p *machine.Proc, vals []T, elemBytes int) [][]T {
-	size := p.Procs()
-	if size == 1 {
-		return [][]T{vals}
-	}
-	me := p.ID()
-	// have[i] holds the slice of processor (me+i) mod size.
-	have := make([][]T, 1, size)
-	have[0] = vals
-	for pow, round := 1, 0; pow < size; pow, round = pow<<1, round+1 {
-		cnt := pow
-		if size-pow < cnt {
-			cnt = size - pow
-		}
-		dst := (me - pow + size) % size
-		src := (me + pow) % size
-		bytes := 0
-		for _, blk := range have[:cnt] {
-			bytes += len(blk) * elemBytes
-		}
-		p.Send(dst, tagConcat+round, have[:cnt:cnt], bytes)
-		in := p.Recv(src, tagConcat+round).([][]T)
-		have = append(have, in...)
-	}
-	out := make([][]T, size)
-	for i := 0; i < size; i++ {
-		out[(me+i)%size] = have[i]
-	}
-	return out
+// TransportScratch holds one processor's reusable Transport buffers. A
+// zero value is ready; buffers grow on demand.
+type TransportScratch[T any] struct {
+	counts    []int64
+	concat    []int64
+	in        [][]T
+	inOrdered []bool // every block goes as unknown; kept only for reuse
 }
 
 // Transport is the transportation primitive: many-to-many personalized
 // communication with possibly high variance in message sizes. out[j] holds
 // the elements destined for processor j (out[me] is delivered locally).
-// The result is indexed by source processor. Counts are exchanged first
-// with a Global Concatenate; use TransportKnown when receivers already
-// know their incoming counts (the load balancers do).
-func Transport[T any](p *machine.Proc, out [][]T, elemBytes int) [][]T {
+// The result is indexed by source processor and is a view into scr, valid
+// until the next call that reuses it. Counts are exchanged first with a
+// Global Concatenate; use TransportKnown when receivers already know
+// their incoming counts (the load balancers do).
+func Transport[T any](p *machine.Proc, out [][]T, elemBytes int, scr *TransportScratch[T]) [][]T {
 	size := p.Procs()
 	if len(out) != size {
 		panic("comm: Transport requires exactly one out slice per processor")
 	}
-	myCounts := make([]int64, size)
+	counts := scr.counts
+	if cap(counts) < size {
+		counts = make([]int64, size)
+	}
+	counts = counts[:size]
 	for j, block := range out {
-		myCounts[j] = int64(len(block))
+		counts[j] = int64(len(block))
 	}
-	all, _ := GlobalConcatInt64Flat(p, myCounts, nil)
-	inCounts := myCounts
-	for src := 0; src < size; src++ {
-		inCounts[src] = all[src*size+p.ID()]
+	all, concat := GlobalConcatInt64Flat(p, counts, scr.concat)
+	for src := range counts {
+		counts[src] = all[src*size+p.ID()]
 	}
-	in, _ := TransportKnown(p, out, false, inCounts, elemBytes, nil, nil)
+	in, inOrdered := TransportKnown(p, out, false, counts, elemBytes, scr.in, scr.inOrdered)
+	scr.counts, scr.concat, scr.in, scr.inOrdered = counts, concat, in, inOrdered
 	return in
 }
 
@@ -275,9 +231,3 @@ func TransportKnown[T any](p *machine.Proc, out [][]T, ordered bool, inCounts []
 	}
 	return in, inOrdered
 }
-
-// relRank maps an absolute rank to its rank relative to root.
-func relRank(id, root, size int) int { return (id - root + size) % size }
-
-// absRank maps a root-relative rank back to an absolute rank.
-func absRank(rel, root, size int) int { return (rel + root) % size }

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -62,43 +63,42 @@ func TestBroadcastSlice(t *testing.T) {
 	}
 }
 
+// reduceInt64 runs the reduce walk alone: it returns the fold of every
+// processor's val under op on processor 0 and reports whether the caller
+// is that root.
+func reduceInt64(pr *machine.Proc, val int64, op func(a, b int64) int64) (int64, bool) {
+	isRoot := up(pr.ID(), pr.Procs(),
+		func(peer, mask int) { val = op(val, pr.Recv(peer, tagReduce+mask).(int64)) },
+		func(peer, mask int) { pr.Send(peer, tagReduce+mask, val, 8) })
+	return val, isRoot
+}
+
 func TestReduceSum(t *testing.T) {
 	for _, p := range procCounts {
-		for _, root := range []int{0, p / 2} {
-			var want int64
-			for i := 0; i < p; i++ {
-				want += int64(i * i)
-			}
-			runSPMD(t, p, func(pr *machine.Proc) {
-				v := int64(pr.ID() * pr.ID())
-				got, ok := reduce(pr, root, v, 8, func(a, b int64) int64 { return a + b })
-				if (pr.ID() == root) != ok {
-					t.Errorf("p=%d proc %d ok=%v", p, pr.ID(), ok)
-				}
-				if ok && got != want {
-					t.Errorf("p=%d root sum=%d want %d", p, got, want)
-				}
-			})
+		var want int64
+		for i := 0; i < p; i++ {
+			want += int64(i * i)
 		}
+		runSPMD(t, p, func(pr *machine.Proc) {
+			got, ok := reduceInt64(pr, int64(pr.ID()*pr.ID()), func(a, b int64) int64 { return a + b })
+			if (pr.ID() == 0) != ok {
+				t.Errorf("p=%d proc %d ok=%v", p, pr.ID(), ok)
+			}
+			if ok && got != want {
+				t.Errorf("p=%d root sum=%d want %d", p, got, want)
+			}
+		})
 	}
 }
 
 func TestReduceMax(t *testing.T) {
 	for _, p := range procCounts {
 		runSPMD(t, p, func(pr *machine.Proc) {
-			v := int64((pr.ID()*7 + 3) % p)
-			got, ok := reduce(pr, 0, v, 8, func(a, b int64) int64 {
-				if a > b {
-					return a
-				}
-				return b
-			})
+			got, ok := reduceInt64(pr, int64((pr.ID()*7+3)%p), func(a, b int64) int64 { return max(a, b) })
 			if ok {
 				var want int64
 				for i := 0; i < p; i++ {
-					if w := int64((i*7 + 3) % p); w > want {
-						want = w
-					}
+					want = max(want, int64((i*7+3)%p))
 				}
 				if got != want {
 					t.Errorf("p=%d max=%d want %d", p, got, want)
@@ -217,7 +217,7 @@ func TestGatherFlat(t *testing.T) {
 func TestGlobalConcatScalar(t *testing.T) {
 	for _, p := range procCounts {
 		runSPMD(t, p, func(pr *machine.Proc) {
-			res, _ := GlobalConcatInt64(pr, int64(pr.ID()*3+1), nil)
+			res, _ := GlobalConcatInt64Flat(pr, []int64{int64(pr.ID()*3 + 1)}, nil)
 			if len(res) != p {
 				t.Fatalf("p=%d len %d", p, len(res))
 			}
@@ -230,26 +230,32 @@ func TestGlobalConcatScalar(t *testing.T) {
 	}
 }
 
-func TestGlobalConcatvVariableSizes(t *testing.T) {
+// TestGlobalConcatFlat concatenates L keys per processor, including
+// none, into buffers reused across two runs: every processor holds every
+// block in rank order both times.
+func TestGlobalConcatFlat(t *testing.T) {
 	for _, p := range procCounts {
-		runSPMD(t, p, func(pr *machine.Proc) {
-			mine := make([]int64, (pr.ID()*13)%5)
-			for j := range mine {
-				mine[j] = int64(pr.ID()*100 + j)
-			}
-			res := GlobalConcatv(pr, mine, 8)
-			for src := 0; src < p; src++ {
-				wantLen := (src * 13) % 5
-				if len(res[src]) != wantLen {
-					t.Fatalf("p=%d src %d len %d want %d", p, src, len(res[src]), wantLen)
-				}
-				for j, v := range res[src] {
-					if v != int64(src*100+j) {
-						t.Errorf("p=%d src %d elem %d = %d", p, src, j, v)
+		for _, L := range []int{0, 1, 3} {
+			bufs := make([][]int64, p)
+			for range 2 {
+				runSPMD(t, p, func(pr *machine.Proc) {
+					mine := make([]int64, L)
+					for j := range mine {
+						mine[j] = int64(pr.ID()*100 + j)
 					}
-				}
+					var res []int64
+					res, bufs[pr.ID()] = GlobalConcatInt64Flat(pr, mine, bufs[pr.ID()])
+					if len(res) != p*L {
+						t.Fatalf("p=%d L=%d: len %d", p, L, len(res))
+					}
+					for i, v := range res {
+						if src, j := i/L, i%L; v != int64(src*100+j) {
+							t.Errorf("p=%d L=%d: proc %d entry %d = %d", p, L, pr.ID(), i, v)
+						}
+					}
+				})
 			}
-		})
+		}
 	}
 }
 
@@ -271,7 +277,7 @@ func TestTransport(t *testing.T) {
 			for dst := 0; dst < p; dst++ {
 				out[dst] = transportPattern(p, pr.ID(), dst)
 			}
-			in := Transport(pr, out, 8)
+			in := Transport(pr, out, 8, &TransportScratch[int64]{})
 			for src := 0; src < p; src++ {
 				want := transportPattern(p, src, pr.ID())
 				if len(want) == 0 {
@@ -327,7 +333,7 @@ func TestTransportSelfOnly(t *testing.T) {
 	runSPMD(t, 4, func(pr *machine.Proc) {
 		out := make([][]int64, 4)
 		out[pr.ID()] = []int64{int64(pr.ID())}
-		in := Transport(pr, out, 8)
+		in := Transport(pr, out, 8, &TransportScratch[int64]{})
 		if len(in[pr.ID()]) != 1 || in[pr.ID()][0] != int64(pr.ID()) {
 			t.Errorf("self block lost: %v", in)
 		}
@@ -376,7 +382,7 @@ func TestCollectivesDeterministic(t *testing.T) {
 		sim, err := machine.Run(machine.DefaultParams(6), func(pr *machine.Proc) {
 			v := CombineInt64(pr, int64(pr.ID()))
 			PrefixSumInt64(pr, v)
-			GlobalConcatInt64(pr, v, nil)
+			GlobalConcatInt64Flat(pr, []int64{v}, nil)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -407,7 +413,7 @@ func TestRandomizedTransportFuzz(t *testing.T) {
 			}
 		}
 		runSPMD(t, p, func(pr *machine.Proc) {
-			in := Transport(pr, pattern[pr.ID()], 8)
+			in := Transport(pr, pattern[pr.ID()], 8, &TransportScratch[int64]{})
 			for src := 0; src < p; src++ {
 				want := pattern[src][pr.ID()]
 				if len(want) == 0 {
@@ -434,8 +440,12 @@ func sumVector(id, L int) []int64 {
 	return v
 }
 
+// TestCombineSumInt64Slice checks the vector sum on every processor,
+// that the input is left alone, and that the collective costs what the
+// generic Combine of the vector costs: identical simulated time and
+// per-processor counters.
 func TestCombineSumInt64Slice(t *testing.T) {
-	for p := 1; p <= 9; p++ {
+	for _, p := range procCounts {
 		for _, L := range []int{0, 1, 2, 7} {
 			want := make([]int64, L)
 			for id := 0; id < p; id++ {
@@ -480,11 +490,60 @@ func TestCombineSumInt64Slice(t *testing.T) {
 	}
 }
 
-// TestCombineSumInt64SliceNoAllocs pins the collective allocation-free
-// once its buffer is warm: back-to-back calls reusing one buffer per
-// processor must allocate nothing beyond the machine run itself.
-func TestCombineSumInt64SliceNoAllocs(t *testing.T) {
-	const p, L, calls = 7, 18, 50
+// costOf runs body on p processors and returns its simulated time and
+// each processor's counters.
+func costOf(t *testing.T, p int, body func(*machine.Proc)) (float64, []machine.Counters) {
+	t.Helper()
+	counters := make([]machine.Counters, p)
+	sim := runSPMD(t, p, func(pr *machine.Proc) {
+		body(pr)
+		counters[pr.ID()] = pr.Counters
+	})
+	return sim, counters
+}
+
+// TestTypedCollectivesCostGeneric checks the int64 scalar and pair
+// forms against the generic collective they specialise, at the same
+// bytes: identical simulated time and per-processor counters for every
+// processor count and every broadcast root. TestCombineSumInt64Slice
+// checks the vector form.
+func TestTypedCollectivesCostGeneric(t *testing.T) {
+	const bytes = 3 * machine.WordBytes
+	sum := func(a, b int64) int64 { return a + b }
+	for _, p := range procCounts {
+		same := func(name string, typed, generic func(*machine.Proc)) {
+			t.Helper()
+			simT, cT := costOf(t, p, typed)
+			simG, cG := costOf(t, p, generic)
+			if simT != simG || !slices.Equal(cT, cG) {
+				t.Errorf("p=%d %s: %g s %+v, generic %g s %+v", p, name, simT, cT, simG, cG)
+			}
+		}
+		for root := 0; root < p; root++ {
+			same(fmt.Sprintf("BroadcastInt64Pair root %d", root),
+				func(pr *machine.Proc) { BroadcastInt64Pair(pr, root, 1, 2, bytes) },
+				func(pr *machine.Proc) { Broadcast(pr, root, [2]int64{1, 2}, bytes) })
+		}
+		same("CombineInt64",
+			func(pr *machine.Proc) { CombineInt64(pr, int64(pr.ID())) },
+			func(pr *machine.Proc) { Combine(pr, int64(pr.ID()), machine.WordBytes, sum) })
+		same("CombineSumInt64Pair",
+			func(pr *machine.Proc) { CombineSumInt64Pair(pr, int64(pr.ID()), 1, bytes) },
+			func(pr *machine.Proc) { Combine(pr, int64(pr.ID()), bytes, sum) })
+		same("CombineMaxInt64",
+			func(pr *machine.Proc) { CombineMaxInt64(pr, int64(pr.ID()), bytes) },
+			func(pr *machine.Proc) {
+				Combine(pr, int64(pr.ID()), bytes, func(a, b int64) int64 { return max(a, b) })
+			})
+	}
+}
+
+// TestInt64CollectivesNoAllocs pins the int64 collectives
+// allocation-free once their buffers are warm: a run of back-to-back
+// calls on a reused machine must allocate exactly what an idle run
+// does. A walker closure that escapes to the heap fails it.
+func TestInt64CollectivesNoAllocs(t *testing.T) {
+	const p, L, calls = 8, 18, 50
 	m, err := machine.New(machine.DefaultParams(p))
 	if err != nil {
 		t.Fatal(err)
@@ -494,29 +553,38 @@ func TestCombineSumInt64SliceNoAllocs(t *testing.T) {
 	bufs := make([][]int64, p)
 	for id := range vals {
 		vals[id] = sumVector(id, L)
-		bufs[id] = make([]int64, 2*L)
 	}
-	var want int64
-	for id := 0; id < p; id++ {
-		want += vals[id][L-1]
+	cases := []struct {
+		name string
+		call func(pr *machine.Proc, buf *[]int64)
+	}{
+		{"CombineInt64", func(pr *machine.Proc, _ *[]int64) { CombineInt64(pr, 1) }},
+		{"CombineSumInt64Pair", func(pr *machine.Proc, _ *[]int64) { CombineSumInt64Pair(pr, 1, 2, 16) }},
+		{"CombineMaxInt64", func(pr *machine.Proc, _ *[]int64) { CombineMaxInt64(pr, 1, 8) }},
+		{"BroadcastInt64", func(pr *machine.Proc, _ *[]int64) { BroadcastInt64(pr, 3, 1, 8) }},
+		{"PrefixSumInt64", func(pr *machine.Proc, _ *[]int64) { PrefixSumInt64(pr, 1) }},
+		{"GlobalConcatInt64Flat", func(pr *machine.Proc, buf *[]int64) {
+			_, *buf = GlobalConcatInt64Flat(pr, vals[pr.ID()], *buf)
+		}},
+		{"CombineSumInt64Slice", func(pr *machine.Proc, buf *[]int64) {
+			_, *buf = CombineSumInt64Slice(pr, vals[pr.ID()], *buf)
+		}},
 	}
-	run := func(n int) {
-		if _, err := m.Run(func(pr *machine.Proc) {
-			id := pr.ID()
-			for i := 0; i < n; i++ {
-				var out []int64
-				out, bufs[id] = CombineSumInt64Slice(pr, vals[id], bufs[id])
-				if out[L-1] != want {
-					panic("wrong sum")
+	for _, c := range cases {
+		run := func(n int) {
+			if _, err := m.Run(func(pr *machine.Proc) {
+				for range n {
+					c.call(pr, &bufs[pr.ID()])
 				}
+			}); err != nil {
+				t.Fatal(err)
 			}
-		}); err != nil {
-			t.Fatal(err)
 		}
-	}
-	idle := testing.AllocsPerRun(10, func() { run(0) })
-	busy := testing.AllocsPerRun(10, func() { run(calls) })
-	if busy-idle >= calls {
-		t.Errorf("%d calls allocate %.0f objects over an idle run's %.0f", calls, busy, idle)
+		run(1) // warm the buffers
+		idle := testing.AllocsPerRun(10, func() { run(0) })
+		busy := testing.AllocsPerRun(10, func() { run(calls) })
+		if busy != idle {
+			t.Errorf("%s: %d calls allocate %.0f objects per run, an idle run %.0f", c.name, calls, busy, idle)
+		}
 	}
 }

@@ -25,7 +25,7 @@ func primPrefix(p *machine.Proc, payload []int64) {
 }
 
 func primConcat(p *machine.Proc, payload []int64) {
-	comm.GlobalConcatv(p, payload, machine.WordBytes)
+	comm.GlobalConcatInt64Flat(p, payload, nil)
 }
 
 func primTransport(p *machine.Proc, payload []int64) {
@@ -41,7 +41,7 @@ func primTransport(p *machine.Proc, payload []int64) {
 		}
 		out[j] = payload[lo:hi]
 	}
-	comm.Transport(p, out, machine.WordBytes)
+	comm.Transport(p, out, machine.WordBytes, new(comm.TransportScratch[int64]))
 }
 
 // measurePrim returns the simulated time of one collective invocation

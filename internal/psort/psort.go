@@ -28,10 +28,7 @@ type Scratch[K cmp.Ordered] struct {
 	gather    []K
 	splitters []K
 	out       [][]K
-	in        [][]K
-	inOrdered []bool // the transport's order bits, unused: blocks go as unknown
-	counts    []int64
-	cbuf      []int64
+	transport comm.TransportScratch[K]
 	merged    []K
 }
 
@@ -70,10 +67,7 @@ func Sort[K cmp.Ordered](p *machine.Proc, local []K, c int, scr *Scratch[K]) []K
 	// would only inflate the root gather).
 	samples := scr.samples[:0]
 	if len(local) > 0 {
-		cnt := c
-		if len(local) < cnt {
-			cnt = len(local)
-		}
+		cnt := min(c, len(local))
 		for i := 0; i < cnt; i++ {
 			idx := i * len(local) / cnt
 			samples = append(samples, local[idx])
@@ -105,7 +99,8 @@ func Sort[K cmp.Ordered](p *machine.Proc, local []K, c int, scr *Scratch[K]) []K
 
 	// Split the sorted local run along the splitters. Splitter j is the
 	// upper bound of destination j's range, so destination j receives
-	// keys in (splitters[j-1], splitters[j]].
+	// keys in (splitters[j-1], splitters[j]]. A degenerate sample (tiny
+	// or empty input) leaves the ranges past its last splitter empty.
 	if cap(scr.out) < size {
 		scr.out = make([][]K, size)
 	}
@@ -121,35 +116,8 @@ func Sort[K cmp.Ordered](p *machine.Proc, local []K, c int, scr *Scratch[K]) []K
 		start += end
 	}
 	out[size-1] = local[start:]
-	if len(splitters) < size-1 {
-		// Degenerate sample (tiny or empty input): any missing ranges
-		// stay empty; everything beyond the last splitter goes to the
-		// last processor, which out[size-1] already covers.
-		for j := len(splitters); j < size-1; j++ {
-			if out[j] == nil {
-				out[j] = local[:0]
-			}
-		}
-	}
 
-	// The transportation primitive, with its counts exchange drawn from
-	// scratch (identical wire behaviour to comm.Transport).
-	counts := scr.counts
-	if cap(counts) < size {
-		counts = make([]int64, size)
-	}
-	counts = counts[:size]
-	for j, block := range out {
-		counts[j] = int64(len(block))
-	}
-	allCounts, cbuf := comm.GlobalConcatInt64Flat(p, counts, scr.cbuf)
-	scr.cbuf = cbuf
-	for src := 0; src < size; src++ {
-		counts[src] = allCounts[src*size+p.ID()]
-	}
-	scr.counts = counts
-	in, inOrdered := comm.TransportKnown(p, out, false, counts, machine.WordBytes, scr.in, scr.inOrdered)
-	scr.in, scr.inOrdered = in, inOrdered
+	in := comm.Transport(p, out, machine.WordBytes, &scr.transport)
 	merged, ops := seq.MergeKInto(scr.merged, in)
 	scr.merged = merged
 	p.Charge(ops)

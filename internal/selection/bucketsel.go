@@ -71,7 +71,6 @@ func selectBucket[K cmp.Ordered](p *machine.Proc, local []K, rank, n int64, opts
 		case -1:
 			tab.KeepLess()
 		case 0:
-			st.PivotExit = true
 			return piv
 		case +1:
 			tab.KeepGreater()

@@ -209,7 +209,6 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 			// Window hit. If the window has collapsed to a single key,
 			// every middle element equals it: done.
 			if k1 == k2 {
-				st.PivotExit = true
 				return k1
 			}
 			local = mid
@@ -263,7 +262,6 @@ func selectFastRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int
 			local, rank, newN, piv, done = randomizedStep(p, local, rank, n, opts)
 			sorted = false
 			if done {
-				st.PivotExit = true
 				return piv
 			}
 		}

@@ -81,7 +81,6 @@ func selectMoM[K cmp.Ordered](p *machine.Proc, local []K, rank, n int64, opts Op
 			local = lessBuf
 			curWin = tA
 		case 0:
-			st.PivotExit = true
 			return piv
 		case +1:
 			local = gtBuf

@@ -72,7 +72,6 @@ func selectRandomized[K cmp.Ordered](p *machine.Proc, local []K, rank, n int64, 
 		var done bool
 		local, rank, n, piv, done = randomizedStep(p, local, rank, n, opts)
 		if done {
-			st.PivotExit = true
 			return piv
 		}
 

@@ -147,9 +147,6 @@ type Stats struct {
 	// CapHit records that MaxIterations was reached and the run
 	// finished by gathering early.
 	CapHit bool
-	// PivotExit records that the run ended early because a pivot was
-	// proven to be the answer.
-	PivotExit bool
 	// BalanceSeconds is the simulated time this processor spent inside
 	// load balancing.
 	BalanceSeconds float64
