@@ -45,9 +45,9 @@ func BenchmarkPrefix16(b *testing.B) {
 	})
 }
 
-func BenchmarkGlobalConcat16(b *testing.B) {
+func BenchmarkGlobalConcatv16(b *testing.B) {
 	benchCollective(b, 16, func(pr *machine.Proc, payload []int64) {
-		GlobalConcatInt64Flat(pr, payload[:64], nil)
+		GlobalConcatv(pr, payload[:64], machine.WordBytes)
 	})
 }
 

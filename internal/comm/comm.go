@@ -10,13 +10,16 @@
 //
 // Each pattern is written once: Broadcast, BroadcastSlice and the int64
 // forms walk one binomial broadcast tree (down), every Combine walks one
-// binomial reduce tree (up) and then broadcasts, and Transport is the
-// Global Concatenate of the counts followed by TransportKnown. The
-// parallel prefix exists as an int64 sum (PrefixSumInt64), the only form
-// the algorithms use; Gather is a flat variable-length gather on
-// processor 0 (GatherFlatInto), and Global Concatenate is the Bruck
-// all-gather of a fixed-length int64 slice per processor
-// (GlobalConcatInt64Flat).
+// binomial reduce tree (up) and then broadcasts, both Global Concatenate
+// forms walk one Bruck schedule (bruck), and Transport is the Global
+// Concatenate of the counts followed by TransportKnown. The parallel
+// prefix exists as an int64 sum (PrefixSumInt64), the only form the
+// algorithms use; Gather is a flat variable-length gather on processor 0
+// (GatherFlatInto). Global Concatenate passes block headers for
+// variable-length slices (GlobalConcatv), so its host memory does not
+// grow with the payload, and copies a fixed-length int64 slice per
+// processor into a reused flat buffer (GlobalConcatInt64Flat), so it
+// allocates nothing.
 //
 // All primitives work for arbitrary processor counts, not only powers of
 // two. Message costs (tau + mu*bytes) are charged by the machine layer;
@@ -103,6 +106,42 @@ func up(me, size int, recv, send func(peer, mask int)) (isRoot bool) {
 		}
 	}
 	return true
+}
+
+// bruck walks processor me's rounds of the Bruck all-gather. Holding the
+// blocks of processors me, me+1, ... (mod size) in that order, in round
+// r (pow = 2^r) it sends its first cnt = min(pow, size-pow) blocks to
+// dst = me-pow and receives cnt more, which follow them, from src =
+// me+pow; step(dst, src, r, cnt) does one round, and the callers add r
+// to their tag. After ceil(log2 size) rounds every block has arrived.
+func bruck(me, size int, step func(dst, src, round, cnt int)) {
+	for pow, round := 1, 0; pow < size; pow, round = pow<<1, round+1 {
+		step((me-pow+size)%size, (me+pow)%size, round, min(pow, size-pow))
+	}
+}
+
+// GlobalConcatv is the paper's Global Concatenate for variable-length
+// slices: every processor receives all p slices, indexed by absolute
+// rank, O(tau log p + mu p m). Messages carry block headers, not copies,
+// so the result shares memory with the senders' slices.
+func GlobalConcatv[T any](p *machine.Proc, vals []T, elemBytes int) [][]T {
+	size := p.Procs()
+	// have[i] holds the slice of processor (me+i) mod size.
+	have := make([][]T, 1, size)
+	have[0] = vals
+	bruck(p.ID(), size, func(dst, src, round, cnt int) {
+		bytes := 0
+		for _, blk := range have[:cnt] {
+			bytes += len(blk) * elemBytes
+		}
+		p.Send(dst, tagConcat+round, have[:cnt:cnt], bytes)
+		have = append(have, p.Recv(src, tagConcat+round).([][]T)...)
+	})
+	out := make([][]T, size)
+	for i, blk := range have {
+		out[(p.ID()+i)%size] = blk
+	}
+	return out
 }
 
 // flatRun is a contiguous run of rank-order blocks already flattened

@@ -230,6 +230,29 @@ func TestGlobalConcatScalar(t *testing.T) {
 	}
 }
 
+func TestGlobalConcatvVariableSizes(t *testing.T) {
+	for _, p := range procCounts {
+		runSPMD(t, p, func(pr *machine.Proc) {
+			mine := make([]int64, (pr.ID()*13)%5)
+			for j := range mine {
+				mine[j] = int64(pr.ID()*100 + j)
+			}
+			res := GlobalConcatv(pr, mine, 8)
+			for src := 0; src < p; src++ {
+				wantLen := (src * 13) % 5
+				if len(res[src]) != wantLen {
+					t.Fatalf("p=%d src %d len %d want %d", p, src, len(res[src]), wantLen)
+				}
+				for j, v := range res[src] {
+					if v != int64(src*100+j) {
+						t.Errorf("p=%d src %d elem %d = %d", p, src, j, v)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestGlobalConcatFlat concatenates L keys per processor, including
 // none, into buffers reused across two runs: every processor holds every
 // block in rank order both times.
@@ -505,8 +528,9 @@ func costOf(t *testing.T, p int, body func(*machine.Proc)) (float64, []machine.C
 // TestTypedCollectivesCostGeneric checks the int64 scalar and pair
 // forms against the generic collective they specialise, at the same
 // bytes: identical simulated time and per-processor counters for every
-// processor count and every broadcast root. TestCombineSumInt64Slice
-// checks the vector form.
+// processor count and every broadcast root, and the flat Global
+// Concatenate against GlobalConcatv at equal lengths.
+// TestCombineSumInt64Slice checks the vector Combine.
 func TestTypedCollectivesCostGeneric(t *testing.T) {
 	const bytes = 3 * machine.WordBytes
 	sum := func(a, b int64) int64 { return a + b }
@@ -535,15 +559,26 @@ func TestTypedCollectivesCostGeneric(t *testing.T) {
 			func(pr *machine.Proc) {
 				Combine(pr, int64(pr.ID()), bytes, func(a, b int64) int64 { return max(a, b) })
 			})
+		same("GlobalConcatInt64Flat",
+			func(pr *machine.Proc) { GlobalConcatInt64Flat(pr, sumVector(pr.ID(), 3), nil) },
+			func(pr *machine.Proc) { GlobalConcatv(pr, sumVector(pr.ID(), 3), machine.WordBytes) })
 	}
 }
 
 // TestInt64CollectivesNoAllocs pins the int64 collectives
 // allocation-free once their buffers are warm: a run of back-to-back
 // calls on a reused machine must allocate exactly what an idle run
-// does. A walker closure that escapes to the heap fails it.
+// does, on a tree that is a power of two and one that is not. A walker
+// closure that escapes to the heap fails it. Every call also checks its
+// result, so a reused buffer must still give the right answer.
 func TestInt64CollectivesNoAllocs(t *testing.T) {
-	const p, L, calls = 8, 18, 50
+	for _, p := range []int{7, 8} {
+		int64CollectivesNoAllocs(t, p)
+	}
+}
+
+func int64CollectivesNoAllocs(t *testing.T, p int) {
+	const L, calls, root = 18, 50, 3
 	m, err := machine.New(machine.DefaultParams(p))
 	if err != nil {
 		t.Fatal(err)
@@ -551,30 +586,56 @@ func TestInt64CollectivesNoAllocs(t *testing.T) {
 	defer m.Close()
 	vals := make([][]int64, p)
 	bufs := make([][]int64, p)
+	wantSum := make([]int64, L)
+	var wantConcat []int64
 	for id := range vals {
 		vals[id] = sumVector(id, L)
+		for i, v := range vals[id] {
+			wantSum[i] += v
+		}
+		wantConcat = append(wantConcat, vals[id]...)
 	}
+	sumIDs := int64(p * (p - 1) / 2)
 	cases := []struct {
 		name string
-		call func(pr *machine.Proc, buf *[]int64)
+		call func(pr *machine.Proc, buf *[]int64) bool
 	}{
-		{"CombineInt64", func(pr *machine.Proc, _ *[]int64) { CombineInt64(pr, 1) }},
-		{"CombineSumInt64Pair", func(pr *machine.Proc, _ *[]int64) { CombineSumInt64Pair(pr, 1, 2, 16) }},
-		{"CombineMaxInt64", func(pr *machine.Proc, _ *[]int64) { CombineMaxInt64(pr, 1, 8) }},
-		{"BroadcastInt64", func(pr *machine.Proc, _ *[]int64) { BroadcastInt64(pr, 3, 1, 8) }},
-		{"PrefixSumInt64", func(pr *machine.Proc, _ *[]int64) { PrefixSumInt64(pr, 1) }},
-		{"GlobalConcatInt64Flat", func(pr *machine.Proc, buf *[]int64) {
-			_, *buf = GlobalConcatInt64Flat(pr, vals[pr.ID()], *buf)
+		{"CombineInt64", func(pr *machine.Proc, _ *[]int64) bool {
+			return CombineInt64(pr, int64(pr.ID())) == sumIDs
 		}},
-		{"CombineSumInt64Slice", func(pr *machine.Proc, buf *[]int64) {
-			_, *buf = CombineSumInt64Slice(pr, vals[pr.ID()], *buf)
+		{"CombineSumInt64Pair", func(pr *machine.Proc, _ *[]int64) bool {
+			a, b := CombineSumInt64Pair(pr, int64(pr.ID()), 1, 16)
+			return a == sumIDs && b == int64(p)
+		}},
+		{"CombineMaxInt64", func(pr *machine.Proc, _ *[]int64) bool {
+			return CombineMaxInt64(pr, int64(pr.ID()), 8) == int64(p-1)
+		}},
+		{"BroadcastInt64", func(pr *machine.Proc, _ *[]int64) bool {
+			return BroadcastInt64(pr, root, int64(pr.ID()), 8) == root
+		}},
+		{"PrefixSumInt64", func(pr *machine.Proc, _ *[]int64) bool {
+			id := int64(pr.ID())
+			return PrefixSumInt64(pr, id) == id*(id+1)/2
+		}},
+		{"GlobalConcatInt64Flat", func(pr *machine.Proc, buf *[]int64) bool {
+			var out []int64
+			out, *buf = GlobalConcatInt64Flat(pr, vals[pr.ID()], *buf)
+			return slices.Equal(out, wantConcat)
+		}},
+		{"CombineSumInt64Slice", func(pr *machine.Proc, buf *[]int64) bool {
+			var out []int64
+			out, *buf = CombineSumInt64Slice(pr, vals[pr.ID()], *buf)
+			return slices.Equal(out, wantSum)
 		}},
 	}
 	for _, c := range cases {
 		run := func(n int) {
 			if _, err := m.Run(func(pr *machine.Proc) {
 				for range n {
-					c.call(pr, &bufs[pr.ID()])
+					if !c.call(pr, &bufs[pr.ID()]) {
+						t.Errorf("p=%d %s: wrong result on processor %d", p, c.name, pr.ID())
+						return
+					}
 				}
 			}); err != nil {
 				t.Fatal(err)
@@ -584,7 +645,7 @@ func TestInt64CollectivesNoAllocs(t *testing.T) {
 		idle := testing.AllocsPerRun(10, func() { run(0) })
 		busy := testing.AllocsPerRun(10, func() { run(calls) })
 		if busy != idle {
-			t.Errorf("%s: %d calls allocate %.0f objects per run, an idle run %.0f", c.name, calls, busy, idle)
+			t.Errorf("p=%d %s: %d calls allocate %.0f objects per run, an idle run %.0f", p, c.name, calls, busy, idle)
 		}
 	}
 }

@@ -1,9 +1,10 @@
 // Typed int64 fast paths for the hottest collectives. Each walks the
-// same tree (down, up) with the same tags and byte sizes as the generic
-// form of its collective, so simulated time and traffic counters are
-// bit-identical to it; the only difference is that values travel
-// through the machine's inline int64 message fields instead of being
-// boxed into interfaces, making the host-side cost allocation-free.
+// same walker (down, up, bruck) with the same tags and byte sizes as
+// the generic form of its collective, so simulated time and traffic
+// counters are bit-identical to it; the only difference is that values
+// travel through the machine's inline int64 message fields instead of
+// being boxed into interfaces, making the host-side cost
+// allocation-free.
 package comm
 
 import "parsel/internal/machine"
@@ -119,13 +120,15 @@ func PrefixSumInt64(p *machine.Proc, val int64) int64 {
 
 // GlobalConcatInt64Flat is the paper's Global Concatenate of a
 // fixed-length int64 slice per processor (the balancers' one count, the
-// counts exchange of Transport). It is the Bruck all-gather:
-// ceil(log2 p) rounds, total data moved per processor O(p*L), so
-// O(tau log p + mu p L). The result is flat: processor r's contribution
-// occupies [r*L, (r+1)*L). buf, when large enough (2*p*L), provides all
-// working storage so the collective allocates nothing; it is returned
-// (possibly grown) for the caller to retain. The result is a view into
-// it, valid until the next call that reuses the buffer.
+// counts exchange of Transport), walking the Bruck schedule of
+// GlobalConcatv with the same tags and bytes. The result is flat:
+// processor r's contribution occupies [r*L, (r+1)*L). buf, when large
+// enough (2*p*L), provides all working storage so the collective
+// allocates nothing; it is returned (possibly grown) for the caller to
+// retain. The result is a view into it, valid until the next call that
+// reuses the buffer. Every key is copied into buf, so a large payload
+// without a reused buffer costs 2*p*L words per call; GlobalConcatv
+// passes headers instead.
 func GlobalConcatInt64Flat(p *machine.Proc, vals []int64, buf []int64) (out, grown []int64) {
 	size := p.Procs()
 	me := p.ID()
@@ -142,14 +145,10 @@ func GlobalConcatInt64Flat(p *machine.Proc, vals []int64, buf []int64) (out, gro
 	if size == 1 {
 		return have, buf
 	}
-	for pow, round := 1, 0; pow < size; pow, round = pow<<1, round+1 {
-		cnt := min(pow, size-pow)
-		dst := (me - pow + size) % size
-		src := (me + pow) % size
+	bruck(me, size, func(dst, src, round, cnt int) {
 		p.SendInt64Slice(dst, tagConcat+round, have[:cnt*L], cnt*L*machine.WordBytes)
-		in := p.RecvInt64Slice(src, tagConcat+round)
-		have = append(have, in...)
-	}
+		have = append(have, p.RecvInt64Slice(src, tagConcat+round)...)
+	})
 	out = buf[size*L : need]
 	for i := 0; i < size; i++ {
 		copy(out[((me+i)%size)*L:], have[i*L:(i+1)*L])

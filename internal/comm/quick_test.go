@@ -92,8 +92,8 @@ func TestQuickPrefixAgainstSerial(t *testing.T) {
 	}
 }
 
-// TestQuickGatherConcatAgree: GatherFlatInto on the root must hold the
-// rank-order concatenation of the shards, for arbitrary shard shapes.
+// TestQuickGatherConcatAgree: GatherFlatInto on the root must agree
+// with GlobalConcatv everywhere, for arbitrary shard shapes.
 func TestQuickGatherConcatAgree(t *testing.T) {
 	f := func(raw [][]int16, pRaw uint8) bool {
 		p := 1 + int(pRaw%10)
@@ -109,7 +109,14 @@ func TestQuickGatherConcatAgree(t *testing.T) {
 		good := true
 		ok := quickRun(p, func(pr *machine.Proc) {
 			gat, _ := GatherFlatInto(pr, shards[pr.ID()], 8, nil)
-			if pr.ID() == 0 && !slices.Equal(gat, slices.Concat(shards...)) {
+			all := GlobalConcatv(pr, shards[pr.ID()], 8)
+			for src := 0; src < p; src++ {
+				if !slices.Equal(all[src], shards[src]) {
+					good = false
+					return
+				}
+			}
+			if pr.ID() == 0 && !slices.Equal(gat, slices.Concat(all...)) {
 				good = false
 			}
 		})

@@ -25,7 +25,7 @@ func primPrefix(p *machine.Proc, payload []int64) {
 }
 
 func primConcat(p *machine.Proc, payload []int64) {
-	comm.GlobalConcatInt64Flat(p, payload, nil)
+	comm.GlobalConcatv(p, payload, machine.WordBytes)
 }
 
 func primTransport(p *machine.Proc, payload []int64) {
