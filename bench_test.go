@@ -111,7 +111,6 @@ func BenchmarkSelectOneShot(b *testing.B) {
 func BenchmarkSelectorReuse(b *testing.B) {
 	shards := makeShards(256<<10, 8)
 	opts := parsel.Options{Algorithm: parsel.FastRandomized, Balancer: parsel.ModifiedOMLB}
-	opts.Machine.Procs = len(shards)
 	sel, err := parsel.NewSelector[int64](opts)
 	if err != nil {
 		b.Fatal(err)

@@ -15,8 +15,10 @@ import (
 // The borrowed-input guard: no query may write the shards it reads,
 // whichever algorithm, balancer and path serves it. Fast randomized selection reads borrowed shards in place, so
 // these populations are well above p^2 (8 x 4096 keys): the pivot
-// iterations, their filters, the stall fallback and the iteration cap all
-// run against the caller's memory.
+// iterations, their filters and the stall fallback all run against the
+// caller's memory. The early gather at the iteration cap is guarded by
+// internal/selection's TestSelectionLeavesShardsUnchanged, where the cap
+// can be lowered.
 
 const (
 	guardProcs = 8
@@ -218,12 +220,6 @@ func TestBorrowedShardsUnchangedSelector(t *testing.T) {
 			}
 			guardSelector(t, fmt.Sprintf("%v/%v/float64", alg, bal), floats, opts)
 		}
-		// The iteration cap: one pivot iteration, then gather and solve.
-		capped := parsel.Options{Algorithm: alg, MaxIterations: 1}
-		for name, shards := range inputs {
-			guardSelector(t, fmt.Sprintf("%v/cap1/%s", alg, name), shards, capped)
-		}
-		guardSelector(t, fmt.Sprintf("%v/cap1/float64", alg), floats, capped)
 		// p = 1: the sequential kernel runs on the processor's copy.
 		one := [][]int64{slices.Concat(inputs["random"]...)}
 		guardSelector(t, fmt.Sprintf("%v/p1", alg), one, parsel.Options{Algorithm: alg})
@@ -234,13 +230,13 @@ func TestBorrowedShardsUnchangedSelector(t *testing.T) {
 
 func TestBorrowedShardsUnchangedPool(t *testing.T) {
 	for name, shards := range guardInputs() {
-		for _, opts := range []parsel.Options{{}, {MaxIterations: 1}, {Algorithm: parsel.Randomized}} {
+		for _, opts := range []parsel.Options{{}, {Algorithm: parsel.Randomized}} {
 			pl, err := parsel.NewPool[int64](opts, parsel.PoolOptions{MaxMachines: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := cloneShards(shards)
-			label := fmt.Sprintf("pool/%v/cap%d/%s", opts.Algorithm, opts.MaxIterations, name)
+			label := fmt.Sprintf("pool/%v/%s", opts.Algorithm, name)
 			queries := append(shardQueries[int64](pl, shards), runQueries(population(shards), func(q parsel.Query) error {
 				_, err := pl.Run(context.Background(), shards, q)
 				return err
@@ -257,23 +253,15 @@ func TestBorrowedShardsUnchangedDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pl.Close()
-	capped, err := parsel.NewPool[int64](parsel.Options{MaxIterations: 1}, parsel.PoolOptions{MaxMachines: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer capped.Close()
 	for name, shards := range guardInputs() {
-		for _, p := range []*parsel.Pool[int64]{pl, capped} {
-			// RestoreDataset adopts the slices, so the queries run
-			// against this test's own memory.
-			ds, err := p.RestoreDataset(shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("dataset/cap%d/%s", p.Options().MaxIterations, name)
-			runGuarded(t, label, shards, cloneShards(shards), datasetQueries(ds))
-			ds.Close()
+		// RestoreDataset adopts the slices, so the queries run against
+		// this test's own memory.
+		ds, err := pl.RestoreDataset(shards)
+		if err != nil {
+			t.Fatal(err)
 		}
+		runGuarded(t, "dataset/"+name, shards, cloneShards(shards), datasetQueries(ds))
+		ds.Close()
 	}
 
 	fp, err := parsel.NewPool[float64](parsel.Options{}, parsel.PoolOptions{MaxMachines: 1})

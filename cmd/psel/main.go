@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/big"
 	"os"
 
@@ -31,44 +32,55 @@ var (
 func keys[V any](m map[string]V) string { return flagname.Keys(m) }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "psel: %v\n", err)
+		os.Exit(2)
+	}
+}
+
+// run parses args (without the program name), runs the selection and
+// writes its report to out. A bad flag exits as flag.ExitOnError does;
+// every other failure is returned.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("psel", flag.ExitOnError)
 	var (
-		n     = flag.Int64("n", 1<<20, "total number of keys")
-		p     = flag.Int("p", 16, "number of simulated processors")
-		alg   = flag.String("alg", "fastrand", "algorithm: "+keys(algNames))
-		bal   = flag.String("bal", "none", "load balancer: "+keys(balNames))
-		dist  = flag.String("dist", "random", "input distribution: "+keys(distNames))
-		rank  = flag.Int64("rank", 0, "1-based rank to select (0 = use -q)")
-		q     = flag.Float64("q", 0.5, "quantile in [0,1] used when -rank is 0")
-		seed  = flag.Uint64("seed", 1, "seed for data and algorithm randomness")
-		trial = flag.Int("trials", 1, "repeat count (reports the average simulated time)")
-		trace = flag.Bool("trace", false, "print a per-iteration trace of the last trial")
+		n     = fs.Int64("n", 1<<20, "total number of keys")
+		p     = fs.Int("p", 16, "number of simulated processors")
+		alg   = fs.String("alg", "fastrand", "algorithm: "+keys(algNames))
+		bal   = fs.String("bal", "none", "load balancer: "+keys(balNames))
+		dist  = fs.String("dist", "random", "input distribution: "+keys(distNames))
+		rank  = fs.Int64("rank", 0, "1-based rank to select (0 = use -q)")
+		q     = fs.Float64("q", 0.5, "quantile in [0,1] used when -rank is 0")
+		seed  = fs.Uint64("seed", 1, "seed for data and algorithm randomness")
+		trial = fs.Int("trials", 1, "repeat count (reports the average simulated time)")
+		trace = fs.Bool("trace", false, "print a per-iteration trace of the last trial")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	a, ok := algNames[*alg]
 	if !ok {
-		fail("unknown -alg %q (want %s)", *alg, keys(algNames))
+		return fmt.Errorf("unknown -alg %q (want %s)", *alg, keys(algNames))
 	}
 	b, ok := balNames[*bal]
 	if !ok {
-		fail("unknown -bal %q (want %s)", *bal, keys(balNames))
+		return fmt.Errorf("unknown -bal %q (want %s)", *bal, keys(balNames))
 	}
 	d, ok := distNames[*dist]
 	if !ok {
-		fail("unknown -dist %q (want %s)", *dist, keys(distNames))
+		return fmt.Errorf("unknown -dist %q (want %s)", *dist, keys(distNames))
 	}
 	if *n < 1 || *p < 1 {
-		fail("need -n >= 1 and -p >= 1")
+		return fmt.Errorf("need -n >= 1 and -p >= 1")
 	}
 	r := *rank
 	if r == 0 {
 		var err error
 		if r, err = quantileRank(*n, *q); err != nil {
-			fail("%v", err)
+			return err
 		}
 	}
 	if r < 1 || r > *n {
-		fail("rank %d out of range [1,%d]", r, *n)
+		return fmt.Errorf("rank %d out of range [1,%d]", r, *n)
 	}
 
 	var simSum float64
@@ -88,7 +100,7 @@ func main() {
 			})
 		})
 		if err != nil {
-			fail("run failed: %v", err)
+			return fmt.Errorf("run failed: %v", err)
 		}
 		simSum += sim
 		value = vals[0]
@@ -100,27 +112,28 @@ func main() {
 		}
 	}
 
-	fmt.Printf("selected rank %d of %d (%s data, p=%d, %s + %s)\n", r, *n, *dist, *p, *alg, *bal)
-	fmt.Printf("value:            %d\n", value)
-	fmt.Printf("simulated time:   %.6f s (avg of %d trial(s))\n", simSum/float64(*trial), *trial)
-	fmt.Printf("iterations:       %d\n", last.Iterations)
+	fmt.Fprintf(out, "selected rank %d of %d (%s data, p=%d, %s + %s)\n", r, *n, *dist, *p, *alg, *bal)
+	fmt.Fprintf(out, "value:            %d\n", value)
+	fmt.Fprintf(out, "simulated time:   %.6f s (avg of %d trial(s))\n", simSum/float64(*trial), *trial)
+	fmt.Fprintf(out, "iterations:       %d\n", last.Iterations)
 	if last.Unsuccessful > 0 {
-		fmt.Printf("unsuccessful:     %d\n", last.Unsuccessful)
+		fmt.Fprintf(out, "unsuccessful:     %d\n", last.Unsuccessful)
 	}
 	if last.BalanceSeconds > 0 {
-		fmt.Printf("balance time:     %.6f s\n", last.BalanceSeconds)
+		fmt.Fprintf(out, "balance time:     %.6f s\n", last.BalanceSeconds)
 	}
 	if last.FinalGatherElems > 0 {
-		fmt.Printf("final gather:     %d elements\n", last.FinalGatherElems)
+		fmt.Fprintf(out, "final gather:     %d elements\n", last.FinalGatherElems)
 	}
 	if *trace {
-		fmt.Printf("\n%4s %14s %14s %10s %12s %12s\n",
+		fmt.Fprintf(out, "\n%4s %14s %14s %10s %12s %12s\n",
 			"iter", "population", "rank", "local(P0)", "sim(s)", "balance(s)")
 		for i, tr := range last.Trace {
-			fmt.Printf("%4d %14d %14d %10d %12.6f %12.6f\n",
+			fmt.Fprintf(out, "%4d %14d %14d %10d %12.6f %12.6f\n",
 				i+1, tr.Population, tr.Rank, tr.Local, tr.SimSeconds, tr.BalanceSeconds)
 		}
 	}
+	return nil
 }
 
 // quantileRank returns the rank of quantile q among n keys: ceil(n*q),
@@ -136,9 +149,4 @@ func quantileRank(n int64, q float64) (int64, error) {
 	ceil := new(big.Int).Add(r.Num(), r.Denom())
 	ceil.Sub(ceil, big.NewInt(1)).Quo(ceil, r.Denom())
 	return max(1, ceil.Int64()), nil
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "psel: "+format+"\n", args...)
-	os.Exit(2)
 }

@@ -1,8 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"flag"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"parsel"
@@ -75,6 +80,53 @@ func TestUsageListsSortedNames(t *testing.T) {
 			if got := c.list(); got != c.want {
 				t.Fatalf("%s usage lists %q, want %q", c.flag, got, c.want)
 			}
+		}
+	}
+}
+
+// updateGolden rewrites testdata/*.golden instead of comparing against
+// them: go test ./cmd/psel -update-golden
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.golden instead of comparing against them")
+
+// TestSmokeGolden pins psel's output, byte for byte, for the two
+// invocations make smoke runs: a traced randomized run with balancing
+// and a default-algorithm quantile. The simulated time is deterministic
+// per seed, so any difference is a change in what psel selects, how the
+// engine prices it, or how psel prints it.
+func TestSmokeGolden(t *testing.T) {
+	for _, c := range []struct{ name, args string }{
+		{"trace", "-n 65536 -p 8 -alg rand -bal modomlb -trace"},
+		{"q09", "-n 65536 -p 8 -q 0.9"},
+	} {
+		var out bytes.Buffer
+		if err := run(strings.Fields(c.args), &out); err != nil {
+			t.Fatalf("psel %s: %v", c.args, err)
+		}
+		path := filepath.Join("testdata", c.name+".golden")
+		if *updateGolden {
+			if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("read golden (rerun with -update-golden to record): %v", err)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("psel %s:\n got:\n%s\nwant (%s):\n%s", c.args, out.Bytes(), path, want)
+		}
+	}
+}
+
+// TestRunRejectsBadArguments checks that run reports, rather than exits
+// on, an unknown name, a quantile outside [0,1] and an out-of-range rank,
+// and writes no report for them.
+func TestRunRejectsBadArguments(t *testing.T) {
+	for _, args := range []string{"-alg zz", "-bal zz", "-dist zz", "-q 1.5", "-n 10 -rank 11", "-p 0"} {
+		var out bytes.Buffer
+		if err := run(strings.Fields(args), &out); err == nil || out.Len() != 0 {
+			t.Errorf("psel %s: err %v, output %q; want an error and no output", args, err, out.String())
 		}
 	}
 }

@@ -54,12 +54,7 @@ var (
 // resident pool (release is a no-op); past maxDefaultPools distinct
 // Options it is a private single-machine pool that release tears down,
 // which is exactly the old throwaway-Selector behavior.
-//
-// Machine.Procs is normalized out of the key: a pool serves every
-// machine shape (each call's shard count picks its shape), so calls
-// differing only in Procs share one pool.
 func defaultPool[K cmp.Ordered](opts Options) (*Pool[K], func(), error) {
-	opts.Machine.Procs = 0
 	key := defaultPoolKey{opts: opts, typ: reflect.TypeFor[K]()}
 	defaultPoolsMu.Lock()
 	if p, ok := defaultPools[key]; ok {

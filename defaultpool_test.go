@@ -92,26 +92,6 @@ func TestPackageWrappersShareDefaultPool(t *testing.T) {
 	}
 }
 
-// TestDefaultPoolShapeSharing pins the key normalization: calls that
-// differ only in Machine.Procs (which the sharded entry points ignore)
-// share one default pool.
-func TestDefaultPoolShapeSharing(t *testing.T) {
-	opts := parsel.Options{Machine: parsel.Machine{Seed: 0xFEEDFACE}}
-	shards := workload.Generate(workload.Random, 5000, 4, 3)
-	if _, err := parsel.Over(shards, opts).Median(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	withProcs := opts
-	withProcs.Machine.Procs = 32 // ignored by sharded calls
-	if _, err := parsel.Over(shards, withProcs).Median(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	st := parsel.DefaultPoolStatsForTest(opts)
-	if st.Creates != 1 || st.Hits < 1 {
-		t.Errorf("Procs-only Options variation split the pool: %+v", st)
-	}
-}
-
 // TestDefaultPoolCacheBounded pins the fallback path: the shared cache
 // never grows past its cap, and high-cardinality Options churn past the
 // cap still serves correct results through private throwaway pools

@@ -131,7 +131,6 @@ func TestDimensionExchangeSortedFresh(t *testing.T) {
 	slices.Sort(oracle)
 	sel, err := parsel.NewSelector[int64](parsel.Options{
 		Balancer: parsel.DimensionExchange,
-		Machine:  parsel.Machine{Procs: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +181,7 @@ func TestDifferentialAgainstSortOracle(t *testing.T) {
 						opts := parsel.Options{
 							Algorithm: alg,
 							Balancer:  bal,
-							Machine:   parsel.Machine{Procs: len(shape.shards), Topology: topo},
+							Machine:   parsel.Machine{Topology: topo},
 						}
 						sel, err := parsel.NewSelector[int64](opts)
 						if err != nil {

@@ -46,9 +46,7 @@ func TestSelectorMatchesOneShot(t *testing.T) {
 	shards := engineShards(20000, 8)
 	for _, tc := range engineOpts {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := tc.opts
-			opts.Machine.Procs = len(shards)
-			sel, err := parsel.NewSelector[int64](opts)
+			sel, err := parsel.NewSelector[int64](tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +86,6 @@ func TestSelectorMatchesOneShot(t *testing.T) {
 func TestSelectorSteadyStateAllocs(t *testing.T) {
 	shards := engineShards(64<<10, 8)
 	opts := parsel.Options{Algorithm: parsel.FastRandomized, Balancer: parsel.ModifiedOMLB}
-	opts.Machine.Procs = len(shards)
 	sel, err := parsel.NewSelector[int64](opts)
 	if err != nil {
 		t.Fatal(err)
@@ -123,9 +120,7 @@ func TestSelectorSteadyStateAllocs(t *testing.T) {
 // generic collectives.
 func TestSelectRanksSteadyStateAllocs(t *testing.T) {
 	shards := engineShards(64<<10, 8)
-	opts := parsel.Options{}
-	opts.Machine.Procs = len(shards)
-	sel, err := parsel.NewSelector[int64](opts)
+	sel, err := parsel.NewSelector[int64](parsel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,6 @@ func DefaultPoolStatsForTest(opts Options) PoolStats {
 		panic(err)
 	}
 	done()
-	opts.Machine.Procs = 0
 	defaultPoolsMu.Lock()
 	_, shared := defaultPools[defaultPoolKey{opts: opts, typ: reflect.TypeFor[int64]()}]
 	defaultPoolsMu.Unlock()

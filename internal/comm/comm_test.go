@@ -373,7 +373,7 @@ func TestBroadcastModelCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perHop := params.TauSec + 2*params.MuSecPerByte*8
+	perHop := machine.Tau + 2*machine.Mu*8
 	want := 3 * perHop // log2(8) levels along the critical path
 	if math.Abs(sim-want) > want*0.01 {
 		t.Errorf("broadcast sim cost %g, want ~%g", sim, want)
@@ -393,8 +393,8 @@ func TestGatherModelCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	low := params.MuSecPerByte * float64((16-1)*perProc*8)
-	high := 4*low + 16*params.TauSec
+	low := machine.Mu * float64((16-1)*perProc*8)
+	high := 4*low + 16*machine.Tau
 	if sim < low || sim > high {
 		t.Errorf("gather sim cost %g outside [%g, %g]", sim, low, high)
 	}

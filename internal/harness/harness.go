@@ -499,6 +499,6 @@ func runPrims(cfg Config) error {
 		}
 	}
 	fmt.Fprintf(w, "model: tau=%.0fus mu=%.3fus/B word=8B\n",
-		machine.DefaultParams(2).TauSec*1e6, machine.DefaultParams(2).MuSecPerByte*1e6)
+		machine.Tau*1e6, machine.Mu*1e6)
 	return nil
 }

@@ -94,7 +94,7 @@ func measureViaSort(cfg Config, n int64, p int) float64 {
 		params := machine.DefaultParams(p)
 		params.Seed = uint64(t + 1)
 		sim, err := machine.Run(params, func(pr *machine.Proc) {
-			selection.ViaSort(pr, shards[pr.ID()], (n+1)/2, selection.Options{})
+			selection.ViaSort(pr, shards[pr.ID()], (n+1)/2)
 		})
 		if err != nil {
 			panic(err)

@@ -45,23 +45,28 @@ import (
 // WordBytes is the size of one data element (int64 keys) on the wire.
 const WordBytes = 8
 
+// The CM-5 prices of the paper's two-level model (§2.1–2.2), the same on
+// every machine.
+const (
+	// Tau is the communication start-up overhead in seconds (the
+	// paper's tau). CM-5 CMMD start-up is on the order of 100 us.
+	Tau = 100e-6
+	// Mu is the inverse data-transfer rate in seconds per byte (the
+	// paper's mu = 1/rate). CM-5 per-node bandwidth is ~8 MB/s.
+	Mu = 0.125e-6
+	// SecPerOp is the simulated cost of one element-level operation
+	// (comparison, move, arithmetic step) as counted by the sequential
+	// kernels: ~10 cycles per counted op on a 33 MHz SPARC. Selection
+	// kernels stream multi-hundred-KB working sets that do not fit the
+	// node cache, so loads dominate.
+	SecPerOp = 10.0 / 33e6
+)
+
 // Params describes the simulated machine. The zero value is not useful;
-// use DefaultParams (CM-5-like constants) or fill in all fields.
+// use DefaultParams or fill in Procs and Seed.
 type Params struct {
 	// Procs is the number of simulated processors (p >= 1).
 	Procs int
-	// TauSec is the communication start-up overhead in seconds (the
-	// paper's tau). CM-5 CMMD start-up is on the order of 100 us.
-	TauSec float64
-	// MuSecPerByte is the inverse data-transfer rate in seconds per byte
-	// (the paper's mu = 1/rate). CM-5 per-node bandwidth is ~8 MB/s.
-	MuSecPerByte float64
-	// SecPerOp is the simulated cost of one element-level operation
-	// (comparison, move, arithmetic step) as counted by the sequential
-	// kernels. The CM-5 default assumes ~10 cycles per counted op on a
-	// 33 MHz SPARC: selection kernels stream multi-hundred-KB working
-	// sets that do not fit the node cache, so loads dominate.
-	SecPerOp float64
 	// Seed feeds all deterministic random streams on the machine.
 	Seed uint64
 	// Topology prices messages with a per-hop latency on top of the
@@ -74,18 +79,9 @@ type Params struct {
 	PerHopSec float64
 }
 
-// DefaultParams returns CM-5-like machine constants for p processors:
-// tau = 100 microseconds, bandwidth = 8 MB/s, and a 33 MHz processor
-// retiring one counted operation every 10 cycles (memory-bound kernels;
-// see Params.SecPerOp).
+// DefaultParams returns a p-processor crossbar machine with seed 1.
 func DefaultParams(p int) Params {
-	return Params{
-		Procs:        p,
-		TauSec:       100e-6,
-		MuSecPerByte: 0.125e-6,
-		SecPerOp:     10.0 / 33e6,
-		Seed:         1,
-	}
+	return Params{Procs: p, Seed: 1}
 }
 
 // Validate reports whether the parameters describe a runnable machine.
@@ -93,12 +89,6 @@ func (pr Params) Validate() error {
 	switch {
 	case pr.Procs < 1:
 		return fmt.Errorf("machine: Procs must be >= 1, got %d", pr.Procs)
-	case pr.TauSec < 0:
-		return fmt.Errorf("machine: TauSec must be >= 0, got %g", pr.TauSec)
-	case pr.MuSecPerByte < 0:
-		return fmt.Errorf("machine: MuSecPerByte must be >= 0, got %g", pr.MuSecPerByte)
-	case pr.SecPerOp < 0:
-		return fmt.Errorf("machine: SecPerOp must be >= 0, got %g", pr.SecPerOp)
 	case pr.PerHopSec < 0:
 		return fmt.Errorf("machine: PerHopSec must be >= 0, got %g", pr.PerHopSec)
 	case pr.Topology < Crossbar || pr.Topology > Ring:
@@ -124,7 +114,7 @@ func (pr Params) hopCost(src, dst int) float64 {
 // PerHopSec, or Tau/20 when it is zero.
 func (pr Params) PerHop() float64 {
 	if pr.PerHopSec == 0 {
-		return pr.TauSec / 20
+		return Tau / 20
 	}
 	return pr.PerHopSec
 }
@@ -576,7 +566,7 @@ func (p *Proc) Charge(ops int64) {
 		panic(fmt.Sprintf("machine: negative op charge %d", ops))
 	}
 	p.Counters.Ops += ops
-	p.now += float64(ops) * p.m.params.SecPerOp
+	p.now += float64(ops) * SecPerOp
 }
 
 // post prices an outgoing message (tau + mu*bytes for remote sends,
@@ -589,8 +579,7 @@ func (p *Proc) post(dst int, msg message) {
 		panic(fmt.Sprintf("machine: Send with negative byte count %d", msg.bytes))
 	}
 	if dst != p.id {
-		pr := p.m.params
-		p.now += pr.TauSec + pr.hopCost(p.id, dst) + pr.MuSecPerByte*float64(msg.bytes)
+		p.now += Tau + p.m.params.hopCost(p.id, dst) + Mu*float64(msg.bytes)
 		p.Counters.MsgsSent++
 		p.Counters.BytesSent += int64(msg.bytes)
 	}
@@ -621,7 +610,7 @@ func (p *Proc) take(src, tag int) message {
 	}
 	if src != p.id {
 		p.AdvanceTo(msg.arrive)
-		p.now += p.m.params.MuSecPerByte * float64(msg.bytes)
+		p.now += Mu * float64(msg.bytes)
 		p.Counters.MsgsReceived++
 		p.Counters.BytesReceived += int64(msg.bytes)
 	}

@@ -21,9 +21,6 @@ func TestValidateRejectsBadParams(t *testing.T) {
 	}{
 		{"zero procs", func(p *Params) { p.Procs = 0 }},
 		{"negative procs", func(p *Params) { p.Procs = -3 }},
-		{"negative tau", func(p *Params) { p.TauSec = -1 }},
-		{"negative mu", func(p *Params) { p.MuSecPerByte = -1 }},
-		{"negative op cost", func(p *Params) { p.SecPerOp = -1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -79,7 +76,7 @@ func TestChargeAdvancesClock(t *testing.T) {
 	params := DefaultParams(1)
 	_, err := Run(params, func(pr *Proc) {
 		pr.Charge(1000)
-		want := 1000 * params.SecPerOp
+		want := 1000 * SecPerOp
 		if math.Abs(pr.Now()-want) > 1e-15 {
 			t.Errorf("Now() = %g, want %g", pr.Now(), want)
 		}
@@ -96,7 +93,7 @@ func TestChargeSecondsAndAdvanceTo(t *testing.T) {
 	params := DefaultParams(1)
 	_, err := Run(params, func(pr *Proc) {
 		pr.Charge(1000)
-		want := 1000 * params.SecPerOp
+		want := 1000 * SecPerOp
 		pr.AdvanceTo(want / 2) // in the past: no-op
 		if pr.Now() != want {
 			t.Errorf("Now() = %g after AdvanceTo into the past, want %g", pr.Now(), want)
@@ -118,7 +115,7 @@ func TestSendRecvPayloadAndTiming(t *testing.T) {
 		switch pr.ID() {
 		case 0:
 			pr.Send(1, 7, []int64{1, 2, 3}, bytes)
-			wantSender := params.TauSec + params.MuSecPerByte*bytes
+			wantSender := Tau + Mu*bytes
 			if math.Abs(pr.Now()-wantSender) > 1e-12 {
 				t.Errorf("sender clock %g, want %g", pr.Now(), wantSender)
 			}
@@ -128,7 +125,7 @@ func TestSendRecvPayloadAndTiming(t *testing.T) {
 				t.Errorf("payload = %v", got)
 			}
 			// Receiver: arrival (tau + mu*b) + drain (mu*b).
-			want := params.TauSec + 2*params.MuSecPerByte*bytes
+			want := Tau + 2*Mu*bytes
 			if math.Abs(pr.Now()-want) > 1e-12 {
 				t.Errorf("receiver clock %g, want %g", pr.Now(), want)
 			}
@@ -137,7 +134,7 @@ func TestSendRecvPayloadAndTiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSim := params.TauSec + 2*params.MuSecPerByte*bytes
+	wantSim := Tau + 2*Mu*bytes
 	if math.Abs(sim-wantSim) > 1e-12 {
 		t.Errorf("sim time %g, want %g", sim, wantSim)
 	}

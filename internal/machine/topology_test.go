@@ -130,7 +130,7 @@ func TestPerHopDefaultsForNonCrossbar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := params.TauSec + 5*params.TauSec/20
+	want := Tau + 5*Tau/20
 	if math.Abs(sim-want) > 1e-12 {
 		t.Errorf("mesh default per-hop sim = %g, want %g", sim, want)
 	}

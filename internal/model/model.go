@@ -22,7 +22,7 @@
 // about 19 operations for deterministic (BFPRT) selection, 1.4 for
 // Floyd–Rivest selection, 2.5 for a three-way partition pass, and the
 // bucket preprocessing about 5.5 per element per level. Those constants,
-// times machine.Params.SecPerOp, turn the asymptotic forms into seconds.
+// times machine.SecPerOp, turn the asymptotic forms into seconds.
 package model
 
 import (
@@ -55,10 +55,10 @@ func Predict(alg selection.Algorithm, n int64, params machine.Params, worstCase 
 	// Iterations until the population falls to p^2.
 	iters := math.Max(1, math.Log2(math.Max(2, N/(p*p))))
 	loglogn := math.Max(1, math.Log2(math.Max(2, math.Log2(N))))
-	op := params.SecPerOp
-	tau := params.TauSec
+	op := machine.SecPerOp
+	tau := machine.Tau
 	word := float64(machine.WordBytes)
-	mu := params.MuSecPerByte * word
+	mu := machine.Mu * word
 
 	// Collective costs per iteration (§2.2): a handful of
 	// O((tau+mu) log p) collectives, and for the deterministic

@@ -54,8 +54,10 @@ func sameBits[K cmp.Ordered](a, b []K) bool {
 }
 
 // checkReadOnly runs Select, SelectPrefix (capturing, then replaying its
-// memo) and SelectMany on shards under every algorithm and balancer and
-// fails if any of them changed a shard.
+// memo) and SelectMany on shards under every algorithm and balancer,
+// with the default iteration cap and with a cap of one (one pivot
+// iteration, then the early gather), and fails if any of them changed a
+// shard.
 func checkReadOnly[K cmp.Ordered](t *testing.T, m *machine.Machine, label string, shards [][]K) {
 	t.Helper()
 	p := len(shards)
@@ -65,28 +67,30 @@ func checkReadOnly[K cmp.Ordered](t *testing.T, m *machine.Machine, label string
 	run := func(call string, opts Options, body func(pr *machine.Proc)) {
 		t.Helper()
 		if _, err := m.Run(body); err != nil {
-			t.Fatalf("%s %v/%v %s: %v", label, opts.Algorithm, opts.Balancer, call, err)
+			t.Fatalf("%s %v/%v/cap%d %s: %v", label, opts.Algorithm, opts.Balancer, opts.MaxIterations, call, err)
 		}
 		for i := range shards {
 			if !sameBits(shards[i], want[i]) {
-				t.Fatalf("%s %v/%v %s: shard %d modified", label, opts.Algorithm, opts.Balancer, call, i)
+				t.Fatalf("%s %v/%v/cap%d %s: shard %d modified", label, opts.Algorithm, opts.Balancer, opts.MaxIterations, call, i)
 			}
 		}
 	}
-	for _, alg := range AllAlgorithms {
-		for _, bal := range balance.Methods {
-			opts := Options{Algorithm: alg, Balancer: bal}
-			run("Select", opts, func(pr *machine.Proc) { Select(pr, shards[pr.ID()], n/3+1, opts) })
-			pre := NewPrefix[K](p)
-			run("SelectPrefix/capture", opts, func(pr *machine.Proc) { SelectPrefix(pr, shards[pr.ID()], n/3+1, opts, pre) })
-			if !pre.Seal() {
-				t.Fatalf("%s %v/%v: capture did not seal", label, alg, bal)
+	for _, maxIter := range []int{0, 1} {
+		for _, alg := range AllAlgorithms {
+			for _, bal := range balance.Methods {
+				opts := Options{Algorithm: alg, Balancer: bal, MaxIterations: maxIter}
+				run("Select", opts, func(pr *machine.Proc) { Select(pr, shards[pr.ID()], n/3+1, opts) })
+				pre := NewPrefix[K](p)
+				run("SelectPrefix/capture", opts, func(pr *machine.Proc) { SelectPrefix(pr, shards[pr.ID()], n/3+1, opts, pre) })
+				if !pre.Seal() {
+					t.Fatalf("%s %v/%v/cap%d: capture did not seal", label, alg, bal, maxIter)
+				}
+				if alg == FastRandomized && p > 1 && !pre.Replays() {
+					t.Fatalf("%s %v/%v/cap%d: no prefix to replay", label, alg, bal, maxIter)
+				}
+				run("SelectPrefix/replay", opts, func(pr *machine.Proc) { SelectPrefix(pr, shards[pr.ID()], n/2, opts, pre) })
+				run("SelectMany", opts, func(pr *machine.Proc) { SelectMany(pr, shards[pr.ID()], ranks, opts) })
 			}
-			if alg == FastRandomized && p > 1 && !pre.Replays() {
-				t.Fatalf("%s %v/%v: no prefix to replay", label, alg, bal)
-			}
-			run("SelectPrefix/replay", opts, func(pr *machine.Proc) { SelectPrefix(pr, shards[pr.ID()], n/2, opts, pre) })
-			run("SelectMany", opts, func(pr *machine.Proc) { SelectMany(pr, shards[pr.ID()], ranks, opts) })
 		}
 	}
 }

@@ -98,7 +98,9 @@ type Options struct {
 	Balancer balance.Method
 	// MaxIterations caps the iteration count before falling back to a
 	// gather-and-solve (a safety net; unreachable on sane inputs).
-	// SelectMany counts rounds against it. 0 means 200.
+	// SelectMany counts rounds against it. 0 means DefaultMaxIterations,
+	// the cap every caller runs with: a lower value is a test seam that
+	// reaches the early gather on small inputs.
 	MaxIterations int
 	// Faithful makes the fast randomized algorithm follow the paper's
 	// Alg. 4 exactly: the sample is parallel-sorted on every iteration

@@ -15,9 +15,7 @@ import (
 // quantifies by how much — but is useful as an oracle and as a baseline
 // for benchmarks. Unlike Select it consumes local: the sort permutes it
 // in place.
-func ViaSort[K cmp.Ordered](p *machine.Proc, local []K, rank int64, opts Options) (K, Stats) {
-	opts = opts.withDefaults()
-	st := &Stats{}
+func ViaSort[K cmp.Ordered](p *machine.Proc, local []K, rank int64) K {
 	n := comm.CombineInt64(p, int64(len(local)))
 	if n == 0 {
 		panic("selection: ViaSort on an empty population")
@@ -26,6 +24,5 @@ func ViaSort[K cmp.Ordered](p *machine.Proc, local []K, rank int64, opts Options
 		panic("selection: ViaSort rank out of range")
 	}
 	run := psort.Sort(p, local, p.Procs(), nil)
-	st.Iterations = 1
-	return psort.RankElement(p, run, rank-1), *st
+	return psort.RankElement(p, run, rank-1)
 }

@@ -23,7 +23,7 @@ func TestViaSortMatchesOracle(t *testing.T) {
 					work[i] = slices.Clone(shards[i])
 				}
 				_, err := machine.Run(machine.DefaultParams(p), func(pr *machine.Proc) {
-					res[pr.ID()], _ = ViaSort(pr, work[pr.ID()], rank, Options{})
+					res[pr.ID()] = ViaSort(pr, work[pr.ID()], rank)
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -40,14 +40,14 @@ func TestViaSortMatchesOracle(t *testing.T) {
 
 func TestViaSortInvalid(t *testing.T) {
 	_, err := machine.Run(machine.DefaultParams(2), func(pr *machine.Proc) {
-		ViaSort(pr, []int64{}, 1, Options{})
+		ViaSort(pr, []int64{}, 1)
 	})
 	if err == nil {
 		t.Error("empty population accepted")
 	}
 	work := [][]int64{{1}, {2}}
 	_, err = machine.Run(machine.DefaultParams(2), func(pr *machine.Proc) {
-		ViaSort(pr, work[pr.ID()], 3, Options{})
+		ViaSort(pr, work[pr.ID()], 3)
 	})
 	if err == nil {
 		t.Error("bad rank accepted")
@@ -74,7 +74,7 @@ func TestSelectionBeatsSorting(t *testing.T) {
 		return sim
 	}
 	tSort := runSim(func(pr *machine.Proc, local []int64) {
-		ViaSort(pr, local, n/2, Options{})
+		ViaSort(pr, local, n/2)
 	})
 	tRand := runSim(func(pr *machine.Proc, local []int64) {
 		Select(pr, local, n/2, Options{Algorithm: Randomized, Balancer: balance.None})

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -301,11 +302,6 @@ func TestDaemonFrameUploadErrors(t *testing.T) {
 	}
 }
 
-// flusherRecorder implements exactly http.ResponseWriter + Flusher.
-type flusherRecorder struct {
-	*httptest.ResponseRecorder
-}
-
 // plainRecorder hides ResponseRecorder's Flush, implementing only
 // http.ResponseWriter.
 type plainRecorder struct {
@@ -316,67 +312,47 @@ func (p *plainRecorder) Header() http.Header         { return p.w.Header() }
 func (p *plainRecorder) Write(b []byte) (int, error) { return p.w.Write(b) }
 func (p *plainRecorder) WriteHeader(code int)        { p.w.WriteHeader(code) }
 
-// readerFromRecorder implements ResponseWriter + io.ReaderFrom.
-type readerFromRecorder struct {
-	plainRecorder
-}
-
-func (rf *readerFromRecorder) ReadFrom(r io.Reader) (int64, error) {
-	return io.Copy(&rf.plainRecorder, r)
-}
-
 // TestStatusWriterForwardsOptionalInterfaces pins the recovery
-// middleware's writer wrapping: the writer handlers receive must still
-// expose exactly the optional interfaces (http.Flusher, io.ReaderFrom)
-// the underlying ResponseWriter supports — wrapping must not cost a
-// streaming handler its Flush or the body copy its ReadFrom fast path.
+// middleware's writer wrapping: http.NewResponseController(w).Flush()
+// in a handler reaches the underlying writer when it can flush and
+// reports http.ErrNotSupported when it cannot, and a flushed response
+// is never overwritten by the recovery 500 of a later panic.
 func TestStatusWriterForwardsOptionalInterfaces(t *testing.T) {
-	var sawFlusher, sawReaderFrom bool
+	var flushErr error
 	d := newDaemon(t, parsel.Options{}, parsel.PoolOptions{MaxMachines: 1}, serve.Options{
 		Middleware: func(next http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				_, sawFlusher = w.(http.Flusher)
-				_, sawReaderFrom = w.(io.ReaderFrom)
-				next.ServeHTTP(w, r)
+				w.Header().Set("X-Probe", "flushed")
+				if flushErr = http.NewResponseController(w).Flush(); flushErr != nil {
+					next.ServeHTTP(w, r)
+					return
+				}
+				panic("after flush")
 			})
 		},
+		Logger: slog.New(slog.DiscardHandler),
 	})
 	defer d.close()
 
-	probe := func(w http.ResponseWriter) {
-		t.Helper()
-		r := httptest.NewRequest(http.MethodGet, "/healthz", nil)
-		d.server.ServeHTTP(w, r)
+	rec := httptest.NewRecorder()
+	d.server.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if flushErr != nil {
+		t.Fatalf("Flush through the wrapper: %v", flushErr)
+	}
+	if !rec.Flushed {
+		t.Error("Flush did not reach the underlying writer")
+	}
+	if rec.Code != http.StatusOK || rec.Header().Get("X-Probe") != "flushed" || rec.Body.Len() != 0 {
+		t.Errorf("flushed response then panic: status %d, X-Probe %q, body %q; want the flushed 200 left alone",
+			rec.Code, rec.Header().Get("X-Probe"), rec.Body.String())
 	}
 
-	// The real net/http writer (as on the loopback listener) supports
-	// both; here each capability is probed in isolation.
-	probe(&flusherRecorder{httptest.NewRecorder()})
-	if !sawFlusher {
-		t.Error("Flusher on the underlying writer was hidden from the handler")
+	plain := httptest.NewRecorder()
+	d.server.ServeHTTP(&plainRecorder{plain}, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if !errors.Is(flushErr, http.ErrNotSupported) {
+		t.Errorf("Flush on a writer that cannot flush: %v, want http.ErrNotSupported", flushErr)
 	}
-	if sawReaderFrom {
-		t.Error("handler saw a ReaderFrom the underlying writer does not support")
-	}
-	probe(&readerFromRecorder{plainRecorder{httptest.NewRecorder()}})
-	if sawFlusher {
-		t.Error("handler saw a Flusher the underlying writer does not support")
-	}
-	if !sawReaderFrom {
-		t.Error("ReaderFrom on the underlying writer was hidden from the handler")
-	}
-	probe(&plainRecorder{httptest.NewRecorder()})
-	if sawFlusher || sawReaderFrom {
-		t.Error("plain writer grew optional interfaces through the wrapper")
-	}
-
-	// And the real server still answers through the wrappers.
-	res, err := d.ts.Client().Get(d.ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		t.Errorf("healthz through wrapped writer: %d", res.StatusCode)
+	if plain.Flushed || plain.Code != http.StatusOK {
+		t.Errorf("plain writer: flushed %v, status %d; want an unflushed 200 from the handler", plain.Flushed, plain.Code)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"log/slog"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,35 +16,49 @@ import (
 
 // TestOptionsFingerprint pins the snapshot options fingerprint of the
 // default configuration, and checks that zero fields and their explicit
-// defaults give the same string while a setting that moves simulated
-// metrics gives another.
+// defaults give the same string while every setting moves it: each leaf
+// field of parsel.Options, found by reflection, set to 2 (numbers and
+// durations) or true (bools) must give another string, so a field added
+// later that snapshots would not notice fails here.
 func TestOptionsFingerprint(t *testing.T) {
 	const want = "algorithm=fastrand balancer=modomlb seed=1 topology=crossbar per_hop_s=5e-06 max_iterations=200 faithful=false"
 	if got := optionsFingerprint(parsel.Options{}); got != want {
 		t.Fatalf("default fingerprint %q, want %q", got, want)
 	}
 	explicit := parsel.Options{
-		Algorithm:     parsel.FastRandomized,
-		Balancer:      parsel.ModifiedOMLB,
-		Machine:       parsel.Machine{Procs: 4, Seed: 1, PerHop: 5 * time.Microsecond},
-		MaxIterations: 200,
+		Algorithm: parsel.FastRandomized,
+		Balancer:  parsel.ModifiedOMLB,
+		Machine:   parsel.Machine{Seed: 1, PerHop: 5 * time.Microsecond},
 	}
 	if got := optionsFingerprint(explicit); got != want {
 		t.Errorf("explicit defaults fingerprint %q, want %q", got, want)
 	}
-	for _, o := range []parsel.Options{
-		{Algorithm: parsel.MedianOfMedians},
-		{Balancer: parsel.GlobalExchange},
-		{Machine: parsel.Machine{Seed: 2}},
-		{Machine: parsel.Machine{Topology: parsel.TopologyRing}},
-		{Machine: parsel.Machine{PerHop: time.Microsecond}},
-		{MaxIterations: 50},
-		{Faithful: true},
-	} {
-		if got := optionsFingerprint(o); got == want {
-			t.Errorf("%+v: fingerprint equals the default's", o)
+	var o parsel.Options
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		for i := range v.NumField() {
+			f, name := v.Field(i), path+v.Type().Field(i).Name
+			switch f.Kind() {
+			case reflect.Struct:
+				walk(f, name+".")
+				continue
+			case reflect.Bool:
+				f.SetBool(true)
+			case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+				f.SetInt(2)
+			case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+				f.SetUint(2)
+			default:
+				t.Errorf("%s: no test value for kind %v", name, f.Kind())
+				continue
+			}
+			if got := optionsFingerprint(o); got == want {
+				t.Errorf("%s: fingerprint of %+v equals the default's", name, o)
+			}
+			f.SetZero()
 		}
 	}
+	walk(reflect.ValueOf(&o).Elem(), "")
 }
 
 // lockedBuf is a log sink the snapshotter goroutine may write too.

@@ -502,61 +502,16 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// The statusWriter variants forward the optional interfaces the
-// underlying ResponseWriter supports. A plain statusWriter would hide
-// them — interface assertions see the wrapper, not what it wraps — so
-// wrapping the net/http writer used to cost streaming handlers their
-// Flush and the body copy its sendfile fast path.
+// Unwrap lets http.ResponseController reach the underlying writer's
+// optional interfaces (deadlines, full duplex, hijacking).
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-type statusWriterFlusher struct {
-	*statusWriter
-	f http.Flusher
-}
-
-func (w *statusWriterFlusher) Flush() {
-	// A flush sends the headers if none were written; the status is
-	// committed either way.
+// FlushError flushes through the underlying writer. A flush sends the
+// headers if none were written, so the status is committed first and a
+// flushed response is never overwritten by the recovery 500.
+func (w *statusWriter) FlushError() error {
 	w.commit(http.StatusOK)
-	w.f.Flush()
-}
-
-type statusWriterReaderFrom struct {
-	*statusWriter
-	rf io.ReaderFrom
-}
-
-func (w *statusWriterReaderFrom) ReadFrom(r io.Reader) (int64, error) {
-	w.commit(http.StatusOK)
-	return w.rf.ReadFrom(r)
-}
-
-type statusWriterFlusherReaderFrom struct {
-	statusWriterFlusher
-	rf io.ReaderFrom
-}
-
-func (w *statusWriterFlusherReaderFrom) ReadFrom(r io.Reader) (int64, error) {
-	w.commit(http.StatusOK)
-	return w.rf.ReadFrom(r)
-}
-
-// wrapStatusWriter wraps w for the recovery middleware, returning the
-// tracking core plus the writer to pass downstream — the narrowest
-// variant that still exposes every optional interface w supports.
-func wrapStatusWriter(w http.ResponseWriter) (*statusWriter, http.ResponseWriter) {
-	sw := &statusWriter{ResponseWriter: w}
-	f, isFlusher := w.(http.Flusher)
-	rf, isReaderFrom := w.(io.ReaderFrom)
-	switch {
-	case isFlusher && isReaderFrom:
-		return sw, &statusWriterFlusherReaderFrom{statusWriterFlusher{sw, f}, rf}
-	case isFlusher:
-		return sw, &statusWriterFlusher{sw, f}
-	case isReaderFrom:
-		return sw, &statusWriterReaderFrom{sw, rf}
-	default:
-		return sw, sw
-	}
+	return http.NewResponseController(w.ResponseWriter).Flush()
 }
 
 // recoverPanics is the outermost middleware: a panicking handler
@@ -579,8 +534,8 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 			tr.id = obs.NewRequestID()
 		}
 		r = r.WithContext(context.WithValue(r.Context(), trackKey{}, tr))
-		sw, dw := wrapStatusWriter(w)
-		dw.Header().Set(RequestIDHeader, tr.id)
+		sw := &statusWriter{ResponseWriter: w}
+		sw.Header().Set(RequestIDHeader, tr.id)
 		defer func() {
 			rec := recover()
 			if rec != nil {
@@ -601,7 +556,7 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 			}
 			s.finishRequest(tr, sw.code, r)
 		}()
-		next.ServeHTTP(dw, r)
+		next.ServeHTTP(sw, r)
 	})
 }
 

@@ -256,6 +256,23 @@ func (s *Server) snapshotLoop() {
 	}
 }
 
+// meta describes the entry's snapshot as saved at now under the options
+// fingerprint fp. Called under dsMu.
+func (e *dsEntry) meta(id string, now time.Time, fp string) snapshot.Meta {
+	return snapshot.Meta{
+		ID:            id,
+		KeyType:       e.ds.kind(),
+		Procs:         e.ds.Procs(),
+		N:             e.ds.N(),
+		Bytes:         e.bytes,
+		Gen:           e.gen,
+		ExpiresUnixMS: e.expires.UnixMilli(),
+		SavedUnixMS:   now.UnixMilli(),
+		Options:       fp,
+		Tenant:        e.tenant,
+	}
+}
+
 // persistOne reconciles one id's disk state with the registry: a
 // resident dataset is saved (data rewrite skipped when its generation
 // is already on disk), an absent one has its snapshot removed. A frame
@@ -278,17 +295,7 @@ func (s *Server) persistOne(id string) {
 	now := s.now()
 	if ok {
 		expires = e.expires
-		meta = snapshot.Meta{
-			ID:            id,
-			Procs:         e.ds.Procs(),
-			N:             e.ds.N(),
-			Bytes:         e.bytes,
-			Gen:           e.gen,
-			ExpiresUnixMS: expires.UnixMilli(),
-			SavedUnixMS:   now.UnixMilli(),
-			Options:       s.optionsFP,
-			Tenant:        e.tenant,
-		}
+		meta = e.meta(id, now, s.optionsFP)
 		sp, e.spool = e.spool, nil
 	}
 	s.dsMu.Unlock()
@@ -418,18 +425,7 @@ func (s *Server) drainSnapshots() {
 		now := s.now()
 		metas := make([]snapshot.Meta, 0, len(s.datasets))
 		for id, e := range s.datasets {
-			metas = append(metas, snapshot.Meta{
-				ID:            id,
-				KeyType:       e.ds.kind(),
-				Procs:         e.ds.Procs(),
-				N:             e.ds.N(),
-				Bytes:         e.bytes,
-				Gen:           e.gen,
-				ExpiresUnixMS: e.expires.UnixMilli(),
-				SavedUnixMS:   now.UnixMilli(),
-				Options:       s.optionsFP,
-				Tenant:        e.tenant,
-			})
+			metas = append(metas, e.meta(id, now, s.optionsFP))
 			e.persistedExpires = e.expires
 		}
 		s.dsMu.Unlock()
@@ -470,7 +466,8 @@ func (s *Server) snapshotStats() parselclient.SnapshotStats {
 // lists the effective value of every setting that moves simulated
 // metrics, by name, with a zero field read as its default: the same
 // configuration gives the same string however it was spelled, and a
-// renamed or added Options field does not change it.
+// renamed or added Options field does not change it. max_iterations
+// names the engine's fixed iteration cap.
 func optionsFingerprint(o parsel.Options) string {
 	params := machine.DefaultParams(1)
 	if o.Machine.Seed != 0 {
@@ -479,10 +476,6 @@ func optionsFingerprint(o parsel.Options) string {
 	if o.Machine.PerHop > 0 {
 		params.PerHopSec = o.Machine.PerHop.Seconds()
 	}
-	maxIter := o.MaxIterations
-	if maxIter == 0 {
-		maxIter = selection.DefaultMaxIterations
-	}
 	return fmt.Sprintf("algorithm=%v balancer=%v seed=%d topology=%v per_hop_s=%g max_iterations=%d faithful=%t",
-		o.Algorithm, o.Balancer, params.Seed, o.Machine.Topology, params.PerHop(), maxIter, o.Faithful)
+		o.Algorithm, o.Balancer, params.Seed, o.Machine.Topology, params.PerHop(), selection.DefaultMaxIterations, o.Faithful)
 }

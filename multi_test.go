@@ -6,6 +6,8 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
+
+	"parsel/internal/selection"
 )
 
 func TestSelectRanks(t *testing.T) {
@@ -101,8 +103,8 @@ func TestSelectRanksMuchCheaperThanSeparate(t *testing.T) {
 }
 
 // TestManyQuantilesStayUnderRoundCap pins the multi-rank engine's cost on
-// a many-rank query: MaxIterations caps rounds, not per-segment steps, so
-// 99 quantiles of 2^18 keys finish in far fewer than the default 200
+// a many-rank query: the iteration cap counts rounds, not per-segment
+// steps, so 99 quantiles of 2^18 keys finish in far fewer than its 200
 // rounds, exactly, and at well under twice the simulated cost of the 9
 // deciles. (Capping per-segment steps instead, the 99-quantile query on
 // this data hit the cap and gathered large segments onto processor 0:
@@ -139,8 +141,8 @@ func TestManyQuantilesStayUnderRoundCap(t *testing.T) {
 			t.Errorf("quantile %g = %d, want %d", q, got[i], want)
 		}
 	}
-	if rep99.Iterations >= 200 {
-		t.Errorf("99 quantiles took %d rounds, at the MaxIterations cap", rep99.Iterations)
+	if rep99.Iterations >= selection.DefaultMaxIterations {
+		t.Errorf("99 quantiles took %d rounds, at the iteration cap", rep99.Iterations)
 	}
 	if rep99.SimSeconds >= 2*rep9.SimSeconds {
 		t.Errorf("99 quantiles cost %g simulated s, 9 cost %g s: not under 2x",

@@ -30,7 +30,8 @@
 //
 // The Options zero value picks the paper's overall winner: fast
 // randomized selection with modified order-maintaining load balancing on
-// a CM-5-like machine.
+// a CM-5-like machine. Every query runs one simulated processor per
+// shard, and the machine's prices are the CM-5's own (see Machine).
 //
 // # Reusing a Selector
 //
@@ -146,14 +147,14 @@ const (
 // String names the topology.
 func (t Topology) String() string { return machine.Topology(t).String() }
 
-// Machine describes the simulated coarse-grained machine. It prices
-// work as the paper's CM-5 does: a message costs a 100 microsecond
-// start-up overhead (tau) plus its bytes at 8 MB/s per link (mu), and a
-// counted element operation costs 10 cycles at 33 MHz (memory-bound
-// kernels). The zero value of each field is replaced by its default.
+// Machine describes the simulated coarse-grained machine. It has one
+// processor per shard of the query it runs, and it prices work as the
+// paper's CM-5 does, the same on every machine: a message costs a 100
+// microsecond start-up overhead (tau) plus its bytes at 8 MB/s per link
+// (mu), and a counted element operation costs 10 cycles at 33 MHz
+// (memory-bound kernels). The zero value of each field is replaced by
+// its default.
 type Machine struct {
-	// Procs is the number of simulated processors (default 8).
-	Procs int
 	// Seed drives every random stream (default 1).
 	Seed uint64
 	// Topology prices messages by routing distance (default crossbar,
@@ -165,27 +166,22 @@ type Machine struct {
 }
 
 // Options configures every query. The zero value means: fast
-// randomized selection with modified OMLB balancing on an 8-processor
-// CM-5-like machine (the number of processors is overridden by the number
-// of shards passed in; see Run). Fast randomized selection draws the
-// paper's n^0.6-key sample per iteration and brackets the target rank
-// with its sqrt(|S| ln n) rank slack. An Algorithm or Balancer outside
-// its constants is an error from NewSelector, NewPool and Balance.
+// randomized selection with modified OMLB balancing on a CM-5-like
+// machine with one processor per shard. Fast randomized selection draws
+// the paper's n^0.6-key sample per iteration and brackets the target
+// rank with its sqrt(|S| ln n) rank slack. Every algorithm stops after
+// 200 pivot iterations (multi-rank queries: 200 rounds) and gathers
+// what is left, a safety net no sane input reaches. An Algorithm or
+// Balancer outside its constants is an error from NewSelector, NewPool
+// and Balance.
 type Options struct {
 	// Algorithm picks the selection algorithm (default FastRandomized).
 	Algorithm Algorithm
 	// Balancer picks the load balancer (default ModifiedOMLB; ignored
 	// by the bucket-based algorithms, which never balance).
 	Balancer Balancer
-	// Machine configures the simulated hardware. Machine.Procs is
-	// ignored by the sharded entry points, which use one processor per
-	// shard.
+	// Machine configures the simulated hardware.
 	Machine Machine
-	// MaxIterations caps pivot iterations before the safety fallback
-	// (default 200). For multi-rank runs (SelectRanks, Quantiles and
-	// the queries built on them) it caps rounds, each of which advances
-	// every unresolved rank's segment by one pivot step.
-	MaxIterations int
 	// Faithful forces the fast randomized algorithm to follow the
 	// paper's Alg. 4 exactly (parallel sample sort every iteration,
 	// uncapped rank-window slack). Leave false for best performance;
@@ -205,7 +201,8 @@ type Report struct {
 	// WallSeconds is the host wall-clock time of the run.
 	WallSeconds float64
 	// Iterations is the number of parallel pivot iterations; for
-	// multi-rank runs, the number of rounds (see Options.MaxIterations).
+	// multi-rank runs, the number of rounds, each of which advances
+	// every unresolved rank's segment by one pivot step.
 	Iterations int
 	// Unsuccessful counts fast randomized iterations whose sample
 	// window missed the target rank.
@@ -269,7 +266,7 @@ var (
 // should use a Pool, which checks Selectors in and out safely.
 type Selector[K cmp.Ordered] struct {
 	opts     Options
-	params   machine.Params
+	procs    int // machine size; before the first call, the shape a Pool filed it under
 	m        *machine.Machine
 	vals     []K
 	many     [][]K
@@ -344,22 +341,23 @@ func disagreement[K cmp.Ordered](vals []K) (proc int, ok bool) {
 	return 0, true
 }
 
-// NewSelector builds a reusable engine for opts. The machine size is
-// Options.Machine.Procs (default 8); a call whose shard count differs
-// transparently rebuilds the machine for the new size, so the amortized
-// benefit accrues to runs of same-shaped calls. The machine itself is
-// constructed lazily on the first call, so an engine sized by its first
-// workload never builds a throwaway default-sized fabric.
+// NewSelector builds a reusable engine for opts. The machine is built
+// on the first call, with one processor per shard; a later call whose
+// shard count differs transparently rebuilds it for the new size, so
+// the amortized benefit accrues to runs of same-shaped calls.
 func NewSelector[K cmp.Ordered](opts Options) (*Selector[K], error) {
-	procs := opts.Machine.Procs
-	if procs == 0 {
-		procs = 8
-	}
-	params, err := opts.params(procs)
-	if err != nil {
+	return newSelector[K](opts, 0)
+}
+
+// newSelector is NewSelector for a Selector whose Procs reports procs
+// until its first call builds a machine: a Pool files a new Selector
+// under the shape it was created for, even when its first query fails
+// before the build.
+func newSelector[K cmp.Ordered](opts Options, procs int) (*Selector[K], error) {
+	if _, err := opts.params(1); err != nil {
 		return nil, err
 	}
-	return &Selector[K]{opts: opts, params: params}, nil
+	return &Selector[K]{opts: opts, procs: procs}, nil
 }
 
 // rebuild constructs the machine and result arrays for p processors.
@@ -375,7 +373,7 @@ func (s *Selector[K]) rebuild(p int) error {
 	if s.m != nil {
 		s.m.Close()
 	}
-	s.m, s.params = m, params
+	s.m, s.procs = m, p
 	s.vals = make([]K, p)
 	s.many = make([][]K, p)
 	s.stats = make([]selection.Stats, p)
@@ -386,7 +384,7 @@ func (s *Selector[K]) rebuild(p int) error {
 // ensure adapts the engine to a call with p shards, building the machine
 // on first use.
 func (s *Selector[K]) ensure(p int) error {
-	if s.m != nil && s.params.Procs == p {
+	if s.m != nil && s.procs == p {
 		return nil
 	}
 	return s.rebuild(p)
@@ -416,8 +414,8 @@ func (s *Selector[K]) Close() {
 	}
 }
 
-// Procs returns the current machine size.
-func (s *Selector[K]) Procs() int { return s.params.Procs }
+// Procs returns the current machine size (0 before the first call).
+func (s *Selector[K]) Procs() int { return s.procs }
 
 // Over returns the named queries over shards, answered by Run: one
 // simulated processor per shard. The shards are only read: fast
@@ -444,10 +442,9 @@ func (s *Selector[K]) selectRank(shards [][]K, rank int64, h *hints[K]) (Answer[
 	}
 	pre, capture := h.prefixMemo(s.opts.Algorithm, len(shards))
 	iopts := selection.Options{
-		Algorithm:     selection.Algorithm(s.opts.Algorithm),
-		Balancer:      balance.Method(s.opts.Balancer),
-		MaxIterations: s.opts.MaxIterations,
-		Faithful:      s.opts.Faithful,
+		Algorithm: selection.Algorithm(s.opts.Algorithm),
+		Balancer:  balance.Method(s.opts.Balancer),
+		Faithful:  s.opts.Faithful,
 	}
 	rep, err := s.execute(func(pr *machine.Proc) {
 		o := iopts
@@ -476,9 +473,8 @@ func (s *Selector[K]) selectRanks(shards [][]K, ranks []int64) (Answer[K], error
 	if err := s.prepare(shards, ranks...); err != nil {
 		return Answer[K]{}, err
 	}
-	iopts := selection.Options{MaxIterations: s.opts.MaxIterations}
 	rep, err := s.execute(func(pr *machine.Proc) {
-		s.many[pr.ID()], s.stats[pr.ID()] = selection.SelectMany(pr, shards[pr.ID()], ranks, iopts)
+		s.many[pr.ID()], s.stats[pr.ID()] = selection.SelectMany(pr, shards[pr.ID()], ranks, selection.Options{})
 		s.counters[pr.ID()] = pr.Counters
 	})
 	if err != nil {
@@ -591,13 +587,14 @@ func Balance[K cmp.Ordered](shards [][]K, opts Options) ([][]K, Report, error) {
 	if p == 0 {
 		return nil, Report{}, ErrNoShards
 	}
-	// Not NewSelector: Balance ignores Machine.Procs, so only the
-	// p-processor machine is validated.
-	s := &Selector[K]{opts: opts}
-	if err := s.ensure(p); err != nil {
+	s, err := NewSelector[K](opts)
+	if err != nil {
 		return nil, Report{}, err
 	}
 	defer s.Close()
+	if err := s.ensure(p); err != nil {
+		return nil, Report{}, err
+	}
 	method := balance.Method(opts.Balancer)
 	out := make([][]K, p)
 	rep, err := s.execute(func(pr *machine.Proc) {

@@ -101,10 +101,9 @@ type Pool[K cmp.Ordered] struct {
 	warmMu sync.Mutex
 }
 
-// NewPool builds a serving pool for opts. Options.Machine.Procs is
-// ignored (each query's shard count picks its machine shape); the
-// remaining options apply to every resident Selector. No machine is
-// built until the first query.
+// NewPool builds a serving pool for opts, which apply to every resident
+// Selector; each query's shard count picks its machine shape. No machine
+// is built until the first query.
 func NewPool[K cmp.Ordered](opts Options, po PoolOptions) (*Pool[K], error) {
 	if po.MaxMachines < 0 {
 		return nil, fmt.Errorf("parsel: PoolOptions.MaxMachines must be >= 0, got %d", po.MaxMachines)
@@ -188,9 +187,7 @@ func (pl *Pool[K]) checkout(ctx context.Context, procs int) (*Selector[K], error
 		pl.total++
 		pl.stats.Creates++
 		pl.mu.Unlock()
-		o := pl.opts
-		o.Machine.Procs = procs
-		sel, err := NewSelector[K](o)
+		sel, err := newSelector[K](pl.opts, procs)
 		if err != nil {
 			pl.mu.Lock()
 			pl.total--
@@ -291,8 +288,7 @@ func (pl *Pool[K]) Stats() PoolStats {
 func (pl *Pool[K]) MaxMachines() int { return pl.max }
 
 // Options returns the configuration every resident Selector runs
-// with (Machine.Procs is per-query and meaningless here). Callers use
-// it to fingerprint a pool — e.g. to stamp snapshots with the
+// with. Callers use it to fingerprint a pool — e.g. to stamp snapshots with the
 // configuration they were taken under.
 func (pl *Pool[K]) Options() Options { return pl.opts }
 
